@@ -21,6 +21,7 @@ from .errors import (
     SpecMismatchError,
     SplitAlgebraError,
     UnsupportedAlgebraError,
+    UsageError,
     ZeroPolynomialError,
 )
 from .scalars import QQ, FieldSpec, Scalar
@@ -61,6 +62,7 @@ __all__ = [
     "SpecMismatchError",
     "SplitAlgebraError",
     "UnsupportedAlgebraError",
+    "UsageError",
     "ZeroPolynomialError",
     "QQ",
     "FieldSpec",

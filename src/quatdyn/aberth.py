@@ -11,8 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-import mpmath
-
 from .errors import ConvergenceError
 
 
@@ -28,6 +26,8 @@ def mpf_to_fraction(x) -> Fraction:
 
 
 def _horner(coeffs, z):
+    import mpmath
+
     p = coeffs[-1]
     dp = mpmath.mpc(0)
     for c in reversed(coeffs[:-1]):
@@ -46,6 +46,8 @@ def aberth_roots(
     Raises ConvergenceError if the iteration budget runs out before the
     residuals certify every approximant.
     """
+    import mpmath  # imported here so that exact-only runs never load it
+
     cs = list(coeffs)
     while cs and cs[-1] == 0:
         cs.pop()

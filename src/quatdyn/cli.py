@@ -16,7 +16,7 @@ import sys
 
 from . import __version__
 from . import dynamics, solver
-from .errors import AlgebraError, ParseError
+from .errors import AlgebraError, ParseError, UsageError
 from .octonions import OctSpec
 from .parsing import parse_element, parse_poly, parse_scalar
 from .polynomials import DEFAULT_DEGREE_CAP, Poly
@@ -245,9 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tolerance", type=float, default=solver.DEFAULT_TOLERANCE)
     common.add_argument("--precision", type=int, default=solver.DEFAULT_PRECISION)
     common.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP)
-    common.add_argument(
-        "--json", action="store_true", default=True, help="emit JSON (the default)"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("fixed-points", parents=[common])
@@ -281,8 +278,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if not exc.code else 2
     try:
+        _check_counts(ns)
         payload = _HANDLERS[ns.command](ns)
-    except ParseError as exc:
+    except (ParseError, UsageError) as exc:
         _emit_error(ns.command, exc)
         return 2
     except (AlgebraError, ZeroDivisionError) as exc:
@@ -290,6 +288,15 @@ def main(argv=None) -> int:
         return 1
     print(json.dumps(payload, indent=2))
     return 0
+
+
+def _check_counts(ns) -> None:
+    """Reject iteration counts and degree caps below 1 before any work."""
+    for name in ("n", "r", "n_max", "degree_cap"):
+        value = getattr(ns, name, None)
+        if value is not None and value < 1:
+            flag = "--" + name.replace("_", "-")
+            raise UsageError(f"{flag} must be at least 1, got {value}")
 
 
 def _emit_error(command: str, exc: Exception) -> None:

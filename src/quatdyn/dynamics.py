@@ -13,6 +13,11 @@ explicit instead of overclaiming:
   refuted_at          an exact mismatch of the (n*r)-fold composition.
   inconclusive        not r-fixed, or the bounded search exhausted its budget
                       (n_max or degree cap) without deciding.
+
+Both arguments for fixed_point and certified_periodic assume associative
+coefficients.  Over octonions a fixed point can move under f o f, so there the
+composites up to n_max are searched for a refutation first, and the two
+verdicts only say that none of them moved the point.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from dataclasses import dataclass, field
 
 from .errors import DegreeCapError, UnsupportedAlgebraError, ZeroPolynomialError
 from .polynomials import DEFAULT_DEGREE_CAP, Element, Poly
+from .octonions import OctSpec
 from .quaternions import QuatSpec
 from .solver import (
     DEFAULT_PRECISION,
@@ -125,7 +131,7 @@ def certify_periodic(
     Checks that the r-fold composition fixes the point; certifies via the
     commutation hypothesis on the repeated evaluations when it holds; and
     otherwise hunts for an exact counterexample among the (n*r)-fold
-    compositions, n up to n_max.
+    compositions, n up to n_max.  Over octonions that hunt comes first.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
@@ -142,6 +148,11 @@ def certify_periodic(
         evidence["r_fixed"] = False
         return PeriodicVerdict(r, "inconclusive", evidence=evidence)
     evidence["r_fixed"] = True
+    nonassociative = isinstance(f.spec, OctSpec)
+    if nonassociative:
+        verdict = _refute(f, lam, g, r, n_max, degree_cap, evidence)
+        if verdict is not None:
+            return verdict
     if r == 1:
         return PeriodicVerdict(r, "fixed_point", evidence=evidence)
 
@@ -155,7 +166,20 @@ def certify_periodic(
     if not failed:
         return PeriodicVerdict(r, "certified_periodic", evidence=evidence)
     evidence["failed_t"] = failed
+    if not nonassociative:
+        verdict = _refute(f, lam, g, r, n_max, degree_cap, evidence)
+        if verdict is not None:
+            return verdict
+    return PeriodicVerdict(r, "inconclusive", evidence=evidence)
 
+
+def _refute(f, lam, g, r, n_max, degree_cap, evidence) -> PeriodicVerdict | None:
+    """Evaluate the (n*r)-fold compositions, n = 2..n_max, at lam.
+
+    g is the r-fold composition.  Returns refuted_at for the first n that
+    moves lam, inconclusive when the degree cap stops the search, and None
+    when every composite fixes lam; `evidence` records the n checked.
+    """
     checked: list[int] = []
     current = g
     for n in range(2, n_max + 1):
@@ -171,7 +195,7 @@ def certify_periodic(
             evidence["refutation_checked"] = checked
             return PeriodicVerdict(r, "refuted_at", refuted_at=n, evidence=evidence)
     evidence["refutation_checked"] = checked
-    return PeriodicVerdict(r, "inconclusive", evidence=evidence)
+    return None
 
 
 def octonion_fixed_check(

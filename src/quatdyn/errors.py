@@ -1,8 +1,9 @@
 """Exception taxonomy.
 
 AlgebraError covers failures of the mathematics (split elements, degree caps,
-non-convergence); ParseError covers malformed input text. The CLI maps the
-former to exit code 1 and the latter to exit code 2.
+non-convergence); ParseError covers malformed input text and UsageError
+out-of-range arguments. The CLI maps the first to exit code 1 and the other
+two to exit code 2.
 """
 
 
@@ -64,3 +65,7 @@ class ParseError(ValueError):
             message = f"{message} (at position {position})"
         super().__init__(message)
         self.position = position
+
+
+class UsageError(ValueError):
+    """A command-line argument is outside its allowed range."""

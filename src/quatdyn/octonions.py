@@ -6,14 +6,18 @@ involution, is
     (q + r*l)(s + t*l) = q*s + gamma*conj(t)*r + (t*q + r*conj(s))*l
 
 It is alternative but not associative; powers are still unambiguous, and this
-module computes them left-nested.
+module computes them left-nested.  Products go through the structure-constant
+table that `_kernel` derives from this rule.
 """
 
 from __future__ import annotations
 
-from .errors import SpecMismatchError, SplitAlgebraError
+from math import lcm
+
+from ._kernel import SCALAR_LIFTS, Element, Table
+from .errors import SpecMismatchError
 from .quaternions import QuatSpec, Quaternion
-from .scalars import FieldSpec, QQ, RationalLike, Scalar, render_terms
+from .scalars import FieldSpec, QQ
 
 _BASIS = ("", "i", "j", "k", "l", "il", "jl", "kl")
 
@@ -21,7 +25,7 @@ _BASIS = ("", "i", "j", "k", "l", "il", "jl", "kl")
 class OctSpec:
     """A quaternion algebra together with the doubling parameter gamma."""
 
-    __slots__ = ("quat", "gamma")
+    __slots__ = ("quat", "gamma", "table")
 
     def __init__(self, quat: QuatSpec, gamma) -> None:
         gamma = quat.field.coerce(gamma)
@@ -29,6 +33,8 @@ class OctSpec:
             raise ValueError("gamma must be nonzero")
         object.__setattr__(self, "quat", quat)
         object.__setattr__(self, "gamma", gamma)
+        table = Table(quat.field, quat.alpha, quat.beta, gamma)
+        object.__setattr__(self, "table", table)
 
     def __setattr__(self, name, value):
         raise AttributeError("OctSpec is immutable")
@@ -65,7 +71,10 @@ class OctSpec:
     # -- constructors ---------------------------------------------------------
 
     def element(self, q=0, r=0) -> Octonion:
-        return Octonion(self, self.quat.coerce(q), self.quat.coerce(r))
+        q, r = self.quat.coerce(q), self.quat.coerce(r)
+        den = lcm(q.den, r.den)
+        nums = [v * (den // q.den) for v in q.nums] + [v * (den // r.den) for v in r.nums]
+        return Octonion(self, nums, den)
 
     def zero(self) -> Octonion:
         return self.element()
@@ -84,161 +93,39 @@ class OctSpec:
 
     def coerce(self, value) -> Octonion:
         if isinstance(value, Octonion):
-            if value.spec != self:
+            if value.spec is not self and value.spec != self:
                 raise SpecMismatchError("element from a different octonion algebra")
             return value
-        if isinstance(value, Quaternion):
-            return self.element(self.quat.coerce(value))
-        if isinstance(value, (Scalar,) + RationalLike):
+        if isinstance(value, (Quaternion,) + SCALAR_LIFTS):
             return self.element(self.quat.coerce(value))
         raise TypeError(f"cannot interpret {value!r} as an octonion")
 
 
-class Octonion:
+class Octonion(Element):
     """Element q + r*l of an octonion algebra."""
 
-    __slots__ = ("spec", "q", "r")
+    __slots__ = ()
 
-    def __init__(self, spec: OctSpec, q: Quaternion, r: Quaternion) -> None:
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "r", r)
+    BASIS = _BASIS
+    LIFTS = (Quaternion,) + SCALAR_LIFTS
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Octonion is immutable")
-
-    def coords(self) -> tuple[Scalar, ...]:
-        return self.q.coords() + self.r.coords()
+    # the product lives in this class's own namespace, so that per-class
+    # instrumentation can wrap it
+    __mul__ = Element.__mul__
+    __rmul__ = Element.__rmul__
 
     @property
-    def is_zero(self) -> bool:
-        return self.q.is_zero and self.r.is_zero
+    def q(self) -> Quaternion:
+        half = len(self.nums) // 2
+        return Quaternion(self.spec.quat, self.nums[:half], self.den)
 
     @property
-    def is_central(self) -> bool:
-        return self.q.is_central and self.r.is_zero
-
-    def scalar_part(self) -> Scalar:
-        return self.q.a
-
-    # -- coercion ---------------------------------------------------------------
-
-    def _lift(self, other) -> Octonion | None:
-        if isinstance(other, Octonion):
-            if other.spec != self.spec:
-                raise SpecMismatchError(
-                    f"mixed algebras {self.spec} and {other.spec}"
-                )
-            return other
-        if isinstance(other, (Quaternion, Scalar) + RationalLike):
-            return self.spec.coerce(other)
-        return None
-
-    # -- linear structure ----------------------------------------------------------
-
-    def __add__(self, other) -> Octonion:
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Octonion(self.spec, self.q + o.q, self.r + o.r)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> Octonion:
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Octonion(self.spec, self.q - o.q, self.r - o.r)
-
-    def __rsub__(self, other) -> Octonion:
-        return (-self) + other
-
-    def __neg__(self) -> Octonion:
-        return Octonion(self.spec, -self.q, -self.r)
-
-    # -- multiplication ---------------------------------------------------------------
-
-    def __mul__(self, other) -> Octonion:
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        g = self.spec.gamma
-        q, r = self.q, self.r
-        s, t = o.q, o.r
-        return Octonion(
-            self.spec,
-            q * s + (t.conj() * r) * g,
-            t * q + r * s.conj(),
-        )
-
-    def __rmul__(self, other) -> Octonion:
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self
-
-    def __pow__(self, n: int) -> Octonion:
-        # left-nested; alternativity makes every nesting agree
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("octonion powers take a nonnegative integer exponent")
-        out = self.spec.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
-    # -- involution, norm, inverse --------------------------------------------------------
-
-    def conj(self) -> Octonion:
-        return Octonion(self.spec, self.q.conj(), -self.r)
-
-    def trace(self) -> Scalar:
-        return self.q.a + self.q.a
-
-    def norm(self) -> Scalar:
-        return self.q.norm() - self.spec.gamma * self.r.norm()
-
-    def inv(self) -> Octonion:
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of the zero octonion")
-        n = self.norm()
-        if not n:
-            raise SplitAlgebraError(
-                "algebra is split at this element; "
-                "not a division ring for these parameters"
-            )
-        ninv = n.inv()
-        z = self.conj()
-        return Octonion(self.spec, z.q * ninv, z.r * ninv)
-
-    def __truediv__(self, other) -> Octonion:
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
-
-    # -- predicates ----------------------------------------------------------------------
-
-    def commutes(self, other) -> bool:
-        o = self._lift(other)
-        return (self * o - o * self).is_zero
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (Quaternion, Scalar) + RationalLike):
-            other = self.spec.coerce(other)
-        if not isinstance(other, Octonion):
-            return NotImplemented
-        return self.spec == other.spec and self.q == other.q and self.r == other.r
+    def r(self) -> Quaternion:
+        half = len(self.nums) // 2
+        return Quaternion(self.spec.quat, self.nums[half:], self.den)
 
     def __hash__(self) -> int:
-        return hash((self.spec, self.q, self.r))
-
-    # -- text -----------------------------------------------------------------------------
-
-    def render(self) -> str:
-        return render_terms(list(zip(self.coords(), _BASIS)))
-
-    def __str__(self) -> str:
-        return self.render()
-
-    def __repr__(self) -> str:
-        return f"<{self.render()} in {self.spec}>"
+        # an octonion with no l part equals, and hashes as, its quaternion
+        if not any(self.nums[len(self.nums) // 2 :]):
+            return hash(self.q)
+        return hash((self.spec, self.nums, self.den))

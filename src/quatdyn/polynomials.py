@@ -16,6 +16,8 @@ part of the contract, as is left-nesting of powers in `compose`.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .errors import DegreeCapError, SpecMismatchError, UnsupportedAlgebraError
 from .octonions import Octonion, OctSpec
 from .quaternions import QuatSpec, Quaternion
@@ -41,6 +43,12 @@ class Poly:
             cs.pop()
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    def _columns(self) -> tuple[list[list[int]], int]:
+        """Coordinate columns of the coefficients over one shared denominator."""
+        den = lcm(*(c.den for c in self.coeffs))
+        rows = [[v * (den // c.den) for v in c.nums] for c in self.coeffs]
+        return [list(col) for col in zip(*rows)], den
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -113,11 +121,12 @@ class Poly:
             return NotImplemented
         if self.is_zero or o.is_zero:
             return Poly(self.spec)
-        out = [self.spec.zero()] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            for j, dj in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + ci * dj
-        return Poly(self.spec, out)
+        table, element = self.spec.table, type(self.coeffs[0])
+        (F, fd), (G, gd) = self._columns(), o._columns()
+        den = fd * gd * table.den
+        return Poly(
+            self.spec, [element(self.spec, nums, den) for nums in zip(*table.poly_mul(F, G))]
+        )
 
     def __rmul__(self, other) -> Poly:
         o = self._lift(other)
@@ -139,14 +148,26 @@ class Poly:
     # -- substitution ----------------------------------------------------------------
 
     def __call__(self, lam) -> Element:
-        """Evaluate sum c_i lam^i, powers of lam computed left-nested."""
+        """Evaluate sum c_i lam^i, powers of lam left-nested.
+
+        Horner's rule gives the same value over octonions too: every term
+        (c_i lam) lam ... lam lies in the subalgebra generated by c_i and lam,
+        which is associative (Artin's theorem).  With the coefficients over
+        one denominator and lam = X/D, the numerators run over powers of
+        D*den(table), and the value is reduced once, at the end.
+        """
         lam = self.spec.coerce(lam)
-        acc = self.spec.zero()
-        power = self.spec.one()
-        for c in self.coeffs:
-            acc = acc + c * power
-            power = power * lam
-        return acc
+        if self.is_zero:
+            return self.spec.zero()
+        table = self.spec.table
+        cols, den = self._columns()
+        scale = lam.den * table.den
+        power = 1
+        acc = [col[-1] for col in cols]
+        for i in range(len(self.coeffs) - 2, -1, -1):
+            power *= scale
+            acc = [v + col[i] * power for v, col in zip(table.mul(acc, lam.nums), cols)]
+        return type(lam)(self.spec, acc, den * power)
 
     def compose(self, other) -> Poly:
         """Substitute a polynomial: sum c_i * (other ** i)."""

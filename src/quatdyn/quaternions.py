@@ -9,8 +9,11 @@ the point where they stop being division rings.
 
 from __future__ import annotations
 
-from .errors import SpecMismatchError, SplitAlgebraError
-from .scalars import FieldSpec, QQ, RationalLike, Scalar, render_terms
+from functools import lru_cache
+
+from ._kernel import SCALAR_LIFTS, Element, Table
+from .errors import SpecMismatchError
+from .scalars import FieldSpec, QQ, Scalar
 
 _BASIS = ("", "i", "j", "k")
 
@@ -18,7 +21,7 @@ _BASIS = ("", "i", "j", "k")
 class QuatSpec:
     """Structure constants of a quaternion algebra over a ground field."""
 
-    __slots__ = ("field", "alpha", "beta")
+    __slots__ = ("field", "alpha", "beta", "table")
 
     def __init__(self, field: FieldSpec, alpha, beta) -> None:
         alpha = field.coerce(alpha)
@@ -28,11 +31,13 @@ class QuatSpec:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "table", Table(field, alpha, beta))
 
     def __setattr__(self, name, value):
         raise AttributeError("QuatSpec is immutable")
 
     @classmethod
+    @lru_cache(maxsize=8)  # specs are immutable; parse_scalar asks for one per scalar
     def standard(cls, field: FieldSpec = QQ) -> QuatSpec:
         """The (-1, -1) algebra: Hamilton-type quaternions over `field`."""
         return cls(field, -1, -1)
@@ -57,8 +62,7 @@ class QuatSpec:
     # -- constructors -------------------------------------------------------
 
     def element(self, a=0, b=0, c=0, e=0) -> Quaternion:
-        f = self.field.coerce
-        return Quaternion(self, f(a), f(b), f(c), f(e))
+        return Quaternion.from_scalars(self, (a, b, c, e))
 
     def zero(self) -> Quaternion:
         return self.element()
@@ -86,192 +90,35 @@ class QuatSpec:
 
     def coerce(self, value) -> Quaternion:
         if isinstance(value, Quaternion):
-            if value.spec != self:
+            if value.spec is not self and value.spec != self:
                 raise SpecMismatchError("element from a different quaternion algebra")
             return value
-        if isinstance(value, (Scalar,) + RationalLike):
-            return self.element(self.field.coerce(value))
+        if isinstance(value, SCALAR_LIFTS):
+            return Quaternion.from_scalars(self, (value,))
         raise TypeError(f"cannot interpret {value!r} as a quaternion")
 
 
-class Quaternion:
+class Quaternion(Element):
     """Element a + b*i + c*j + e*k of a quaternion algebra."""
 
-    __slots__ = ("spec", "a", "b", "c", "e")
+    __slots__ = ()
 
-    def __init__(self, spec: QuatSpec, a: Scalar, b: Scalar, c: Scalar, e: Scalar):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "e", e)
+    BASIS = _BASIS
+    LIFTS = SCALAR_LIFTS
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Quaternion is immutable")
+    # the product and inverse live in this class's own namespace, so that
+    # per-class instrumentation can wrap them
+    __mul__ = Element.__mul__
+    __rmul__ = Element.__rmul__
+    inv = Element.inv
 
-    def coords(self) -> tuple[Scalar, Scalar, Scalar, Scalar]:
-        return (self.a, self.b, self.c, self.e)
-
-    @property
-    def is_zero(self) -> bool:
-        return not (self.a or self.b or self.c or self.e)
-
-    @property
-    def is_central(self) -> bool:
-        return not (self.b or self.c or self.e)
-
-    def scalar_part(self) -> Scalar:
-        return self.a
-
-    # -- coercion -----------------------------------------------------------
-
-    def _lift(self, other) -> Quaternion | None:
-        if isinstance(other, Quaternion):
-            if other.spec != self.spec:
-                raise SpecMismatchError(
-                    f"mixed algebras {self.spec} and {other.spec}"
-                )
-            return other
-        if isinstance(other, (Scalar,) + RationalLike):
-            return self.spec.element(self.spec.field.coerce(other))
-        return None
-
-    # -- linear structure -----------------------------------------------------
-
-    def __add__(self, other) -> Quaternion:
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Quaternion(
-            self.spec, self.a + o.a, self.b + o.b, self.c + o.c, self.e + o.e
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> Quaternion:
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Quaternion(
-            self.spec, self.a - o.a, self.b - o.b, self.c - o.c, self.e - o.e
-        )
-
-    def __rsub__(self, other) -> Quaternion:
-        return (-self) + other
-
-    def __neg__(self) -> Quaternion:
-        return Quaternion(self.spec, -self.a, -self.b, -self.c, -self.e)
-
-    # -- multiplication ------------------------------------------------------
-
-    def __mul__(self, other) -> Quaternion:
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        spec = self.spec
-        field = spec.field
-        if field.d is None:
-            # rational ground field: work on the raw fractions directly
-            a1, b1, c1, e1 = self.a.a, self.b.a, self.c.a, self.e.a
-            a2, b2, c2, e2 = o.a.a, o.b.a, o.c.a, o.e.a
-            al, be = spec.alpha.a, spec.beta.a
-            return Quaternion(
-                spec,
-                Scalar(field, a1 * a2 + al * (b1 * b2) + be * (c1 * c2)
-                       - al * be * (e1 * e2)),
-                Scalar(field, a1 * b2 + b1 * a2 - be * (c1 * e2)
-                       + be * (e1 * c2)),
-                Scalar(field, a1 * c2 + c1 * a2 + al * (b1 * e2)
-                       - al * (e1 * b2)),
-                Scalar(field, a1 * e2 + e1 * a2 + b1 * c2 - c1 * b2),
-            )
-        al, be = spec.alpha, spec.beta
-        a1, b1, c1, e1 = self.coords()
-        a2, b2, c2, e2 = o.coords()
-        return Quaternion(
-            spec,
-            a1 * a2 + al * (b1 * b2) + be * (c1 * c2) - al * be * (e1 * e2),
-            a1 * b2 + b1 * a2 - be * (c1 * e2) + be * (e1 * c2),
-            a1 * c2 + c1 * a2 + al * (b1 * e2) - al * (e1 * b2),
-            a1 * e2 + e1 * a2 + b1 * c2 - c1 * b2,
-        )
-
-    def __rmul__(self, other) -> Quaternion:
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self
-
-    def __pow__(self, n: int) -> Quaternion:
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("quaternion powers take a nonnegative integer exponent")
-        out = self.spec.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
-    # -- involution, trace, norm, inverse -------------------------------------
-
-    def conj(self) -> Quaternion:
-        return Quaternion(self.spec, self.a, -self.b, -self.c, -self.e)
-
-    def trace(self) -> Scalar:
-        return self.a + self.a
-
-    def norm(self) -> Scalar:
-        w = self.conj() * self
-        if w.b or w.c or w.e:
-            raise AssertionError("conj(z)*z left the ground field")
-        return w.a
-
-    def inv(self) -> Quaternion:
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of the zero quaternion")
-        n = self.norm()
-        if not n:
-            raise SplitAlgebraError(
-                "algebra is split at this element; "
-                "not a division ring for these parameters"
-            )
-        ninv = n.inv()
-        z = self.conj()
-        return Quaternion(self.spec, z.a * ninv, z.b * ninv, z.c * ninv, z.e * ninv)
-
-    def __truediv__(self, other) -> Quaternion:
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
-
-    # -- predicates ------------------------------------------------------------
-
-    def commutes(self, other) -> bool:
-        o = self._lift(other)
-        return (self * o - o * self).is_zero
+    a = property(lambda self: self._scalar(0))
+    b = property(lambda self: self._scalar(1))
+    c = property(lambda self: self._scalar(2))
+    e = property(lambda self: self._scalar(3))
 
     def in_class(self, trace: Scalar, norm: Scalar) -> bool:
         """Whether z*z - trace*z + norm vanishes exactly."""
         t = self.spec.field.coerce(trace)
         n = self.spec.field.coerce(norm)
         return (self * self - self * t + n).is_zero
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (Scalar,) + RationalLike):
-            other = self.spec.element(self.spec.field.coerce(other))
-        if not isinstance(other, Quaternion):
-            return NotImplemented
-        return self.spec == other.spec and self.coords() == other.coords()
-
-    def __hash__(self) -> int:
-        return hash((self.spec, self.coords()))
-
-    # -- text --------------------------------------------------------------------
-
-    def render(self) -> str:
-        return render_terms(list(zip(self.coords(), _BASIS)))
-
-    def __str__(self) -> str:
-        return self.render()
-
-    def __repr__(self) -> str:
-        return f"<{self.render()} in {self.spec}>"

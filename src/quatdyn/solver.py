@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .aberth import aberth_roots, mpf_to_fraction
 from .errors import (
     ClassSearchIncompleteError,
@@ -326,6 +324,8 @@ def _dedup_sorted(classes: list[ConjClass]) -> list[ConjClass]:
 
 
 def _numeric_classes(C: CentralPoly, precision: int) -> list[ConjClass]:
+    import mpmath  # imported here so that exact-only runs never load it
+
     if not C.field.has_real_embedding:
         raise UnsupportedAlgebraError(
             "numeric class extraction needs a real-embedded ground field"

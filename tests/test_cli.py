@@ -95,6 +95,18 @@ def test_exit_codes():
     code, _ = run_cli(["roots", "--nonsense"])
     assert code == 2
 
+    for argv in (
+        ["compose", "--poly", "x^2+i", "--n", "0"],
+        ["check-periodic", "--poly", "x^2+i", "--point=-i", "--r", "0"],
+        ["orbit", "--poly", "x^2+i", "--point=-i", "--n-max=-3"],
+        ["oct-check", "--poly", "x^2+i", "--point=-i", "--n-max", "0"],
+        ["compose", "--poly", "x^2+i", "--n", "2", "--degree-cap=-1"],
+        ["compose", "--poly", "x^2+i", "--n", "2", "--degree-cap", "0"],
+    ):
+        code, out = run_cli(argv)
+        assert code == 2, argv
+        assert json.loads(out)["error"]["type"] == "UsageError"
+
     code, _ = run_cli(["--version"])
     assert code == 0
 

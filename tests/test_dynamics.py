@@ -191,6 +191,10 @@ def test_octonion_counterexample():
     report = octonion_fixed_check(f, j, n_max=4)
     assert report.fixed is True
     assert report.first_failure == 2
+    # f fixes j, but f o f does not: no fixed_point verdict over octonions
+    verdict = certify_periodic(f, j, 1)
+    assert verdict.status == "refuted_at"
+    assert verdict.refuted_at == 2
 
 
 def test_octonion_check_inside_associative_subalgebra():

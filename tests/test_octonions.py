@@ -1,20 +1,32 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatdyn import OctSpec, QQ, QuatSpec, SplitAlgebraError
+from quatdyn import FieldSpec, OctSpec, QQ, QuatSpec, SplitAlgebraError
 
 from helpers import pair_omul, rand_oct
 
 O = OctSpec.standard()
 H = O.quat
+O5 = OctSpec.standard(FieldSpec(5))
+GENERIC = OctSpec(QuatSpec(QQ, 2, Fraction(1, 3)), -5)
 
 coords = st.fractions(min_value=-2, max_value=2, max_denominator=2)
 
-octs = st.tuples(*([coords] * 8)).map(
-    lambda t: O.element(H.element(*t[:4]), H.element(*t[4:]))
-)
+
+def octs_over(spec):
+    s = coords
+    if not spec.field.is_rational:
+        s = st.tuples(coords, coords).map(lambda ab: spec.field.scalar(*ab))
+    q = spec.quat
+    return st.tuples(*([s] * 8)).map(
+        lambda t: spec.element(q.element(*t[:4]), q.element(*t[4:]))
+    )
+
+
+octs = octs_over(O)
 
 
 def b(sym):
@@ -40,11 +52,23 @@ def test_associator_sign_flip():
     assert left == -right
 
 
-@given(octs, octs)
-def test_product_matches_pair_formula(x, y):
-    m1 = QQ.scalar(-1)
-    expected = pair_omul(m1, m1, m1, x.coords(), y.coords())
+@given(
+    st.sampled_from([O, GENERIC, O5]).flatmap(
+        lambda spec: st.tuples(octs_over(spec), octs_over(spec))
+    )
+)
+def test_product_matches_pair_formula(pair):
+    x, y = pair
+    q = x.spec.quat
+    expected = pair_omul(q.alpha, q.beta, x.spec.gamma, x.coords(), y.coords())
     assert (x * y).coords() == expected
+
+
+def test_hash_agrees_with_equality():
+    H5 = QuatSpec.standard(FieldSpec(5))
+    assert len({H.one(), 1}) == 1
+    assert len({O.coerce(H.i()), H.i()}) == 1
+    assert len({2 * H5.one(), H5.field.scalar(2)}) == 1
 
 
 def test_conj_norm_inv_examples():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,10 +14,29 @@ from quatdyn import (
     UnsupportedAlgebraError,
 )
 
-from helpers import rand_poly, rand_quat, rand_subfield_pair
+from helpers import (
+    pair_omul,
+    rand_oct,
+    rand_poly,
+    rand_quat,
+    rand_subfield_pair,
+    table_qmul,
+    tuple_poly_mul,
+)
 
 H = QuatSpec.standard()
 O = OctSpec.standard()
+F5 = FieldSpec(5)
+THIRD = QuatSpec(QQ, 2, Fraction(1, 3))
+TABLE_SPECS = [
+    H,
+    QuatSpec.standard(F5),
+    THIRD,
+    QuatSpec(F5, F5.scalar(1, 1), -3),  # irrational structure constant
+    O,
+    OctSpec(THIRD, -5),
+    OctSpec.standard(F5),
+]
 
 I, J, K = H.i(), H.j(), H.k()
 
@@ -44,6 +64,35 @@ def test_product_of_conjugate_pair_is_central_quartic():
     g = Poly(H, [1 + K, I, 1])
     gbar = Poly(H, [1 - K, -I, 1])
     assert gbar * g == Poly(H, [2, 0, 3, 0, 1])
+
+
+def test_product_and_evaluation_match_tuple_oracles():
+    rng = random.Random(41)
+    for spec in TABLE_SPECS:
+        if isinstance(spec, OctSpec):
+            q, draw = spec.quat, rand_oct
+            mul = lambda x, y: pair_omul(q.alpha, q.beta, spec.gamma, x, y)
+        else:
+            draw = rand_quat
+            mul = lambda x, y: table_qmul(spec.alpha, spec.beta, x, y)
+        zero = spec.zero().coords()
+        for _ in range(10):
+            f = rand_poly(rng, spec, rng.randint(0, 3), den=2)
+            g = rand_poly(rng, spec, rng.randint(0, 3), den=2)
+            expected = tuple_poly_mul(
+                mul, [c.coords() for c in f.coeffs], [c.coords() for c in g.coeffs], zero
+            )
+            while expected and not any(expected[-1]):  # split algebras drop degree
+                expected.pop()
+            assert [c.coords() for c in (f * g).coeffs] == expected
+
+            # f(lam) = sum c_i lam^i with left-nested powers
+            lam = draw(rng, spec, den=3)
+            value, power = zero, spec.one().coords()
+            for c in f.coeffs:
+                value = tuple(a + b for a, b in zip(value, mul(c.coords(), power)))
+                power = mul(power, lam.coords())
+            assert f(lam).coords() == value
 
 
 def test_multiplication_by_one():

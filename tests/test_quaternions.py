@@ -13,14 +13,24 @@ H = QuatSpec.standard()
 H5 = QuatSpec.standard(FieldSpec(5))
 SPLIT = QuatSpec(QQ, 1, 1)
 GENERIC = QuatSpec(QQ, 2, 3)
+THIRD = QuatSpec(QQ, 2, Fraction(1, 3))
 
 coords = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
+def scalars(field):
+    if field.is_rational:
+        return coords
+    return st.tuples(coords, coords).map(lambda ab: field.scalar(*ab))
+
+
 def quats(spec=H):
-    return st.tuples(coords, coords, coords, coords).map(
-        lambda t: spec.element(*t)
-    )
+    s = scalars(spec.field)
+    return st.tuples(s, s, s, s).map(lambda t: spec.element(*t))
+
+
+def quat_pairs(*specs):
+    return st.sampled_from(specs).flatmap(lambda spec: st.tuples(quats(spec), quats(spec)))
 
 
 def test_basis_products():
@@ -32,19 +42,17 @@ def test_basis_products():
     assert (i * j) * (i * j) == -1
 
 
-@given(quats(), quats())
-def test_product_matches_basis_table(x, y):
-    expected = table_qmul(
-        QQ.scalar(-1), QQ.scalar(-1), x.coords(), y.coords()
-    )
+@given(quat_pairs(H, H5))
+def test_product_matches_basis_table(pair):
+    x, y = pair
+    expected = table_qmul(x.spec.alpha, x.spec.beta, x.coords(), y.coords())
     assert (x * y).coords() == expected
 
 
-@given(quats(GENERIC), quats(GENERIC))
-def test_product_matches_basis_table_generic_constants(x, y):
-    expected = table_qmul(
-        QQ.scalar(2), QQ.scalar(3), x.coords(), y.coords()
-    )
+@given(quat_pairs(GENERIC, THIRD))
+def test_product_matches_basis_table_generic_constants(pair):
+    x, y = pair
+    expected = table_qmul(x.spec.alpha, x.spec.beta, x.coords(), y.coords())
     assert (x * y).coords() == expected
 
 
