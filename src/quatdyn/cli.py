@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -26,6 +27,8 @@ from .scalars import FieldSpec
 _FIELD_RE = re.compile(r"^Q\(s(-?\d+)\)$")
 
 DEFAULT_ALGEBRA = "quat:-1,-1@Q"
+# the float rung of the root ladder already carries 53 bits
+MIN_PRECISION = 53
 
 
 def parse_field(text: str) -> FieldSpec:
@@ -278,7 +281,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if not exc.code else 2
     try:
-        _check_counts(ns)
+        _check_arguments(ns)
         payload = _HANDLERS[ns.command](ns)
     except (ParseError, UsageError) as exc:
         _emit_error(ns.command, exc)
@@ -290,13 +293,21 @@ def main(argv=None) -> int:
     return 0
 
 
-def _check_counts(ns) -> None:
-    """Reject iteration counts and degree caps below 1 before any work."""
+def _check_arguments(ns) -> None:
+    """Reject out-of-range numeric arguments before any work."""
     for name in ("n", "r", "n_max", "degree_cap"):
         value = getattr(ns, name, None)
         if value is not None and value < 1:
             flag = "--" + name.replace("_", "-")
             raise UsageError(f"{flag} must be at least 1, got {value}")
+    if not (math.isfinite(ns.tolerance) and ns.tolerance >= 0):
+        raise UsageError(
+            f"--tolerance must be a finite nonnegative number, got {ns.tolerance}"
+        )
+    if ns.precision < MIN_PRECISION:
+        raise UsageError(
+            f"--precision must be at least {MIN_PRECISION}, got {ns.precision}"
+        )
 
 
 def _emit_error(command: str, exc: Exception) -> None:

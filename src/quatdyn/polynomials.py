@@ -189,7 +189,15 @@ class Poly:
         """n-fold self-composition, the outer copy applied last at each step."""
         if n < 1:
             raise ValueError("n must be at least 1")
-        if self.degree >= 2 and self.degree**n > degree_cap:
+        if self.degree <= 0:
+            return self  # a constant composed with anything is itself
+        if self.degree == 1 and n > degree_cap:
+            # the degree stays 1, so each composition counts against the cap
+            raise DegreeCapError(
+                f"{n} compositions of a linear polynomial exceed cap {degree_cap}"
+            )
+        # degree**k > degree_cap once k exceeds the cap's bit length
+        if self.degree >= 2 and self.degree ** min(n, degree_cap.bit_length() + 1) > degree_cap:
             raise DegreeCapError(
                 f"composition degree {self.degree}**{n} exceeds cap {degree_cap}"
             )

@@ -8,21 +8,32 @@ collapsing g(z) = 0 to the linear equation A*z + B = 0.  That equation is
 either trivial (the whole class consists of roots), insoluble (the class
 contains none), or pins the unique root of g in the class.
 
-Class extraction has two backends behind an explicit mode flag:
+Class extraction is one pipeline with two acceptance policies:
+
+  1. the squarefree part c / gcd(c, c') of the companion, by exact Euclid
+     over Q or Q(sqrt d);
+  2. its roots, approximated by the Aberth ladder of `aberth.aberth_roots`
+     (a float rung, then mpmath rungs of doubling precision);
+  3. a policy that turns the approximations into classes:
 
   exact    rational ground field only.  The monic companion is rescaled to a
-           monic integer polynomial and its monic linear and quadratic factors
-           are enumerated by divisor search (constant terms divide the
-           constant term, values at 1 and -1 divide the polynomial's values
-           there) with exact trial division.  An unfactorable remainder means
-           the remaining classes are irrational: ClassSearchIncompleteError
-           is raised, pointing at numeric mode.
+           monic integer polynomial D.  Every near-real root and every pair of
+           roots of its squarefree part is rounded to integer candidates
+           y - m or y^2 - t*y + u, and a candidate is kept only when exact
+           trial division of D succeeds (as often as it does).  The ladder
+           climbs while a remainder is left and the roots' Weierstrass disks
+           do not yet fix every candidate to within 1/2; once they do, the
+           remainder has no linear or quadratic factor over Q and
+           ClassSearchIncompleteError is raised, pointing at numeric mode.
+           Floats only propose candidates; exact division decides.
 
-  numeric  any ground field with a real embedding.  Companion coefficients
-           are embedded at the requested bit precision, all roots are found
-           by simultaneous iteration, and the class data (T, N) is lifted
-           back to exact rationals, so the reduction and every residual are
-           afterwards computed exactly from the approximate class data.
+  numeric  any ground field with a real embedding.  The squarefree part is
+           embedded at the requested bit precision and the ladder climbs to
+           that precision plus 64 bits.  Near-real roots give central classes
+           (2*mu, mu^2), conjugate pairs give (T, N), each snapped to the
+           simplest rational within the root's inclusion disk.  The reduction
+           and every residual are afterwards computed exactly from that
+           approximate class data.
 """
 
 from __future__ import annotations
@@ -30,8 +41,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
-from .aberth import aberth_roots, mpf_to_fraction
+from .aberth import aberth_roots, inclusion_radii, sqrt_up, to_grid
 from .errors import (
     ClassSearchIncompleteError,
     ConvergenceError,
@@ -158,24 +170,43 @@ def companion(g: Poly) -> CentralPoly:
     return CentralPoly(g.spec.field, coeffs)
 
 
-# -- exact class extraction ----------------------------------------------------
+# -- the class-extraction pipeline ---------------------------------------------
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    factors: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    divs = [1]
-    for prime, mult in factors.items():
-        divs = [d * prime**k for d in divs for k in range(mult + 1)]
-    return sorted(divs)
+def _divmod(a: list, b: list) -> tuple[list, list]:
+    """Quotient and remainder of a by b over a field, low degree first."""
+    r = list(a)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        f = r[k + len(b) - 1] / b[-1]
+        q[k] = f
+        for i, c in enumerate(b):
+            r[k + i] = r[k + i] - f * c
+    r = r[: len(b) - 1]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _squarefree(coeffs) -> list:
+    """Monic squarefree part c / gcd(c, c') over Q or Q(sqrt d), low degree first."""
+    c = [x / coeffs[-1] for x in coeffs]
+    a, b = c, [i * x for i, x in enumerate(c)][1:]
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    q = _divmod(c, a)[0]
+    return [x / q[-1] for x in q]
+
+
+def _monic_integer(C: CentralPoly) -> tuple[list[int], int]:
+    """D(y) = s**n * C(y/s) / lead: monic with integer coefficients."""
+    monic = [c.a / C.coeffs[-1].a for c in C.coeffs]
+    s = 1
+    for c in monic:
+        s = s * c.denominator // math.gcd(s, c.denominator)
+    n = len(monic) - 1
+    return [int(monic[i] * s ** (n - i)) for i in range(n + 1)], s
+
 
 def _div_linear(D: list[int], m: int) -> tuple[list[int], int]:
     """Divide the monic integer polynomial D by (y - m)."""
@@ -203,15 +234,106 @@ def _div_quadratic(D: list[int], t: int, u: int) -> list[int] | None:
     return None
 
 
-def _eval_int(D: list[int], x: int) -> int:
-    acc = 0
-    for c in reversed(D):
-        acc = acc * x + c
-    return acc
+def _certification_bits(P: list[int]) -> int:
+    """Top of the ladder for the monic integer P of degree n and bit height H.
+
+    |P'| at a root is at least 2**-O(n**2 * (H + log n)) (the discriminant is
+    a nonzero integer), which bounds the precision that isolates every root
+    to well within 1/2 of its candidate data.
+    """
+    n = len(P) - 1
+    height = max(abs(c).bit_length() for c in P)
+    return (n + 1) ** 2 * (height + n.bit_length() + 2)
 
 
-def _root_bound(D: list[int]) -> int:
-    return 1 + max(abs(c) for c in D[:-1]) if len(D) > 1 else 1
+class _FactorSearch:
+    """Monic factors y - m and y^2 - t*y + u of the monic integer D.
+
+    Called with each rung's approximate roots of the squarefree part P of D.
+    It rounds every near-real root to m and every pair of roots to
+    (t, u) = (sum, product), and keeps a candidate only when exact trial
+    division of the remainder succeeds, as often as it does.  By Gauss's
+    lemma every monic factor of D over Q has integer coefficients, so once
+    the Weierstrass disks of P's roots are disjoint and small enough to fix
+    every m, t and u to within 1/2, a remainder left over has no linear or
+    quadratic factor over Q.
+    """
+
+    def __init__(self, D: list[int], P: list[int]) -> None:
+        self.rest = D
+        self.P = P
+        self.found: list[tuple[int, int]] = []  # (t, u) of each factor, y - m as (2m, m^2)
+        self.tried: set[tuple] = set()  # (m,) and (t, u) already divided out or refuted
+        self.certified = False
+
+    def __call__(self, zs, bits: int) -> bool:
+        E, pts = to_grid(zs, bits)
+        half = 1 << (E - 1)
+        for A, B in pts:
+            if abs(B) < half:
+                self._linear((A + half) >> E)
+        for a, (A1, B1) in enumerate(pts):
+            for A2, B2 in pts[a + 1:]:
+                if len(self.rest) > 2 and abs(B1 + B2) < half and abs(A1 * B2 + A2 * B1) < half << E:
+                    t = (A1 + A2 + half) >> E
+                    u = (A1 * A2 - B1 * B2 + (half << E)) >> (2 * E)
+                    self._quadratic(t, u)
+        if len(self.rest) == 1:
+            return True
+        self.certified = self._certify(E, pts)
+        return self.certified
+
+    def _linear(self, m: int) -> None:
+        R = self.rest
+        if (m,) in self.tried or len(R) == 1 or not m or R[0] % m:
+            return
+        self.tried.add((m,))
+        q, r = _div_linear(R, m)
+        while r == 0:
+            self.found.append((2 * m, m * m))
+            R = q
+            if len(R) == 1:
+                break
+            q, r = _div_linear(R, m)
+        self.rest = R
+
+    def _quadratic(self, t: int, u: int) -> None:
+        disc = t * t - 4 * u
+        if disc >= 0 and isqrt(disc) ** 2 == disc:  # y^2 - t*y + u splits over Z
+            r = isqrt(disc)
+            self._linear((t + r) // 2)
+            self._linear((t - r) // 2)
+            return
+        R = self.rest
+        if (t, u) in self.tried or R[0] % u:
+            return
+        self.tried.add((t, u))
+        q = _div_quadratic(R, t, u)
+        while q is not None:
+            self.found.append((t, u))
+            R = q
+            if len(R) < 3:
+                break
+            q = _div_quadratic(R, t, u)
+        self.rest = R
+
+    def _certify(self, E: int, pts: list[tuple[int, int]]) -> bool:
+        """Disjoint disks of radius at most rho around points of modulus at
+        most Z, with 2*rho < 1/2 (fixes m and t) and (2Z + rho)*rho < 1/2
+        (fixes u)."""
+        radii = inclusion_radii(self.P, E, pts)
+        if radii is None:
+            return False
+        rho = max(radii)
+        unit = Fraction(1, 1 << (2 * E))
+        gap2 = min(
+            ((A1 - A2) ** 2 + (B1 - B2) ** 2 for a, (A1, B1) in enumerate(pts) for A2, B2 in pts[a + 1:]),
+            default=None,
+        )
+        if gap2 is not None and not 4 * rho * rho < gap2 * unit:
+            return False
+        Z = sqrt_up(max(A * A + B * B for A, B in pts) * unit)
+        return 4 * rho < 1 and (2 * Z + rho) * rho < Fraction(1, 2)
 
 
 def _exact_classes(C: CentralPoly) -> list[ConjClass]:
@@ -221,86 +343,26 @@ def _exact_classes(C: CentralPoly) -> list[ConjClass]:
         )
     if C.degree < 1:
         return []
-    monic = [c.a / C.coeffs[-1].a for c in C.coeffs]
-    s = 1
-    for c in monic:
-        s = s * c.denominator // math.gcd(s, c.denominator)
-    n = len(monic) - 1
-    D = [int(monic[i] * s ** (n - i)) for i in range(n + 1)]
-
-    found: list[tuple[Fraction, Fraction]] = []
-
-    def record_linear(m: int) -> None:
-        mu = Fraction(m, s)
-        found.append((2 * mu, mu * mu))
-
-    def record_quadratic(t: int, u: int) -> None:
-        found.append((Fraction(t, s), Fraction(u, s * s)))
-
+    D, s = _monic_integer(C)
+    found: list[tuple[int, int]] = []
     while len(D) > 1 and D[0] == 0:
-        record_linear(0)
+        found.append((0, 0))
         D = D[1:]
-
-    # monic linear factors: integer roots dividing the constant term
-    changed = True
-    while changed and len(D) > 1:
-        changed = False
-        bound = _root_bound(D)
-        for m0 in _divisors(D[0]):
-            if m0 > bound:
-                break
-            for m in (m0, -m0):
-                q, r = _div_linear(D, m)
-                while r == 0:
-                    record_linear(m)
-                    D = q
-                    changed = True
-                    if len(D) == 1:
-                        break
-                    q, r = _div_linear(D, m)
-                if len(D) == 1:
-                    break
-            if changed or len(D) == 1:
-                break
-
-    # monic quadratic factors y^2 - t*y + u: u divides D(0), 1 - t + u
-    # divides D(1), 1 + t + u divides D(-1); roots obey the root bound
-    while len(D) > 2:
-        bound = _root_bound(D)
-        d1 = _eval_int(D, 1)
-        dm1 = _eval_int(D, -1)
-        hit = None
-        for u0 in _divisors(D[0]):
-            if u0 > bound * bound:
-                break
-            for u in (u0, -u0):
-                for v0 in _divisors(d1):
-                    for v in (v0, -v0):
-                        t = 1 + u - v
-                        if abs(t) > 2 * bound:
-                            continue
-                        w = 1 + t + u
-                        if w == 0 or dm1 % w != 0:
-                            continue
-                        quo = _div_quadratic(D, t, u)
-                        if quo is not None:
-                            hit = (t, u, quo)
-                            break
-                    if hit:
-                        break
-                if hit:
-                    break
-            if hit:
-                break
-        if hit is None:
-            break
-        t, u, D = hit
-        record_quadratic(t, u)
+    if len(D) > 1:
+        P = [int(c) for c in _squarefree([Fraction(c) for c in D])]
+        search = _FactorSearch(D, P)
+        aberth_roots(P, precision=_certification_bits(P), accept=search)
+        if len(search.rest) > 1 and not search.certified:
+            raise ConvergenceError(
+                "companion roots could not be isolated within the precision bound"
+            )
+        found += search.found
+        D = search.rest
 
     classes = _dedup_sorted(
         [
-            ConjClass(C.field.scalar(T), C.field.scalar(N))
-            for (T, N) in found
+            ConjClass(C.field.scalar(Fraction(t, s)), C.field.scalar(Fraction(u, s * s)))
+            for (t, u) in found
         ]
     )
     if len(D) > 1:
@@ -320,7 +382,24 @@ def _dedup_sorted(classes: list[ConjClass]) -> list[ConjClass]:
     return sorted(unique.values(), key=ConjClass.sort_key)
 
 
-# -- numeric class extraction ------------------------------------------------------
+def _simplest(x: Fraction, delta: Fraction) -> Fraction:
+    """The rational of least denominator, then least magnitude, within delta of x."""
+    lo, hi = x - delta, x + delta
+    if lo <= 0 <= hi:
+        return Fraction(0)
+    if hi < 0:
+        return -_simplest(-x, delta)
+    # continued-fraction descent into [a/b, c/d], 0 < a/b <= c/d, with the
+    # convergents p/q built as it goes
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        whole, rest = divmod(a, b)
+        if not rest or (whole + 1) * d <= c:
+            term = whole if not rest else whole + 1
+            return Fraction(term * p1 + p0, term * q1 + q0)
+        p0, q0, p1, q1 = p1, q1, whole * p1 + p0, whole * q1 + q0
+        a, b, c, d = d, c - whole * d, b, rest
 
 
 def _numeric_classes(C: CentralPoly, precision: int) -> list[ConjClass]:
@@ -332,48 +411,45 @@ def _numeric_classes(C: CentralPoly, precision: int) -> list[ConjClass]:
         )
     if C.degree < 1:
         return []
-    fracs = [c.to_real(precision + 32) for c in C.coeffs]
+    fracs = [c.to_real(precision + 32) for c in _squarefree(C.coeffs)]
     zs = aberth_roots(fracs, precision=precision)
-    reals: list[Fraction] = []
-    upper = []
-    lower = 0
+    E, pts = to_grid(zs, precision + 64)
+    # the disks also cover the rounding of the coefficients by to_real
+    radii = inclusion_radii(fracs, E, pts, Fraction(1, 1 << (precision + 32)))
+    radii = radii or [Fraction(0)] * len(pts)
+    unit = Fraction(1, 1 << E)
+
+    # class data snapped to the simplest rational within each root's disk
+    found: list[tuple[Fraction, Fraction]] = []
+    upper = lower = 0
     with mpmath.workprec(precision + 64):
-        for z in zs:
+        for z, (A, B), rho in zip(zs, pts, radii):
             im_tol = mpmath.ldexp(1, -(precision // 2)) * (1 + abs(z))
+            re, im = A * unit, B * unit
             if abs(z.imag) <= im_tol:
-                reals.append(mpf_to_fraction(z.real))
+                mu = _simplest(re, rho)
+                found.append((2 * mu, mu * mu))
             elif z.imag > 0:
-                upper.append((mpf_to_fraction(z.real), mpf_to_fraction(z.imag)))
+                upper += 1
+                modulus = sqrt_up(re * re + im * im)
+                found.append(
+                    (
+                        _simplest(2 * re, 2 * rho),
+                        _simplest(re * re + im * im, (2 * modulus + rho) * rho),
+                    )
+                )
             else:
                 lower += 1
-    if lower != len(upper):
+    if lower != upper:
         raise ConvergenceError("conjugate pairing of numeric roots failed")
-
-    found: list[tuple[Fraction, Fraction]] = []
-    for mu in reals:
-        found.append((2 * mu, mu * mu))
-    for re, im in upper:
-        found.append((2 * re, re * re + im * im))
-
-    # merge classes that coincide up to the attainable numeric accuracy
-    found.sort()
-    merge_tol = 2.0 ** (-(precision // 2) + 4)
-    merged: list[tuple[Fraction, Fraction]] = []
-    for T, N in found:
-        if merged:
-            T0, N0 = merged[-1]
-            scale = 1 + abs(float(T0)) + abs(float(N0))
-            if abs(float(T - T0)) <= merge_tol * scale and abs(
-                float(N - N0)
-            ) <= merge_tol * scale:
-                continue
-        merged.append((T, N))
-    return [
-        ConjClass(
-            C.field.scalar(T), C.field.scalar(N), exact=False, precision=precision
-        )
-        for (T, N) in merged
-    ]
+    return _dedup_sorted(
+        [
+            ConjClass(
+                C.field.scalar(T), C.field.scalar(N), exact=False, precision=precision
+            )
+            for (T, N) in found
+        ]
+    )
 
 
 def extract_classes(
@@ -391,7 +467,34 @@ def extract_classes(
 
 
 def _magnitude(z: Quaternion) -> float:
-    return math.sqrt(sum(float(c) ** 2 for c in z.coords()))
+    """Euclidean norm of the coordinates; inf beyond the double range."""
+    coords = z.coords()
+    try:
+        return math.sqrt(sum(float(c) ** 2 for c in coords))
+    except OverflowError:
+        pass
+    # a coordinate or its square left the double range: scale by 2**-e first
+    e = max(_log2_bound(c) for c in coords)
+    m = math.sqrt(sum(float(c * Fraction(1, 1 << e)) ** 2 for c in coords))
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        return math.inf
+
+
+def _log2_bound(c: Scalar) -> int:
+    """About log2 |c|, rounded up: a scale that brings c near 1."""
+    bits = [abs(x.numerator).bit_length() - x.denominator.bit_length() + 1 for x in (c.a, c.b) if x]
+    if c.b:
+        bits[-1] += c.field.d.bit_length()
+    return max(bits, default=0)
+
+
+def _abs_float(c: Scalar) -> float:
+    try:
+        return abs(float(c))
+    except OverflowError:
+        return math.inf
 
 
 def _coeff_scale(g: Poly) -> float:
@@ -409,6 +512,14 @@ def solve_in_class(
     if not isinstance(g.spec, QuatSpec):
         raise UnsupportedAlgebraError("class solving needs a quaternion algebra")
     T, N = klass.trace, klass.norm
+    if not klass.exact:
+        coeff_scale = _coeff_scale(g)
+        class_scale = 1 + _abs_float(T) + _abs_float(N)
+        if math.isinf(coeff_scale) or math.isinf(class_scale):
+            # relative tolerances mean nothing past the double range
+            return ClassSolution(
+                "anomaly", klass, detail="magnitudes beyond the double range"
+            )
 
     if klass.is_central:
         mu = T / 2
@@ -421,7 +532,7 @@ def solve_in_class(
                 "none", klass, detail="central candidate is not a root"
             )
         residual = _magnitude(value)
-        if residual <= tolerance * (1 + _coeff_scale(g)):
+        if residual <= tolerance * (1 + coeff_scale):
             return ClassSolution("point", klass, point=lam, residual=residual)
         return ClassSolution(
             "none",
@@ -442,7 +553,7 @@ def solve_in_class(
         a_zero, b_zero = A.is_zero, B.is_zero
     else:
         ztol = 2.0 ** (-(klass.precision or DEFAULT_PRECISION) // 2 + 8)
-        scale = (1 + _coeff_scale(g)) * (1 + abs(float(T)) + abs(float(N)))
+        scale = (1 + coeff_scale) * class_scale
         a_zero = _magnitude(A) <= ztol * scale
         b_zero = _magnitude(B) <= ztol * scale
 
@@ -476,7 +587,7 @@ def solve_in_class(
     field = g.spec.field
     lam = g.spec.element(*(field.scalar(c.to_real(bits)) for c in lam.coords()))
     residual = _magnitude(g(lam))
-    if residual <= tolerance * (1 + _coeff_scale(g)):
+    if residual <= tolerance * (1 + coeff_scale):
         return ClassSolution("point", klass, point=lam, residual=residual)
     return ClassSolution(
         "anomaly",

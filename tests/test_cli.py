@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,11 @@ def test_exit_codes():
         ["oct-check", "--poly", "x^2+i", "--point=-i", "--n-max", "0"],
         ["compose", "--poly", "x^2+i", "--n", "2", "--degree-cap=-1"],
         ["compose", "--poly", "x^2+i", "--n", "2", "--degree-cap", "0"],
+        ["roots", "--poly", "x^2+i*x+1", "--mode", "numeric", "--tolerance", "nan"],
+        ["roots", "--poly", "x^2+i*x+1", "--mode", "numeric", "--tolerance", "inf"],
+        ["roots", "--poly", "x^2+i*x+1", "--mode", "numeric", "--tolerance=-1e-9"],
+        ["roots", "--poly", "x^2+1", "--mode", "numeric", "--precision", "0"],
+        ["fixed-points", "--poly", "x^2", "--mode", "numeric", "--precision", "52"],
     ):
         code, out = run_cli(argv)
         assert code == 2, argv
@@ -109,6 +115,40 @@ def test_exit_codes():
 
     code, _ = run_cli(["--version"])
     assert code == 0
+
+
+def test_numeric_class_data_is_snapped():
+    code, out = run_cli(["roots", "--poly", "x^2+1", "--mode", "numeric"])
+    assert code == 0
+    (sol,) = json.loads(out)["result"]
+    assert sol["variant"] == "sphere"
+    assert (sol["class"]["trace"], sol["class"]["norm"]) == ("0", "1")
+
+    # central roots snap too: (3x - 1)(x - 1) has the points 1/3 and 1
+    code, out = run_cli(["roots", "--poly", "3*x^2-4*x+1", "--mode", "numeric"])
+    sols = json.loads(out)["result"]
+    assert [(s["class"]["trace"], s["class"]["norm"]) for s in sols] == [("2/3", "1/9"), ("2", "1")]
+    assert [s["point"] for s in sols] == ["1/3", "1"]
+
+
+def test_linear_composition_counts_against_the_cap():
+    start = time.perf_counter()
+    code, out = run_cli(["compose", "--poly", "x+i", "--n", "1000000000"])
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DegreeCapError"
+
+    code, out = run_cli(["compose", "--poly", "x+i", "--n", "3"])
+    assert code == 0
+    assert json.loads(out)["result"] == {"poly": "(1)*x + (3*i)", "degree": 1}
+    code, out = run_cli(["compose", "--poly", "x+i", "--n", "8", "--degree-cap", "8"])
+    assert json.loads(out)["result"] == {"poly": "(1)*x + (8*i)", "degree": 1}
+
+    start = time.perf_counter()
+    code, out = run_cli(["compose", "--poly", "i", "--n", "1000000000"])
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert json.loads(out)["result"] == {"poly": "(i)", "degree": 0}
 
 
 def test_degree_cap_flag():

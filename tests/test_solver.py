@@ -1,7 +1,10 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quatdyn import (
     CentralPoly,
@@ -15,6 +18,7 @@ from quatdyn import (
     UnsupportedAlgebraError,
     ZeroPolynomialError,
     companion,
+    parse_poly,
     extract_classes,
     roots,
     solve_in_class,
@@ -337,3 +341,110 @@ def test_subfield_roots_recovered():
     h = Poly(H, [Fraction(2), -3, 1])
     pts = {s.point for s in roots(h) if s.kind == "point"}
     assert pts == {H.one(), H.element(2)}
+
+
+# -- exact extraction against sympy's factorization -------------------------------
+
+
+def _planted(den, roots):
+    g = Poly(H, [1])
+    for coords in roots:
+        g = g * Poly(H, [-H.element(*(Fraction(c, den) for c in coords)), 1])
+    return companion(g)
+
+
+planted_companions = st.builds(
+    _planted,
+    st.sampled_from([1, 3, 11]),
+    st.lists(st.tuples(*[st.integers(-7, 7)] * 4), min_size=1, max_size=4),
+)
+dense_centrals = st.lists(st.integers(-9, 9), min_size=3, max_size=6).filter(
+    lambda cs: cs[-1] != 0
+).map(lambda cs: CentralPoly(QQ, cs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(planted_companions, dense_centrals))
+def test_exact_classes_match_sympy_factorization(C):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy.Rational(c.a.numerator, c.a.denominator) for c in reversed(C.coeffs)], x)
+    expected, remainder = set(), 0
+    for factor, mult in sympy.factor_list(poly)[1]:
+        cs = [Fraction(int(c.p), int(c.q)) for c in factor.all_coeffs()]
+        if len(cs) == 2:  # a*x + b: the root -b/a
+            mu = -cs[1] / cs[0]
+            expected.add((2 * mu, mu * mu))
+        elif len(cs) == 3:  # a*x^2 + b*x + c, irreducible over Q
+            expected.add((-cs[1] / cs[0], cs[2] / cs[0]))
+        else:
+            remainder += (len(cs) - 1) * mult
+    if remainder:
+        with pytest.raises(ClassSearchIncompleteError) as info:
+            extract_classes(C)
+        assert info.value.remainder_degree == remainder
+        classes = info.value.classes
+    else:
+        classes = extract_classes(C)
+    assert [(k.trace.a, k.norm.a) for k in classes] == sorted(expected)
+
+
+def test_denominator_eleven_quartic_returns_every_planted_class():
+    roots = [(3, -7, 2, 5), (-4, 1, 6, -2), (5, 5, -3, 1), (-1, -6, -4, 7)]
+    start = time.perf_counter()
+    classes = extract_classes(_planted(11, roots))
+    assert time.perf_counter() - start < 5
+    planted = sorted({(Fraction(2 * r[0], 11), Fraction(sum(c * c for c in r), 121)) for r in roots})
+    assert [(k.trace.a, k.norm.a) for k in classes] == planted
+
+
+def test_irrational_sextic_is_settled_quickly():
+    g = parse_poly("x^3 + 1/11*i*x + 1/13*j", H)
+    start = time.perf_counter()
+    with pytest.raises(ClassSearchIncompleteError) as info:
+        roots(g)
+    assert time.perf_counter() - start < 5
+    assert info.value.remainder_degree == 6
+    assert info.value.classes == ()
+
+
+def test_magnitude_beyond_double_range():
+    from quatdyn.solver import _magnitude
+
+    assert _magnitude(H.element(3, 4)) == 5.0
+    assert _magnitude(H.element(3 * 10**200, 4 * 10**200)) == pytest.approx(5e200)
+    assert _magnitude(H.element(10**400)) == math.inf
+    # numeric tolerances are relative to the coefficients, so past the
+    # double range the class is reported, not judged
+    sols = roots(Poly(H, [10**400, 0, 1]), mode="numeric")
+    assert [s.kind for s in sols] == ["anomaly"]
+
+
+def test_inclusion_disks_and_certificate():
+    from quatdyn.aberth import inclusion_radii
+    from quatdyn.solver import _FactorSearch
+
+    # y^2 - 2 at the approximants +-22/16: each radius is 2*|P(z)|/|2z| and
+    # each disk holds its root
+    z = Fraction(22, 16)
+    exact = 2 * abs(z * z - 2) / (2 * z)
+    radii = inclusion_radii([-2, 0, 1], 4, [(22, 0), (-22, 0)])
+    for r in radii:
+        assert exact <= r <= exact * (1 + Fraction(1, 2**50))
+        assert (z - r) ** 2 <= 2 <= (z + r) ** 2
+    assert inclusion_radii([-2, 0, 1], 4, [(1, 0), (1, 0)]) is None
+
+    # (y - 64)(y - 65): exact approximants certify; 64.3 and 64.7 give radii
+    # near 1.05, too wide to fix a candidate to within 1/2
+    D = [64 * 65, -129, 1]
+    unit = 1 << 20
+    assert _FactorSearch(D, D)._certify(20, [(64 * unit, 0), (65 * unit, 0)])
+    assert not _FactorSearch(D, D)._certify(20, [(round(64.3 * unit), 0), (round(64.7 * unit), 0)])
+
+    # (y - 1)(y - 65/64) at 1 + 0.3/64 and 1 + 0.7/64: radii near 0.016 are
+    # small enough, but the two disks overlap, so nothing is certified
+    P = [Fraction(65, 64), -Fraction(129, 64), 1]
+    unit = 1 << 30
+    near = [(round((1 + 0.3 / 64) * unit), 0), (round((1 + 0.7 / 64) * unit), 0)]
+    assert max(inclusion_radii(P, 30, near)) < Fraction(1, 32)
+    assert not _FactorSearch([1, 1], P)._certify(30, near)
