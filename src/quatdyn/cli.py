@@ -10,6 +10,7 @@ factorization, non-convergence), 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -234,6 +235,7 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quatdyn",
@@ -241,35 +243,34 @@ def build_parser() -> argparse.ArgumentParser:
         "and octonion algebras.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--algebra", default=DEFAULT_ALGEBRA)
-    common.add_argument("--poly", required=True)
-    common.add_argument("--mode", choices=("exact", "numeric"), default="exact")
-    common.add_argument("--tolerance", type=float, default=solver.DEFAULT_TOLERANCE)
-    common.add_argument("--precision", type=int, default=solver.DEFAULT_PRECISION)
-    common.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP)
+    poly = argparse.ArgumentParser(add_help=False)
+    poly.add_argument("--algebra", default=DEFAULT_ALGEBRA)
+    poly.add_argument("--poly", required=True)
+    solve = argparse.ArgumentParser(add_help=False)
+    solve.add_argument("--mode", choices=("exact", "numeric"), default="exact")
+    solve.add_argument("--tolerance", type=float, default=solver.DEFAULT_TOLERANCE)
+    solve.add_argument("--precision", type=int, default=solver.DEFAULT_PRECISION)
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP)
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("--point", required=True)
+    point.add_argument("--n-max", type=int, default=4)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("fixed-points", parents=[common])
-    sub.add_parser("roots", parents=[common])
-    sub.add_parser("companion", parents=[common])
+    sub.add_parser("fixed-points", parents=[poly, solve])
+    sub.add_parser("roots", parents=[poly, solve])
+    sub.add_parser("companion", parents=[poly])
 
-    compose = sub.add_parser("compose", parents=[common])
+    compose = sub.add_parser("compose", parents=[poly, capped])
     compose.add_argument("--n", type=int, required=True)
 
-    orbit = sub.add_parser("orbit", parents=[common])
-    orbit.add_argument("--point", required=True)
-    orbit.add_argument("--n-max", type=int, default=4)
+    orbit = sub.add_parser("orbit", parents=[poly, capped, point])
     orbit.add_argument("--semantics", choices=("compose", "eval"), default="compose")
 
-    periodic = sub.add_parser("check-periodic", parents=[common])
-    periodic.add_argument("--point", required=True)
+    periodic = sub.add_parser("check-periodic", parents=[poly, capped, point])
     periodic.add_argument("--r", type=int, required=True)
-    periodic.add_argument("--n-max", type=int, default=4)
 
-    oct_check = sub.add_parser("oct-check", parents=[common])
-    oct_check.add_argument("--point", required=True)
-    oct_check.add_argument("--n-max", type=int, default=4)
+    sub.add_parser("oct-check", parents=[poly, capped, point])
 
     return parser
 
@@ -300,6 +301,8 @@ def _check_arguments(ns) -> None:
         if value is not None and value < 1:
             flag = "--" + name.replace("_", "-")
             raise UsageError(f"{flag} must be at least 1, got {value}")
+    if not hasattr(ns, "tolerance"):
+        return  # only the solver commands take --tolerance and --precision
     if not (math.isfinite(ns.tolerance) and ns.tolerance >= 0):
         raise UsageError(
             f"--tolerance must be a finite nonnegative number, got {ns.tolerance}"

@@ -18,10 +18,20 @@ Both arguments for fixed_point and certified_periodic assume associative
 coefficients.  Over octonions a fixed point can move under f o f, so there the
 composites up to n_max are searched for a refutation first, and the two
 verdicts only say that none of them moved the point.
+
+No composite is built to evaluate it.  x^2 - T*x + N, with (T, N) the trace
+and norm of the point, is central, so the value of the k-fold composition at
+the point is read off its residue in A[x]/(x^2 - T*x + N), iterated from x
+by u <- f(u) (`_composite_values`).  The degree cap still bounds these paths
+by the nominal degree deg(f)**k of the composite each value stands for, and
+fires at the same k with the same message as building it would.  Only when a
+split algebra's zero divisors make the composites' degrees collapse below
+deg(f)**k does the cap fire earlier than on the built composite.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .errors import DegreeCapError, UnsupportedAlgebraError, ZeroPolynomialError
@@ -101,14 +111,11 @@ def orbit(
 ) -> OrbitReport:
     """First n_max orbit points under composition or repeated evaluation."""
     lam = f.spec.coerce(start)
-    points: list[Element] = []
     if semantics == "compose":
-        g = f
-        for n in range(n_max):
-            if n > 0:
-                g = f._compose_capped(g, degree_cap)
-            points.append(g(lam))
+        values = _composite_values(f, lam, degree_cap)
+        points = [next(values) for _ in range(n_max)]
     elif semantics == "eval":
+        points = []
         value = lam
         for _ in range(n_max):
             value = f(value)
@@ -117,6 +124,28 @@ def orbit(
         raise ValueError(f"unknown orbit semantics {semantics!r}")
     flags = tuple(lam.commutes(p) for p in points)
     return OrbitReport(semantics, tuple(points), flags)
+
+
+def _composite_values(f: Poly, lam: Element, degree_cap: int) -> Iterator[Element]:
+    """Yield the k-fold composition evaluated at lam, for k = 1, 2, ...
+
+    Iterates u <- f(u) in A[x]/(x^2 - T*x + N), (T, N) the trace and norm of
+    lam, from u = x; the k-th residue a*x + b gives the value a*lam + b.  No
+    composite is built, but the k-th value raises DegreeCapError, as building
+    the composite would, once its nominal degree deg(f)**k exceeds degree_cap.
+    """
+    trace, norm = lam.trace(), lam.norm()
+    u = (f.spec.one(), f.spec.zero())
+    nominal = f.degree
+    while True:
+        u = f.quotient_value(u, trace, norm)
+        yield u[0] * lam + u[1]
+        if f.degree >= 1:
+            nominal *= f.degree
+            if nominal > degree_cap:
+                raise DegreeCapError(
+                    f"composition degree {nominal} exceeds cap {degree_cap}"
+                )
 
 
 def certify_periodic(
@@ -140,17 +169,18 @@ def certify_periodic(
     lam = f.spec.coerce(start)
     evidence: dict = {}
     try:
-        g = f.compose_iterate(r, degree_cap)
+        f.check_iterate_cap(r, degree_cap)
     except DegreeCapError as exc:
         evidence["degree_cap"] = str(exc)
         return PeriodicVerdict(r, "inconclusive", evidence=evidence)
-    if g(lam) != lam:
+    values = _composite_values(f, lam, degree_cap)
+    if _advance(values, r) != lam:
         evidence["r_fixed"] = False
         return PeriodicVerdict(r, "inconclusive", evidence=evidence)
     evidence["r_fixed"] = True
     nonassociative = isinstance(f.spec, OctSpec)
     if nonassociative:
-        verdict = _refute(f, lam, g, r, n_max, degree_cap, evidence)
+        verdict = _refute(values, lam, r, n_max, evidence)
         if verdict is not None:
             return verdict
     if r == 1:
@@ -167,31 +197,37 @@ def certify_periodic(
         return PeriodicVerdict(r, "certified_periodic", evidence=evidence)
     evidence["failed_t"] = failed
     if not nonassociative:
-        verdict = _refute(f, lam, g, r, n_max, degree_cap, evidence)
+        verdict = _refute(values, lam, r, n_max, evidence)
         if verdict is not None:
             return verdict
     return PeriodicVerdict(r, "inconclusive", evidence=evidence)
 
 
-def _refute(f, lam, g, r, n_max, degree_cap, evidence) -> PeriodicVerdict | None:
+def _advance(values: Iterator[Element], steps: int) -> Element:
+    """The value `steps` further along `values`."""
+    for _ in range(steps):
+        value = next(values)
+    return value
+
+
+def _refute(values, lam, r, n_max, evidence) -> PeriodicVerdict | None:
     """Evaluate the (n*r)-fold compositions, n = 2..n_max, at lam.
 
-    g is the r-fold composition.  Returns refuted_at for the first n that
-    moves lam, inconclusive when the degree cap stops the search, and None
-    when every composite fixes lam; `evidence` records the n checked.
+    `values` has just yielded the r-fold composition at lam.  Returns
+    refuted_at for the first n that moves lam, inconclusive when the degree
+    cap stops the search, and None when every composite fixes lam;
+    `evidence` records the n checked.
     """
     checked: list[int] = []
-    current = g
     for n in range(2, n_max + 1):
         try:
-            for _ in range(r):
-                current = f._compose_capped(current, degree_cap)
+            value = _advance(values, r)
         except DegreeCapError as exc:
             evidence["degree_cap"] = str(exc)
             evidence["refutation_checked"] = checked
             return PeriodicVerdict(r, "inconclusive", evidence=evidence)
         checked.append(n)
-        if current(lam) != lam:
+        if value != lam:
             evidence["refutation_checked"] = checked
             return PeriodicVerdict(r, "refuted_at", refuted_at=n, evidence=evidence)
     evidence["refutation_checked"] = checked
@@ -212,11 +248,10 @@ def octonion_fixed_check(
     can.
     """
     lam = f.spec.coerce(start)
-    if f(lam) != lam:
+    values = _composite_values(f, lam, degree_cap)
+    if next(values) != lam:
         return OctFixedReport(fixed=False, checked_up_to=1, first_failure=1)
-    g = f
     for n in range(2, n_max + 1):
-        g = f._compose_capped(g, degree_cap)
-        if g(lam) != lam:
+        if next(values) != lam:
             return OctFixedReport(fixed=True, checked_up_to=n, first_failure=n)
     return OctFixedReport(fixed=True, checked_up_to=n_max, first_failure=None)

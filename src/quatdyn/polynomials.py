@@ -8,6 +8,9 @@ Two different iterations therefore coexist and are kept apart throughout:
   compose_iterate(n)   the polynomial f(f(...)), outer copy applied last;
   eval_iterate(lam, n) the value f(f(...f(lam))), plain repeated evaluation.
 
+Values of composites at a point lam need no composite: `quotient_value`
+evaluates f in A[x]/(x^2 - T*x + N), with (T, N) the trace and norm of lam.
+
 They agree when lam commutes with the intermediate values and differ in
 general.  Composition of polynomials is itself non-associative over a
 noncommutative coefficient algebra, so the outer-application order above is
@@ -189,10 +192,20 @@ class Poly:
         """n-fold self-composition, the outer copy applied last at each step."""
         if n < 1:
             raise ValueError("n must be at least 1")
-        if self.degree <= 0:
-            return self  # a constant composed with anything is itself
+        self.check_iterate_cap(n, degree_cap)
+        out = self
+        if self.degree >= 1:  # a constant composed with anything is itself
+            for _ in range(n - 1):
+                out = self.compose(out)
+        return out
+
+    def check_iterate_cap(self, n: int, degree_cap: int) -> None:
+        """Raise DegreeCapError if the n-fold self-composition passes the cap.
+
+        The cap bounds the nominal degree degree**n; a linear polynomial keeps
+        degree 1, so there each composition counts against the cap instead.
+        """
         if self.degree == 1 and n > degree_cap:
-            # the degree stays 1, so each composition counts against the cap
             raise DegreeCapError(
                 f"{n} compositions of a linear polynomial exceed cap {degree_cap}"
             )
@@ -201,19 +214,30 @@ class Poly:
             raise DegreeCapError(
                 f"composition degree {self.degree}**{n} exceeds cap {degree_cap}"
             )
-        out = self
-        for _ in range(n - 1):
-            out = self._compose_capped(out, degree_cap)
-        return out
 
-    def _compose_capped(self, inner: Poly, degree_cap: int) -> Poly:
-        if self.degree >= 1 and inner.degree >= 1:
-            projected = self.degree * inner.degree
-            if projected > degree_cap:
-                raise DegreeCapError(
-                    f"composition degree {projected} exceeds cap {degree_cap}"
-                )
-        return self.compose(inner)
+    def quotient_value(self, u, trace, norm) -> tuple[Element, Element]:
+        """f(u) = sum c_i u^i in A[x]/(x^2 - trace*x + norm), powers left-nested.
+
+        u = (a, b) stands for a*x + b, and so does the pair returned.  The
+        modulus has ground-field coefficients, so it is central and reduction
+        modulo it is a homomorphism, over octonions too.  Hence the residue of
+        a composite f(g) is f evaluated at the residue of g, and every
+        polynomial with residue a*x + b takes the value a*lam + b at each lam
+        of trace `trace` and norm `norm`.
+        """
+        spec = self.spec
+        T, N = spec.coerce(trace), spec.coerce(norm)
+        A, B = spec.zero(), self.coeff(0)
+        power = u
+        for i in range(1, len(self.coeffs)):
+            if i > 1:
+                (p, q), (r, s) = power, u
+                pr = p * r
+                power = T * pr + p * s + q * r, q * s - N * pr
+            c = self.coeffs[i]
+            if not c.is_zero:
+                A, B = A + c * power[0], B + c * power[1]
+        return A, B
 
     def eval_iterate(self, lam, n: int) -> Element:
         """n-fold repeated evaluation f(f(...f(lam)))."""

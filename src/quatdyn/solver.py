@@ -497,8 +497,54 @@ def _abs_float(c: Scalar) -> float:
         return math.inf
 
 
-def _coeff_scale(g: Poly) -> float:
-    return max((_magnitude(c) for c in g.coeffs), default=0.0)
+def _term_scale(sizes: list[float], lam: Quaternion) -> float:
+    """sum |c_k| * |lam|^k, the size of the terms of g(lam); sizes[k] = |c_k|."""
+    lam_size, total, power = _magnitude(lam), 0.0, 1.0
+    for size in sizes:
+        if size:
+            total += size * power
+        power *= lam_size
+    return total
+
+
+def _reduction_scales(sizes: list[float], T: Scalar, N: Scalar) -> tuple[float, float]:
+    """Sizes of the terms summed into A and B, where g(z) = A z + B in the class.
+
+    A = sum c_k p_k and B = sum c_k q_k for z^k = p_k z + q_k; the sizes are
+    sum |c_k| P_k and sum |c_k| Q_k (sizes[k] = |c_k|), with P_k and Q_k the
+    sums of the sizes of the monomials in T and N that make up p_k and q_k.
+    So cancellation inside p_k counts too: on the complex class of x^3 - 2,
+    p_3 = T^2 - N vanishes.
+    """
+    t, n = _abs_float(T), _abs_float(N)
+    P, Q, a_scale, b_scale = 0.0, 1.0, 0.0, 0.0
+    for size in sizes:
+        if size:
+            a_scale, b_scale = a_scale + size * P, b_scale + size * Q
+        P, Q = t * P + Q, n * P
+    return a_scale, b_scale
+
+
+_BEYOND_DOUBLES = "magnitudes beyond the double range"
+
+
+def _numeric_point(
+    g: Poly,
+    sizes: list[float],
+    klass: ConjClass,
+    lam: Quaternion,
+    tolerance: float,
+    reject: str,
+    detail: str,
+) -> ClassSolution:
+    """Accept lam when |g(lam)| is at most tolerance times the size of its terms."""
+    scale = _term_scale(sizes, lam)
+    if math.isinf(scale):
+        return ClassSolution("anomaly", klass, detail=_BEYOND_DOUBLES)
+    residual = _magnitude(g(lam))
+    if residual <= tolerance * scale:
+        return ClassSolution("point", klass, point=lam, residual=residual)
+    return ClassSolution(reject, klass, residual=residual, detail=detail)
 
 
 def solve_in_class(
@@ -507,55 +553,43 @@ def solve_in_class(
     """Reduce g = 0 inside one conjugacy class to a linear equation and solve.
 
     Central candidate classes (discriminant zero) are checked by direct
-    substitution instead; the reduction degenerates there.
+    substitution instead; the reduction degenerates there.  A numeric
+    quantity counts as zero, and a numeric point as a root, relative to the
+    size of the terms summed into it.
     """
     if not isinstance(g.spec, QuatSpec):
         raise UnsupportedAlgebraError("class solving needs a quaternion algebra")
     T, N = klass.trace, klass.norm
     if not klass.exact:
-        coeff_scale = _coeff_scale(g)
-        class_scale = 1 + _abs_float(T) + _abs_float(N)
-        if math.isinf(coeff_scale) or math.isinf(class_scale):
+        sizes = [_magnitude(c) for c in g.coeffs]
+        if math.isinf(sum(sizes) + _abs_float(T) + _abs_float(N)):
             # relative tolerances mean nothing past the double range
-            return ClassSolution(
-                "anomaly", klass, detail="magnitudes beyond the double range"
-            )
+            return ClassSolution("anomaly", klass, detail=_BEYOND_DOUBLES)
 
     if klass.is_central:
-        mu = T / 2
-        lam = g.spec.coerce(mu)
-        value = g(lam)
+        lam = g.spec.coerce(T / 2)
         if klass.exact:
-            if value.is_zero:
+            if g(lam).is_zero:
                 return ClassSolution("point", klass, point=lam)
             return ClassSolution(
                 "none", klass, detail="central candidate is not a root"
             )
-        residual = _magnitude(value)
-        if residual <= tolerance * (1 + coeff_scale):
-            return ClassSolution("point", klass, point=lam, residual=residual)
-        return ClassSolution(
-            "none",
-            klass,
-            residual=residual,
-            detail="central candidate residual above tolerance",
+        return _numeric_point(
+            g, sizes, klass, lam, tolerance, "none", "central candidate residual above tolerance"
         )
 
-    # z^k = p_k z + q_k inside the class, by z^2 = T z - N
-    p, q = g.spec.field.zero(), g.spec.field.one()
-    A, B = g.spec.zero(), g.spec.zero()
-    for c in g.coeffs:
-        A = A + c * p
-        B = B + c * q
-        p, q = T * p + q, -N * p
+    # z^k = p_k z + q_k inside the class, so g(z) = A z + B
+    A, B = g.quotient_value((g.spec.one(), g.spec.zero()), T, N)
 
     if klass.exact:
         a_zero, b_zero = A.is_zero, B.is_zero
     else:
         ztol = 2.0 ** (-(klass.precision or DEFAULT_PRECISION) // 2 + 8)
-        scale = (1 + coeff_scale) * class_scale
-        a_zero = _magnitude(A) <= ztol * scale
-        b_zero = _magnitude(B) <= ztol * scale
+        a_scale, b_scale = _reduction_scales(sizes, T, N)
+        if not math.isfinite(a_scale + b_scale):
+            return ClassSolution("anomaly", klass, detail=_BEYOND_DOUBLES)
+        a_zero = _magnitude(A) <= ztol * a_scale
+        b_zero = _magnitude(B) <= ztol * b_scale
 
     if a_zero and b_zero:
         return ClassSolution("sphere", klass)
@@ -586,14 +620,8 @@ def solve_in_class(
     bits = klass.precision or DEFAULT_PRECISION
     field = g.spec.field
     lam = g.spec.element(*(field.scalar(c.to_real(bits)) for c in lam.coords()))
-    residual = _magnitude(g(lam))
-    if residual <= tolerance * (1 + coeff_scale):
-        return ClassSolution("point", klass, point=lam, residual=residual)
-    return ClassSolution(
-        "anomaly",
-        klass,
-        residual=residual,
-        detail="candidate residual above tolerance",
+    return _numeric_point(
+        g, sizes, klass, lam, tolerance, "anomaly", "candidate residual above tolerance"
     )
 
 

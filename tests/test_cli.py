@@ -113,6 +113,21 @@ def test_exit_codes():
         assert code == 2, argv
         assert json.loads(out)["error"]["type"] == "UsageError"
 
+    # options a subcommand never reads are usage errors
+    for argv in (
+        ["compose", "--poly", "x^2+i", "--n", "2", "--mode", "numeric"],
+        ["orbit", "--poly", "x^2+i", "--point=-i", "--precision", "256"],
+        ["check-periodic", "--poly", "x^2+i", "--point=-i", "--r", "2", "--tolerance", "1e-3"],
+        ["oct-check", "--poly", "x^2+i", "--point=-i", "--mode", "exact"],
+        ["companion", "--poly", "x^2+i", "--mode", "numeric"],
+        ["companion", "--poly", "x^2+i", "--degree-cap", "8"],
+        ["roots", "--poly", "x^2+1", "--degree-cap", "8"],
+        ["fixed-points", "--poly", "x^2", "--degree-cap", "8"],
+    ):
+        with contextlib.redirect_stderr(io.StringIO()):
+            code, _ = run_cli(argv)
+        assert code == 2, argv
+
     code, _ = run_cli(["--version"])
     assert code == 0
 
@@ -129,6 +144,84 @@ def test_numeric_class_data_is_snapped():
     sols = json.loads(out)["result"]
     assert [(s["class"]["trace"], s["class"]["norm"]) for s in sols] == [("2/3", "1/9"), ("2", "1")]
     assert [s["point"] for s in sols] == ["1/3", "1"]
+
+
+def test_numeric_point_with_a_large_coordinate_is_not_a_sphere():
+    # the terms summed into A and B are 1 and 10^100*i, so neither vanishes
+    code, out = run_cli(["roots", "--poly", "x-10^100*i", "--mode", "numeric"])
+    assert code == 0
+    (sol,) = json.loads(out)["result"]
+    assert sol["variant"] == "point"
+    assert sol["point"] == f"{10**100}*i"
+
+
+def test_numeric_point_residual_is_relative_to_its_terms():
+    # the root i/10^60 rounds to 0 at 128 bits, where the residual is 1 and
+    # the terms of g(0) sum to 1; that is no point
+    argv = ["roots", "--poly", "10^60*x-i", "--mode", "numeric"]
+    for precision in ("128", "256", "512"):
+        code, out = run_cli(argv + ["--precision", precision])
+        assert code == 0
+        H = QuatSpec.standard()
+        for sol in json.loads(out)["result"]:
+            if sol["variant"] == "point":
+                size = abs(float(parse_element(sol["point"], H).coords()[1]))
+                scale = 1 + 10**60 * size  # |c_0| + |c_1|*|lam|
+                assert sol["residual"] < 1e-9 * scale
+
+
+DEGREE_CAP_CASES = [
+    (["orbit", "--poly", "x^2+i", "--point=-i", "--n-max", "4"],
+     {15: "composition degree 16 exceeds cap 15", 16: ["-1 + i", "-i", "-1 + i", "-i"]}),
+    (["oct-check", "--algebra", "oct:-1,-1,-1@Q", "--poly", "x^2+1+i", "--point", "i", "--n-max", "4"],
+     {15: "composition degree 16 exceeds cap 15", 16: {"fixed": True, "checked_up_to": 4, "first_failure": None}}),
+    (["oct-check", "--algebra", "oct:-1,-1,-1@Q", "--poly", "l*x^2+(1-i*l)*x+l-(i*j)*l", "--point", "j"],
+     {3: "composition degree 4 exceeds cap 3", 4: {"fixed": True, "checked_up_to": 2, "first_failure": 2}}),
+    (["check-periodic", "--algebra", "quat:-1,-1@Q(s5)", "--poly", "x^2+(i+1)*x+1+i*j",
+      "--point=-1 + (133/362*s5 - 333/362)*i - (14/181*s5 + 165/181)*j - (26/181*s5 + 22/181)*k",
+      "--r", "2", "--n-max", "2"],
+     {15: {"degree_cap": "composition degree 16 exceeds cap 15", "refutation_checked": []},
+      16: {"refutation_checked": [2]}}),
+    (["check-periodic", "--poly", "x^2+i", "--point=-i", "--r", "2"],
+     {3: {"degree_cap": "composition degree 2**2 exceeds cap 3"}, 4: {"r_fixed": True}}),
+    (["check-periodic", "--algebra", "oct:-1,-1,-1@Q", "--poly", "l*x^2+(1-i*l)*x+l-(i*j)*l",
+      "--point", "j", "--r", "1"],
+     {3: {"degree_cap": "composition degree 4 exceeds cap 3", "refutation_checked": []},
+      4: {"refutation_checked": [2]}}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,expect",
+    DEGREE_CAP_CASES,
+    ids=["orbit", "oct-check-fixed", "oct-check-moved", "refuted", "r-fold", "octonion-r1"],
+)
+def test_degree_cap_boundaries(argv, expect):
+    # below, at and above the cap where the last composite's degree 2^k lands
+    (below, message), (at, result) = sorted(expect.items())
+    outs = {}
+    for cap in (below, at, at + 1):
+        code, out = run_cli(argv + ["--degree-cap", str(cap)])
+        outs[cap] = (code, json.loads(out))
+    code, payload = outs[below]
+    if isinstance(message, str):
+        assert code == 1
+        assert payload["error"] == {"type": "DegreeCapError", "message": message}
+    else:
+        assert code == 0
+        assert payload["result"]["status"] == "inconclusive"
+        assert message.items() <= payload["result"]["evidence"].items()
+    code, payload = outs[at]
+    assert code == 0
+    got = payload["result"]
+    if argv[0] == "orbit":
+        assert got["points"] == result
+    elif argv[0] == "oct-check":
+        assert got == result
+    else:
+        assert got["status"] != "inconclusive"
+        assert result.items() <= got["evidence"].items()
+    assert outs[at + 1] == outs[at]
 
 
 def test_linear_composition_counts_against_the_cap():

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quatdyn import (
+    DEFAULT_DEGREE_CAP,
     DegreeCapError,
     FieldSpec,
     OctSpec,
@@ -17,7 +19,11 @@ from quatdyn import (
     orbit,
 )
 
-from helpers import rand_subfield_pair
+from quatdyn.cli import parse_algebra
+from quatdyn.dynamics import _composite_values
+from quatdyn.parsing import parse_element, parse_poly
+
+from helpers import rand_oct, rand_poly, rand_quat, rand_scalar, rand_subfield_pair
 
 H = QuatSpec.standard()
 F5 = FieldSpec(5)
@@ -246,3 +252,55 @@ def test_fixed_point_class_count_bound():
             if s.kind in ("point", "sphere")
         }
         assert len(useful) <= f.degree
+
+
+QUOTIENT_SPECS = [
+    parse_algebra(text)
+    for text in ("quat:-1,-1@Q", "quat:-1,-1@Q(s5)", "quat:2,1/3@Q", "oct:-1,-1,-1@Q")
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(QUOTIENT_SPECS),
+    st.integers(1, 2),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_composite_values_match_built_composites(spec, degree, central, seed):
+    # values read off A[x]/(x^2 - T x + N) equal the built composites' values
+    rng = random.Random(seed)
+    f = rand_poly(rng, spec, degree, den=2)
+    if central:
+        lam = spec.coerce(rand_scalar(rng, spec.field))
+    else:
+        lam = (rand_oct if isinstance(spec, OctSpec) else rand_quat)(rng, spec, den=2)
+    values = _composite_values(f, lam, DEFAULT_DEGREE_CAP)
+    for n in range(1, 6):
+        assert next(values) == f.compose_iterate(n)(lam)
+
+
+def test_composite_values_of_constants_and_linear_maps():
+    lam = 1 + J
+    for f in (Poly(H), Poly.constant(H, I), Poly(H, [I, J]), Poly.x(H)):
+        values = _composite_values(f, lam, 1)
+        for n in range(1, 5):
+            assert next(values) == f.compose_iterate(n)(lam)
+
+
+def test_cap_counts_the_nominal_degree_when_composites_collapse():
+    # over the split algebra (1, -1), (i + j)^2 = 0, so every composite of
+    # f = (i + j) x^2 + x has degree 2; the cap still counts 2^k, as for a
+    # division algebra, because no composite is built to learn its degree
+    spec = parse_algebra("quat:1,-1@Q")
+    f = parse_poly("(i+j)*x^2+x", spec)
+    assert [f.compose_iterate(n).degree for n in range(1, 5)] == [2, 2, 2, 2]
+    lam = parse_element("i+j", spec)  # lam^2 = 0, so f(lam) = lam
+    assert orbit(f, lam, 2, degree_cap=4).points == (lam, lam)
+    with pytest.raises(DegreeCapError, match="composition degree 8 exceeds cap 4"):
+        orbit(f, lam, 3, degree_cap=4)
+    with pytest.raises(DegreeCapError, match="composition degree 16 exceeds cap 8"):
+        octonion_fixed_check(f, lam, n_max=4, degree_cap=8)
+    assert octonion_fixed_check(f, lam, n_max=4, degree_cap=16).first_failure is None
+    verdict = certify_periodic(f, lam, 2, degree_cap=3)
+    assert verdict.evidence == {"degree_cap": "composition degree 2**2 exceeds cap 3"}

@@ -343,6 +343,80 @@ def test_subfield_roots_recovered():
     assert pts == {H.one(), H.element(2)}
 
 
+# -- the class reduction against the power recurrence ---------------------------
+
+
+def _power_recurrence(g: Poly, T, N):
+    """A and B with g(z) = A z + B in the class (T, N), from z^k = p_k z + q_k."""
+    field = g.spec.field
+    p, q = field.zero(), field.one()
+    A = B = g.spec.zero()
+    for c in g.coeffs:
+        A, B = A + c * p, B + c * q
+        p, q = T * p + q, -N * p
+    return A, B
+
+
+def _solver_corpus():
+    rng = random.Random(71)
+    polys = [G_EXAMPLE, Poly(H, [1, 0, 1]), Poly(H, [2, -3, 1]), Poly(H, [-2, 0, 1]),
+             Poly(H, [2, -2, 1]), Poly(H, [1, 1, 1]), Poly.x(H) - I]
+    polys += [rand_solvable_poly(rng, H, rng.randint(1, 4)) for _ in range(30)]
+    for g in polys:
+        classes = set(extract_classes(companion(g)))
+        # foreign classes too: they give none and anomaly
+        classes |= {ConjClass(QQ.scalar(0), QQ.scalar(2)), ConjClass(QQ.scalar(6), QQ.scalar(9))}
+        for klass in sorted(classes, key=lambda k: (k.trace, k.norm)):
+            yield g, klass
+
+
+def test_solve_in_class_agrees_with_the_power_recurrence():
+    kinds = set()
+    for g, klass in _solver_corpus():
+        T, N = klass.trace, klass.norm
+        A, B = _power_recurrence(g, T, N)
+        assert g.quotient_value((H.one(), H.zero()), T, N) == (A, B)
+        sol = solve_in_class(g, klass)
+        kinds.add(sol.kind)
+        if klass.is_central:
+            mu = H.coerce(T / 2)
+            assert sol.kind == ("point" if g(mu).is_zero else "none")
+        elif A.is_zero:
+            assert sol.kind == ("sphere" if B.is_zero else "none")
+        else:
+            lam = -(A.inv() * B)
+            ok = lam.in_class(T, N) and g(lam).is_zero
+            assert (sol.kind, sol.point) == (("point", lam) if ok else ("anomaly", None))
+    assert kinds == {"point", "sphere", "none", "anomaly"}
+
+
+NUMERIC_CORPUS = [
+    ("quat:-1,-1@Q", "x^2+i*x+1", ["point", "point"]),
+    ("quat:-1,-1@Q", "x^2+1", ["sphere"]),
+    ("quat:-1,-1@Q", "x^2+x+1", ["sphere"]),
+    ("quat:-1,-1@Q", "3*x^2-4*x+1", ["point", "point"]),
+    ("quat:-1,-1@Q", "x^2+i*x+1+i*j", ["point", "point"]),
+    ("quat:-1,-1@Q", "x^2-2", ["point", "point"]),
+    # p_3 = T^2 - N cancels on the complex class: a sphere, not an anomaly
+    ("quat:-1,-1@Q", "x^3-2", ["sphere", "point"]),
+    ("quat:-1,-1@Q", "x^3+x+1", ["point", "sphere"]),
+    ("quat:-1,-1@Q", "(x^2+1)*(x-i)", ["sphere"]),
+    ("quat:-1,-1@Q", "x^4+(1+i)*x^2+j*x+3", ["point"] * 4),
+    ("quat:-1,-1@Q", "x^5-x+i", ["point"] * 5),
+    ("quat:-1,-1@Q(s5)", "x-s5", ["point"]),
+    ("quat:-1,-1@Q(s5)", "x^2+s5*i*x+1", ["point", "point"]),
+    ("quat:-1,-1@Q(s5)", "x^3+(1+s5)*j*x+2", ["point"] * 3),
+]
+
+
+@pytest.mark.parametrize("algebra,text,kinds", NUMERIC_CORPUS)
+def test_numeric_class_kinds(algebra, text, kinds):
+    from quatdyn.cli import parse_algebra
+
+    g = parse_poly(text, parse_algebra(algebra))
+    assert [s.kind for s in roots(g, mode="numeric")] == kinds
+
+
 # -- exact extraction against sympy's factorization -------------------------------
 
 
