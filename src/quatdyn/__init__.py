@@ -2,10 +2,11 @@
 quaternion and octonion algebras.
 
 Core surface: exact scalars (`FieldSpec`, `Scalar`), the algebras
-(`QuatSpec`/`Quaternion`, `OctSpec`/`Octonion`), left polynomials (`Poly`),
-the companion-polynomial root solver (`roots` and friends), and the
-dynamics layer (`fixed_points`, `orbit`, `certify_periodic`,
-`octonion_fixed_check`).
+(`QuatSpec`/`Quaternion`, `OctSpec`/`Octonion`), left polynomials (`Poly`,
+over an algebra or over the ground field), the companion-polynomial root
+solver (`roots` and friends), and the dynamics layer (`fixed_points`,
+`orbit`, `certify_periodic`, `octonion_fixed_check`).  Scalars, quaternions
+and octonions share one integer structure-constant kernel.
 """
 
 __version__ = "0.1.0"
@@ -31,7 +32,6 @@ from .polynomials import DEFAULT_DEGREE_CAP, Poly
 from .solver import (
     DEFAULT_PRECISION,
     DEFAULT_TOLERANCE,
-    CentralPoly,
     ClassSolution,
     ConjClass,
     companion,
@@ -75,7 +75,6 @@ __all__ = [
     "Poly",
     "DEFAULT_PRECISION",
     "DEFAULT_TOLERANCE",
-    "CentralPoly",
     "ClassSolution",
     "ConjClass",
     "companion",

@@ -1,10 +1,12 @@
-"""Integer structure-constant arithmetic shared by quaternions and octonions.
+"""Integer structure-constant arithmetic shared by scalars, quaternions and
+octonions.
 
 An element is stored as a tuple of integer numerators over one positive
 denominator, in lowest terms.  The numerators are its coordinates over the
-Q-basis {1, sqrt d} x {1, i, j, k} (x {1, l} for octonions), interleaved:
-ground-field coordinate P sits at position P*width, followed by its sqrt(d)
-part when the ground field is Q(sqrt d) (width 2 instead of 1).
+Q-basis {1, sqrt d} x {1, i, j, k} (x {1, l} for octonions; just {1, sqrt d}
+for a scalar of the ground field), interleaved: ground-field coordinate P
+sits at position P*width, followed by its sqrt(d) part when the ground field
+is Q(sqrt d) (width 2 instead of 1).
 
 Every product goes through one sparse table of integer structure constants
 per algebra, derived once from the defining relations.  `Poly` products
@@ -17,11 +19,14 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
+from typing import TYPE_CHECKING
 
 from .errors import SpecMismatchError, SplitAlgebraError
-from .scalars import RationalLike, Scalar, render_terms
 
-SCALAR_LIFTS = (Scalar,) + RationalLike
+if TYPE_CHECKING:
+    from .scalars import Scalar
+
+RationalLike = (int, Fraction)
 
 
 def _quat_basis(p: int, q: int):
@@ -48,33 +53,39 @@ def _oct_basis(p: int, q: int):
     return (r, conj * sign, exps + (1,)) if h1 else (r + 4, sign, exps + (0,))
 
 
+def _field_basis(p: int, q: int):
+    """The ground field over itself: 1 * 1 = 1."""
+    return 0, 1, ()
+
+
 class Table:
     """Structure constants of one algebra over Q: (x*y)[r] = sum c*x[p]*y[q] / den.
 
+    The algebra is the ground field itself (no generators), a quaternion
+    algebra (alpha, beta) or an octonion algebra (alpha, beta, gamma).
     `rows[p]` lists the (q, r, c) with integer c; a nonzero x[p] only visits
     its own row, so sparse operands cost less.
     """
 
     __slots__ = ("width", "dim", "den", "rows")
 
-    def __init__(self, field, alpha, beta, gamma=None) -> None:
+    def __init__(self, field, *gens) -> None:
         d, width = field.d, 1 if field.d is None else 2
-        if gamma is None:
-            n, gens, basis = 4, (alpha, beta), _quat_basis
-        else:
-            n, gens, basis = 8, (alpha, beta, gamma), _oct_basis
+        n = 1 << len(gens)
+        basis = {0: _field_basis, 2: _quat_basis, 3: _oct_basis}[len(gens)]
         # Q-coordinates of sqrt(d)^t times a monomial in the generators,
         # keyed by (exponents, t); t = s1 + s2 for the sqrt(d) parts of a pair
         values: dict[tuple, tuple[Fraction, ...]] = {}
         for exps in product((0, 1), repeat=len(gens)):
-            c = field.one()
+            c = None  # the empty product, 1
             for g, e in zip(gens, exps):
                 if e:
-                    c = c * g
-            values[exps, 0] = (c.a, c.b)[:width]
+                    c = g if c is None else c * g
+            a, b = (1, 0) if c is None else (c.a, c.b)
+            values[exps, 0] = (a, b)[:width]
             if width == 2:
-                values[exps, 1] = (d * c.b, c.a)
-                values[exps, 2] = (d * c.a, d * c.b)
+                values[exps, 1] = (d * b, a)
+                values[exps, 2] = (d * a, d * b)
         den = lcm(*(v.denominator for vs in values.values() for v in vs))
         ints = {key: [int(v * den) for v in vs] for key, vs in values.items()}
         rows: list[list[tuple[int, int, int]]] = [[] for _ in range(n * width)]
@@ -122,17 +133,19 @@ class Table:
 
 
 class Element:
-    """Arithmetic shared by quaternions and octonions.
+    """Arithmetic shared by scalars, quaternions and octonions.
 
-    Subclasses name their ground-field basis (`BASIS`) and the foreign types
-    they accept as operands (`LIFTS`); their spec supplies `field`, `table`
-    and `coerce`.
+    Subclasses name their ground-field basis (`BASIS`), the foreign types
+    they accept as operands (`LIFTS`) and the error that operands from
+    another spec raise (`MISMATCH`); their spec supplies `field`, `table`,
+    `coerce` and `one`.
     """
 
     __slots__ = ("spec", "nums", "den")
 
     BASIS: tuple[str, ...] = ()
     LIFTS: tuple[type, ...] = ()
+    MISMATCH: type[Exception] = SpecMismatchError
 
     def __init__(self, spec, nums, den: int = 1) -> None:
         """Store nums/den (den > 0) in lowest terms."""
@@ -152,15 +165,15 @@ class Element:
         remaining coordinates are zero.
         """
         field, width = spec.field, spec.table.width
-        fracs = []
+        parts = []  # (numerators, denominator) of each value
         for v in values:
             if isinstance(v, RationalLike):
-                fracs += (v, 0)[:width]
+                parts.append(((v.numerator, 0)[:width], v.denominator))
             else:
                 v = field.coerce(v)
-                fracs += (v.a, v.b)[:width]
-        den = lcm(*(f.denominator for f in fracs))
-        nums = [f.numerator * (den // f.denominator) for f in fracs]
+                parts.append((v.nums, v.den))
+        den = lcm(*(d for _, d in parts))
+        nums = [v * (den // d) for vs, d in parts for v in vs]
         return cls(spec, nums + [0] * (spec.table.dim - len(nums)), den)
 
     def __setattr__(self, name, value):
@@ -168,14 +181,8 @@ class Element:
 
     def _scalar(self, k: int) -> Scalar:
         """Ground-field coordinate k."""
-        w, den = self.spec.table.width, self.den
-        if w == 1:
-            return Scalar(self.spec.field, Fraction(self.nums[k], den))
-        return Scalar(
-            self.spec.field,
-            Fraction(self.nums[w * k], den),
-            Fraction(self.nums[w * k + 1], den),
-        )
+        w = self.spec.table.width
+        return self.spec.field.from_nums(self.nums[w * k : w * k + w], self.den)
 
     def coords(self) -> tuple[Scalar, ...]:
         return tuple(self._scalar(k) for k in range(len(self.BASIS)))
@@ -196,9 +203,7 @@ class Element:
     def _lift(self, other):
         if type(other) is type(self):
             if other.spec is not self.spec and other.spec != self.spec:
-                raise SpecMismatchError(
-                    f"mixed algebras {self.spec} and {other.spec}"
-                )
+                raise self.MISMATCH(f"mixed {self.spec} and {other.spec}")
             return other
         if isinstance(other, self.LIFTS):
             return self.spec.coerce(other)
@@ -245,15 +250,19 @@ class Element:
         return o * self
 
     def __pow__(self, n: int):
-        """Left-nested power; alternativity makes every nesting agree."""
+        """Power by repeated squaring; alternativity makes every nesting agree."""
         if not isinstance(n, int) or n < 0:
             raise ValueError(
                 f"{type(self).__name__.lower()} powers take a nonnegative "
                 "integer exponent"
             )
-        out = self.spec.one()
-        for _ in range(n):
-            out = out * self
+        out, base = self.spec.one(), self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     # -- involution, trace, norm, inverse -------------------------------------
@@ -292,6 +301,12 @@ class Element:
             return NotImplemented
         return self * o.inv()
 
+    def __rtruediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inv()
+
     # -- predicates -----------------------------------------------------------
 
     def commutes(self, other) -> bool:
@@ -326,3 +341,33 @@ class Element:
     def __repr__(self) -> str:
         return f"<{self.render()} in {self.spec}>"
 
+
+def render_terms(terms: list[tuple[Scalar, str]]) -> str:
+    """Render a linear combination over named basis elements.
+
+    `terms` pairs each coordinate with its basis symbol ("" for the unit).
+    Produces e.g. "1 + 2*i - j" or "(1/2 + s5)*k"; zero coordinates are
+    dropped and the all-zero combination renders as "0".
+    """
+    parts: list[str] = []
+    for coeff, sym in terms:
+        if not coeff:
+            continue
+        # fold the sign out of pure-rational and pure-radical coordinates;
+        # mixed a + b*sqrt(d) coordinates stay parenthesized verbatim
+        if coeff.nums[0] and any(coeff.nums[1:]):
+            neg, mag = False, f"({coeff.render()})"
+        else:
+            neg = min(coeff.nums) < 0
+            mag = (-coeff if neg else coeff).render()
+        if sym:
+            body = sym if mag == "1" else f"{mag}*{sym}"
+        else:
+            body = mag
+        if not parts:
+            parts.append(f"-{body}" if neg else body)
+        else:
+            parts.append(f"- {body}" if neg else f"+ {body}")
+    if not parts:
+        return "0"
+    return " ".join(parts)

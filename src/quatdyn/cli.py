@@ -4,7 +4,8 @@ Algebras are declared as `quat:<alpha>,<beta>@<field>` or
 `oct:<alpha>,<beta>,<gamma>@<field>` where the field is `Q` or `Q(s<d>)`,
 e.g. `quat:-1,-1@Q` or `quat:-1,-1@Q(s5)`.  Exit codes: 0 success, 1
 mathematical error (split element, degree cap, incomplete exact
-factorization, non-convergence), 2 usage or parse error.
+factorization, non-convergence), 2 usage or parse error.  Every error,
+argparse's usage errors included, prints a JSON document on stdout.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ def parse_field(text: str) -> FieldSpec:
         raise ParseError(str(exc)) from None
 
 
+@functools.lru_cache(maxsize=64)  # specs are immutable, and each builds its tables
 def parse_algebra(text: str) -> QuatSpec | OctSpec:
     kind, sep, rest = text.partition(":")
     if not sep:
@@ -235,9 +237,20 @@ _HANDLERS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print usage and exit 2.
+
+    Subparsers are made with the class of their parent parser, so they
+    raise it too.
+    """
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="quatdyn",
         description="Exact dynamics of left polynomials over quaternion "
         "and octonion algebras.",
@@ -277,10 +290,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # the subparser action names the command here before it parses the rest,
+    # so a usage error can still say which command it belongs to
+    ns = argparse.Namespace(command=None)
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
+        parser.parse_args(argv, ns)
+    except SystemExit as exc:  # --help and --version
         return 0 if not exc.code else 2
+    except UsageError as exc:
+        _emit_error(ns.command, exc)
+        return 2
     try:
         _check_arguments(ns)
         payload = _HANDLERS[ns.command](ns)

@@ -26,11 +26,14 @@ by u <- f(u) (`_composite_values`).  The degree cap still bounds these paths
 by the nominal degree deg(f)**k of the composite each value stands for, and
 fires at the same k with the same message as building it would.  Only when a
 split algebra's zero divisors make the composites' degrees collapse below
-deg(f)**k does the cap fire earlier than on the built composite.
+deg(f)**k does the cap fire earlier than on the built composite.  The k-th
+repeated evaluation counts deg(f)**k against the cap by the same rule
+(`_capped`): its numerators grow as a composite's do.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -113,15 +116,11 @@ def orbit(
     lam = f.spec.coerce(start)
     if semantics == "compose":
         values = _composite_values(f, lam, degree_cap)
-        points = [next(values) for _ in range(n_max)]
     elif semantics == "eval":
-        points = []
-        value = lam
-        for _ in range(n_max):
-            value = f(value)
-            points.append(value)
+        values = _capped(f, degree_cap, f, lam)
     else:
         raise ValueError(f"unknown orbit semantics {semantics!r}")
+    points = [next(values) for _ in range(n_max)]
     flags = tuple(lam.commutes(p) for p in points)
     return OrbitReport(semantics, tuple(points), flags)
 
@@ -135,11 +134,21 @@ def _composite_values(f: Poly, lam: Element, degree_cap: int) -> Iterator[Elemen
     the composite would, once its nominal degree deg(f)**k exceeds degree_cap.
     """
     trace, norm = lam.trace(), lam.norm()
-    u = (f.spec.one(), f.spec.zero())
+    step = functools.partial(f.quotient_value, trace=trace, norm=norm)
+    residues = _capped(f, degree_cap, step, (f.spec.one(), f.spec.zero()))
+    return (a * lam + b for a, b in residues)
+
+
+def _capped(f: Poly, degree_cap: int, step, u) -> Iterator:
+    """Yield step(u), step(step(u)), ...; the k-th stands for a composite of f.
+
+    Before the k-th (k >= 2) is computed, raise DegreeCapError if the nominal
+    degree deg(f)**k of that composite exceeds degree_cap.
+    """
     nominal = f.degree
     while True:
-        u = f.quotient_value(u, trace, norm)
-        yield u[0] * lam + u[1]
+        u = step(u)
+        yield u
         if f.degree >= 1:
             nominal *= f.degree
             if nominal > degree_cap:

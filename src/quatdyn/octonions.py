@@ -5,19 +5,20 @@ involution, is
 
     (q + r*l)(s + t*l) = q*s + gamma*conj(t)*r + (t*q + r*conj(s))*l
 
-It is alternative but not associative; powers are still unambiguous, and this
-module computes them left-nested.  Products go through the structure-constant
-table that `_kernel` derives from this rule.
+It is alternative but not associative; powers are still unambiguous (any
+two elements generate an associative subalgebra), so `_kernel` computes them
+by repeated squaring.  Products go through the structure-constant table that
+`_kernel` derives from this rule.
 """
 
 from __future__ import annotations
 
 from math import lcm
 
-from ._kernel import SCALAR_LIFTS, Element, Table
+from ._kernel import Element, Table
 from .errors import SpecMismatchError
 from .quaternions import QuatSpec, Quaternion
-from .scalars import FieldSpec, QQ
+from .scalars import SCALAR_LIFTS, FieldSpec, QQ
 
 _BASIS = ("", "i", "j", "k", "l", "il", "jl", "kl")
 

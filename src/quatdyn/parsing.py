@@ -7,7 +7,8 @@ Grammar (whitespace insignificant between tokens):
     factor := atom ('^' uint)?
     atom   := rational | radical | basis | 'x' | '(' expr ')' | '-' atom
 
-Rationals are written `p/q` or plain integers with no internal spaces.  The
+Rationals are written `p/q` or plain integers with no internal spaces, each
+integer within CPython's int-from-text limit (4300 digits by default).  The
 radical token `s<d>` names sqrt(d) and must match the ambient field.  Basis
 symbols are i, j, k over quaternions and additionally l, il, jl, kl over
 octonions; k always means i*j.  Products keep their written order, and the
@@ -59,6 +60,14 @@ def _tokenize(source: str) -> list[_Token]:
         pos = m.end()
     tokens.append(_Token("end", "", len(source)))
     return tokens
+
+
+def _integer(tok: _Token, text: str) -> int:
+    """int(text) for digits of the number token tok; ParseError past the limit."""
+    try:
+        return int(text)
+    except ValueError:  # longer than the int-from-text limit
+        raise ParseError(f"integer of {len(text)} digits is too long", tok.pos) from None
 
 
 class _Parser:
@@ -113,19 +122,18 @@ class _Parser:
             exp = self.advance()
             if exp.kind != "number" or "/" in exp.text:
                 raise ParseError("exponent must be a nonnegative integer", exp.pos)
-            value = value ** int(exp.text)
+            value = value ** _integer(exp, exp.text)
         return value
 
     # atom := rational | radical | basis | 'x' | '(' expr ')' | '-' atom
     def atom(self) -> Poly:
         tok = self.advance()
         if tok.kind == "number":
-            if "/" in tok.text:
-                p, q = tok.text.split("/")
-                if int(q) == 0:
-                    raise ParseError("zero denominator", tok.pos)
-                return Poly.constant(self.spec, Fraction(int(p), int(q)))
-            return Poly.constant(self.spec, int(tok.text))
+            p, _, q = tok.text.partition("/")
+            den = _integer(tok, q) if q else 1
+            if den == 0:
+                raise ParseError("zero denominator", tok.pos)
+            return Poly.constant(self.spec, Fraction(_integer(tok, p), den))
         if tok.kind == "name":
             return self._named(tok)
         if tok.kind == "op" and tok.text == "(":

@@ -1,4 +1,5 @@
-"""Left polynomials over a quaternion or octonion algebra.
+"""Left polynomials over a quaternion or octonion algebra, or over the ground
+field itself (the companion polynomials of the solver).
 
 Coefficients sit on the left of a central variable: f(x) = sum c_i x^i.
 Multiplication is the convolution with coefficient products taken in written
@@ -24,12 +25,12 @@ from math import lcm
 from .errors import DegreeCapError, SpecMismatchError, UnsupportedAlgebraError
 from .octonions import Octonion, OctSpec
 from .quaternions import QuatSpec, Quaternion
-from .scalars import RationalLike, Scalar
+from .scalars import FieldSpec, RationalLike, Scalar
 
 DEFAULT_DEGREE_CAP = 4096
 
-AlgebraSpec = QuatSpec | OctSpec
-Element = Quaternion | Octonion
+AlgebraSpec = QuatSpec | OctSpec | FieldSpec
+Element = Quaternion | Octonion | Scalar
 
 
 class Poly:

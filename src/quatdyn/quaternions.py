@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ._kernel import SCALAR_LIFTS, Element, Table
+from ._kernel import Element, Table
 from .errors import SpecMismatchError
-from .scalars import FieldSpec, QQ, Scalar
+from .scalars import SCALAR_LIFTS, FieldSpec, QQ, Scalar
 
 _BASIS = ("", "i", "j", "k")
 

@@ -1,19 +1,23 @@
 """Exact scalars: rationals and real/imaginary quadratic extensions Q(sqrt d).
 
-A Scalar stores a + b*sqrt(d) with exact Fraction coordinates; over the plain
-rationals b is pinned to zero.  Equality, arithmetic and (when d > 0) the
-order relation are all exact.  `to_real` produces a dyadic rational within
-2**-bits of the true value under the principal embedding sqrt(d) > 0.
+The ground field is an algebra of dimension 1 (Q) or 2 (Q(sqrt d)) over Q
+with its own structure-constant table, so a Scalar is an `Element` of the
+integer kernel: the numerators of a (and b) in a + b*sqrt(d) over one
+denominator, with the sum, difference, product, quotient and power of every
+other element.  What is particular to a field lives here: the inverse
+through the field conjugate, the exact order (when d > 0), and `to_real`,
+which produces a dyadic rational within 2**-bits of the true value under the
+principal embedding sqrt(d) > 0.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
+from ._kernel import Element, RationalLike, Table
 from .errors import FieldMismatchError, NoRealEmbeddingError
-
-RationalLike = (int, Fraction)
 
 
 def _is_squarefree(n: int) -> bool:
@@ -31,7 +35,7 @@ def _is_squarefree(n: int) -> bool:
 class FieldSpec:
     """Ground field: Q when d is None, otherwise Q(sqrt d) for squarefree d."""
 
-    __slots__ = ("d",)
+    __slots__ = ("d", "table")
 
     def __init__(self, d: int | None = None) -> None:
         if d is not None:
@@ -40,9 +44,15 @@ class FieldSpec:
             if not _is_squarefree(d):
                 raise ValueError(f"d = {d} is not squarefree")
         object.__setattr__(self, "d", d)
+        object.__setattr__(self, "table", Table(self))
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldSpec is immutable")
+
+    @property
+    def field(self) -> FieldSpec:
+        """The ground field of the field as an algebra: itself."""
+        return self
 
     @property
     def is_rational(self) -> bool:
@@ -53,30 +63,41 @@ class FieldSpec:
         return self.d is None or self.d > 0
 
     def scalar(self, a: int | Fraction = 0, b: int | Fraction = 0) -> Scalar:
-        return Scalar(self, a, b)
+        """a + b*sqrt(d) for rationals a and b."""
+        if b and self.d is None:
+            raise ValueError("rational field scalars cannot carry a radical part")
+        a, b = Fraction(a), Fraction(b)
+        den = lcm(a.denominator, b.denominator)
+        nums = (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
+        return Scalar(self, nums[: self.table.width], den)
+
+    def from_nums(self, nums, den: int = 1) -> Scalar:
+        """The scalar with kernel numerators `nums` over `den`."""
+        return Scalar(self, nums, den)
 
     def sqrt_gen(self) -> Scalar:
         """The generator sqrt(d) itself."""
         if self.d is None:
             raise ValueError("the rational field has no radical generator")
-        return Scalar(self, 0, 1)
+        return Scalar(self, (0, 1))
 
     def coerce(self, value) -> Scalar:
         if isinstance(value, Scalar):
-            if value.field != self:
+            if value.spec is not self and value.spec != self:
                 raise FieldMismatchError(
-                    f"scalar from {value.field} used in {self}"
+                    f"scalar from {value.spec} used in {self}"
                 )
             return value
         if isinstance(value, RationalLike):
-            return Scalar(self, value)
+            w = self.table.width
+            return Scalar(self, (value.numerator, 0)[:w], value.denominator)
         raise TypeError(f"cannot interpret {value!r} as a scalar")
 
     def zero(self) -> Scalar:
-        return Scalar(self, 0)
+        return self.coerce(0)
 
     def one(self) -> Scalar:
-        return Scalar(self, 1)
+        return self.coerce(1)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FieldSpec) and self.d == other.d
@@ -94,180 +115,109 @@ class FieldSpec:
 QQ = FieldSpec()
 
 
-_ZERO = Fraction(0)
+def _text(q: Fraction) -> str:
+    """str(q) with every digit, past CPython's int-to-text limit too.
+
+    An exact value renders in full; the limit is lifted for that one
+    conversion only, and only when it is hit.
+    """
+    try:
+        return str(q)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(q)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
-class Scalar:
+class Scalar(Element):
     """An exact element a + b*sqrt(d) of the ground field."""
 
-    __slots__ = ("field", "a", "b")
+    __slots__ = ()
 
-    field: FieldSpec
-    a: Fraction
-    b: Fraction
+    BASIS = ("",)
+    LIFTS = RationalLike
+    MISMATCH = FieldMismatchError
 
-    def __init__(self, field: FieldSpec, a=0, b=_ZERO) -> None:
-        if type(a) is not Fraction:
-            a = Fraction(a)
-        if type(b) is not Fraction:
-            b = Fraction(b)
-        if b and field.d is None:
-            raise ValueError("rational field scalars cannot carry a radical part")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+    # the operators live in this class's own namespace, so that per-class
+    # instrumentation can wrap them
+    __add__ = Element.__add__
+    __radd__ = Element.__radd__
+    __sub__ = Element.__sub__
+    __rsub__ = Element.__rsub__
+    __neg__ = Element.__neg__
+    __mul__ = Element.__mul__
+    __rmul__ = Element.__rmul__
+    __truediv__ = Element.__truediv__
+    __rtruediv__ = Element.__rtruediv__
+    __pow__ = Element.__pow__
+    __eq__ = Element.__eq__
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
-
-    # -- coercion ---------------------------------------------------------
-
-    def _lift(self, other) -> Scalar | None:
-        if isinstance(other, Scalar):
-            if other.field != self.field:
-                raise FieldMismatchError(
-                    f"mixed fields {self.field} and {other.field}"
-                )
-            return other
-        if isinstance(other, RationalLike):
-            return Scalar(self.field, other)
-        return None
-
-    # -- ring and field operations ----------------------------------------
-
-    def __add__(self, other) -> Scalar:
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Scalar(self.field, self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> Scalar:
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Scalar(self.field, self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other) -> Scalar:
-        return (-self) + other
-
-    def __neg__(self) -> Scalar:
-        return Scalar(self.field, -self.a, -self.b)
-
-    def __mul__(self, other) -> Scalar:
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        if not (self.b or o.b):
-            return Scalar(self.field, self.a * o.a)
-        d = self.field.d
-        return Scalar(
-            self.field,
-            self.a * o.a + self.b * o.b * d,
-            self.a * o.b + self.b * o.a,
-        )
-
-    __rmul__ = __mul__
+    field = property(lambda self: self.spec)
+    a = property(lambda self: Fraction(self.nums[0], self.den))
+    b = property(
+        lambda self: Fraction(self.nums[1], self.den) if len(self.nums) > 1 else Fraction(0)
+    )
 
     def inv(self) -> Scalar:
-        """Multiplicative inverse via the field conjugate over the field norm."""
+        """1/(a + b*sqrt(d)) = (a - b*sqrt(d)) / (a^2 - d*b^2), the field conjugate
+        over the field norm; the norm of a nonzero scalar is nonzero, as
+        sqrt(d) is irrational."""
         if not self:
             raise ZeroDivisionError("scalar inverse of zero")
-        if self.field.is_rational:
-            return Scalar(self.field, 1 / self.a)
-        d = self.field.d
-        n = self.a * self.a - d * self.b * self.b
-        # n = 0 with self != 0 would make sqrt(d) rational; impossible.
-        return Scalar(self.field, self.a / n, -self.b / n)
-
-    def __truediv__(self, other) -> Scalar:
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
-
-    def __rtruediv__(self, other) -> Scalar:
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
-
-    def __pow__(self, n: int) -> Scalar:
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("scalar powers take a nonnegative integer exponent")
-        out = Scalar(self.field, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        a, *b = self.nums  # b is empty over Q
+        norm = a * a - sum(self.spec.d * v * v for v in b)
+        nums = [a * self.den] + [-v * self.den for v in b]
+        if norm < 0:
+            norm, nums = -norm, [-v for v in nums]
+        return Scalar(self.spec, nums, norm)
 
     # -- predicates and order ----------------------------------------------
 
     def __bool__(self) -> bool:
-        return self.a != 0 or self.b != 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RationalLike):
-            return self.a == other and self.b == 0
-        if isinstance(other, Scalar):
-            return (
-                self.field == other.field
-                and self.a == other.a
-                and self.b == other.b
-            )
-        return NotImplemented
+        return any(self.nums)
 
     def __hash__(self) -> int:
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.field, self.a, self.b))
+        # a rational scalar equals, and hashes as, its Fraction
+        if any(self.nums[1:]):
+            return hash((self.spec, self.nums, self.den))
+        return hash(self.a)
 
     def _sign(self) -> int:
         """Exact sign under the principal real embedding."""
-        if not self.field.has_real_embedding:
-            raise NoRealEmbeddingError(f"{self.field} has no real embedding")
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        d = self.field.d
-        if self.a > 0 and self.b > 0:
-            return 1
-        if self.a < 0 and self.b < 0:
-            return -1
+        if not self.spec.has_real_embedding:
+            raise NoRealEmbeddingError(f"{self.spec} has no real embedding")
+        a, b = (self.nums + (0,))[:2]
+        sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+        if sa == sb or not sb:
+            return sa
+        if not sa:
+            return sb
         # opposite signs: compare a^2 with d b^2; ties impossible (sqrt d irrational)
-        bigger_rational = self.a * self.a > d * self.b * self.b
-        if self.a > 0:
-            return 1 if bigger_rational else -1
-        return -1 if bigger_rational else 1
+        return sa if a * a > self.spec.d * b * b else sb
+
+    def _compare(self, other) -> int | None:
+        """Sign of self - other, or None for a foreign type."""
+        o = self._lift(other)
+        return None if o is None else (self - o)._sign()
 
     def __lt__(self, other) -> bool:
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return (self - o)._sign() < 0
+        s = self._compare(other)
+        return NotImplemented if s is None else s < 0
 
     def __le__(self, other) -> bool:
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return (self - o)._sign() <= 0
+        s = self._compare(other)
+        return NotImplemented if s is None else s <= 0
 
     def __gt__(self, other) -> bool:
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return (self - o)._sign() > 0
+        s = self._compare(other)
+        return NotImplemented if s is None else s > 0
 
     def __ge__(self, other) -> bool:
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return (self - o)._sign() >= 0
+        s = self._compare(other)
+        return NotImplemented if s is None else s >= 0
 
     # -- real embedding -----------------------------------------------------
 
@@ -278,84 +228,37 @@ class Scalar:
         """
         if bits < 1:
             raise ValueError("bits must be positive")
-        if not self.field.has_real_embedding:
-            raise NoRealEmbeddingError(f"{self.field} has no real embedding")
+        if not self.spec.has_real_embedding:
+            raise NoRealEmbeddingError(f"{self.spec} has no real embedding")
         scale = 1 << bits
-        if self.b == 0:
-            return Fraction(round(self.a * scale), scale)
-        d = self.field.d
-        guard = bits + 16
-        while True:
-            # floor and ceiling of sqrt(d) at `guard` fractional bits
-            lo = isqrt(d << (2 * guard))
-            lo_f = Fraction(lo, 1 << guard)
-            hi_f = Fraction(lo + 1, 1 << guard)
-            if self.b > 0:
-                x_lo, x_hi = self.a + self.b * lo_f, self.a + self.b * hi_f
-            else:
-                x_lo, x_hi = self.a + self.b * hi_f, self.a + self.b * lo_f
-            n_lo = (x_lo * scale + Fraction(1, 2)).__floor__()
-            n_hi = (x_hi * scale + Fraction(1, 2)).__floor__()
-            if n_lo == n_hi:
-                return Fraction(n_lo, scale)
-            guard *= 2  # b*sqrt(d)*scale is irrational, so this terminates
+        a, b = (self.nums + (0,))[:2]
+        if not b:
+            return Fraction(round(Fraction(a * scale, self.den)), scale)
+        # floor(2*b*sqrt(d)*scale); the root is irrational, so never an integer
+        r = isqrt(4 * b * b * self.spec.d * scale * scale)
+        r = r if b > 0 else -r - 1
+        # floor(x*scale + 1/2) = floor((2*a*scale + 2*b*sqrt(d)*scale + den) / (2*den))
+        return Fraction((2 * a * scale + r + self.den) // (2 * self.den), scale)
 
     def __float__(self) -> float:
-        if self.b == 0:
-            return float(self.a)
-        return float(self.to_real(128))
+        if any(self.nums[1:]):
+            return float(self.to_real(128))
+        return self.nums[0] / self.den
 
     # -- text ---------------------------------------------------------------
 
     def render(self) -> str:
         """Canonical text form: `p/q`, `p/q + r/s*s5`, `s5`, `-s5`, ..."""
-        if self.b == 0:
-            return str(self.a)
-        tok = f"s{self.field.d}"
-        mag = abs(self.b)
-        bterm = tok if mag == 1 else f"{mag}*{tok}"
-        if self.a == 0:
-            return bterm if self.b > 0 else f"-{bterm}"
-        op = " + " if self.b > 0 else " - "
-        return f"{self.a}{op}{bterm}"
-
-    def __str__(self) -> str:
-        return self.render()
-
-    def __repr__(self) -> str:
-        return f"Scalar({self.field!r}, {self.a!r}, {self.b!r})"
+        a, b = self.a, self.b
+        if b == 0:
+            return _text(a)
+        tok = f"s{self.spec.d}"
+        mag = abs(b)
+        bterm = tok if mag == 1 else f"{_text(mag)}*{tok}"
+        if a == 0:
+            return bterm if b > 0 else f"-{bterm}"
+        op = " + " if b > 0 else " - "
+        return f"{_text(a)}{op}{bterm}"
 
 
-def render_terms(terms: list[tuple[Scalar, str]]) -> str:
-    """Render a linear combination over named basis elements.
-
-    `terms` pairs each coordinate with its basis symbol ("" for the unit).
-    Produces e.g. "1 + 2*i - j" or "(1/2 + s5)*k"; zero coordinates are
-    dropped and the all-zero combination renders as "0".
-    """
-    parts: list[str] = []
-    for coeff, sym in terms:
-        if not coeff:
-            continue
-        # fold the sign out of pure-rational and pure-radical coordinates;
-        # mixed a + b*sqrt(d) coordinates stay parenthesized verbatim
-        if coeff.b == 0:
-            neg = coeff.a < 0
-            mag = str(abs(coeff.a))
-        elif coeff.a == 0:
-            neg = coeff.b < 0
-            mag = (-coeff if neg else coeff).render()
-        else:
-            neg = False
-            mag = f"({coeff.render()})"
-        if sym:
-            body = sym if mag == "1" else f"{mag}*{sym}"
-        else:
-            body = mag
-        if not parts:
-            parts.append(f"-{body}" if neg else body)
-        else:
-            parts.append(f"- {body}" if neg else f"+ {body}")
-    if not parts:
-        return "0"
-    return " ".join(parts)
+SCALAR_LIFTS = (Scalar,) + RationalLike

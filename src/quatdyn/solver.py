@@ -53,68 +53,10 @@ from .errors import (
 )
 from .polynomials import Poly
 from .quaternions import QuatSpec, Quaternion
-from .scalars import FieldSpec, Scalar
+from .scalars import Scalar
 
 DEFAULT_PRECISION = 128
 DEFAULT_TOLERANCE = 1e-9
-
-
-class CentralPoly:
-    """Polynomial with all coefficients in the ground field."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: FieldSpec, coeffs=()) -> None:
-        cs = [field.coerce(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CentralPoly is immutable")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, i: int) -> Scalar:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.field.zero()
-
-    def __call__(self, value) -> Scalar:
-        value = self.field.coerce(value)
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CentralPoly):
-            return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.coeffs))
-
-    def render(self) -> str:
-        if not self.coeffs:
-            return "(0)"
-        parts = []
-        for p in range(self.degree, -1, -1):
-            c = self.coeffs[p]
-            if not c:
-                continue
-            suffix = "" if p == 0 else ("*x" if p == 1 else f"*x^{p}")
-            parts.append(f"({c.render()}){suffix}")
-        return " + ".join(parts)
-
-    def __str__(self) -> str:
-        return self.render()
-
-    def __repr__(self) -> str:
-        return f"<{self.render()} over {self.field}>"
 
 
 @dataclass(frozen=True)
@@ -155,8 +97,8 @@ class ClassSolution:
     detail: str = ""
 
 
-def companion(g: Poly) -> CentralPoly:
-    """conj(g)*g, coerced into the ground field."""
+def companion(g: Poly) -> Poly:
+    """conj(g)*g, as a polynomial over the ground field."""
     if not isinstance(g.spec, QuatSpec):
         raise UnsupportedAlgebraError("companion polynomials need a quaternion algebra")
     if g.is_zero:
@@ -167,7 +109,7 @@ def companion(g: Poly) -> CentralPoly:
         if not c.is_central:
             raise AssertionError("companion coefficient left the ground field")
         coeffs.append(c.a)
-    return CentralPoly(g.spec.field, coeffs)
+    return Poly(g.spec.field, coeffs)
 
 
 # -- the class-extraction pipeline ---------------------------------------------
@@ -198,7 +140,7 @@ def _squarefree(coeffs) -> list:
     return [x / q[-1] for x in q]
 
 
-def _monic_integer(C: CentralPoly) -> tuple[list[int], int]:
+def _monic_integer(C: Poly) -> tuple[list[int], int]:
     """D(y) = s**n * C(y/s) / lead: monic with integer coefficients."""
     monic = [c.a / C.coeffs[-1].a for c in C.coeffs]
     s = 1
@@ -336,8 +278,8 @@ class _FactorSearch:
         return 4 * rho < 1 and (2 * Z + rho) * rho < Fraction(1, 2)
 
 
-def _exact_classes(C: CentralPoly) -> list[ConjClass]:
-    if not C.field.is_rational:
+def _exact_classes(C: Poly) -> list[ConjClass]:
+    if not C.spec.is_rational:
         raise UnsupportedAlgebraError(
             "exact class extraction is only available over the rationals"
         )
@@ -361,7 +303,7 @@ def _exact_classes(C: CentralPoly) -> list[ConjClass]:
 
     classes = _dedup_sorted(
         [
-            ConjClass(C.field.scalar(Fraction(t, s)), C.field.scalar(Fraction(u, s * s)))
+            ConjClass(C.spec.scalar(Fraction(t, s)), C.spec.scalar(Fraction(u, s * s)))
             for (t, u) in found
         ]
     )
@@ -402,10 +344,10 @@ def _simplest(x: Fraction, delta: Fraction) -> Fraction:
         a, b, c, d = d, c - whole * d, b, rest
 
 
-def _numeric_classes(C: CentralPoly, precision: int) -> list[ConjClass]:
+def _numeric_classes(C: Poly, precision: int) -> list[ConjClass]:
     import mpmath  # imported here so that exact-only runs never load it
 
-    if not C.field.has_real_embedding:
+    if not C.spec.has_real_embedding:
         raise UnsupportedAlgebraError(
             "numeric class extraction needs a real-embedded ground field"
         )
@@ -445,7 +387,7 @@ def _numeric_classes(C: CentralPoly, precision: int) -> list[ConjClass]:
     return _dedup_sorted(
         [
             ConjClass(
-                C.field.scalar(T), C.field.scalar(N), exact=False, precision=precision
+                C.spec.scalar(T), C.spec.scalar(N), exact=False, precision=precision
             )
             for (T, N) in found
         ]
@@ -453,9 +395,9 @@ def _numeric_classes(C: CentralPoly, precision: int) -> list[ConjClass]:
 
 
 def extract_classes(
-    C: CentralPoly, mode: str = "exact", precision: int = DEFAULT_PRECISION
+    C: Poly, mode: str = "exact", precision: int = DEFAULT_PRECISION
 ) -> list[ConjClass]:
-    """Candidate conjugacy classes (T, N) from a central polynomial."""
+    """Candidate conjugacy classes (T, N) from a polynomial over the ground field."""
     if mode == "exact":
         return _exact_classes(C)
     if mode == "numeric":

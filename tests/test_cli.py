@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import re
+import sys
 import time
 from pathlib import Path
 
@@ -41,6 +43,11 @@ def test_parse_algebra():
     for bad in ("quat:-1@Q", "tri:-1,-1@Q", "quat:-1,-1", "oct:-1,-1@Q"):
         with pytest.raises(ParseError):
             parse_algebra(bad)
+
+
+def test_parse_algebra_is_memoized():
+    for text in ("quat:-1,-1@Q", "oct:-1,-1,-1@Q", "quat:2,1/3@Q(s5)"):
+        assert parse_algebra(text) is parse_algebra(text)
 
 
 @pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.stem)
@@ -93,8 +100,9 @@ def test_exit_codes():
     assert code == 1
     assert json.loads(out)["error"]["type"] == "DegreeCapError"
 
-    code, _ = run_cli(["roots", "--nonsense"])
+    code, out = run_cli(["roots", "--nonsense"])
     assert code == 2
+    assert json.loads(out)["error"]["type"] == "UsageError"
 
     for argv in (
         ["compose", "--poly", "x^2+i", "--n", "0"],
@@ -113,8 +121,10 @@ def test_exit_codes():
         assert code == 2, argv
         assert json.loads(out)["error"]["type"] == "UsageError"
 
-    # options a subcommand never reads are usage errors
+    # options a subcommand never reads, or does not know, are usage errors
+    # that print JSON like every other error
     for argv in (
+        ["roots", "--stats", "--poly", "x"],
         ["compose", "--poly", "x^2+i", "--n", "2", "--mode", "numeric"],
         ["orbit", "--poly", "x^2+i", "--point=-i", "--precision", "256"],
         ["check-periodic", "--poly", "x^2+i", "--point=-i", "--r", "2", "--tolerance", "1e-3"],
@@ -124,9 +134,11 @@ def test_exit_codes():
         ["roots", "--poly", "x^2+1", "--degree-cap", "8"],
         ["fixed-points", "--poly", "x^2", "--degree-cap", "8"],
     ):
-        with contextlib.redirect_stderr(io.StringIO()):
-            code, _ = run_cli(argv)
+        code, out = run_cli(argv)
         assert code == 2, argv
+        payload = json.loads(out)
+        assert payload["command"] == argv[0], argv
+        assert payload["error"]["type"] == "UsageError", argv
 
     code, _ = run_cli(["--version"])
     assert code == 0
@@ -173,6 +185,8 @@ def test_numeric_point_residual_is_relative_to_its_terms():
 DEGREE_CAP_CASES = [
     (["orbit", "--poly", "x^2+i", "--point=-i", "--n-max", "4"],
      {15: "composition degree 16 exceeds cap 15", 16: ["-1 + i", "-i", "-1 + i", "-i"]}),
+    (["orbit", "--poly", "x^2+i", "--point=-i", "--n-max", "4", "--semantics", "eval"],
+     {15: "composition degree 16 exceeds cap 15", 16: ["-1 + i", "-i", "-1 + i", "-i"]}),
     (["oct-check", "--algebra", "oct:-1,-1,-1@Q", "--poly", "x^2+1+i", "--point", "i", "--n-max", "4"],
      {15: "composition degree 16 exceeds cap 15", 16: {"fixed": True, "checked_up_to": 4, "first_failure": None}}),
     (["oct-check", "--algebra", "oct:-1,-1,-1@Q", "--poly", "l*x^2+(1-i*l)*x+l-(i*j)*l", "--point", "j"],
@@ -194,7 +208,7 @@ DEGREE_CAP_CASES = [
 @pytest.mark.parametrize(
     "argv,expect",
     DEGREE_CAP_CASES,
-    ids=["orbit", "oct-check-fixed", "oct-check-moved", "refuted", "r-fold", "octonion-r1"],
+    ids=["orbit", "orbit-eval", "oct-check-fixed", "oct-check-moved", "refuted", "r-fold", "octonion-r1"],
 )
 def test_degree_cap_boundaries(argv, expect):
     # below, at and above the cap where the last composite's degree 2^k lands
@@ -290,3 +304,28 @@ def test_orbit_eval_semantics_flag():
     payload = json.loads(out)
     assert payload["result"]["points"] == ["2*k", "-4*i"]
     assert payload["result"]["commutes_with_start"] == [False, False]
+
+
+# x^2+(i+1)*x+1+i*j doubles the numerators' length at each step; these orbits
+# end in coordinates past CPython's 4300-digit int-to-text limit
+LONG_ORBITS = [
+    ["orbit", "--poly", "x^2+(i+1)*x+1+i*j", "--point=1/1000+j", "--n-max", "12"],
+    ["orbit", "--poly", "x^2+(i+1)*x+1+i*j", "--point=1/2+j", "--n-max", "13",
+     "--semantics", "eval", "--degree-cap", "8192"],
+]
+
+
+@pytest.mark.parametrize("argv", LONG_ORBITS, ids=["compose", "eval"])
+def test_exact_results_render_past_the_int_text_limit(argv):
+    limit = sys.get_int_max_str_digits()
+    code, out = run_cli(argv)
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit  # lifted only while rendering
+    last = json.loads(out)["result"]["points"][-1]
+    assert max(map(len, re.findall(r"\d+", last))) > 4300
+
+
+def test_number_token_past_the_int_text_limit_is_a_parse_error():
+    code, out = run_cli(["roots", "--poly", "x-" + "7" * 5000])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ParseError"

@@ -52,7 +52,7 @@ def test_inverse_of_one_plus_sqrt5():
 
 def test_rational_scalars_reject_radical_part():
     with pytest.raises(ValueError):
-        Scalar(QQ, 1, 1)
+        QQ.scalar(1, 1)
 
 
 def test_mixed_field_error():

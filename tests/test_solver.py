@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatdyn import (
-    CentralPoly,
     ClassSearchIncompleteError,
     ConjClass,
     FieldSpec,
@@ -70,19 +69,19 @@ def test_conj_coeffs_is_an_anti_homomorphism():
 
 def test_companion_worked_example():
     C = companion(G_EXAMPLE)
-    assert C == CentralPoly(QQ, [2, 0, 3, 0, 1])
+    assert C == Poly(QQ, [2, 0, 3, 0, 1])
 
 
 def test_companion_of_linear():
     C = companion(Poly.x(H) - I)
-    assert C == CentralPoly(QQ, [1, 0, 1])
+    assert C == Poly(QQ, [1, 0, 1])
 
 
 def test_companion_against_independent_convolution():
     g = Poly(H, [1, I, 1])  # x^2 + ix + 1
     C = companion(g)
     assert [c.a for c in C.coeffs] == oracle_companion(g)
-    assert C == CentralPoly(QQ, [1, 0, 3, 0, 1])
+    assert C == Poly(QQ, [1, 0, 3, 0, 1])
     rng = random.Random(13)
     for _ in range(50):
         f = rand_poly(rng, H, rng.randint(1, 3))
@@ -106,7 +105,7 @@ def test_companion_requires_quaternions_and_nonzero():
 
 
 def test_extract_classes_worked_example():
-    classes = extract_classes(CentralPoly(QQ, [2, 0, 3, 0, 1]))
+    classes = extract_classes(Poly(QQ, [2, 0, 3, 0, 1]))
     assert [(c.trace, c.norm) for c in classes] == [
         (QQ.scalar(0), QQ.scalar(1)),
         (QQ.scalar(0), QQ.scalar(2)),
@@ -115,13 +114,13 @@ def test_extract_classes_worked_example():
 
 
 def test_extract_classes_single_quadratic():
-    classes = extract_classes(CentralPoly(QQ, [1, 0, 1]))
+    classes = extract_classes(Poly(QQ, [1, 0, 1]))
     assert [(c.trace, c.norm) for c in classes] == [(QQ.scalar(0), QQ.scalar(1))]
 
 
 def test_extract_classes_rational_roots_and_scaling():
     # 2*(x - 1/2)^2 * (x^2 + 1): monic + denominator clearing both exercised
-    C = CentralPoly(
+    C = Poly(
         QQ,
         [
             Fraction(1, 2),
@@ -141,13 +140,13 @@ def test_extract_classes_rational_roots_and_scaling():
 
 def test_extract_classes_irrational_raises():
     with pytest.raises(ClassSearchIncompleteError) as info:
-        extract_classes(CentralPoly(QQ, [1, 0, 3, 0, 1]))
+        extract_classes(Poly(QQ, [1, 0, 3, 0, 1]))
     assert info.value.remainder_degree == 4
     assert "numeric" in str(info.value)
 
 
 def test_extract_classes_exact_needs_rationals():
-    C = CentralPoly(F5, [F5.scalar(1), F5.scalar(0), F5.scalar(1)])
+    C = Poly(F5, [F5.scalar(1), F5.scalar(0), F5.scalar(1)])
     with pytest.raises(UnsupportedAlgebraError):
         extract_classes(C, mode="exact")
 
@@ -155,7 +154,7 @@ def test_extract_classes_exact_needs_rationals():
 def test_extract_classes_numeric_quadratic_formula_oracle():
     # y^2 + 3y + 1 has roots (-3 +- sqrt5)/2; x^2 = y gives classes
     # (0, (3 -+ sqrt5)/2)
-    C = CentralPoly(QQ, [1, 0, 3, 0, 1])
+    C = Poly(QQ, [1, 0, 3, 0, 1])
     classes = extract_classes(C, mode="numeric", precision=128)
     assert len(classes) == 2
     assert all(not c.exact and c.precision == 128 for c in classes)
@@ -169,7 +168,7 @@ def test_extract_classes_numeric_quadratic_formula_oracle():
 
 def test_extract_classes_numeric_real_roots_become_central():
     # (x^2 - 3x + 2)^2 has real roots 1 and 2
-    base = CentralPoly(QQ, [2, -3, 1])
+    base = Poly(QQ, [2, -3, 1])
     squared = [
         sum(
             (base.coeff(i) * base.coeff(k - i) for i in range(k + 1)),
@@ -177,7 +176,7 @@ def test_extract_classes_numeric_real_roots_become_central():
         )
         for k in range(5)
     ]
-    classes = extract_classes(CentralPoly(QQ, squared), mode="numeric")
+    classes = extract_classes(Poly(QQ, squared), mode="numeric")
     assert len(classes) == 2
     assert all(c.is_central for c in classes)
     mus = sorted(float(c.trace) / 2 for c in classes)
@@ -288,7 +287,7 @@ def test_roots_count_bound():
 
 
 def test_central_poly_render():
-    assert CentralPoly(QQ, [2, 0, 3, 0, 1]).render() == (
+    assert Poly(QQ, [2, 0, 3, 0, 1]).render() == (
         "(1)*x^4 + (3)*x^2 + (2)"
     )
 
@@ -434,7 +433,7 @@ planted_companions = st.builds(
 )
 dense_centrals = st.lists(st.integers(-9, 9), min_size=3, max_size=6).filter(
     lambda cs: cs[-1] != 0
-).map(lambda cs: CentralPoly(QQ, cs))
+).map(lambda cs: Poly(QQ, cs))
 
 
 @settings(max_examples=60, deadline=None)
