@@ -5,8 +5,10 @@ Core surface: exact scalars (`FieldSpec`, `Scalar`), the algebras
 (`QuatSpec`/`Quaternion`, `OctSpec`/`Octonion`), left polynomials (`Poly`,
 over an algebra or over the ground field), the companion-polynomial root
 solver (`roots` and friends), and the dynamics layer (`fixed_points`,
-`orbit`, `certify_periodic`, `octonion_fixed_check`).  Scalars, quaternions
-and octonions share one integer structure-constant kernel.
+`orbit`, `certify_periodic` and its r = 1 case `octonion_fixed_check`).
+Scalars, quaternions and octonions share one integer structure-constant
+kernel.  Only `Poly.compose_iterate` builds composites and has a degree cap;
+the dynamics layer is bounded by a budget on steps and bit height instead.
 """
 
 __version__ = "0.1.0"

@@ -3,8 +3,8 @@
 Algebras are declared as `quat:<alpha>,<beta>@<field>` or
 `oct:<alpha>,<beta>,<gamma>@<field>` where the field is `Q` or `Q(s<d>)`,
 e.g. `quat:-1,-1@Q` or `quat:-1,-1@Q(s5)`.  Exit codes: 0 success, 1
-mathematical error (split element, degree cap, incomplete exact
-factorization, non-convergence), 2 usage or parse error.  Every error,
+mathematical error (split element, degree cap or work budget, incomplete
+exact factorization, non-convergence), 2 usage or parse error.  Every error,
 argparse's usage errors included, prints a JSON document on stdout.
 """
 
@@ -16,6 +16,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from . import dynamics, solver
@@ -58,15 +59,17 @@ def parse_algebra(text: str) -> QuatSpec | OctSpec:
         values = [parse_scalar(p, field) for p in params.split(",")]
     except ParseError as exc:
         raise ParseError(f"bad algebra parameter in {text!r}: {exc}") from None
-    if kind == "quat":
-        if len(values) != 2:
-            raise ParseError("quat algebras take exactly two parameters")
-        return QuatSpec(field, values[0], values[1])
-    if kind == "oct":
-        if len(values) != 3:
-            raise ParseError("oct algebras take exactly three parameters")
-        return OctSpec(QuatSpec(field, values[0], values[1]), values[2])
-    raise ParseError(f"unknown algebra kind {kind!r}")
+    if kind == "quat" and len(values) != 2:
+        raise ParseError("quat algebras take exactly two parameters")
+    if kind == "oct" and len(values) != 3:
+        raise ParseError("oct algebras take exactly three parameters")
+    if kind not in ("quat", "oct"):
+        raise ParseError(f"unknown algebra kind {kind!r}")
+    try:  # a zero parameter
+        quat = QuatSpec(field, values[0], values[1])
+        return quat if kind == "quat" else OctSpec(quat, values[2])
+    except ValueError as exc:
+        raise ParseError(f"bad algebra parameter in {text!r}: {exc}") from None
 
 
 # -- serialization helpers -----------------------------------------------------
@@ -160,18 +163,22 @@ def _cmd_compose(ns) -> dict:
     return payload
 
 
-def _cmd_orbit(ns) -> dict:
+def _pointed(ns, *counts):
+    """f, the start point and the payload of a command that takes --point.
+
+    The payload's inputs are the polynomial, the point and the `counts`.
+    """
     spec = parse_algebra(ns.algebra)
     f = parse_poly(ns.poly, spec)
     start = parse_element(ns.point, spec)
-    report = dynamics.orbit(
-        f, start, ns.n_max, semantics=ns.semantics, degree_cap=ns.degree_cap
-    )
-    payload = _base_payload(
-        ns,
-        spec,
-        {"poly": f.render(), "point": start.render(), "n_max": ns.n_max},
-    )
+    inputs = {"poly": f.render(), "point": start.render()}
+    inputs.update((name, getattr(ns, name)) for name in counts)
+    return f, start, _base_payload(ns, spec, inputs)
+
+
+def _cmd_orbit(ns) -> dict:
+    f, start, payload = _pointed(ns, "n_max")
+    report = dynamics.orbit(f, start, ns.n_max, semantics=ns.semantics)
     payload["result"] = {
         "semantics": report.semantics,
         "points": [p.render() for p in report.points],
@@ -181,48 +188,14 @@ def _cmd_orbit(ns) -> dict:
 
 
 def _cmd_check_periodic(ns) -> dict:
-    spec = parse_algebra(ns.algebra)
-    f = parse_poly(ns.poly, spec)
-    start = parse_element(ns.point, spec)
-    verdict = dynamics.certify_periodic(
-        f, start, ns.r, n_max=ns.n_max, degree_cap=ns.degree_cap
-    )
-    payload = _base_payload(
-        ns,
-        spec,
-        {
-            "poly": f.render(),
-            "point": start.render(),
-            "r": ns.r,
-            "n_max": ns.n_max,
-        },
-    )
-    payload["result"] = {
-        "r": verdict.r,
-        "status": verdict.status,
-        "refuted_at": verdict.refuted_at,
-        "evidence": verdict.evidence,
-    }
+    f, start, payload = _pointed(ns, "r", "n_max")
+    payload["result"] = asdict(dynamics.certify_periodic(f, start, ns.r, n_max=ns.n_max))
     return payload
 
 
 def _cmd_oct_check(ns) -> dict:
-    spec = parse_algebra(ns.algebra)
-    f = parse_poly(ns.poly, spec)
-    start = parse_element(ns.point, spec)
-    report = dynamics.octonion_fixed_check(
-        f, start, n_max=ns.n_max, degree_cap=ns.degree_cap
-    )
-    payload = _base_payload(
-        ns,
-        spec,
-        {"poly": f.render(), "point": start.render(), "n_max": ns.n_max},
-    )
-    payload["result"] = {
-        "fixed": report.fixed,
-        "checked_up_to": report.checked_up_to,
-        "first_failure": report.first_failure,
-    }
+    f, start, payload = _pointed(ns, "n_max")
+    payload["result"] = asdict(dynamics.octonion_fixed_check(f, start, n_max=ns.n_max))
     return payload
 
 
@@ -263,8 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--mode", choices=("exact", "numeric"), default="exact")
     solve.add_argument("--tolerance", type=float, default=solver.DEFAULT_TOLERANCE)
     solve.add_argument("--precision", type=int, default=solver.DEFAULT_PRECISION)
-    capped = argparse.ArgumentParser(add_help=False)
-    capped.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP)
     point = argparse.ArgumentParser(add_help=False)
     point.add_argument("--point", required=True)
     point.add_argument("--n-max", type=int, default=4)
@@ -274,16 +245,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("roots", parents=[poly, solve])
     sub.add_parser("companion", parents=[poly])
 
-    compose = sub.add_parser("compose", parents=[poly, capped])
+    compose = sub.add_parser("compose", parents=[poly])
     compose.add_argument("--n", type=int, required=True)
+    compose.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP)
 
-    orbit = sub.add_parser("orbit", parents=[poly, capped, point])
+    orbit = sub.add_parser("orbit", parents=[poly, point])
     orbit.add_argument("--semantics", choices=("compose", "eval"), default="compose")
 
-    periodic = sub.add_parser("check-periodic", parents=[poly, capped, point])
+    periodic = sub.add_parser("check-periodic", parents=[poly, point])
     periodic.add_argument("--r", type=int, required=True)
 
-    sub.add_parser("oct-check", parents=[poly, capped, point])
+    sub.add_parser("oct-check", parents=[poly, point])
 
     return parser
 

@@ -11,8 +11,8 @@ explicit instead of overclaiming:
                       every n.
   fixed_point         r = 1; no commutation hypothesis is needed.
   refuted_at          an exact mismatch of the (n*r)-fold composition.
-  inconclusive        not r-fixed, or the bounded search exhausted its budget
-                      (n_max or degree cap) without deciding.
+  inconclusive        not r-fixed, or the bounded search exhausted n_max or
+                      the work budget without deciding.
 
 Both arguments for fixed_point and certified_periodic assume associative
 coefficients.  Over octonions a fixed point can move under f o f, so there the
@@ -22,23 +22,23 @@ verdicts only say that none of them moved the point.
 No composite is built to evaluate it.  x^2 - T*x + N, with (T, N) the trace
 and norm of the point, is central, so the value of the k-fold composition at
 the point is read off its residue in A[x]/(x^2 - T*x + N), iterated from x
-by u <- f(u) (`_composite_values`).  The degree cap still bounds these paths
-by the nominal degree deg(f)**k of the composite each value stands for, and
-fires at the same k with the same message as building it would.  Only when a
-split algebra's zero divisors make the composites' degrees collapse below
-deg(f)**k does the cap fire earlier than on the built composite.  The k-th
-repeated evaluation counts deg(f)**k against the cap by the same rule
-(`_capped`): its numerators grow as a composite's do.
+by u <- f(u) (`_composite_values`).  Every loop over f, these residues and
+the repeated evaluations alike, runs through `_bounded`, which bounds the
+work actually done: deg(f) times the number of steps stays within MAX_STEPS,
+and deg(f) times the bit height of the value a step starts from within
+HEIGHT_BUDGET.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
+from ._kernel import HEIGHT_BUDGET, height
 from .errors import DegreeCapError, UnsupportedAlgebraError, ZeroPolynomialError
-from .polynomials import DEFAULT_DEGREE_CAP, Element, Poly
+from .polynomials import Element, Poly
 from .octonions import OctSpec
 from .quaternions import QuatSpec
 from .solver import (
@@ -47,6 +47,11 @@ from .solver import (
     ClassSolution,
     roots,
 )
+
+# Steps of a degree-1 map one orbit or search may take; a degree-d map gets
+# MAX_STEPS // d.  A quadratic step that keeps its height costs about 75
+# microseconds, a degree-256 one 6.6 ms.
+MAX_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -105,19 +110,13 @@ def fixed_points(
     return sols
 
 
-def orbit(
-    f: Poly,
-    start,
-    n_max: int,
-    semantics: str = "compose",
-    degree_cap: int = DEFAULT_DEGREE_CAP,
-) -> OrbitReport:
+def orbit(f: Poly, start, n_max: int, semantics: str = "compose") -> OrbitReport:
     """First n_max orbit points under composition or repeated evaluation."""
     lam = f.spec.coerce(start)
     if semantics == "compose":
-        values = _composite_values(f, lam, degree_cap)
+        values = _composite_values(f, lam)
     elif semantics == "eval":
-        values = _capped(f, degree_cap, f, lam)
+        values = _bounded(f, f, lam)
     else:
         raise ValueError(f"unknown orbit semantics {semantics!r}")
     points = [next(values) for _ in range(n_max)]
@@ -125,64 +124,65 @@ def orbit(
     return OrbitReport(semantics, tuple(points), flags)
 
 
-def _composite_values(f: Poly, lam: Element, degree_cap: int) -> Iterator[Element]:
+def _composite_values(f: Poly, lam: Element) -> Iterator[Element]:
     """Yield the k-fold composition evaluated at lam, for k = 1, 2, ...
 
     Iterates u <- f(u) in A[x]/(x^2 - T*x + N), (T, N) the trace and norm of
-    lam, from u = x; the k-th residue a*x + b gives the value a*lam + b.  No
-    composite is built, but the k-th value raises DegreeCapError, as building
-    the composite would, once its nominal degree deg(f)**k exceeds degree_cap.
+    lam, from u = x; the k-th residue a*x + b gives the value a*lam + b.
     """
     trace, norm = lam.trace(), lam.norm()
     step = functools.partial(f.quotient_value, trace=trace, norm=norm)
-    residues = _capped(f, degree_cap, step, (f.spec.one(), f.spec.zero()))
+    residues = _bounded(f, step, (f.spec.one(), f.spec.zero()))
     return (a * lam + b for a, b in residues)
 
 
-def _capped(f: Poly, degree_cap: int, step, u) -> Iterator:
-    """Yield step(u), step(step(u)), ...; the k-th stands for a composite of f.
+def _bounded(f: Poly, step, u) -> Iterator:
+    """Yield step(u), step(step(u)), ..., where one step applies f once.
 
-    Before the k-th (k >= 2) is computed, raise DegreeCapError if the nominal
-    degree deg(f)**k of that composite exceeds degree_cap.
+    A step costs about deg(f) products of numbers as long as u's, and makes
+    the height of u at most deg(f) times larger, up to the height of f's
+    coefficients.  So before step k, with deg(f) counted as at least 1,
+    raise DegreeCapError when deg(f) * k exceeds MAX_STEPS or deg(f) *
+    height(u) exceeds HEIGHT_BUDGET.  u is an element or a residue pair.
     """
-    nominal = f.degree
-    while True:
+    growth = max(f.degree, 1)
+    for k in itertools.count(1):
+        bits = height(*u) if isinstance(u, tuple) else height(u)
+        for size, unit, budget in ((k, "steps", MAX_STEPS), (bits, "bits", HEIGHT_BUDGET)):
+            if growth * size > budget:
+                raise DegreeCapError(
+                    f"step {k} exceeds the budget: degree {growth} times "
+                    f"{size} {unit} is over {budget}"
+                )
         u = step(u)
         yield u
-        if f.degree >= 1:
-            nominal *= f.degree
-            if nominal > degree_cap:
-                raise DegreeCapError(
-                    f"composition degree {nominal} exceeds cap {degree_cap}"
-                )
 
 
-def certify_periodic(
-    f: Poly,
-    start,
-    r: int,
-    n_max: int = 4,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
-) -> PeriodicVerdict:
+def certify_periodic(f: Poly, start, r: int, n_max: int = 4) -> PeriodicVerdict:
     """Decide r-periodicity of a point as far as a bounded search can.
 
     Checks that the r-fold composition fixes the point; certifies via the
     commutation hypothesis on the repeated evaluations when it holds; and
     otherwise hunts for an exact counterexample among the (n*r)-fold
     compositions, n up to n_max.  Over octonions that hunt comes first.
+    When the budget stops a stage, the verdict is inconclusive and the
+    evidence says why under "budget".
     """
     if r < 1:
         raise ValueError("r must be at least 1")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    lam = f.spec.coerce(start)
     evidence: dict = {}
     try:
-        f.check_iterate_cap(r, degree_cap)
+        return _certify(f, f.spec.coerce(start), r, n_max, evidence)
     except DegreeCapError as exc:
-        evidence["degree_cap"] = str(exc)
+        evidence["budget"] = str(exc)
         return PeriodicVerdict(r, "inconclusive", evidence=evidence)
-    values = _composite_values(f, lam, degree_cap)
+
+
+def _certify(f: Poly, lam: Element, r: int, n_max: int, evidence: dict) -> PeriodicVerdict:
+    """certify_periodic, raising DegreeCapError when the budget stops it."""
+    values = _composite_values(f, lam)
     if _advance(values, r) != lam:
         evidence["r_fixed"] = False
         return PeriodicVerdict(r, "inconclusive", evidence=evidence)
@@ -195,12 +195,10 @@ def certify_periodic(
     if r == 1:
         return PeriodicVerdict(r, "fixed_point", evidence=evidence)
 
-    value = lam
-    commute_flags: list[bool] = []
+    evals = _bounded(f, f, lam)
+    commute_flags = evidence["commutes_with_evals"] = []
     for _ in range(r - 1):
-        value = f(value)
-        commute_flags.append(lam.commutes(value))
-    evidence["commutes_with_evals"] = commute_flags
+        commute_flags.append(lam.commutes(next(evals)))
     failed = [t for t, ok in enumerate(commute_flags, start=1) if not ok]
     if not failed:
         return PeriodicVerdict(r, "certified_periodic", evidence=evidence)
@@ -223,44 +221,30 @@ def _refute(values, lam, r, n_max, evidence) -> PeriodicVerdict | None:
     """Evaluate the (n*r)-fold compositions, n = 2..n_max, at lam.
 
     `values` has just yielded the r-fold composition at lam.  Returns
-    refuted_at for the first n that moves lam, inconclusive when the degree
-    cap stops the search, and None when every composite fixes lam;
-    `evidence` records the n checked.
+    refuted_at for the first n that moves lam and None when every composite
+    fixes lam; `evidence` records the n checked, also when the budget stops
+    the search.
     """
-    checked: list[int] = []
+    checked = evidence["refutation_checked"] = []
     for n in range(2, n_max + 1):
-        try:
-            value = _advance(values, r)
-        except DegreeCapError as exc:
-            evidence["degree_cap"] = str(exc)
-            evidence["refutation_checked"] = checked
-            return PeriodicVerdict(r, "inconclusive", evidence=evidence)
+        value = _advance(values, r)
         checked.append(n)
         if value != lam:
-            evidence["refutation_checked"] = checked
             return PeriodicVerdict(r, "refuted_at", refuted_at=n, evidence=evidence)
-    evidence["refutation_checked"] = checked
     return None
 
 
-def octonion_fixed_check(
-    f: Poly,
-    start,
-    n_max: int = 4,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
-) -> OctFixedReport:
+def octonion_fixed_check(f: Poly, start, n_max: int = 4) -> OctFixedReport:
     """Probe whether a fixed-point candidate stays fixed under composition.
 
-    Verifies f(start) = start, then evaluates the n-fold compositions at the
-    point for n = 2..n_max, reporting the first n that fails.  Over an
-    associative coefficient algebra no failure can occur; over octonions it
-    can.
+    The r = 1 case of certify_periodic: it verifies f(start) = start, then,
+    over octonions, evaluates the n-fold compositions at the point for
+    n = 2..n_max and reports the first n that fails.  Over an associative
+    coefficient algebra no failure can occur, and none is searched for.
+    Raises DegreeCapError when the budget stops the search.
     """
-    lam = f.spec.coerce(start)
-    values = _composite_values(f, lam, degree_cap)
-    if next(values) != lam:
+    verdict = _certify(f, f.spec.coerce(start), 1, n_max, {})
+    if verdict.status == "inconclusive":  # not fixed
         return OctFixedReport(fixed=False, checked_up_to=1, first_failure=1)
-    for n in range(2, n_max + 1):
-        if next(values) != lam:
-            return OctFixedReport(fixed=True, checked_up_to=n, first_failure=n)
-    return OctFixedReport(fixed=True, checked_up_to=n_max, first_failure=None)
+    n = verdict.refuted_at
+    return OctFixedReport(fixed=True, checked_up_to=n or n_max, first_failure=n)

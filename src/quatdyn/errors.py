@@ -1,7 +1,7 @@
 """Exception taxonomy.
 
-AlgebraError covers failures of the mathematics (split elements, degree caps,
-non-convergence); ParseError covers malformed input text and UsageError
+AlgebraError covers failures of the mathematics (split elements, degree caps
+and work budgets, non-convergence); ParseError covers malformed input text and UsageError
 out-of-range arguments. The CLI maps the first to exit code 1 and the other
 two to exit code 2.
 """
@@ -29,7 +29,8 @@ class SplitAlgebraError(AlgebraError):
 
 
 class DegreeCapError(AlgebraError):
-    """Iterated composition exceeded the configured degree cap."""
+    """A computation would pass its bound: the degree cap of a built composite,
+    or the bit-height or step budget of an iteration that builds none."""
 
 
 class ZeroPolynomialError(AlgebraError):

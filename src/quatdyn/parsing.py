@@ -13,7 +13,9 @@ radical token `s<d>` names sqrt(d) and must match the ambient field.  Basis
 symbols are i, j, k over quaternions and additionally l, il, jl, kl over
 octonions; k always means i*j.  Products keep their written order, and the
 result is normalized to left-coefficient form (the variable is central, so
-this always succeeds).
+this always succeeds).  A power or product whose degree would pass
+MAX_INPUT_DEGREE, or a power whose height bound (bits times exponent) would
+pass HEIGHT_BUDGET, is refused before it is computed.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._kernel import HEIGHT_BUDGET, height
 from .errors import ParseError
 from .octonions import OctSpec
 from .polynomials import AlgebraSpec, Element, Poly
@@ -32,6 +35,10 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[a-z]+\d*)|(?P<op>[-+*^()]))"
 )
 _RADICAL_RE = re.compile(r"^s(\d+)$")
+
+# The largest degree a parsed polynomial may have: the companion of a dense
+# degree-256 quaternion polynomial takes 0.08 s, and of degree 1024 5.2 s.
+MAX_INPUT_DEGREE = 256
 
 
 @dataclass(frozen=True)
@@ -109,7 +116,10 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "op" and tok.text == "*":
                 self.advance()
-                value = value * self.factor()
+                rhs = self.factor()
+                if value.degree + rhs.degree > MAX_INPUT_DEGREE:
+                    raise ParseError(f"product of degree above {MAX_INPUT_DEGREE}", tok.pos)
+                value = value * rhs
             else:
                 return value
 
@@ -122,7 +132,15 @@ class _Parser:
             exp = self.advance()
             if exp.kind != "number" or "/" in exp.text:
                 raise ParseError("exponent must be a nonnegative integer", exp.pos)
-            value = value ** _integer(exp, exp.text)
+            t = _integer(exp, exp.text)
+            # the zero polynomial has no coefficients; count it as height 1
+            bits = max(height(*value.coeffs), 1)
+            if value.degree * t > MAX_INPUT_DEGREE or bits * t > HEIGHT_BUDGET:
+                raise ParseError(
+                    f"power {t} of a degree-{value.degree}, {bits}-bit polynomial passes "
+                    f"degree {MAX_INPUT_DEGREE} or {HEIGHT_BUDGET} bits", tok.pos
+                )
+            value = value**t
         return value
 
     # atom := rational | radical | basis | 'x' | '(' expr ')' | '-' atom

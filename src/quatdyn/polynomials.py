@@ -139,15 +139,21 @@ class Poly:
         return o * self
 
     def __pow__(self, t: int) -> Poly:
-        """Repeated product, left-nested: f**3 is (f*f)*f."""
+        """Power by repeated squaring, equal to the left-nested (f*f)*f...
+
+        A[x] is alternative when A is (x is central), so by Artin's theorem
+        every nesting of a power agrees, over octonions too.
+        """
         if not isinstance(t, int) or t < 0:
             raise ValueError("polynomial powers take a nonnegative integer exponent")
-        if t == 0:
-            return Poly.constant(self.spec, 1)
-        out = self
-        for _ in range(t - 1):
-            out = out * self
-        return out
+        out, base = None, self
+        while t:
+            if t & 1:
+                out = base if out is None else out * base
+            t >>= 1
+            if t:
+                base = base * base
+        return Poly.constant(self.spec, 1) if out is None else out
 
     # -- substitution ----------------------------------------------------------------
 
@@ -190,22 +196,14 @@ class Poly:
         return acc
 
     def compose_iterate(self, n: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> Poly:
-        """n-fold self-composition, the outer copy applied last at each step."""
+        """n-fold self-composition, the outer copy applied last at each step.
+
+        Raises DegreeCapError when the composite's degree degree**n would pass
+        degree_cap; a linear polynomial keeps degree 1, so there each
+        composition counts against the cap instead.
+        """
         if n < 1:
             raise ValueError("n must be at least 1")
-        self.check_iterate_cap(n, degree_cap)
-        out = self
-        if self.degree >= 1:  # a constant composed with anything is itself
-            for _ in range(n - 1):
-                out = self.compose(out)
-        return out
-
-    def check_iterate_cap(self, n: int, degree_cap: int) -> None:
-        """Raise DegreeCapError if the n-fold self-composition passes the cap.
-
-        The cap bounds the nominal degree degree**n; a linear polynomial keeps
-        degree 1, so there each composition counts against the cap instead.
-        """
         if self.degree == 1 and n > degree_cap:
             raise DegreeCapError(
                 f"{n} compositions of a linear polynomial exceed cap {degree_cap}"
@@ -215,6 +213,11 @@ class Poly:
             raise DegreeCapError(
                 f"composition degree {self.degree}**{n} exceeds cap {degree_cap}"
             )
+        out = self
+        if self.degree >= 1:  # a constant composed with anything is itself
+            for _ in range(n - 1):
+                out = self.compose(out)
+        return out
 
     def quotient_value(self, u, trace, norm) -> tuple[Element, Element]:
         """f(u) = sum c_i u^i in A[x]/(x^2 - trace*x + norm), powers left-nested.

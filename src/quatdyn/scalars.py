@@ -41,6 +41,8 @@ class FieldSpec:
         if d is not None:
             if d in (0, 1):
                 raise ValueError(f"d = {d} does not define a quadratic extension")
+            if abs(d) >= 2**40:  # trial division takes 0.09 s at 40 bits, 1.6 s at 47
+                raise ValueError(f"|d| = {abs(d)} is not below 2**40")
             if not _is_squarefree(d):
                 raise ValueError(f"d = {d} is not squarefree")
         object.__setattr__(self, "d", d)

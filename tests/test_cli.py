@@ -133,6 +133,9 @@ def test_exit_codes():
         ["companion", "--poly", "x^2+i", "--degree-cap", "8"],
         ["roots", "--poly", "x^2+1", "--degree-cap", "8"],
         ["fixed-points", "--poly", "x^2", "--degree-cap", "8"],
+        ["orbit", "--poly", "x^2+i", "--point=-i", "--degree-cap", "8"],
+        ["check-periodic", "--poly", "x^2+i", "--point=-i", "--r", "2", "--degree-cap", "8"],
+        ["oct-check", "--poly", "x^2+i", "--point=-i", "--degree-cap", "8"],
     ):
         code, out = run_cli(argv)
         assert code == 2, argv
@@ -182,60 +185,109 @@ def test_numeric_point_residual_is_relative_to_its_terms():
                 assert sol["residual"] < 1e-9 * scale
 
 
+# 10^5000 has 16610 bits, so the residues of these quadratics pass the height
+# budget at the third step
+BIG = "10^5000"
+FIXES_J = f"x^2+{BIG}*x+1+j-{BIG}*j"  # j^2 = -1, so f(j) = j
+HEIGHT_STOP = "step 3 exceeds the budget: degree 2 times {} bits is over 65536"
+
+# (argv, the flag that sets the step, the step where the budget fires, the
+# result one step below, the message at the step)
 DEGREE_CAP_CASES = [
-    (["orbit", "--poly", "x^2+i", "--point=-i", "--n-max", "4"],
-     {15: "composition degree 16 exceeds cap 15", 16: ["-1 + i", "-i", "-1 + i", "-i"]}),
-    (["orbit", "--poly", "x^2+i", "--point=-i", "--n-max", "4", "--semantics", "eval"],
-     {15: "composition degree 16 exceeds cap 15", 16: ["-1 + i", "-i", "-1 + i", "-i"]}),
-    (["oct-check", "--algebra", "oct:-1,-1,-1@Q", "--poly", "x^2+1+i", "--point", "i", "--n-max", "4"],
-     {15: "composition degree 16 exceeds cap 15", 16: {"fixed": True, "checked_up_to": 4, "first_failure": None}}),
-    (["oct-check", "--algebra", "oct:-1,-1,-1@Q", "--poly", "l*x^2+(1-i*l)*x+l-(i*j)*l", "--point", "j"],
-     {3: "composition degree 4 exceeds cap 3", 4: {"fixed": True, "checked_up_to": 2, "first_failure": 2}}),
-    (["check-periodic", "--algebra", "quat:-1,-1@Q(s5)", "--poly", "x^2+(i+1)*x+1+i*j",
-      "--point=-1 + (133/362*s5 - 333/362)*i - (14/181*s5 + 165/181)*j - (26/181*s5 + 22/181)*k",
-      "--r", "2", "--n-max", "2"],
-     {15: {"degree_cap": "composition degree 16 exceeds cap 15", "refutation_checked": []},
-      16: {"refutation_checked": [2]}}),
-    (["check-periodic", "--poly", "x^2+i", "--point=-i", "--r", "2"],
-     {3: {"degree_cap": "composition degree 2**2 exceeds cap 3"}, 4: {"r_fixed": True}}),
-    (["check-periodic", "--algebra", "oct:-1,-1,-1@Q", "--poly", "l*x^2+(1-i*l)*x+l-(i*j)*l",
-      "--point", "j", "--r", "1"],
-     {3: {"degree_cap": "composition degree 4 exceeds cap 3", "refutation_checked": []},
-      4: {"refutation_checked": [2]}}),
+    (["orbit", "--poly", f"x^2+{BIG}*i", "--point=j"], "--n-max", 3, 2,
+     HEIGHT_STOP.format(33220)),
+    (["orbit", "--poly", f"x^2+{BIG}*i", "--point=j", "--semantics", "eval"], "--n-max", 3, 2,
+     HEIGHT_STOP.format(33220)),
+    (["oct-check", "--algebra", "oct:-1,-1,-1@Q", "--poly", FIXES_J, "--point=j"], "--n-max", 3,
+     {"fixed": True, "checked_up_to": 2, "first_failure": None}, HEIGHT_STOP.format(33221)),
+    (["oct-check", "--algebra", "oct:-1,-1,-1@Q", "--poly", "x", "--point=j"], "--n-max", 4097,
+     {"fixed": True, "checked_up_to": 4096, "first_failure": None},
+     "step 4097 exceeds the budget: degree 1 times 4097 steps is over 4096"),
+    # f o f = x fixes every point, but f(i) = j - i does not commute with i:
+    # the refutation search runs two steps per n until the step budget
+    (["check-periodic", "--poly=-x+j", "--point=i", "--r", "2"], "--n-max", 2049,
+     {"failed_t": [1], "refutation_checked": list(range(2, 2049))},
+     "step 4097 exceeds the budget: degree 1 times 4097 steps is over 4096"),
+    (["check-periodic", "--poly", FIXES_J, "--point=j"], "--r", 3,
+     {"r_fixed": True, "commutes_with_evals": [True]}, HEIGHT_STOP.format(33221)),
+    (["check-periodic", "--algebra", "oct:-1,-1,-1@Q", "--poly", FIXES_J, "--point=j", "--r", "1"],
+     "--n-max", 3, {"r_fixed": True, "refutation_checked": [2]}, HEIGHT_STOP.format(33221)),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv,expect",
+    "argv,flag,step,below,message",
     DEGREE_CAP_CASES,
-    ids=["orbit", "orbit-eval", "oct-check-fixed", "oct-check-moved", "refuted", "r-fold", "octonion-r1"],
+    ids=["orbit", "orbit-eval", "oct-check-fixed", "oct-check-steps", "refuted", "r-fold", "octonion-r1"],
 )
-def test_degree_cap_boundaries(argv, expect):
-    # below, at and above the cap where the last composite's degree 2^k lands
-    (below, message), (at, result) = sorted(expect.items())
-    outs = {}
-    for cap in (below, at, at + 1):
-        code, out = run_cli(argv + ["--degree-cap", str(cap)])
-        outs[cap] = (code, json.loads(out))
-    code, payload = outs[below]
-    if isinstance(message, str):
-        assert code == 1
-        assert payload["error"] == {"type": "DegreeCapError", "message": message}
+def test_degree_cap_boundaries(argv, flag, step, below, message):
+    # one step below the work budget, and at the step where it fires; the
+    # budget raises DegreeCapError, which check-periodic reports as evidence
+    code, out = run_cli(argv + [flag, str(step - 1)])
+    assert code == 0
+    got = json.loads(out)["result"]
+    if argv[0] == "orbit":
+        assert len(got["points"]) == below
+    elif argv[0] == "oct-check":
+        assert got == below
     else:
+        assert got["status"] != "inconclusive" or "budget" not in got["evidence"]
+        assert below.items() <= got["evidence"].items()
+
+    code, out = run_cli(argv + [flag, str(step)])
+    payload = json.loads(out)
+    if argv[0] == "check-periodic":
         assert code == 0
         assert payload["result"]["status"] == "inconclusive"
-        assert message.items() <= payload["result"]["evidence"].items()
-    code, payload = outs[at]
-    assert code == 0
-    got = payload["result"]
-    if argv[0] == "orbit":
-        assert got["points"] == result
-    elif argv[0] == "oct-check":
-        assert got == result
+        assert payload["result"]["evidence"]["budget"] == message
     else:
-        assert got["status"] != "inconclusive"
-        assert result.items() <= got["evidence"].items()
-    assert outs[at + 1] == outs[at]
+        assert code == 1
+        assert payload["error"] == {"type": "DegreeCapError", "message": message}
+
+
+def test_octonion_periodic_point_is_decided_past_the_old_cap():
+    # the ROADMAP example: the residues keep 1 bit, so the whole search runs
+    argv = ["check-periodic", "--algebra", "oct:-1,-1,-1@Q", "--poly", "x^2+i",
+            "--point=-i", "--r", "2", "--n-max", "30"]
+    code, out = run_cli(argv)
+    assert code == 0
+    got = json.loads(out)["result"]
+    assert got["status"] == "certified_periodic"
+    assert got["evidence"]["refutation_checked"] == list(range(2, 31))
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--poly", "x+i", "--point=j"],
+    ["orbit", "--poly", "i", "--point=j"],
+    ["oct-check", "--poly", "x", "--point=j"],
+    ["check-periodic", "--algebra", "oct:-1,-1,-1@Q", "--poly", "x", "--point=j", "--r", "1"],
+], ids=["orbit-linear", "orbit-constant", "oct-check-identity", "octonion-identity"])
+def test_maps_that_keep_their_height_end_at_the_step_budget(argv):
+    start = time.perf_counter()
+    code, out = run_cli(argv + ["--n-max", "1000000000"])
+    assert time.perf_counter() - start < 2
+    assert code in (0, 1, 2)
+    json.loads(out)
+
+
+@pytest.mark.parametrize("poly", [
+    "x^1000000", "x-10^1000000", "x-((10^100)^100)^100", "x-10^40000", "x^128*x^129",
+])
+def test_parser_refuses_powers_past_the_input_bounds(poly):
+    start = time.perf_counter()
+    code, out = run_cli(["companion", "--poly", poly])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ParseError"
+
+
+def test_huge_field_discriminant_is_a_parse_error():
+    start = time.perf_counter()
+    code, out = run_cli(["companion", "--algebra",
+                         "quat:-1,-1@Q(s1000000000000000000000000000001)", "--poly", "x"])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ParseError"
 
 
 def test_linear_composition_counts_against_the_cap():
@@ -311,7 +363,7 @@ def test_orbit_eval_semantics_flag():
 LONG_ORBITS = [
     ["orbit", "--poly", "x^2+(i+1)*x+1+i*j", "--point=1/1000+j", "--n-max", "12"],
     ["orbit", "--poly", "x^2+(i+1)*x+1+i*j", "--point=1/2+j", "--n-max", "13",
-     "--semantics", "eval", "--degree-cap", "8192"],
+     "--semantics", "eval"],
 ]
 
 

@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatdyn import (
-    DEFAULT_DEGREE_CAP,
-    DegreeCapError,
     FieldSpec,
     OctSpec,
     Poly,
@@ -19,6 +17,7 @@ from quatdyn import (
     orbit,
 )
 
+from quatdyn import dynamics
 from quatdyn.cli import parse_algebra
 from quatdyn.dynamics import _composite_values
 from quatdyn.parsing import parse_element, parse_poly
@@ -179,15 +178,21 @@ def test_compose_eval_orbits_agree_when_flags_true():
             assert co.points == ev.points
 
 
-def test_certify_degree_cap_is_inconclusive():
-    # the refutation needs degree 16; a cap of 8 stops it after the r-fixed
-    # and commutation stages, with the cap recorded in evidence
+def test_certify_degree_cap_is_inconclusive(monkeypatch):
+    # the refutation needs the 4th residue of a quadratic, 2 * 4 steps; a
+    # budget of 7 stops it after the r-fixed and commutation stages, with the
+    # budget in evidence
     lam = two_cycle_seed()
     f = Poly(H5, [H5.element(1, 0, 0, 1), H5.element(1, 1, 0, 0), 1])
-    verdict = certify_periodic(f, lam, 2, n_max=2, degree_cap=8)
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 7)
+    verdict = certify_periodic(f, lam, 2, n_max=2)
     assert verdict.status == "inconclusive"
-    assert "degree_cap" in verdict.evidence
+    assert verdict.evidence["budget"] == "step 4 exceeds the budget: degree 2 times 4 steps is over 7"
     assert verdict.evidence["failed_t"] == [1]
+    assert verdict.evidence["refutation_checked"] == []
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 8)
+    verdict = certify_periodic(f, lam, 2, n_max=2)
+    assert (verdict.status, verdict.refuted_at) == ("refuted_at", 2)
 
 
 def test_octonion_counterexample():
@@ -275,7 +280,7 @@ def test_composite_values_match_built_composites(spec, degree, central, seed):
         lam = spec.coerce(rand_scalar(rng, spec.field))
     else:
         lam = (rand_oct if isinstance(spec, OctSpec) else rand_quat)(rng, spec, den=2)
-    values = _composite_values(f, lam, DEFAULT_DEGREE_CAP)
+    values = _composite_values(f, lam)
     for n in range(1, 6):
         assert next(values) == f.compose_iterate(n)(lam)
 
@@ -283,24 +288,21 @@ def test_composite_values_match_built_composites(spec, degree, central, seed):
 def test_composite_values_of_constants_and_linear_maps():
     lam = 1 + J
     for f in (Poly(H), Poly.constant(H, I), Poly(H, [I, J]), Poly.x(H)):
-        values = _composite_values(f, lam, 1)
+        values = _composite_values(f, lam)
         for n in range(1, 5):
             assert next(values) == f.compose_iterate(n)(lam)
 
 
-def test_cap_counts_the_nominal_degree_when_composites_collapse():
+def test_collapsing_composites_are_answered_at_every_n():
     # over the split algebra (1, -1), (i + j)^2 = 0, so every composite of
-    # f = (i + j) x^2 + x has degree 2; the cap still counts 2^k, as for a
-    # division algebra, because no composite is built to learn its degree
+    # f = (i + j) x^2 + x has degree 2 and fixes lam = i + j; its residues
+    # keep their height, so nothing stops short of n_max
     spec = parse_algebra("quat:1,-1@Q")
     f = parse_poly("(i+j)*x^2+x", spec)
     assert [f.compose_iterate(n).degree for n in range(1, 5)] == [2, 2, 2, 2]
     lam = parse_element("i+j", spec)  # lam^2 = 0, so f(lam) = lam
-    assert orbit(f, lam, 2, degree_cap=4).points == (lam, lam)
-    with pytest.raises(DegreeCapError, match="composition degree 8 exceeds cap 4"):
-        orbit(f, lam, 3, degree_cap=4)
-    with pytest.raises(DegreeCapError, match="composition degree 16 exceeds cap 8"):
-        octonion_fixed_check(f, lam, n_max=4, degree_cap=8)
-    assert octonion_fixed_check(f, lam, n_max=4, degree_cap=16).first_failure is None
-    verdict = certify_periodic(f, lam, 2, degree_cap=3)
-    assert verdict.evidence == {"degree_cap": "composition degree 2**2 exceeds cap 3"}
+    for n in range(1, 65):
+        assert orbit(f, lam, n).points == (lam,) * n
+        report = octonion_fixed_check(f, lam, n_max=n)
+        assert (report.checked_up_to, report.first_failure) == (n, None)
+        assert certify_periodic(f, lam, 2, n_max=n).status == "certified_periodic"
