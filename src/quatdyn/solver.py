@@ -39,7 +39,7 @@ Class extraction is one pipeline with two acceptance policies:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import isqrt
 
@@ -67,6 +67,9 @@ class ConjClass:
     norm: Scalar
     exact: bool = True
     precision: int | None = None
+    # numeric central classes: whether every inclusion disk of the companion's
+    # roots excludes the candidate T/2, so that it is no root of the companion
+    excluded: bool = False
 
     @property
     def discriminant(self) -> Scalar:
@@ -358,19 +361,23 @@ def _numeric_classes(C: Poly, precision: int) -> list[ConjClass]:
     E, pts = to_grid(zs, precision + 64)
     # the disks also cover the rounding of the coefficients by to_real
     radii = inclusion_radii(fracs, E, pts, Fraction(1, 1 << (precision + 32)))
-    radii = radii or [Fraction(0)] * len(pts)
     unit = Fraction(1, 1 << E)
+    disks = [] if radii is None else [(A * unit, B * unit, rho) for (A, B), rho in zip(pts, radii)]
 
     # class data snapped to the simplest rational within each root's disk
-    found: list[tuple[Fraction, Fraction]] = []
+    found: list[tuple[Fraction, Fraction, bool]] = []
     upper = lower = 0
     with mpmath.workprec(precision + 64):
-        for z, (A, B), rho in zip(zs, pts, radii):
+        for z, (A, B), rho in zip(zs, pts, radii or [Fraction(0)] * len(pts)):
             im_tol = mpmath.ldexp(1, -(precision // 2)) * (1 + abs(z))
             re, im = A * unit, B * unit
             if abs(z.imag) <= im_tol:
                 mu = _simplest(re, rho)
-                found.append((2 * mu, mu * mu))
+                # mu lies in its own root's disk as a rule, so that one goes first
+                excluded = bool(disks) and all(
+                    (x - mu) ** 2 + y * y > r * r for x, y, r in [(re, im, rho)] + disks
+                )
+                found.append((2 * mu, mu * mu, excluded))
             elif z.imag > 0:
                 upper += 1
                 modulus = sqrt_up(re * re + im * im)
@@ -378,6 +385,7 @@ def _numeric_classes(C: Poly, precision: int) -> list[ConjClass]:
                     (
                         _simplest(2 * re, 2 * rho),
                         _simplest(re * re + im * im, (2 * modulus + rho) * rho),
+                        False,
                     )
                 )
             else:
@@ -387,11 +395,40 @@ def _numeric_classes(C: Poly, precision: int) -> list[ConjClass]:
     return _dedup_sorted(
         [
             ConjClass(
-                C.spec.scalar(T), C.spec.scalar(N), exact=False, precision=precision
+                C.spec.scalar(T),
+                C.spec.scalar(N),
+                exact=False,
+                precision=precision,
+                excluded=excluded,
             )
-            for (T, N) in found
+            for (T, N, excluded) in found
         ]
     )
+
+
+def _resolving_precision(C: Poly, mu: Scalar, precision: int) -> int:
+    """An estimate of the precision at which numeric extraction tells the
+    roots of C near mu apart from mu, for a candidate mu with C(mu) != 0.
+
+    With a_k the Taylor coefficients of C at mu, the roots lie at least
+    L = min |a_0 / a_k|^(1/k) / 2 from mu (Fujiwara's bound).  The ladder
+    tells them apart from mu once the rounding of the monic coefficients to
+    2**-(p + 32), which moves the value at mu by up to 2**-(p + 32) *
+    sum |mu|^k, stays 16 bits below |a_0 / lead|, and once the test for a
+    real root, |Im z| <= 2**-(p/2), is finer than L.  The estimate is at
+    least twice `precision`, which did not suffice.
+    """
+    taylor = list(C.coeffs)  # the Taylor shift by mu, by repeated synthetic division
+    for i in range(len(taylor) - 1):
+        for j in range(len(taylor) - 2, i - 1, -1):
+            taylor[j] = taylor[j] + taylor[j + 1] * mu
+    if not taylor[0]:
+        return 2 * precision
+    low = _log2_bound(taylor[0]) - 1
+    spread = C.degree * max(_log2_bound(mu), 0) + C.degree.bit_length()
+    rounding = _log2_bound(C.leading()) + spread - low + 16 - 32
+    distance = max(-(-(_log2_bound(a) - low) // k) + 1 for k, a in enumerate(taylor) if k and a)
+    return max(2 * precision, rounding, 2 * distance + 2)
 
 
 def extract_classes(
@@ -516,8 +553,19 @@ def solve_in_class(
             return ClassSolution(
                 "none", klass, detail="central candidate is not a root"
             )
-        return _numeric_point(
+        sol = _numeric_point(
             g, sizes, klass, lam, tolerance, "none", "central candidate residual above tolerance"
+        )
+        if sol.kind != "none" or klass.excluded:
+            return sol
+        # the candidate may still be a root of the companion that the working
+        # precision could not resolve: no claim of absence
+        bits = _resolving_precision(companion(g), T / 2, klass.precision or DEFAULT_PRECISION)
+        return replace(
+            sol,
+            kind="anomaly",
+            detail=f"central candidate residual above tolerance, and the inclusion disks at "
+            f"{klass.precision} bits do not exclude it; about {bits} bits would resolve the class",
         )
 
     # z^k = p_k z + q_k inside the class, so g(z) = A z + B

@@ -310,6 +310,27 @@ def test_linear_composition_counts_against_the_cap():
     assert json.loads(out)["result"] == {"poly": "(i)", "degree": 0}
 
 
+def test_compose_is_bounded_by_its_work():
+    # degree 32 under the default cap, but the coefficients reach 514899 bits
+    for n in ("5", "6"):
+        start = time.perf_counter()
+        code, out = run_cli(["compose", "--poly", "10^5000*x^2+i*x", "--n", n])
+        assert time.perf_counter() - start < 0.5
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "DegreeCapError"
+        assert error["message"] == (
+            "composite 3 exceeds the budget: its predicted height of 116268 bits is over 65536"
+        )
+    # the README's quadratic is admitted at n = 10
+    code, out = run_cli(["compose", "--poly", "x^2+(i+1)*x+1+i*j", "--n", "10"])
+    assert code == 0 and json.loads(out)["result"]["degree"] == 1024
+    # degree 4096 is within the cap, but the third composite's products are not
+    code, out = run_cli(["compose", "--poly", "(x+1+i)^16", "--n", "3"])
+    assert code == 1
+    assert "composite 3 exceeds the budget: its predicted work" in json.loads(out)["error"]["message"]
+
+
 def test_degree_cap_flag():
     code, out = run_cli(
         ["compose", "--poly", "i*x^2", "--n", "5", "--degree-cap", "32"]

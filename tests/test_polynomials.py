@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from quatdyn import (
     DegreeCapError,
@@ -13,6 +13,8 @@ from quatdyn import (
     QuatSpec,
     UnsupportedAlgebraError,
 )
+
+from quatdyn._kernel import _even
 
 from helpers import (
     pair_omul,
@@ -93,6 +95,115 @@ def test_product_and_evaluation_match_tuple_oracles():
                 value = tuple(a + b for a, b in zip(value, mul(c.coords(), power)))
                 power = mul(power, lam.coords())
             assert f(lam).coords() == value
+
+
+# -- packed (Kronecker) products ------------------------------------------------
+
+KRONECKER_SPECS = [H, QuatSpec.standard(F5), THIRD, O, OctSpec.standard(F5)]
+
+# heights on both sides of a byte: small, at 64 bits, and far above
+ENTRY = st.one_of(
+    st.integers(-9, 9),
+    st.sampled_from([2**64 - 1, -(2**64 - 1), 2**64, -(2**64)]),
+    st.integers(-(2**200), 2**200),
+)
+
+
+def _tuple_product(spec, F, G):
+    """Coordinates of the product of two column polynomials by the tuple oracle."""
+    if isinstance(spec, OctSpec):
+        q = spec.quat
+        mul = lambda x, y: pair_omul(q.alpha, q.beta, spec.gamma, x, y)
+    else:
+        mul = lambda x, y: table_qmul(spec.alpha, spec.beta, x, y)
+    element = type(spec.one())
+    f = [element(spec, nums).coords() for nums in zip(*F)]
+    g = [element(spec, nums).coords() for nums in zip(*G)]
+    return tuple_poly_mul(mul, f, g, spec.zero().coords())
+
+
+def _coords(spec, cols):
+    """Coordinates of product columns, which lie over the table's denominator."""
+    element = type(spec.one())
+    return [element(spec, nums, spec.table.den).coords() for nums in zip(*cols)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_poly_mul_matches_the_tuple_oracle_on_both_paths(data):
+    spec = data.draw(st.sampled_from(KRONECKER_SPECS))
+    dim = spec.table.dim
+
+    def columns(n):
+        column = st.one_of(st.lists(ENTRY, min_size=n, max_size=n), st.just([0] * n))
+        return data.draw(st.lists(column, min_size=dim, max_size=dim))
+
+    # lengths 1..12 straddle the crossover; a square passes one object twice
+    F = columns(data.draw(st.integers(1, 12)))
+    G = F if data.draw(st.booleans()) else columns(data.draw(st.integers(1, 12)))
+    expected = _tuple_product(spec, F, G)
+    assert _coords(spec, spec.table.poly_mul(F, G)) == expected
+    assert _coords(spec, spec.table.kronecker_mul(F, G)) == expected
+
+
+@pytest.mark.parametrize("spec", KRONECKER_SPECS, ids=str)
+def test_packed_product_fills_its_slots(spec):
+    """Operands whose product reaches the slot bound for the busiest output r.
+
+    All coefficients are +-(2**b - 1), the lengths are 2**3 - 1, and the signs
+    make every term landing on r add up, so over `quat:2,1/3@Q` and `Q(s5)`
+    (structure constants summing to 12, 24 or 48 on r) a coefficient of r
+    needs all but the sign bit of the slot; with eight consecutive heights
+    for F, one slot ends exactly on a byte boundary.
+    """
+    table, n = spec.table, 7
+    spread = [0] * table.dim
+    for _, _, targets in table.pairs:
+        for r, c in targets:
+            spread[r] += abs(c)
+    busy = spread.index(max(spread))
+    sign = [1] * table.dim
+    for _, q, targets in table.pairs:
+        for r, c in targets:
+            if r == busy:
+                sign[q] = 1 if c > 0 else -1
+    G = [[s * ((1 << 64) - 1)] * n for s in sign]
+    for bits in range(60, 68):
+        F = [[(1 << bits) - 1] * n for _ in range(table.dim)]
+        for g in (G, [[-v for v in col] for col in G]):
+            assert table.kronecker_mul(F, g) == table.schoolbook_mul(F, g)
+
+
+def test_poly_mul_keeps_uneven_heights_on_the_schoolbook_path():
+    # one tall coefficient would widen every packed slot
+    F = [[10**500] + [1] * 11] + [[0] * 12 for _ in range(3)]
+    assert not _even(F)
+    assert _even([[10**500] * 12] + [[0] * 12 for _ in range(3)])
+
+
+def test_column_compose_equals_the_sum_of_poly_products():
+    """compose on columns against sum c_i * (g^i) built from Poly operations.
+
+    Denominators up to 6 make the powers and partial sums carry a content
+    that the column form divides out after each product and sum; degrees up
+    to 7 send the powers through the packed product.
+    """
+    rng = random.Random(53)
+    cases = [
+        (Poly(H, [0, 0, 4]), Poly(H, [Fraction(1, 2), Fraction(1, 2)])),  # (x+1)^2
+        (Poly(H, [1, 2]), Poly(H)),
+        (Poly(H, [I]), Poly(H, [1, J])),
+    ]
+    for spec in TABLE_SPECS:
+        for _ in range(3):
+            f = rand_poly(rng, spec, rng.randint(0, 4), den=6)
+            cases.append((f, rand_poly(rng, spec, rng.randint(0, 7), den=6)))
+    for f, g in cases:
+        expected, power = Poly.constant(f.spec, f.coeff(0)), None
+        for c in f.coeffs[1:]:
+            power = g if power is None else power * g
+            expected = expected + Poly.constant(f.spec, c) * power
+        assert f.compose(g) == expected
 
 
 def test_multiplication_by_one():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -414,6 +415,29 @@ def test_numeric_class_kinds(algebra, text, kinds):
 
     g = parse_poly(text, parse_algebra(algebra))
     assert [s.kind for s in roots(g, mode="numeric")] == kinds
+
+
+def test_numeric_none_needs_the_disks_to_exclude_the_candidate():
+    """A root below the working precision is not claimed absent.
+
+    The roots +-i/10^60 of the companion 10^120 x^2 + 1 round to 0 at 128
+    and 256 bits, so the class snaps to (0, 0); the inclusion disks cannot
+    exclude its candidate 0, so the class is an anomaly that names the
+    precision that resolves it, and that precision finds the point.
+    """
+    g = parse_poly("10^60*x-i", H)
+    named = set()
+    for precision in (128, 256):
+        [sol] = roots(g, mode="numeric", precision=precision)
+        assert (sol.kind, sol.klass.trace, sol.klass.norm) == ("anomaly", 0, 0)
+        assert not sol.klass.excluded
+        bits = int(re.search(r"about (\d+) bits", sol.detail).group(1))
+        assert bits > precision
+        named.add(bits)
+    for bits in named | {512}:
+        [found] = roots(g, mode="numeric", precision=bits)
+        assert found.kind == "point"
+        assert abs(float(found.point.coords()[1] * 10**60) - 1) < 1e-9
 
 
 # -- exact extraction against sympy's factorization -------------------------------
