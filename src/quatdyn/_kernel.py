@@ -94,7 +94,9 @@ class Table:
     its own row, so sparse operands cost less.
     """
 
-    __slots__ = ("width", "dim", "den", "rows", "pairs", "square_pairs", "spread_bits")
+    __slots__ = (
+        "width", "dim", "den", "rows", "pairs", "square_pairs", "norm_pairs", "spread_bits"
+    )
 
     def __init__(self, field, *gens) -> None:
         d, width = field.d, 1 if field.d is None else 2
@@ -141,6 +143,18 @@ class Table:
         for (p, q), targets in pairs.items():
             square.setdefault((min(p, q), max(p, q)), []).extend(targets)
         self.square_pairs = tuple((p, q, tuple(t)) for (p, q), t in square.items())
+        # conj(x)*x for a polynomial x needs only the entries landing on the
+        # ground field (r < width), with the conjugate's sign on p >= width,
+        # merged per unordered pair: 4 products of the 16 for quaternions over Q
+        norm: dict[tuple[int, int], dict[int, int]] = {}
+        for (p, q), targets in pairs.items():
+            for r, c in targets:
+                if r < width:
+                    merged = norm.setdefault((min(p, q), max(p, q)), {})
+                    merged[r] = merged.get(r, 0) + (-c if p >= width else c)
+        self.norm_pairs = tuple(
+            (p, q, tuple((r, c) for r, c in t.items() if c)) for (p, q), t in norm.items()
+        )
         # bits of the largest sum of |c| over the entries that land on one r
         spread = [0] * self.dim
         for row in rows:
@@ -157,12 +171,14 @@ class Table:
                     out[r] += c * xp * y[q]
         return out
 
-    def poly_mul(self, F, G) -> list[list[int]]:
+    def poly_mul(self, F, G, pairs=None) -> list[list[int]]:
         """Coordinate columns of the product of two polynomials.
 
         F[p][i] is coordinate p of the i-th coefficient; the coefficients of
         the product are the convolution, with coefficient products taken in
-        written order, over den times the denominators of F and G.
+        written order, over den times the denominators of F and G.  With
+        `pairs` (p, q, ((r, c), ...)), only those column products are taken,
+        as `norm_pairs` does for conj(F)*F.
 
         The packed product `kronecker_mul` replaces the schoolbook
         convolution where it measured faster: both operands have at least
@@ -175,10 +191,10 @@ class Table:
         short = min(len(F[0]), len(G[0]))
         if short >= KRONECKER_MIN and _even(F):
             if G is F:
-                return self.kronecker_mul(F, G)
+                return self.kronecker_mul(F, G, pairs)
             if _even(G) and short >= min(self.slot_bits(F, G) // KRONECKER_BITS, KRONECKER_WIDE):
-                return self.kronecker_mul(F, G)
-        return self.schoolbook_mul(F, G)
+                return self.kronecker_mul(F, G, pairs)
+        return self.schoolbook_mul(F, G, pairs)
 
     def slot_bits(self, F, G) -> int:
         """Bits that hold any coefficient of the product of F and G, sign included.
@@ -195,10 +211,20 @@ class Table:
             + 1
         )
 
-    def schoolbook_mul(self, F, G) -> list[list[int]]:
+    def schoolbook_mul(self, F, G, pairs=None) -> list[list[int]]:
         """poly_mul by the direct convolution: one integer product per term."""
         size = len(F[0]) + len(G[0]) - 1
         out = [[0] * size for _ in range(self.dim)]
+        if pairs is not None:
+            for p, q, targets in pairs:
+                for r, c in targets:
+                    o = out[r]
+                    for i, a in enumerate(F[p]):
+                        if a:
+                            ac = a * c
+                            for k, b in enumerate(G[q], i):
+                                o[k] += ac * b
+            return out
         for Fp, row in zip(F, self.rows):
             for i, a in enumerate(Fp):
                 if a:
@@ -208,7 +234,7 @@ class Table:
                             o[k] += ac * b
         return out
 
-    def kronecker_mul(self, F, G) -> list[list[int]]:
+    def kronecker_mul(self, F, G, pairs=None) -> list[list[int]]:
         """poly_mul by Kronecker substitution (Harvey 2009, J. Symb. Comput. 44).
 
         Each column becomes one integer, sum F[p][i] * 2**(s*i), so that one
@@ -227,7 +253,9 @@ class Table:
         packed_f = [_pack(col, nbytes, bias, bias_bytes) for col in F]
         packed_g = packed_f if G is F else [_pack(col, nbytes, bias, bias_bytes) for col in G]
         acc = [0] * self.dim
-        for p, q, targets in self.square_pairs if G is F else self.pairs:
+        if pairs is None:
+            pairs = self.square_pairs if G is F else self.pairs
+        for p, q, targets in pairs:
             a, b = packed_f[p], packed_g[q]
             if a and b:
                 ab = a * b

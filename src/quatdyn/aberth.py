@@ -5,16 +5,28 @@ in place (Gauss-Seidel), on a ladder of precisions (Bini & Fiorentino 2000,
 MPSolve).  The first rung runs in Python `complex` arithmetic on a copy of the
 monic polynomial whose variable is scaled by a power of two, so that its
 roots have modulus near 1 and its coefficients fit a double; it starts on the
-circle of radius |c0|**(1/n).  Each later rung runs in mpmath at twice the
-previous precision, starting from the previous rung's approximants, up to
-`precision + 64` bits.  Roots of multiplicity above one converge only
+circle of radius |c0|**(1/n).  Each later rung runs on Python integers at
+twice the previous precision, starting from the previous rung's
+approximants, up to `precision + 64` bits; where the first rung fails, the
+first integer rung starts on the circles of the Newton polygon (Bini 1996,
+Numer. Algorithms 13).  Roots of multiplicity above one converge only
 linearly and to about half the working precision, so callers pass squarefree
 polynomials.
 
-`to_grid` rounds approximants to a common fixed-point grid, and
-`inclusion_radii` bounds, in exact rational arithmetic, the Weierstrass
-radii n*|P(z_k)| / |prod_{j != k} (z_k - z_j)| there.  Where those disks are
-pairwise disjoint, each contains exactly one root (Braess & Hadeler 1973).
+On an integer rung of `bits` bits, each approximant is a Gaussian integer
+(a, b) with its own binary exponent F, z = (a + ib)/2**F, and max(|a|, |b|)
+keeps about W = bits + 8 bits.  Its Aberth step is computed in its own
+variable u = z/2**(W - F), which has modulus near 1: P and P' by Horner in
+fixed point on the coefficients of P(2**(W - F) * u), scaled to about W bits
+and cached per exponent, and the correction w / (1 - w * sum 1/(u - u_j)),
+w = P/P', by integer divisions at scale 2**W.  So every root is computed to
+about W bits relative to its own modulus, however far the moduli spread.
+
+Approximants come back as such triples (a, b, F).  `to_grid` aligns them on
+one fixed-point grid, and `inclusion_radii` bounds, in exact rational
+arithmetic, the Weierstrass radii n*|P(z_k)| / |prod_{j != k} (z_k - z_j)|
+there.  Where those disks are pairwise disjoint, each contains exactly one
+root (Braess & Hadeler 1973).
 """
 
 from __future__ import annotations
@@ -27,23 +39,13 @@ from typing import Callable, Sequence
 from .errors import ConvergenceError
 
 FLOAT_BITS = 53
-# relative step at which the float rung hands over to the first mpmath rung
+# relative step at which the float rung hands over to the first integer rung
 FLOAT_EPS = 2.0**-42
+# bits an integer rung works with beyond its nominal precision
+GUARD_BITS = 8
 
-
-def mpf_to_fraction(x) -> Fraction:
-    """Exact rational value of a binary float."""
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return Fraction(0)
-    n = -man if sign else man
-    if exp >= 0:
-        return Fraction(n << exp)
-    return Fraction(n, 1 << -exp)
-
-
-def _exact(x) -> Fraction:
-    return Fraction(x) if isinstance(x, float) else mpf_to_fraction(x)
+# an approximant (a + ib)/2**F
+Approximant = tuple[int, int, int]
 
 
 def _log2(q: Fraction) -> int:
@@ -61,8 +63,8 @@ def _horner(coeffs, z):
 
 
 def _iterate(poly, zs, eps, max_iterations) -> None:
-    """Gauss-Seidel Aberth sweeps over zs, in place, until every relative
-    step is at most eps or the budget runs out."""
+    """Gauss-Seidel Aberth sweeps over the complex zs, in place, until every
+    step is at most eps * (1 + |z|) or the budget runs out."""
     n = len(zs)
     for _ in range(max_iterations):
         worst = 0
@@ -108,9 +110,163 @@ def _float_rung(monic: list[Fraction], max_iterations: int) -> list[complex] | N
         zs = [complex(math.ldexp(z.real, k), math.ldexp(z.imag, k)) for z in zs]
     except OverflowError:
         return None
-    if all(math.isfinite(z.real) and math.isfinite(z.imag) for z in zs):
+    # 0 is no root (the constant term is nonzero): an approximant there underflowed
+    if all(z and math.isfinite(z.real) and math.isfinite(z.imag) for z in zs):
         return zs
     return None
+
+
+def _from_float(z: complex) -> Approximant:
+    """The exact value of a complex double as (a, b, F)."""
+    (p, q), (r, s) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    F = max(q, s).bit_length() - 1  # q and s are powers of two
+    return p << (F - q.bit_length() + 1), r << (F - s.bit_length() + 1), F
+
+
+def _normal(z: Approximant, W: int) -> Approximant:
+    """The same value, rounded so that max(|a|, |b|) has W bits."""
+    a, b, F = z
+    s = max(abs(a), abs(b)).bit_length() - W
+    if s == -W:  # 0 is no root: move to a point 2**-W below the old scale
+        return 1 << (W - 1), 1 << (W - 1), F + W
+    if s > 0:
+        half = 1 << (s - 1)
+        return (a + half) >> s, (b + half) >> s, F - s
+    return a << -s, b << -s, F - s
+
+
+def _mantissas(monic: list[Fraction], bits: int) -> list[tuple[int, int]]:
+    """(m, g) with c ~ m * 2**g and m of about `bits` bits, per coefficient."""
+    out = []
+    for c in monic:
+        if not c:
+            out.append((0, 0))
+            continue
+        g = _log2(c) - bits
+        num, den = c.numerator, c.denominator
+        m = (num << -g) // den if g <= 0 else num // (den << g)
+        out.append((m, g))
+    return out
+
+
+def _scaled(mants: list[tuple[int, int]], e: int, W: int) -> list[int]:
+    """Coefficients of P(2**e * u), times a common power of two, rounded to
+    integers whose largest has about W bits."""
+    top = max(m.bit_length() + g + e * i for i, (m, g) in enumerate(mants) if m)
+    out = []
+    for i, (m, g) in enumerate(mants):
+        s = top - W - g - e * i  # > 0: the mantissas are wider than W
+        out.append((m + (1 << (s - 1))) >> s if m and s <= m.bit_length() else 0)
+    return out
+
+
+def _newton_starts(monic: list[Fraction], W: int) -> list[Approximant]:
+    """Starting points on the circles of the Newton polygon (Bini 1996).
+
+    Each edge of the upper convex hull of the points (i, log2 |c_i|), from
+    i to j, places j - i points on the circle of radius
+    |c_i / c_j|**(1/(j - i)), evenly spaced and turned by an offset.
+    """
+    n = len(monic) - 1
+    hull: list[tuple[int, float]] = []
+    for i, c in enumerate(monic):
+        if not c:
+            continue
+        pt = (i, math.log2(abs(c.numerator)) - math.log2(c.denominator))
+        while len(hull) >= 2:
+            (i0, l0), (i1, l1) = hull[-2], hull[-1]
+            if (i1 - i0) * (pt[1] - l0) - (l1 - l0) * (pt[0] - i0) < 0:
+                break
+            hull.pop()
+        hull.append(pt)
+    zs = []
+    for (i, li), (j, lj) in zip(hull, hull[1:]):
+        log_r = (li - lj) / (j - i)
+        whole = math.floor(log_r)
+        r = 2.0 ** (log_r - whole)
+        for k in range(j - i):
+            theta = 2 * math.pi * (k / (j - i) + i / n) + 0.7
+            a, b = (int(r * f(theta) * 2.0**60) << (W - 60) for f in (math.cos, math.sin))
+            zs.append(_normal((a, b, W - whole), W))
+    return zs
+
+
+def _integer_iterate(mants, zs: list[Approximant], W: int, goal: int, max_iterations: int) -> None:
+    """Gauss-Seidel Aberth sweeps over the approximants zs, in place, until
+    every step is at most about 2**-goal times its approximant or the budget
+    runs out.  Every approximant keeps W bits (see the module docstring)."""
+    n = len(zs)
+    cache: dict[int, list[int]] = {}
+    limit = W - goal  # bit length of a step of 2**-goal relative
+    unit = 1 << W
+    for _ in range(max_iterations):
+        worst = 0
+        for k in range(n):
+            a, b, F = zs[k]
+            e = W - F
+            K = cache.get(e)
+            if K is None:
+                K = cache[e] = _scaled(mants, e, W)
+            pr, pi, dr, di = K[n], 0, 0, 0
+            for c in K[n - 1 :: -1]:
+                dr, di = ((dr * a - di * b) >> W) + pr, ((dr * b + di * a) >> W) + pi
+                pr, pi = ((pr * a - pi * b) >> W) + c, (pr * b + pi * a) >> W
+            if not (pr or pi):
+                continue
+            q = dr * dr + di * di
+            if not q:
+                shift = 1 << (W - 4)
+                zs[k] = _normal((a + shift, b + shift, F), W)
+                worst = W
+                continue
+            # w = p/p', then the sum of 1/(u - u_j), all over 2**W
+            wr = ((pr * dr + pi * di) << W) // q
+            wi = ((pi * dr - pr * di) << W) // q
+            sr = si = 0
+            for j in range(n):
+                if j == k:
+                    continue
+                aj, bj, Fj = zs[j]
+                t = F - Fj
+                if t > W + 2:  # |z_j| is 2**W times |z_k| or more: 1/d is below one unit
+                    continue
+                if t >= 0:
+                    Dr, Di = a - (aj << t), b - (bj << t)
+                else:
+                    Dr, Di = a - (aj >> -t), b - (bj >> -t)
+                d2 = Dr * Dr + Di * Di
+                if d2:
+                    sr += (Dr << 2 * W) // d2
+                    si -= (Di << 2 * W) // d2
+            # the correction w / (1 - w*s)
+            xr = unit - ((wr * sr - wi * si) >> W)
+            xi = -((wr * si + wi * sr) >> W)
+            x2 = xr * xr + xi * xi
+            if x2:
+                wr, wi = ((wr * xr + wi * xi) << W) // x2, ((wi * xr - wr * xi) << W) // x2
+            zs[k] = _normal((a - wr, b - wi, F), W)
+            err = max(abs(wr), abs(wi)).bit_length()
+            if err > worst:
+                worst = err
+        if worst <= limit:
+            return
+
+
+def _residual_ok(ints: list[int], z: Approximant, bits: int) -> bool:
+    """|P(z)| <= 2**-bits * max(1, sum |c_i| |z|**i), exactly, for the
+    monic P = sum ints[i] x^i / ints[-1]."""
+    a, b, F = z
+    if F < 0:
+        a, b, F = a << -F, b << -F, 0
+    n = len(ints) - 1
+    modulus = isqrt(a * a + b * b)  # the sizes below are lower bounds
+    hr, hi, size = ints[n], 0, abs(ints[n])
+    for i in range(n - 1, -1, -1):
+        c = ints[i] << (F * (n - i))
+        hr, hi = hr * a - hi * b + c, hr * b + hi * a
+        size = size * modulus + abs(c)
+    scale = max(ints[n] << (F * n), size)
+    return (hr * hr + hi * hi) << (2 * bits) <= scale * scale
 
 
 def aberth_roots(
@@ -118,13 +274,13 @@ def aberth_roots(
     precision: int = 128,
     max_iterations: int = 400,
     accept: Callable[[list, int], bool] | None = None,
-) -> list:
-    """All complex roots of sum coeffs[i]*x^i, to roughly `precision` bits.
+) -> list[Approximant]:
+    """All complex roots of sum coeffs[i]*x^i, to roughly `precision` bits,
+    as triples (a, b, F) for (a + ib)/2**F.
 
     After each rung, `accept(roots, bits)` may end the ladder early by
     returning True.  Without `accept`, the top rung's approximants must pass
-    a residual test, or ConvergenceError is raised.  Roots come back as
-    `complex` from the float rung and as `mpmath.mpc` from the others.
+    a residual test, or ConvergenceError is raised.
     """
     cs = [Fraction(c) for c in coeffs]
     while cs and cs[-1] == 0:
@@ -134,59 +290,52 @@ def aberth_roots(
     zeros = 0
     while cs[zeros] == 0:  # roots at the origin split off exactly
         zeros += 1
+    origin: list[Approximant] = [(0, 0, 0)] * zeros
     monic = [c / cs[-1] for c in cs[zeros:]]
     n = len(monic) - 1
     if n == 0:
-        return [0j] * zeros
+        return origin
 
     top = max(precision, 0) + 64
-    zs = _float_rung(monic, max_iterations)
-    if zs is not None and accept is not None and accept([0j] * zeros + zs, FLOAT_BITS):
-        return [0j] * zeros + zs
-
-    import mpmath  # imported here so that runs settled by the float rung never load it
+    floats = _float_rung(monic, max_iterations)
+    zs = None if floats is None else [_from_float(z) for z in floats]
+    if zs is not None and accept is not None and accept(origin + zs, FLOAT_BITS):
+        return origin + zs
 
     bits = FLOAT_BITS
     while bits < top:
         bits = min(2 * bits, top)
-        with mpmath.workprec(bits):
-            poly = [mpmath.mpf(c.numerator) / c.denominator for c in monic]
-            if zs is None:
-                radius = abs(poly[0]) ** (mpmath.mpf(1) / n)
-                zs = [radius * mpmath.expjpi(mpmath.mpf(4 * j + 1) / (2 * n)) for j in range(n)]
-            else:
-                zs = [mpmath.mpc(z) for z in zs]
-            # below the top, a step of 2**-(k/2) leaves an error near 2**-k
-            # (quadratic convergence), so the confirming sweep is skipped
-            goal = bits - 56 if bits == top else (bits - 56) // 2
-            _iterate(poly, zs, mpmath.ldexp(1, -goal), max_iterations)
-            roots = [mpmath.mpc(0)] * zeros + zs
-            if accept is not None:
-                if accept(roots, bits):
-                    return roots
-            elif bits == top:
-                bound = mpmath.ldexp(mpmath.mpf(1), -(precision // 2))
-                for z in zs:
-                    p, _ = _horner(poly, z)
-                    scale, _ = _horner([abs(c) for c in poly], abs(z))
-                    if abs(p) > bound * max(1, scale):
-                        raise ConvergenceError(
-                            "root iteration did not reach the requested accuracy"
-                        )
+        W = bits + GUARD_BITS
+        zs = _newton_starts(monic, W) if zs is None else [_normal(z, W) for z in zs]
+        # below the top, a step of 2**-(k/2) leaves an error near 2**-k
+        # (quadratic convergence), so the confirming sweep is skipped
+        goal = bits - 56 if bits == top else (bits - 56) // 2
+        _integer_iterate(_mantissas(monic, W + 4), zs, W, goal, max_iterations)
+        roots = origin + zs
+        if accept is not None:
+            if accept(roots, bits):
+                return roots
+        elif bits == top:
+            den = math.lcm(*(c.denominator for c in monic))
+            ints = [c.numerator * (den // c.denominator) for c in monic]
+            if not all(_residual_ok(ints, z, precision // 2) for z in zs):
+                raise ConvergenceError("root iteration did not reach the requested accuracy")
     return roots
 
 
-def to_grid(zs, bits: int) -> tuple[int, list[tuple[int, int]]]:
-    """Round approximants to Gaussian integers over a common 2**E.
+def to_grid(zs: list[Approximant], bits: int) -> tuple[int, list[tuple[int, int]]]:
+    """Align approximants on Gaussian integers over a common 2**E.
 
     E keeps `bits` + 16 bits of the largest modulus, so the rounding stays
     below the accuracy of a `bits`-bit rung.
     """
-    parts = [(_exact(z.real), _exact(z.imag)) for z in zs]
-    top = max((_log2(x) for re, im in parts for x in (re, im) if x), default=0)
+    top = max((x.bit_length() - F - 1 for a, b, F in zs for x in (a, b) if x), default=0)
     E = max(bits + 16 - top, 16)
-    scale = 1 << E
-    return E, [(round(re * scale), round(im * scale)) for re, im in parts]
+
+    def align(x: int, F: int) -> int:
+        return x << (E - F) if E >= F else round(Fraction(x, 1 << (F - E)))
+
+    return E, [(align(a, F), align(b, F)) for a, b, F in zs]
 
 
 def sqrt_up(q: Fraction) -> Fraction:

@@ -13,7 +13,8 @@ Class extraction is one pipeline with two acceptance policies:
   1. the squarefree part c / gcd(c, c') of the companion, by exact Euclid
      over Q or Q(sqrt d);
   2. its roots, approximated by the Aberth ladder of `aberth.aberth_roots`
-     (a float rung, then mpmath rungs of doubling precision);
+     (a float rung, then rungs of doubling precision on Gaussian integers,
+     each approximant with its own binary exponent);
   3. a policy that turns the approximations into classes:
 
   exact    rational ground field only.  The monic companion is rescaled to a
@@ -29,11 +30,13 @@ Class extraction is one pipeline with two acceptance policies:
 
   numeric  any ground field with a real embedding.  The squarefree part is
            embedded at the requested bit precision and the ladder climbs to
-           that precision plus 64 bits.  Near-real roots give central classes
-           (2*mu, mu^2), conjugate pairs give (T, N), each snapped to the
-           simplest rational within the root's inclusion disk.  The reduction
-           and every residual are afterwards computed exactly from that
-           approximate class data.
+           that precision plus 64 bits.  A root is near-real when its
+           imaginary part is within 2**-(precision/2) * (1 + |z|) and its
+           inclusion disk meets the real axis; near-real roots give central
+           classes (2*mu, mu^2), conjugate pairs give (T, N), each snapped to
+           the simplest rational within the root's inclusion disk.  The
+           reduction and every residual are afterwards computed exactly from
+           that approximate class data.
 """
 
 from __future__ import annotations
@@ -106,13 +109,11 @@ def companion(g: Poly) -> Poly:
         raise UnsupportedAlgebraError("companion polynomials need a quaternion algebra")
     if g.is_zero:
         raise ZeroPolynomialError("the zero polynomial has no companion")
-    prod = g.conj_coeffs() * g
-    coeffs = []
-    for c in prod.coeffs:
-        if not c.is_central:
-            raise AssertionError("companion coefficient left the ground field")
-        coeffs.append(c.a)
-    return Poly(g.spec.field, coeffs)
+    # only the ground-field columns of the product are computed: the others cancel
+    table = g.spec.table
+    G, den = g._columns()
+    cols = table.poly_mul(G, G, table.norm_pairs)[: table.width]
+    return Poly._from_columns(g.spec.field, Scalar, cols, den * den * table.den)
 
 
 # -- the class-extraction pipeline ---------------------------------------------
@@ -347,9 +348,13 @@ def _simplest(x: Fraction, delta: Fraction) -> Fraction:
         a, b, c, d = d, c - whole * d, b, rest
 
 
-def _numeric_classes(C: Poly, precision: int) -> list[ConjClass]:
-    import mpmath  # imported here so that exact-only runs never load it
+def _near_real(A: int, B: int, E: int, h: int) -> bool:
+    """|Im z| <= 2**-h * (1 + |z|) at the grid point z = (A + iB)/2**E."""
+    excess = (abs(B) << h) - (1 << E)
+    return excess <= 0 or excess * excess <= A * A + B * B
 
+
+def _numeric_classes(C: Poly, precision: int) -> list[ConjClass]:
     if not C.spec.has_real_embedding:
         raise UnsupportedAlgebraError(
             "numeric class extraction needs a real-embedded ground field"
@@ -367,29 +372,29 @@ def _numeric_classes(C: Poly, precision: int) -> list[ConjClass]:
     # class data snapped to the simplest rational within each root's disk
     found: list[tuple[Fraction, Fraction, bool]] = []
     upper = lower = 0
-    with mpmath.workprec(precision + 64):
-        for z, (A, B), rho in zip(zs, pts, radii or [Fraction(0)] * len(pts)):
-            im_tol = mpmath.ldexp(1, -(precision // 2)) * (1 + abs(z))
-            re, im = A * unit, B * unit
-            if abs(z.imag) <= im_tol:
-                mu = _simplest(re, rho)
-                # mu lies in its own root's disk as a rule, so that one goes first
-                excluded = bool(disks) and all(
-                    (x - mu) ** 2 + y * y > r * r for x, y, r in [(re, im, rho)] + disks
+    for (A, B), rho in zip(pts, radii or [Fraction(0)] * len(pts)):
+        re, im = A * unit, B * unit
+        # real within the tolerance, and, where the disks are known, when the
+        # root's own disk meets the real axis
+        if _near_real(A, B, E, precision // 2) and (radii is None or abs(im) <= rho):
+            mu = _simplest(re, rho)
+            # mu lies in its own root's disk as a rule, so that one goes first
+            excluded = bool(disks) and all(
+                (x - mu) ** 2 + y * y > r * r for x, y, r in [(re, im, rho)] + disks
+            )
+            found.append((2 * mu, mu * mu, excluded))
+        elif B > 0:
+            upper += 1
+            modulus = sqrt_up(re * re + im * im)
+            found.append(
+                (
+                    _simplest(2 * re, 2 * rho),
+                    _simplest(re * re + im * im, (2 * modulus + rho) * rho),
+                    False,
                 )
-                found.append((2 * mu, mu * mu, excluded))
-            elif z.imag > 0:
-                upper += 1
-                modulus = sqrt_up(re * re + im * im)
-                found.append(
-                    (
-                        _simplest(2 * re, 2 * rho),
-                        _simplest(re * re + im * im, (2 * modulus + rho) * rho),
-                        False,
-                    )
-                )
-            else:
-                lower += 1
+            )
+        else:
+            lower += 1
     if lower != upper:
         raise ConvergenceError("conjugate pairing of numeric roots failed")
     return _dedup_sorted(

@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -183,6 +185,55 @@ def test_numeric_point_residual_is_relative_to_its_terms():
                 size = abs(float(parse_element(sol["point"], H).coords()[1]))
                 scale = 1 + 10**60 * size  # |c_0| + |c_1|*|lam|
                 assert sol["residual"] < 1e-9 * scale
+
+
+def test_small_roots_next_to_large_coefficients_converge():
+    # each approximant carries its own exponent, and the step test is relative
+    # to its modulus, so the roots near 10^-40 are refined as far as the others
+    argv = ["roots", "--algebra", "quat:2,1/3@Q", "--poly", "x^4+10^40*j*x-4-6*j-k", "--mode", "numeric"]
+    code, out = run_cli(argv)
+    assert code == 0
+    assert len(json.loads(out)["result"]) == 6
+
+
+def test_roots_spread_past_the_double_range_start_on_the_newton_polygon():
+    # the companion x^4 + (2 - 10^3000) x^2 + 1 has roots near 10^1500 and
+    # 10^-1500; the float rung cannot hold them, and starts on the Newton
+    # polygon's circles let the integer rungs settle at once
+    argv = ["roots", "--algebra", "quat:10^3000,-1@Q", "--poly", "x^2+i*x+1"]
+    start = time.perf_counter()
+    code, out = run_cli(argv)
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert [s["variant"] for s in json.loads(out)["result"]] == ["anomaly", "anomaly"]
+
+
+def test_solving_never_imports_mpmath():
+    import quatdyn
+
+    # exact roots of x^2+i*x+1 climb the ladder to prove that its companion
+    # has no rational factor (exit 1); the numeric calls climb to the top
+    calls = [
+        ["roots", "--poly", "x^2+i*x+1"],
+        ["roots", "--poly", "x^3+i*x+j", "--mode", "numeric"],
+        ["fixed-points", "--poly", "x^2+(i+1)*x+1+i*j"],
+        ["fixed-points", "--poly", "x^3+j*x+1", "--mode", "numeric", "--precision", "512"],
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from quatdyn.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) in (0, 1), argv\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    src = str(Path(quatdyn.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(calls)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 # 10^5000 has 16610 bits, so the residues of these quadratics pass the height

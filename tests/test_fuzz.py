@@ -11,7 +11,8 @@ the parser's degree and height bounds nor by a work budget:
 
 * `roots` and `fixed-points` get polynomials of degree at most 8 with small
   coefficients and `--precision` at most 512.  The solver's cost grows
-  steeply with the degree (a dense degree-24 numeric `roots` takes 3.9 s)
+  steeply with the degree (a dense degree-24 numeric `roots` takes 4.4 to
+  4.9 s, 3.6 to 4.0 s of it in the squarefree part of the companion)
   and with the coefficients' height (exact `roots` of x^2+10^1000*x+i runs
   for more than 20 s); bounding the solver's work is a change of its own.
 * No exponent is drawn between 5 and 256: `companion --poly

@@ -89,6 +89,32 @@ def test_companion_against_independent_convolution():
         assert [c.a for c in companion(f).coeffs] == oracle_companion(f)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["quat:-1,-1@Q", "quat:2,1/3@Q", "quat:-1,-1@Q(s5)"]),
+    st.integers(1, 12),
+    st.sampled_from([3, 64, 300]),
+    st.randoms(use_true_random=False),
+)
+def test_companion_equals_the_full_conjugate_product(algebra, length, bits, rng):
+    """companion takes only the column products that land on the ground
+    field; its coefficients are those of the whole product conj(g)*g, on the
+    schoolbook path and (from 6 coefficients of even height) the packed one."""
+    from quatdyn.cli import parse_algebra
+
+    spec = parse_algebra(algebra)
+    width = spec.table.width
+
+    def coeff():
+        nums = [rng.randint(-(1 << bits), 1 << bits) if rng.random() < 0.8 else 0 for _ in range(4 * width)]
+        return type(spec.one())(spec, nums, rng.randint(1, 12))
+
+    g = Poly(spec, [coeff() for _ in range(length)] + [spec.one()])
+    full = g.conj_coeffs() * g
+    assert all(c.is_central for c in full.coeffs)
+    assert [(c.nums, c.den) for c in companion(g).coeffs] == [(c.a.nums, c.a.den) for c in full.coeffs]
+
+
 def test_companion_degree_and_centrality():
     rng = random.Random(19)
     for _ in range(50):
@@ -438,6 +464,19 @@ def test_numeric_none_needs_the_disks_to_exclude_the_candidate():
         [found] = roots(g, mode="numeric", precision=bits)
         assert found.kind == "point"
         assert abs(float(found.point.coords()[1] * 10**60) - 1) < 1e-9
+
+
+def test_small_non_real_root_is_not_snapped_to_a_central_class():
+    """The roots +-i/10^20 of the companion 10^40 x^2 + 1 lie 2^-66 from the
+    real axis, within the near-real tolerance 2^-64 at 128 bits, but their
+    inclusion disks (radius near 10^-28) do not meet the axis: they are a
+    conjugate pair, whose class holds the point i/10^20."""
+    g = parse_poly("10^20*x-i", H)
+    [sol] = roots(g, mode="numeric", precision=128)
+    assert sol.kind == "point"
+    # the companion's coefficients are rounded to 2^-160, which moves 10^-40 a little
+    assert sol.klass.trace == 0 and abs(float(sol.klass.norm * 10**40) - 1) < 1e-6
+    assert abs(float(sol.point.coords()[1] * 10**20) - 1) < 1e-9
 
 
 # -- exact extraction against sympy's factorization -------------------------------
