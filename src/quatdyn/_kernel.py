@@ -95,7 +95,8 @@ class Table:
     """
 
     __slots__ = (
-        "width", "dim", "den", "rows", "pairs", "square_pairs", "norm_pairs", "spread_bits"
+        "width", "dim", "den", "rows", "pairs", "square_pairs", "norm_pairs", "norm_rows",
+        "spread_bits",
     )
 
     def __init__(self, field, *gens) -> None:
@@ -155,6 +156,11 @@ class Table:
         self.norm_pairs = tuple(
             (p, q, tuple((r, c) for r, c in t.items() if c)) for (p, q), t in norm.items()
         )
+        # and the same by rows, for the schoolbook product
+        norm_rows: list[list[tuple[int, int, int]]] = [[] for _ in range(self.dim)]
+        for p, q, targets in self.norm_pairs:
+            norm_rows[p].extend((q, r, c) for r, c in targets)
+        self.norm_rows = tuple(tuple(row) for row in norm_rows)
         # bits of the largest sum of |c| over the entries that land on one r
         spread = [0] * self.dim
         for row in rows:
@@ -171,14 +177,15 @@ class Table:
                     out[r] += c * xp * y[q]
         return out
 
-    def poly_mul(self, F, G, pairs=None) -> list[list[int]]:
+    def poly_mul(self, F, G, norm: bool = False) -> list[list[int]]:
         """Coordinate columns of the product of two polynomials.
 
         F[p][i] is coordinate p of the i-th coefficient; the coefficients of
         the product are the convolution, with coefficient products taken in
         written order, over den times the denominators of F and G.  With
-        `pairs` (p, q, ((r, c), ...)), only those column products are taken,
-        as `norm_pairs` does for conj(F)*F.
+        `norm` (and G the same as F), the product is conj(F)*F instead, and
+        only its ground-field columns are computed (`norm_pairs`); the others
+        are zero.
 
         The packed product `kronecker_mul` replaces the schoolbook
         convolution where it measured faster: both operands have at least
@@ -191,10 +198,10 @@ class Table:
         short = min(len(F[0]), len(G[0]))
         if short >= KRONECKER_MIN and _even(F):
             if G is F:
-                return self.kronecker_mul(F, G, pairs)
+                return self.kronecker_mul(F, G, norm)
             if _even(G) and short >= min(self.slot_bits(F, G) // KRONECKER_BITS, KRONECKER_WIDE):
-                return self.kronecker_mul(F, G, pairs)
-        return self.schoolbook_mul(F, G, pairs)
+                return self.kronecker_mul(F, G, norm)
+        return self.schoolbook_mul(F, G, norm)
 
     def slot_bits(self, F, G) -> int:
         """Bits that hold any coefficient of the product of F and G, sign included.
@@ -211,21 +218,16 @@ class Table:
             + 1
         )
 
-    def schoolbook_mul(self, F, G, pairs=None) -> list[list[int]]:
-        """poly_mul by the direct convolution: one integer product per term."""
+    def schoolbook_mul(self, F, G, norm: bool = False) -> list[list[int]]:
+        """poly_mul by the direct convolution: one integer product per term.
+
+        It walks the table by rows, so a zero coefficient of F skips its
+        whole row; a walk by column pairs, as in kronecker_mul, measured 8%
+        slower on the short products of `compose`.
+        """
         size = len(F[0]) + len(G[0]) - 1
         out = [[0] * size for _ in range(self.dim)]
-        if pairs is not None:
-            for p, q, targets in pairs:
-                for r, c in targets:
-                    o = out[r]
-                    for i, a in enumerate(F[p]):
-                        if a:
-                            ac = a * c
-                            for k, b in enumerate(G[q], i):
-                                o[k] += ac * b
-            return out
-        for Fp, row in zip(F, self.rows):
+        for Fp, row in zip(F, self.norm_rows if norm else self.rows):
             for i, a in enumerate(Fp):
                 if a:
                     for q, r, c in row:
@@ -234,7 +236,7 @@ class Table:
                             o[k] += ac * b
         return out
 
-    def kronecker_mul(self, F, G, pairs=None) -> list[list[int]]:
+    def kronecker_mul(self, F, G, norm: bool = False) -> list[list[int]]:
         """poly_mul by Kronecker substitution (Harvey 2009, J. Symb. Comput. 44).
 
         Each column becomes one integer, sum F[p][i] * 2**(s*i), so that one
@@ -253,8 +255,7 @@ class Table:
         packed_f = [_pack(col, nbytes, bias, bias_bytes) for col in F]
         packed_g = packed_f if G is F else [_pack(col, nbytes, bias, bias_bytes) for col in G]
         acc = [0] * self.dim
-        if pairs is None:
-            pairs = self.square_pairs if G is F else self.pairs
+        pairs = self.norm_pairs if norm else self.square_pairs if G is F else self.pairs
         for p, q, targets in pairs:
             a, b = packed_f[p], packed_g[q]
             if a and b:

@@ -252,6 +252,22 @@ def _integer_iterate(mants, zs: list[Approximant], W: int, goal: int, max_iterat
             return
 
 
+def _integers(cs: Sequence[Fraction]) -> list[int]:
+    """The coefficients times their least common denominator."""
+    den = math.lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs]
+
+
+def _gauss_horner(ints: list[int], a: int, b: int, F: int) -> tuple[int, int]:
+    """2**(F*n) * P((a + ib)/2**F) for P = sum ints[i] x^i of degree n and
+    F >= 0, exactly, as a Gaussian integer."""
+    n = len(ints) - 1
+    hr, hi = ints[n], 0
+    for i in range(n - 1, -1, -1):
+        hr, hi = hr * a - hi * b + (ints[i] << (F * (n - i))), hr * b + hi * a
+    return hr, hi
+
+
 def _residual_ok(ints: list[int], z: Approximant, bits: int) -> bool:
     """|P(z)| <= 2**-bits * max(1, sum |c_i| |z|**i), exactly, for the
     monic P = sum ints[i] x^i / ints[-1]."""
@@ -259,12 +275,11 @@ def _residual_ok(ints: list[int], z: Approximant, bits: int) -> bool:
     if F < 0:
         a, b, F = a << -F, b << -F, 0
     n = len(ints) - 1
-    modulus = isqrt(a * a + b * b)  # the sizes below are lower bounds
-    hr, hi, size = ints[n], 0, abs(ints[n])
-    for i in range(n - 1, -1, -1):
-        c = ints[i] << (F * (n - i))
-        hr, hi = hr * a - hi * b + c, hr * b + hi * a
-        size = size * modulus + abs(c)
+    hr, hi = _gauss_horner(ints, a, b, F)
+    modulus = isqrt(a * a + b * b)  # the size is a lower bound
+    size = 0
+    for i in range(n, -1, -1):
+        size = size * modulus + abs(ints[i] << (F * (n - i)))
     scale = max(ints[n] << (F * n), size)
     return (hr * hr + hi * hi) << (2 * bits) <= scale * scale
 
@@ -316,8 +331,7 @@ def aberth_roots(
             if accept(roots, bits):
                 return roots
         elif bits == top:
-            den = math.lcm(*(c.denominator for c in monic))
-            ints = [c.numerator * (den // c.denominator) for c in monic]
+            ints = _integers(monic)
             if not all(_residual_ok(ints, z, precision // 2) for z in zs):
                 raise ConvergenceError("root iteration did not reach the requested accuracy")
     return roots
@@ -364,15 +378,11 @@ def inclusion_radii(
     P(z_k) times 2**(E*n) times a common denominator is a Gaussian integer,
     and so is every difference of two points, so all of it is exact.
     """
-    cs = [Fraction(c) for c in coeffs]
-    den = math.lcm(*(c.denominator for c in cs))
-    ints = [c.numerator * (den // c.denominator) for c in cs]
+    ints = _integers([Fraction(c) for c in coeffs])
     n = len(ints) - 1
     radii = []
     for k, (A, B) in enumerate(points):
-        hr, hi = ints[-1], 0
-        for i in range(n - 1, -1, -1):
-            hr, hi = hr * A - hi * B + (ints[i] << (E * (n - i))), hr * B + hi * A
+        hr, hi = _gauss_horner(ints, A, B, E)
         prod = 1
         for j, (A2, B2) in enumerate(points):
             if j != k:

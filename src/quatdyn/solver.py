@@ -32,9 +32,10 @@ Class extraction is one pipeline with two acceptance policies:
            embedded at the requested bit precision and the ladder climbs to
            that precision plus 64 bits.  A root is near-real when its
            imaginary part is within 2**-(precision/2) * (1 + |z|) and its
-           inclusion disk meets the real axis; near-real roots give central
-           classes (2*mu, mu^2), conjugate pairs give (T, N), each snapped to
-           the simplest rational within the root's inclusion disk.  The
+           inclusion disk meets the real axis, with one verdict per
+           conjugate pair.  Near-real roots give central classes
+           (2*mu, mu^2), conjugate pairs give (T, N), each snapped to the
+           simplest rational within the root's inclusion disk.  The
            reduction and every residual are afterwards computed exactly from
            that approximate class data.
 """
@@ -112,7 +113,7 @@ def companion(g: Poly) -> Poly:
     # only the ground-field columns of the product are computed: the others cancel
     table = g.spec.table
     G, den = g._columns()
-    cols = table.poly_mul(G, G, table.norm_pairs)[: table.width]
+    cols = table.poly_mul(G, G, norm=True)[: table.width]
     return Poly._from_columns(g.spec.field, Scalar, cols, den * den * table.den)
 
 
@@ -354,6 +355,30 @@ def _near_real(A: int, B: int, E: int, h: int) -> bool:
     return excess <= 0 or excess * excess <= A * A + B * B
 
 
+def _real_roots(
+    pts: list[tuple[int, int]], radii: list[Fraction] | None, E: int, h: int
+) -> list[bool]:
+    """Which grid points (A + iB)/2**E count as real roots.
+
+    A point counts when |Im z| is within 2**-h * (1 + |z|) and, where the
+    disks are known, its own disk meets the real axis.  A conjugate pair gets
+    one verdict: each point found non-real makes the point nearest its
+    conjugate, across the axis, non-real as well.  (The approximants of a
+    pair are not exact conjugates, nor are their radii equal.)
+    """
+    real = [
+        _near_real(A, B, E, h) and (radii is None or Fraction(abs(B), 1 << E) <= rho)
+        for (A, B), rho in zip(pts, radii or [None] * len(pts))
+    ]
+    for k in [k for k, r in enumerate(real) if not r]:
+        A, B = pts[k]
+        across = [j for j, (_, B2) in enumerate(pts) if B2 * B < 0]
+        if across:
+            j = min(across, key=lambda j: (pts[j][0] - A) ** 2 + (pts[j][1] + B) ** 2)
+            real[j] = False
+    return real
+
+
 def _numeric_classes(C: Poly, precision: int) -> list[ConjClass]:
     if not C.spec.has_real_embedding:
         raise UnsupportedAlgebraError(
@@ -372,11 +397,10 @@ def _numeric_classes(C: Poly, precision: int) -> list[ConjClass]:
     # class data snapped to the simplest rational within each root's disk
     found: list[tuple[Fraction, Fraction, bool]] = []
     upper = lower = 0
-    for (A, B), rho in zip(pts, radii or [Fraction(0)] * len(pts)):
+    real = _real_roots(pts, radii, E, precision // 2)
+    for (A, B), rho, is_real in zip(pts, radii or [Fraction(0)] * len(pts), real):
         re, im = A * unit, B * unit
-        # real within the tolerance, and, where the disks are known, when the
-        # root's own disk meets the real axis
-        if _near_real(A, B, E, precision // 2) and (radii is None or abs(im) <= rho):
+        if is_real:
             mu = _simplest(re, rho)
             # mu lies in its own root's disk as a rule, so that one goes first
             excluded = bool(disks) and all(

@@ -478,6 +478,22 @@ def test_small_non_real_root_is_not_snapped_to_a_central_class():
     assert sol.klass.trace == 0 and abs(float(sol.klass.norm * 10**40) - 1) < 1e-6
     assert abs(float(sol.point.coords()[1] * 10**20) - 1) < 1e-9
 
+    # with |Im z| just inside one disk of the pair and just outside the
+    # other's, the pair still gets one verdict, so the roots still pair up
+    from quatdyn.aberth import aberth_roots, inclusion_radii, to_grid
+    from quatdyn.solver import _real_roots
+
+    fracs = [c.to_real(160) for c in companion(g).coeffs]
+    E, pts = to_grid(aberth_roots(fracs, precision=128), 192)
+    assert inclusion_radii(fracs, E, pts) is not None
+    ims = [Fraction(abs(B), 1 << E) for _, B in pts]
+    assert ims[0] != ims[1]  # the approximants are not exact conjugates
+    below = 1 - Fraction(1, 2**40)
+    for radii in ([ims[0], ims[1] * below], [ims[0] * below, ims[1]]):
+        assert _real_roots(pts, radii, E, 64) == [False, False]
+    assert _real_roots(pts, ims, E, 64) == [True, True]
+    assert _real_roots(pts, None, E, 64) == [True, True]
+
 
 # -- exact extraction against sympy's factorization -------------------------------
 
