@@ -302,6 +302,10 @@ def _check_arguments(ns) -> None:
         raise UsageError(
             f"--precision must be at least {MIN_PRECISION}, got {ns.precision}"
         )
+    if ns.precision > solver.MAX_PRECISION:
+        raise UsageError(
+            f"--precision must be at most {solver.MAX_PRECISION}, got {ns.precision}"
+        )
 
 
 def _emit_error(command: str, exc: Exception) -> None:

@@ -321,15 +321,8 @@ class Poly:
         """Right-divide by (x - lam): f = q*(x - lam) + r with r = f(lam)."""
         self._require_associative("right division")
         lam = self.spec.coerce(lam)
-        m = self.degree
-        if m < 1:
-            return Poly(self.spec), self.coeff(0)
-        q: list[Element] = [self.spec.zero()] * m
-        q[m - 1] = self.coeffs[m]
-        for k in range(m - 1, 0, -1):
-            q[k - 1] = self.coeffs[k] + q[k] * lam
-        r = self.coeffs[0] + q[0] * lam
-        return Poly(self.spec, q), r
+        q, r = divmod_monic(self.coeffs, [-lam, self.spec.one()])
+        return Poly(self.spec, q), r[0] if r else self.spec.zero()
 
     # -- equality and text ----------------------------------------------------------------
 
@@ -363,6 +356,24 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"<{self.render()} over {self.spec}>"
+
+
+def divmod_monic(a, b) -> tuple[list, list]:
+    """Quotient and remainder of the coefficient list a by the monic b.
+
+    Lists run low degree first.  Each product is taken as (quotient
+    coefficient) * (divisor coefficient), so over an associative algebra
+    a = q*b + r is right division.  The remainder is the low len(b) - 1
+    coefficients left over, zeros included.
+    """
+    r = list(a)
+    n = len(b) - 1
+    # each quotient coefficient is the top of what is left; it stays in place
+    for k in range(len(r) - n - 1, -1, -1):
+        f = r[k + n]
+        for i in range(n):
+            r[k + i] = r[k + i] - f * b[i]
+    return r[n:], r[:n]
 
 
 def _reduced(cols: list[list[int]], den: int) -> tuple[list[list[int]], int]:

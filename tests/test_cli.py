@@ -118,6 +118,8 @@ def test_exit_codes():
         ["roots", "--poly", "x^2+i*x+1", "--mode", "numeric", "--tolerance=-1e-9"],
         ["roots", "--poly", "x^2+1", "--mode", "numeric", "--precision", "0"],
         ["fixed-points", "--poly", "x^2", "--mode", "numeric", "--precision", "52"],
+        ["roots", "--poly", "x^2+1", "--mode", "numeric", "--precision", "2049"],
+        ["roots", "--poly", "x^2+i*x+2", "--mode", "numeric", "--precision", "1000000"],
     ):
         code, out = run_cli(argv)
         assert code == 2, argv
@@ -147,6 +149,29 @@ def test_exit_codes():
 
     code, _ = run_cli(["--version"])
     assert code == 0
+
+
+def test_precision_is_capped_and_the_cap_is_named():
+    """2048 bits is the largest precision accepted; an anomaly whose
+    resolving precision lies above it says so."""
+    code, out = run_cli(["roots", "--poly", "x^2+1", "--mode", "numeric", "--precision", "2049"])
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == "--precision must be at most 2048, got 2049"
+    code, _ = run_cli(["roots", "--poly", "x^2+1", "--mode", "numeric", "--precision", "2048"])
+    assert code == 0
+
+    argv = ["roots", "--poly", "10^300*x-i", "--mode", "numeric"]
+    code, out = run_cli(argv + ["--precision", "1536"])
+    [solution] = json.loads(out)["result"]
+    assert solution["variant"] == "anomaly"
+    assert solution["detail"].endswith(
+        "about 3072 bits would resolve the class, above the cap of 2048 bits"
+    )
+    code, out = run_cli(argv + ["--precision", "1024"])
+    [solution] = json.loads(out)["result"]
+    assert solution["detail"].endswith("about 2048 bits would resolve the class")
+    code, out = run_cli(argv + ["--precision", "2048"])
+    assert [s["variant"] for s in json.loads(out)["result"]] == ["point"]
 
 
 def test_numeric_class_data_is_snapped():

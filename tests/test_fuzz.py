@@ -9,12 +9,14 @@ another subcommand.
 Two commands see a narrower space, because their cost is not bounded by
 the parser's degree and height bounds nor by a work budget:
 
-* `roots` and `fixed-points` get polynomials of degree at most 8 with small
-  coefficients and `--precision` at most 512.  The solver's cost grows
-  steeply with the degree (a dense degree-24 numeric `roots` takes 4.4 to
-  4.9 s, 3.6 to 4.0 s of it in the squarefree part of the companion)
-  and with the coefficients' height (exact `roots` of x^2+10^1000*x+i runs
-  for more than 20 s); bounding the solver's work is a change of its own.
+* `roots` and `fixed-points` get polynomials of degree at most 12 with
+  small coefficients and `--precision` at most 512, or rarely one past
+  either bound (53 and 2048 bits), a usage error.  The solver's cost grows
+  with the degree (a dense numeric `roots` at 512 bits takes up to 0.5 s at
+  degree 12 and 1.1 s at degree 16; at 128 bits, 0.7 s at degree 24)
+  and steeply with the coefficients' height (exact `roots` of
+  x^2+10^1000*x+i runs for more than 20 s); bounding the solver's work is
+  a change of its own.
 * No exponent is drawn between 5 and 256: `companion --poly
   "(x+i+10^50)^128"` passes the parser's bounds and takes seconds.
 
@@ -109,9 +111,9 @@ def _options(command):
     """The options a subcommand reads, with drawn values."""
     if command in ("roots", "fixed-points"):
         return st.tuples(
-            _small_poly(8),
+            _small_poly(12),
             st.sampled_from(["exact", "numeric"]),
-            _mostly(st.integers(53, 512), st.integers(0, 52)),
+            _mostly(st.integers(53, 512), st.one_of(st.integers(0, 52), st.integers(2049, 10**9))),
             _mostly(st.floats(0, 1), st.floats()),
         ).map(lambda t: [f"--poly={t[0]}", "--mode", t[1], "--precision", str(t[2]),
                          f"--tolerance={t[3]}"])

@@ -15,6 +15,7 @@ from quatdyn import (
 )
 
 from quatdyn._kernel import _even
+from quatdyn.polynomials import divmod_monic
 
 from helpers import (
     pair_omul,
@@ -321,6 +322,30 @@ def test_right_division_remainder_is_evaluation(f, lam):
     q, r = f.divmod_linear(lam)
     assert r == f(lam)
     assert q * (Poly.x(H) - lam) + r == f
+
+
+@settings(max_examples=30)
+@given(polys, st.lists(quats, min_size=0, max_size=3), st.data())
+def test_divmod_monic_is_right_division_by_a_monic_divisor(q, low, data):
+    """a = q*b + r with b monic and deg r < deg b comes back as (q, r), the
+    remainder padded with zero quaternions, which have no truth value."""
+    b = Poly(H, low + [H.one()])
+    r = data.draw(st.lists(quats, min_size=len(low), max_size=len(low)))
+    a = q * b + Poly(H, r)
+    quotient, rest = divmod_monic(list(a.coeffs), list(b.coeffs))
+    assert Poly(H, quotient) == q
+    assert Poly(H, rest) == Poly(H, r)
+
+
+def test_divmod_monic_zero_remainders():
+    g = Poly(H, [1 + K, I, 1])  # right-divisible by x + j
+    q, r = divmod_monic(g.coeffs, [J, H.one()])
+    assert len(r) == 1 and r[0].is_zero
+    assert Poly(H, q) * (Poly.x(H) + J) == g
+    # (y - 3)^2 (y^2 + y + 5) over the integers, by a quadratic and a linear divisor
+    assert divmod_monic([45, -21, 8, -5, 1], [5, 1, 1]) == ([9, -6, 1], [0, 0])
+    assert divmod_monic([45, -21, 8, -5, 1], [-3, 1]) == ([-15, 2, -2, 1], [0])
+    assert divmod_monic([7], [-3, 1]) == ([], [7])
 
 
 def test_right_division_unsupported_over_octonions():

@@ -27,6 +27,7 @@ from quatdyn import (
 from helpers import (
     rand_poly,
     rand_quat,
+    rand_scalar,
     rand_solvable_poly,
     sqrt_bracket,
     table_qconj,
@@ -600,3 +601,51 @@ def test_inclusion_disks_and_certificate():
     near = [(round((1 + 0.3 / 64) * unit), 0), (round((1 + 0.7 / 64) * unit), 0)]
     assert max(inclusion_radii(P, 30, near)) < Fraction(1, 32)
     assert not _FactorSearch([1, 1], P)._certify(30, near)
+
+
+# -- the squarefree part against sympy ---------------------------------------------
+
+
+def _planted_repeats(rng, field):
+    """A non-monic product of linear and quadratic factors over the field,
+    at least one of them repeated."""
+    p = Poly(field, [rand_scalar(rng, field, span=9) or 1])
+    for mult in [rng.randint(2, 3)] + [rng.randint(1, 3) for _ in range(rng.randint(0, 2))]:
+        low = [rand_scalar(rng, field) for _ in range(rng.randint(1, 2))]
+        p = p * Poly(field, low + [1]) ** mult
+    return p
+
+
+def _to_sympy(sympy, c):
+    root = sympy.sqrt(c.field.d) if c.b else 0
+    return sympy.Rational(c.a.numerator, c.a.denominator) + sympy.Rational(
+        c.b.numerator, c.b.denominator
+    ) * root
+
+
+@pytest.mark.parametrize("d", [None, 2, 5])
+@pytest.mark.parametrize("seed", range(5))
+def test_squarefree_matches_sympy(d, seed):
+    from quatdyn.solver import _squarefree
+
+    sympy = pytest.importorskip("sympy")
+    field = FieldSpec(d)
+    p = _planted_repeats(random.Random(f"{d}:{seed}"), field)
+    y = sympy.Symbol("y")
+    extension = {} if d is None else {"extension": sympy.sqrt(d)}
+    sp = sympy.Poly([_to_sympy(sympy, c) for c in reversed(p.coeffs)], y, **extension)
+    expected = sp.sqf_part().monic().all_coeffs()[::-1]
+    got = _squarefree(list(p.coeffs))
+    assert len(got) == len(expected) < len(p.coeffs)
+    assert all(sympy.expand(_to_sympy(sympy, g) - e) == 0 for g, e in zip(got, expected))
+
+
+def test_dense_degree_24_numeric_roots_stay_within_the_fuzz_case_budget():
+    """The squarefree part's Euclid used to swell to 23,000-bit remainders
+    here and take about 4 s; monic divisors keep them near 1,000 bits."""
+    rng = random.Random(24)
+    g = Poly(H, [H.element(*(rng.randint(-9, 9) for _ in range(4))) for _ in range(24)] + [1 + I])
+    start = time.perf_counter()
+    sols = roots(g, mode="numeric")
+    assert time.perf_counter() - start < 3.0
+    assert len(sols) == 24 and all(s.kind == "point" for s in sols)
