@@ -297,8 +297,8 @@ class Element:
 
     Subclasses name their ground-field basis (`BASIS`), the foreign types
     they accept as operands (`LIFTS`) and the error that operands from
-    another spec raise (`MISMATCH`); their spec supplies `field`, `table`,
-    `coerce` and `one`.
+    another spec raise (`MISMATCH`); their spec, a `Spec`, supplies `field`,
+    `table`, `coerce` and `one`.
     """
 
     __slots__ = ("spec", "nums", "den")
@@ -316,25 +316,6 @@ class Element:
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "nums", tuple(nums))
         object.__setattr__(self, "den", den)
-
-    @classmethod
-    def from_scalars(cls, spec, values) -> Element:
-        """The element with leading ground-field coordinates `values`.
-
-        Each value is a Scalar of the spec's field or a rational; the
-        remaining coordinates are zero.
-        """
-        field, width = spec.field, spec.table.width
-        parts = []  # (numerators, denominator) of each value
-        for v in values:
-            if isinstance(v, RationalLike):
-                parts.append(((v.numerator, 0)[:width], v.denominator))
-            else:
-                v = field.coerce(v)
-                parts.append((v.nums, v.den))
-        den = lcm(*(d for _, d in parts))
-        nums = [v * (den // d) for vs, d in parts for v in vs]
-        return cls(spec, nums + [0] * (spec.table.dim - len(nums)), den)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -500,6 +481,77 @@ class Element:
 
     def __repr__(self) -> str:
         return f"<{self.render()} in {self.spec}>"
+
+
+class Spec:
+    """What the field, quaternion and octonion specs share.
+
+    A subclass names its element class (`ELEMENT`), sets `table` and `field`,
+    and defines `_key`, the parameters it compares and hashes by, and `sub`,
+    the spec one level down whose elements it lifts (a field lifts only
+    rationals and has none).  Specs are immutable.
+    """
+
+    __slots__ = ("table",)
+
+    ELEMENT: type[Element]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, *self._key()))
+
+    def coerce(self, value):
+        """value as an element of this spec.
+
+        Rationals become the leading coordinate; an element of a spec one
+        level down (`sub`) keeps its coordinates, padded with zeros.
+        """
+        element = self.ELEMENT
+        if isinstance(value, element):
+            if value.spec is not self and value.spec != self:
+                noun = element.__name__.lower()
+                raise element.MISMATCH(f"{noun} from {value.spec} used in {self}")
+            return value
+        if isinstance(value, RationalLike):
+            zeros = (0,) * (self.table.dim - 1)
+            return element(self, (value.numerator,) + zeros, value.denominator)
+        if isinstance(value, element.LIFTS):
+            return self._join((value,))
+        noun = element.__name__.lower()
+        article = "an" if noun[0] in "aeiou" else "a"
+        raise TypeError(f"cannot interpret {value!r} as {article} {noun}")
+
+    def _join(self, values):
+        """The element whose leading coordinates are those of `values`, in order.
+
+        Each value is an element of `sub` or anything `sub` coerces; the
+        remaining coordinates are zero.
+        """
+        parts = [self.sub.coerce(v) for v in values]
+        den = lcm(*(p.den for p in parts))
+        nums = [v * (den // p.den) for p in parts for v in p.nums]
+        return self.ELEMENT(self, nums + [0] * (self.table.dim - len(nums)), den)
+
+    def zero(self):
+        return self.coerce(0)
+
+    def one(self):
+        return self.coerce(1)
+
+    def basis_element(self, sym: str):
+        """The basis element named sym ("" for 1); KeyError for an unknown name."""
+        try:
+            idx = self.ELEMENT.BASIS.index(sym)
+        except ValueError:
+            raise KeyError(sym) from None
+        nums = [0] * self.table.dim
+        nums[idx * self.table.width] = 1
+        return self.ELEMENT(self, nums)
 
 
 def render_terms(terms: list[tuple[Scalar, str]]) -> str:

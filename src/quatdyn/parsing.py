@@ -21,8 +21,8 @@ pass HEIGHT_BUDGET, is refused before it is computed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from ._kernel import HEIGHT_BUDGET, height
 from .errors import ParseError
@@ -32,7 +32,7 @@ from .quaternions import QuatSpec
 from .scalars import FieldSpec, Scalar
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[a-z]+\d*)|(?P<op>[-+*^()]))"
+    r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[a-z]+\d*)|(?P<op>[-+*^()])|(?P<bad>\S))"
 )
 _RADICAL_RE = re.compile(r"^s(\d+)$")
 
@@ -41,8 +41,7 @@ _RADICAL_RE = re.compile(r"^s(\d+)$")
 MAX_INPUT_DEGREE = 256
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "number" | "name" | "op" | "end"
     text: str
     pos: int
@@ -50,21 +49,11 @@ class _Token:
 
 def _tokenize(source: str) -> list[_Token]:
     tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            stripped = source[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(source) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", at)
-        for kind in ("number", "name", "op"):
-            text = m.group(kind)
-            if text is not None:
-                tokens.append(_Token(kind, text, m.start(kind)))
-                break
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(source):  # trailing whitespace matches nothing
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}", m.start(kind))
+        tokens.append(_Token(kind, m.group(kind), m.start(kind)))
     tokens.append(_Token("end", "", len(source)))
     return tokens
 

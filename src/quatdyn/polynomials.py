@@ -15,7 +15,7 @@ evaluates f in A[x]/(x^2 - T*x + N), with (T, N) the trace and norm of lam.
 They agree when lam commutes with the intermediate values and differ in
 general.  Composition of polynomials is itself non-associative over a
 noncommutative coefficient algebra, so the outer-application order above is
-part of the contract, as is left-nesting of powers in `compose`.
+part of the contract.
 """
 
 from __future__ import annotations
@@ -198,12 +198,14 @@ class Poly:
         """Substitute a polynomial: sum c_i * (other ** i).
 
         The powers are left-nested, g^i = g^(i-1) * g, and each term is
-        c_i * (g^i); no Horner form, since over octonions (c*g)*g and
-        c*(g*g) differ.  The powers and the running sum stay coordinate
-        columns over one denominator, reduced after each product and sum by
-        their content (the gcd of every numerator and the denominator), which
-        leaves the same integers as `_columns` of the reduced coefficients.
-        The coefficients become elements once, at the end.
+        c_i * (g^i).  A[x] is alternative, so a Horner form gives the same
+        polynomial, over octonions too; the powers are kept because g*g takes
+        the packed square (`Table.square_pairs`).  The powers and the running
+        sum stay coordinate columns over one denominator, reduced after each
+        product and sum by their content (the gcd of every numerator and the
+        denominator), which leaves the same integers as `_columns` of the
+        reduced coefficients.  The coefficients become elements once, at the
+        end.
         """
         o = self._lift(other)
         if o is None:
@@ -274,27 +276,24 @@ class Poly:
         return out
 
     def quotient_value(self, u, trace, norm) -> tuple[Element, Element]:
-        """f(u) = sum c_i u^i in A[x]/(x^2 - trace*x + norm), powers left-nested.
+        """f(u) = sum c_i u^i in A[x]/(x^2 - trace*x + norm), by Horner's rule.
 
         u = (a, b) stands for a*x + b, and so does the pair returned.  The
         modulus has ground-field coefficients, so it is central and reduction
         modulo it is a homomorphism, over octonions too.  Hence the residue of
         a composite f(g) is f evaluated at the residue of g, and every
         polynomial with residue a*x + b takes the value a*lam + b at each lam
-        of trace `trace` and norm `norm`.
+        of trace `trace` and norm `norm`.  The residue ring is alternative, so
+        Horner's rule gives sum c_i u^i term by term, as in `__call__`: each
+        step multiplies by u with x*x = trace*x - norm, 6 products.
         """
         spec = self.spec
         T, N = spec.coerce(trace), spec.coerce(norm)
-        A, B = spec.zero(), self.coeff(0)
-        power = u
-        for i in range(1, len(self.coeffs)):
-            if i > 1:
-                (p, q), (r, s) = power, u
-                pr = p * r
-                power = T * pr + p * s + q * r, q * s - N * pr
-            c = self.coeffs[i]
-            if not c.is_zero:
-                A, B = A + c * power[0], B + c * power[1]
+        a, b = u
+        A, B = spec.zero(), self.coeff(self.degree)
+        for c in reversed(self.coeffs[:-1]):
+            Aa = A * a
+            A, B = T * Aa + A * b + B * a, B * b - N * Aa + c
         return A, B
 
     def eval_iterate(self, lam, n: int) -> Element:

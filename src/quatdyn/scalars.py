@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from math import isqrt, lcm
 
-from ._kernel import Element, RationalLike, Table
+from ._kernel import Element, RationalLike, Spec, Table
 from .errors import FieldMismatchError, NoRealEmbeddingError
 
 
@@ -30,91 +30,6 @@ def _is_squarefree(n: int) -> bool:
             return False
         p += 2
     return True
-
-
-class FieldSpec:
-    """Ground field: Q when d is None, otherwise Q(sqrt d) for squarefree d."""
-
-    __slots__ = ("d", "table")
-
-    def __init__(self, d: int | None = None) -> None:
-        if d is not None:
-            if d in (0, 1):
-                raise ValueError(f"d = {d} does not define a quadratic extension")
-            if abs(d) >= 2**40:  # trial division takes 0.09 s at 40 bits, 1.6 s at 47
-                raise ValueError(f"|d| = {abs(d)} is not below 2**40")
-            if not _is_squarefree(d):
-                raise ValueError(f"d = {d} is not squarefree")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "table", Table(self))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldSpec is immutable")
-
-    @property
-    def field(self) -> FieldSpec:
-        """The ground field of the field as an algebra: itself."""
-        return self
-
-    @property
-    def is_rational(self) -> bool:
-        return self.d is None
-
-    @property
-    def has_real_embedding(self) -> bool:
-        return self.d is None or self.d > 0
-
-    def scalar(self, a: int | Fraction = 0, b: int | Fraction = 0) -> Scalar:
-        """a + b*sqrt(d) for rationals a and b."""
-        if b and self.d is None:
-            raise ValueError("rational field scalars cannot carry a radical part")
-        a, b = Fraction(a), Fraction(b)
-        den = lcm(a.denominator, b.denominator)
-        nums = (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
-        return Scalar(self, nums[: self.table.width], den)
-
-    def from_nums(self, nums, den: int = 1) -> Scalar:
-        """The scalar with kernel numerators `nums` over `den`."""
-        return Scalar(self, nums, den)
-
-    def sqrt_gen(self) -> Scalar:
-        """The generator sqrt(d) itself."""
-        if self.d is None:
-            raise ValueError("the rational field has no radical generator")
-        return Scalar(self, (0, 1))
-
-    def coerce(self, value) -> Scalar:
-        if isinstance(value, Scalar):
-            if value.spec is not self and value.spec != self:
-                raise FieldMismatchError(
-                    f"scalar from {value.spec} used in {self}"
-                )
-            return value
-        if isinstance(value, RationalLike):
-            w = self.table.width
-            return Scalar(self, (value.numerator, 0)[:w], value.denominator)
-        raise TypeError(f"cannot interpret {value!r} as a scalar")
-
-    def zero(self) -> Scalar:
-        return self.coerce(0)
-
-    def one(self) -> Scalar:
-        return self.coerce(1)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FieldSpec) and self.d == other.d
-
-    def __hash__(self) -> int:
-        return hash(("FieldSpec", self.d))
-
-    def __repr__(self) -> str:
-        return f"FieldSpec(d={self.d})"
-
-    def __str__(self) -> str:
-        return "Q" if self.d is None else f"Q(s{self.d})"
-
-
-QQ = FieldSpec()
 
 
 def _text(q: Fraction) -> str:
@@ -264,3 +179,66 @@ class Scalar(Element):
 
 
 SCALAR_LIFTS = (Scalar,) + RationalLike
+
+
+class FieldSpec(Spec):
+    """Ground field: Q when d is None, otherwise Q(sqrt d) for squarefree d."""
+
+    __slots__ = ("d",)
+
+    ELEMENT = Scalar
+
+    def __init__(self, d: int | None = None) -> None:
+        if d is not None:
+            if d in (0, 1):
+                raise ValueError(f"d = {d} does not define a quadratic extension")
+            if abs(d) >= 2**40:  # trial division takes 0.09 s at 40 bits, 1.6 s at 47
+                raise ValueError(f"|d| = {abs(d)} is not below 2**40")
+            if not _is_squarefree(d):
+                raise ValueError(f"d = {d} is not squarefree")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "table", Table(self))
+
+    def _key(self) -> tuple:
+        return (self.d,)
+
+    @property
+    def field(self) -> FieldSpec:
+        """The ground field of the field as an algebra: itself."""
+        return self
+
+    @property
+    def is_rational(self) -> bool:
+        return self.d is None
+
+    @property
+    def has_real_embedding(self) -> bool:
+        return self.d is None or self.d > 0
+
+    def scalar(self, a: int | Fraction = 0, b: int | Fraction = 0) -> Scalar:
+        """a + b*sqrt(d) for rationals a and b."""
+        if b and self.d is None:
+            raise ValueError("rational field scalars cannot carry a radical part")
+        a, b = Fraction(a), Fraction(b)
+        den = lcm(a.denominator, b.denominator)
+        nums = (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
+        return Scalar(self, nums[: self.table.width], den)
+
+    def from_nums(self, nums, den: int = 1) -> Scalar:
+        """The scalar with kernel numerators `nums` over `den`."""
+        return Scalar(self, nums, den)
+
+    def sqrt_gen(self) -> Scalar:
+        """The generator sqrt(d) itself."""
+        if self.d is None:
+            raise ValueError("the rational field has no radical generator")
+        return Scalar(self, (0, 1))
+
+    def __repr__(self) -> str:
+        return f"FieldSpec(d={self.d})"
+
+    def __str__(self) -> str:
+        return "Q" if self.d is None else f"Q(s{self.d})"
+
+
+QQ = FieldSpec()

@@ -87,6 +87,24 @@ def test_parse_errors_carry_positions():
         parse_poly("1 / 2", H)  # rationals are single tokens
 
 
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("   \n", "unexpected token '' (at position 4)"),
+        ("\t$", "unexpected character '$' (at position 1)"),
+        ("x + é", "unexpected character 'é' (at position 4)"),
+        ("  3/", "unexpected character '/' (at position 3)"),
+        ("x ^ -1", "exponent must be a nonnegative integer (at position 4)"),
+        ("2  x", "unexpected trailing input 'x' (at position 3)"),
+        ("x​", "unexpected character '\\u200b' (at position 1)"),
+    ],
+)
+def test_parse_error_text_names_the_token_after_whitespace(source, message):
+    with pytest.raises(ParseError) as err:
+        parse_poly(source, H)
+    assert str(err.value) == message
+
+
 def test_unknown_and_wrong_algebra_symbols():
     with pytest.raises(ParseError):
         parse_poly("foo + x", H)

@@ -275,6 +275,27 @@ def test_octonion_compose_of_doubling_example():
     assert ff(j) == 4 * i + j
 
 
+def test_octonion_horner_forms_agree():
+    """O[x] is alternative, so Horner's rule holds there for compose and residues.
+
+    compose against (...(c_n*g + c_(n-1))*g + ...)*g + c_0 built from Poly
+    operations, and quotient_value against the remainder of f(a*x + b) by the
+    central x^2 - T*x + N.
+    """
+    rng = random.Random(67)
+    for _ in range(30):
+        f = rand_poly(rng, O, 3, den=3)
+        g = rand_poly(rng, O, 2, den=3)
+        horner = Poly(O)
+        for c in reversed(f.coeffs):
+            horner = horner * g + c
+        assert f.compose(g) == horner
+        a, b = rand_oct(rng, O, den=3), rand_oct(rng, O, den=3)
+        T, N = Fraction(rng.randint(-9, 9), 2), Fraction(rng.randint(-9, 9), 3)
+        _, (low, high) = divmod_monic(f.compose(Poly(O, [b, a])).coeffs, [N, -T, 1])
+        assert f.quotient_value((a, b), T, N) == (high, low)
+
+
 def test_compose_iterate_examples():
     f = Poly(H, [0, 0, I])
     assert f.compose_iterate(1) == f
