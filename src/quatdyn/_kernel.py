@@ -9,12 +9,12 @@ sits at position P*width, followed by its sqrt(d) part when the ground field
 is Q(sqrt d) (width 2 instead of 1).
 
 Every product goes through one sparse table of integer structure constants
-per algebra, derived once from the defining relations.  `Poly` products
-convolve the coordinate columns of two polynomials through the same table,
-so they work on raw integers over one denominator per polynomial.  Short
-operands take the schoolbook convolution; long ones pack each column into
-one integer (Kronecker substitution), so that a whole convolution is one
-integer product per column pair of the table.
+per algebra, derived once from the defining relations.  A `Poly` is the
+coordinate columns of its coefficients over one denominator, and its
+products convolve those columns through the same table.  Short operands take
+the schoolbook convolution; long ones pack each column into one integer
+(Kronecker substitution), so that a whole convolution is one integer product
+per column pair of the table.
 """
 
 from __future__ import annotations

@@ -292,6 +292,11 @@ def _check_arguments(ns) -> None:
         if value is not None and value < 1:
             flag = "--" + name.replace("_", "-")
             raise UsageError(f"{flag} must be at least 1, got {value}")
+    # a composite's degree grows geometrically in n, and the work budget
+    # counts coefficient bits, so sparse low-height composites pass it
+    cap = getattr(ns, "degree_cap", None)
+    if cap is not None and cap > DEFAULT_DEGREE_CAP:
+        raise UsageError(f"--degree-cap must be at most {DEFAULT_DEGREE_CAP}, got {cap}")
     if not hasattr(ns, "tolerance"):
         return  # only the solver commands take --tolerance and --precision
     if not (math.isfinite(ns.tolerance) and ns.tolerance >= 0):

@@ -15,7 +15,8 @@ octonions; k always means i*j.  Products keep their written order, and the
 result is normalized to left-coefficient form (the variable is central, so
 this always succeeds).  A power or product whose degree would pass
 MAX_INPUT_DEGREE, or a power whose height bound (bits times exponent) would
-pass HEIGHT_BUDGET, is refused before it is computed.
+pass HEIGHT_BUDGET, is refused before it is computed, and so is nesting of
+parentheses and unary minus signs deeper than MAX_NESTING.
 """
 
 from __future__ import annotations
@@ -39,6 +40,13 @@ _RADICAL_RE = re.compile(r"^s(\d+)$")
 # The largest degree a parsed polynomial may have: the companion of a dense
 # degree-256 quaternion polynomial takes 0.08 s, and of degree 1024 5.2 s.
 MAX_INPUT_DEGREE = 256
+
+# The deepest nesting of '(' and unary '-' together.  The parser recurses:
+# a parenthesis costs four frames (expr, term, factor, atom) and a unary
+# minus one, so 100 levels take at most about 400 frames.  That stays well
+# below CPython's default recursion limit of 1000 even when the parser is
+# called a few hundred frames deep, under pytest, Hypothesis or a profiler.
+MAX_NESTING = 100
 
 
 class _Token(NamedTuple):
@@ -71,6 +79,7 @@ class _Parser:
         self.spec = spec
         self.tokens = _tokenize(source)
         self.index = 0
+        self.depth = 0  # open '(' and unary '-' around the current atom
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -143,12 +152,17 @@ class _Parser:
             return Poly.constant(self.spec, Fraction(_integer(tok, p), den))
         if tok.kind == "name":
             return self._named(tok)
-        if tok.kind == "op" and tok.text == "(":
-            inner = self.expr()
-            self.expect_op(")")
+        if tok.kind == "op" and tok.text in ("(", "-"):
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.pos)
+            if tok.text == "(":
+                inner = self.expr()
+                self.expect_op(")")
+            else:
+                inner = -self.atom()
+            self.depth -= 1
             return inner
-        if tok.kind == "op" and tok.text == "-":
-            return -self.atom()
         raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
 
     def _named(self, tok: _Token) -> Poly:

@@ -1,7 +1,8 @@
 """Left polynomials over a quaternion or octonion algebra, or over the ground
 field itself (the companion polynomials of the solver).
 
-Coefficients sit on the left of a central variable: f(x) = sum c_i x^i.
+Coefficients sit on the left of a central variable: f(x) = sum c_i x^i, and a
+`Poly` holds them as integer coordinate columns over one denominator.
 Multiplication is the convolution with coefficient products taken in written
 order, and substitution f(lam) = sum c_i lam^i is *not* a ring homomorphism.
 Two different iterations therefore coexist and are kept apart throughout:
@@ -45,32 +46,53 @@ Element = Quaternion | Octonion | Scalar
 
 
 class Poly:
-    """Dense left-coefficient polynomial in normal form (no trailing zeros)."""
+    """Dense left-coefficient polynomial, stored as its coordinate columns.
 
-    __slots__ = ("spec", "coeffs")
+    cols[p][i] / den is coordinate p of the coefficient of x^i, over one
+    positive den, with no trailing zero coefficient and content 1 (the gcd of
+    den and every numerator): a unique form, so it decides equality.  The
+    lists are never mutated.  `coeffs` builds the elements on first use.
+    """
+
+    __slots__ = ("spec", "cols", "den", "_coeffs")
 
     spec: AlgebraSpec
-    coeffs: tuple[Element, ...]
+    cols: list[list[int]]
+    den: int
 
     def __init__(self, spec: AlgebraSpec, coeffs=()) -> None:
         cs = [spec.coerce(c) for c in coeffs]
         while cs and cs[-1].is_zero:
             cs.pop()
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def _columns(self) -> tuple[list[list[int]], int]:
-        """Coordinate columns of the coefficients over one shared denominator."""
-        den = lcm(*(c.den for c in self.coeffs))
-        rows = [[v * (den // c.den) for v in c.nums] for c in self.coeffs]
-        return [list(col) for col in zip(*rows)], den
+        # each coefficient is in lowest terms, so over their lcm the content is 1
+        den = lcm(*(c.den for c in cs))
+        rows = [c.nums if c.den == den else [v * (den // c.den) for v in c.nums] for c in cs]
+        cols = [list(col) for col in zip(*rows)] or [[] for _ in range(spec.table.dim)]
+        self._set(spec, cols, den, tuple(cs))
 
     @classmethod
-    def _from_columns(cls, spec: AlgebraSpec, element: type, cols, den: int) -> Poly:
-        return cls(spec, [element(spec, nums, den) for nums in zip(*cols)])
+    def from_cols(cls, spec: AlgebraSpec, cols, den: int) -> Poly:
+        """The polynomial with coordinate columns cols over den > 0, any content."""
+        return object.__new__(cls)._set(spec, *_reduced(cols, den))
+
+    def _set(self, spec, cols, den, coeffs=None) -> Poly:
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_coeffs", coeffs)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Element, ...]:
+        """The coefficients, lowest degree first, each in lowest terms."""
+        if self._coeffs is None:
+            spec, den = self.spec, self.den
+            coeffs = tuple(spec.ELEMENT(spec, nums, den) for nums in zip(*self.cols))
+            object.__setattr__(self, "_coeffs", coeffs)
+        return self._coeffs
 
     @classmethod
     def constant(cls, spec: AlgebraSpec, value) -> Poly:
@@ -83,14 +105,14 @@ class Poly:
     @property
     def degree(self) -> int:
         """Degree of the leading term; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.cols[0]) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.cols[0]
 
     def coeff(self, i: int) -> Element:
-        if 0 <= i < len(self.coeffs):
+        if 0 <= i <= self.degree:
             return self.coeffs[i]
         return self.spec.zero()
 
@@ -116,8 +138,7 @@ class Poly:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Poly(self.spec, [self.coeff(i) + o.coeff(i) for i in range(n)])
+        return Poly.from_cols(self.spec, *_add_columns(self.cols, self.den, o.cols, o.den))
 
     __radd__ = __add__
 
@@ -125,14 +146,13 @@ class Poly:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Poly(self.spec, [self.coeff(i) - o.coeff(i) for i in range(n)])
+        return self + -o
 
     def __rsub__(self, other) -> Poly:
         return (-self) + other
 
     def __neg__(self) -> Poly:
-        return Poly(self.spec, [-c for c in self.coeffs])
+        return Poly.from_cols(self.spec, [[-v for v in col] for col in self.cols], self.den)
 
     def __mul__(self, other) -> Poly:
         o = self._lift(other)
@@ -141,11 +161,9 @@ class Poly:
         if self.is_zero or o.is_zero:
             return Poly(self.spec)
         table = self.spec.table
-        F, fd = self._columns()
-        G, gd = (F, fd) if o is self else o._columns()
-        return Poly._from_columns(
-            self.spec, type(self.coeffs[0]), table.poly_mul(F, G), fd * gd * table.den
-        )
+        # a square passes one column list twice, for the packed square
+        cols = table.poly_mul(self.cols, o.cols)
+        return Poly.from_cols(self.spec, cols, self.den * o.den * table.den)
 
     def __rmul__(self, other) -> Poly:
         o = self._lift(other)
@@ -184,15 +202,14 @@ class Poly:
         lam = self.spec.coerce(lam)
         if self.is_zero:
             return self.spec.zero()
-        table = self.spec.table
-        cols, den = self._columns()
+        table, cols = self.spec.table, self.cols
         scale = lam.den * table.den
         power = 1
         acc = [col[-1] for col in cols]
-        for i in range(len(self.coeffs) - 2, -1, -1):
+        for i in range(self.degree - 1, -1, -1):
             power *= scale
             acc = [v + col[i] * power for v, col in zip(table.mul(acc, lam.nums), cols)]
-        return type(lam)(self.spec, acc, den * power)
+        return type(lam)(self.spec, acc, self.den * power)
 
     def compose(self, other) -> Poly:
         """Substitute a polynomial: sum c_i * (other ** i).
@@ -200,38 +217,19 @@ class Poly:
         The powers are left-nested, g^i = g^(i-1) * g, and each term is
         c_i * (g^i).  A[x] is alternative, so a Horner form gives the same
         polynomial, over octonions too; the powers are kept because g*g takes
-        the packed square (`Table.square_pairs`).  The powers and the running
-        sum stay coordinate columns over one denominator, reduced after each
-        product and sum by their content (the gcd of every numerator and the
-        denominator), which leaves the same integers as `_columns` of the
-        reduced coefficients.  The coefficients become elements once, at the
-        end.
+        the packed square (`Table.square_pairs`).
         """
         o = self._lift(other)
         if o is None:
             raise TypeError(f"cannot compose with {other!r}")
-        if self.is_zero:
-            return Poly(self.spec)
-        table = self.spec.table
-        acc, acc_den = [[v] for v in self.coeffs[0].nums], self.coeffs[0].den
-        if not o.is_zero:
-            g, g_den = o._columns()
-            power, power_den = g, g_den
-            for i in range(1, len(self.coeffs)):
-                if i > 1:
-                    power, power_den = _reduced(
-                        table.poly_mul(power, g), power_den * g_den * table.den
-                    )
-                    if not power[0]:  # g^i vanished (a split algebra)
-                        break
-                c = self.coeffs[i]
-                if not c.is_zero:
-                    term = _reduced(
-                        table.poly_mul([[v] for v in c.nums], power),
-                        c.den * power_den * table.den,
-                    )
-                    acc, acc_den = _add_columns(acc, acc_den, *term)
-        return Poly._from_columns(self.spec, type(self.coeffs[0]), acc, acc_den)
+        out, power = Poly(self.spec, self.coeffs[:1]), None
+        for c in self.coeffs[1:]:
+            power = o if power is None else power * o
+            if power.is_zero:  # g^i vanished (a split algebra)
+                break
+            if not c.is_zero:
+                out = out + Poly.constant(self.spec, c) * power
+        return out
 
     def compose_iterate(self, n: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> Poly:
         """n-fold self-composition, the outer copy applied last at each step.
@@ -261,7 +259,7 @@ class Poly:
             for k in range(2, n + 1):
                 # the composite's coefficients: deg(f) powers of out's, times f's
                 bits = self.degree * height(*out.coeffs) + f_bits
-                columns = sum(any(col) for col in zip(*(c.nums for c in out.coeffs)))
+                columns = sum(map(any, out.cols))
                 work = columns * self.degree * (self.degree * out.degree + 1) * bits
                 for size, what, budget in (
                     (bits, "height", HEIGHT_BUDGET),
@@ -328,10 +326,10 @@ class Poly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.spec == other.spec and self.coeffs == other.coeffs
+        return self.den == other.den and self.cols == other.cols and self.spec == other.spec
 
     def __hash__(self) -> int:
-        return hash((self.spec, self.coeffs))
+        return hash((self.spec, self.den, tuple(map(tuple, self.cols))))
 
     def render(self) -> str:
         """Canonical text: left coefficients parenthesized, descending powers."""
@@ -382,7 +380,7 @@ def _reduced(cols: list[list[int]], den: int) -> tuple[list[list[int]], int]:
         size -= 1
     if size < len(cols[0]):
         cols = [col[:size] for col in cols]
-    g = gcd(den, *(v for col in cols for v in col))
+    g = 1 if den == 1 else gcd(den, *(v for col in cols for v in col))
     if g != 1:
         cols = [[v // g for v in col] for col in cols]
         den //= g
@@ -390,7 +388,7 @@ def _reduced(cols: list[list[int]], den: int) -> tuple[list[list[int]], int]:
 
 
 def _add_columns(a, a_den: int, b, b_den: int) -> tuple[list[list[int]], int]:
-    """a/a_den + b/b_den, as reduced columns over one denominator."""
+    """a/a_den + b/b_den, as columns over one denominator."""
     den = lcm(a_den, b_den)
     sa, sb = den // a_den, den // b_den
     if len(a[0]) < len(b[0]):
@@ -399,4 +397,4 @@ def _add_columns(a, a_den: int, b, b_den: int) -> tuple[list[list[int]], int]:
     for col, other in zip(out, b):
         for k, v in enumerate(other):
             col[k] += v * sb
-    return _reduced(out, den)
+    return out, den

@@ -117,9 +117,8 @@ def companion(g: Poly) -> Poly:
         raise ZeroPolynomialError("the zero polynomial has no companion")
     # only the ground-field columns of the product are computed: the others cancel
     table = g.spec.table
-    G, den = g._columns()
-    cols = table.poly_mul(G, G, norm=True)[: table.width]
-    return Poly._from_columns(g.spec.field, Scalar, cols, den * den * table.den)
+    cols = table.poly_mul(g.cols, g.cols, norm=True)[: table.width]
+    return Poly.from_cols(g.spec.field, cols, g.den * g.den * table.den)
 
 
 # -- the class-extraction pipeline ---------------------------------------------

@@ -98,6 +98,18 @@ def test_exit_codes():
     assert code == 2
     assert json.loads(out)["error"]["type"] == "ParseError"
 
+    # nesting past the parser's bound, in a polynomial, a point and an
+    # algebra parameter, is a parse error and not a RecursionError
+    for argv in (
+        ["roots", "--poly", "(" * 250 + "x" + ")" * 250],
+        ["roots", "--poly=" + "-" * 1000 + "x"],
+        ["orbit", "--poly", "x^2", "--point=" + "(" * 250 + "j" + ")" * 250],
+        ["companion", "--algebra", "quat:" + "-" * 1000 + "1,-1@Q", "--poly", "x"],
+    ):
+        code, out = run_cli(argv)
+        assert code == 2, argv
+        assert json.loads(out)["error"]["type"] == "ParseError"
+
     code, out = run_cli(["compose", "--poly", "i*x^2", "--n", "20"])
     assert code == 1
     assert json.loads(out)["error"]["type"] == "DegreeCapError"
@@ -120,6 +132,7 @@ def test_exit_codes():
         ["fixed-points", "--poly", "x^2", "--mode", "numeric", "--precision", "52"],
         ["roots", "--poly", "x^2+1", "--mode", "numeric", "--precision", "2049"],
         ["roots", "--poly", "x^2+i*x+2", "--mode", "numeric", "--precision", "1000000"],
+        ["compose", "--poly", "x^2", "--n", "1", "--degree-cap", "4097"],
     ):
         code, out = run_cli(argv)
         assert code == 2, argv
@@ -414,6 +427,15 @@ def test_degree_cap_flag():
     )
     assert code == 0
     assert json.loads(out)["result"]["degree"] == 32
+    # the default cap is also the largest: a raised cap let sparse composites
+    # of low height, which pass the work budget, double in degree with each n
+    code, out = run_cli(["compose", "--poly", "x^2", "--n", "12", "--degree-cap", "4096"])
+    assert code == 0 and json.loads(out)["result"]["degree"] == 4096
+    code, out = run_cli(["compose", "--poly", "x^2", "--n", "1", "--degree-cap", "4097"])
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "UsageError", "message": "--degree-cap must be at most 4096, got 4097",
+    }
 
 
 def test_point_with_radical_coordinates():

@@ -3,8 +3,8 @@
 Each case must print exactly one JSON document on stdout, exit with 0, 1 or
 2, and end within CASE_SECONDS.  The cases draw algebra declarations with d
 up to 10^40, polynomials built from the expression grammar with large
-exponents and numbers, points, counts up to 10^9 and options that belong to
-another subcommand.
+exponents and numbers and, rarely, nesting deeper than the parser's bound,
+points, counts up to 10^9 and options that belong to another subcommand.
 
 Two commands see a narrower space, because their cost is not bounded by
 the parser's degree and height bounds nor by a work budget:
@@ -22,6 +22,7 @@ the parser's degree and height bounds nor by a work budget:
 
 `compose` draws from the full polynomial space: its work budget bounds the
 composites it builds by their predicted height and size, not only by degree.
+Its `--degree-cap` is sometimes above the largest accepted, 4096.
 """
 
 import contextlib
@@ -47,6 +48,10 @@ BIG = st.one_of(
     st.sampled_from(["2^65536", "2^65537", "7" * 5000, "10^5000", "i^65536"]),
 )
 SYMBOL = st.sampled_from(["x", "i", "j", "k", "1/2", "3/7", "0"])
+# nesting of '(' and unary '-' at and past the parser's bound of 100 levels
+DEEP = st.tuples(st.booleans(), st.sampled_from([100, 101, 250, 1000])).map(
+    lambda t: "(" * t[1] + "x" + ")" * t[1] if t[0] else "-" * t[1] + "i"
+)
 # symbols that only some algebras know
 EXOTIC = st.sampled_from(["l", "il", "kl", "s5", "s2"])
 EXPONENT = _mostly(
@@ -68,10 +73,11 @@ def _grammar(leaves, exponents):
     return st.recursive(leaves, extend, max_leaves=6)
 
 
-POLY = _grammar(_mostly(st.one_of(SYMBOL, SMALL), st.one_of(BIG, EXOTIC)), EXPONENT)
+LEAF = _mostly(st.one_of(SYMBOL, SMALL), st.one_of(BIG, EXOTIC, DEEP))
+POLY = _grammar(LEAF, EXPONENT)
 POINT = st.one_of(
     st.sampled_from(["j", "-i", "1/2+j", "i+j", "1+l", "s5*i", "0", "1"]),
-    _grammar(_mostly(st.one_of(SYMBOL, SMALL), st.one_of(BIG, EXOTIC)), EXPONENT),
+    _grammar(LEAF, EXPONENT),
 )
 
 
@@ -120,7 +126,8 @@ def _options(command):
     if command == "companion":
         return POLY.map(lambda p: [f"--poly={p}"])
     if command == "compose":
-        return st.tuples(POLY, COUNT, st.one_of(st.none(), st.integers(-1, 64))).map(
+        cap = st.one_of(st.none(), _mostly(st.integers(-1, 64), st.integers(4097, 10**7)))
+        return st.tuples(POLY, COUNT, cap).map(
             lambda t: [f"--poly={t[0]}", "--n", str(t[1])]
             + ([] if t[2] is None else ["--degree-cap", str(t[2])])
         )

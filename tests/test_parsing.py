@@ -105,6 +105,25 @@ def test_parse_error_text_names_the_token_after_whitespace(source, message):
     assert str(err.value) == message
 
 
+def test_nesting_is_bounded():
+    """'(' and unary '-' count together against MAX_NESTING (100); past it
+    the parser raises ParseError at the first token too deep, instead of
+    recursing into a RecursionError."""
+    assert parse_poly("(" * 100 + "x" + ")" * 100, H) == Poly.x(H)
+    assert parse_element("-" * 100 + "i", H) == I
+    assert parse_scalar("(-" * 50 + "2" + ")" * 50, QQ) == QQ.scalar(2)
+    for source, position in (
+        ("(" * 250 + "x" + ")" * 250, 100),
+        ("-" * 1000 + "x", 100),
+        ("x + " + "(-" * 60 + "i" + ")" * 60, 104),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_poly(source, H)
+        assert str(err.value) == f"nesting deeper than 100 levels (at position {position})"
+    with pytest.raises(ParseError):
+        parse_scalar("(" * 300 + "2" + ")" * 300, QQ)
+
+
 def test_unknown_and_wrong_algebra_symbols():
     with pytest.raises(ParseError):
         parse_poly("foo + x", H)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from quatdyn import (
 
 from quatdyn._kernel import _even
 from quatdyn.polynomials import divmod_monic
+from quatdyn.solver import companion
 
 from helpers import (
     pair_omul,
@@ -48,12 +50,60 @@ quats = st.tuples(coords, coords, coords, coords).map(lambda t: H.element(*t))
 polys = st.lists(quats, min_size=0, max_size=4).map(lambda cs: Poly(H, cs))
 
 
+SPLIT = QuatSpec(QQ, 1, 1)  # i*i = 1, so (1 + i)*(1 - i) = 0
+
+
+def _tuple_mul(spec):
+    """The tuple oracle's product of two coordinate tuples of spec."""
+    if isinstance(spec, OctSpec):
+        q = spec.quat
+        return lambda x, y: pair_omul(q.alpha, q.beta, spec.gamma, x, y)
+    return lambda x, y: table_qmul(spec.alpha, spec.beta, x, y)
+
+
+def assert_canonical(p):
+    """p's columns are those of its reduced coefficients over their lcm, and
+    rebuilding p from its coefficients gives an equal, equally hashed Poly."""
+    rebuilt = Poly(p.spec, p.coeffs)
+    assert p == rebuilt and hash(p) == hash(rebuilt)
+    assert p.is_zero or not p.coeffs[-1].is_zero
+    den = lcm(*(c.den for c in p.coeffs))
+    assert p.den == den
+    assert p.cols == [
+        [c.nums[k] * (den // c.den) for c in p.coeffs] for k in range(p.spec.table.dim)
+    ]
+
+
 def test_normal_form_and_degree():
     p = Poly(H, [1, I, H.zero(), H.zero()])
     assert p.degree == 1
     assert Poly(H).degree == -1
     assert Poly(H, [H.zero()]).is_zero
     assert Poly.x(H).degree == 1
+
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    f = Poly(H, [half, I / 6, 0, third * J + K / 4, H.zero()])  # mixed denominators
+    g = Poly(SPLIT, [half, 1 + SPLIT.i()])
+    h = Poly(SPLIT, [third, 1 - SPLIT.i()])
+    paths = {
+        "constructor": f,
+        "cancelling sum": f + Poly(H, [0, I / 3, 0, -third * J - K / 4]),
+        "cancelling difference": f - Poly(H, [third, 0, 0, third * J + K / 4]),
+        "negation": -f,
+        "split product": g * h,
+        "compose": f.compose(Poly(H, [half, J / 3])),
+        "companion": companion(Poly(H, [half + K, I / 3, 1])),
+        "zero": Poly(H),
+        "zero sum": f - f,
+        "zero split product": Poly(SPLIT, [1 + SPLIT.i()]) * Poly(SPLIT, [1 - SPLIT.i()]),
+    }
+    for p in paths.values():
+        assert_canonical(p)
+    assert paths["cancelling sum"].degree == 1
+    assert paths["cancelling difference"].degree == 1
+    assert paths["split product"].degree == 1  # the leading (1 + i)*(1 - i) vanishes
+    assert paths["zero sum"] == Poly(H) == paths["zero"]
+    assert paths["zero split product"].is_zero and paths["zero split product"].den == 1
 
 
 def test_product_keeps_coefficient_order():
@@ -72,12 +122,8 @@ def test_product_of_conjugate_pair_is_central_quartic():
 def test_product_and_evaluation_match_tuple_oracles():
     rng = random.Random(41)
     for spec in TABLE_SPECS:
-        if isinstance(spec, OctSpec):
-            q, draw = spec.quat, rand_oct
-            mul = lambda x, y: pair_omul(q.alpha, q.beta, spec.gamma, x, y)
-        else:
-            draw = rand_quat
-            mul = lambda x, y: table_qmul(spec.alpha, spec.beta, x, y)
+        draw = rand_oct if isinstance(spec, OctSpec) else rand_quat
+        mul = _tuple_mul(spec)
         zero = spec.zero().coords()
         for _ in range(10):
             f = rand_poly(rng, spec, rng.randint(0, 3), den=2)
@@ -112,11 +158,7 @@ ENTRY = st.one_of(
 
 def _tuple_product(spec, F, G):
     """Coordinates of the product of two column polynomials by the tuple oracle."""
-    if isinstance(spec, OctSpec):
-        q = spec.quat
-        mul = lambda x, y: pair_omul(q.alpha, q.beta, spec.gamma, x, y)
-    else:
-        mul = lambda x, y: table_qmul(spec.alpha, spec.beta, x, y)
+    mul = _tuple_mul(spec)
     element = type(spec.one())
     f = [element(spec, nums).coords() for nums in zip(*F)]
     g = [element(spec, nums).coords() for nums in zip(*G)]
@@ -182,12 +224,27 @@ def test_poly_mul_keeps_uneven_heights_on_the_schoolbook_path():
     assert _even([[10**500] * 12] + [[0] * 12 for _ in range(3)])
 
 
-def test_column_compose_equals_the_sum_of_poly_products():
-    """compose on columns against sum c_i * (g^i) built from Poly operations.
+def _tuple_compose(spec, f, g):
+    """Coordinates of sum c_i * (g^i), the powers left-nested, by the tuple oracle."""
+    mul, zero = _tuple_mul(spec), spec.zero().coords()
+    f, g = [c.coords() for c in f.coeffs], [c.coords() for c in g.coeffs]
+    out, power = f[:1], None
+    for c in f[1:]:
+        power = g if power is None else tuple_poly_mul(mul, power, g, zero)
+        term = tuple_poly_mul(mul, [c], power, zero)
+        out += [zero] * (len(term) - len(out))
+        out = [tuple(a + b for a, b in zip(x, y)) for x, y in zip(out, term)] + out[len(term):]
+    while out and not any(out[-1]):
+        out.pop()
+    return out
+
+
+def test_compose_equals_the_tuple_oracle():
+    """compose against sum c_i * (g^i) on coordinate tuples (`tuple_poly_mul`).
 
     Denominators up to 6 make the powers and partial sums carry a content
-    that the column form divides out after each product and sum; degrees up
-    to 7 send the powers through the packed product.
+    that the canonical form divides out after each product and sum; degrees
+    up to 7 send the powers through the packed product.
     """
     rng = random.Random(53)
     cases = [
@@ -200,11 +257,9 @@ def test_column_compose_equals_the_sum_of_poly_products():
             f = rand_poly(rng, spec, rng.randint(0, 4), den=6)
             cases.append((f, rand_poly(rng, spec, rng.randint(0, 7), den=6)))
     for f, g in cases:
-        expected, power = Poly.constant(f.spec, f.coeff(0)), None
-        for c in f.coeffs[1:]:
-            power = g if power is None else power * g
-            expected = expected + Poly.constant(f.spec, c) * power
-        assert f.compose(g) == expected
+        composite = f.compose(g)
+        assert [c.coords() for c in composite.coeffs] == _tuple_compose(f.spec, f, g)
+        assert_canonical(composite)
 
 
 def test_multiplication_by_one():
