@@ -15,10 +15,14 @@ products convolve those columns through the same table.  Short operands take
 the schoolbook convolution; long ones pack each column into one integer
 (Kronecker substitution), so that a whole convolution is one integer product
 per column pair of the table.
+
+Text prints from the same integers (`scalar_text` for a ground-field
+coordinate, `Element.text` for a basis combination): no element, no Fraction.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -322,8 +326,8 @@ class Element:
 
     def _scalar(self, k: int) -> Scalar:
         """Ground-field coordinate k."""
-        w = self.spec.table.width
-        return self.spec.field.from_nums(self.nums[w * k : w * k + w], self.den)
+        w, field = self.spec.table.width, self.spec.field
+        return field.ELEMENT(field, self.nums[w * k : w * k + w], self.den)
 
     def coords(self) -> tuple[Scalar, ...]:
         return tuple(self._scalar(k) for k in range(len(self.BASIS)))
@@ -473,14 +477,71 @@ class Element:
 
     # -- text -----------------------------------------------------------------
 
+    @classmethod
+    def text(cls, spec, nums, den: int) -> str:
+        """Text of the basis combination nums/den, e.g. "1 + 2*i - j" or "(1/2 + s5)*k".
+
+        Zero coordinates are dropped; all zero prints as "0".  The sign folds out
+        of pure-rational and pure-radical coordinates, not of mixed ones.
+        """
+        w, field = spec.table.width, spec.field
+        parts: list[str] = []
+        for k, sym in enumerate(cls.BASIS):
+            coord = nums[w * k : w * k + w]
+            if not any(coord):
+                continue
+            mixed = coord[0] and any(coord[1:])
+            neg = not mixed and min(coord) < 0
+            mag = scalar_text(field, [-v for v in coord] if neg else coord, den)
+            if mixed:
+                mag = f"({mag})"
+            if sym:
+                body = sym if mag == "1" else f"{mag}*{sym}"
+            else:
+                body = mag
+            sign = ("- " if neg else "+ ") if parts else ("-" if neg else "")
+            parts.append(sign + body)
+        return " ".join(parts) or "0"
+
     def render(self) -> str:
-        return render_terms(list(zip(self.coords(), self.BASIS)))
+        return self.text(self.spec, self.nums, self.den)
 
     def __str__(self) -> str:
         return self.render()
 
     def __repr__(self) -> str:
         return f"<{self.render()} in {self.spec}>"
+
+
+def scalar_text(field, nums, den: int) -> str:
+    """Text of the ground-field coordinate (a + b*sqrt d)/den: `p/q`, `p/q + r/s*s5`,
+    `s5`, `-s5`, ...; nums is (a,) over Q and (a, b) over Q(sqrt d).
+
+    Each part is reduced by its own gcd, as str(Fraction) would.  An exact
+    value prints in full: CPython's int-to-text limit is lifted for this one
+    conversion only, and only when it is hit.
+    """
+
+    def ratio(n: int) -> str:
+        g = gcd(n, den)
+        return f"{n // g}" if g == den else f"{n // g}/{den // g}"
+
+    a, b = nums[0], nums[1] if len(nums) > 1 else 0
+    try:
+        if not b:
+            return ratio(a)
+        mag = ratio(abs(b))
+        bterm = f"s{field.d}" if mag == "1" else f"{mag}*s{field.d}"
+        if not a:
+            return bterm if b > 0 else f"-{bterm}"
+        return f"{ratio(a)} {'+' if b > 0 else '-'} {bterm}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return scalar_text(field, nums, den)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class Spec:
@@ -552,34 +613,3 @@ class Spec:
         nums = [0] * self.table.dim
         nums[idx * self.table.width] = 1
         return self.ELEMENT(self, nums)
-
-
-def render_terms(terms: list[tuple[Scalar, str]]) -> str:
-    """Render a linear combination over named basis elements.
-
-    `terms` pairs each coordinate with its basis symbol ("" for the unit).
-    Produces e.g. "1 + 2*i - j" or "(1/2 + s5)*k"; zero coordinates are
-    dropped and the all-zero combination renders as "0".
-    """
-    parts: list[str] = []
-    for coeff, sym in terms:
-        if not coeff:
-            continue
-        # fold the sign out of pure-rational and pure-radical coordinates;
-        # mixed a + b*sqrt(d) coordinates stay parenthesized verbatim
-        if coeff.nums[0] and any(coeff.nums[1:]):
-            neg, mag = False, f"({coeff.render()})"
-        else:
-            neg = min(coeff.nums) < 0
-            mag = (-coeff if neg else coeff).render()
-        if sym:
-            body = sym if mag == "1" else f"{mag}*{sym}"
-        else:
-            body = mag
-        if not parts:
-            parts.append(f"-{body}" if neg else body)
-        else:
-            parts.append(f"- {body}" if neg else f"+ {body}")
-    if not parts:
-        return "0"
-    return " ".join(parts)

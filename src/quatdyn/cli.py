@@ -25,7 +25,7 @@ from .octonions import OctSpec
 from .parsing import parse_element, parse_poly, parse_scalar
 from .polynomials import DEFAULT_DEGREE_CAP, Poly
 from .quaternions import QuatSpec, Quaternion
-from .scalars import FieldSpec
+from .scalars import FieldSpec, Scalar
 
 _FIELD_RE = re.compile(r"^Q\(s(-?\d+)\)$")
 
@@ -87,8 +87,11 @@ def _class_dict(klass: solver.ConjClass) -> dict:
 
 
 def _coordinates(point: Quaternion) -> dict:
-    a, b, c, e = point.coords()
-    return {"1": a.render(), "i": b.render(), "j": c.render(), "k": e.render()}
+    w, field = point.spec.table.width, point.spec.field
+    return {
+        sym or "1": Scalar.text(field, point.nums[w * k : w * k + w], point.den)
+        for k, sym in enumerate(point.BASIS)
+    }
 
 
 def _solution_dict(sol: solver.ClassSolution) -> dict:

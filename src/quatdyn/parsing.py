@@ -9,14 +9,15 @@ Grammar (whitespace insignificant between tokens):
 
 Rationals are written `p/q` or plain integers with no internal spaces, each
 integer within CPython's int-from-text limit (4300 digits by default).  The
-radical token `s<d>` names sqrt(d) and must match the ambient field.  Basis
-symbols are i, j, k over quaternions and additionally l, il, jl, kl over
-octonions; k always means i*j.  Products keep their written order, and the
-result is normalized to left-coefficient form (the variable is central, so
-this always succeeds).  A power or product whose degree would pass
-MAX_INPUT_DEGREE, or a power whose height bound (bits times exponent) would
-pass HEIGHT_BUDGET, is refused before it is computed, and so is nesting of
-parentheses and unary minus signs deeper than MAX_NESTING.
+radical token `s<d>` (`s-3` for d = -3) names sqrt(d) and must match the
+ambient field.  Basis symbols are i, j, k over quaternions and additionally
+l, il, jl, kl over octonions; k always means i*j.  Products keep their
+written order, and the result is normalized to left-coefficient form (the
+variable is central, so this always succeeds).  A power or product whose
+degree would pass MAX_INPUT_DEGREE, or a power whose height bound (bits
+times exponent) would pass HEIGHT_BUDGET, is refused before it is computed,
+and so is nesting of parentheses and unary minus signs deeper than
+MAX_NESTING.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from .quaternions import QuatSpec
 from .scalars import FieldSpec, Scalar
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[a-z]+\d*)|(?P<op>[-+*^()])|(?P<bad>\S))"
+    r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>s-\d+|[a-z]+\d*)|(?P<op>[-+*^()])|(?P<bad>\S))"
 )
-_RADICAL_RE = re.compile(r"^s(\d+)$")
+_RADICAL_RE = re.compile(r"^s(-?\d+)$")
 
 # The largest degree a parsed polynomial may have: the companion of a dense
 # degree-256 quaternion polynomial takes 0.08 s, and of degree 1024 5.2 s.

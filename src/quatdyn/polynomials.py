@@ -96,11 +96,12 @@ class Poly:
 
     @classmethod
     def constant(cls, spec: AlgebraSpec, value) -> Poly:
-        return cls(spec, [value])
+        c = spec.coerce(value)
+        return cls.from_cols(spec, [[v] for v in c.nums], c.den)
 
     @classmethod
     def x(cls, spec: AlgebraSpec) -> Poly:
-        return cls(spec, [0, 1])
+        return cls.from_cols(spec, [[0, v] for v in spec.one().nums], 1)
 
     @property
     def degree(self) -> int:
@@ -129,7 +130,7 @@ class Poly:
                 raise SpecMismatchError("polynomials over different algebras")
             return other
         if isinstance(other, (Quaternion, Octonion, Scalar) + RationalLike):
-            return Poly(self.spec, [other])
+            return Poly.constant(self.spec, other)
         return None
 
     # -- ring operations ---------------------------------------------------------
@@ -332,21 +333,18 @@ class Poly:
         return hash((self.spec, self.den, tuple(map(tuple, self.cols))))
 
     def render(self) -> str:
-        """Canonical text: left coefficients parenthesized, descending powers."""
-        if self.is_zero:
-            return "(0)"
+        """Canonical text: left coefficients parenthesized, descending powers.
+
+        Each coefficient prints from its column slice over den; no element is built.
+        """
+        text, spec = self.spec.ELEMENT.text, self.spec
         parts = []
         for p in range(self.degree, -1, -1):
-            c = self.coeffs[p]
-            if c.is_zero:
-                continue
-            if p == 0:
-                parts.append(f"({c.render()})")
-            elif p == 1:
-                parts.append(f"({c.render()})*x")
-            else:
-                parts.append(f"({c.render()})*x^{p}")
-        return " + ".join(parts)
+            nums = [col[p] for col in self.cols]
+            if any(nums):
+                power = "" if p == 0 else "*x" if p == 1 else f"*x^{p}"
+                parts.append(f"({text(spec, nums, self.den)}){power}")
+        return " + ".join(parts) or "(0)"
 
     def __str__(self) -> str:
         return self.render()

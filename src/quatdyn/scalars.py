@@ -4,7 +4,8 @@ The ground field is an algebra of dimension 1 (Q) or 2 (Q(sqrt d)) over Q
 with its own structure-constant table, so a Scalar is an `Element` of the
 integer kernel: the numerators of a (and b) in a + b*sqrt(d) over one
 denominator, with the sum, difference, product, quotient and power of every
-other element.  What is particular to a field lives here: the inverse
+other element, and with its text: `_kernel.scalar_text`, the coordinate
+form `p/q + r/s*s5`.  What is particular to a field lives here: the inverse
 through the field conjugate, the exact order (when d > 0), and `to_real`,
 which produces a dyadic rational within 2**-bits of the true value under the
 principal embedding sqrt(d) > 0.
@@ -12,11 +13,10 @@ principal embedding sqrt(d) > 0.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from math import isqrt, lcm
 
-from ._kernel import Element, RationalLike, Spec, Table
+from ._kernel import Element, RationalLike, Spec, Table, scalar_text
 from .errors import FieldMismatchError, NoRealEmbeddingError
 
 
@@ -30,23 +30,6 @@ def _is_squarefree(n: int) -> bool:
             return False
         p += 2
     return True
-
-
-def _text(q: Fraction) -> str:
-    """str(q) with every digit, past CPython's int-to-text limit too.
-
-    An exact value renders in full; the limit is lifted for that one
-    conversion only, and only when it is hit.
-    """
-    try:
-        return str(q)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return str(q)
-        finally:
-            sys.set_int_max_str_digits(limit)
 
 
 class Scalar(Element):
@@ -71,6 +54,9 @@ class Scalar(Element):
     __rtruediv__ = Element.__rtruediv__
     __pow__ = Element.__pow__
     __eq__ = Element.__eq__
+
+    # the coordinate form, `p/q`, `p/q + r/s*s5`, `s5`, `-s5`, ...
+    text = staticmethod(scalar_text)
 
     field = property(lambda self: self.spec)
     a = property(lambda self: Fraction(self.nums[0], self.den))
@@ -162,21 +148,6 @@ class Scalar(Element):
             return float(self.to_real(128))
         return self.nums[0] / self.den
 
-    # -- text ---------------------------------------------------------------
-
-    def render(self) -> str:
-        """Canonical text form: `p/q`, `p/q + r/s*s5`, `s5`, `-s5`, ..."""
-        a, b = self.a, self.b
-        if b == 0:
-            return _text(a)
-        tok = f"s{self.spec.d}"
-        mag = abs(b)
-        bterm = tok if mag == 1 else f"{_text(mag)}*{tok}"
-        if a == 0:
-            return bterm if b > 0 else f"-{bterm}"
-        op = " + " if b > 0 else " - "
-        return f"{_text(a)}{op}{bterm}"
-
 
 SCALAR_LIFTS = (Scalar,) + RationalLike
 
@@ -223,10 +194,6 @@ class FieldSpec(Spec):
         den = lcm(a.denominator, b.denominator)
         nums = (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
         return Scalar(self, nums[: self.table.width], den)
-
-    def from_nums(self, nums, den: int = 1) -> Scalar:
-        """The scalar with kernel numerators `nums` over `den`."""
-        return Scalar(self, nums, den)
 
     def sqrt_gen(self) -> Scalar:
         """The generator sqrt(d) itself."""

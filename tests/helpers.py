@@ -10,9 +10,10 @@ these routes.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
-from quatdyn import FieldSpec, Poly, QuatSpec
+from quatdyn import FieldSpec, Poly, QuatSpec, Scalar
 
 
 def table_qmul(alpha, beta, x, y):
@@ -156,3 +157,93 @@ def rand_solvable_poly(rng: random.Random, spec: QuatSpec, degree: int) -> Poly:
             c = rand_nonzero(rand_quat, rng, spec, span=1)
         f = Poly.constant(spec, c) * f
     return f
+
+
+# -- the Fraction-based printer, as the reference for the kernel's text -----------
+# (`_text`, `Scalar.render` and `render_terms` as they were before text was
+# printed from the kernel's numerators; `reference_render` dispatches, and
+# renders a Poly as `Poly.render` did)
+
+
+def _text(q: Fraction) -> str:
+    """str(q) with every digit, past CPython's int-to-text limit too.
+
+    An exact value renders in full; the limit is lifted for that one
+    conversion only, and only when it is hit.
+    """
+    try:
+        return str(q)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(q)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
+def render_scalar(self) -> str:
+    """Canonical text form: `p/q`, `p/q + r/s*s5`, `s5`, `-s5`, ..."""
+    a, b = self.a, self.b
+    if b == 0:
+        return _text(a)
+    tok = f"s{self.spec.d}"
+    mag = abs(b)
+    bterm = tok if mag == 1 else f"{_text(mag)}*{tok}"
+    if a == 0:
+        return bterm if b > 0 else f"-{bterm}"
+    op = " + " if b > 0 else " - "
+    return f"{_text(a)}{op}{bterm}"
+
+
+def render_terms(terms) -> str:
+    """Render a linear combination over named basis elements.
+
+    `terms` pairs each coordinate with its basis symbol ("" for the unit).
+    Produces e.g. "1 + 2*i - j" or "(1/2 + s5)*k"; zero coordinates are
+    dropped and the all-zero combination renders as "0".
+    """
+    parts: list[str] = []
+    for coeff, sym in terms:
+        if not coeff:
+            continue
+        # fold the sign out of pure-rational and pure-radical coordinates;
+        # mixed a + b*sqrt(d) coordinates stay parenthesized verbatim
+        if coeff.nums[0] and any(coeff.nums[1:]):
+            neg, mag = False, f"({render_scalar(coeff)})"
+        else:
+            neg = min(coeff.nums) < 0
+            mag = render_scalar(-coeff if neg else coeff)
+        if sym:
+            body = sym if mag == "1" else f"{mag}*{sym}"
+        else:
+            body = mag
+        if not parts:
+            parts.append(f"-{body}" if neg else body)
+        else:
+            parts.append(f"- {body}" if neg else f"+ {body}")
+    if not parts:
+        return "0"
+    return " ".join(parts)
+
+
+def reference_render(x) -> str:
+    """The reference text of a scalar, an algebra element or a Poly."""
+    if isinstance(x, Scalar):
+        return render_scalar(x)
+    if not isinstance(x, Poly):
+        return render_terms(list(zip(x.coords(), x.BASIS)))
+    if x.is_zero:
+        return "(0)"
+    parts = []
+    for p in range(x.degree, -1, -1):
+        c = x.coeffs[p]
+        if c.is_zero:
+            continue
+        if p == 0:
+            parts.append(f"({reference_render(c)})")
+        elif p == 1:
+            parts.append(f"({reference_render(c)})*x")
+        else:
+            parts.append(f"({reference_render(c)})*x^{p}")
+    return " + ".join(parts)

@@ -1,13 +1,20 @@
-"""The benchmark's argv still parse.
+"""The benchmark's argv still parse, and its oracles accept their outputs.
 
 `perfbench/workloads.py` is imported as it is and one round of each workload
 is built for a fixed seed.  Every argv goes through the CLI's argument parser
 and range checks only, with no computation, so that a removed or renamed
 option shows up here in seconds and not as failed benchmark calls.  Only the
 calls the benchmark itself marks as usage errors may raise.
+
+Then every call of that round runs through `cli.main`, and its exit code and
+stdout go through `perfbench/oracles.py`, deferred sympy checks included.
+The oracles read the printed text back with their own parser, so a slip in
+printing fails here, not only in a benchmark run.
 """
 
 import argparse
+import contextlib
+import io
 import sys
 from pathlib import Path
 
@@ -18,7 +25,8 @@ from quatdyn import UsageError, cli
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-import workloads  # noqa: E402  (needs perfbench/ on the path)
+import oracles  # noqa: E402  (needs perfbench/ on the path)
+import workloads  # noqa: E402
 
 
 @pytest.mark.parametrize("workload", sorted(workloads.ROUNDS))
@@ -34,3 +42,19 @@ def test_benchmark_argv_parse(workload, monkeypatch):
             cli._check_arguments(ns)
         except UsageError:
             assert call.kind == "usage_error", call.argv
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.ROUNDS))
+def test_benchmark_calls_pass_their_oracles(workload, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    memo, problems = oracles.Memo(), {}
+    calls = workloads.build(workload, seed=0, rounds=1)
+    for call in calls:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(call.argv)
+        problems[id(call)] = oracles.check(call, code, out.getvalue(), memo)
+    for key, found in oracles.run_deferred(memo.deferred).items():
+        problems[key] += found
+    failed = [(call.argv, problems[id(call)]) for call in calls if problems[id(call)]]
+    assert not failed

@@ -53,7 +53,7 @@ DEEP = st.tuples(st.booleans(), st.sampled_from([100, 101, 250, 1000])).map(
     lambda t: "(" * t[1] + "x" + ")" * t[1] if t[0] else "-" * t[1] + "i"
 )
 # symbols that only some algebras know
-EXOTIC = st.sampled_from(["l", "il", "kl", "s5", "s2"])
+EXOTIC = st.sampled_from(["l", "il", "kl", "s5", "s2", "s-3"])
 EXPONENT = _mostly(
     st.integers(0, 4),
     st.one_of(st.integers(257, 10**9), st.sampled_from([65536, 65537, 10**40])),
@@ -98,6 +98,7 @@ ALGEBRA = _mostly(
     st.one_of(
         st.tuples(PARAM, PARAM, FIELD).map(lambda t: f"quat:{t[0]},{t[1]}@{t[2]}"),
         st.tuples(PARAM, PARAM, PARAM, FIELD).map(lambda t: f"oct:{t[0]},{t[1]},{t[2]}@{t[3]}"),
+        st.just("quat:-1,-1@Q(s-3)"),
         st.text(max_size=12),
     ),
 )

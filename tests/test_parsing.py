@@ -11,6 +11,8 @@ from helpers import rand_oct, rand_quat
 H = QuatSpec.standard()
 F5 = FieldSpec(5)
 H5 = QuatSpec.standard(F5)
+F_3 = FieldSpec(-3)
+H_3 = QuatSpec.standard(F_3)
 O = OctSpec.standard()
 I, J, K = H.i(), H.j(), H.k()
 
@@ -175,3 +177,18 @@ def test_render_parse_round_trip_polynomials():
             p = Poly(spec, coeffs)
             assert parse_poly(p.render(), spec) == p
             assert parse_poly(p.render(), spec).render() == p.render()
+
+
+def test_render_parse_round_trip_imaginary_field():
+    # sqrt(-3) prints as s-3, which reads back as one radical token
+    assert parse_scalar("s-3", F_3) == F_3.sqrt_gen()
+    assert parse_scalar("s-3^2", F_3) == F_3.scalar(-3)
+    assert parse_poly("x^2+s-3", H_3) == Poly(H_3, [F_3.sqrt_gen(), 0, 1])
+    rng = random.Random(67)
+    for _ in range(60):
+        coeffs = [rand_quat(rng, H_3, span=3, den=3) for _ in range(rng.randint(0, 4))]
+        p = Poly(H_3, coeffs)
+        assert parse_poly(p.render(), H_3) == p
+        assert parse_poly(p.render(), H_3).render() == p.render()
+    with pytest.raises(ParseError, match="s-3 does not belong"):
+        parse_poly("x+s-3", H5)
