@@ -2,16 +2,14 @@
 
 `aberth_roots` runs the Aberth-Ehrlich iteration, updating each approximant
 in place (Gauss-Seidel), on a ladder of precisions (Bini & Fiorentino 2000,
-MPSolve).  The first rung runs in Python `complex` arithmetic on a copy of the
-monic polynomial whose variable is scaled by a power of two, so that its
-roots have modulus near 1 and its coefficients fit a double; it starts on the
-circle of radius |c0|**(1/n).  Each later rung runs on Python integers at
+MPSolve), every rung on Python integers.  The first rung is narrow
+(`FIRST_BITS`): it starts on the circles of the Newton polygon (Bini 1996,
+Numer. Algorithms 13) and only brings each approximant near its root, which
+costs most of the sweeps, at the cheapest width.  Each later rung runs at
 twice the previous precision, starting from the previous rung's
-approximants, up to `precision + 64` bits; where the first rung fails, the
-first integer rung starts on the circles of the Newton polygon (Bini 1996,
-Numer. Algorithms 13).  Roots of multiplicity above one converge only
-linearly and to about half the working precision, so callers pass squarefree
-polynomials.
+approximants, up to `precision + 64` bits.  Roots of multiplicity above one
+converge only linearly and to about half the working precision, so callers
+pass squarefree polynomials.
 
 On an integer rung of `bits` bits, each approximant is a Gaussian integer
 (a, b) with its own binary exponent F, z = (a + ib)/2**F, and max(|a|, |b|)
@@ -38,9 +36,8 @@ from typing import Callable, Sequence
 
 from .errors import ConvergenceError
 
-FLOAT_BITS = 53
-# relative step at which the float rung hands over to the first integer rung
-FLOAT_EPS = 2.0**-42
+# bits of the ladder's first rung; each later rung doubles them
+FIRST_BITS = 20
 # bits an integer rung works with beyond its nominal precision
 GUARD_BITS = 8
 
@@ -51,76 +48,6 @@ Approximant = tuple[int, int, int]
 def _log2(q: Fraction) -> int:
     """floor(log2 |q|) up to one, for nonzero q."""
     return abs(q.numerator).bit_length() - q.denominator.bit_length()
-
-
-def _horner(coeffs, z):
-    p = coeffs[-1]
-    dp = 0
-    for c in reversed(coeffs[:-1]):
-        dp = dp * z + p
-        p = p * z + c
-    return p, dp
-
-
-def _iterate(poly, zs, eps, max_iterations) -> None:
-    """Gauss-Seidel Aberth sweeps over the complex zs, in place, until every
-    step is at most eps * (1 + |z|) or the budget runs out."""
-    n = len(zs)
-    for _ in range(max_iterations):
-        worst = 0
-        for k in range(n):
-            z = zs[k]
-            p, dp = _horner(poly, z)
-            if not p:
-                continue
-            if not dp:
-                zs[k] = z + (1 + abs(z)) * (1 + 1j) / 16
-                worst = 1
-                continue
-            w = p / dp
-            s = 0
-            for j in range(n):
-                d = z - zs[j]
-                if j != k and d:
-                    s += 1 / d
-            denom = 1 - w * s
-            step = w if not denom else w / denom
-            zs[k] = z - step
-            err = abs(step) / (1 + abs(z))
-            if err > worst:
-                worst = err
-        if worst <= eps:
-            return
-
-
-def _float_rung(monic: list[Fraction], max_iterations: int) -> list[complex] | None:
-    """Roots of a monic polynomial with a nonzero constant term in doubles,
-    or None when the scaled coefficients or the roots leave the double range."""
-    n = len(monic) - 1
-    k = _log2(monic[0]) // n  # 2**k is about the geometric mean of the moduli
-    try:
-        poly = [float(c * Fraction(2) ** (k * (i - n))) for i, c in enumerate(monic)]
-    except OverflowError:
-        return None
-    radius = abs(poly[0]) ** (1 / n)
-    angles = [math.pi * (2 * j + 0.5) / n for j in range(n)]
-    zs = [complex(radius * math.cos(a), radius * math.sin(a)) for a in angles]
-    _iterate(poly, zs, FLOAT_EPS, max_iterations)
-    try:
-        zs = [complex(math.ldexp(z.real, k), math.ldexp(z.imag, k)) for z in zs]
-    except OverflowError:
-        return None
-    # 0 is no root (the constant term is nonzero): an approximant there underflowed
-    if all(z and math.isfinite(z.real) and math.isfinite(z.imag) for z in zs):
-        return zs
-    return None
-
-
-def _from_float(z: complex) -> Approximant:
-    """The exact value of a complex double as (a, b, F)."""
-    (p, q), (r, s) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
-    F = max(q, s).bit_length() - 1  # q and s are powers of two
-    return p << (F - q.bit_length() + 1), r << (F - s.bit_length() + 1), F
 
 
 def _normal(z: Approximant, W: int) -> Approximant:
@@ -186,8 +113,8 @@ def _newton_starts(monic: list[Fraction], W: int) -> list[Approximant]:
         r = 2.0 ** (log_r - whole)
         for k in range(j - i):
             theta = 2 * math.pi * (k / (j - i) + i / n) + 0.7
-            a, b = (int(r * f(theta) * 2.0**60) << (W - 60) for f in (math.cos, math.sin))
-            zs.append(_normal((a, b, W - whole), W))
+            a, b = (int(r * f(theta) * 2.0**60) for f in (math.cos, math.sin))
+            zs.append(_normal((a, b, 60 - whole), W))
     return zs
 
 
@@ -198,7 +125,7 @@ def _integer_iterate(mants, zs: list[Approximant], W: int, goal: int, max_iterat
     n = len(zs)
     cache: dict[int, list[int]] = {}
     limit = W - goal  # bit length of a step of 2**-goal relative
-    unit = 1 << W
+    unit, cube, far = 1 << W, 1 << 3 * W, W + 2
     for _ in range(max_iterations):
         worst = 0
         for k in range(n):
@@ -223,12 +150,9 @@ def _integer_iterate(mants, zs: list[Approximant], W: int, goal: int, max_iterat
             wr = ((pr * dr + pi * di) << W) // q
             wi = ((pi * dr - pr * di) << W) // q
             sr = si = 0
-            for j in range(n):
-                if j == k:
-                    continue
-                aj, bj, Fj = zs[j]
+            for aj, bj, Fj in zs:  # zs[k] itself gives d = 0 and is skipped
                 t = F - Fj
-                if t > W + 2:  # |z_j| is 2**W times |z_k| or more: 1/d is below one unit
+                if t > far:  # |z_j| is 2**W times |z_k| or more: 1/d is below one unit
                     continue
                 if t >= 0:
                     Dr, Di = a - (aj << t), b - (bj << t)
@@ -236,8 +160,11 @@ def _integer_iterate(mants, zs: list[Approximant], W: int, goal: int, max_iterat
                     Dr, Di = a - (aj >> -t), b - (bj >> -t)
                 d2 = Dr * Dr + Di * Di
                 if d2:
-                    sr += (Dr << 2 * W) // d2
-                    si -= (Di << 2 * W) // d2
+                    q = cube // d2
+                    sr += Dr * q
+                    si -= Di * q
+            sr >>= W
+            si >>= W
             # the correction w / (1 - w*s)
             xr = unit - ((wr * sr - wi * si) >> W)
             xi = -((wr * si + wi * sr) >> W)
@@ -312,28 +239,26 @@ def aberth_roots(
         return origin
 
     top = max(precision, 0) + 64
-    floats = _float_rung(monic, max_iterations)
-    zs = None if floats is None else [_from_float(z) for z in floats]
-    if zs is not None and accept is not None and accept(origin + zs, FLOAT_BITS):
-        return origin + zs
-
-    bits = FLOAT_BITS
-    while bits < top:
-        bits = min(2 * bits, top)
+    # the first rung only brings every approximant near its root
+    bits, goal = FIRST_BITS, FIRST_BITS // 4
+    zs = _newton_starts(monic, bits + GUARD_BITS)
+    while True:
         W = bits + GUARD_BITS
-        zs = _newton_starts(monic, W) if zs is None else [_normal(z, W) for z in zs]
+        _integer_iterate(_mantissas(monic, W + 4), zs, W, goal, max_iterations)
+        roots = origin + zs
+        if accept is not None and accept(roots, bits):
+            return roots
+        if bits == top:
+            break
+        bits = min(2 * bits, top)
+        zs = [_normal(z, bits + GUARD_BITS) for z in zs]
         # below the top, a step of 2**-(k/2) leaves an error near 2**-k
         # (quadratic convergence), so the confirming sweep is skipped
         goal = bits - 56 if bits == top else (bits - 56) // 2
-        _integer_iterate(_mantissas(monic, W + 4), zs, W, goal, max_iterations)
-        roots = origin + zs
-        if accept is not None:
-            if accept(roots, bits):
-                return roots
-        elif bits == top:
-            ints = _integers(monic)
-            if not all(_residual_ok(ints, z, precision // 2) for z in zs):
-                raise ConvergenceError("root iteration did not reach the requested accuracy")
+    if accept is None:
+        ints = _integers(monic)
+        if not all(_residual_ok(ints, z, precision // 2) for z in zs):
+            raise ConvergenceError("root iteration did not reach the requested accuracy")
     return roots
 
 

@@ -30,7 +30,8 @@ from .scalars import FieldSpec, Scalar
 _FIELD_RE = re.compile(r"^Q\(s(-?\d+)\)$")
 
 DEFAULT_ALGEBRA = "quat:-1,-1@Q"
-# the float rung of the root ladder already carries 53 bits
+# kept at 53 bits (a double's) for compatibility: which --precision values
+# are usage errors is part of the command-line contract
 MIN_PRECISION = 53
 
 

@@ -284,16 +284,30 @@ class Poly:
         polynomial with residue a*x + b takes the value a*lam + b at each lam
         of trace `trace` and norm `norm`.  The residue ring is alternative, so
         Horner's rule gives sum c_i u^i term by term, as in `__call__`: each
-        step multiplies by u with x*x = trace*x - norm, 6 products.
+        step multiplies by u with x*x = trace*x - norm, 6 products.  Like
+        `__call__`'s, the recurrence runs on integer numerators: a and b over
+        one denominator, trace and norm over another, and the running pair
+        over den times a power of their product (and of den(table)).  Its two
+        elements are built, and reduced, only at the end.
         """
         spec = self.spec
-        T, N = spec.coerce(trace), spec.coerce(norm)
-        a, b = u
-        A, B = spec.zero(), self.coeff(self.degree)
-        for c in reversed(self.coeffs[:-1]):
-            Aa = A * a
-            A, B = T * Aa + A * b + B * a, B * b - N * Aa + c
-        return A, B
+        if self.is_zero:
+            return spec.zero(), spec.zero()
+        table, mul, cols = spec.table, spec.table.mul, self.cols
+        (a, b, du), (T, N, dc) = (_common(spec, pair) for pair in (u, (trace, norm)))
+        # a product by a or b scales the denominator by su, one by T or N by sc
+        su, sc = du * table.den, dc * table.den
+        power = 1
+        A, B = [0] * table.dim, [col[-1] for col in cols]
+        for i in range(self.degree - 1, -1, -1):
+            Aa = mul(A, a)
+            power *= su * sc
+            A, B = (
+                [t + (p + q) * sc for t, p, q in zip(mul(T, Aa), mul(A, b), mul(B, a))],
+                [p * sc - t + col[i] * power for p, t, col in zip(mul(B, b), mul(N, Aa), cols)],
+            )
+        den = self.den * power
+        return spec.ELEMENT(spec, A, den), spec.ELEMENT(spec, B, den)
 
     def eval_iterate(self, lam, n: int) -> Element:
         """n-fold repeated evaluation f(f(...f(lam)))."""
@@ -369,6 +383,13 @@ def divmod_monic(a, b) -> tuple[list, list]:
         for i in range(n):
             r[k + i] = r[k + i] - f * b[i]
     return r[n:], r[:n]
+
+
+def _common(spec, pair) -> tuple[list[int], list[int], int]:
+    """Numerators of the two values in pair over their least common denominator."""
+    x, y = (spec.coerce(v) for v in pair)
+    d = lcm(x.den, y.den)
+    return [v * (d // x.den) for v in x.nums], [v * (d // y.den) for v in y.nums], d
 
 
 def _reduced(cols: list[list[int]], den: int) -> tuple[list[list[int]], int]:

@@ -14,8 +14,8 @@ Class extraction is one pipeline with two acceptance policies:
      over Q or Q(sqrt d) with monic divisors, since unnormalized remainders
      carry their leading coefficient in every coefficient and swell;
   2. its roots, approximated by the Aberth ladder of `aberth.aberth_roots`
-     (a float rung, then rungs of doubling precision on Gaussian integers,
-     each approximant with its own binary exponent);
+     (rungs of doubling precision on Gaussian integers from a narrow first
+     one, each approximant with its own binary exponent);
   3. a policy that turns the approximations into classes:
 
   exact    rational ground field only.  The monic companion is rescaled to a
@@ -27,7 +27,7 @@ Class extraction is one pipeline with two acceptance policies:
            do not yet fix every candidate to within 1/2; once they do, the
            remainder has no linear or quadratic factor over Q and
            ClassSearchIncompleteError is raised, pointing at numeric mode.
-           Floats only propose candidates; exact division decides.
+           Approximations only propose candidates; exact division decides.
 
   numeric  any ground field with a real embedding.  The squarefree part is
            embedded at the requested bit precision and the ladder climbs to

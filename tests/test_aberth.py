@@ -12,8 +12,15 @@ from fractions import Fraction
 
 import pytest
 
-from quatdyn import QuatSpec, companion, parse_poly
-from quatdyn.aberth import aberth_roots, inclusion_radii, to_grid
+from quatdyn import QuatSpec, companion, parse_poly, roots, solver
+from quatdyn.aberth import (
+    FIRST_BITS,
+    GUARD_BITS,
+    _newton_starts,
+    aberth_roots,
+    inclusion_radii,
+    to_grid,
+)
 
 H = QuatSpec.standard()
 
@@ -54,9 +61,10 @@ def _companion_family(c, complex_c, precisions=(256,)):
 FAMILIES = [
     *(_biquadratic(k) for k in (10, 30, 60)),
     *(_family(f"(10**{k}*y - 1)*(y - 10**{k})*(y**2 + 1)") for k in (5, 20, 40)),
-    # roots of 10^-400 and 10^-1000 are beyond the float rung: the integer
-    # rungs start on the Newton polygon, and a step test relative to 1 + |z|
-    # instead of |z| would stop them after one sweep
+    # roots of 10^-400 and 10^-1000 are far below the range of a double: the
+    # ladder starts them on their own circles of the Newton polygon, and a
+    # step test relative to 1 + |z| instead of |z| would stop them after one
+    # sweep
     _family("(10**400*y - 1)*(10**1000*y - 1)*(10**2000*y**2 + 2*10**1000*y + 2)"),
     _companion_family("3*k", "+3*I", (256, 512)),
     _companion_family("2+j", "2+I"),
@@ -115,11 +123,11 @@ def test_disjoint_disks_each_hold_one_sympy_root(coeffs, texts, precision):
         assert len(inside) == 1
 
 
-def test_float_rung_failure_starts_on_the_newton_polygon():
-    """x^4 + (2 - 10^3000) x^2 + 1 leaves the double range: the integer rungs
-    start on the Newton polygon's circles, of radii near 10^1500 and
-    10^-1500, and converge to both pairs in a few sweeps per rung (from a
-    single circle they need hundreds)."""
+def test_ladder_starts_on_the_newton_polygon():
+    """x^4 + (2 - 10^3000) x^2 + 1 spreads its roots far outside the range of
+    a double: the ladder starts on the Newton polygon's circles, of radii near
+    10^1500 and 10^-1500, and converges to both pairs in a few sweeps per rung
+    (from a single circle it needs hundreds)."""
     C = [1, 0, 2 - 10**3000, 0, 1]
     zs = aberth_roots(C, precision=128, max_iterations=4)
     E, pts = to_grid(zs, 192 + 2 * 4983)  # the moduli spread over 2 * 4983 bits
@@ -128,3 +136,33 @@ def test_float_rung_failure_starts_on_the_newton_polygon():
     moduli = sorted(Fraction(A * A + B * B, 1 << (2 * E)) for A, B in pts)
     assert [m > 10**2990 for m in moduli] == [False, False, True, True]
     assert all(m < Fraction(1, 10**2990) for m in moduli[:2])
+
+
+def test_ladder_doubles_from_the_narrow_rung(monkeypatch):
+    """Every rung runs on integers: the ladder starts at FIRST_BITS, narrower
+    than a double, and doubles up to precision + 64; an exact search accepts a
+    small planted product on that first rung, whose starts need no 60 bits."""
+    seen = []
+
+    def record(zs, bits):
+        seen.append(bits)
+        return False
+
+    aberth_roots([-6, 11, -6, 1], precision=200, accept=record)
+    assert seen[0] == FIRST_BITS < 53 and seen[-1] == 200 + 64
+    assert all(b == 2 * a for a, b in zip(seen, seen[1:-1]))
+    assert seen[-2] < seen[-1] <= 2 * seen[-2]
+
+    seen.clear()
+
+    def spy(coeffs, precision, accept):
+        return aberth_roots(coeffs, precision, accept=lambda zs, bits: record(zs, bits) or accept(zs, bits))
+
+    monkeypatch.setattr(solver, "aberth_roots", spy)
+    sols = roots(parse_poly("(x-1)*(x-2*i)*(x+3)", H))
+    assert [s.kind for s in sols] == ["point"] * 3
+    assert seen == [FIRST_BITS]
+
+    C = [Fraction(c) for c in (1, 0, 2 - 10**3000, 0, 1)]
+    for W in (FIRST_BITS + GUARD_BITS, 12):
+        assert W < 60 and len(_newton_starts(C, W)) == 4

@@ -236,9 +236,9 @@ def test_small_roots_next_to_large_coefficients_converge():
 
 def test_roots_spread_past_the_double_range_start_on_the_newton_polygon():
     # the companion x^4 + (2 - 10^3000) x^2 + 1 has roots near 10^1500 and
-    # 10^-1500; the float rung cannot hold them, and starts on the Newton
-    # polygon's circles let the integer rungs settle at once (the sweeps are
-    # bounded in test_aberth); from one circle the call took 8.8 s or more
+    # 10^-1500, far outside the range of a double; starts on the Newton
+    # polygon's circles let the ladder settle at once (the sweeps are bounded
+    # in test_aberth); from one circle the call took 8.8 s or more
     argv = ["roots", "--algebra", "quat:10^3000,-1@Q", "--poly", "x^2+i*x+1"]
     start = time.perf_counter()
     code, out = run_cli(argv)

@@ -261,7 +261,9 @@ def test_fixed_point_class_count_bound():
 
 QUOTIENT_SPECS = [
     parse_algebra(text)
-    for text in ("quat:-1,-1@Q", "quat:-1,-1@Q(s5)", "quat:2,1/3@Q", "oct:-1,-1,-1@Q")
+    for text in (
+        "quat:-1,-1@Q", "quat:-1,-1@Q(s5)", "quat:2,1/3@Q", "quat:2,-3/7@Q(s5)", "oct:-1,-1,-1@Q"
+    )
 ]
 
 
