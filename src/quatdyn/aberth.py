@@ -1,15 +1,16 @@
 """Simultaneous root iteration on a precision ladder, and certified disks.
 
-`aberth_roots` runs the Aberth-Ehrlich iteration, updating each approximant
-in place (Gauss-Seidel), on a ladder of precisions (Bini & Fiorentino 2000,
-MPSolve), every rung on Python integers.  The first rung is narrow
-(`FIRST_BITS`): it starts on the circles of the Newton polygon (Bini 1996,
-Numer. Algorithms 13) and only brings each approximant near its root, which
-costs most of the sweeps, at the cheapest width.  Each later rung runs at
-twice the previous precision, starting from the previous rung's
-approximants, up to `precision + 64` bits.  Roots of multiplicity above one
-converge only linearly and to about half the working precision, so callers
-pass squarefree polynomials.
+Both routines take a polynomial P as its integer coefficients, low degree
+first, with a leading coefficient of either sign.  `aberth_roots` runs the
+Aberth-Ehrlich iteration, updating each approximant in place (Gauss-Seidel),
+on a ladder of precisions (Bini & Fiorentino 2000, MPSolve), every rung on
+Python integers.  The first rung is narrow (`FIRST_BITS`): it starts on the
+circles of the Newton polygon (Bini 1996, Numer. Algorithms 13) and only
+brings each approximant near its root, which costs most of the sweeps, at
+the cheapest width.  Each later rung runs at twice the previous precision,
+starting from the previous rung's approximants, up to `precision + 64` bits.
+Roots of multiplicity above one converge only linearly and to about half the
+working precision, so callers pass squarefree polynomials.
 
 On an integer rung of `bits` bits, each approximant is a Gaussian integer
 (a, b) with its own binary exponent F, z = (a + ib)/2**F, and max(|a|, |b|)
@@ -21,10 +22,11 @@ w = P/P', by integer divisions at scale 2**W.  So every root is computed to
 about W bits relative to its own modulus, however far the moduli spread.
 
 Approximants come back as such triples (a, b, F).  `to_grid` aligns them on
-one fixed-point grid, and `inclusion_radii` bounds, in exact rational
-arithmetic, the Weierstrass radii n*|P(z_k)| / |prod_{j != k} (z_k - z_j)|
-there.  Where those disks are pairwise disjoint, each contains exactly one
-root (Braess & Hadeler 1973).
+one fixed-point grid, and `inclusion_radii` bounds the Weierstrass radii
+n*|P(z_k)| / |lead * prod_{j != k} (z_k - z_j)| there, on Gaussian integers,
+each rounded up once; its `error` widens them for coefficients known only to
+within that many units.  Where the disks are pairwise disjoint, each
+contains exactly one root (Braess & Hadeler 1973).
 """
 
 from __future__ import annotations
@@ -45,11 +47,6 @@ GUARD_BITS = 8
 Approximant = tuple[int, int, int]
 
 
-def _log2(q: Fraction) -> int:
-    """floor(log2 |q|) up to one, for nonzero q."""
-    return abs(q.numerator).bit_length() - q.denominator.bit_length()
-
-
 def _normal(z: Approximant, W: int) -> Approximant:
     """The same value, rounded so that max(|a|, |b|) has W bits."""
     a, b, F = z
@@ -62,17 +59,13 @@ def _normal(z: Approximant, W: int) -> Approximant:
     return a << -s, b << -s, F - s
 
 
-def _mantissas(monic: list[Fraction], bits: int) -> list[tuple[int, int]]:
-    """(m, g) with c ~ m * 2**g and m of about `bits` bits, per coefficient."""
-    out = []
-    for c in monic:
-        if not c:
-            out.append((0, 0))
-            continue
-        g = _log2(c) - bits
-        num, den = c.numerator, c.denominator
-        m = (num << -g) // den if g <= 0 else num // (den << g)
-        out.append((m, g))
+def _mantissas(P: list[int], bits: int) -> list[tuple[int, int]]:
+    """(m, g) with c / lead ~ m * 2**g and m of about `bits` bits, per
+    coefficient c of P."""
+    lead, out = P[-1], []
+    for c in P:
+        g = abs(c).bit_length() - lead.bit_length() - bits
+        out.append(((c << -g) // lead if g <= 0 else c // (lead << g), g) if c else (0, 0))
     return out
 
 
@@ -87,19 +80,19 @@ def _scaled(mants: list[tuple[int, int]], e: int, W: int) -> list[int]:
     return out
 
 
-def _newton_starts(monic: list[Fraction], W: int) -> list[Approximant]:
+def _newton_starts(P: list[int], W: int) -> list[Approximant]:
     """Starting points on the circles of the Newton polygon (Bini 1996).
 
     Each edge of the upper convex hull of the points (i, log2 |c_i|), from
     i to j, places j - i points on the circle of radius
     |c_i / c_j|**(1/(j - i)), evenly spaced and turned by an offset.
     """
-    n = len(monic) - 1
+    n = len(P) - 1
     hull: list[tuple[int, float]] = []
-    for i, c in enumerate(monic):
+    for i, c in enumerate(P):
         if not c:
             continue
-        pt = (i, math.log2(abs(c.numerator)) - math.log2(c.denominator))
+        pt = (i, math.log2(abs(c)))
         while len(hull) >= 2:
             (i0, l0), (i1, l1) = hull[-2], hull[-1]
             if (i1 - i0) * (pt[1] - l0) - (l1 - l0) * (pt[0] - i0) < 0:
@@ -179,72 +172,61 @@ def _integer_iterate(mants, zs: list[Approximant], W: int, goal: int, max_iterat
             return
 
 
-def _integers(cs: Sequence[Fraction]) -> list[int]:
-    """The coefficients times their least common denominator."""
-    den = math.lcm(*(c.denominator for c in cs))
-    return [c.numerator * (den // c.denominator) for c in cs]
-
-
-def _gauss_horner(ints: list[int], a: int, b: int, F: int) -> tuple[int, int]:
-    """2**(F*n) * P((a + ib)/2**F) for P = sum ints[i] x^i of degree n and
+def _gauss_horner(P: list[int], a: int, b: int, F: int) -> tuple[int, int]:
+    """2**(F*n) * P((a + ib)/2**F) for P = sum P[i] x^i of degree n and
     F >= 0, exactly, as a Gaussian integer."""
-    n = len(ints) - 1
-    hr, hi = ints[n], 0
+    n = len(P) - 1
+    hr, hi = P[n], 0
     for i in range(n - 1, -1, -1):
-        hr, hi = hr * a - hi * b + (ints[i] << (F * (n - i))), hr * b + hi * a
+        hr, hi = hr * a - hi * b + (P[i] << (F * (n - i))), hr * b + hi * a
     return hr, hi
 
 
-def _residual_ok(ints: list[int], z: Approximant, bits: int) -> bool:
-    """|P(z)| <= 2**-bits * max(1, sum |c_i| |z|**i), exactly, for the
-    monic P = sum ints[i] x^i / ints[-1]."""
+def _residual_ok(P: list[int], z: Approximant, bits: int) -> bool:
+    """|P(z)| <= 2**-bits * max(|lead|, sum |c_i| |z|**i), exactly, for
+    P = sum c_i x^i: a test that scaling P leaves unchanged."""
     a, b, F = z
     if F < 0:
         a, b, F = a << -F, b << -F, 0
-    n = len(ints) - 1
-    hr, hi = _gauss_horner(ints, a, b, F)
+    n = len(P) - 1
+    hr, hi = _gauss_horner(P, a, b, F)
     modulus = isqrt(a * a + b * b)  # the size is a lower bound
     size = 0
     for i in range(n, -1, -1):
-        size = size * modulus + abs(ints[i] << (F * (n - i)))
-    scale = max(ints[n] << (F * n), size)
+        size = size * modulus + abs(P[i] << (F * (n - i)))
+    scale = max(abs(P[n]) << (F * n), size)
     return (hr * hr + hi * hi) << (2 * bits) <= scale * scale
 
 
 def aberth_roots(
-    coeffs: Sequence[Fraction],
+    coeffs: Sequence[int],
     precision: int = 128,
     max_iterations: int = 400,
     accept: Callable[[list, int], bool] | None = None,
 ) -> list[Approximant]:
-    """All complex roots of sum coeffs[i]*x^i, to roughly `precision` bits,
-    as triples (a, b, F) for (a + ib)/2**F.
+    """All complex roots of sum coeffs[i]*x^i, for integers coeffs, to
+    roughly `precision` bits, as triples (a, b, F) for (a + ib)/2**F.
 
     After each rung, `accept(roots, bits)` may end the ladder early by
     returning True.  Without `accept`, the top rung's approximants must pass
     a residual test, or ConvergenceError is raised.
     """
-    cs = [Fraction(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if len(cs) <= 1:
-        return []
-    zeros = 0
-    while cs[zeros] == 0:  # roots at the origin split off exactly
-        zeros += 1
+    P = list(coeffs)
+    while P and not P[-1]:
+        P.pop()
+    zeros = next((i for i, c in enumerate(P) if c), 0)  # roots at the origin split off exactly
     origin: list[Approximant] = [(0, 0, 0)] * zeros
-    monic = [c / cs[-1] for c in cs[zeros:]]
-    n = len(monic) - 1
-    if n == 0:
+    P = P[zeros:]
+    if len(P) <= 1:
         return origin
 
     top = max(precision, 0) + 64
     # the first rung only brings every approximant near its root
     bits, goal = FIRST_BITS, FIRST_BITS // 4
-    zs = _newton_starts(monic, bits + GUARD_BITS)
+    zs = _newton_starts(P, bits + GUARD_BITS)
     while True:
         W = bits + GUARD_BITS
-        _integer_iterate(_mantissas(monic, W + 4), zs, W, goal, max_iterations)
+        _integer_iterate(_mantissas(P, W + 4), zs, W, goal, max_iterations)
         roots = origin + zs
         if accept is not None and accept(roots, bits):
             return roots
@@ -255,10 +237,8 @@ def aberth_roots(
         # below the top, a step of 2**-(k/2) leaves an error near 2**-k
         # (quadratic convergence), so the confirming sweep is skipped
         goal = bits - 56 if bits == top else (bits - 56) // 2
-    if accept is None:
-        ints = _integers(monic)
-        if not all(_residual_ok(ints, z, precision // 2) for z in zs):
-            raise ConvergenceError("root iteration did not reach the requested accuracy")
+    if accept is None and not all(_residual_ok(P, z, precision // 2) for z in zs):
+        raise ConvergenceError("root iteration did not reach the requested accuracy")
     return roots
 
 
@@ -289,25 +269,22 @@ def sqrt_up(q: Fraction) -> Fraction:
 
 
 def inclusion_radii(
-    coeffs: Sequence[Fraction],
-    E: int,
-    points: list[tuple[int, int]],
-    error: Fraction = Fraction(0),
+    P: Sequence[int], E: int, points: list[tuple[int, int]], error: int = 0
 ) -> list[Fraction] | None:
     """Upper bounds of the Weierstrass radii of the grid points (A + iB)/2**E
-    as approximants of the roots of sum coeffs[i]*x^i, which must number as
-    many as its degree; None when two points coincide.
+    as approximants of the roots of P = sum P[i]*x^i, integers, which must
+    number as many as its degree; None when two points coincide.
 
-    The disks also hold the roots of every polynomial whose monic form
-    differs from this one's by at most `error` in each lower coefficient.
-    P(z_k) times 2**(E*n) times a common denominator is a Gaussian integer,
-    and so is every difference of two points, so all of it is exact.
+    The disks also hold the roots of every P + delta with |delta_i| <=
+    `error` in each lower coefficient: `error` is in units of P's
+    coefficients.  2**(E*n) * P(z_k) is a Gaussian integer, and so is every
+    difference of two points, so all of it is integer arithmetic, and each
+    radius is rounded up once, at the end.
     """
-    ints = _integers([Fraction(c) for c in coeffs])
-    n = len(ints) - 1
+    n, lead = len(P) - 1, P[-1]
     radii = []
     for k, (A, B) in enumerate(points):
-        hr, hi = _gauss_horner(ints, A, B, E)
+        hr, hi = _gauss_horner(P, A, B, E)
         prod = 1
         for j, (A2, B2) in enumerate(points):
             if j != k:
@@ -315,9 +292,10 @@ def inclusion_radii(
                 if not dist2:
                     return None
                 prod *= dist2
-        value2 = Fraction(hr * hr + hi * hi, ints[-1] ** 2 << (2 * E * n))  # |P(z_k)/lead|^2
+        value2 = hr * hr + hi * hi  # |2**(E*n) * P(z_k)|**2
         if error:
-            modulus = sqrt_up(Fraction(A * A + B * B, 1 << (2 * E)))
-            value2 = (sqrt_up(value2) + error * sum(modulus**i for i in range(n))) ** 2
-        radii.append(sqrt_up(n * n * value2 * (1 << (2 * E * (n - 1))) / prod))
+            # |P(z_k)| + error * sum |z_k|**i, times 2**(E*n), with M > 2**E * |z_k|
+            M = isqrt(A * A + B * B) + 1
+            value2 = (isqrt(value2) + 1 + error * sum(M**i << E * (n - i) for i in range(n))) ** 2
+        radii.append(sqrt_up(Fraction(n * n * value2, lead * lead * prod << 2 * E)))
     return radii

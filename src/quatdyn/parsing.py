@@ -11,13 +11,15 @@ Rationals are written `p/q` or plain integers with no internal spaces, each
 integer within CPython's int-from-text limit (4300 digits by default).  The
 radical token `s<d>` (`s-3` for d = -3) names sqrt(d) and must match the
 ambient field.  Basis symbols are i, j, k over quaternions and additionally
-l, il, jl, kl over octonions; k always means i*j.  Products keep their
-written order, and the result is normalized to left-coefficient form (the
-variable is central, so this always succeeds).  A power or product whose
-degree would pass MAX_INPUT_DEGREE, or a power whose height bound (bits
-times exponent) would pass HEIGHT_BUDGET, is refused before it is computed,
-and so is nesting of parentheses and unary minus signs deeper than
-MAX_NESTING.
+l, il, jl, kl over octonions; k always means i*j.  A constant stays a value
+(a rational, sqrt(d) or an algebra element), and only `x` makes a `Poly`.
+Products keep their written order, and the result is normalized to
+left-coefficient form (the variable is central, so this always succeeds).
+A power or product whose degree or height (bits times the exponent, or the
+operands' bits added) would pass MAX_INPUT_DEGREE or HEIGHT_BUDGET bits is
+refused before it is computed, a sum whose height passes HEIGHT_BUDGET
+after, and so is nesting of parentheses and unary minus signs deeper than
+MAX_NESTING.  A polynomial's height is that of its coordinate columns.
 """
 
 from __future__ import annotations
@@ -26,12 +28,15 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from ._kernel import HEIGHT_BUDGET, height
+from ._kernel import HEIGHT_BUDGET, RationalLike
 from .errors import ParseError
 from .octonions import OctSpec
 from .polynomials import AlgebraSpec, Element, Poly
 from .quaternions import QuatSpec
 from .scalars import FieldSpec, Scalar
+
+# what the parser computes with: a constant, or a polynomial once x is in it
+Value = int | Fraction | Element | Poly
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>s-\d+|[a-z]+\d*)|(?P<op>[-+*^()])|(?P<bad>\S))"
@@ -75,6 +80,22 @@ def _integer(tok: _Token, text: str) -> int:
         raise ParseError(f"integer of {len(text)} digits is too long", tok.pos) from None
 
 
+def _degree(value: Value) -> int:
+    """The degree of a parsed value; -1 for zero, as for the zero polynomial."""
+    if isinstance(value, Poly):
+        return value.degree
+    return -1 if (not value if isinstance(value, RationalLike) else value.is_zero) else 0
+
+
+def _height(value: Value) -> int:
+    """The bit length of a parsed value's largest numerator or denominator."""
+    if isinstance(value, RationalLike):
+        return max(abs(value.numerator), value.denominator).bit_length()
+    if isinstance(value, Poly):
+        return max(value.den, *(max(map(abs, col), default=0) for col in value.cols)).bit_length()
+    return max(value.den, *map(abs, value.nums)).bit_length()
+
+
 class _Parser:
     def __init__(self, source: str, spec: AlgebraSpec) -> None:
         self.spec = spec
@@ -97,60 +118,57 @@ class _Parser:
             raise ParseError(f"expected {op!r}", tok.pos)
 
     # expr := term (('+'|'-') term)*
-    def expr(self) -> Poly:
+    def expr(self) -> Value:
         value = self.term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.advance()
-                rhs = self.term()
-                value = value + rhs if tok.text == "+" else value - rhs
-            else:
-                return value
+        while (tok := self.peek()).kind == "op" and tok.text in "+-":
+            self.advance()
+            rhs = self.term()
+            value = value + rhs if tok.text == "+" else value - rhs
+            # each operand is within the budget, so the sum costs little
+            if _height(value) > HEIGHT_BUDGET:
+                raise ParseError(f"sum of height above {HEIGHT_BUDGET} bits", tok.pos)
+        return value
 
     # term := factor ('*' factor)*
-    def term(self) -> Poly:
+    def term(self) -> Value:
         value = self.factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text == "*":
-                self.advance()
-                rhs = self.factor()
-                if value.degree + rhs.degree > MAX_INPUT_DEGREE:
-                    raise ParseError(f"product of degree above {MAX_INPUT_DEGREE}", tok.pos)
-                value = value * rhs
-            else:
-                return value
+        while (tok := self.peek()).kind == "op" and tok.text == "*":
+            self.advance()
+            rhs = self.factor()
+            if _degree(value) + _degree(rhs) > MAX_INPUT_DEGREE:
+                raise ParseError(f"product of degree above {MAX_INPUT_DEGREE}", tok.pos)
+            if _height(value) + _height(rhs) > HEIGHT_BUDGET:
+                raise ParseError(f"product of height above {HEIGHT_BUDGET} bits", tok.pos)
+            value = value * rhs
+        return value
 
     # factor := atom ('^' uint)?
-    def factor(self) -> Poly:
+    def factor(self) -> Value:
         value = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
+        if (tok := self.peek()).kind == "op" and tok.text == "^":
             self.advance()
             exp = self.advance()
             if exp.kind != "number" or "/" in exp.text:
                 raise ParseError("exponent must be a nonnegative integer", exp.pos)
             t = _integer(exp, exp.text)
-            # the zero polynomial has no coefficients; count it as height 1
-            bits = max(height(*value.coeffs), 1)
-            if value.degree * t > MAX_INPUT_DEGREE or bits * t > HEIGHT_BUDGET:
+            degree, bits = _degree(value), _height(value)
+            if degree * t > MAX_INPUT_DEGREE or bits * t > HEIGHT_BUDGET:
                 raise ParseError(
-                    f"power {t} of a degree-{value.degree}, {bits}-bit polynomial passes "
+                    f"power {t} of a degree-{degree}, {bits}-bit polynomial passes "
                     f"degree {MAX_INPUT_DEGREE} or {HEIGHT_BUDGET} bits", tok.pos
                 )
             value = value**t
         return value
 
     # atom := rational | radical | basis | 'x' | '(' expr ')' | '-' atom
-    def atom(self) -> Poly:
+    def atom(self) -> Value:
         tok = self.advance()
         if tok.kind == "number":
             p, _, q = tok.text.partition("/")
             den = _integer(tok, q) if q else 1
             if den == 0:
                 raise ParseError("zero denominator", tok.pos)
-            return Poly.constant(self.spec, Fraction(_integer(tok, p), den))
+            return Fraction(_integer(tok, p), den) if q else _integer(tok, p)
         if tok.kind == "name":
             return self._named(tok)
         if tok.kind == "op" and tok.text in ("(", "-"):
@@ -166,7 +184,7 @@ class _Parser:
             return inner
         raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
 
-    def _named(self, tok: _Token) -> Poly:
+    def _named(self, tok: _Token) -> Value:
         if tok.text == "x":
             return Poly.x(self.spec)
         radical = _RADICAL_RE.match(tok.text)
@@ -178,34 +196,34 @@ class _Parser:
                     f"radical token s{d} does not belong to the field {field}",
                     tok.pos,
                 )
-            return Poly.constant(self.spec, field.sqrt_gen())
+            return field.sqrt_gen()
         try:
-            return Poly.constant(self.spec, self.spec.basis_element(tok.text))
+            return self.spec.basis_element(tok.text)
         except KeyError:
             kind = "octonion" if isinstance(self.spec, OctSpec) else "quaternion"
             raise ParseError(
                 f"unknown symbol {tok.text!r} in a {kind} algebra", tok.pos
             ) from None
 
-    def parse(self) -> Poly:
+    def parse(self) -> Value:
         value = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
+        if (tok := self.peek()).kind != "end":
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
         return value
 
 
 def parse_poly(source: str, spec: AlgebraSpec) -> Poly:
     """Parse an expression into a polynomial in left-coefficient form."""
-    return _Parser(source, spec).parse()
+    value = _Parser(source, spec).parse()
+    return value if isinstance(value, Poly) else Poly.constant(spec, value)
 
 
 def parse_element(source: str, spec: AlgebraSpec) -> Element:
     """Parse a degree-0 expression into an algebra element."""
-    p = parse_poly(source, spec)
-    if p.degree > 0:
-        raise ParseError(f"expected a point, got a degree-{p.degree} polynomial")
-    return p.coeff(0)
+    value = _Parser(source, spec).parse()
+    if _degree(value) > 0:
+        raise ParseError(f"expected a point, got a degree-{value.degree} polynomial")
+    return value.coeff(0) if isinstance(value, Poly) else spec.coerce(value)
 
 
 def parse_scalar(source: str, field: FieldSpec) -> Scalar:

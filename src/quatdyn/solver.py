@@ -15,7 +15,9 @@ Class extraction is one pipeline with two acceptance policies:
      carry their leading coefficient in every coefficient and swell;
   2. its roots, approximated by the Aberth ladder of `aberth.aberth_roots`
      (rungs of doubling precision on Gaussian integers from a narrow first
-     one, each approximant with its own binary exponent);
+     one, each approximant with its own binary exponent) on the integers the
+     policy holds: the monic squarefree part, or in numeric mode that part
+     in units of 2**-(precision + 32), the rounding its disks then cover;
   3. a policy that turns the approximations into classes:
 
   exact    rational ground field only.  The monic companion is rescaled to a
@@ -148,10 +150,10 @@ def _squarefree(coeffs) -> list:
 
 def _monic_integer(C: Poly) -> tuple[list[int], int]:
     """D(y) = s**n * C(y/s) / lead: monic with integer coefficients."""
-    monic = [c.a / C.coeffs[-1].a for c in C.coeffs]
-    s = math.lcm(*(c.denominator for c in monic))
-    n = len(monic) - 1
-    return [int(monic[i] * s ** (n - i)) for i in range(n + 1)], s
+    [cs] = C.cols
+    lead, n = cs[-1], len(cs) - 1
+    s = math.lcm(*(abs(lead) // math.gcd(c, lead) for c in cs))
+    return [c * s ** (n - i) // lead for i, c in enumerate(cs)], s
 
 
 def _certification_bits(P: list[int]) -> int:
@@ -352,11 +354,11 @@ def _numeric_classes(C: Poly, precision: int) -> list[ConjClass]:
         )
     if C.degree < 1:
         return []
-    fracs = [c.to_real(precision + 32) for c in _squarefree(C.coeffs)]
-    zs = aberth_roots(fracs, precision=precision)
+    P = [int(c.to_real(precision + 32) * 2 ** (precision + 32)) for c in _squarefree(C.coeffs)]
+    zs = aberth_roots(P, precision=precision)
     E, pts = to_grid(zs, precision + 64)
-    # the disks also cover the rounding of the coefficients by to_real
-    radii = inclusion_radii(fracs, E, pts, Fraction(1, 1 << (precision + 32)))
+    # the disks also cover the rounding by to_real: one unit in each coefficient
+    radii = inclusion_radii(P, E, pts, 1)
     unit = Fraction(1, 1 << E)
     disks = [] if radii is None else [(A * unit, B * unit, rho) for (A, B), rho in zip(pts, radii)]
 

@@ -8,6 +8,7 @@ digits than the precision asked for).
 """
 
 import functools
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -53,7 +54,7 @@ def _companion_family(c, complex_c, precisions=(256,)):
     times its conjugate for the complex c' of c's trace and norm.  The
     large roots of the two factors pair up 2**-155 apart, relative to their
     moduli, so 256 bits are the least precision that separates them."""
-    coeffs = [c.a for c in companion(parse_poly(f"x^8+10^40*x+{c}", H)).coeffs]
+    coeffs = [int(c.a) for c in companion(parse_poly(f"x^8+10^40*x+{c}", H)).coeffs]
     conj = complex_c.replace("+I", "-I")
     return coeffs, [f"y**8 + 10**40*y + {complex_c}", f"y**8 + 10**40*y + {conj}"], precisions
 
@@ -163,6 +164,52 @@ def test_ladder_doubles_from_the_narrow_rung(monkeypatch):
     assert [s.kind for s in sols] == ["point"] * 3
     assert seen == [FIRST_BITS]
 
-    C = [Fraction(c) for c in (1, 0, 2 - 10**3000, 0, 1)]
+    C = [1, 0, 2 - 10**3000, 0, 1]
     for W in (FIRST_BITS + GUARD_BITS, 12):
         assert W < 60 and len(_newton_starts(C, W)) == 4
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_integer_input_with_a_non_unit_lead_and_roots_at_the_origin(sign):
+    """-+12 y^2 (y - 3)(y + 1/2)(y^2 + 4): the two roots at the origin split
+    off exactly, and the sign and size of the lead change nothing else."""
+    P = [sign * c for c in _integer("-6*y**2*(y - 3)*(2*y + 1)*(y**2 + 4)")]
+    assert P[-1] == -12 * sign and P[:2] == [0, 0]
+    zs = aberth_roots(P, precision=128)
+    assert zs[:2] == [(0, 0, 0)] * 2
+    E, pts = to_grid(zs[2:], 192)
+    radii = inclusion_radii(P[2:], E, pts)
+    assert radii is not None
+    unit = Fraction(1, 1 << E)
+    disks = [(A * unit, B * unit, rho) for (A, B), rho in zip(pts, radii)]
+    for a, (x1, y1, r1) in enumerate(disks):
+        assert r1 < Fraction(1, 2**100)
+        for x2, y2, r2 in disks[a + 1:]:
+            assert (x1 - x2) ** 2 + (y1 - y2) ** 2 > (r1 + r2) ** 2
+    for x, y in [(3, 0), (Fraction(-1, 2), 0), (0, 2), (0, -2)]:
+        assert sum((x - cx) ** 2 + (y - cy) ** 2 <= r * r for cx, cy, r in disks) == 1
+
+
+@pytest.mark.parametrize("text", [
+    "2**20*(y - 1)*(y - 2)*(y + 3)",
+    "-3*2**16*(y**2 + 1)*(y - 5) + 7",
+    "2**30*(y - 1)*(y - 1 - 2**-10)",
+])
+def test_error_disks_hold_the_roots_of_every_perturbation(text):
+    """With error 1, the disks hold every root of P + delta for delta of -1,
+    0 or 1 in each coefficient below the lead: `error` counts units of P's
+    own coefficients, whatever its lead."""
+    sympy = pytest.importorskip("sympy")
+    y = sympy.Symbol("y")
+    P = _integer(text)
+    E, pts = to_grid(aberth_roots(P, precision=64), 128)
+    radii = inclusion_radii(P, E, pts, 1)
+    unit = Fraction(1, 1 << E)
+    disks = [(A * unit, B * unit, rho) for (A, B), rho in zip(pts, radii)]
+    assert all(rho < Fraction(1, 2**8) for _, _, rho in disks)
+    for delta in itertools.product((-1, 0, 1), repeat=len(P) - 1):
+        perturbed = [c + d for c, d in zip(P, delta)] + P[-1:]
+        for root in sympy.Poly(list(reversed(perturbed)), y).nroots(n=40):
+            x, yy = (Fraction(str(sympy.Rational(v))) for v in root.as_real_imag())
+            slack = Fraction(1, 10**30)
+            assert any((x - cx) ** 2 + (yy - cy) ** 2 <= (r + slack) ** 2 for cx, cy, r in disks)

@@ -371,6 +371,27 @@ def test_parser_refuses_powers_past_the_input_bounds(poly):
     assert json.loads(out)["error"]["type"] == "ParseError"
 
 
+# every power in this sum passes the power bound, but the common denominator
+# of its terms passes the height budget many times over
+SUM_PAST_BUDGET = (
+    "1/2^32500+1/3^25145+1/5^19566+1/7^17072+1/11^14575+1/13^13828+1/17^12776"
+    "+1/19^12385+1/23^11767+1/29^11095+1/31^10916+1/37^10467"
+)
+
+
+@pytest.mark.parametrize(
+    "poly", ["10^16000*10^16000*x", "x+" + SUM_PAST_BUDGET], ids=["product", "sum"]
+)
+def test_parser_refuses_sums_and_products_past_the_height_budget(poly):
+    start = time.perf_counter()
+    code, out = run_cli(["compose", "--poly", poly, "--n", "1"])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParseError"
+    assert "of height above 65536 bits (at position" in error["message"]
+
+
 def test_huge_field_discriminant_is_a_parse_error():
     start = time.perf_counter()
     code, out = run_cli(["companion", "--algebra",

@@ -67,6 +67,20 @@ def test_power_zero_is_one():
     assert parse_poly("i^0", H) == Poly.constant(H, 1)
 
 
+def test_power_bound_counts_constants_as_degree_zero_and_zero_as_minus_one():
+    with pytest.raises(ParseError) as err:
+        parse_poly("0^100000", H)
+    assert str(err.value) == (
+        "power 100000 of a degree--1, 1-bit polynomial passes degree 256 or 65536 bits "
+        "(at position 1)"
+    )
+    with pytest.raises(ParseError) as err:
+        parse_poly("x + 2^65537", H)
+    assert "power 65537 of a degree-0, 2-bit polynomial" in str(err.value)
+    assert parse_poly("(1/2*i)^3*x^256", H) == Poly(H, [0] * 256 + [-I / 8])
+    assert parse_element("2*s5*(1/3)", H5) == H5.element(F5.scalar(0, Fraction(2, 3)))
+
+
 def test_whitespace_between_tokens():
     assert parse_poly(" x ^ 2 + ( i + 1 ) * x ", H) == Poly(H, [0, 1 + I, 1])
 

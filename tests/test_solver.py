@@ -484,7 +484,7 @@ def test_small_non_real_root_is_not_snapped_to_a_central_class():
     from quatdyn.aberth import aberth_roots, inclusion_radii, to_grid
     from quatdyn.solver import _real_roots
 
-    fracs = [c.to_real(160) for c in companion(g).coeffs]
+    fracs = [int(c.to_real(160) * 2**160) for c in companion(g).coeffs]
     E, pts = to_grid(aberth_roots(fracs, precision=128), 192)
     assert inclusion_radii(fracs, E, pts) is not None
     ims = [Fraction(abs(B), 1 << E) for _, B in pts]
@@ -596,7 +596,7 @@ def test_inclusion_disks_and_certificate():
 
     # (y - 1)(y - 65/64) at 1 + 0.3/64 and 1 + 0.7/64: radii near 0.016 are
     # small enough, but the two disks overlap, so nothing is certified
-    P = [Fraction(65, 64), -Fraction(129, 64), 1]
+    P = [65, -129, 64]
     unit = 1 << 30
     near = [(round((1 + 0.3 / 64) * unit), 0), (round((1 + 0.7 / 64) * unit), 0)]
     assert max(inclusion_radii(P, 30, near)) < Fraction(1, 32)
