@@ -54,10 +54,7 @@ KRONECKER_WIDE = 24
 
 def height(*elements) -> int:
     """Largest bit length among the numerators and denominators of elements."""
-    return max(
-        (max(e.den.bit_length(), *(v.bit_length() for v in e.nums)) for e in elements),
-        default=0,
-    )
+    return max((max(e.den, *map(abs, e.nums)).bit_length() for e in elements), default=0)
 
 
 def _quat_basis(p: int, q: int):

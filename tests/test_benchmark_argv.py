@@ -10,22 +10,28 @@ Then every call of that round runs through `cli.main`, and its exit code and
 stdout go through `perfbench/oracles.py`, deferred sympy checks included.
 The oracles read the printed text back with their own parser, so a slip in
 printing fails here, not only in a benchmark run.
+
+Last, every `--poly` and `--point` of a round is parsed and its coordinates
+compared with the polynomial and point the benchmark rendered them from,
+which `perfbench/algebra.py` computed without quatdyn.
 """
 
 import argparse
 import contextlib
 import io
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from quatdyn import UsageError, cli
+from quatdyn import Poly, UsageError, cli
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-import oracles  # noqa: E402  (needs perfbench/ on the path)
+import algebra  # noqa: E402  (needs perfbench/ on the path)
+import oracles  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -58,3 +64,42 @@ def test_benchmark_calls_pass_their_oracles(workload, monkeypatch):
         problems[key] += found
     failed = [(call.argv, problems[id(call)]) for call in calls if problems[id(call)]]
     assert not failed
+
+
+def _coordinates(poly, alg):
+    """The coefficients of a parsed Poly as the benchmark's coordinate tuples."""
+    w, den = poly.spec.table.width, poly.den
+    return [
+        tuple(
+            Fraction(nums[k], den)
+            if alg.d is None
+            else algebra.QF(Fraction(nums[k], den), Fraction(nums[k + 1], den), alg.d)
+            for k in range(0, len(nums), w)
+        )
+        for nums in zip(*poly.cols)
+    ]
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.ROUNDS))
+def test_parsed_inputs_equal_the_benchmark_data(workload, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    parser, compared = cli.build_parser(), 0
+    for call in workloads.build(workload, seed=3, rounds=1):
+        data = call.data
+        if "alg" not in data:  # goldens and usage errors carry no data
+            continue
+        alg = data["alg"]
+        ns = argparse.Namespace(command=None)
+        parser.parse_args(call.argv, ns)
+        spec = cli.parse_algebra(ns.algebra)
+        expected_f = data["g"] if call.kind == "companion" else data.get("f")
+        if expected_f is None:
+            expected_f = algebra.parse(data["f_text"], alg)
+        assert _coordinates(cli.parse_poly(ns.poly, spec), alg) == alg.trim(expected_f), call.argv
+        compared += 1
+        if getattr(ns, "point", None) is not None:
+            expected = data["lam"] if "lam" in data else algebra.parse_element(data["lam_text"], alg)
+            point = Poly.constant(spec, cli.parse_element(ns.point, spec))
+            assert _coordinates(point, alg) == alg.trim([expected]), call.argv
+            compared += 1
+    assert compared >= 20

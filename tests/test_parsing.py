@@ -6,7 +6,7 @@ import pytest
 from quatdyn import FieldSpec, OctSpec, ParseError, Poly, QQ, QuatSpec
 from quatdyn.parsing import parse_element, parse_poly, parse_scalar
 
-from helpers import rand_oct, rand_quat
+from helpers import pair_omul, rand_oct, rand_quat
 
 H = QuatSpec.standard()
 F5 = FieldSpec(5)
@@ -206,3 +206,122 @@ def test_render_parse_round_trip_imaginary_field():
         assert parse_poly(p.render(), H_3).render() == p.render()
     with pytest.raises(ParseError, match="s-3 does not belong"):
         parse_poly("x+s-3", H5)
+
+
+# -- the column evaluation: refusals, written order, central products ----------
+
+BUDGET_ERRORS = [
+    ("x^200*x^57", "product of degree above 256 (at position 5)"),
+    ("2^32768*2^32768", "product of height above 65536 bits (at position 7)"),
+    ("2^32767*2^32768", "product of height above 65536 bits (at position 7)"),
+    # the denominator 2^32768 * 3^20700 has 65577 bits
+    ("(1/2)^32768 + (1/3)^20700", "sum of height above 65536 bits (at position 12)"),
+    ("(1/2)^32768 - (1/3)^20700", "sum of height above 65536 bits (at position 12)"),
+    # 4 * 2^65534 = 2^65536: the third sum passes the budget
+    (
+        "x*2^32767*2^32767 + 2^32767*2^32767*x + x*2^32767*2^32767 + x*2^32767*2^32767",
+        "sum of height above 65536 bits (at position 58)",
+    ),
+    (
+        "x + (x+1)^300",
+        "power 300 of a degree-1, 1-bit polynomial passes degree 256 or 65536 bits "
+        "(at position 9)",
+    ),
+    (
+        "3^41337",
+        "power 41337 of a degree-0, 2-bit polynomial passes degree 256 or 65536 bits "
+        "(at position 1)",
+    ),
+    # the message names the base's height, 2 bits, not a bound on it
+    (
+        "(1*1*1*3)^40000",
+        "power 40000 of a degree-0, 2-bit polynomial passes degree 256 or 65536 bits "
+        "(at position 9)",
+    ),
+    # a sum that cancels is zero: degree -1 and 1 bit
+    (
+        "(x^2 - x^2)^100000",
+        "power 100000 of a degree--1, 1-bit polynomial passes degree 256 or 65536 bits "
+        "(at position 11)",
+    ),
+]
+
+
+@pytest.mark.parametrize("source, message", BUDGET_ERRORS)
+def test_budget_refusals_keep_message_and_position(source, message):
+    with pytest.raises(ParseError) as err:
+        parse_poly(source, H)
+    assert str(err.value) == message
+
+
+def test_heights_within_the_budget_are_accepted():
+    # 2^65534 has 65535 bits: the product of two 32768-bit factors is allowed
+    assert parse_poly("2^32767*2^32767", H) == Poly.constant(H, 2**65534)
+    # the height bound of 1*1*1*3 is larger than its height of 2 bits
+    assert parse_poly("(1*1*1*3)^30000", H) == Poly.constant(H, 3**30000)
+    sum_ = parse_poly("(1/2)^32768 + (1/3)^20600", H)
+    assert sum_ == Poly.constant(H, Fraction(1, 2**32768) + Fraction(1, 3**20600))
+
+
+def test_octonion_products_keep_written_order():
+    one = Fraction(1)
+    i, j, l = ([one if k == n else 0 * one for k in range(8)] for n in (1, 2, 4))
+    left = pair_omul(-one, -one, -one, pair_omul(-one, -one, -one, i, j), l)
+    right = pair_omul(-one, -one, -one, i, pair_omul(-one, -one, -one, j, l))
+    assert left != right
+    for source, expected in (("(i*j)*l", left), ("i*(j*l)", right)):
+        got = parse_element(source, O)
+        assert tuple(Fraction(v, got.den) for v in got.nums) == expected
+    assert parse_element("(i*j)*l", O) != parse_element("i*(j*l)", O)
+
+
+def test_central_products_and_powers():
+    assert parse_poly("x*i", H) == parse_poly("i*x", H) == Poly(H, [0, I])
+    assert parse_poly("x^0", H) == Poly.constant(H, 1)
+    assert parse_poly("(3/2*x)^3", H) == Poly(H, [0, 0, 0, Fraction(27, 8)])
+    assert parse_element("s5*s5", H5) == H5.element(5)
+    assert parse_element("(1 + s5)^2", H5) == H5.element(F5.scalar(6, 2))
+
+
+def test_a_cancelled_sum_is_zero_of_degree_minus_one():
+    assert parse_poly("x^2 - x^2", H) == Poly(H)
+    # x^256 times a polynomial of degree 2 would pass the degree bound
+    assert parse_poly("(x^2 - x^2)*x^256", H) == Poly(H)
+    assert parse_poly("x^256*(i*x - x*i)", H) == Poly(H)
+    assert parse_element("(i + j)*(x - x)", H) == H.zero()
+
+
+def test_printed_polynomials_parse_without_algebra_products(monkeypatch):
+    """Sums of number*symbol terms times x^e need no structure-constant product."""
+    from quatdyn._kernel import Table
+
+    calls = {"mul": 0, "poly_mul": 0}
+    for name in calls:
+        original = getattr(Table, name)
+
+        def counted(self, *args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Table, name, counted)
+    printed = (
+        "(4 + 4*i + -4*j + -4*k)*x^0 + (-1*i + 1*j + 1*k)*x^1 + (1*i + -1*j + -1*k)*x^2"
+    )
+    f = parse_poly(printed, H)
+    g = parse_poly("(1/2 + 1*i + -3*l + 1*kl)*x^0 + (-1*jl)*x^1 + (1)*x^2", O)
+    point = parse_element("(1 + 1*i + -1*j + -1*k)", H)
+    assert calls == {"mul": 0, "poly_mul": 0}
+    parse_element("i*j", H)
+    parse_poly("(x + i)*(x + j)", H)
+    assert calls == {"mul": 1, "poly_mul": 1}
+    monkeypatch.undo()
+    assert f == Poly(H, [4 + 4 * I - 4 * J - 4 * K, -I + J + K, I - J - K])
+    assert g.render() == "(1)*x^2 + (-jl)*x + (1/2 + i - 3*l + kl)"
+    assert point == 1 + I - J - K
+
+
+def test_an_overlong_radical_is_a_parse_error():
+    # it raised ValueError from int(), an uncaught traceback in the CLI
+    with pytest.raises(ParseError) as err:
+        parse_poly("x + s" + "7" * 5000, H)
+    assert str(err.value) == "integer of 5000 digits is too long (at position 4)"
