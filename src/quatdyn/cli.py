@@ -285,7 +285,12 @@ def main(argv=None) -> int:
     except (AlgebraError, ZeroDivisionError) as exc:
         _emit_error(ns.command, exc)
         return 1
-    print(json.dumps(payload, indent=2))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # a residual past the double range prints in full
+    try:
+        print(json.dumps(payload, indent=2))
+    finally:
+        sys.set_int_max_str_digits(limit)
     return 0
 
 

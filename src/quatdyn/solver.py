@@ -107,7 +107,7 @@ class ClassSolution:
     kind: str
     klass: ConjClass
     point: Quaternion | None = None
-    residual: float | None = None
+    residual: float | int | None = None  # an int past the double range
     detail: str = ""
 
 
@@ -403,6 +403,14 @@ def _numeric_classes(C: Poly, precision: int) -> list[ConjClass]:
     )
 
 
+def _log2_bound(c: Scalar) -> int:
+    """About log2 |c|, rounded up: a scale that brings c near 1."""
+    bits = [abs(x.numerator).bit_length() - x.denominator.bit_length() + 1 for x in (c.a, c.b) if x]
+    if c.b:
+        bits[-1] += c.field.d.bit_length()
+    return max(bits, default=0)
+
+
 def _resolving_precision(C: Poly, mu: Scalar, precision: int) -> int:
     """An estimate of the precision at which numeric extraction tells the
     roots of C near mu apart from mu, for a candidate mu with C(mu) != 0.
@@ -441,49 +449,57 @@ def extract_classes(
 
 # -- per-class solving ------------------------------------------------------------
 
-
-def _magnitude(z: Quaternion) -> float:
-    """Euclidean norm of the coordinates; inf beyond the double range."""
-    coords = z.coords()
-    try:
-        return math.sqrt(sum(float(c) ** 2 for c in coords))
-    except OverflowError:
-        pass
-    # a coordinate or its square left the double range: scale by 2**-e first
-    e = max(_log2_bound(c) for c in coords)
-    m = math.sqrt(sum(float(c * Fraction(1, 1 << e)) ** 2 for c in coords))
-    try:
-        return math.ldexp(m, e)
-    except OverflowError:
-        return math.inf
+# Numeric judgements are exact.  A size is a dyadic lower bound m * 2**e of a
+# Euclidean norm with SIZE_BITS significant bits, and a test |v| <= tol * scale
+# compares integers over Q and takes the sign of one scalar over Q(sqrt d).
+# Rounding the scales down keeps every test at least as strict as the exact one.
+SIZE_BITS = 64
+Dyadic = tuple[int, int]
 
 
-def _log2_bound(c: Scalar) -> int:
-    """About log2 |c|, rounded up: a scale that brings c near 1."""
-    bits = [abs(x.numerator).bit_length() - x.denominator.bit_length() + 1 for x in (c.a, c.b) if x]
-    if c.b:
-        bits[-1] += c.field.d.bit_length()
-    return max(bits, default=0)
+def _fma(acc: Dyadic, x: Dyadic, y: Dyadic) -> Dyadic:
+    """acc + x*y, rounded down to SIZE_BITS bits; a term below 2**-SIZE_BITS
+    times the other drops out."""
+    (m, e), (n, f) = acc, (x[0] * y[0], x[1] + y[1])
+    if not m or (n and f + n.bit_length() > e + m.bit_length() + SIZE_BITS):
+        m, e = n, f
+    elif n and e + m.bit_length() <= f + n.bit_length() + SIZE_BITS:
+        m, e = (m << max(e - f, 0)) + (n << max(f - e, 0)), min(e, f)
+    shift = m.bit_length() - SIZE_BITS
+    return (m >> shift, e + shift) if shift > 0 else (m, e)
 
 
-def _abs_float(c: Scalar) -> float:
-    try:
-        return abs(float(c))
-    except OverflowError:
-        return math.inf
+def _squared_norm(z) -> tuple[int, int, int]:
+    """(X, Y, D) with |z|**2 = (X + Y*sqrt d) / D, from z's numerators over
+    D = den**2; Y = 0 over Q."""
+    d, D = z.spec.field.d, z.den * z.den
+    if d is None:
+        return sum(v * v for v in z.nums), 0, D
+    pairs = list(zip(z.nums[::2], z.nums[1::2]))
+    return sum(a * a + d * b * b for a, b in pairs), 2 * sum(a * b for a, b in pairs), D
 
 
-def _term_scale(sizes: list[float], lam: Quaternion) -> float:
-    """sum |c_k| * |lam|^k, the size of the terms of g(lam); sizes[k] = |c_k|."""
-    lam_size, total, power = _magnitude(lam), 0.0, 1.0
-    for size in sizes:
-        if size:
-            total += size * power
-        power *= lam_size
-    return total
+def _size(z) -> Dyadic:
+    """A lower bound of |z| with about SIZE_BITS significant bits."""
+    X, Y, D = _squared_norm(z)
+    if Y:  # X + floor(Y*sqrt d), as sqrt d is irrational
+        r = isqrt(Y * Y * z.spec.field.d)
+        X += r if Y > 0 else -r - 1
+    s = SIZE_BITS - (X.bit_length() - D.bit_length()) // 2
+    return isqrt((X << 2 * s) // D if s >= 0 else X // (D << -2 * s)), -s
 
 
-def _reduction_scales(sizes: list[float], T: Scalar, N: Scalar) -> tuple[float, float]:
+def _within(v, tol: Fraction, scale: Dyadic) -> bool:
+    """|v| <= tol * scale, decided exactly on the squares."""
+    X, Y, D = _squared_norm(v)
+    m, e = scale
+    lhs = tol.denominator**2 << max(-2 * e, 0)
+    rhs = (tol.numerator * m) ** 2 * D << max(2 * e, 0)
+    # lhs * (X + Y*sqrt d) <= rhs
+    return lhs * X <= rhs if not Y else Scalar(v.spec.field, (rhs - lhs * X, -lhs * Y))._sign() >= 0
+
+
+def _reduction_scales(sizes: list[Dyadic], T: Scalar, N: Scalar) -> tuple[Dyadic, Dyadic]:
     """Sizes of the terms summed into A and B, where g(z) = A z + B in the class.
 
     A = sum c_k p_k and B = sum c_k q_k for z^k = p_k z + q_k; the sizes are
@@ -492,35 +508,33 @@ def _reduction_scales(sizes: list[float], T: Scalar, N: Scalar) -> tuple[float, 
     So cancellation inside p_k counts too: on the complex class of x^3 - 2,
     p_3 = T^2 - N vanishes.
     """
-    t, n = _abs_float(T), _abs_float(N)
-    P, Q, a_scale, b_scale = 0.0, 1.0, 0.0, 0.0
+    t, n = _size(T), _size(N)
+    P, Q, a_scale, b_scale = (0, 0), (1, 0), (0, 0), (0, 0)
     for size in sizes:
-        if size:
-            a_scale, b_scale = a_scale + size * P, b_scale + size * Q
-        P, Q = t * P + Q, n * P
+        a_scale, b_scale = _fma(a_scale, size, P), _fma(b_scale, size, Q)
+        P, Q = _fma(Q, t, P), _fma((0, 0), n, P)
     return a_scale, b_scale
 
 
-_BEYOND_DOUBLES = "magnitudes beyond the double range"
-
-
 def _numeric_point(
-    g: Poly,
-    sizes: list[float],
-    klass: ConjClass,
-    lam: Quaternion,
-    tolerance: float,
-    reject: str,
-    detail: str,
+    g: Poly, sizes: list[Dyadic], klass: ConjClass, lam: Quaternion, tolerance: Fraction
 ) -> ClassSolution:
-    """Accept lam when |g(lam)| is at most tolerance times the size of its terms."""
-    scale = _term_scale(sizes, lam)
-    if math.isinf(scale):
-        return ClassSolution("anomaly", klass, detail=_BEYOND_DOUBLES)
-    residual = _magnitude(g(lam))
-    if residual <= tolerance * scale:
+    """Accept lam when |g(lam)| is at most tolerance times sum |c_k| |lam|^k,
+    the size of its terms (sizes[k] = |c_k|).  The residual is |g(lam)| as a
+    double, or as an integer past the double range."""
+    lam_size, scale, power = _size(lam), (0, 0), (1, 0)
+    for size in sizes:
+        scale, power = _fma(scale, size, power), _fma((0, 0), power, lam_size)
+    value = g(lam)
+    m, e = _size(value)
+    try:
+        residual = math.ldexp(m, e)
+    except OverflowError:
+        residual = m << e
+    if _within(value, tolerance, scale):
         return ClassSolution("point", klass, point=lam, residual=residual)
-    return ClassSolution(reject, klass, residual=residual, detail=detail)
+    kind, what = ("none", "central candidate") if klass.is_central else ("anomaly", "candidate")
+    return ClassSolution(kind, klass, residual=residual, detail=f"{what} residual above tolerance")
 
 
 def solve_in_class(
@@ -537,27 +551,21 @@ def solve_in_class(
         raise UnsupportedAlgebraError("class solving needs a quaternion algebra")
     T, N = klass.trace, klass.norm
     if not klass.exact:
-        sizes = [_magnitude(c) for c in g.coeffs]
-        if math.isinf(sum(sizes) + _abs_float(T) + _abs_float(N)):
-            # relative tolerances mean nothing past the double range
-            return ClassSolution("anomaly", klass, detail=_BEYOND_DOUBLES)
+        sizes, tolerance = [_size(c) for c in g.coeffs], Fraction(tolerance)
+        precision = klass.precision or DEFAULT_PRECISION
 
     if klass.is_central:
         lam = g.spec.coerce(T / 2)
         if klass.exact:
             if g(lam).is_zero:
                 return ClassSolution("point", klass, point=lam)
-            return ClassSolution(
-                "none", klass, detail="central candidate is not a root"
-            )
-        sol = _numeric_point(
-            g, sizes, klass, lam, tolerance, "none", "central candidate residual above tolerance"
-        )
+            return ClassSolution("none", klass, detail="central candidate is not a root")
+        sol = _numeric_point(g, sizes, klass, lam, tolerance)
         if sol.kind != "none" or klass.excluded:
             return sol
         # the candidate may still be a root of the companion that the working
         # precision could not resolve: no claim of absence
-        bits = _resolving_precision(companion(g), T / 2, klass.precision or DEFAULT_PRECISION)
+        bits = _resolving_precision(companion(g), T / 2, precision)
         beyond = f", above the cap of {MAX_PRECISION} bits" if bits > MAX_PRECISION else ""
         return replace(
             sol,
@@ -573,25 +581,16 @@ def solve_in_class(
     if klass.exact:
         a_zero, b_zero = A.is_zero, B.is_zero
     else:
-        ztol = 2.0 ** (-(klass.precision or DEFAULT_PRECISION) // 2 + 8)
+        ztol = Fraction(2) ** (-precision // 2 + 8)
         a_scale, b_scale = _reduction_scales(sizes, T, N)
-        if not math.isfinite(a_scale + b_scale):
-            return ClassSolution("anomaly", klass, detail=_BEYOND_DOUBLES)
-        a_zero = _magnitude(A) <= ztol * a_scale
-        b_zero = _magnitude(B) <= ztol * b_scale
+        a_zero, b_zero = _within(A, ztol, a_scale), _within(B, ztol, b_scale)
 
     if a_zero and b_zero:
         return ClassSolution("sphere", klass)
     if a_zero:
         if klass.exact:
-            return ClassSolution(
-                "none", klass, detail="reduction is insoluble in this class"
-            )
-        return ClassSolution(
-            "anomaly",
-            klass,
-            detail="reduction degenerated at numeric precision",
-        )
+            return ClassSolution("none", klass, detail="reduction is insoluble in this class")
+        return ClassSolution("anomaly", klass, detail="reduction degenerated at numeric precision")
 
     try:
         lam = -(A.inv() * B)
@@ -601,17 +600,12 @@ def solve_in_class(
     if klass.exact:
         if lam.in_class(T, N) and g(lam).is_zero:
             return ClassSolution("point", klass, point=lam)
-        return ClassSolution(
-            "anomaly", klass, detail="candidate failed exact verification"
-        )
+        return ClassSolution("anomaly", klass, detail="candidate failed exact verification")
     # round the candidate to the class precision, then judge it by exact
     # re-evaluation of the original coefficients at the rounded point
-    bits = klass.precision or DEFAULT_PRECISION
     field = g.spec.field
-    lam = g.spec.element(*(field.scalar(c.to_real(bits)) for c in lam.coords()))
-    return _numeric_point(
-        g, sizes, klass, lam, tolerance, "anomaly", "candidate residual above tolerance"
-    )
+    lam = g.spec.element(*(field.scalar(c.to_real(precision)) for c in lam.coords()))
+    return _numeric_point(g, sizes, klass, lam, tolerance)
 
 
 def roots(

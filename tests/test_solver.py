@@ -433,6 +433,15 @@ NUMERIC_CORPUS = [
     ("quat:-1,-1@Q(s5)", "x-s5", ["point"]),
     ("quat:-1,-1@Q(s5)", "x^2+s5*i*x+1", ["point", "point"]),
     ("quat:-1,-1@Q(s5)", "x^3+(1+s5)*j*x+2", ["point"] * 3),
+    # past the double range: sizes and tests are exact, so these get verdicts
+    ("quat:-1,-1@Q", "x^2-10^700", ["point", "point"]),
+    ("quat:-1,-1@Q", "x^2+10^400", ["sphere"]),
+    # the fixed points of x^2+10^350*x are the roots of f(x) - x
+    ("quat:-1,-1@Q", "x^2+(10^350-1)*x", ["point", "point"]),
+    # the central class holds no root the working precision resolves, as for 10^100
+    ("quat:-1,-1@Q", "x^2+10^200*x+i", ["point", "point", "anomaly"]),
+    ("quat:-1,-1@Q", "x^2+10^300*x+i", ["point", "point", "anomaly"]),
+    ("quat:-1,-1@Q", "10^400*x^2+i", ["anomaly"]),
 ]
 
 
@@ -442,6 +451,39 @@ def test_numeric_class_kinds(algebra, text, kinds):
 
     g = parse_poly(text, parse_algebra(algebra))
     assert [s.kind for s in roots(g, mode="numeric")] == kinds
+
+
+def _norm_below(q) -> Fraction:
+    """A lower bound of the Euclidean norm of a 4-tuple of Fractions."""
+    s = sum(c * c for c in q)
+    return Fraction(math.isqrt(s.numerator * s.denominator << 128), s.denominator << 64)
+
+
+@pytest.mark.parametrize("text", [text for alg, text, _ in NUMERIC_CORPUS if alg == "quat:-1,-1@Q"])
+def test_numeric_points_hold_by_exact_substitution(text):
+    """Each numeric point over Q, past the double range too, is re-checked in
+    Fractions with the table multiplier: |g(lam)| is at most the tolerance
+    times sum |c_k| |lam|^k, and the residual reported is |g(lam)|.  Each
+    anomaly names the precision that would resolve its class."""
+    from quatdyn.solver import DEFAULT_TOLERANCE
+
+    g = parse_poly(text, H)
+    coeffs = [tuple(c.a for c in coeff.coords()) for coeff in g.coeffs]
+    for sol in roots(g, mode="numeric"):
+        if sol.kind == "anomaly":
+            assert "bits would resolve the class" in sol.detail
+        if sol.kind != "point":
+            continue
+        lam = tuple(c.a for c in sol.point.coords())
+        value = (Fraction(0),) * 4
+        for c in reversed(coeffs):  # Horner's rule
+            value = tuple(a + b for a, b in zip(table_qmul(-1, -1, value, lam), c))
+        squared = sum(c * c for c in value)
+        size = _norm_below(lam)
+        scale = sum(_norm_below(c) * size**k for k, c in enumerate(coeffs))
+        assert squared <= (Fraction(DEFAULT_TOLERANCE) * scale) ** 2
+        reported = Fraction(sol.residual) ** 2
+        assert reported == squared == 0 or abs(reported / squared - 1) < Fraction(1, 2**50)
 
 
 def test_numeric_none_needs_the_disks_to_exclude_the_candidate():
@@ -559,18 +601,6 @@ def test_irrational_sextic_is_settled_quickly():
     assert time.perf_counter() - start < 5
     assert info.value.remainder_degree == 6
     assert info.value.classes == ()
-
-
-def test_magnitude_beyond_double_range():
-    from quatdyn.solver import _magnitude
-
-    assert _magnitude(H.element(3, 4)) == 5.0
-    assert _magnitude(H.element(3 * 10**200, 4 * 10**200)) == pytest.approx(5e200)
-    assert _magnitude(H.element(10**400)) == math.inf
-    # numeric tolerances are relative to the coefficients, so past the
-    # double range the class is reported, not judged
-    sols = roots(Poly(H, [10**400, 0, 1]), mode="numeric")
-    assert [s.kind for s in sols] == ["anomaly"]
 
 
 def test_inclusion_disks_and_certificate():
