@@ -403,14 +403,6 @@ def _numeric_classes(C: Poly, precision: int) -> list[ConjClass]:
     )
 
 
-def _log2_bound(c: Scalar) -> int:
-    """About log2 |c|, rounded up: a scale that brings c near 1."""
-    bits = [abs(x.numerator).bit_length() - x.denominator.bit_length() + 1 for x in (c.a, c.b) if x]
-    if c.b:
-        bits[-1] += c.field.d.bit_length()
-    return max(bits, default=0)
-
-
 def _resolving_precision(C: Poly, mu: Scalar, precision: int) -> int:
     """An estimate of the precision at which numeric extraction tells the
     roots of C near mu apart from mu, for a candidate mu with C(mu) != 0.
@@ -449,6 +441,15 @@ def extract_classes(
 
 # -- per-class solving ------------------------------------------------------------
 
+
+def _log2_bound(c: Scalar) -> int:
+    """About log2 |c|, rounded up: a scale that brings c near 1."""
+    bits = [abs(x.numerator).bit_length() - x.denominator.bit_length() + 1 for x in (c.a, c.b) if x]
+    if c.b:
+        bits[-1] += c.field.d.bit_length()
+    return max(bits, default=0)
+
+
 # Numeric judgements are exact.  A size is a dyadic lower bound m * 2**e of a
 # Euclidean norm with SIZE_BITS significant bits, and a test |v| <= tol * scale
 # compares integers over Q and takes the sign of one scalar over Q(sqrt d).
@@ -482,9 +483,12 @@ def _squared_norm(z) -> tuple[int, int, int]:
 def _size(z) -> Dyadic:
     """A lower bound of |z| with about SIZE_BITS significant bits."""
     X, Y, D = _squared_norm(z)
-    if Y:  # X + floor(Y*sqrt d), as sqrt d is irrational
-        r = isqrt(Y * Y * z.spec.field.d)
-        X += r if Y > 0 else -r - 1
+    if Y:
+        # X + Y*sqrt d and its conjugate are squared norms with an integer
+        # product, so X + Y*sqrt d >= 1/(2X): floor it after a shift by t bits
+        t = X.bit_length() + 2 * SIZE_BITS
+        r = isqrt(Y * Y * z.spec.field.d << 2 * t)  # sqrt d is irrational
+        X, D = (X << t) + (r if Y > 0 else -r - 1), D << t
     s = SIZE_BITS - (X.bit_length() - D.bit_length()) // 2
     return isqrt((X << 2 * s) // D if s >= 0 else X // (D << -2 * s)), -s
 
@@ -559,7 +563,9 @@ def solve_in_class(
         if klass.exact:
             if g(lam).is_zero:
                 return ClassSolution("point", klass, point=lam)
-            return ClassSolution("none", klass, detail="central candidate is not a root")
+            return ClassSolution(
+                "none", klass, detail="central candidate is not a root"
+            )
         sol = _numeric_point(g, sizes, klass, lam, tolerance)
         if sol.kind != "none" or klass.excluded:
             return sol
@@ -589,8 +595,14 @@ def solve_in_class(
         return ClassSolution("sphere", klass)
     if a_zero:
         if klass.exact:
-            return ClassSolution("none", klass, detail="reduction is insoluble in this class")
-        return ClassSolution("anomaly", klass, detail="reduction degenerated at numeric precision")
+            return ClassSolution(
+                "none", klass, detail="reduction is insoluble in this class"
+            )
+        return ClassSolution(
+            "anomaly",
+            klass,
+            detail="reduction degenerated at numeric precision",
+        )
 
     try:
         lam = -(A.inv() * B)
@@ -600,7 +612,9 @@ def solve_in_class(
     if klass.exact:
         if lam.in_class(T, N) and g(lam).is_zero:
             return ClassSolution("point", klass, point=lam)
-        return ClassSolution("anomaly", klass, detail="candidate failed exact verification")
+        return ClassSolution(
+            "anomaly", klass, detail="candidate failed exact verification"
+        )
     # round the candidate to the class precision, then judge it by exact
     # re-evaluation of the original coefficients at the rounded point
     field = g.spec.field

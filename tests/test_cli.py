@@ -518,6 +518,16 @@ def test_exact_results_render_past_the_int_text_limit(argv):
     assert max(map(len, re.findall(r"\d+", last))) > 4300
 
 
+def test_numeric_residual_prints_past_the_int_text_limit():
+    """A residual past the double range is a JSON integer, printed in full."""
+    limit = sys.get_int_max_str_digits()
+    code, out = run_cli(["roots", "--poly", "x^2-2*10^10000", "--mode", "numeric"])
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit  # lifted only while printing
+    residuals = re.findall(r'"residual": (\d+)', out)
+    assert len(residuals) == 2 and min(map(len, residuals)) > 4300
+
+
 def test_number_token_past_the_int_text_limit_is_a_parse_error():
     code, out = run_cli(["roots", "--poly", "x-" + "7" * 5000])
     assert code == 2

@@ -433,6 +433,9 @@ NUMERIC_CORPUS = [
     ("quat:-1,-1@Q(s5)", "x-s5", ["point"]),
     ("quat:-1,-1@Q(s5)", "x^2+s5*i*x+1", ["point", "point"]),
     ("quat:-1,-1@Q(s5)", "x^3+(1+s5)*j*x+2", ["point"] * 3),
+    # coefficients a + b*sqrt d that nearly cancel still have sizes near |a + b*sqrt d|
+    ("quat:-1,-1@Q(s2)", "(1-s2)*x^2-2*(1-s2)", ["point", "point"]),
+    ("quat:-1,-1@Q(s5)", "(s5-2)*x^3-(s5-2)*i", ["point"] * 3),
     # past the double range: sizes and tests are exact, so these get verdicts
     ("quat:-1,-1@Q", "x^2-10^700", ["point", "point"]),
     ("quat:-1,-1@Q", "x^2+10^400", ["sphere"]),
@@ -453,37 +456,67 @@ def test_numeric_class_kinds(algebra, text, kinds):
     assert [s.kind for s in roots(g, mode="numeric")] == kinds
 
 
+def _bounds(s) -> tuple[Fraction, Fraction]:
+    """Rational bounds, 2**-60 apart relative, of a ground-field scalar a + b*sqrt d."""
+    bits = 64
+    while True:
+        lo, hi = sorted(s.a + s.b * r for r in sqrt_bracket(s.field.d, bits)) if s.b else (s.a, s.a)
+        if hi - lo <= abs(lo) / 2**60:
+            return lo, hi
+        bits *= 2
+
+
 def _norm_below(q) -> Fraction:
-    """A lower bound of the Euclidean norm of a 4-tuple of Fractions."""
-    s = sum(c * c for c in q)
+    """A lower bound of the Euclidean norm of a 4-tuple of ground-field scalars."""
+    s = max(_bounds(sum(c * c for c in q))[0], Fraction(0))
     return Fraction(math.isqrt(s.numerator * s.denominator << 128), s.denominator << 64)
 
 
-@pytest.mark.parametrize("text", [text for alg, text, _ in NUMERIC_CORPUS if alg == "quat:-1,-1@Q"])
-def test_numeric_points_hold_by_exact_substitution(text):
-    """Each numeric point over Q, past the double range too, is re-checked in
-    Fractions with the table multiplier: |g(lam)| is at most the tolerance
-    times sum |c_k| |lam|^k, and the residual reported is |g(lam)|.  Each
-    anomaly names the precision that would resolve its class."""
+@pytest.mark.parametrize("algebra,text", [row[:2] for row in NUMERIC_CORPUS])
+def test_numeric_points_hold_by_exact_substitution(algebra, text):
+    """Each numeric point, past the double range too, is re-checked in exact
+    ground-field scalars with the table multiplier: |g(lam)| is at most the
+    tolerance times sum |c_k| |lam|^k, and the residual reported is |g(lam)|.
+    Each anomaly names the precision that would resolve its class."""
+    from quatdyn.cli import parse_algebra
     from quatdyn.solver import DEFAULT_TOLERANCE
 
-    g = parse_poly(text, H)
-    coeffs = [tuple(c.a for c in coeff.coords()) for coeff in g.coeffs]
+    g = parse_poly(text, parse_algebra(algebra))
+    coeffs = [coeff.coords() for coeff in g.coeffs]
     for sol in roots(g, mode="numeric"):
         if sol.kind == "anomaly":
             assert "bits would resolve the class" in sol.detail
         if sol.kind != "point":
             continue
-        lam = tuple(c.a for c in sol.point.coords())
-        value = (Fraction(0),) * 4
-        for c in reversed(coeffs):  # Horner's rule
+        lam = sol.point.coords()
+        value = coeffs[-1]
+        for c in reversed(coeffs[:-1]):  # Horner's rule
             value = tuple(a + b for a, b in zip(table_qmul(-1, -1, value, lam), c))
-        squared = sum(c * c for c in value)
+        lo, hi = _bounds(sum(c * c for c in value))
         size = _norm_below(lam)
         scale = sum(_norm_below(c) * size**k for k, c in enumerate(coeffs))
-        assert squared <= (Fraction(DEFAULT_TOLERANCE) * scale) ** 2
+        assert hi <= (Fraction(DEFAULT_TOLERANCE) * scale) ** 2
         reported = Fraction(sol.residual) ** 2
-        assert reported == squared == 0 or abs(reported / squared - 1) < Fraction(1, 2**50)
+        assert reported == hi == 0 or lo * (1 - Fraction(1, 2**50)) <= reported <= hi * (1 + Fraction(1, 2**50))
+
+
+def test_size_is_a_tight_lower_bound_where_radicals_cancel():
+    """|a + b*sqrt d| is sized to within 2**-60 below, also where it nearly
+    cancels: a size of 0 for 1 - s2 would make every test scaled by it
+    demand an exact zero."""
+    from quatdyn.solver import _size
+
+    for d, unit in [(2, 1), (5, 1), (5, Fraction(1, 10**40)), (2, 10**300)]:
+        field = FieldSpec(d)
+        spec = QuatSpec(field, -1, -1)
+        # 1393 - 985*s2 and 682 - 305*s5 are below 10^-3
+        for a, b in [(1, -1), (-2, 1), (3, -1), (-2, 2), (-1, 1), (1393, -985), (682, -305)]:
+            z = field.scalar(a * unit, b * unit)
+            for v, coords in [(z, [z]), (spec.element(z, z * z, 0, z), [z, z * z, z])]:
+                m, e = _size(v)
+                size = m * Fraction(2) ** e
+                lo, hi = _bounds(sum(c * c for c in coords))
+                assert size**2 <= lo and hi < (size * (1 + Fraction(1, 2**60))) ** 2
 
 
 def test_numeric_none_needs_the_disks_to_exclude_the_candidate():
