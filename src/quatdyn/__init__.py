@@ -7,8 +7,9 @@ over an algebra or over the ground field), the companion-polynomial root
 solver (`roots` and friends), and the dynamics layer (`fixed_points`,
 `orbit`, `certify_periodic` and its r = 1 case `octonion_fixed_check`).
 Scalars, quaternions and octonions share one integer structure-constant
-kernel.  Only `Poly.compose_iterate` builds composites and has a degree cap;
-the dynamics layer is bounded by a budget on steps and bit height instead.
+kernel.  Only `Poly.compose_iterate` builds composites, within the fixed
+`DEGREE_CAP` and a budget on their column height and work; the dynamics layer
+is bounded by a budget on steps and bit height instead.
 """
 
 __version__ = "0.1.0"
@@ -30,7 +31,7 @@ from .errors import (
 from .scalars import QQ, FieldSpec, Scalar
 from .quaternions import QuatSpec, Quaternion
 from .octonions import OctSpec, Octonion
-from .polynomials import DEFAULT_DEGREE_CAP, Poly
+from .polynomials import DEGREE_CAP, Poly
 from .solver import (
     DEFAULT_PRECISION,
     DEFAULT_TOLERANCE,
@@ -73,7 +74,7 @@ __all__ = [
     "Quaternion",
     "OctSpec",
     "Octonion",
-    "DEFAULT_DEGREE_CAP",
+    "DEGREE_CAP",
     "Poly",
     "DEFAULT_PRECISION",
     "DEFAULT_TOLERANCE",

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import gcd, lcm
 from typing import TYPE_CHECKING
 
@@ -55,6 +55,11 @@ KRONECKER_WIDE = 24
 def height(*elements) -> int:
     """Largest bit length among the numerators and denominators of elements."""
     return max((max(e.den, *map(abs, e.nums)).bit_length() for e in elements), default=0)
+
+
+def column_height(cols, den: int) -> int:
+    """Largest bit length among den and the numerators of coordinate columns over it."""
+    return max(den, *map(abs, chain.from_iterable(cols)), 0).bit_length()
 
 
 def _quat_basis(p: int, q: int):

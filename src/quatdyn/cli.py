@@ -23,7 +23,7 @@ from . import dynamics, solver
 from .errors import AlgebraError, ParseError, UsageError
 from .octonions import OctSpec
 from .parsing import parse_element, parse_poly, parse_scalar
-from .polynomials import DEFAULT_DEGREE_CAP, Poly
+from .polynomials import Poly
 from .quaternions import QuatSpec, Quaternion
 from .scalars import FieldSpec, Scalar
 
@@ -161,7 +161,7 @@ def _cmd_companion(ns) -> dict:
 def _cmd_compose(ns) -> dict:
     spec = parse_algebra(ns.algebra)
     f = parse_poly(ns.poly, spec)
-    composed = f.compose_iterate(ns.n, degree_cap=ns.degree_cap)
+    composed = f.compose_iterate(ns.n)
     payload = _base_payload(ns, spec, {"poly": f.render(), "n": ns.n})
     payload["result"] = {"poly": composed.render(), "degree": composed.degree}
     return payload
@@ -251,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     compose = sub.add_parser("compose", parents=[poly])
     compose.add_argument("--n", type=int, required=True)
-    compose.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP)
 
     orbit = sub.add_parser("orbit", parents=[poly, point])
     orbit.add_argument("--semantics", choices=("compose", "eval"), default="compose")
@@ -296,16 +295,11 @@ def main(argv=None) -> int:
 
 def _check_arguments(ns) -> None:
     """Reject out-of-range numeric arguments before any work."""
-    for name in ("n", "r", "n_max", "degree_cap"):
+    for name in ("n", "r", "n_max"):
         value = getattr(ns, name, None)
         if value is not None and value < 1:
             flag = "--" + name.replace("_", "-")
             raise UsageError(f"{flag} must be at least 1, got {value}")
-    # a composite's degree grows geometrically in n, and the work budget
-    # counts coefficient bits, so sparse low-height composites pass it
-    cap = getattr(ns, "degree_cap", None)
-    if cap is not None and cap > DEFAULT_DEGREE_CAP:
-        raise UsageError(f"--degree-cap must be at most {DEFAULT_DEGREE_CAP}, got {cap}")
     if not hasattr(ns, "tolerance"):
         return  # only the solver commands take --tolerance and --precision
     if not (math.isfinite(ns.tolerance) and ns.tolerance >= 0):

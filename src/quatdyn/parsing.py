@@ -24,10 +24,9 @@ unary '-' nested beyond MAX_NESTING.
 from __future__ import annotations
 
 import re
-from itertools import chain
 from math import gcd, lcm
 
-from ._kernel import HEIGHT_BUDGET
+from ._kernel import HEIGHT_BUDGET, column_height
 from .errors import ParseError
 from .polynomials import AlgebraSpec, Element, Poly, _reduced
 from .quaternions import QuatSpec
@@ -47,11 +46,6 @@ MAX_INPUT_DEGREE = 256
 # The deepest nesting of '(' and unary '-' together: at four frames a '(' (expr,
 # term, factor, atom), well below CPython's recursion limit of 1000.
 MAX_NESTING = 100
-
-
-def _height(value: Value) -> int:
-    """The bit length of the largest numerator or denominator."""
-    return max(value[1], *map(abs, chain.from_iterable(value[0])), 0).bit_length()
 
 
 def _monomial(cols: list[list[int]]) -> tuple[int, int] | None:
@@ -109,14 +103,14 @@ class _Parser:
         else:
             cols = table.poly_mul(F, G)  # the same F twice takes the packed square
         cols, den = _reduced(cols, fd * gd * table.den)
-        return cols, den, _height((cols, den)), _monomial(cols)
+        return cols, den, column_height(cols, den), _monomial(cols)
 
     def power(self, value: Value, t: int) -> Value:
         """value**t: c*x^e directly, anything else by `Poly.__pow__`."""
         if mono := value[3]:
             return self.unit(0, mono[0] * t, mono[1] ** t, value[1] ** t)
         out = Poly.from_cols(self.spec, *value[:2]) ** t
-        return out.cols, out.den, _height((out.cols, out.den)), _monomial(out.cols)
+        return out.cols, out.den, column_height(out.cols, out.den), _monomial(out.cols)
 
     # expr := term (('+'|'-') term)*
     def expr(self) -> Value:
@@ -137,7 +131,7 @@ class _Parser:
                 if any(other):
                     for k, v in enumerate(other):
                         col[k] += v * scale
-            if bits > HEIGHT_BUDGET and (bits := _height(_reduced(cols, den))) > HEIGHT_BUDGET:
+            if bits > HEIGHT_BUDGET and (bits := column_height(*_reduced(cols, den))) > HEIGHT_BUDGET:
                 raise self.error(f"sum of height above {HEIGHT_BUDGET} bits", where)
         cols, den = _reduced(cols, den)
         return cols, den, bits, _monomial(cols)
@@ -150,7 +144,9 @@ class _Parser:
             rhs = self.factor()
             if len(value[0][0]) + len(rhs[0][0]) - 2 > MAX_INPUT_DEGREE:
                 raise self.error(f"product of degree above {MAX_INPUT_DEGREE}", where)
-            if value[2] + rhs[2] > HEIGHT_BUDGET and _height(value) + _height(rhs) > HEIGHT_BUDGET:
+            if value[2] + rhs[2] > HEIGHT_BUDGET and (
+                column_height(*value[:2]) + column_height(*rhs[:2]) > HEIGHT_BUDGET
+            ):
                 raise self.error(f"product of height above {HEIGHT_BUDGET} bits", where)
             value = self.mul(value, rhs)
         return value
@@ -165,7 +161,7 @@ class _Parser:
                 raise self.error("exponent must be a nonnegative integer", index)
             t, degree, bits = self.integer(text, index), len(value[0][0]) - 1, value[2]
             if degree * t > MAX_INPUT_DEGREE or bits * t > HEIGHT_BUDGET:
-                bits = _height(value)  # the bound passes: measure
+                bits = column_height(*value[:2])  # the bound passes: measure
             if degree * t > MAX_INPUT_DEGREE or bits * t > HEIGHT_BUDGET:
                 raise self.error(f"power {t} of a degree-{degree}, {bits}-bit polynomial passes"
                                  f" degree {MAX_INPUT_DEGREE} or {HEIGHT_BUDGET} bits", where)

@@ -23,22 +23,23 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from ._kernel import HEIGHT_BUDGET, height
+from ._kernel import HEIGHT_BUDGET, column_height
 from .errors import DegreeCapError, SpecMismatchError, UnsupportedAlgebraError
 from .octonions import Octonion, OctSpec
 from .quaternions import QuatSpec, Quaternion
 from .scalars import FieldSpec, RationalLike, Scalar
 
-DEFAULT_DEGREE_CAP = 4096
+DEGREE_CAP = 4096
 
-# compose_iterate's work budget.  A composite of degree D and height H takes
-# deg(f) polynomial products of operands of about (D + 1) * H bits in each
-# nonzero coordinate column; the product of the three passing COMPOSE_BITS
-# stops it, and so does H passing HEIGHT_BUDGET (printing grows with H
-# squared).  Measured: the README's quadratic reaches 8.6e6 at n = 10 (0.5 s)
-# and 3.4e7 at n = 11 (4.5 s); of 4088 random compose calls (degree 1-16,
-# heights up to 7000 bits, n up to 13, all five test algebras) none took more
-# than 1.1 s.
+# compose_iterate's work budget.  A composite of degree D and column height H
+# (`column_height`) takes deg(f) polynomial products of operands of about
+# (D + 1) * H bits in each nonzero coordinate column; the product of the three
+# passing COMPOSE_BITS stops it, and so does H passing HEIGHT_BUDGET (printing
+# grows with H squared).  It counts bits, so sparse low-height composites pass
+# it, and DEGREE_CAP stops them.  Measured: the README's quadratic reaches
+# 8.6e6 at n = 10 (0.5 s) and 3.4e7 at n = 11 (4.5 s); of 4088 random compose
+# calls (degree 1-16, heights up to 7000 bits, n up to 13, all five test
+# algebras) none took more than 1.1 s.
 COMPOSE_BITS = 10_000_000
 
 AlgebraSpec = QuatSpec | OctSpec | FieldSpec
@@ -232,34 +233,34 @@ class Poly:
                 out = out + Poly.constant(self.spec, c) * power
         return out
 
-    def compose_iterate(self, n: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> Poly:
+    def compose_iterate(self, n: int) -> Poly:
         """n-fold self-composition, the outer copy applied last at each step.
 
         Raises DegreeCapError when the composite's degree degree**n would pass
-        degree_cap; a linear polynomial keeps degree 1, so there each
+        DEGREE_CAP; a linear polynomial keeps degree 1, so there each
         composition counts against the cap instead.  Before building each
-        composite, its height is predicted from deg(f) and the heights of f
-        and of the last composite; DegreeCapError is raised too when that
-        height, or the work of the products that build it (see
-        COMPOSE_BITS), is over budget.
+        composite, its column height (`column_height`) is predicted from
+        deg(f) and the column heights of f and of the last composite;
+        DegreeCapError is raised too when that height, or the work of the
+        products that build it (see COMPOSE_BITS), is over budget.
         """
         if n < 1:
             raise ValueError("n must be at least 1")
-        if self.degree == 1 and n > degree_cap:
+        if self.degree == 1 and n > DEGREE_CAP:
             raise DegreeCapError(
-                f"{n} compositions of a linear polynomial exceed cap {degree_cap}"
+                f"{n} compositions of a linear polynomial exceed cap {DEGREE_CAP}"
             )
-        # degree**k > degree_cap once k exceeds the cap's bit length
-        if self.degree >= 2 and self.degree ** min(n, degree_cap.bit_length() + 1) > degree_cap:
+        # degree**k > DEGREE_CAP once k exceeds the cap's bit length
+        if self.degree >= 2 and self.degree ** min(n, DEGREE_CAP.bit_length() + 1) > DEGREE_CAP:
             raise DegreeCapError(
-                f"composition degree {self.degree}**{n} exceeds cap {degree_cap}"
+                f"composition degree {self.degree}**{n} exceeds cap {DEGREE_CAP}"
             )
         out = self
         if self.degree >= 1:  # a constant composed with anything is itself
-            f_bits = height(*self.coeffs)
+            f_bits = column_height(self.cols, self.den)
             for k in range(2, n + 1):
                 # the composite's coefficients: deg(f) powers of out's, times f's
-                bits = self.degree * height(*out.coeffs) + f_bits
+                bits = self.degree * column_height(out.cols, out.den) + f_bits
                 columns = sum(map(any, out.cols))
                 work = columns * self.degree * (self.degree * out.degree + 1) * bits
                 for size, what, budget in (

@@ -127,8 +127,9 @@ def companion(g: Poly) -> Poly:
 
 
 def _monic(p: list) -> list:
-    """p over its leading coefficient; the empty list stays empty."""
-    return [x / p[-1] for x in p]
+    """p over its leading coefficient, inverted once; the empty list stays empty."""
+    inv = p and 1 / p[-1]
+    return [x * inv for x in p]
 
 
 def _squarefree(coeffs) -> list:

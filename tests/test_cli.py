@@ -123,6 +123,7 @@ def test_exit_codes():
         ["check-periodic", "--poly", "x^2+i", "--point=-i", "--r", "0"],
         ["orbit", "--poly", "x^2+i", "--point=-i", "--n-max=-3"],
         ["oct-check", "--poly", "x^2+i", "--point=-i", "--n-max", "0"],
+        # --degree-cap is no option of any command: an unknown option
         ["compose", "--poly", "x^2+i", "--n", "2", "--degree-cap=-1"],
         ["compose", "--poly", "x^2+i", "--n", "2", "--degree-cap", "0"],
         ["roots", "--poly", "x^2+i*x+1", "--mode", "numeric", "--tolerance", "nan"],
@@ -411,7 +412,7 @@ def test_linear_composition_counts_against_the_cap():
     code, out = run_cli(["compose", "--poly", "x+i", "--n", "3"])
     assert code == 0
     assert json.loads(out)["result"] == {"poly": "(1)*x + (3*i)", "degree": 1}
-    code, out = run_cli(["compose", "--poly", "x+i", "--n", "8", "--degree-cap", "8"])
+    code, out = run_cli(["compose", "--poly", "x+i", "--n", "8"])
     assert json.loads(out)["result"] == {"poly": "(1)*x + (8*i)", "degree": 1}
 
     start = time.perf_counter()
@@ -442,20 +443,45 @@ def test_compose_is_bounded_by_its_work():
     assert "composite 3 exceeds the budget: its predicted work" in json.loads(out)["error"]["message"]
 
 
+def test_compose_budget_reads_the_column_height():
+    # the products run on the columns over the common denominator 210, whose
+    # height the budget predicts: 2696 bits for the ninth composite, where the
+    # coefficients in lowest terms read 1922 bits and 7887888 bits of work
+    poly = "1/7*x^2+(1/3*i+1/3)*x+1/2+1/5*i*j"
+    start = time.perf_counter()
+    code, out = run_cli(["compose", "--poly", poly, "--n", "9"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "DegreeCapError",
+        "message": "composite 9 exceeds the budget: its predicted work of 11064384 bits"
+        " is over 10000000",
+    }
+    code, out = run_cli(["compose", "--poly", poly, "--n", "8"])
+    assert code == 0 and json.loads(out)["result"]["degree"] == 256
+
+
 def test_degree_cap_flag():
-    code, out = run_cli(
-        ["compose", "--poly", "i*x^2", "--n", "5", "--degree-cap", "32"]
-    )
-    assert code == 0
-    assert json.loads(out)["result"]["degree"] == 32
-    # the default cap is also the largest: a raised cap let sparse composites
-    # of low height, which pass the work budget, double in degree with each n
-    code, out = run_cli(["compose", "--poly", "x^2", "--n", "12", "--degree-cap", "4096"])
+    # the cap is fixed at 4096: sparse composites of low height, which pass
+    # the work budget, would double in degree with each n past it
+    code, out = run_cli(["compose", "--poly", "x^2", "--n", "12"])
     assert code == 0 and json.loads(out)["result"]["degree"] == 4096
-    code, out = run_cli(["compose", "--poly", "x^2", "--n", "1", "--degree-cap", "4097"])
+    code, out = run_cli(["compose", "--poly", "x^2", "--n", "13"])
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "DegreeCapError", "message": "composition degree 2**13 exceeds cap 4096",
+    }
+    code, out = run_cli(["compose", "--poly", "x+i", "--n", "4097"])
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "DegreeCapError",
+        "message": "4097 compositions of a linear polynomial exceed cap 4096",
+    }
+    # and no option sets it
+    code, out = run_cli(["compose", "--poly", "x^2", "--n", "1", "--degree-cap", "4096"])
     assert code == 2
     assert json.loads(out)["error"] == {
-        "type": "UsageError", "message": "--degree-cap must be at most 4096, got 4097",
+        "type": "UsageError", "message": "unrecognized arguments: --degree-cap 4096",
     }
 
 

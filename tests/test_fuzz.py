@@ -22,7 +22,6 @@ the parser's degree and height bounds nor by a work budget:
 
 `compose` draws from the full polynomial space: its work budget bounds the
 composites it builds by their predicted height and size, not only by degree.
-Its `--degree-cap` is sometimes above the largest accepted, 4096.
 """
 
 import contextlib
@@ -127,11 +126,7 @@ def _options(command):
     if command == "companion":
         return POLY.map(lambda p: [f"--poly={p}"])
     if command == "compose":
-        cap = st.one_of(st.none(), _mostly(st.integers(-1, 64), st.integers(4097, 10**7)))
-        return st.tuples(POLY, COUNT, cap).map(
-            lambda t: [f"--poly={t[0]}", "--n", str(t[1])]
-            + ([] if t[2] is None else ["--degree-cap", str(t[2])])
-        )
+        return st.tuples(POLY, COUNT).map(lambda t: [f"--poly={t[0]}", "--n", str(t[1])])
     pointed = st.tuples(POLY, POINT, COUNT).map(
         lambda t: [f"--poly={t[0]}", f"--point={t[1]}", "--n-max", str(t[2])]
     )

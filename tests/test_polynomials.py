@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatdyn import (
+    DEGREE_CAP,
     DegreeCapError,
     FieldSpec,
     OctSpec,
@@ -15,7 +16,7 @@ from quatdyn import (
     UnsupportedAlgebraError,
 )
 
-from quatdyn._kernel import _even
+from quatdyn._kernel import _even, column_height, height
 from quatdyn.polynomials import divmod_monic
 from quatdyn.solver import companion
 
@@ -488,10 +489,23 @@ def test_compose_eval_agreement_under_commutation():
 
 
 def test_degree_cap():
-    f = Poly(H, [0, 0, I])
-    with pytest.raises(DegreeCapError):
-        f.compose_iterate(4, degree_cap=10)
-    assert f.compose_iterate(3, degree_cap=8).degree == 8
+    f = Poly(H, [0, 0, 1])
+    with pytest.raises(DegreeCapError, match=r"^composition degree 2\*\*13 exceeds cap 4096$"):
+        f.compose_iterate(13)
+    assert f.compose_iterate(12).degree == DEGREE_CAP == 4096
+    linear = Poly(H, [I, 1])
+    with pytest.raises(DegreeCapError, match="^4097 compositions of a linear polynomial exceed cap 4096$"):
+        linear.compose_iterate(4097)
+
+
+@given(st.lists(st.tuples(st.integers(1, 99), st.integers(1, 12)), min_size=1, max_size=16))
+def test_column_height_bounds_the_element_height(pairs):
+    """Over the common denominator a column height is at least every element's
+    height, and equal to the largest when the coefficients share their denominator."""
+    f = Poly(H, [Fraction(a, b) * H.basis_element(sym) for (a, b), sym in zip(pairs, "ijk" * 6)])
+    assert column_height(f.cols, f.den) >= height(*f.coeffs)
+    if len({c.den for c in f.coeffs}) == 1:
+        assert column_height(f.cols, f.den) == height(*f.coeffs)
 
 
 def test_octonion_polynomials_over_quadratic_field():
