@@ -27,6 +27,10 @@ class SplitAlgebraError(AlgebraError):
     """A nonzero element of zero norm was inverted: the algebra is split at
     this element and is not a division ring for these parameters."""
 
+    def __init__(self, message="algebra is split at this element; "
+                 "not a division ring for these parameters"):
+        super().__init__(message)
+
 
 class DegreeCapError(AlgebraError):
     """A computation would pass its bound: the degree cap of a built composite,

@@ -32,6 +32,25 @@ def _is_squarefree(n: int) -> bool:
     return True
 
 
+def nearest(d: int | None, nums, den: int, bits: int) -> int:
+    """The integer nearest (a + b*sqrt d) * 2**bits / den under sqrt(d) > 0.
+
+    nums is (a,) or (a, b) and den any nonzero integer.  A tie, possible only
+    when b = 0 (sqrt d is irrational), goes to the even integer.
+    """
+    if den < 0:
+        nums, den = [-v for v in nums], -den
+    a, b = nums[0], nums[1] if len(nums) > 1 else 0
+    if not b:
+        q, r = divmod(a << bits, den)
+        return q + (2 * r > den or (2 * r == den and q & 1))
+    # floor(2*b*sqrt(d) * 2**bits); the root is irrational, so never an integer
+    r = isqrt(b * b * d << 2 * bits + 2)
+    r = r if b > 0 else -r - 1
+    # floor(x * 2**bits + 1/2) = floor((2*a*2**bits + 2*b*sqrt(d)*2**bits + den) / (2*den))
+    return ((a << bits + 1) + r + den) // (2 * den)
+
+
 class Scalar(Element):
     """An exact element a + b*sqrt(d) of the ground field."""
 
@@ -125,7 +144,8 @@ class Scalar(Element):
     # -- real embedding -----------------------------------------------------
 
     def to_real(self, bits: int = 64) -> Fraction:
-        """Round to the nearest multiple of 2**-bits under sqrt(d) > 0.
+        """Round to the nearest multiple of 2**-bits under sqrt(d) > 0, ties to
+        even (`nearest`).
 
         The result is an exact dyadic rational within 2**-bits of the value.
         """
@@ -133,15 +153,7 @@ class Scalar(Element):
             raise ValueError("bits must be positive")
         if not self.spec.has_real_embedding:
             raise NoRealEmbeddingError(f"{self.spec} has no real embedding")
-        scale = 1 << bits
-        a, b = (self.nums + (0,))[:2]
-        if not b:
-            return Fraction(round(Fraction(a * scale, self.den)), scale)
-        # floor(2*b*sqrt(d)*scale); the root is irrational, so never an integer
-        r = isqrt(4 * b * b * self.spec.d * scale * scale)
-        r = r if b > 0 else -r - 1
-        # floor(x*scale + 1/2) = floor((2*a*scale + 2*b*sqrt(d)*scale + den) / (2*den))
-        return Fraction((2 * a * scale + r + self.den) // (2 * self.den), scale)
+        return Fraction(nearest(self.spec.d, self.nums, self.den, bits), 1 << bits)
 
     def __float__(self) -> float:
         if any(self.nums[1:]):

@@ -10,9 +10,12 @@ contains none), or pins the unique root of g in the class.
 
 Class extraction is one pipeline with two acceptance policies:
 
-  1. the squarefree part c / gcd(c, c') of the companion, by exact Euclid
-     over Q or Q(sqrt d) with monic divisors, since unnormalized remainders
-     carry their leading coefficient in every coefficient and swell;
+  1. the squarefree part c / gcd(c, c') of the companion: over Q on its
+     integer coefficients by the heuristic gcd GCDHEU, one integer gcd of
+     values at a point xi read back in base xi and kept only when exact
+     division proves it, with monic Euclid as the fallback; over Q(sqrt d)
+     by Euclid, with monic divisors, since unnormalized remainders carry
+     their leading coefficient in every coefficient and swell;
   2. its roots, approximated by the Aberth ladder of `aberth.aberth_roots`
      (rungs of doubling precision on Gaussian integers from a narrow first
      one, each approximant with its own binary exponent) on the integers the
@@ -40,7 +43,8 @@ Class extraction is one pipeline with two acceptance policies:
            (2*mu, mu^2), conjugate pairs give (T, N), each snapped to the
            simplest rational within the root's inclusion disk.  The
            reduction and every residual are afterwards computed exactly from
-           that approximate class data.
+           that approximate class data; a class's point -A**-1 * B is
+           formed on numerators and rounded once to the class precision.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from .errors import (
 )
 from .polynomials import Poly, divmod_monic
 from .quaternions import QuatSpec, Quaternion
-from .scalars import Scalar
+from .scalars import Scalar, nearest
 
 DEFAULT_PRECISION = 128
 DEFAULT_TOLERANCE = 1e-9
@@ -133,7 +137,9 @@ def _monic(p: list) -> list:
 
 
 def _squarefree(coeffs) -> list:
-    """Monic squarefree part c / gcd(c, c') over Q or Q(sqrt d), low degree first.
+    """Monic squarefree part c / gcd(c, c') by Euclid over Q or Q(sqrt d), low
+    degree first: the method over Q(sqrt d), and the fallback of
+    `_integer_squarefree` over Q.
 
     Euclid divides by monic divisors only (the derivative included), since
     unnormalized remainders carry their leading coefficient in every
@@ -147,6 +153,109 @@ def _squarefree(coeffs) -> list:
             r.pop()
         a, b = b, _monic(r)
     return divmod_monic(c, a)[0]
+
+
+# values of xi that the heuristic gcd tries before Euclid decides
+HEURISTIC_ATTEMPTS = 6
+
+
+def _integer_squarefree(f: list[int]) -> list[int]:
+    """The primitive squarefree part f / gcd(f, f') of a nonconstant integer
+    polynomial, low degree first, with the sign of f's lead.
+
+    The gcd is GCDHEU's (`_heuristic_cofactor`); when HEURISTIC_ATTEMPTS
+    values of xi fail, monic Euclid (`_squarefree`) decides, so that no
+    answer rests on the heuristic.
+    """
+    f = _primitive(f)
+    part = _heuristic_cofactor(f, _primitive([i * c for i, c in enumerate(f)][1:]))
+    if part is None:
+        # a monic polynomial times the lcm of its denominators is primitive
+        monic = _squarefree([Fraction(c) for c in f])
+        den = math.lcm(*(c.denominator for c in monic)) * (1 if f[-1] > 0 else -1)
+        part = [int(c * den) for c in monic]
+    return part
+
+
+def _heuristic_cofactor(f: list[int], g: list[int]) -> list[int] | None:
+    """f / gcd(f, g) for primitive integer polynomials f and g, by GCDHEU
+    (Char, Geddes & Gonnet 1989, J. Symb. Comput. 7); None when every xi
+    fails.
+
+    The integer gcd of f(xi) and g(xi), and the cofactor f(xi) / gcd, are read
+    back as polynomials in xi with digits in (-xi/2, xi/2].  A candidate h
+    counts only when it divides f and g exactly, and when gcd / h(xi) is an
+    integer c with |c| <= xi - M - 2.  Then h is the gcd: every common root
+    lies within M + 2 of 0 (Cauchy's bound), so a nonconstant integer factor
+    k of both has |k(xi)| > xi - M - 2, while gcd(f, g) = h*k gives k(xi) | c.
+    The first xi and its growth follow sympy's `dup_zz_heu_gcd`.
+    """
+    f_norm, g_norm = max(map(abs, f)), max(map(abs, g))
+    M = min(f_norm // abs(f[-1]), g_norm // abs(g[-1]))
+    bound = 2 * min(f_norm, g_norm) + 29
+    xi = max(min(bound, 99 * isqrt(bound)), 2 * M + 4)
+    for _ in range(HEURISTIC_ATTEMPTS):
+        fx, gx = _value(f, xi), _value(g, xi)
+        if fx and gx:
+            common = math.gcd(fx, gx)
+            h = _digits(common, xi)
+            c = math.gcd(*h) if h[-1] > 0 else -math.gcd(*h)
+            if abs(c) <= xi - M - 2:
+                h = [v // c for v in h]
+                part = _quotient(f, h)
+                if part is not None and _quotient(g, h) is not None:
+                    return part
+            # the cofactor read back: h = f / part has h(xi) = common, so c = 1
+            part = _digits(fx // common, xi)
+            h = _quotient(f, part)
+            if h is not None and _quotient(g, h) is not None:
+                return part if h[-1] > 0 else [-v for v in part]
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def _primitive(f: list[int]) -> list[int]:
+    """The nonzero f over the gcd of its coefficients."""
+    c = math.gcd(*f)
+    return f if c == 1 else [v // c for v in f]
+
+
+def _value(f: list[int], x: int) -> int:
+    """f(x) by Horner's rule."""
+    v = 0
+    for c in reversed(f):
+        v = v * x + c
+    return v
+
+
+def _digits(v: int, xi: int) -> list[int]:
+    """The polynomial p with p(xi) = v whose coefficients are v's digits in
+    base xi, taken in (-xi/2, xi/2]."""
+    out = []
+    while v:
+        digit = v % xi
+        if 2 * digit > xi:
+            digit -= xi
+        out.append(digit)
+        v = (v - digit) // xi
+    return out
+
+
+def _quotient(f: list[int], h: list[int]) -> list[int] | None:
+    """f / h when h divides f over Z, else None."""
+    n, lead = len(h) - 1, h[-1]
+    if len(f) <= n:
+        return None
+    r, q = list(f), [0] * (len(f) - n)
+    for k in reversed(range(len(q))):
+        c, rest = divmod(r[k + n], lead)
+        if rest:
+            return None
+        if c:
+            q[k] = c
+            for i, v in enumerate(h[:n]):
+                r[k + i] -= c * v
+    return None if any(r[:n]) else q
 
 
 def _monic_integer(C: Poly) -> tuple[list[int], int]:
@@ -265,7 +374,7 @@ def _exact_classes(C: Poly) -> list[ConjClass]:
         found.append((0, 0))
         D = D[1:]
     if len(D) > 1:
-        P = [int(c) for c in _squarefree([Fraction(c) for c in D])]
+        P = _integer_squarefree(D)
         search = _FactorSearch(D, P)
         aberth_roots(P, precision=_certification_bits(P), accept=search)
         if len(search.rest) > 1 and not search.certified:
@@ -355,10 +464,16 @@ def _numeric_classes(C: Poly, precision: int) -> list[ConjClass]:
         )
     if C.degree < 1:
         return []
-    P = [int(c.to_real(precision + 32) * 2 ** (precision + 32)) for c in _squarefree(C.coeffs)]
+    # the monic squarefree part, rounded to units of 2**-(precision + 32)
+    bits = precision + 32
+    if C.spec.is_rational:
+        part = _integer_squarefree(C.cols[0])
+        P = [nearest(None, (c,), part[-1], bits) for c in part]
+    else:
+        P = [nearest(C.spec.d, c.nums, c.den, bits) for c in _squarefree(C.coeffs)]
     zs = aberth_roots(P, precision=precision)
     E, pts = to_grid(zs, precision + 64)
-    # the disks also cover the rounding by to_real: one unit in each coefficient
+    # the disks also cover that rounding: one unit in each coefficient
     radii = inclusion_radii(P, E, pts, 1)
     unit = Fraction(1, 1 << E)
     disks = [] if radii is None else [(A * unit, B * unit, rho) for (A, B), rho in zip(pts, radii)]
@@ -542,6 +657,36 @@ def _numeric_point(
     return ClassSolution(kind, klass, residual=residual, detail=f"{what} residual above tolerance")
 
 
+def _rounded_point(A: Quaternion, B: Quaternion, bits: int) -> Quaternion:
+    """-A**-1 * B with each coordinate rounded to the nearest multiple of
+    2**-bits, ties to even.
+
+    -A**-1 * B = -conj(A)*B / N(A) is formed on numerators: one product, and
+    over Q(sqrt d) the field conjugate of N(A) over its field norm
+    n0**2 - d*n1**2, which may be negative.  Nothing is reduced before the one
+    rounding.  SplitAlgebraError when N(A) = 0.
+    """
+    table, d = A.spec.table, A.spec.field.d
+    w = table.width
+    # conj(A)*B over A.den * B.den * table.den, N(A) over A.den**2 * table.den
+    prod = table.mul(A.nums[:w] + tuple(-v for v in A.nums[w:]), B.nums)
+    norm = table.norm(A.nums)
+    if d is None:
+        [den] = norm
+    else:
+        n0, n1 = norm
+        den = n0 * n0 - d * n1 * n1
+        pairs = zip(prod[::2], prod[1::2])
+        prod = [v for a, b in pairs for v in (a * n0 - d * b * n1, b * n0 - a * n1)]
+    if not den:
+        raise SplitAlgebraError()
+    den *= -B.den
+    nums = [0] * len(prod)  # rational coordinates: no sqrt(d) parts
+    for k in range(0, len(prod), w):
+        nums[k] = nearest(d, [v * A.den for v in prod[k : k + w]], den, bits)
+    return Quaternion(A.spec, nums, 1 << bits)
+
+
 def solve_in_class(
     g: Poly, klass: ConjClass, tolerance: float = DEFAULT_TOLERANCE
 ) -> ClassSolution:
@@ -605,8 +750,10 @@ def solve_in_class(
             detail="reduction degenerated at numeric precision",
         )
 
+    # numeric: the candidate rounded to the class precision, then judged by
+    # exact re-evaluation of the original coefficients at the rounded point
     try:
-        lam = -(A.inv() * B)
+        lam = -(A.inv() * B) if klass.exact else _rounded_point(A, B, precision)
     except SplitAlgebraError as exc:
         return ClassSolution("anomaly", klass, detail=str(exc))
 
@@ -616,10 +763,6 @@ def solve_in_class(
         return ClassSolution(
             "anomaly", klass, detail="candidate failed exact verification"
         )
-    # round the candidate to the class precision, then judge it by exact
-    # re-evaluation of the original coefficients at the rounded point
-    field = g.spec.field
-    lam = g.spec.element(*(field.scalar(c.to_real(precision)) for c in lam.coords()))
     return _numeric_point(g, sizes, klass, lam, tolerance)
 
 

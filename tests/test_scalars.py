@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 from quatdyn import FieldSpec, NoRealEmbeddingError, QQ, Scalar
 from quatdyn.errors import FieldMismatchError
 from quatdyn.parsing import parse_scalar
+from quatdyn.scalars import nearest
 
 from helpers import sqrt_bracket
 
@@ -75,6 +77,26 @@ def test_to_real_sqrt5_against_newton_bracket():
     lo, hi = sqrt_bracket(5, 60)
     approx = F5.sqrt_gen().to_real(50)
     assert lo - Fraction(1, 2**50) <= approx <= hi + Fraction(1, 2**50)
+
+
+def test_nearest_rounds_ties_to_even_and_brackets_radicals():
+    """`nearest`, the one rounding rule of to_real and of the numeric solver."""
+    # (1, 3, 5, -1, -3)/4 at one bit: 0.5, 1.5, 2.5, -0.5, -1.5 units
+    assert [nearest(None, (v,), 4, 1) for v in (1, 3, 5, -1, -3)] == [0, 2, 2, 0, -2]
+    assert nearest(None, (-3,), -4, 1) == 2  # a negative denominator
+    rng = random.Random(11)
+    for _ in range(300):
+        a, den, bits = rng.randint(-10**6, 10**6), rng.randint(-999, 999) or 1, rng.randint(1, 40)
+        assert nearest(None, (a,), den, bits) == round(Fraction(a << bits, den))
+    for d in (2, 3, 5):
+        field = FieldSpec(d)
+        for _ in range(100):
+            a, b, den = rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6), rng.randint(-999, 999) or 1
+            bits = rng.randint(1, 40)
+            k = nearest(d, (a, b), den, bits)
+            x = field.scalar(Fraction(a, den), Fraction(b, den))
+            assert Fraction(2 * k - 1, 2 << bits) < x < Fraction(2 * k + 1, 2 << bits)
+            assert x.to_real(bits) == Fraction(k, 1 << bits)
 
 
 def test_to_real_without_embedding():

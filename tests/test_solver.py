@@ -15,6 +15,7 @@ from quatdyn import (
     Poly,
     QQ,
     QuatSpec,
+    SplitAlgebraError,
     UnsupportedAlgebraError,
     ZeroPolynomialError,
     companion,
@@ -701,6 +702,180 @@ def test_squarefree_matches_sympy(d, seed):
     got = _squarefree(list(p.coeffs))
     assert len(got) == len(expected) < len(p.coeffs)
     assert all(sympy.expand(_to_sympy(sympy, g) - e) == 0 for g, e in zip(got, expected))
+
+
+# -- the squarefree part over Q by heuristic gcd ------------------------------------
+
+
+def _times(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def _planted_integer(rng):
+    """An integer polynomial with a content above 1, a non-monic lead, at
+    least one repeated factor and, two times in three, a zero constant term."""
+    f = [rng.choice([-12, -6, -2, 3, 4, 10])]
+    for mult in [rng.randint(2, 3)] + [rng.randint(1, 3) for _ in range(rng.randint(0, 3))]:
+        factor = [rng.randint(-9, 9) for _ in range(rng.randint(1, 2))] + [rng.randint(1, 5)]
+        for _ in range(mult):
+            f = _times(f, factor)
+    return [0] * rng.randint(0, 2) + f
+
+
+def _dense_companion_48():
+    """The monic integer companion D of a dense degree-24 quaternion polynomial."""
+    from quatdyn.solver import _monic_integer
+
+    rng = random.Random(48)
+    g = Poly(H, [H.element(*(rng.randint(-9, 9) for _ in range(4))) for _ in range(24)] + [1])
+    return _monic_integer(companion(g))[0]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_integer_squarefree_matches_sympy(seed):
+    from quatdyn.solver import _integer_squarefree
+
+    sympy = pytest.importorskip("sympy")
+    f = _planted_integer(random.Random(seed))
+    # sympy's part over Z is primitive with a positive lead; ours has f's sign
+    expected = sympy.Poly(f[::-1], sympy.Symbol("y")).sqf_part().all_coeffs()[::-1]
+    sign = 1 if f[-1] > 0 else -1
+    assert _integer_squarefree(f) == [sign * int(c) for c in expected]
+    assert len(expected) < len(f)
+
+
+def test_integer_squarefree_falls_back_to_euclid(monkeypatch):
+    """With no value of xi to try, monic Euclid gives every answer, and the
+    same ones."""
+    from quatdyn import solver
+
+    cases = [_planted_integer(random.Random(seed)) for seed in range(20)]
+    cases += [_dense_companion_48(), [5, 1], [-7, 0, 3]]
+    for f in cases:
+        f = solver._primitive(f)
+        derivative = solver._primitive([i * c for i, c in enumerate(f)][1:])
+        assert solver._heuristic_cofactor(f, derivative) is not None
+    heuristic = [solver._integer_squarefree(f) for f in cases]
+    C = _planted(3, [(1, 2, 0, -1), (1, 2, 0, -1), (0, 1, 1, 1)])
+    classes = extract_classes(C)
+
+    euclid, runs = solver._squarefree, []
+    monkeypatch.setattr(solver, "HEURISTIC_ATTEMPTS", 0)
+    monkeypatch.setattr(solver, "_squarefree", lambda c: runs.append(len(c)) or euclid(c))
+    assert [solver._integer_squarefree(f) for f in cases] == heuristic
+    assert len(runs) == len(cases)
+    assert extract_classes(C) == classes
+    assert len(runs) == len(cases) + 1
+
+
+def test_dense_degree_48_squarefree_part_takes_milliseconds():
+    """Monic Euclid on Fractions took 34-47 ms here, GCDHEU about 0.1 ms."""
+    from quatdyn.solver import _integer_squarefree
+
+    D = _dense_companion_48()
+    times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        P = _integer_squarefree(D)
+        times.append(time.perf_counter() - start)
+    assert P == D  # squarefree already
+    assert min(times) < 0.02
+
+
+# -- numeric points rounded from numerators ----------------------------------------
+
+
+def _inverse_then_to_real(A, B, bits):
+    """-A**-1 * B formed exactly, then rounded coordinatewise by to_real."""
+    lam = -(A.inv() * B)
+    return A.spec.element(*(A.spec.field.scalar(c.to_real(bits)) for c in lam.coords()))
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    ["quat:-1,-1@Q", "quat:2,-3/7@Q", "quat:-1,-1@Q(s2)", "quat:1,-1@Q(s2)", "quat:-1,-1@Q(s5)",
+     "quat:2,1/3@Q(s5)"],
+)
+def test_rounded_point_matches_the_inverse_rounded_by_to_real(algebra):
+    from quatdyn.cli import parse_algebra
+    from quatdyn.solver import _rounded_point
+
+    spec = parse_algebra(algebra)
+    rng = random.Random(algebra)
+    for _ in range(60):
+        A, B = rand_quat(rng, spec, span=6, den=7), rand_quat(rng, spec, span=6, den=7)
+        if A.is_zero or not A.norm():
+            continue
+        for bits in (1, 7, 64, 200):
+            assert _rounded_point(A, B, bits) == _inverse_then_to_real(A, B, bits)
+
+
+def test_rounded_point_ties_go_to_even():
+    from quatdyn.solver import _rounded_point
+
+    bits = 10
+    for spec in (H, QuatSpec.standard(F5)):
+        # -B/2 is (2m + 1)/2**(bits + 1): half-way between m and m + 1 units
+        ms = (4, 5, -4, -5)
+        B = spec.element(*(Fraction(-(2 * m + 1), 2**bits) for m in ms))
+        expected = spec.element(*(Fraction(m + (m & 1), 2**bits) for m in ms))
+        assert _rounded_point(spec.coerce(2), B, bits) == expected
+        assert _inverse_then_to_real(spec.coerce(2), B, bits) == expected
+
+
+def test_rounded_point_with_a_negative_field_norm():
+    from quatdyn.cli import parse_algebra
+    from quatdyn.solver import _rounded_point
+
+    spec = parse_algebra("quat:1,-1@Q(s2)")
+    F2 = spec.field
+    A = spec.element(1, F2.scalar(1, 1), 0, Fraction(1, 3))
+    n = A.norm()  # 1 - (1 + s2)^2 + 1/9: its field norm is negative
+    assert n.a * n.a - 2 * n.b * n.b < 0
+    B = spec.element(F2.scalar(Fraction(1, 3), 2), -1, F2.scalar(0, 5), Fraction(7, 2))
+    for bits in (1, 16, 128):
+        assert _rounded_point(A, B, bits) == _inverse_then_to_real(A, B, bits)
+
+
+def test_split_class_keeps_its_anomaly_detail():
+    from quatdyn.cli import parse_algebra
+    from quatdyn.solver import _rounded_point
+
+    spec = parse_algebra("quat:1,-1@Q")
+    A = spec.element(1, 1)  # norm 1 - 1 = 0
+    with pytest.raises(SplitAlgebraError) as inverted:
+        A.inv()
+    with pytest.raises(SplitAlgebraError) as rounded:
+        _rounded_point(A, spec.one(), 64)
+    assert str(rounded.value) == str(inverted.value)
+    # both classes of x^2 + (1 + i)x + 2 reduce to A*z + B with N(A) = 0
+    g = parse_poly("x^2+(1+i)*x+2", spec)
+    for mode in ("exact", "numeric"):
+        sols = roots(g, mode=mode)
+        assert [(s.kind, s.klass.trace, s.klass.norm) for s in sols] == [
+            ("anomaly", -2, 2), ("anomaly", 0, 2)
+        ]
+        assert all(s.detail == str(inverted.value) for s in sols)
+
+
+def test_numeric_solving_inverts_and_converts_nothing(monkeypatch):
+    from quatdyn import Quaternion, Scalar
+
+    g5 = parse_poly("x^3+(1+s5)*j*x+2", QuatSpec.standard(F5))
+    calls = [(parse_poly("x^2+i*x+1/3", H), "numeric"), (g5, "numeric")]
+    before = [roots(g, mode=mode) for g, mode in calls]
+    assert all(s.kind == "point" for sols in before for s in sols)
+
+    def refuse(*args):
+        raise AssertionError("numeric class solving inverted or converted")
+
+    monkeypatch.setattr(Quaternion, "inv", refuse)
+    monkeypatch.setattr(Scalar, "to_real", refuse)
+    assert [roots(g, mode=mode) for g, mode in calls] == before
 
 
 def test_dense_degree_24_numeric_roots_stay_within_the_fuzz_case_budget():
