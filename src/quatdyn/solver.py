@@ -43,8 +43,18 @@ Class extraction is one pipeline with two acceptance policies:
            (2*mu, mu^2), conjugate pairs give (T, N), each snapped to the
            simplest rational within the root's inclusion disk.  The
            reduction and every residual are afterwards computed exactly from
-           that approximate class data; a class's point -A**-1 * B is
-           formed on numerators and rounded once to the class precision.
+           that approximate class data.
+
+Per-class solving has the same two policies over one reduction
+(`Poly.quotient_value`) and one point formula, -A**-1 * B = -conj(A)*B / N(A)
+on numerators (`_class_point`).  Exact mode tests A and B for zero exactly
+and verifies the unrounded point.  Numeric mode counts A or B as zero
+relative to the size of the terms summed into it, rounds the point once to
+the class precision and judges it by its exact residual.  A sphere's
+quadratic divides g, so its square divides the companion; and A = 0 at a
+class of the companion forces N(B) = 0, so B = 0 in a division algebra.  So
+when the companion is squarefree, numeric mode skips the zero tests, and an
+A of norm zero raises SplitAlgebraError, as in exact mode.
 """
 
 from __future__ import annotations
@@ -85,6 +95,9 @@ class ConjClass:
     # numeric central classes: whether every inclusion disk of the companion's
     # roots excludes the candidate T/2, so that it is no root of the companion
     excluded: bool = False
+    # numeric classes: whether the companion is squarefree, so that no class is
+    # a sphere and the reduction's zero tests are skipped
+    squarefree: bool = False
 
     @property
     def discriminant(self) -> Scalar:
@@ -333,14 +346,9 @@ class _FactorSearch:
         if tuple(divisor) in self.tried:
             return
         self.tried.add(tuple(divisor))
-        R = self.rest
-        while len(R) >= len(divisor):
-            q, r = divmod_monic(R, divisor)
-            if any(r):
-                break
+        while (q := _quotient(self.rest, divisor)) is not None:
             self.found.append(klass)
-            R = q
-        self.rest = R
+            self.rest = q
 
     def _certify(self, E: int, pts: list[tuple[int, int]]) -> bool:
         """Disjoint disks of radius at most rho around points of modulus at
@@ -471,6 +479,7 @@ def _numeric_classes(C: Poly, precision: int) -> list[ConjClass]:
         P = [nearest(None, (c,), part[-1], bits) for c in part]
     else:
         P = [nearest(C.spec.d, c.nums, c.den, bits) for c in _squarefree(C.coeffs)]
+    squarefree = len(P) == C.degree + 1
     zs = aberth_roots(P, precision=precision)
     E, pts = to_grid(zs, precision + 64)
     # the disks also cover that rounding: one unit in each coefficient
@@ -513,6 +522,7 @@ def _numeric_classes(C: Poly, precision: int) -> list[ConjClass]:
                 exact=False,
                 precision=precision,
                 excluded=excluded,
+                squarefree=squarefree,
             )
             for (T, N, excluded) in found
         ]
@@ -657,9 +667,9 @@ def _numeric_point(
     return ClassSolution(kind, klass, residual=residual, detail=f"{what} residual above tolerance")
 
 
-def _rounded_point(A: Quaternion, B: Quaternion, bits: int) -> Quaternion:
-    """-A**-1 * B with each coordinate rounded to the nearest multiple of
-    2**-bits, ties to even.
+def _class_point(A: Quaternion, B: Quaternion, bits: int | None = None) -> Quaternion:
+    """The class's point -A**-1 * B, exact or with each coordinate rounded to
+    the nearest multiple of 2**-bits, ties to even.
 
     -A**-1 * B = -conj(A)*B / N(A) is formed on numerators: one product, and
     over Q(sqrt d) the field conjugate of N(A) over its field norm
@@ -680,11 +690,14 @@ def _rounded_point(A: Quaternion, B: Quaternion, bits: int) -> Quaternion:
         prod = [v for a, b in pairs for v in (a * n0 - d * b * n1, b * n0 - a * n1)]
     if not den:
         raise SplitAlgebraError()
-    den *= -B.den
-    nums = [0] * len(prod)  # rational coordinates: no sqrt(d) parts
-    for k in range(0, len(prod), w):
-        nums[k] = nearest(d, [v * A.den for v in prod[k : k + w]], den, bits)
-    return Quaternion(A.spec, nums, 1 << bits)
+    # -conj(A)*B / N(A) over a positive denominator
+    nums, den = [v * (-A.den if den > 0 else A.den) for v in prod], abs(den) * B.den
+    if bits is None:
+        return Quaternion(A.spec, nums, den)
+    rounded = [0] * len(nums)  # rational coordinates: no sqrt(d) parts
+    for k in range(0, len(nums), w):
+        rounded[k] = nearest(d, nums[k : k + w], den, bits)
+    return Quaternion(A.spec, rounded, 1 << bits)
 
 
 def solve_in_class(
@@ -693,25 +706,49 @@ def solve_in_class(
     """Reduce g = 0 inside one conjugacy class to a linear equation and solve.
 
     Central candidate classes (discriminant zero) are checked by direct
-    substitution instead; the reduction degenerates there.  A numeric
-    quantity counts as zero, and a numeric point as a root, relative to the
-    size of the terms summed into it.
+    substitution instead; the reduction degenerates there.  An exact class is
+    decided by exact zero tests; in a numeric one a quantity counts as zero,
+    and a point as a root, relative to the size of the terms summed into it.
     """
     if not isinstance(g.spec, QuatSpec):
         raise UnsupportedAlgebraError("class solving needs a quaternion algebra")
-    T, N = klass.trace, klass.norm
-    if not klass.exact:
-        sizes, tolerance = [_size(c) for c in g.coeffs], Fraction(tolerance)
-        precision = klass.precision or DEFAULT_PRECISION
+    try:
+        return _solve_exact(g, klass) if klass.exact else _solve_numeric(g, klass, tolerance)
+    except SplitAlgebraError as exc:
+        return ClassSolution("anomaly", klass, detail=str(exc))
 
+
+def _solve_exact(g: Poly, klass: ConjClass) -> ClassSolution:
+    T, N = klass.trace, klass.norm
     if klass.is_central:
         lam = g.spec.coerce(T / 2)
-        if klass.exact:
-            if g(lam).is_zero:
-                return ClassSolution("point", klass, point=lam)
-            return ClassSolution(
-                "none", klass, detail="central candidate is not a root"
-            )
+        if g(lam).is_zero:
+            return ClassSolution("point", klass, point=lam)
+        return ClassSolution(
+            "none", klass, detail="central candidate is not a root"
+        )
+    # z^k = p_k z + q_k inside the class, so g(z) = A z + B
+    A, B = g.quotient_value((g.spec.one(), g.spec.zero()), T, N)
+    if A.is_zero:
+        if B.is_zero:
+            return ClassSolution("sphere", klass)
+        return ClassSolution(
+            "none", klass, detail="reduction is insoluble in this class"
+        )
+    lam = _class_point(A, B)
+    if lam.in_class(T, N) and g(lam).is_zero:
+        return ClassSolution("point", klass, point=lam)
+    return ClassSolution(
+        "anomaly", klass, detail="candidate failed exact verification"
+    )
+
+
+def _solve_numeric(g: Poly, klass: ConjClass, tolerance: float) -> ClassSolution:
+    T, N = klass.trace, klass.norm
+    sizes, tolerance = [_size(c) for c in g.coeffs], Fraction(tolerance)
+    precision = klass.precision or DEFAULT_PRECISION
+    if klass.is_central:
+        lam = g.spec.coerce(T / 2)
         sol = _numeric_point(g, sizes, klass, lam, tolerance)
         if sol.kind != "none" or klass.excluded:
             return sol
@@ -726,44 +763,21 @@ def solve_in_class(
             f"{klass.precision} bits do not exclude it; about {bits} bits would resolve the "
             f"class{beyond}",
         )
-
-    # z^k = p_k z + q_k inside the class, so g(z) = A z + B
     A, B = g.quotient_value((g.spec.one(), g.spec.zero()), T, N)
-
-    if klass.exact:
-        a_zero, b_zero = A.is_zero, B.is_zero
-    else:
+    if not klass.squarefree:
         ztol = Fraction(2) ** (-precision // 2 + 8)
         a_scale, b_scale = _reduction_scales(sizes, T, N)
-        a_zero, b_zero = _within(A, ztol, a_scale), _within(B, ztol, b_scale)
-
-    if a_zero and b_zero:
-        return ClassSolution("sphere", klass)
-    if a_zero:
-        if klass.exact:
+        if _within(A, ztol, a_scale):
+            if _within(B, ztol, b_scale):
+                return ClassSolution("sphere", klass)
             return ClassSolution(
-                "none", klass, detail="reduction is insoluble in this class"
+                "anomaly",
+                klass,
+                detail="reduction degenerated at numeric precision",
             )
-        return ClassSolution(
-            "anomaly",
-            klass,
-            detail="reduction degenerated at numeric precision",
-        )
-
-    # numeric: the candidate rounded to the class precision, then judged by
-    # exact re-evaluation of the original coefficients at the rounded point
-    try:
-        lam = -(A.inv() * B) if klass.exact else _rounded_point(A, B, precision)
-    except SplitAlgebraError as exc:
-        return ClassSolution("anomaly", klass, detail=str(exc))
-
-    if klass.exact:
-        if lam.in_class(T, N) and g(lam).is_zero:
-            return ClassSolution("point", klass, point=lam)
-        return ClassSolution(
-            "anomaly", klass, detail="candidate failed exact verification"
-        )
-    return _numeric_point(g, sizes, klass, lam, tolerance)
+    # the point rounded to the class precision, then judged by exact
+    # re-evaluation of the original coefficients there
+    return _numeric_point(g, sizes, klass, _class_point(A, B, precision), tolerance)
 
 
 def roots(

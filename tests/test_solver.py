@@ -446,6 +446,10 @@ NUMERIC_CORPUS = [
     ("quat:-1,-1@Q", "x^2+10^200*x+i", ["point", "point", "anomaly"]),
     ("quat:-1,-1@Q", "x^2+10^300*x+i", ["point", "point", "anomaly"]),
     ("quat:-1,-1@Q", "10^400*x^2+i", ["anomaly"]),
+    # A is i plus a central scalar in every class, so no class is a sphere:
+    # the companion is squarefree, and only the residuals judge
+    ("quat:-1,-1@Q", "x^6+i*x+10^20", ["point"] * 6),
+    ("quat:-1,-1@Q", "x^8+i*x+10^20", ["point"] * 8),
 ]
 
 
@@ -802,7 +806,7 @@ def _inverse_then_to_real(A, B, bits):
 )
 def test_rounded_point_matches_the_inverse_rounded_by_to_real(algebra):
     from quatdyn.cli import parse_algebra
-    from quatdyn.solver import _rounded_point
+    from quatdyn.solver import _class_point
 
     spec = parse_algebra(algebra)
     rng = random.Random(algebra)
@@ -811,11 +815,12 @@ def test_rounded_point_matches_the_inverse_rounded_by_to_real(algebra):
         if A.is_zero or not A.norm():
             continue
         for bits in (1, 7, 64, 200):
-            assert _rounded_point(A, B, bits) == _inverse_then_to_real(A, B, bits)
+            assert _class_point(A, B, bits) == _inverse_then_to_real(A, B, bits)
+        assert _class_point(A, B) == -(A.inv() * B)  # the exact point
 
 
 def test_rounded_point_ties_go_to_even():
-    from quatdyn.solver import _rounded_point
+    from quatdyn.solver import _class_point
 
     bits = 10
     for spec in (H, QuatSpec.standard(F5)):
@@ -823,13 +828,13 @@ def test_rounded_point_ties_go_to_even():
         ms = (4, 5, -4, -5)
         B = spec.element(*(Fraction(-(2 * m + 1), 2**bits) for m in ms))
         expected = spec.element(*(Fraction(m + (m & 1), 2**bits) for m in ms))
-        assert _rounded_point(spec.coerce(2), B, bits) == expected
+        assert _class_point(spec.coerce(2), B, bits) == expected
         assert _inverse_then_to_real(spec.coerce(2), B, bits) == expected
 
 
 def test_rounded_point_with_a_negative_field_norm():
     from quatdyn.cli import parse_algebra
-    from quatdyn.solver import _rounded_point
+    from quatdyn.solver import _class_point
 
     spec = parse_algebra("quat:1,-1@Q(s2)")
     F2 = spec.field
@@ -838,20 +843,22 @@ def test_rounded_point_with_a_negative_field_norm():
     assert n.a * n.a - 2 * n.b * n.b < 0
     B = spec.element(F2.scalar(Fraction(1, 3), 2), -1, F2.scalar(0, 5), Fraction(7, 2))
     for bits in (1, 16, 128):
-        assert _rounded_point(A, B, bits) == _inverse_then_to_real(A, B, bits)
+        assert _class_point(A, B, bits) == _inverse_then_to_real(A, B, bits)
+    assert _class_point(A, B) == -(A.inv() * B)
 
 
 def test_split_class_keeps_its_anomaly_detail():
     from quatdyn.cli import parse_algebra
-    from quatdyn.solver import _rounded_point
+    from quatdyn.solver import _class_point
 
     spec = parse_algebra("quat:1,-1@Q")
     A = spec.element(1, 1)  # norm 1 - 1 = 0
     with pytest.raises(SplitAlgebraError) as inverted:
         A.inv()
-    with pytest.raises(SplitAlgebraError) as rounded:
-        _rounded_point(A, spec.one(), 64)
-    assert str(rounded.value) == str(inverted.value)
+    for bits in (64, None):
+        with pytest.raises(SplitAlgebraError) as formed:
+            _class_point(A, spec.one(), bits)
+        assert str(formed.value) == str(inverted.value)
     # both classes of x^2 + (1 + i)x + 2 reduce to A*z + B with N(A) = 0
     g = parse_poly("x^2+(1+i)*x+2", spec)
     for mode in ("exact", "numeric"):
@@ -867,11 +874,18 @@ def test_numeric_solving_inverts_and_converts_nothing(monkeypatch):
 
     g5 = parse_poly("x^3+(1+s5)*j*x+2", QuatSpec.standard(F5))
     calls = [(parse_poly("x^2+i*x+1/3", H), "numeric"), (g5, "numeric")]
+    calls += [(parse_poly(text, H), "exact") for text in ["(x-1/3)*(x^2+2)*(x-i)", "(x-1/3)*(x-1-j)*(x-i)"]]
     before = [roots(g, mode=mode) for g, mode in calls]
-    assert all(s.kind == "point" for sols in before for s in sols)
+    # (kind, exact, central): the exact classes give central points, a sphere
+    # and points formed as -A**-1 * B
+    kinds = [(s.kind, s.klass.exact, s.klass.is_central) for sols in before for s in sols]
+    assert sorted(kinds) == sorted(
+        [("point", False, False)] * 5 + [("point", True, True)] * 2 + [("point", True, False)] * 3
+        + [("sphere", True, False)]
+    )
 
     def refuse(*args):
-        raise AssertionError("numeric class solving inverted or converted")
+        raise AssertionError("class solving inverted or converted")
 
     monkeypatch.setattr(Quaternion, "inv", refuse)
     monkeypatch.setattr(Scalar, "to_real", refuse)
