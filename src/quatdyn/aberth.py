@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import ConvergenceError
 
@@ -202,14 +202,12 @@ def aberth_roots(
     coeffs: Sequence[int],
     precision: int = 128,
     max_iterations: int = 400,
-    accept: Callable[[list, int], bool] | None = None,
 ) -> list[Approximant]:
     """All complex roots of sum coeffs[i]*x^i, for integers coeffs, to
     roughly `precision` bits, as triples (a, b, F) for (a + ib)/2**F.
 
-    After each rung, `accept(roots, bits)` may end the ladder early by
-    returning True.  Without `accept`, the top rung's approximants must pass
-    a residual test, or ConvergenceError is raised.
+    The top rung's approximants must pass a residual test, or
+    ConvergenceError is raised.
     """
     P = list(coeffs)
     while P and not P[-1]:
@@ -227,9 +225,6 @@ def aberth_roots(
     while True:
         W = bits + GUARD_BITS
         _integer_iterate(_mantissas(P, W + 4), zs, W, goal, max_iterations)
-        roots = origin + zs
-        if accept is not None and accept(roots, bits):
-            return roots
         if bits == top:
             break
         bits = min(2 * bits, top)
@@ -237,9 +232,9 @@ def aberth_roots(
         # below the top, a step of 2**-(k/2) leaves an error near 2**-k
         # (quadratic convergence), so the confirming sweep is skipped
         goal = bits - 56 if bits == top else (bits - 56) // 2
-    if accept is None and not all(_residual_ok(P, z, precision // 2) for z in zs):
+    if not all(_residual_ok(P, z, precision // 2) for z in zs):
         raise ConvergenceError("root iteration did not reach the requested accuracy")
-    return roots
+    return origin + zs
 
 
 def to_grid(zs: list[Approximant], bits: int) -> tuple[int, list[tuple[int, int]]]:

@@ -8,42 +8,35 @@ collapsing g(z) = 0 to the linear equation A*z + B = 0.  That equation is
 either trivial (the whole class consists of roots), insoluble (the class
 contains none), or pins the unique root of g in the class.
 
-Class extraction is one pipeline with two acceptance policies:
+Class extraction is one pipeline with two policies.  Both start from the
+squarefree part c / gcd(c, c') of the companion: over Q on its integer
+coefficients by the heuristic gcd GCDHEU, one integer gcd of values at a
+point xi read back in base xi and kept only when exact division proves it,
+with monic Euclid as the fallback; over Q(sqrt d) by Euclid, with monic
+divisors, since unnormalized remainders carry their leading coefficient in
+every coefficient and swell.
 
-  1. the squarefree part c / gcd(c, c') of the companion: over Q on its
-     integer coefficients by the heuristic gcd GCDHEU, one integer gcd of
-     values at a point xi read back in base xi and kept only when exact
-     division proves it, with monic Euclid as the fallback; over Q(sqrt d)
-     by Euclid, with monic divisors, since unnormalized remainders carry
-     their leading coefficient in every coefficient and swell;
-  2. its roots, approximated by the Aberth ladder of `aberth.aberth_roots`
-     (rungs of doubling precision on Gaussian integers from a narrow first
-     one, each approximant with its own binary exponent) on the integers the
-     policy holds: the monic squarefree part, or in numeric mode that part
-     in units of 2**-(precision + 32), the rounding its disks then cover;
-  3. a policy that turns the approximations into classes:
-
-  exact    rational ground field only.  The monic companion is rescaled to a
-           monic integer polynomial D.  Every near-real root and every pair of
-           roots of its squarefree part is rounded to integer candidates
-           y - m or y^2 - t*y + u, and a candidate is kept only when exact
-           trial division of D succeeds (as often as it does).  The ladder
-           climbs while a remainder is left and the roots' Weierstrass disks
-           do not yet fix every candidate to within 1/2; once they do, the
-           remainder has no linear or quadratic factor over Q and
-           ClassSearchIncompleteError is raised, pointing at numeric mode.
-           Approximations only propose candidates; exact division decides.
-
-  numeric  any ground field with a real embedding.  The squarefree part is
-           embedded at the requested bit precision and the ladder climbs to
-           that precision plus 64 bits.  A root is near-real when its
-           imaginary part is within 2**-(precision/2) * (1 + |z|) and its
-           inclusion disk meets the real axis, with one verdict per
-           conjugate pair.  Near-real roots give central classes
-           (2*mu, mu^2), conjugate pairs give (T, N), each snapped to the
-           simplest rational within the root's inclusion disk.  The
-           reduction and every residual are afterwards computed exactly from
-           that approximate class data.
+  exact    rational ground field only, and algebraic throughout: the classes
+           are the factors of degree <= 2 over Q of the primitive integer
+           companion f.  Modulo a prime p that keeps the squarefree part P
+           squarefree, P's roots in F_p and its irreducible quadratics are
+           found, and Newton's iteration lifts their roots p-adically far
+           enough that symmetric residues give the integer data of every
+           such factor.  Exact trial division of f decides each candidate,
+           linear ones first; a remainder left has no factor of degree <= 2
+           over Q, and ClassSearchIncompleteError points at numeric mode.
+  numeric  any ground field with a real embedding.  The squarefree part,
+           in units of 2**-(precision + 32), goes to the Aberth ladder of
+           `aberth.aberth_roots` (rungs of doubling precision on Gaussian
+           integers from a narrow first one), which climbs to the requested
+           precision plus 64 bits.  A root is near-real when its imaginary
+           part is within 2**-(precision/2) * (1 + |z|) and its inclusion
+           disk, which covers the rounding too, meets the real axis, with
+           one verdict per conjugate pair.  Near-real roots give central
+           classes (2*mu, mu^2), conjugate pairs give (T, N), each snapped
+           to the simplest rational within the root's inclusion disk.  The
+           reduction and every residual are afterwards computed exactly
+           from that approximate class data.
 
 Per-class solving has the same two policies over one reduction
 (`Poly.quotient_value`) and one point formula, -A**-1 * B = -conj(A)*B / N(A)
@@ -271,102 +264,126 @@ def _quotient(f: list[int], h: list[int]) -> list[int] | None:
     return None if any(r[:n]) else q
 
 
-def _monic_integer(C: Poly) -> tuple[list[int], int]:
-    """D(y) = s**n * C(y/s) / lead: monic with integer coefficients."""
-    [cs] = C.cols
-    lead, n = cs[-1], len(cs) - 1
-    s = math.lcm(*(abs(lead) // math.gcd(c, lead) for c in cs))
-    return [c * s ** (n - i) // lead for i, c in enumerate(cs)], s
+# -- exact classes: roots mod p, lifted p-adically --------------------------------
 
 
-def _certification_bits(P: list[int]) -> int:
-    """Top of the ladder for the monic integer P of degree n and bit height H.
-
-    |P'| at a root is at least 2**-O(n**2 * (H + log n)) (the discriminant is
-    a nonzero integer), which bounds the precision that isolates every root
-    to well within 1/2 of its candidate data.
-    """
-    n = len(P) - 1
-    height = max(abs(c).bit_length() for c in P)
-    return (n + 1) ** 2 * (height + n.bit_length() + 2)
+def _gf(a: list[int], p: int) -> list[int]:
+    """a mod p, without trailing zeros."""
+    a = [c % p for c in a]
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
-class _FactorSearch:
-    """Monic factors y - m and y^2 - t*y + u of the monic integer D.
+def _gf_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    """a*b over F_p by one integer product at xi = 2**k (Kronecker), with
+    xi above twice every coefficient of the product."""
+    xi = 1 << (2 * p.bit_length() + (len(a) + len(b)).bit_length())
+    return _gf(_digits(_value(a, xi) * _value(b, xi), xi), p)
 
-    Called with each rung's approximate roots of the squarefree part P of D.
-    It rounds every near-real root to m and every pair of roots to
-    (t, u) = (sum, product), and keeps a candidate only when exact trial
-    division of the remainder succeeds, as often as it does.  By Gauss's
-    lemma every monic factor of D over Q has integer coefficients, so once
-    the Weierstrass disks of P's roots are disjoint and small enough to fix
-    every m, t and u to within 1/2, a remainder left over has no linear or
-    quadratic factor over Q.
-    """
 
-    def __init__(self, D: list[int], P: list[int]) -> None:
-        self.rest = D
-        self.P = P
-        self.found: list[tuple[int, int]] = []  # (t, u) of each factor, y - m as (2m, m^2)
-        self.tried: set[tuple] = set()  # divisors already divided out or refuted
-        self.certified = False
+def _gf_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by the monic b over F_p."""
+    n, r = len(b) - 1, list(a)
+    q = [0] * max(len(a) - n, 0)
+    for k in reversed(range(len(q))):
+        c = q[k] = r[k + n] % p
+        r[k : k + n] = [x - c * y for x, y in zip(r[k : k + n], b)]
+    return _gf(q, p), _gf(r[:n], p)
 
-    def __call__(self, zs, bits: int) -> bool:
-        E, pts = to_grid(zs, bits)
-        half = 1 << (E - 1)
-        for A, B in pts:
-            if abs(B) < half:
-                self._linear((A + half) >> E)
-        for a, (A1, B1) in enumerate(pts):
-            for A2, B2 in pts[a + 1:]:
-                if len(self.rest) > 2 and abs(B1 + B2) < half and abs(A1 * B2 + A2 * B1) < half << E:
-                    t = (A1 + A2 + half) >> E
-                    u = (A1 * A2 - B1 * B2 + (half << E)) >> (2 * E)
-                    self._quadratic(t, u)
-        if len(self.rest) == 1:
-            return True
-        self.certified = self._certify(E, pts)
-        return self.certified
 
-    def _linear(self, m: int) -> None:
-        if m and not self.rest[0] % m:
-            self._divide_out([-m, 1], (2 * m, m * m))
+def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """The monic gcd over F_p of a monic a and any b."""
+    while b:
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        a, b = b, _gf_divmod(a, b, p)[1]
+    return a
 
-    def _quadratic(self, t: int, u: int) -> None:
-        disc = t * t - 4 * u
-        if disc >= 0 and isqrt(disc) ** 2 == disc:  # y^2 - t*y + u splits over Z
-            r = isqrt(disc)
-            self._linear((t + r) // 2)
-            self._linear((t - r) // 2)
-        elif not self.rest[0] % u:
-            self._divide_out([u, -t, 1], (t, u))
 
-    def _divide_out(self, divisor: list[int], klass: tuple[int, int]) -> None:
-        """Divide the remainder by the monic divisor as often as it goes."""
-        if tuple(divisor) in self.tried:
-            return
-        self.tried.add(tuple(divisor))
-        while (q := _quotient(self.rest, divisor)) is not None:
-            self.found.append(klass)
-            self.rest = q
+def _gf_power(a: list[int], e: int, m: list[int], p: int) -> list[int]:
+    """a**e modulo the monic m over F_p."""
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = _gf_divmod(_gf_mul(out, out, p), m, p)[1]
+        out = _gf_divmod(_gf_mul(out, a, p), m, p)[1] if bit == "1" else out
+    return out
 
-    def _certify(self, E: int, pts: list[tuple[int, int]]) -> bool:
-        """Disjoint disks of radius at most rho around points of modulus at
-        most Z, with 2*rho < 1/2 (fixes m and t) and (2Z + rho)*rho < 1/2
-        (fixes u)."""
-        radii = inclusion_radii(self.P, E, pts)
-        if radii is None:
-            return False
-        rho = max(radii)
-        unit = Fraction(1, 1 << (2 * E))
-        gap2 = min(
-            ((A1 - A2) ** 2 + (B1 - B2) ** 2 for a, (A1, B1) in enumerate(pts) for A2, B2 in pts[a + 1:]),
-            default=None,
-        )
-        if gap2 is not None and not 4 * rho * rho < gap2 * unit:
-            return False
-        Z = sqrt_up(max(A * A + B * B for A, B in pts) * unit)
-        return 4 * rho < 1 and (2 * Z + rho) * rho < Fraction(1, 2)
+
+def _local_factors(P: list[int]) -> tuple[int, list[int], list[list[int]]]:
+    """The first prime p from 11 on that does not divide P's lead and keeps P
+    squarefree mod p, P's roots in F_p, and its monic irreducible quadratic
+    factors over F_p: gcd(P, y**(p**2) - y) without the linear factors,
+    split by Cantor-Zassenhaus.  Modulo a factor y**2 - a*y + b,
+    (y + c)**((p**2 - 1)/2) is the Legendre symbol of c**2 + a*c + b, and
+    above 9 two factors differ in it at some c in F_p (Weil's bound)."""
+    p = 11
+    while True:
+        if P[-1] % p and all(p % d for d in range(3, isqrt(p) + 1, 2)):
+            inv = pow(P[-1], -1, p)
+            monic = _gf([c * inv for c in P], p)
+            if len(_gf_gcd(monic, _gf([i * c for i, c in enumerate(monic)][1:], p), p)) == 1:
+                break
+        p += 2
+    roots = [r for r in range(p) if not _value(monic, r) % p]
+    w = _gf_power([0, 1], p * p, monic, p) + [0, 0]
+    G = _gf_gcd(monic, _gf([w[0], w[1] - 1] + w[2:], p), p)
+    for r in roots:
+        G = _gf_divmod(G, [-r, 1], p)[0]
+    pieces, quadratics = [(G, 0)] if len(G) > 1 else [], []
+    while pieces:
+        h, c = pieces.pop()
+        if len(h) == 3:
+            quadratics.append(h)
+            continue
+        w = _gf_power([c, 1], (p * p - 1) // 2, h, p)
+        d = _gf_gcd(h, _gf([w[0] - 1] + w[1:], p), p)
+        pieces += [(d, c + 1), (_gf_divmod(h, d, p)[0], c + 1)] if 1 < len(d) < len(h) else [(h, c + 1)]
+    return p, roots, quadratics
+
+
+def _lift(P: list[int], a: int, b: int, x: tuple[int, int], p: int, m: int) -> tuple[int, int]:
+    """Newton's iteration on P from its simple root x = x0 + x1*Y mod p, in
+    (Z/q)[Y]/(Y**2 - a*Y + b) for q = p**2, p**4, ... up to m.  A root in
+    F_p has a = b = x1 = 0.  A unit u has the inverse conj(u)/N(u), with
+    conj(Y) = a - Y, the other root of Y**2 - a*Y + b."""
+    (x0, x1), q = x, p
+    while q < m:
+        q *= q
+        v0 = v1 = d0 = d1 = 0  # P and P' at x by Horner
+        for c in reversed(P):
+            d0, d1 = (d0 * x0 - b * d1 * x1 + v0) % q, (d0 * x1 + d1 * x0 + a * d1 * x1 + v1) % q
+            v0, v1 = (v0 * x0 - b * v1 * x1 + c) % q, (v0 * x1 + v1 * x0 + a * v1 * x1) % q
+        inv = pow(d0 * d0 + a * d0 * d1 + b * d1 * d1, -1, q)
+        e0, e1 = (d0 + a * d1) * inv, -d1 * inv  # 1/P'(x)
+        x0, x1 = (x0 - v0 * e0 + b * v1 * e1) % q, (x1 - v0 * e1 - v1 * e0 - a * v1 * e1) % q
+    return x0, x1
+
+
+def _candidates(P: list[int]) -> list[list[int]]:
+    """Primitive integer polynomials, of degree 1 and then 2, among them
+    every factor of degree <= 2 over Q of the squarefree P.  Such a factor's
+    lead divides l = P's lead (Gauss's lemma), so l*T and l*N of its roots are
+    integers below |l|*(B + 1)**2, B being Cauchy's bound on the roots; and
+    they are the symmetric residues of those of its one or two local factors,
+    whose roots Hensel-lift uniquely modulo m > 2*|l|*(B + 1)**2."""
+    p, roots, quadratics = _local_factors(P)
+    lead, B = P[-1], 1 - max(map(abs, P[:-1])) // -abs(P[-1])
+    m = p
+    while m <= 2 * abs(lead) * (B + 1) ** 2:
+        m *= m
+
+    def scaled(v: int) -> int:  # l*v as a symmetric residue
+        return (v * lead + m // 2) % m - m // 2
+
+    lifted = [_lift(P, 0, 0, (r, 0), p, m)[0] for r in roots]
+    pairs = [(r + s, r * s) for k, r in enumerate(lifted) for s in lifted[k + 1 :]]
+    for q in quadratics:
+        a, b = -q[1] % p, q[0]
+        x0, x1 = _lift(P, a, b, (0, 1), p, m)
+        pairs.append((2 * x0 + a * x1, x0 * x0 + a * x0 * x1 + b * x1 * x1))
+    linear = [_primitive([-scaled(r), lead]) for r in lifted]
+    return linear + [_primitive([scaled(N), -scaled(T), lead]) for T, N in pairs]
 
 
 def _exact_classes(C: Poly) -> list[ConjClass]:
@@ -376,34 +393,22 @@ def _exact_classes(C: Poly) -> list[ConjClass]:
         )
     if C.degree < 1:
         return []
-    D, s = _monic_integer(C)
-    found: list[tuple[int, int]] = []
-    while len(D) > 1 and D[0] == 0:
-        found.append((0, 0))
-        D = D[1:]
-    if len(D) > 1:
-        P = _integer_squarefree(D)
-        search = _FactorSearch(D, P)
-        aberth_roots(P, precision=_certification_bits(P), accept=search)
-        if len(search.rest) > 1 and not search.certified:
-            raise ConvergenceError(
-                "companion roots could not be isolated within the precision bound"
-            )
-        found += search.found
-        D = search.rest
-
-    classes = _dedup_sorted(
-        [
-            ConjClass(C.spec.scalar(Fraction(t, s)), C.spec.scalar(Fraction(u, s * s)))
-            for (t, u) in found
-        ]
-    )
-    if len(D) > 1:
+    f = _primitive(C.cols[0])
+    zeros = next(i for i, c in enumerate(f) if c)
+    f, found = f[zeros:], [(Fraction(0), Fraction(0))] * zeros
+    # linear candidates go first, so a quadratic that divides is irreducible
+    for h in _candidates(_integer_squarefree(f)) if len(f) > 1 else []:
+        while h[0] and not f[0] % h[0] and (q := _quotient(f, h)) is not None:
+            k = h if len(h) == 3 else [h[0] * h[0], 2 * h[0] * h[1], h[1] * h[1]]  # (h_1*y + h_0)**2
+            found.append((Fraction(-k[1], k[2]), Fraction(k[0], k[2])))
+            f = q
+    classes = _dedup_sorted([ConjClass(C.spec.scalar(T), C.spec.scalar(N)) for T, N in found])
+    if len(f) > 1:
         raise ClassSearchIncompleteError(
-            f"companion has an irrational remainder of degree {len(D) - 1}; "
+            f"companion has an irrational remainder of degree {len(f) - 1}; "
             "use numeric mode",
             classes=classes,
-            remainder_degree=len(D) - 1,
+            remainder_degree=len(f) - 1,
         )
     return classes
 

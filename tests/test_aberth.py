@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from quatdyn import QuatSpec, companion, parse_poly, roots, solver
+from quatdyn import QuatSpec, aberth, companion, parse_poly, roots, solver
 from quatdyn.aberth import (
     FIRST_BITS,
     GUARD_BITS,
@@ -141,28 +141,26 @@ def test_ladder_starts_on_the_newton_polygon():
 
 def test_ladder_doubles_from_the_narrow_rung(monkeypatch):
     """Every rung runs on integers: the ladder starts at FIRST_BITS, narrower
-    than a double, and doubles up to precision + 64; an exact search accepts a
-    small planted product on that first rung, whose starts need no 60 bits."""
+    than a double, and doubles up to precision + 64; exact root finding
+    climbs no ladder at all."""
     seen = []
+    iterate = aberth._integer_iterate
 
-    def record(zs, bits):
-        seen.append(bits)
-        return False
+    def record(mants, zs, W, goal, max_iterations):
+        seen.append(W - GUARD_BITS)
+        return iterate(mants, zs, W, goal, max_iterations)
 
-    aberth_roots([-6, 11, -6, 1], precision=200, accept=record)
+    monkeypatch.setattr(aberth, "_integer_iterate", record)
+    aberth_roots([-6, 11, -6, 1], precision=200)
     assert seen[0] == FIRST_BITS < 53 and seen[-1] == 200 + 64
     assert all(b == 2 * a for a, b in zip(seen, seen[1:-1]))
     assert seen[-2] < seen[-1] <= 2 * seen[-2]
 
-    seen.clear()
-
-    def spy(coeffs, precision, accept):
-        return aberth_roots(coeffs, precision, accept=lambda zs, bits: record(zs, bits) or accept(zs, bits))
-
-    monkeypatch.setattr(solver, "aberth_roots", spy)
+    calls = []
+    monkeypatch.setattr(solver, "aberth_roots", lambda *args, **kwargs: calls.append(args))
     sols = roots(parse_poly("(x-1)*(x-2*i)*(x+3)", H))
     assert [s.kind for s in sols] == ["point"] * 3
-    assert seen == [FIRST_BITS]
+    assert calls == []
 
     C = [1, 0, 2 - 10**3000, 0, 1]
     for W in (FIRST_BITS + GUARD_BITS, 12):

@@ -9,16 +9,18 @@ points, counts up to 10^9 and options that belong to another subcommand.
 Two commands see a narrower space, because their cost is not bounded by
 the parser's degree and height bounds nor by a work budget:
 
-* `roots` and `fixed-points` get polynomials of degree at most 12 with
-  small coefficients and `--precision` at most 512, or rarely one past
-  either bound (53 and 2048 bits), a usage error.  The solver's cost grows
+* `roots` and `fixed-points` get sums of up to 4 terms c*x^e.  Exact mode
+  draws e up to 128 and c from small integers, integers up to 10^60 and
+  powers 10^t with t up to 300: roots modulo a prime, lifted p-adically,
+  settle such a companion within the case budget.  Numeric mode draws e up
+  to 12, small c and `--precision` at most 512, or rarely one past either
+  bound (53 and 2048 bits), a usage error.  The Aberth ladder's cost grows
   with the degree (a dense numeric `roots` at 512 bits takes up to 0.5 s at
-  degree 12 and 1.1 s at degree 16; at 128 bits, 0.7 s at degree 24)
-  and steeply with the coefficients' height (exact `roots` of
-  x^2+10^1000*x+i runs for more than 20 s); bounding the solver's work is
-  a change of its own.
-* No exponent is drawn between 5 and 256: `companion --poly
-  "(x+i+10^50)^128"` passes the parser's bounds and takes seconds.
+  degree 12 and 1.1 s at degree 16; at 128 bits, 0.7 s at degree 24) and
+  with the coefficients' height; bounding its work is a change of its own.
+* The expression grammar draws no exponent between 5 and 256:
+  `companion --poly "(x+i+10^50)^128"` passes the parser's bounds and
+  takes seconds.
 
 `compose` draws from the full polynomial space: its work budget bounds the
 composites it builds by their predicted height and size, not only by degree.
@@ -45,6 +47,9 @@ BIG = st.one_of(
     st.integers(0, 10**60).map(str),
     st.integers(1, 10**9).map(lambda t: f"10^{t}"),
     st.sampled_from(["2^65536", "2^65537", "7" * 5000, "10^5000", "i^65536"]),
+)
+EXACT_NUMBER = st.one_of(
+    SMALL, st.integers(0, 10**60).map(str), st.integers(0, 300).map(lambda t: f"10^{t}")
 )
 SYMBOL = st.sampled_from(["x", "i", "j", "k", "1/2", "3/7", "0"])
 # nesting of '(' and unary '-' at and past the parser's bound of 100 levels
@@ -80,9 +85,10 @@ POINT = st.one_of(
 )
 
 
-def _small_poly(max_degree):
-    """sum c*x^e over e <= max_degree, with small quaternion coefficients."""
-    coeff = st.tuples(SMALL, st.sampled_from(["", "+i", "-j", "+i*j", "+s5*k", "+l"]))
+def _term_poly(max_degree, number):
+    """sum c*x^e over e <= max_degree, with quaternion coefficients c whose
+    real part is drawn from number."""
+    coeff = st.tuples(number, st.sampled_from(["", "+i", "-j", "+i*j", "+s5*k", "+l"]))
     term = st.tuples(coeff, st.integers(0, max_degree)).map(
         lambda t: f"({t[0][0]}{t[0][1]})*x^{t[1]}"
     )
@@ -117,12 +123,14 @@ def _options(command):
     """The options a subcommand reads, with drawn values."""
     if command in ("roots", "fixed-points"):
         return st.tuples(
-            _small_poly(12),
-            st.sampled_from(["exact", "numeric"]),
+            st.one_of(
+                st.tuples(_term_poly(128, EXACT_NUMBER), st.just("exact")),
+                st.tuples(_term_poly(12, SMALL), st.just("numeric")),
+            ),
             _mostly(st.integers(53, 512), st.one_of(st.integers(0, 52), st.integers(2049, 10**9))),
             _mostly(st.floats(0, 1), st.floats()),
-        ).map(lambda t: [f"--poly={t[0]}", "--mode", t[1], "--precision", str(t[2]),
-                         f"--tolerance={t[3]}"])
+        ).map(lambda t: [f"--poly={t[0][0]}", "--mode", t[0][1], "--precision", str(t[1]),
+                         f"--tolerance={t[2]}"])
     if command == "companion":
         return POLY.map(lambda p: [f"--poly={p}"])
     if command == "compose":

@@ -23,6 +23,7 @@ from quatdyn import (
     extract_classes,
     roots,
     solve_in_class,
+    solver,
 )
 
 from helpers import (
@@ -643,7 +644,6 @@ def test_irrational_sextic_is_settled_quickly():
 
 def test_inclusion_disks_and_certificate():
     from quatdyn.aberth import inclusion_radii
-    from quatdyn.solver import _FactorSearch
 
     # y^2 - 2 at the approximants +-22/16: each radius is 2*|P(z)|/|2z| and
     # each disk holds its root
@@ -655,20 +655,98 @@ def test_inclusion_disks_and_certificate():
         assert (z - r) ** 2 <= 2 <= (z + r) ** 2
     assert inclusion_radii([-2, 0, 1], 4, [(1, 0), (1, 0)]) is None
 
-    # (y - 64)(y - 65): exact approximants certify; 64.3 and 64.7 give radii
-    # near 1.05, too wide to fix a candidate to within 1/2
-    D = [64 * 65, -129, 1]
-    unit = 1 << 20
-    assert _FactorSearch(D, D)._certify(20, [(64 * unit, 0), (65 * unit, 0)])
-    assert not _FactorSearch(D, D)._certify(20, [(round(64.3 * unit), 0), (round(64.7 * unit), 0)])
 
-    # (y - 1)(y - 65/64) at 1 + 0.3/64 and 1 + 0.7/64: radii near 0.016 are
-    # small enough, but the two disks overlap, so nothing is certified
-    P = [65, -129, 64]
-    unit = 1 << 30
-    near = [(round((1 + 0.3 / 64) * unit), 0), (round((1 + 0.7 / 64) * unit), 0)]
-    assert max(inclusion_radii(P, 30, near)) < Fraction(1, 32)
-    assert not _FactorSearch([1, 1], P)._certify(30, near)
+# -- exact extraction by roots mod p, lifted p-adically -------------------------------
+
+
+def _remainder_and_classes(C):
+    try:
+        return 0, extract_classes(C)
+    except ClassSearchIncompleteError as exc:
+        return exc.remainder_degree, list(exc.classes)
+
+
+@pytest.mark.parametrize(
+    "text,remainder,count",
+    [
+        ("x^2+10^1000*x+i", 4, 0),
+        ("x^128+i*x+1", 256, 0),
+        ("(x-1-i)*(x-2-j)*(x+3*k)*(x^2+10^400)*(x^30+i*x+1)", 60, 4),
+    ],
+)
+def test_high_height_and_sparse_high_degree_exact_classes_answer_quickly(text, remainder, count):
+    """The disk-certified search took 18.6 s on the product and did not end
+    on the other two; roots mod p settle each within a fuzz case's budget."""
+    from test_fuzz import CASE_SECONDS
+
+    start = time.perf_counter()
+    with pytest.raises(ClassSearchIncompleteError) as info:
+        roots(parse_poly(text, H))
+    assert time.perf_counter() - start < CASE_SECONDS
+    assert info.value.remainder_degree == remainder
+    assert len(info.value.classes) == count
+
+
+def test_exact_extraction_calls_nothing_in_aberth(monkeypatch):
+    from quatdyn import aberth
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact extraction called into aberth")
+
+    imported = [name for name, v in vars(solver).items() if getattr(v, "__module__", None) == aberth.__name__]
+    assert "aberth_roots" in imported
+    for name in imported:
+        monkeypatch.setattr(solver, name, refuse)
+    found = [
+        _remainder_and_classes(companion(parse_poly(text, H)))
+        for text in ("x^2+i*x+1+i*j", "(x-1)*(x-2*i)*(x+3)", "x^3 + 1/11*i*x + 1/13*j", "x^2-2")
+    ]
+    assert [(r, len(classes)) for r, classes in found] == [(0, 2), (0, 3), (6, 0), (0, 1)]
+
+
+_SMALL_PRIMES = [11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+def _planted_factors(rng):
+    """A companion-sized integer polynomial (degree <= 24): a content above
+    1 times zero roots, linear and quadratic factors with coefficients up to
+    10**100 and leads of many small primes, some repeated, and a dense
+    cubic."""
+    big = lambda: rng.choice([rng.randint(-9, 9), rng.randint(-(10**100), 10**100)]) or 1
+    lead = lambda: rng.choice([big(), math.prod(rng.sample(_SMALL_PRIMES, rng.randint(1, 5)))])
+    f = [0] * rng.randint(0, 2) + [1]
+    factors = [[big(), lead()] for _ in range(rng.randint(0, 3))]
+    factors += [[big(), rng.randint(-9, 9), lead()] for _ in range(rng.randint(0, 3))]
+    factors += [[rng.randint(-9, 9) for _ in range(3)] + [rng.randint(1, 9)]] * rng.randint(0, 1)
+    for factor in factors:
+        for _ in range(rng.choice([1, 1, 2])):
+            if len(f) + len(factor) - 1 <= 25:
+                f = _times(f, factor)
+    content = rng.randint(2, 30)
+    return [content * c for c in f] if len(f) > 1 else [3, 3]
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_exact_classes_match_factor_list_on_planted_products(seed, monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    f = _planted_factors(random.Random(seed))
+    assert len(f) <= 25
+    expected, remainder = set(), 0
+    for factor, mult in sympy.factor_list(sympy.Poly(f[::-1], sympy.Symbol("y")))[1]:
+        cs = [Fraction(int(c)) for c in factor.all_coeffs()]
+        if len(cs) == 2:
+            mu = -cs[1] / cs[0]
+            expected.add((2 * mu, mu * mu))
+        elif len(cs) == 3:
+            expected.add((-cs[1] / cs[0], cs[2] / cs[0]))
+        else:
+            remainder += (len(cs) - 1) * mult
+    primes, local = [], solver._local_factors
+    monkeypatch.setattr(solver, "_local_factors", lambda P: primes.append((P[-1], local(P)[0])) or local(P))
+    got, classes = _remainder_and_classes(Poly(QQ, f))
+    assert got == remainder
+    assert [(k.trace.a, k.norm.a) for k in classes] == sorted(expected)
+    assert all(p > 11 for lead, p in primes if lead % 11 == 0)
 
 
 # -- the squarefree part against sympy ---------------------------------------------
@@ -732,11 +810,13 @@ def _planted_integer(rng):
 
 def _dense_companion_48():
     """The monic integer companion D of a dense degree-24 quaternion polynomial."""
-    from quatdyn.solver import _monic_integer
-
     rng = random.Random(48)
     g = Poly(H, [H.element(*(rng.randint(-9, 9) for _ in range(4))) for _ in range(24)] + [1])
-    return _monic_integer(companion(g))[0]
+    # D(y) = s**n * C(y/s) / lead
+    [cs] = companion(g).cols
+    lead, n = cs[-1], len(cs) - 1
+    s = math.lcm(*(abs(lead) // math.gcd(c, lead) for c in cs))
+    return [c * s ** (n - i) // lead for i, c in enumerate(cs)]
 
 
 @pytest.mark.parametrize("seed", range(40))
