@@ -9,12 +9,12 @@ sits at position P*width, followed by its sqrt(d) part when the ground field
 is Q(sqrt d) (width 2 instead of 1).
 
 Every product goes through one sparse table of integer structure constants
-per algebra, derived once from the defining relations.  A `Poly` is the
-coordinate columns of its coefficients over one denominator, and its
-products convolve those columns through the same table.  Short operands take
-the schoolbook convolution; long ones pack each column into one integer
-(Kronecker substitution), so that a whole convolution is one integer product
-per column pair of the table.
+per algebra, derived once by the Cayley-Dickson doubling rule.  A `Poly` is
+the coordinate columns of its coefficients over one denominator, and its
+products convolve those columns through the same table: short operands by
+the schoolbook convolution, long ones by packing each column into one
+integer (Kronecker substitution by `pack` and `unpack`, which the solver's
+heuristic gcd shares), one integer product per column pair of the table.
 
 Text prints from the same integers (`scalar_text` for a ground-field
 coordinate, `Element.text` for a basis combination): no element, no Fraction.
@@ -62,33 +62,21 @@ def column_height(cols, den: int) -> int:
     return max(den, *map(abs, chain.from_iterable(cols)), 0).bit_length()
 
 
-def _quat_basis(p: int, q: int):
-    """e_p * e_q = sign * alpha^a * beta^b * e_r for the basis e_(a + 2b) = i^a j^b.
-
-    Returns (r, sign, (a, b)): i*i = alpha, j*j = beta, j*i = -i*j.
-    """
-    sign = -1 if p >> 1 & q & 1 else 1
-    return p ^ q, sign, (p & q & 1, (p & q) >> 1)
-
-
-def _oct_basis(p: int, q: int):
-    """e_p * e_q for e_(m + 4h) = e_m l^h: returns (r, sign, (a, b, c)).
-
-    The exponent c of gamma = l*l joins those of alpha and beta, by the
-    doubling rule (u + v l)(s + t l) = u s + gamma conj(t) v + (t u + v conj(s)) l.
-    """
-    (h1, m1), (h2, m2) = divmod(p, 4), divmod(q, 4)
-    conj = -1 if m2 else 1  # conj(e_m) = -e_m for m != 0
+def _basis(p: int, q: int, k: int):
+    """e_p * e_q = sign * g_1**(2*a_1) * ... * g_k**(2*a_k) * e_r for the basis
+    e_(m + h*2**(k-1)) = e_m g_k**h of k doublings of the ground field, by the
+    Cayley-Dickson rule (u + v g)(s + t g) = u s + g**2 conj(t) v + (t u +
+    v conj(s)) g and conj(e_m) = -e_m for m != 0: returns (r, sign, (a_1, ...))."""
+    if not k:
+        return 0, 1, ()
+    half = 1 << (k - 1)
+    (h1, m1), (h2, m2) = divmod(p, half), divmod(q, half)
+    conj = -1 if h1 and m2 else 1  # conj(s) or conj(t) appears when v does
     if not h2:
-        r, sign, exps = _quat_basis(m1, m2)
-        return (r + 4, conj * sign, exps + (0,)) if h1 else (r, sign, exps + (0,))
-    r, sign, exps = _quat_basis(m2, m1)
-    return (r, conj * sign, exps + (1,)) if h1 else (r + 4, sign, exps + (0,))
-
-
-def _field_basis(p: int, q: int):
-    """The ground field over itself: 1 * 1 = 1."""
-    return 0, 1, ()
+        r, sign, exps = _basis(m1, m2, k - 1)
+        return r + h1 * half, conj * sign, exps + (0,)
+    r, sign, exps = _basis(m2, m1, k - 1)
+    return r + (1 - h1) * half, conj * sign, exps + (h1,)
 
 
 class Table:
@@ -108,7 +96,6 @@ class Table:
     def __init__(self, field, *gens) -> None:
         d, width = field.d, 1 if field.d is None else 2
         n = 1 << len(gens)
-        basis = {0: _field_basis, 2: _quat_basis, 3: _oct_basis}[len(gens)]
         # Q-coordinates of sqrt(d)^t times a monomial in the generators,
         # keyed by (exponents, t); t = s1 + s2 for the sqrt(d) parts of a pair
         values: dict[tuple, tuple[Fraction, ...]] = {}
@@ -127,7 +114,7 @@ class Table:
         rows: list[list[tuple[int, int, int]]] = [[] for _ in range(n * width)]
         for p in range(n):
             for q in range(n):
-                r, sign, exps = basis(p, q)
+                r, sign, exps = _basis(p, q, len(gens))
                 for s1 in range(width):
                     for s2 in range(width):
                         for s, v in enumerate(ints[exps, s1 + s2]):
@@ -260,17 +247,14 @@ class Table:
         integer product per column pair (p, q) of the table holds a whole
         convolution.  The products are summed packed, with the structure
         constants, per output coordinate r and unpacked once.  The slot of s
-        bits is `slot_bits` rounded up to whole bytes; slots are filled and
-        read through to_bytes/from_bytes with a bias of half the slot, so
-        packing and unpacking take linear time.  When F is G, each unordered
-        column pair is multiplied once.
+        bits is `slot_bits` rounded up to whole bytes, so that `pack` and
+        `unpack` fill and read it in linear time.  When F is G, each
+        unordered column pair is multiplied once.
         """
         size = len(F[0]) + len(G[0]) - 1
         nbytes = (self.slot_bits(F, G) + 7) // 8
-        bias = 1 << (8 * nbytes - 1)
-        bias_bytes = bias.to_bytes(nbytes, "little")
-        packed_f = [_pack(col, nbytes, bias, bias_bytes) for col in F]
-        packed_g = packed_f if G is F else [_pack(col, nbytes, bias, bias_bytes) for col in G]
+        packed_f = [pack(col, nbytes) for col in F]
+        packed_g = packed_f if G is F else [pack(col, nbytes) for col in G]
         acc = [0] * self.dim
         pairs = self.norm_pairs if norm else self.square_pairs if G is F else self.pairs
         for p, q, targets in pairs:
@@ -279,13 +263,7 @@ class Table:
                 ab = a * b
                 for r, c in targets:
                     acc[r] += c * ab
-        shift = int.from_bytes(bias_bytes * size, "little")
-        slots = range(0, nbytes * size, nbytes)
-        out = []
-        for v in acc:
-            data = (v + shift).to_bytes(nbytes * size, "little")
-            out.append([int.from_bytes(data[k : k + nbytes], "little") - bias for k in slots])
-        return out
+        return [unpack(v, nbytes, size) for v in acc]
 
 
 def _column_bits(F) -> int:
@@ -303,10 +281,28 @@ def _even(F) -> bool:
     return 2 * sum(widths) >= len(widths) * max(widths)
 
 
-def _pack(col, nbytes: int, bias: int, bias_bytes: bytes) -> int:
-    """sum col[i] * 256**(nbytes*i), through biased unsigned slots."""
-    data = b"".join([(v + bias).to_bytes(nbytes, "little") for v in col])
-    return int.from_bytes(data, "little") - int.from_bytes(bias_bytes * len(col), "little")
+def pack(col, nbytes: int) -> int:
+    """sum col[i] * 256**(nbytes*i), for |col[i]| < 256**nbytes / 2, in linear
+    time: each digit fills an unsigned slot of nbytes bytes, biased by half
+    the slot, and the biases are taken back at once."""
+    half = 1 << (8 * nbytes - 1)
+    data = b"".join([(v + half).to_bytes(nbytes, "little") for v in col])
+    biases = half.to_bytes(nbytes, "little") * len(col)
+    return int.from_bytes(data, "little") - int.from_bytes(biases, "little")
+
+
+def unpack(v: int, nbytes: int, size: int | None = None) -> list[int]:
+    """The digits of v in base 256**nbytes, each in [-slot/2, slot/2) for the
+    slot 256**nbytes, in linear time: `size` of them, which must hold v, or
+    without a size every digit up to the last nonzero one."""
+    half = 1 << (8 * nbytes - 1)
+    slots = (abs(v).bit_length() + 1) // (8 * nbytes) + 1 if size is None else size
+    biases = half.to_bytes(nbytes, "little") * slots
+    data = (v + int.from_bytes(biases, "little")).to_bytes(nbytes * slots, "little")
+    out = [int.from_bytes(data[k : k + nbytes], "little") - half for k in range(0, len(data), nbytes)]
+    while size is None and out and not out[-1]:
+        out.pop()
+    return out
 
 
 class Element:

@@ -289,8 +289,11 @@ def inclusion_radii(
                 prod *= dist2
         value2 = hr * hr + hi * hi  # |2**(E*n) * P(z_k)|**2
         if error:
-            # |P(z_k)| + error * sum |z_k|**i, times 2**(E*n), with M > 2**E * |z_k|
-            M = isqrt(A * A + B * B) + 1
-            value2 = (isqrt(value2) + 1 + error * sum(M**i << E * (n - i) for i in range(n))) ** 2
+            # |P(z_k)| + error * sum |z_k|**i, times 2**(E*n), with M > 2**E * |z_k|:
+            # the sum of M**i * 2**(E*(n - i)) over i < n, by Horner's rule in M
+            M, powers = isqrt(A * A + B * B) + 1, 0
+            for i in range(n - 1, -1, -1):
+                powers = powers * M + (1 << E * (n - i))
+            value2 = (isqrt(value2) + 1 + error * powers) ** 2
         radii.append(sqrt_up(Fraction(n * n * value2, lead * lead * prod << 2 * E)))
     return radii

@@ -10,11 +10,11 @@ contains none), or pins the unique root of g in the class.
 
 Class extraction is one pipeline with two policies.  Both start from the
 squarefree part c / gcd(c, c') of the companion: over Q on its integer
-coefficients by the heuristic gcd GCDHEU, one integer gcd of values at a
-point xi read back in base xi and kept only when exact division proves it,
-with monic Euclid as the fallback; over Q(sqrt d) by Euclid, with monic
-divisors, since unnormalized remainders carry their leading coefficient in
-every coefficient and swell.
+coefficients by the heuristic gcd GCDHEU, one integer gcd of values at
+xi = 256**n, packed and read back by `_kernel`'s Kronecker packer and kept
+only when exact division proves it, with monic Euclid as the fallback; over
+Q(sqrt d) by Euclid, with monic divisors, since unnormalized remainders
+carry their leading coefficient in every coefficient and swell.
 
   exact    rational ground field only, and algebraic throughout: the classes
            are the factors of degree <= 2 over Q of the primitive integer
@@ -57,6 +57,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import isqrt
 
+from ._kernel import pack, unpack
 from .aberth import aberth_roots, inclusion_radii, sqrt_up, to_grid
 from .errors import (
     ClassSearchIncompleteError,
@@ -188,35 +189,36 @@ def _heuristic_cofactor(f: list[int], g: list[int]) -> list[int] | None:
     (Char, Geddes & Gonnet 1989, J. Symb. Comput. 7); None when every xi
     fails.
 
-    The integer gcd of f(xi) and g(xi), and the cofactor f(xi) / gcd, are read
-    back as polynomials in xi with digits in (-xi/2, xi/2].  A candidate h
-    counts only when it divides f and g exactly, and when gcd / h(xi) is an
-    integer c with |c| <= xi - M - 2.  Then h is the gcd: every common root
-    lies within M + 2 of 0 (Cauchy's bound), so a nonconstant integer factor
-    k of both has |k(xi)| > xi - M - 2, while gcd(f, g) = h*k gives k(xi) | c.
-    The first xi and its growth follow sympy's `dup_zz_heu_gcd`.
+    xi = 256**n, the first whole byte slot above twice every coefficient of
+    f and g and above M + 2, so that `_kernel.pack` gives f(xi) and g(xi), and
+    `_kernel.unpack` reads their integer gcd, and the cofactor f(xi) / gcd,
+    back with digits in [-xi/2, xi/2).  A candidate h counts only when it
+    divides f and g exactly, and when gcd / h(xi) is an integer c with
+    |c| <= xi - M - 2.  Then h is the gcd: every common root lies within M + 2
+    of 0 (Cauchy's bound), so a nonconstant integer factor k of both has
+    |k(xi)| > xi - M - 2, while gcd(f, g) = h*k gives k(xi) | c.  After a
+    failed xi, n grows by about a quarter.
     """
     f_norm, g_norm = max(map(abs, f)), max(map(abs, g))
     M = min(f_norm // abs(f[-1]), g_norm // abs(g[-1]))
-    bound = 2 * min(f_norm, g_norm) + 29
-    xi = max(min(bound, 99 * isqrt(bound)), 2 * M + 4)
+    nbytes = max(2 * max(f_norm, g_norm), M + 2).bit_length() // 8 + 1
     for _ in range(HEURISTIC_ATTEMPTS):
-        fx, gx = _value(f, xi), _value(g, xi)
-        if fx and gx:
-            common = math.gcd(fx, gx)
-            h = _digits(common, xi)
-            c = math.gcd(*h) if h[-1] > 0 else -math.gcd(*h)
-            if abs(c) <= xi - M - 2:
-                h = [v // c for v in h]
-                part = _quotient(f, h)
-                if part is not None and _quotient(g, h) is not None:
-                    return part
-            # the cofactor read back: h = f / part has h(xi) = common, so c = 1
-            part = _digits(fx // common, xi)
-            h = _quotient(f, part)
-            if h is not None and _quotient(g, h) is not None:
-                return part if h[-1] > 0 else [-v for v in part]
-        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+        # xi exceeds every root's modulus, so neither value is zero
+        fx, gx = pack(f, nbytes), pack(g, nbytes)
+        common = math.gcd(fx, gx)
+        h = unpack(common, nbytes)
+        c = math.gcd(*h) if h[-1] > 0 else -math.gcd(*h)
+        if abs(c) <= (1 << 8 * nbytes) - M - 2:
+            h = [v // c for v in h]
+            part = _quotient(f, h)
+            if part is not None and _quotient(g, h) is not None:
+                return part
+        # the cofactor read back: h = f / part has h(xi) = common, so c = 1
+        part = unpack(fx // common, nbytes)
+        h = _quotient(f, part)
+        if h is not None and _quotient(g, h) is not None:
+            return part if h[-1] > 0 else [-v for v in part]
+        nbytes += nbytes // 4 + 1
     return None
 
 
@@ -232,19 +234,6 @@ def _value(f: list[int], x: int) -> int:
     for c in reversed(f):
         v = v * x + c
     return v
-
-
-def _digits(v: int, xi: int) -> list[int]:
-    """The polynomial p with p(xi) = v whose coefficients are v's digits in
-    base xi, taken in (-xi/2, xi/2]."""
-    out = []
-    while v:
-        digit = v % xi
-        if 2 * digit > xi:
-            digit -= xi
-        out.append(digit)
-        v = (v - digit) // xi
-    return out
 
 
 def _quotient(f: list[int], h: list[int]) -> list[int] | None:
@@ -276,10 +265,12 @@ def _gf(a: list[int], p: int) -> list[int]:
 
 
 def _gf_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    """a*b over F_p by one integer product at xi = 2**k (Kronecker), with
-    xi above twice every coefficient of the product."""
-    xi = 1 << (2 * p.bit_length() + (len(a) + len(b)).bit_length())
-    return _gf(_digits(_value(a, xi) * _value(b, xi), xi), p)
+    """a*b over F_p, by the plain convolution."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for k, y in enumerate(b, i):
+            out[k] += x * y
+    return _gf(out, p)
 
 
 def _gf_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:

@@ -12,9 +12,14 @@ the parser's degree and height bounds nor by a work budget:
 * `roots` and `fixed-points` get sums of up to 4 terms c*x^e.  Exact mode
   draws e up to 128 and c from small integers, integers up to 10^60 and
   powers 10^t with t up to 300: roots modulo a prime, lifted p-adically,
-  settle such a companion within the case budget.  Numeric mode draws e up
-  to 12, small c and `--precision` at most 512, or rarely one past either
-  bound (53 and 2048 bits), a usage error.  The Aberth ladder's cost grows
+  settle such a companion within the case budget.  So that most exact cases
+  reach the class search rather than a `ParseError`,
+  `UnsupportedAlgebraError` or `UsageError`, they draw a quaternion algebra
+  over Q and the units i, j, k, and only one time in sixteen each another
+  algebra, an `l` or `s5` unit, an out-of-range `--precision` or
+  `--tolerance`, or foreign options.  Numeric mode draws e up to 12, small
+  c and `--precision` at most 512, or rarely one past either bound (53 and
+  2048 bits), a usage error.  The Aberth ladder's cost grows
   with the degree (a dense numeric `roots` at 512 bits takes up to 0.5 s at
   degree 12 and 1.1 s at degree 16; at 128 bits, 0.7 s at degree 24) and
   with the coefficients' height; bounding its work is a change of its own.
@@ -40,6 +45,11 @@ CASE_SECONDS = 3.0
 def _mostly(common, rare):
     """common three times in four, rare otherwise."""
     return st.integers(0, 3).flatmap(lambda k: rare if k == 3 else common)
+
+
+def _seldom(common, rare):
+    """rare one time in sixteen, common otherwise."""
+    return _mostly(common, _mostly(common, rare))
 
 
 SMALL = st.integers(-9, 9).map(str)
@@ -85,10 +95,16 @@ POINT = st.one_of(
 )
 
 
-def _term_poly(max_degree, number):
+UNIT = st.sampled_from(["", "+i", "-j", "+i*j", "+s5*k", "+l"])
+# what the exact solver accepts: quaternion algebras over Q and their units
+EXACT_ALGEBRA = st.sampled_from(["quat:-1,-1@Q", "quat:1,-1@Q", "quat:-2,-5@Q", "quat:3,-1/7@Q"])
+EXACT_UNIT = st.sampled_from(["", "+i", "-j", "+i*j", "-k"])
+
+
+def _term_poly(max_degree, number, unit=UNIT):
     """sum c*x^e over e <= max_degree, with quaternion coefficients c whose
-    real part is drawn from number."""
-    coeff = st.tuples(number, st.sampled_from(["", "+i", "-j", "+i*j", "+s5*k", "+l"]))
+    real part is drawn from number and whose unit part from unit."""
+    coeff = st.tuples(number, unit)
     term = st.tuples(coeff, st.integers(0, max_degree)).map(
         lambda t: f"({t[0][0]}{t[0][1]})*x^{t[1]}"
     )
@@ -119,18 +135,31 @@ FOREIGN = _mostly(st.just([]), st.lists(
 ))
 
 
+def _solver_case():
+    """The algebra, the options and foreign options of `roots` and
+    `fixed-points`; exact cases draw mostly what the exact solver accepts."""
+    precision = st.integers(53, 512), st.one_of(st.integers(0, 52), st.integers(2049, 10**9))
+    tolerance = st.floats(0, 1), st.floats()
+    exact = st.tuples(
+        _seldom(EXACT_ALGEBRA, ALGEBRA),
+        _term_poly(128, EXACT_NUMBER, _seldom(EXACT_UNIT, UNIT)),
+        st.just("exact"),
+        _seldom(*precision),
+        _seldom(*tolerance),
+        _seldom(st.just([]), FOREIGN),
+    )
+    numeric = st.tuples(
+        ALGEBRA, _term_poly(12, SMALL), st.just("numeric"), _mostly(*precision),
+        _mostly(*tolerance), FOREIGN,
+    )
+    return st.one_of(exact, numeric).map(
+        lambda t: (t[0], [f"--poly={t[1]}", "--mode", t[2], "--precision", str(t[3]),
+                          f"--tolerance={t[4]}"], t[5])
+    )
+
+
 def _options(command):
     """The options a subcommand reads, with drawn values."""
-    if command in ("roots", "fixed-points"):
-        return st.tuples(
-            st.one_of(
-                st.tuples(_term_poly(128, EXACT_NUMBER), st.just("exact")),
-                st.tuples(_term_poly(12, SMALL), st.just("numeric")),
-            ),
-            _mostly(st.integers(53, 512), st.one_of(st.integers(0, 52), st.integers(2049, 10**9))),
-            _mostly(st.floats(0, 1), st.floats()),
-        ).map(lambda t: [f"--poly={t[0][0]}", "--mode", t[0][1], "--precision", str(t[1]),
-                         f"--tolerance={t[2]}"])
     if command == "companion":
         return POLY.map(lambda p: [f"--poly={p}"])
     if command == "compose":
@@ -147,9 +176,16 @@ def _options(command):
     return pointed
 
 
+def _case(command):
+    """The algebra, the options and foreign options of one subcommand."""
+    if command in ("roots", "fixed-points"):
+        return _solver_case()
+    return st.tuples(ALGEBRA, _options(command), FOREIGN)
+
+
 COMMANDS = ["roots", "fixed-points", "companion", "compose", "orbit", "check-periodic", "oct-check"]
 ARGV = st.sampled_from(COMMANDS).flatmap(
-    lambda c: st.tuples(ALGEBRA, _options(c), FOREIGN).map(
+    lambda c: _case(c).map(
         lambda t: [c, f"--algebra={t[0]}"] + t[1] + [v for opt in t[2] for v in opt]
     )
 )

@@ -16,7 +16,7 @@ from quatdyn import (
     UnsupportedAlgebraError,
 )
 
-from quatdyn._kernel import _even, column_height, height
+from quatdyn._kernel import _even, column_height, height, pack, unpack
 from quatdyn.polynomials import divmod_monic
 from quatdyn.solver import companion
 
@@ -217,6 +217,38 @@ def test_packed_product_fills_its_slots(spec):
         for g in (G, [[-v for v in col] for col in G]):
             assert table.kronecker_mul(F, g) == table.schoolbook_mul(F, g)
 
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_unpack_inverts_pack(data):
+    """Digits in [-slot/2, slot/2), the bottom one included, come back from
+    their packed value: `size` of them, trailing zeros too, as kronecker_mul
+    reads a product, and without a size up to the last nonzero one."""
+    nbytes = data.draw(st.integers(1, 3))
+    half = 1 << (8 * nbytes - 1)
+    edges = st.sampled_from([-half, -half + 1, -1, 0, 1, half - 1])
+    col = data.draw(st.lists(st.one_of(edges, st.integers(-half, half - 1)), max_size=10))
+    v = pack(col, nbytes)
+    assert v == sum(c << (8 * nbytes * i) for i, c in enumerate(col))
+    assert unpack(v, nbytes, len(col)) == col
+    assert unpack(v, nbytes, len(col) + 2) == col + [0, 0]
+    trimmed = list(col)
+    while trimmed and not trimmed[-1]:
+        trimmed.pop()
+    assert unpack(v, nbytes) == trimmed
+
+
+def test_unpack_without_a_size_at_the_slot_edges():
+    for nbytes in (1, 2, 5):
+        half, base = 1 << (8 * nbytes - 1), 1 << (8 * nbytes)
+        assert unpack(-half, nbytes) == [-half]
+        assert unpack(half, nbytes) == [-half, 1]  # half itself is no digit
+        assert unpack(-half * base, nbytes) == [0, -half]
+        top = (half - 1) * (base**3 - 1) // (base - 1)  # three digits half - 1
+        assert unpack(top, nbytes) == [half - 1] * 3
+        assert unpack(top + 1, nbytes) == [-half, -half, -half, 1]
+        assert unpack(0, nbytes) == []
 
 def test_poly_mul_keeps_uneven_heights_on_the_schoolbook_path():
     # one tall coefficient would widen every packed slot

