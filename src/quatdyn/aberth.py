@@ -37,6 +37,7 @@ from math import isqrt
 from typing import Sequence
 
 from .errors import ConvergenceError
+from .scalars import nearest
 
 # bits of the ladder's first rung; each later rung doubles them
 FIRST_BITS = 20
@@ -247,7 +248,7 @@ def to_grid(zs: list[Approximant], bits: int) -> tuple[int, list[tuple[int, int]
     E = max(bits + 16 - top, 16)
 
     def align(x: int, F: int) -> int:
-        return x << (E - F) if E >= F else round(Fraction(x, 1 << (F - E)))
+        return x << (E - F) if E >= F else nearest(None, (x,), 1 << (F - E), 0)
 
     return E, [(align(a, F), align(b, F)) for a, b, F in zs]
 

@@ -91,7 +91,8 @@ def fixed_points(
     precision: int = DEFAULT_PRECISION,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> list[ClassSolution]:
-    """Class solutions of f(x) = x; every point returned re-fixes under f."""
+    """Class solutions of f(x) = x; every point returned re-fixes under f, since
+    the solver verified g(point) = 0 for g = f - x (numeric: within tolerance)."""
     if not isinstance(f.spec, QuatSpec):
         raise UnsupportedAlgebraError("fixed-point solving needs a quaternion algebra")
     g = f - Poly.x(f.spec)
@@ -100,14 +101,7 @@ def fixed_points(
             "f(x) - x is identically zero: every point is fixed and there "
             "is no class decomposition to return"
         )
-    if g.degree == 0:
-        return []
-    sols = roots(g, mode=mode, precision=precision, tolerance=tolerance)
-    if mode == "exact":
-        for sol in sols:
-            if sol.kind == "point" and f(sol.point) != sol.point:
-                raise AssertionError("fixed-point candidate does not re-fix")
-    return sols
+    return roots(g, mode=mode, precision=precision, tolerance=tolerance)
 
 
 def orbit(f: Poly, start, n_max: int, semantics: str = "compose") -> OrbitReport:

@@ -80,11 +80,10 @@ MAX_PRECISION = 2048
 
 @dataclass(frozen=True)
 class ConjClass:
-    """A conjugacy class candidate, identified by trace and norm."""
+    """A conjugacy class candidate (trace, norm); exact when it carries no precision."""
 
     trace: Scalar
     norm: Scalar
-    exact: bool = True
     precision: int | None = None
     # numeric central classes: whether every inclusion disk of the companion's
     # roots excludes the candidate T/2, so that it is no root of the companion
@@ -92,6 +91,10 @@ class ConjClass:
     # numeric classes: whether the companion is squarefree, so that no class is
     # a sphere and the reduction's zero tests are skipped
     squarefree: bool = False
+
+    @property
+    def exact(self) -> bool:
+        return self.precision is None
 
     @property
     def discriminant(self) -> Scalar:
@@ -186,18 +189,20 @@ def _integer_squarefree(f: list[int]) -> list[int]:
 
 def _heuristic_cofactor(f: list[int], g: list[int]) -> list[int] | None:
     """f / gcd(f, g) for primitive integer polynomials f and g, by GCDHEU
-    (Char, Geddes & Gonnet 1989, J. Symb. Comput. 7); None when every xi
-    fails.
+    (Char, Geddes & Gonnet 1989, J. Symb. Comput. 7); None when every xi fails.
 
     xi = 256**n, the first whole byte slot above twice every coefficient of
-    f and g and above M + 2, so that `_kernel.pack` gives f(xi) and g(xi), and
-    `_kernel.unpack` reads their integer gcd, and the cofactor f(xi) / gcd,
-    back with digits in [-xi/2, xi/2).  A candidate h counts only when it
-    divides f and g exactly, and when gcd / h(xi) is an integer c with
-    |c| <= xi - M - 2.  Then h is the gcd: every common root lies within M + 2
-    of 0 (Cauchy's bound), so a nonconstant integer factor k of both has
-    |k(xi)| > xi - M - 2, while gcd(f, g) = h*k gives k(xi) | c.  After a
-    failed xi, n grows by about a quarter.
+    f and g and above M + 2: `_kernel.pack` gives f(xi) and g(xi), and
+    `_kernel.unpack` reads their integer gcd back, with digits in
+    [-xi/2, xi/2).  A candidate h counts only when it divides f and g exactly
+    and gcd / h(xi) is an integer c with |c| <= xi - M - 2.  Then h is the
+    gcd: every common root lies within M + 2 of 0 (Cauchy's bound), so a
+    nonconstant integer factor k of both has |k(xi)| > xi - M - 2, while
+    gcd(f, g) = h*k gives k(xi) | c.  After a failed xi, n grows by about a
+    quarter.  The gcd is the one read-back needed: the integer gcd is
+    s*G(xi), G = gcd(f, g), where s = gcd(F(xi), H(xi)) for the cofactors
+    F = f/G and H = g/G divides Res(F, H); so it passes once xi exceeds about
+    2*|Res|*height(G) + M + 2, and monic Euclid decides the rest.
     """
     f_norm, g_norm = max(map(abs, f)), max(map(abs, g))
     M = min(f_norm // abs(f[-1]), g_norm // abs(g[-1]))
@@ -213,11 +218,6 @@ def _heuristic_cofactor(f: list[int], g: list[int]) -> list[int] | None:
             part = _quotient(f, h)
             if part is not None and _quotient(g, h) is not None:
                 return part
-        # the cofactor read back: h = f / part has h(xi) = common, so c = 1
-        part = unpack(fx // common, nbytes)
-        h = _quotient(f, part)
-        if h is not None and _quotient(g, h) is not None:
-            return part if h[-1] > 0 else [-v for v in part]
         nbytes += nbytes // 4 + 1
     return None
 
@@ -515,7 +515,6 @@ def _numeric_classes(C: Poly, precision: int) -> list[ConjClass]:
             ConjClass(
                 C.spec.scalar(T),
                 C.spec.scalar(N),
-                exact=False,
                 precision=precision,
                 excluded=excluded,
                 squarefree=squarefree,
@@ -742,7 +741,6 @@ def _solve_exact(g: Poly, klass: ConjClass) -> ClassSolution:
 def _solve_numeric(g: Poly, klass: ConjClass, tolerance: float) -> ClassSolution:
     T, N = klass.trace, klass.norm
     sizes, tolerance = [_size(c) for c in g.coeffs], Fraction(tolerance)
-    precision = klass.precision or DEFAULT_PRECISION
     if klass.is_central:
         lam = g.spec.coerce(T / 2)
         sol = _numeric_point(g, sizes, klass, lam, tolerance)
@@ -750,7 +748,7 @@ def _solve_numeric(g: Poly, klass: ConjClass, tolerance: float) -> ClassSolution
             return sol
         # the candidate may still be a root of the companion that the working
         # precision could not resolve: no claim of absence
-        bits = _resolving_precision(companion(g), T / 2, precision)
+        bits = _resolving_precision(companion(g), T / 2, klass.precision)
         beyond = f", above the cap of {MAX_PRECISION} bits" if bits > MAX_PRECISION else ""
         return replace(
             sol,
@@ -761,7 +759,7 @@ def _solve_numeric(g: Poly, klass: ConjClass, tolerance: float) -> ClassSolution
         )
     A, B = g.quotient_value((g.spec.one(), g.spec.zero()), T, N)
     if not klass.squarefree:
-        ztol = Fraction(2) ** (-precision // 2 + 8)
+        ztol = Fraction(2) ** (-klass.precision // 2 + 8)
         a_scale, b_scale = _reduction_scales(sizes, T, N)
         if _within(A, ztol, a_scale):
             if _within(B, ztol, b_scale):
@@ -773,7 +771,7 @@ def _solve_numeric(g: Poly, klass: ConjClass, tolerance: float) -> ClassSolution
             )
     # the point rounded to the class precision, then judged by exact
     # re-evaluation of the original coefficients there
-    return _numeric_point(g, sizes, klass, _class_point(A, B, precision), tolerance)
+    return _numeric_point(g, sizes, klass, _class_point(A, B, klass.precision), tolerance)
 
 
 def roots(

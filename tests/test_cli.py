@@ -110,9 +110,20 @@ def test_exit_codes():
         assert code == 2, argv
         assert json.loads(out)["error"]["type"] == "ParseError"
 
+    code, out = run_cli(["roots", "--algebra", "quat:-1,-1@Q(s18)", "--poly", "x"])
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == "d = 18 is not squarefree"
+
     code, out = run_cli(["compose", "--poly", "i*x^2", "--n", "20"])
     assert code == 1
     assert json.loads(out)["error"]["type"] == "DegreeCapError"
+
+    # numeric extraction needs a real embedding of the ground field
+    code, out = run_cli(
+        ["roots", "--algebra", "quat:-1,-1@Q(s-3)", "--poly", "x^2+1", "--mode", "numeric"]
+    )
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "UnsupportedAlgebraError"
 
     code, out = run_cli(["roots", "--nonsense"])
     assert code == 2
@@ -186,6 +197,13 @@ def test_precision_is_capped_and_the_cap_is_named():
     assert solution["detail"].endswith("about 2048 bits would resolve the class")
     code, out = run_cli(argv + ["--precision", "2048"])
     assert [s["variant"] for s in json.loads(out)["result"]] == ["point"]
+    # a lead with a radical part: its size in bits counts sqrt(d) as well
+    code, out = run_cli(
+        ["roots", "--algebra", "quat:-1,-1@Q(s5)", "--poly", "(10^60+s5)*x-i", "--mode", "numeric"]
+    )
+    [solution] = json.loads(out)["result"]
+    assert solution["variant"] == "anomaly"
+    assert re.search(r"about \d+ bits would resolve the class$", solution["detail"])
 
 
 def test_numeric_class_data_is_snapped():
@@ -274,6 +292,27 @@ def test_solving_never_imports_mpmath():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_library_imports_only_the_standard_library():
+    """The library runs on the standard library alone: every import in
+    src/quatdyn names a standard module or quatdyn itself."""
+    import ast
+
+    import quatdyn
+
+    allowed = sys.stdlib_module_names | {"quatdyn"}
+    foreign = []
+    for path in sorted(Path(quatdyn.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue  # not an import, or a relative one: quatdyn's own
+            foreign += [f"{path.name}: {n}" for n in names if n.split(".")[0] not in allowed]
+    assert not foreign
 
 
 # 10^5000 has 16610 bits, so the residues of these quadratics pass the height

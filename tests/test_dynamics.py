@@ -10,6 +10,7 @@ from quatdyn import (
     Poly,
     QQ,
     QuatSpec,
+    UnsupportedAlgebraError,
     ZeroPolynomialError,
     certify_periodic,
     fixed_points,
@@ -77,6 +78,8 @@ def test_fixed_points_whole_class():
 def test_fixed_points_identity_rejected():
     with pytest.raises(ZeroPolynomialError):
         fixed_points(Poly.x(H))
+    with pytest.raises(UnsupportedAlgebraError):
+        fixed_points(Poly(O, [0, 0, 1]))
 
 
 def test_fixed_points_translation_has_none():
@@ -133,6 +136,9 @@ def test_certify_two_periodic_point_in_subfield():
 def test_certify_fixed_point():
     verdict = certify_periodic(F_EXAMPLE, -J, 1)
     assert verdict.status == "fixed_point"
+    for r, n_max in ((0, 4), (1, 0)):
+        with pytest.raises(ValueError):
+            certify_periodic(F_EXAMPLE, -J, r, n_max=n_max)
 
 
 def test_certify_not_r_fixed():

@@ -299,6 +299,9 @@ def test_multiplication_by_one():
     f = Poly(H, [1 + K, I, 1])
     assert f * Poly.constant(H, 1) == f
     assert Poly.constant(H, 1) * f == f
+    # an element or a number on the left: __rmul__ and __rsub__
+    assert I * f == Poly.constant(H, I) * f
+    assert 1 - f == Poly.constant(H, 1) - f
 
 
 def test_evaluation_is_not_a_ring_homomorphism():
@@ -321,6 +324,8 @@ def test_power_examples():
     assert f**2 == Poly(H, [0, 0, 0, 0, -1])
     assert f**1 == f
     assert (f**0) == Poly.constant(H, 1)
+    with pytest.raises(ValueError):
+        f**-1
 
 
 def test_power_of_value_from_commuting_evaluation():
@@ -388,6 +393,8 @@ def test_compose_iterate_examples():
     f = Poly(H, [0, 0, I])
     assert f.compose_iterate(1) == f
     assert f.compose_iterate(2) == Poly(H, [0, 0, 0, 0, -I])
+    with pytest.raises(ValueError):
+        f.compose_iterate(0)
 
 
 def test_compose_is_not_power_associative():
@@ -408,6 +415,8 @@ def test_eval_iterate_differs_from_compose_then_eval():
     assert f.eval_iterate(lam, 2) == -4 * I
     assert f.compose_iterate(2)(lam) == 4 * I
     assert f.eval_iterate(lam, 1) == f(lam)
+    with pytest.raises(ValueError):
+        f.eval_iterate(lam, 0)
 
 
 def test_eval_iterate_two_cycle():

@@ -115,6 +115,8 @@ def test_inverse_errors():
         H.zero().inv()
     with pytest.raises(SplitAlgebraError):
         (SPLIT.one() + SPLIT.i()).inv()  # (1+i)(1-i) = 1 - i*i = 0 when alpha = 1
+    with pytest.raises(ValueError):
+        H.i() ** -1  # powers take nonnegative exponents; use inv()
 
 
 def test_commutes():

@@ -77,6 +77,7 @@ def test_to_real_sqrt5_against_newton_bracket():
     lo, hi = sqrt_bracket(5, 60)
     approx = F5.sqrt_gen().to_real(50)
     assert lo - Fraction(1, 2**50) <= approx <= hi + Fraction(1, 2**50)
+    assert float(F5.scalar(1, 1)) == pytest.approx(1 + 5**0.5, rel=1e-15)
 
 
 def test_nearest_rounds_ties_to_even_and_brackets_radicals():
@@ -102,6 +103,8 @@ def test_nearest_rounds_ties_to_even_and_brackets_radicals():
 def test_to_real_without_embedding():
     with pytest.raises(NoRealEmbeddingError):
         FieldSpec(-1).scalar(1).to_real(10)
+    with pytest.raises(NoRealEmbeddingError):
+        FieldSpec(-3).scalar(1, 1) < 0
 
 
 def test_exact_order():
@@ -109,6 +112,8 @@ def test_exact_order():
     assert F5.sqrt_gen() < Fraction(9, 4)
     assert F5.scalar(3, -1) > 0  # 3 - sqrt5 > 0
     assert F5.scalar(2, -1) < 0  # 2 - sqrt5 < 0
+    assert F5.sqrt_gen() <= F5.sqrt_gen() <= Fraction(9, 4)
+    assert F5.sqrt_gen() >= 2 and not F5.scalar(2, -1) >= 0
     vals = [F5.sqrt_gen(), F5.scalar(0), F5.scalar(2), F5.scalar(-1, 1)]
     ordered = sorted(vals)
     assert ordered == [F5.scalar(0), F5.scalar(-1, 1), F5.scalar(2), F5.sqrt_gen()]

@@ -130,6 +130,8 @@ def test_companion_requires_quaternions_and_nonzero():
     O = OctSpec.standard()
     with pytest.raises(UnsupportedAlgebraError):
         companion(Poly(O, [0, 1]))
+    with pytest.raises(UnsupportedAlgebraError):
+        solve_in_class(Poly(O, [0, 1]), ConjClass(QQ.scalar(0), QQ.scalar(0)))
     with pytest.raises(ZeroPolynomialError):
         companion(Poly(H))
 
@@ -179,6 +181,8 @@ def test_extract_classes_exact_needs_rationals():
     C = Poly(F5, [F5.scalar(1), F5.scalar(0), F5.scalar(1)])
     with pytest.raises(UnsupportedAlgebraError):
         extract_classes(C, mode="exact")
+    with pytest.raises(ValueError):
+        extract_classes(C, mode="approx")
 
 
 def test_extract_classes_numeric_quadratic_formula_oracle():
