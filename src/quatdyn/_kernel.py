@@ -14,7 +14,11 @@ the coordinate columns of its coefficients over one denominator, and its
 products convolve those columns through the same table: short operands by
 the schoolbook convolution, long ones by packing each column into one
 integer (Kronecker substitution by `pack` and `unpack`, which the solver's
-heuristic gcd shares), one integer product per column pair of the table.
+heuristic gcd shares), one integer product per column pair of the table
+(`Table.pair_products`).  Composition f(g) runs on the same packed columns
+(`Table.compose`): the top power of g and the products by f's coefficients
+are summed packed, at one slot that provably holds each coefficient of the
+composite, and the composite is unpacked once.
 
 Text prints from the same integers (`scalar_text` for a ground-field
 coordinate, `Element.text` for a basis combination): no element, no Fraction.
@@ -41,7 +45,10 @@ HEIGHT_BUDGET = 2**16
 
 # Where Table.poly_mul packs columns (Kronecker substitution): operands of at
 # least KRONECKER_MIN coefficients and, for two different operands, at least
-# one coefficient per KRONECKER_BITS bits of slot or KRONECKER_WIDE of them.
+# one coefficient per KRONECKER_BITS bits of slot or KRONECKER_WIDE of them
+# (`Table.dense`).  Table.compose packs its whole sum where its top product is
+# dense, at any length: it saves an unpacking and the schoolbook products by
+# the coefficients of f besides.
 # Measured on quaternion columns, the packed product of two different
 # operands is 0.5-1.1x as fast as the schoolbook one at 2-4 coefficients,
 # 1.6-2.5x at 6-8 and 3-16x at 16-64 for coefficients of up to 64 bits; for
@@ -199,13 +206,16 @@ class Table:
         square needs about half as many packed products; with few wide
         coefficients, the schoolbook terms are already bignum products.)
         """
-        short = min(len(F[0]), len(G[0]))
-        if short >= KRONECKER_MIN and _even(F):
-            if G is F:
-                return self.kronecker_mul(F, G, norm)
-            if _even(G) and short >= min(self.slot_bits(F, G) // KRONECKER_BITS, KRONECKER_WIDE):
+        if min(len(F[0]), len(G[0])) >= KRONECKER_MIN and _even(F):
+            if G is F or _even(G) and self.dense(F, G):
                 return self.kronecker_mul(F, G, norm)
         return self.schoolbook_mul(F, G, norm)
+
+    def dense(self, F, G) -> bool:
+        """Whether the shorter of F and G has at least one coefficient per
+        KRONECKER_BITS bits of their product's slot, or KRONECKER_WIDE."""
+        short = min(len(F[0]), len(G[0]))
+        return short >= min(self.slot_bits(F, G) // KRONECKER_BITS, KRONECKER_WIDE)
 
     def slot_bits(self, F, G) -> int:
         """Bits that hold any coefficient of the product of F and G, sign included.
@@ -222,15 +232,17 @@ class Table:
             + 1
         )
 
-    def schoolbook_mul(self, F, G, norm: bool = False) -> list[list[int]]:
-        """poly_mul by the direct convolution: one integer product per term.
+    def schoolbook_mul(self, F, G, norm: bool = False, out=None) -> list[list[int]]:
+        """poly_mul by the direct convolution: one integer product per term,
+        added into the columns `out` when given (long enough to hold them).
 
         It walks the table by rows, so a zero coefficient of F skips its
         whole row; a walk by column pairs, as in kronecker_mul, measured 8%
         slower on the short products of `compose`.
         """
-        size = len(F[0]) + len(G[0]) - 1
-        out = [[0] * size for _ in range(self.dim)]
+        if out is None:
+            size = len(F[0]) + len(G[0]) - 1
+            out = [[0] * size for _ in range(self.dim)]
         for Fp, row in zip(F, self.norm_rows if norm else self.rows):
             for i, a in enumerate(Fp):
                 if a:
@@ -245,30 +257,117 @@ class Table:
 
         Each column becomes one integer, sum F[p][i] * 2**(s*i), so that one
         integer product per column pair (p, q) of the table holds a whole
-        convolution.  The products are summed packed, with the structure
-        constants, per output coordinate r and unpacked once.  The slot of s
-        bits is `slot_bits` rounded up to whole bytes, so that `pack` and
-        `unpack` fill and read it in linear time.  When F is G, each
-        unordered column pair is multiplied once.
+        convolution (`pair_products`).  The slot of s bits is `slot_bits`
+        rounded up to whole bytes, so that `pack` and `unpack` fill and read
+        it in linear time.  When F is G, each unordered column pair is
+        multiplied once.
         """
         size = len(F[0]) + len(G[0]) - 1
         nbytes = (self.slot_bits(F, G) + 7) // 8
         packed_f = [pack(col, nbytes) for col in F]
         packed_g = packed_f if G is F else [pack(col, nbytes) for col in G]
-        acc = [0] * self.dim
         pairs = self.norm_pairs if norm else self.square_pairs if G is F else self.pairs
+        return [unpack(v, nbytes, size) for v in self.pair_products(pairs, packed_f, packed_g)]
+
+    def pair_products(self, pairs, A, B, acc=None) -> list[int]:
+        """acc[r] += c * A[p] * B[q] for each (p, q, ((r, c), ...)) of pairs.
+
+        A and B are packed columns (a constant's coordinates are its packed
+        columns too), so the products are summed packed, with the structure
+        constants, per output coordinate r; acc starts at zero by default.
+        """
+        acc = [0] * self.dim if acc is None else acc
         for p, q, targets in pairs:
-            a, b = packed_f[p], packed_g[q]
+            a, b = A[p], B[q]
             if a and b:
                 ab = a * b
                 for r, c in targets:
                     acc[r] += c * ab
+        return acc
+
+    def compose(self, F, G, scale: int) -> list[list[int]]:
+        """Numerator columns of f(g) = sum c_i * (g^i) over den(f) * scale**m.
+
+        F holds the columns of c_0, ..., c_m (m >= 1, c_m nonzero), G those of
+        g, and scale = den(g) * den.  With G^i = G^(i-1) * G, the table's
+        left-nested power, c_i * (g^i) is c_i * G^i over den(f) * scale**i,
+        so the sum is taken by Horner's rule in the scale: (c_0 * scale +
+        c_1 * G) * scale + c_2 * G^2, and so on.
+
+        The powers below G^m come from `poly_mul`, each at its own slot.  When
+        G is even (`_even`) and G^(m-1) * G is `dense`, the rest is packed:
+        G and the powers with a nonzero c_i are packed at one slot, G^m is
+        formed there by the pair products (`square_pairs` for m = 2), each
+        term is added into one packed accumulator per coordinate, and the
+        sum is unpacked once.  Packing is linear, so the sum unpacks exactly
+        when each of its coefficients fits the signed slot; `_compose_bits`
+        bounds them.  Otherwise G^m comes from `poly_mul` too, and the terms
+        are added into columns by the schoolbook product: a slot is as wide
+        as the widest coefficient, and for an uneven G, or few wide
+        coefficients, the packed sum measured slower than the columns.
+        """
+        m, size = len(F[0]) - 1, (len(F[0]) - 1) * (len(G[0]) - 1) + 1
+        coeffs = list(zip(*F))
+        powers = [G]
+        while len(powers) < m - 1:
+            powers.append(self.poly_mul(powers[-1], G))
+        last = powers[-1]
+        if not (m > 1 and _even(G) and self.dense(last, G)):
+            if m > 1:
+                powers.append(self.poly_mul(last, G))
+            out = [[v] + [0] * (size - 1) for v in coeffs[0]]
+            for k, c, P in _horner(coeffs, powers):
+                if scale != 1:
+                    out = [[v * scale**k for v in col] for col in out]
+                self.schoolbook_mul([[v] for v in c], P, out=out)
+            return out
+        bits = [_column_bits(P) for P in powers] + [self.slot_bits(last, G) - 1]
+        nbytes = (self._compose_bits(coeffs, bits, scale) + 7) // 8
+        packed = [  # G^i for its term, and G^(m-1) and G for G^m
+            [pack(col, nbytes) for col in P] if any(coeffs[i]) or i in (1, m - 1) else None
+            for i, P in enumerate(powers, 1)
+        ]
+        pairs = self.square_pairs if m == 2 else self.pairs
+        packed.append(self.pair_products(pairs, packed[-1], packed[0]))
+        acc = list(coeffs[0])
+        for k, c, P in _horner(coeffs, packed):
+            if scale != 1:
+                acc = [v * scale**k for v in acc]
+            self.pair_products(self.pairs, c, P, acc)
         return [unpack(v, nbytes, size) for v in acc]
+
+    def _compose_bits(self, coeffs, bits, scale) -> int:
+        """Bits that hold any coefficient of compose's sum, sign included.
+
+        A term c_i * scale**(m - i) * G^i has coefficients below 2**(bits(c_i)
+        + bits(scale**(m - i) - 1) + spread_bits + bits[i - 1]), where
+        bits[i - 1] bounds G^i, and the term c_0 below 2**(bits(c_0) +
+        bits(scale**m - 1)); the sum of the nonzero terms stays below their
+        number times the largest.
+        """
+        m = len(coeffs) - 1
+        terms = [
+            max(map(int.bit_length, c)) + (scale ** (m - i) - 1).bit_length()
+            + (i and self.spread_bits + bits[i - 1])
+            for i, c in enumerate(coeffs) if any(c)
+        ]
+        return max(terms, default=0) + len(terms).bit_length() + 1
+
+
+def _horner(coeffs, powers):
+    """(k, c_i, G^i) for the nonzero c_i, i >= 1, in rising i: k is the number
+    of scale factors by which the sum so far must be multiplied first."""
+    k = 0
+    for c, P in zip(coeffs[1:], powers):
+        k += 1
+        if any(c):
+            yield k, c, P
+            k = 0
 
 
 def _column_bits(F) -> int:
     """Bit length of the largest |F[p][i]|."""
-    return max(max(map(int.bit_length, col)) for col in F)
+    return max(map(int.bit_length, chain.from_iterable(F)), default=0)
 
 
 def _even(F) -> bool:

@@ -21,6 +21,7 @@ part of the contract.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd, lcm
 
 from ._kernel import HEIGHT_BUDGET, column_height
@@ -37,9 +38,10 @@ DEGREE_CAP = 4096
 # passing COMPOSE_BITS stops it, and so does H passing HEIGHT_BUDGET (printing
 # grows with H squared).  It counts bits, so sparse low-height composites pass
 # it, and DEGREE_CAP stops them.  Measured: the README's quadratic reaches
-# 8.6e6 at n = 10 (0.5 s) and 3.4e7 at n = 11 (4.5 s); of 4088 random compose
-# calls (degree 1-16, heights up to 7000 bits, n up to 13, all five test
-# algebras) none took more than 1.1 s.
+# 8.6e6 at n = 10 (0.35 s) and 3.4e7 at n = 11 (2.8-3.3 s, nearly all of it
+# the last packed square); of 4088 random compose calls (degree 1-16, heights
+# up to 7000 bits, n up to 13, all five test algebras) none took more than
+# 1.1 s.
 COMPOSE_BITS = 10_000_000
 
 AlgebraSpec = QuatSpec | OctSpec | FieldSpec
@@ -217,21 +219,28 @@ class Poly:
         """Substitute a polynomial: sum c_i * (other ** i).
 
         The powers are left-nested, g^i = g^(i-1) * g, and each term is
-        c_i * (g^i).  A[x] is alternative, so a Horner form gives the same
-        polynomial, over octonions too; the powers are kept because g*g takes
-        the packed square (`Table.square_pairs`).
+        c_i * (g^i); A[x] is alternative, so Horner's rule in g would give
+        the same polynomial, over octonions too.  `Table.compose` sums the
+        numerators over den(f) * s**m, with s = den(g) * den(table) and
+        m = deg f, in one pass, and the sum is reduced once.
+
+        Where it sums packed, it relies on one condition: every coefficient
+        of the sum fits in the signed slot.  The slot holds, rounded up to
+        whole bytes, the largest over the nonzero terms of bits(c_i) +
+        bits(s**(m - i) - 1) + spread + bits(g^i), plus the bit length of
+        the number of terms, plus a sign bit; spread bounds the structure
+        constants landing on one coordinate (`Table.spread_bits`), and
+        bits(g^m) is taken as `Table.slot_bits` of g^(m-1) and g, less one.
         """
         o = self._lift(other)
         if o is None:
             raise TypeError(f"cannot compose with {other!r}")
-        out, power = Poly(self.spec, self.coeffs[:1]), None
-        for c in self.coeffs[1:]:
-            power = o if power is None else power * o
-            if power.is_zero:  # g^i vanished (a split algebra)
-                break
-            if not c.is_zero:
-                out = out + Poly.constant(self.spec, c) * power
-        return out
+        if self.degree < 1 or o.is_zero:
+            return Poly.from_cols(self.spec, [col[:1] for col in self.cols], self.den)
+        table = self.spec.table
+        scale = o.den * table.den
+        cols = table.compose(self.cols, o.cols, scale)
+        return Poly.from_cols(self.spec, cols, self.den * scale**self.degree)
 
     def compose_iterate(self, n: int) -> Poly:
         """n-fold self-composition, the outer copy applied last at each step.
@@ -400,7 +409,7 @@ def _reduced(cols: list[list[int]], den: int) -> tuple[list[list[int]], int]:
         size -= 1
     if size < len(cols[0]):
         cols = [col[:size] for col in cols]
-    g = 1 if den == 1 else gcd(den, *(v for col in cols for v in col))
+    g = 1 if den == 1 else gcd(den, *chain.from_iterable(cols))
     if g != 1:
         cols = [[v // g for v in col] for col in cols]
         den //= g

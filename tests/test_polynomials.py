@@ -275,20 +275,42 @@ def _tuple_compose(spec, f, g):
 def test_compose_equals_the_tuple_oracle():
     """compose against sum c_i * (g^i) on coordinate tuples (`tuple_poly_mul`).
 
-    Denominators up to 6 make the powers and partial sums carry a content
-    that the canonical form divides out after each product and sum; degrees
-    up to 7 send the powers through the packed product.
+    The cases reach each path of `Table.compose`: degrees of f up to 6, some
+    sparse, form the powers by `poly_mul` and the top one by the packed pair
+    products; g with coordinates +-(2**b - 1), b up to 2000, brings the
+    packed sum within about a byte of the slot that `_compose_bits` allows,
+    and short wide g takes the schoolbook sum, as an uneven g does;
+    denominators up to 10**6 on f and g make the scale and the content that
+    the canonical form divides out; zero and constant f and g, and a split g
+    whose square vanishes, are the edge cases.
     """
     rng = random.Random(53)
+    i, k = SPLIT.i(), SPLIT.k()
     cases = [
         (Poly(H, [0, 0, 4]), Poly(H, [Fraction(1, 2), Fraction(1, 2)])),  # (x+1)^2
         (Poly(H, [1, 2]), Poly(H)),
         (Poly(H, [I]), Poly(H, [1, J])),
+        (Poly(H), Poly(H, [1, J])),
+        (Poly(H, [I]), Poly(H)),
+        (Poly(H, [Fraction(1, 3), J, K]), Poly(H, [Fraction(2, 7) + I])),
+        (Poly(H, [J, 0, 1, I]), Poly(H, [10**300 * I, 0, 1])),  # uneven g
+        (Poly(SPLIT, [1, 2, i, 3 + k]), Poly(SPLIT, [0, i + k])),  # ((i+k)x)^2 = 0
     ]
     for spec in TABLE_SPECS:
         for _ in range(3):
             f = rand_poly(rng, spec, rng.randint(0, 4), den=6)
             cases.append((f, rand_poly(rng, spec, rng.randint(0, 7), den=6)))
+    for spec in TABLE_SPECS:
+        basis = [spec.basis_element(sym) for sym in spec.ELEMENT.BASIS]
+        sizes = [(b, rng.randint(2, 7)) for b in (64, 500, 2000)] + [(2000, 24)] * (spec is H)
+        for b, length in sizes:
+            wide = [sum(rng.choice((-1, 1)) * (2**b - 1) * e for e in basis) for _ in range(length)]
+            cases.append((rand_poly(rng, spec, 2), Poly(spec, wide)))
+        f = rand_poly(rng, spec, 6)
+        sparse = Poly(spec, [c if rng.random() < 0.5 else 0 for c in f.coeffs[:-1]] + [f.coeffs[-1]])
+        cases.append((sparse, rand_poly(rng, spec, rng.randint(1, 2))))
+        dens = (rand_poly(rng, spec, d, den=10**6) for d in (rng.randint(2, 3), rng.randint(1, 4)))
+        cases.append(tuple(dens))
     for f, g in cases:
         composite = f.compose(g)
         assert [c.coords() for c in composite.coeffs] == _tuple_compose(f.spec, f, g)

@@ -12,6 +12,7 @@ import importlib.util
 import io
 from pathlib import Path
 
+from quatdyn import Poly, QuatSpec
 from quatdyn.cli import main
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
@@ -50,6 +51,10 @@ def test_traced_outputs_equal_untraced_outputs():
     tracer.install()
     try:
         traced = [_run(tracer.main, argv) for argv in ARGVS]
+        # no subcommand multiplies two Poly values (compose works on the
+        # columns), so one direct product keeps the wrapped Poly.__mul__ checked
+        x = Poly.x(QuatSpec.standard())
+        assert (x + 1) * x == x * x + x
     finally:
         tracer.uninstall()
     assert traced == plain
