@@ -45,10 +45,10 @@ HEIGHT_BUDGET = 2**16
 
 # Where Table.poly_mul packs columns (Kronecker substitution): operands of at
 # least KRONECKER_MIN coefficients and, for two different operands, at least
-# one coefficient per KRONECKER_BITS bits of slot or KRONECKER_WIDE of them
-# (`Table.dense`).  Table.compose packs its whole sum where its top product is
-# dense, at any length: it saves an unpacking and the schoolbook products by
-# the coefficients of f besides.
+# one coefficient per KRONECKER_BITS bits of slot or KRONECKER_WIDE of them,
+# the slot read from each operand's width profile (`_profile`).  Table.compose
+# packs its whole sum where its top product is dense, at any length: it saves
+# an unpacking and the schoolbook products by the coefficients of f besides.
 # Measured on quaternion columns, the packed product of two different
 # operands is 0.5-1.1x as fast as the schoolbook one at 2-4 coefficients,
 # 1.6-2.5x at 6-8 and 3-16x at 16-64 for coefficients of up to 64 bits; for
@@ -180,13 +180,7 @@ class Table:
     def norm(self, x) -> list[int]:
         """Numerators of conj(x)*x, a ground-field value, over den times the
         square of x's denominator (the entries of `norm_pairs`)."""
-        out = [0] * self.width
-        for p, q, targets in self.norm_pairs:
-            if x[p] and x[q]:
-                xx = x[p] * x[q]
-                for r, c in targets:
-                    out[r] += c * xx
-        return out
+        return self.pair_products(self.norm_pairs, x, x)[: self.width]
 
     def poly_mul(self, F, G, norm: bool = False) -> list[list[int]]:
         """Coordinate columns of the product of two polynomials.
@@ -198,39 +192,33 @@ class Table:
         only its ground-field columns are computed (`norm_pairs`); the others
         are zero.
 
-        The packed product `kronecker_mul` replaces the schoolbook
-        convolution where it measured faster: both operands have at least
-        KRONECKER_MIN coefficients, of about even height, and a product of
-        two different operands has at least one coefficient per
-        KRONECKER_BITS bits of slot, or KRONECKER_WIDE coefficients.  (A
-        square needs about half as many packed products; with few wide
+        The packed product replaces the schoolbook convolution where it
+        measured faster: both operands have at least KRONECKER_MIN coefficients
+        (shorter ones are not measured), F is even by its width profile
+        (`_profile`), and unless G is F, G is even and the shorter operand has
+        a coefficient per KRONECKER_BITS bits of slot or KRONECKER_WIDE of them.
+        (A square needs about half as many packed products; with few wide
         coefficients, the schoolbook terms are already bignum products.)
         """
-        if min(len(F[0]), len(G[0])) >= KRONECKER_MIN and _even(F):
-            if G is F or _even(G) and self.dense(F, G):
-                return self.kronecker_mul(F, G, norm)
+        if min(len(F[0]), len(G[0])) < KRONECKER_MIN:
+            return self.schoolbook_mul(F, G, norm)
+        profile = _profile(F)
+        return self._product(F, G, profile, profile if G is F else _profile(G), norm)
+
+    def _product(self, F, G, profile_f, profile_g, norm: bool = False) -> list[list[int]]:
+        """poly_mul of F and G, whose width profiles are measured already."""
+        short = min(len(F[0]), len(G[0]))
+        slot = self._slot_bits(profile_f[0], profile_g[0], short)
+        pays = G is F or profile_g[1] and short >= min(slot // KRONECKER_BITS, KRONECKER_WIDE)
+        if short >= KRONECKER_MIN and profile_f[1] and pays:
+            return self._packed_mul(F, G, slot, norm)
         return self.schoolbook_mul(F, G, norm)
 
-    def dense(self, F, G) -> bool:
-        """Whether the shorter of F and G has at least one coefficient per
-        KRONECKER_BITS bits of their product's slot, or KRONECKER_WIDE."""
-        short = min(len(F[0]), len(G[0]))
-        return short >= min(self.slot_bits(F, G) // KRONECKER_BITS, KRONECKER_WIDE)
-
-    def slot_bits(self, F, G) -> int:
-        """Bits that hold any coefficient of the product of F and G, sign included.
-
-        |F| < 2**bF and |G| < 2**bG; an output coefficient sums at most
-        min(len F, len G) products per table entry landing on its r, and
-        those entries' |c| sum to less than 2**spread_bits.
-        """
-        return (
-            _column_bits(F)
-            + _column_bits(G)
-            + min(len(F[0]), len(G[0])).bit_length()
-            + self.spread_bits
-            + 1
-        )
+    def _slot_bits(self, bits_f: int, bits_g: int, short: int) -> int:
+        """Bits that hold any coefficient of F * G, sign included, for |F| < 2**bits_f
+        and |G| < 2**bits_g: each sums at most short = min(len F, len G) products
+        per table entry landing on its r, whose |c| sum below 2**spread_bits."""
+        return bits_f + bits_g + short.bit_length() + self.spread_bits + 1
 
     def schoolbook_mul(self, F, G, norm: bool = False, out=None) -> list[list[int]]:
         """poly_mul by the direct convolution: one integer product per term,
@@ -253,17 +241,23 @@ class Table:
         return out
 
     def kronecker_mul(self, F, G, norm: bool = False) -> list[list[int]]:
-        """poly_mul by Kronecker substitution (Harvey 2009, J. Symb. Comput. 44).
+        """poly_mul by Kronecker substitution (Harvey 2009, J. Symb. Comput. 44),
+        at the slot of F's and G's widest coefficients (`_slot_bits`)."""
+        bits = _profile(F)[0]
+        slot = self._slot_bits(bits, bits if G is F else _profile(G)[0], min(len(F[0]), len(G[0])))
+        return self._packed_mul(F, G, slot, norm)
+
+    def _packed_mul(self, F, G, slot: int, norm: bool) -> list[list[int]]:
+        """kronecker_mul at a slot of s bits that holds every coefficient.
 
         Each column becomes one integer, sum F[p][i] * 2**(s*i), so that one
         integer product per column pair (p, q) of the table holds a whole
-        convolution (`pair_products`).  The slot of s bits is `slot_bits`
-        rounded up to whole bytes, so that `pack` and `unpack` fill and read
-        it in linear time.  When F is G, each unordered column pair is
-        multiplied once.
+        convolution (`pair_products`).  The slot is rounded up to whole bytes,
+        so that `pack` and `unpack` fill and read it in linear time.  When F
+        is G, each unordered column pair is multiplied once.
         """
         size = len(F[0]) + len(G[0]) - 1
-        nbytes = (self.slot_bits(F, G) + 7) // 8
+        nbytes = (slot + 7) // 8
         packed_f = [pack(col, nbytes) for col in F]
         packed_g = packed_f if G is F else [pack(col, nbytes) for col in G]
         pairs = self.norm_pairs if norm else self.square_pairs if G is F else self.pairs
@@ -294,34 +288,34 @@ class Table:
         so the sum is taken by Horner's rule in the scale: (c_0 * scale +
         c_1 * G) * scale + c_2 * G^2, and so on.
 
-        The powers below G^m come from `poly_mul`, each at its own slot.  When
-        G is even (`_even`) and G^(m-1) * G is `dense`, the rest is packed:
-        G and the powers with a nonzero c_i are packed at one slot, G^m is
-        formed there by the pair products (`square_pairs` for m = 2), each
-        term is added into one packed accumulator per coordinate, and the
-        sum is unpacked once.  Packing is linear, so the sum unpacks exactly
-        when each of its coefficients fits the signed slot; `_compose_bits`
-        bounds them.  Otherwise G^m comes from `poly_mul` too, and the terms
-        are added into columns by the schoolbook product: a slot is as wide
-        as the widest coefficient, and for an uneven G, or few wide
-        coefficients, the packed sum measured slower than the columns.
+        G and each power below G^m are measured once (`_profile`) and
+        multiplied by poly_mul's rule, each at its own slot.  When G is even
+        and G^(m-1) * G dense by that rule (at any length), G and the powers
+        with a nonzero c_i are packed at one slot, G^m is formed there by the
+        pair products, the terms are summed into one packed accumulator per
+        coordinate, and the sum is unpacked once: exactly, since packing is
+        linear and `_compose_bits` bounds each coefficient within the signed
+        slot.  Otherwise G^m takes the product rule too, and the terms are
+        added into columns by the schoolbook product: for an uneven G, or few
+        wide coefficients, the packed sum measured slower.
         """
-        m, size = len(F[0]) - 1, (len(F[0]) - 1) * (len(G[0]) - 1) + 1
+        m, size, short = len(F[0]) - 1, (len(F[0]) - 1) * (len(G[0]) - 1) + 1, len(G[0])
         coeffs = list(zip(*F))
-        powers = [G]
+        powers, profiles = [G], [_profile(G)]
         while len(powers) < m - 1:
-            powers.append(self.poly_mul(powers[-1], G))
-        last = powers[-1]
-        if not (m > 1 and _even(G) and self.dense(last, G)):
+            powers.append(self._product(powers[-1], G, profiles[-1], profiles[0]))
+            profiles.append(_profile(powers[-1]))
+        slot = self._slot_bits(profiles[-1][0], profiles[0][0], short)
+        if not (m > 1 and profiles[0][1] and short >= min(slot // KRONECKER_BITS, KRONECKER_WIDE)):
             if m > 1:
-                powers.append(self.poly_mul(last, G))
+                powers.append(self._product(powers[-1], G, profiles[-1], profiles[0]))
             out = [[v] + [0] * (size - 1) for v in coeffs[0]]
             for k, c, P in _horner(coeffs, powers):
                 if scale != 1:
                     out = [[v * scale**k for v in col] for col in out]
                 self.schoolbook_mul([[v] for v in c], P, out=out)
             return out
-        bits = [_column_bits(P) for P in powers] + [self.slot_bits(last, G) - 1]
+        bits = [b for b, _ in profiles] + [slot - 1]
         nbytes = (self._compose_bits(coeffs, bits, scale) + 7) // 8
         packed = [  # G^i for its term, and G^(m-1) and G for G^m
             [pack(col, nbytes) for col in P] if any(coeffs[i]) or i in (1, m - 1) else None
@@ -339,11 +333,11 @@ class Table:
     def _compose_bits(self, coeffs, bits, scale) -> int:
         """Bits that hold any coefficient of compose's sum, sign included.
 
-        A term c_i * scale**(m - i) * G^i has coefficients below 2**(bits(c_i)
-        + bits(scale**(m - i) - 1) + spread_bits + bits[i - 1]), where
-        bits[i - 1] bounds G^i, and the term c_0 below 2**(bits(c_0) +
-        bits(scale**m - 1)); the sum of the nonzero terms stays below their
-        number times the largest.
+        A term c_i * scale**(m - i) * G^i has coefficients below 2**(bits(c_i) +
+        bits(scale**(m - i) - 1) + spread_bits + bits[i - 1]), where bits[i - 1]
+        bounds G^i (for G^m, the slot of G^(m-1) and G less its sign bit), and
+        the term c_0 below 2**(bits(c_0) + bits(scale**m - 1)); the sum of the
+        nonzero terms stays below their number times the largest.
         """
         m = len(coeffs) - 1
         terms = [
@@ -365,19 +359,15 @@ def _horner(coeffs, powers):
             k = 0
 
 
-def _column_bits(F) -> int:
-    """Bit length of the largest |F[p][i]|."""
-    return max(map(int.bit_length, chain.from_iterable(F)), default=0)
-
-
-def _even(F) -> bool:
-    """Whether the coefficients' heights are even enough for packing.
-
-    A packed slot is as wide as the highest coefficient, so packing pays only
-    when twice the summed coefficient widths reach len(F) times that width.
-    """
+def _profile(F) -> tuple[int, bool]:
+    """The width profile of columns F, from one pass over its coefficients:
+    the bit length of the largest |F[p][i]|, and whether the coefficients are
+    even enough for packing.  A packed slot is as wide as the widest, so
+    packing pays only when twice their summed widths reach their number
+    times that width."""
     widths = [max(map(int.bit_length, coeff)) for coeff in zip(*F)]
-    return 2 * sum(widths) >= len(widths) * max(widths)
+    bits = max(widths, default=0)
+    return bits, 2 * sum(widths) >= len(widths) * bits
 
 
 def pack(col, nbytes: int) -> int:

@@ -23,7 +23,6 @@ from . import dynamics, solver
 from .errors import AlgebraError, ParseError, UsageError
 from .octonions import OctSpec
 from .parsing import parse_element, parse_poly, parse_scalar
-from .polynomials import Poly
 from .quaternions import QuatSpec, Quaternion
 from .scalars import FieldSpec, Scalar
 
@@ -112,35 +111,20 @@ def _base_payload(ns, spec, inputs: dict) -> dict:
     return {"command": ns.command, "algebra": str(spec), "inputs": inputs}
 
 
-def _solver_inputs(ns, f: Poly) -> dict:
-    inputs = {"poly": f.render(), "mode": ns.mode}
-    if ns.mode == "numeric":
-        inputs["precision"] = ns.precision
-        inputs["tolerance"] = ns.tolerance
-    return inputs
-
-
 # -- subcommand handlers ----------------------------------------------------------
 
 
-def _cmd_fixed_points(ns) -> dict:
+def _cmd_solve(ns) -> dict:
+    """fixed-points and roots: the solver function is looked up on its module
+    at call time, so that a wrapper installed there (a tracer) applies."""
     spec = parse_algebra(ns.algebra)
     f = parse_poly(ns.poly, spec)
-    sols = dynamics.fixed_points(
-        f, mode=ns.mode, precision=ns.precision, tolerance=ns.tolerance
-    )
-    payload = _base_payload(ns, spec, _solver_inputs(ns, f))
-    payload["result"] = [_solution_dict(s) for s in sols]
-    return payload
-
-
-def _cmd_roots(ns) -> dict:
-    spec = parse_algebra(ns.algebra)
-    g = parse_poly(ns.poly, spec)
-    sols = solver.roots(
-        g, mode=ns.mode, precision=ns.precision, tolerance=ns.tolerance
-    )
-    payload = _base_payload(ns, spec, _solver_inputs(ns, g))
+    solve = dynamics.fixed_points if ns.command == "fixed-points" else solver.roots
+    sols = solve(f, mode=ns.mode, precision=ns.precision, tolerance=ns.tolerance)
+    inputs = {"poly": f.render(), "mode": ns.mode}
+    if ns.mode == "numeric":
+        inputs.update(precision=ns.precision, tolerance=ns.tolerance)
+    payload = _base_payload(ns, spec, inputs)
     payload["result"] = [_solution_dict(s) for s in sols]
     return payload
 
@@ -204,8 +188,8 @@ def _cmd_oct_check(ns) -> dict:
 
 
 _HANDLERS = {
-    "fixed-points": _cmd_fixed_points,
-    "roots": _cmd_roots,
+    "fixed-points": _cmd_solve,
+    "roots": _cmd_solve,
     "companion": _cmd_companion,
     "compose": _cmd_compose,
     "orbit": _cmd_orbit,

@@ -222,15 +222,8 @@ class Poly:
         c_i * (g^i); A[x] is alternative, so Horner's rule in g would give
         the same polynomial, over octonions too.  `Table.compose` sums the
         numerators over den(f) * s**m, with s = den(g) * den(table) and
-        m = deg f, in one pass, and the sum is reduced once.
-
-        Where it sums packed, it relies on one condition: every coefficient
-        of the sum fits in the signed slot.  The slot holds, rounded up to
-        whole bytes, the largest over the nonzero terms of bits(c_i) +
-        bits(s**(m - i) - 1) + spread + bits(g^i), plus the bit length of
-        the number of terms, plus a sign bit; spread bounds the structure
-        constants landing on one coordinate (`Table.spread_bits`), and
-        bits(g^m) is taken as `Table.slot_bits` of g^(m-1) and g, less one.
+        m = deg f, in one pass (which products it packs, and at what slot,
+        is its rule), and the sum is reduced once.
         """
         o = self._lift(other)
         if o is None:

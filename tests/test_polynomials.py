@@ -16,7 +16,16 @@ from quatdyn import (
     UnsupportedAlgebraError,
 )
 
-from quatdyn._kernel import _even, column_height, height, pack, unpack
+from quatdyn._kernel import (
+    KRONECKER_BITS,
+    KRONECKER_MIN,
+    KRONECKER_WIDE,
+    _profile,
+    column_height,
+    height,
+    pack,
+    unpack,
+)
 from quatdyn.polynomials import divmod_monic
 from quatdyn.solver import companion
 
@@ -253,8 +262,179 @@ def test_unpack_without_a_size_at_the_slot_edges():
 def test_poly_mul_keeps_uneven_heights_on_the_schoolbook_path():
     # one tall coefficient would widen every packed slot
     F = [[10**500] + [1] * 11] + [[0] * 12 for _ in range(3)]
-    assert not _even(F)
-    assert _even([[10**500] * 12] + [[0] * 12 for _ in range(3)])
+    assert not _profile(F)[1]
+    assert _profile([[10**500] * 12] + [[0] * 12 for _ in range(3)]) == (1661, True)
+
+
+def _operand(*heights):
+    """Quaternion columns whose i-th coefficient has all coordinates 2**heights[i] - 1."""
+    return [[(1 << h) - 1 for h in heights] for _ in range(H.table.dim)]
+
+
+def _rule_profile(F):
+    """Bits of the widest coefficient, and whether twice the summed coefficient
+    widths reach their number times that width."""
+    widths = [max(abs(v).bit_length() for v in coeff) for coeff in zip(*F)]
+    return max(widths), 2 * sum(widths) >= len(widths) * max(widths)
+
+
+def _rule_slot(F, G):
+    """bits(F) + bits(G) + bits(short) + spread + 1, with short the shorter length."""
+    short = min(len(F[0]), len(G[0]))
+    return _rule_profile(F)[0] + _rule_profile(G)[0] + short.bit_length() + H.table.spread_bits + 1
+
+
+def _rule_packs(F, G):
+    """Whether the product of F and G is packed: at least KRONECKER_MIN
+    coefficients each, F even, and a square, or G even and the shorter operand
+    has a coefficient per KRONECKER_BITS bits of slot or KRONECKER_WIDE of them."""
+    short = min(len(F[0]), len(G[0]))
+    if short < KRONECKER_MIN or not _rule_profile(F)[1]:
+        return False
+    dense = short >= min(_rule_slot(F, G) // KRONECKER_BITS, KRONECKER_WIDE)
+    return G is F or _rule_profile(G)[1] and dense
+
+
+def _spy_paths(monkeypatch):
+    """Record each schoolbook_mul call as ("schoolbook", len F, len G), or as
+    "columns" when it adds into `out`, and each kronecker_mul call as
+    ("packed", len F, len G)."""
+    events = []
+    Table = type(H.table)
+    schoolbook_mul, kronecker_mul = Table.schoolbook_mul, Table.kronecker_mul
+
+    def spied_schoolbook(self, F, G, norm=False, out=None):
+        events.append("columns" if out is not None else ("schoolbook", len(F[0]), len(G[0])))
+        return schoolbook_mul(self, F, G, norm, out)
+
+    def spied_kronecker(self, F, G, norm=False):
+        events.append(("packed", len(F[0]), len(G[0])))
+        return kronecker_mul(self, F, G, norm)
+
+    monkeypatch.setattr(Table, "schoolbook_mul", spied_schoolbook)
+    monkeypatch.setattr(Table, "kronecker_mul", spied_kronecker)
+    return events
+
+
+def _check_paths(events, products, columns=False):
+    """The events show exactly the schoolbook products among `products`, a
+    list of (len F, len G, packed), and a column sum when `columns`.  A
+    packed product runs no schoolbook_mul; whether it is seen by the
+    kronecker_mul spy depends on how the kernel hands it its slot, so it is
+    only checked never to be a schoolbook one."""
+    assert [e for e in events if e[0] == "schoolbook"] == [
+        ("schoolbook", f, g) for f, g, packed in products if not packed
+    ]
+    assert ("columns" in events) == columns
+    packed = [("packed", f, g) for f, g, p in products if p]
+    assert all(e in packed for e in events if e[0] == "packed")
+
+
+def test_poly_mul_takes_the_path_of_its_rule(monkeypatch):
+    """poly_mul's choice between the schoolbook and the packed product, on
+    both sides of every crossover of the rule written out above."""
+    short = 10  # bits(short) = 4, so the slot is bits(F) + 32 + 4 + spread + 1
+    tail = short.bit_length() + H.table.spread_bits + 1
+    G = _operand(*[32] * 12)
+    tall = [500] + [1] * 11
+    cases = [
+        (_operand(*[3] * 5), _operand(*[3] * 8), False),  # 5 coefficients
+        (_operand(*[3] * 6), _operand(*[3] * 8), False),  # 6 coefficients
+        # slot // KRONECKER_BITS = short + 1, short (its first and last bit), short - 1
+        *(
+            (_operand(*[slot - 32 - tail] * short), G, False)
+            for slot in (64 * (short + 1), 64 * short + 63, 64 * short, 64 * (short - 1))
+        ),
+        (_operand(*[1000] * 24), _operand(*[1000] * 30), False),  # slot // 64 > KRONECKER_WIDE
+        (_operand(*[1000] * 23), _operand(*[1000] * 30), False),
+        (_operand(*tall), _operand(*[1] * 12), False),  # one tall coefficient in F
+        (_operand(*[1] * 12), _operand(*tall), False),  # and in G
+        # twice the summed widths 128 (even) and 126 against 8 times the widest, 16
+        (_operand(16, *[7] * 6, 6), _operand(*[3] * 8), False),
+        (_operand(16, *[7] * 6, 5), _operand(*[3] * 8), False),
+    ]
+    # squares skip the density test, conj(F)*F (norm) too; a copy of F is another operand
+    wide, wide5, tall = _operand(*[2000] * 8), _operand(*[2000] * 5), _operand(*tall)
+    for norm in (False, True):
+        cases += [(wide, wide, norm), (wide5, wide5, norm), (tall, tall, norm)]
+    cases.append((list(wide), wide, False))
+    expected = [_rule_packs(F, G) for F, G, _ in cases]
+    assert expected == [False, True, False, True, True, True, True, False, False, False, True, False] + [
+        True, False, False
+    ] * 2 + [False]
+    events = _spy_paths(monkeypatch)
+    for (F, G, norm), packed in zip(cases, expected):
+        events.clear()
+        H.table.poly_mul(F, G, norm)
+        _check_paths(events, [(len(F[0]), len(G[0]), packed)])
+
+
+def _power_columns(P, G):
+    """Columns of P * G over H = (-1, -1), by the tuple oracle on integers."""
+    product = tuple_poly_mul(lambda x, y: table_qmul(-1, -1, x, y), [*zip(*P)], [*zip(*G)], (0,) * 4)
+    return [list(col) for col in zip(*product)]
+
+
+def test_compose_takes_the_path_of_its_rule(monkeypatch):
+    """Table.compose's powers g^i = g^(i-1) * g follow poly_mul's rule; its
+    sum is packed when m > 1, g is even and the shorter of g^(m-1) and g has a
+    coefficient per KRONECKER_BITS bits of their slot or KRONECKER_WIDE of
+    them (at any length: no KRONECKER_MIN), otherwise summed on the columns,
+    which takes g^m by the product rule too."""
+    gs = {
+        "even": _operand(*[3] * 8),
+        "uneven": _operand(*[500] + [3] * 7),
+        "short wide": _operand(*[2000] * 3),
+        "short narrow": _operand(3, 2, 3),
+        "long wide": _operand(*[2000] * 8),
+    }
+    seen = set()
+    events = _spy_paths(monkeypatch)
+    for m in (1, 2, 3):
+        F = _operand(*[2] * (m + 1))
+        for name, G in gs.items():
+            products, powers = [], [G]
+            while len(powers) < m - 1:
+                P = powers[-1]
+                products.append((len(P[0]), len(G[0]), _rule_packs(P, G)))
+                powers.append(_power_columns(P, G))
+            last = powers[-1]
+            dense = len(G[0]) >= min(_rule_slot(last, G) // KRONECKER_BITS, KRONECKER_WIDE)
+            summed = m > 1 and _rule_profile(G)[1] and dense
+            if m > 1 and not summed:
+                products.append((len(last[0]), len(G[0]), _rule_packs(last, G)))
+            seen.update((packed, summed) for *_, packed in products)
+            events.clear()
+            H.table.compose(F, G, 1)
+            _check_paths(events, products, columns=not summed)
+    assert seen == {(False, False), (True, False), (False, True), (True, True)}
+
+
+class _CountedColumns(list):
+    """Columns that count the passes over them."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("m, limit", [(2, 2), (3, 3)])
+def test_compose_reads_g_once_to_measure_it(monkeypatch, m, limit):
+    """On the packed path, compose measures g once and packs it once per slot
+    it is packed at: the composite's, and the square's for m = 3.  Its
+    result is the tuple oracle's sum c_i * (g^i)."""
+    rng = random.Random(m)
+    G = _CountedColumns([[rng.randint(-9, 9) for _ in range(16)] for _ in range(H.table.dim)])
+    F = [[rng.randint(1, 9) for _ in range(m + 1)] for _ in range(H.table.dim)]
+    events = _spy_paths(monkeypatch)
+    cols = H.table.compose(F, G, 1)
+    assert "columns" not in events and not any(e[0] == "schoolbook" for e in events)
+    assert G.passes <= limit
+    f, g = Poly.from_cols(H, F, 1), Poly.from_cols(H, list(G), 1)
+    composite = Poly.from_cols(H, cols, 1)
+    assert [c.coords() for c in composite.coeffs] == _tuple_compose(H, f, g)
 
 
 def _tuple_compose(spec, f, g):
