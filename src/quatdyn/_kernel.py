@@ -20,15 +20,17 @@ heuristic gcd shares), one integer product per column pair of the table
 are summed packed, at one slot that provably holds each coefficient of the
 composite, and the composite is unpacked once.
 
-Text prints from the same integers (`scalar_text` for a ground-field
-coordinate, `Element.text` for a basis combination): no element, no Fraction.
+Text prints from the same integers by one rule, `Element.text`, for a
+scalar, an element or a row of a `Poly`'s columns, over Q and Q(sqrt d)
+alike: no element, no Fraction.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from itertools import chain, product
+from functools import partial
+from itertools import chain, product, repeat
 from math import gcd, lcm
 from typing import TYPE_CHECKING
 
@@ -574,26 +576,45 @@ class Element:
     def text(cls, spec, nums, den: int) -> str:
         """Text of the basis combination nums/den, e.g. "1 + 2*i - j" or "(1/2 + s5)*k".
 
-        Zero coordinates are dropped; all zero prints as "0".  The sign folds out
-        of pure-rational and pure-radical coordinates, not of mixed ones.
+        One rule over Q and Q(sqrt d): coordinate k is a + b*sqrt(d) (b = 0
+        over Q), each part reduced by its own gcd, as str(Fraction) would
+        (none over den 1).  Zero coordinates are dropped; all zero prints as
+        "0".  The sign folds out of pure-rational and pure-radical
+        coordinates, not of mixed ones, which a basis symbol parenthesizes:
+        `p/q + r/s*s5` for a scalar, `(p/q + r/s*s5)*k`.  An exact value
+        prints in full: CPython's int-to-text limit is lifted for this one
+        conversion only, and only when it is hit.
         """
-        w, field = spec.table.width, spec.field
+        try:
+            return cls._text(spec.field.d, nums, den)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+            try:
+                return cls._text(spec.field.d, nums, den)
+            finally:
+                sys.set_int_max_str_digits(limit)
+
+    @classmethod
+    def _text(cls, d, nums, den: int) -> str:
+        ratio = str if den == 1 else partial(_ratio, den)
+        paren = len(cls.BASIS) > 1
         parts: list[str] = []
-        for k, sym in enumerate(cls.BASIS):
-            coord = nums[w * k : w * k + w]
-            if not any(coord):
-                continue
-            mixed = coord[0] and any(coord[1:])
-            neg = not mixed and min(coord) < 0
-            mag = scalar_text(field, [-v for v in coord] if neg else coord, den)
-            if mixed:
-                mag = f"({mag})"
-            if sym:
-                body = sym if mag == "1" else f"{mag}*{sym}"
+        pairs = zip(nums, repeat(0)) if d is None else zip(nums[::2], nums[1::2])
+        for sym, (a, b) in zip(cls.BASIS, pairs):
+            if not b:
+                if not a:
+                    continue
+                neg, mag = a < 0, ratio(abs(a))
             else:
-                body = mag
-            sign = ("- " if neg else "+ ") if parts else ("-" if neg else "")
-            parts.append(sign + body)
+                mag = ratio(abs(b))
+                mag = f"s{d}" if mag == "1" else f"{mag}*s{d}"
+                neg = not a and b < 0
+                if a:
+                    mag = f"{ratio(a)} {'+' if b > 0 else '-'} {mag}"
+                    mag = f"({mag})" if paren else mag
+            body = mag if not sym else sym if mag == "1" else f"{mag}*{sym}"
+            parts.append((("- " if neg else "+ ") if parts else "-" if neg else "") + body)
         return " ".join(parts) or "0"
 
     def render(self) -> str:
@@ -606,35 +627,10 @@ class Element:
         return f"<{self.render()} in {self.spec}>"
 
 
-def scalar_text(field, nums, den: int) -> str:
-    """Text of the ground-field coordinate (a + b*sqrt d)/den: `p/q`, `p/q + r/s*s5`,
-    `s5`, `-s5`, ...; nums is (a,) over Q and (a, b) over Q(sqrt d).
-
-    Each part is reduced by its own gcd, as str(Fraction) would.  An exact
-    value prints in full: CPython's int-to-text limit is lifted for this one
-    conversion only, and only when it is hit.
-    """
-
-    def ratio(n: int) -> str:
-        g = gcd(n, den)
-        return f"{n // g}" if g == den else f"{n // g}/{den // g}"
-
-    a, b = nums[0], nums[1] if len(nums) > 1 else 0
-    try:
-        if not b:
-            return ratio(a)
-        mag = ratio(abs(b))
-        bterm = f"s{field.d}" if mag == "1" else f"{mag}*s{field.d}"
-        if not a:
-            return bterm if b > 0 else f"-{bterm}"
-        return f"{ratio(a)} {'+' if b > 0 else '-'} {bterm}"
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return scalar_text(field, nums, den)
-        finally:
-            sys.set_int_max_str_digits(limit)
+def _ratio(den: int, n: int) -> str:
+    """n/den in lowest terms: `p/q`, or `p` when den divides n."""
+    g = gcd(n, den)
+    return f"{n // g}" if g == den else f"{n // g}/{den // g}"
 
 
 class Spec:

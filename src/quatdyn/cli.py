@@ -26,7 +26,7 @@ from .parsing import parse_element, parse_poly, parse_scalar
 from .quaternions import QuatSpec, Quaternion
 from .scalars import FieldSpec, Scalar
 
-_FIELD_RE = re.compile(r"^Q\(s(-?\d+)\)$")
+_FIELD_RE = re.compile(r"Q\(s(-?[0-9]+)\)")
 
 DEFAULT_ALGEBRA = "quat:-1,-1@Q"
 # kept at 53 bits (a double's) for compatibility: which --precision values
@@ -37,7 +37,7 @@ MIN_PRECISION = 53
 def parse_field(text: str) -> FieldSpec:
     if text == "Q":
         return FieldSpec()
-    m = _FIELD_RE.match(text)
+    m = _FIELD_RE.fullmatch(text)
     if not m:
         raise ParseError(f"unknown field {text!r}; expected Q or Q(s<d>)")
     try:

@@ -7,18 +7,20 @@ Grammar (whitespace insignificant between tokens):
     factor := atom ('^' uint)?
     atom   := rational | radical | basis | 'x' | '(' expr ')' | '-' atom
 
-Rationals are `p/q` or integers with no internal spaces, within CPython's
-int-from-text limit (4300 digits by default).  `s<d>` (`s-3` for d = -3) is
-sqrt(d) of the field.  Basis symbols are i, j, k, and l, il, jl, kl over
-octonions; k is i*j.  Every value, constants too, is the integer coordinate
-columns of a polynomial over one denominator in `Poly`'s canonical form.  x
-is central: a product by c*x^e (c rational) scales and shifts integers; other
-products of constants run `Table.mul`, of other values `Table.poly_mul`, in
-written order.  Refused, with heights measured where their bounds pass: a
-power or product whose degree or height (bits times the exponent, or the
-operands' bits added) would pass MAX_INPUT_DEGREE or HEIGHT_BUDGET bits,
-before it is computed; a sum whose height passes HEIGHT_BUDGET; '(' and
-unary '-' nested beyond MAX_NESTING.
+Rationals are `p/q` or integers of ASCII digits with no internal spaces,
+within CPython's int-from-text limit (4300 digits by default).  `s<d>`
+(`s-3` for d = -3) is sqrt(d) of the field.  Basis symbols are i, j, k, and
+l, il, jl, kl over octonions; k is i*j.  Every value, constants too, is
+sparse: {(power, coordinate): numerator} over one denominator, content 1,
+so a sum costs its nonzero terms.  x is central: a product by c*x^e (c
+rational) scales and shifts the terms, and c*x^e is raised to a power
+directly.  Only other products and powers convert to coordinate columns:
+of constants for `Table.mul`, of other values for `Table.poly_mul`, in
+written order, and powers for `Poly.__pow__`.  Refused, with heights
+measured where their bounds pass: a power or product whose degree or height
+(bits times the exponent, or the operands' bits added) would pass
+MAX_INPUT_DEGREE or HEIGHT_BUDGET bits, before it is computed; a sum whose
+height passes HEIGHT_BUDGET; '(' and unary '-' nested beyond MAX_NESTING.
 """
 
 from __future__ import annotations
@@ -26,18 +28,18 @@ from __future__ import annotations
 import re
 from math import gcd, lcm
 
-from ._kernel import HEIGHT_BUDGET, column_height
+from ._kernel import HEIGHT_BUDGET
 from .errors import ParseError
-from .polynomials import AlgebraSpec, Element, Poly, _reduced
+from .polynomials import AlgebraSpec, Element, Poly
 from .quaternions import QuatSpec
 from .scalars import FieldSpec, Scalar
 
-# columns, denominator, a bound of the height, and (e, c) if the columns are c*x^e
-Value = tuple[list[list[int]], int, int, tuple[int, int] | None]
+# {(power, coordinate): numerator}, denominator, a bound of the height, degree
+Value = tuple[dict[tuple[int, int], int], int, int, int]
 
-_TOKEN = r"[-+*^()]|\d+(?:/\d+)?|s-\d+|[a-z]+\d*"
+_TOKEN = r"[-+*^()]|[0-9]+(?:/[0-9]+)?|s-[0-9]+|[a-z]+[0-9]*"
 _TOKEN_RE = re.compile(_TOKEN)
-_RADICAL_RE = re.compile(r"^s(-?\d+)$")
+_RADICAL_RE = re.compile(r"s(-?[0-9]+)")
 
 # The largest degree a parsed polynomial may have: the companion of a dense
 # degree-256 quaternion polynomial takes 0.08 s, and of degree 1024 5.2 s.
@@ -48,15 +50,42 @@ MAX_INPUT_DEGREE = 256
 MAX_NESTING = 100
 
 
-def _monomial(cols: list[list[int]]) -> tuple[int, int] | None:
-    """(e, c) when cols is the integer c times x^e, else None."""
-    first = cols[0]
-    if first and not any(first[:-1]) and not any(map(any, cols[1:])):
-        return len(first) - 1, first[-1]
+def _monomial(terms: dict) -> tuple[int, int] | None:
+    """(e, c) when terms is the integer c times x^e, else None."""
+    if len(terms) == 1:
+        ((e, k), c), = terms.items()
+        return None if k else (e, c)
+
+
+def _reduced(terms: dict, den: int) -> tuple[dict, int]:
+    """terms/den divided by its content."""
+    g = 1 if den == 1 else gcd(den, *terms.values())
+    return ({key: v // g for key, v in terms.items()}, den // g) if g != 1 else (terms, den)
+
+
+def _height(terms: dict, den: int) -> int:
+    """Largest bit length among den and the numerators."""
+    return max(den, *map(abs, terms.values()), 0).bit_length()
+
+
+def _degree(terms: dict) -> int:
+    return max(terms)[0] if terms else -1
+
+
+def _columns(terms: dict, degree: int, dim: int) -> list[list[int]]:
+    cols = [[0] * (degree + 1) for _ in range(dim)]
+    for (p, k), v in terms.items():
+        cols[k][p] = v
+    return cols
+
+
+def _terms(cols) -> dict:
+    return {(p, k): v for k, col in enumerate(cols) for p, v in enumerate(col) if v}
 
 
 class _Parser:
-    """Tokens are texts, ending in "".  No list of a value changes; values share them."""
+    """Tokens are texts, ending in "".  No dict of a value is shared, so a sum
+    adds up in the dict of its first term."""
 
     def __init__(self, source: str, spec: AlgebraSpec) -> None:
         self.source, self.spec, self.dim = source, spec, spec.table.dim
@@ -80,61 +109,58 @@ class _Parser:
         except ValueError:  # longer than the int-from-text limit
             raise self.error(f"integer of {len(text)} digits is too long", index) from None
 
-    def unit(self, k: int, e: int = 0, c: int = 1, den: int = 1) -> Value:
+    @staticmethod
+    def unit(k: int, e: int = 0, c: int = 1, den: int = 1) -> Value:
         """c/den * x^e times basis coordinate k; c and den coprime, c nonzero."""
-        cols = [[0] * (e + 1)] * self.dim  # zero columns, one list
-        cols[k] = [0] * e + [c]
-        return cols, den, max(abs(c), den).bit_length(), (e, c) if k == 0 else None
+        return {(e, k): c}, den, max(abs(c), den).bit_length(), e
 
     def mul(self, a: Value, b: Value) -> Value:
         """a*b in written order."""
-        (F, fd, fb, fm), (G, gd, gb, gm) = a, b
-        if not (F[0] and G[0]):
-            return b if F[0] else a
-        if fm or gm:  # central: a scale and a shift
-            (e, c), Q = (fm, G) if fm else (gm, F)
-            cols = Q if c == 1 else [[v * c for v in col] if any(col) else col for col in Q]
-            cols = [[0] * e + col for col in cols] if e else cols
-            cols, den = (cols, 1) if fd == gd == 1 else _reduced(cols, fd * gd)
-            return cols, den, fb + gb, (len(cols[0]) - 1, cols[0][-1]) if fm and gm else None
+        (F, fd, fb, fdeg), (G, gd, gb, gdeg) = a, b
+        if not (F and G):
+            return b if F else a
+        if mono := (fm := _monomial(F)) or _monomial(G):  # central: a scale and a shift
+            (e, c), Q = mono, G if fm else F
+            terms, den = _reduced({(p + e, k): v * c for (p, k), v in Q.items()}, fd * gd)
+            return terms, den, fb + gb, fdeg + gdeg
         table = self.spec.table
-        if len(F[0]) == len(G[0]) == 1:
+        F, G = _columns(F, fdeg, self.dim), _columns(G, gdeg, self.dim)
+        if fdeg == gdeg == 0:
             cols = [[v] for v in table.mul([col[0] for col in F], [col[0] for col in G])]
         else:
-            cols = table.poly_mul(F, G)  # the same F twice takes the packed square
-        cols, den = _reduced(cols, fd * gd * table.den)
-        return cols, den, column_height(cols, den), _monomial(cols)
+            cols = table.poly_mul(F, G)
+        terms, den = _reduced(_terms(cols), fd * gd * table.den)
+        return terms, den, _height(terms, den), _degree(terms)
 
     def power(self, value: Value, t: int) -> Value:
         """value**t: c*x^e directly, anything else by `Poly.__pow__`."""
-        if mono := value[3]:
-            return self.unit(0, mono[0] * t, mono[1] ** t, value[1] ** t)
-        out = Poly.from_cols(self.spec, *value[:2]) ** t
-        return out.cols, out.den, column_height(out.cols, out.den), _monomial(out.cols)
+        terms, den, _, degree = value
+        if mono := _monomial(terms):
+            return self.unit(0, mono[0] * t, mono[1] ** t, den**t)
+        out = Poly.from_cols(self.spec, _columns(terms, degree, self.dim), den) ** t
+        terms = _terms(out.cols)
+        return terms, out.den, _height(terms, out.den), out.degree
 
     # expr := term (('+'|'-') term)*
     def expr(self) -> Value:
         value = self.term()
         if self.tokens[self.index] not in ("+", "-"):
             return value
-        cols, den, bits, _ = value
-        cols = [col[:] for col in cols]  # the sum adds up in place
+        terms, den, bits, _ = value
         while (op := self.tokens[where := self.index]) in ("+", "-"):
             self.index += 1
             rhs, rhs_den, rhs_bits, _ = self.term()
             bits = (max(bits, rhs_bits) if den == rhs_den == 1 else bits + rhs_bits) + 1
-            lcd, grow = lcm(den, rhs_den), max(len(rhs[0]) - len(cols[0]), 0)
-            if lcd != den or grow:
-                cols, den = [[v * (lcd // den) for v in col] + [0] * grow for col in cols], lcd
+            if (lcd := lcm(den, rhs_den)) != den:
+                terms, den = {key: v * (lcd // den) for key, v in terms.items()}, lcd
             scale = lcd // rhs_den if op == "+" else -lcd // rhs_den
-            for col, other in zip(cols, rhs):
-                if any(other):
-                    for k, v in enumerate(other):
-                        col[k] += v * scale
-            if bits > HEIGHT_BUDGET and (bits := column_height(*_reduced(cols, den))) > HEIGHT_BUDGET:
+            get = terms.get
+            for key, v in rhs.items():
+                terms[key] = get(key, 0) + v * scale
+            if bits > HEIGHT_BUDGET and (bits := _height(*_reduced(terms, den))) > HEIGHT_BUDGET:
                 raise self.error(f"sum of height above {HEIGHT_BUDGET} bits", where)
-        cols, den = _reduced(cols, den)
-        return cols, den, bits, _monomial(cols)
+        terms, den = _reduced({key: v for key, v in terms.items() if v}, den)
+        return terms, den, bits, _degree(terms)
 
     # term := factor ('*' factor)*
     def term(self) -> Value:
@@ -142,10 +168,10 @@ class _Parser:
         while self.tokens[where := self.index] == "*":
             self.index += 1
             rhs = self.factor()
-            if len(value[0][0]) + len(rhs[0][0]) - 2 > MAX_INPUT_DEGREE:
+            if value[3] + rhs[3] > MAX_INPUT_DEGREE:
                 raise self.error(f"product of degree above {MAX_INPUT_DEGREE}", where)
             if value[2] + rhs[2] > HEIGHT_BUDGET and (
-                column_height(*value[:2]) + column_height(*rhs[:2]) > HEIGHT_BUDGET
+                _height(*value[:2]) + _height(*rhs[:2]) > HEIGHT_BUDGET
             ):
                 raise self.error(f"product of height above {HEIGHT_BUDGET} bits", where)
             value = self.mul(value, rhs)
@@ -157,11 +183,11 @@ class _Parser:
         if self.tokens[where := self.index] == "^":
             text = self.tokens[index := self.index + 1]
             self.index += 1 + bool(text)
-            if not text[:1].isdecimal() or "/" in text:
+            if not (text.isascii() and text.isdigit()):
                 raise self.error("exponent must be a nonnegative integer", index)
-            t, degree, bits = self.integer(text, index), len(value[0][0]) - 1, value[2]
+            t, (bits, degree) = self.integer(text, index), value[2:]
             if degree * t > MAX_INPUT_DEGREE or bits * t > HEIGHT_BUDGET:
-                bits = column_height(*value[:2])  # the bound passes: measure
+                bits = _height(*value[:2])  # the bound passes: measure
             if degree * t > MAX_INPUT_DEGREE or bits * t > HEIGHT_BUDGET:
                 raise self.error(f"power {t} of a degree-{degree}, {bits}-bit polynomial passes"
                                  f" degree {MAX_INPUT_DEGREE} or {HEIGHT_BUDGET} bits", where)
@@ -172,12 +198,12 @@ class _Parser:
     def atom(self) -> Value:
         text = self.tokens[index := self.index]
         self.index += bool(text)  # never past the end
-        if text[:1].isdecimal():
+        if "0" <= text[:1] <= "9":
             p, _, q = text.partition("/")
             if (den := self.integer(q, index) if q else 1) == 0:
                 raise self.error("zero denominator", index)
             g = gcd(n := self.integer(p, index), den)
-            return self.unit(0, 0, n // g, den // g) if n else ([[]] * self.dim, 1, 1, None)
+            return self.unit(0, 0, n // g, den // g) if n else ({}, 1, 1, -1)
         if text in ("(", "-"):
             self.depth += 1
             if self.depth > MAX_NESTING:
@@ -188,16 +214,15 @@ class _Parser:
                     raise self.error("expected ')'", self.index)
                 self.index += 1
             else:
-                cols, den, bits, mono = self.atom()
-                mono = mono and (mono[0], -mono[1])
-                value = [[-v for v in col] if any(col) else col for col in cols], den, bits, mono
+                terms, den, bits, degree = self.atom()
+                value = {key: -v for key, v in terms.items()}, den, bits, degree
             self.depth -= 1
             return value
         if text and text in self.spec.ELEMENT.BASIS:
             return self.unit(self.spec.ELEMENT.BASIS.index(text) * self.spec.table.width)
         if text == "x":
             return self.unit(0, 1)
-        if radical := _RADICAL_RE.match(text):
+        if radical := _RADICAL_RE.fullmatch(text):
             d, field = self.integer(radical.group(1), index), self.spec.field
             if field.is_rational or field.d != d:
                 raise self.error(f"radical token s{d} does not belong to the field {field}", index)
@@ -210,20 +235,26 @@ class _Parser:
 
 def parse_poly(source: str, spec: AlgebraSpec) -> Poly:
     """Parse an expression into a polynomial in left-coefficient form."""
-    return Poly.from_cols(spec, *_Parser(source, spec).value[:2])
+    terms, den, _, degree = _Parser(source, spec).value
+    return Poly.from_cols(spec, _columns(terms, degree, spec.table.dim), den)
+
+
+def _constant(source: str, spec: AlgebraSpec, kind: str) -> tuple[list[int], int]:
+    """Numerators and denominator of a degree-0 expression; kind names it in the error."""
+    terms, den, _, degree = _Parser(source, spec).value
+    if degree > 0:
+        raise ParseError(f"expected a {kind}, got a degree-{degree} polynomial")
+    return [col[0] for col in _columns(terms, 0, spec.table.dim)], den
 
 
 def parse_element(source: str, spec: AlgebraSpec) -> Element:
     """Parse a degree-0 expression into an algebra element."""
-    cols, den = _Parser(source, spec).value[:2]
-    if len(cols[0]) > 1:
-        raise ParseError(f"expected a point, got a degree-{len(cols[0]) - 1} polynomial")
-    return spec.ELEMENT(spec, [col[0] if col else 0 for col in cols], den)
+    return spec.ELEMENT(spec, *_constant(source, spec, "point"))
 
 
 def parse_scalar(source: str, field: FieldSpec) -> Scalar:
     """Parse a central expression into a ground-field scalar."""
-    element = parse_element(source, QuatSpec.standard(field))
-    if not element.is_central:
+    nums, den = _constant(source, QuatSpec.standard(field), "scalar")
+    if any(nums[field.table.width :]):
         raise ParseError("expected a scalar, got a non-central element")
-    return element.scalar_part()
+    return field.ELEMENT(field, nums[: field.table.width], den)

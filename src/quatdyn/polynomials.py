@@ -352,16 +352,16 @@ class Poly:
     def render(self) -> str:
         """Canonical text: left coefficients parenthesized, descending powers.
 
-        Each coefficient prints from its column slice over den; no element is built.
+        Each coefficient prints from its row of one zip of the columns over
+        den; no element is built.
         """
-        text, spec = self.spec.ELEMENT.text, self.spec
-        parts = []
-        for p in range(self.degree, -1, -1):
-            nums = [col[p] for col in self.cols]
-            if any(nums):
-                power = "" if p == 0 else "*x" if p == 1 else f"*x^{p}"
-                parts.append(f"({text(spec, nums, self.den)}){power}")
-        return " + ".join(parts) or "(0)"
+        text, spec, den = self.spec.ELEMENT.text, self.spec, self.den
+        parts = [
+            f"({text(spec, row, den)}){'' if p == 0 else '*x' if p == 1 else f'*x^{p}'}"
+            for p, row in enumerate(zip(*self.cols))
+            if any(row)
+        ]
+        return " + ".join(reversed(parts)) or "(0)"
 
     def __str__(self) -> str:
         return self.render()

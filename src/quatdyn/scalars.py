@@ -4,8 +4,8 @@ The ground field is an algebra of dimension 1 (Q) or 2 (Q(sqrt d)) over Q
 with its own structure-constant table, so a Scalar is an `Element` of the
 integer kernel: the numerators of a (and b) in a + b*sqrt(d) over one
 denominator, with the sum, difference, product, quotient and power of every
-other element, and with its text: `_kernel.scalar_text`, the coordinate
-form `p/q + r/s*s5`.  What is particular to a field lives here: the inverse
+other element, and with its text: `Element.text`, the coordinate form
+`p/q + r/s*s5`.  What is particular to a field lives here: the inverse
 through the field conjugate, the exact order (when d > 0), and `to_real`,
 which produces a dyadic rational within 2**-bits of the true value under the
 principal embedding sqrt(d) > 0.
@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt, lcm
 
-from ._kernel import Element, RationalLike, Spec, Table, scalar_text
+from ._kernel import Element, RationalLike, Spec, Table
 from .errors import FieldMismatchError, NoRealEmbeddingError
 
 
@@ -73,9 +73,6 @@ class Scalar(Element):
     __rtruediv__ = Element.__rtruediv__
     __pow__ = Element.__pow__
     __eq__ = Element.__eq__
-
-    # the coordinate form, `p/q`, `p/q + r/s*s5`, `s5`, `-s5`, ...
-    text = staticmethod(scalar_text)
 
     field = property(lambda self: self.spec)
     a = property(lambda self: Fraction(self.nums[0], self.den))

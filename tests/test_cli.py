@@ -441,6 +441,34 @@ def test_huge_field_discriminant_is_a_parse_error():
     assert json.loads(out)["error"]["type"] == "ParseError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # digits of another script: Arabic-Indic two, one and five
+        ["compose", "--poly", "x^\u0662", "--n", "1"],
+        ["compose", "--algebra", "quat:-\u0661,-1@Q", "--poly", "x", "--n", "1"],
+        ["compose", "--algebra", "quat:-1,-1@Q(s\u0665)", "--poly", "x", "--n", "1"],
+        # a field matches the whole text, up to its last character
+        ["compose", "--algebra", "quat:-1,-1@Q(s5)\n", "--poly", "x", "--n", "1"],
+    ],
+)
+def test_digits_are_ascii_and_fields_match_the_whole_text(argv):
+    code, out = run_cli(argv)
+    assert code == 2, argv
+    assert json.loads(out)["error"]["type"] == "ParseError"
+
+
+def test_an_algebra_parameter_must_be_a_scalar():
+    for parameter, got in (("x", "a degree-1 polynomial"), ("i", "a non-central element")):
+        algebra = f"quat:{parameter},-1@Q"
+        code, out = run_cli(["compose", "--algebra", algebra, "--poly", "x", "--n", "1"])
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "ParseError",
+            "message": f"bad algebra parameter in {algebra!r}: expected a scalar, got {got}",
+        }
+
+
 def test_linear_composition_counts_against_the_cap():
     start = time.perf_counter()
     code, out = run_cli(["compose", "--poly", "x+i", "--n", "1000000000"])

@@ -167,6 +167,19 @@ def test_scalar_parsing_rejects_noncentral():
         parse_scalar("i + 1", QQ)
 
 
+def test_constant_errors_name_what_was_expected():
+    with pytest.raises(ParseError) as err:
+        parse_scalar("x", QQ)
+    assert str(err.value) == "expected a scalar, got a degree-1 polynomial"
+    with pytest.raises(ParseError) as err:
+        parse_scalar("i + 1", F5)
+    assert str(err.value) == "expected a scalar, got a non-central element"
+    with pytest.raises(ParseError) as err:
+        parse_element("x^2 + 1", H)
+    assert str(err.value) == "expected a point, got a degree-2 polynomial"
+    assert parse_scalar("(1 + s5)^2", F5) == F5.scalar(6, 2)
+
+
 def test_render_parse_round_trip_quaternions():
     rng = random.Random(53)
     for spec in (H, H5):
