@@ -13,8 +13,8 @@ per algebra, derived once by the Cayley-Dickson doubling rule.  A `Poly` is
 the coordinate columns of its coefficients over one denominator, and its
 products convolve those columns through the same table: short operands by
 the schoolbook convolution, long ones by packing each column into one
-integer (Kronecker substitution by `pack` and `unpack`, which the solver's
-heuristic gcd shares), one integer product per column pair of the table
+integer (Kronecker substitution by `pack` and `unpack`, the only code that
+knows the packing format), one integer product per column pair of the table
 (`Table.pair_products`).  Composition f(g) runs on the same packed columns
 (`Table.compose`): the top power of g and the products by f's coefficients
 are summed packed, at one slot that provably holds each coefficient of the
@@ -382,18 +382,13 @@ def pack(col, nbytes: int) -> int:
     return int.from_bytes(data, "little") - int.from_bytes(biases, "little")
 
 
-def unpack(v: int, nbytes: int, size: int | None = None) -> list[int]:
-    """The digits of v in base 256**nbytes, each in [-slot/2, slot/2) for the
-    slot 256**nbytes, in linear time: `size` of them, which must hold v, or
-    without a size every digit up to the last nonzero one."""
+def unpack(v: int, nbytes: int, size: int) -> list[int]:
+    """The `size` digits of v in base 256**nbytes, which must hold v, each in
+    [-slot/2, slot/2) for the slot 256**nbytes, in linear time."""
     half = 1 << (8 * nbytes - 1)
-    slots = (abs(v).bit_length() + 1) // (8 * nbytes) + 1 if size is None else size
-    biases = half.to_bytes(nbytes, "little") * slots
-    data = (v + int.from_bytes(biases, "little")).to_bytes(nbytes * slots, "little")
-    out = [int.from_bytes(data[k : k + nbytes], "little") - half for k in range(0, len(data), nbytes)]
-    while size is None and out and not out[-1]:
-        out.pop()
-    return out
+    biases = half.to_bytes(nbytes, "little") * size
+    data = (v + int.from_bytes(biases, "little")).to_bytes(nbytes * size, "little")
+    return [int.from_bytes(data[k : k + nbytes], "little") - half for k in range(0, len(data), nbytes)]
 
 
 class Element:

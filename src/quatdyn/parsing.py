@@ -1,6 +1,6 @@
 """Recursive-descent parser for polynomial and point expressions.
 
-Grammar (whitespace insignificant between tokens):
+Grammar (ASCII whitespace insignificant between tokens: space, tab, LF, VT, FF, CR):
 
     expr   := term (('+' | '-') term)*
     term   := factor ('*' factor)*
@@ -39,6 +39,8 @@ Value = tuple[dict[tuple[int, int], int], int, int, int]
 
 _TOKEN = r"[-+*^()]|[0-9]+(?:/[0-9]+)?|s-[0-9]+|[a-z]+[0-9]*"
 _TOKEN_RE = re.compile(_TOKEN)
+_SPACE = r"[ \t\n\r\f\v]"  # ASCII whitespace only
+_SPACE_RE = re.compile(_SPACE)
 _RADICAL_RE = re.compile(r"s(-?[0-9]+)")
 
 # The largest degree a parsed polynomial may have: the companion of a dense
@@ -90,8 +92,8 @@ class _Parser:
     def __init__(self, source: str, spec: AlgebraSpec) -> None:
         self.source, self.spec, self.dim = source, spec, spec.table.dim
         self.tokens = _TOKEN_RE.findall(source) + [""]
-        if "".join(self.tokens) != "".join(source.split()):  # a character is in no token
-            pos = re.match(rf"(?:{_TOKEN}|\s)*", source).end()
+        if "".join(self.tokens) != _SPACE_RE.sub("", source):  # a character is in no token
+            pos = re.match(rf"(?:{_TOKEN}|{_SPACE})*", source).end()
             raise ParseError(f"unexpected character {source[pos]!r}", pos)
         self.index = self.depth = 0  # depth: open '(' and unary '-' around the atom
         self.value = self.expr()

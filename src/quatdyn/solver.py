@@ -10,21 +10,22 @@ contains none), or pins the unique root of g in the class.
 
 Class extraction is one pipeline with two policies.  Both start from the
 squarefree part c / gcd(c, c') of the companion: over Q on its integer
-coefficients by the heuristic gcd GCDHEU, one integer gcd of values at
-xi = 256**n, packed and read back by `_kernel`'s Kronecker packer and kept
-only when exact division proves it, with monic Euclid as the fallback; over
-Q(sqrt d) by Euclid, with monic divisors, since unnormalized remainders
-carry their leading coefficient in every coefficient and swell.
+coefficients by Brown's modular gcd, images mod word-size primes joined by
+CRT and kept only when exact division proves them; over Q(sqrt d) by
+Euclid, with monic divisors, since unnormalized remainders carry their
+leading coefficient in every coefficient and swell.
 
   exact    rational ground field only, and algebraic throughout: the classes
            are the factors of degree <= 2 over Q of the primitive integer
            companion f.  Modulo a prime p that keeps the squarefree part P
-           squarefree, P's roots in F_p and its irreducible quadratics are
-           found, and Newton's iteration lifts their roots p-adically far
-           enough that symmetric residues give the integer data of every
-           such factor.  Exact trial division of f decides each candidate,
-           linear ones first; a remainder left has no factor of degree <= 2
-           over Q, and ClassSearchIncompleteError points at numeric mode.
+           squarefree, P's roots in F_p and its irreducible quadratics come
+           from gcds with y**p - y and y**(p**2) - y, split by one
+           Cantor-Zassenhaus loop, and Newton's iteration lifts their roots
+           p-adically far enough that symmetric residues give the integer
+           data of every such factor.  Exact trial division of f decides
+           each candidate, linear ones first; a remainder left has no factor
+           of degree <= 2 over Q, and ClassSearchIncompleteError points at
+           numeric mode.
   numeric  any ground field with a real embedding.  The squarefree part,
            in units of 2**-(precision + 32), goes to the Aberth ladder of
            `aberth.aberth_roots` (rungs of doubling precision on Gaussian
@@ -55,9 +56,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import count
 from math import isqrt
 
-from ._kernel import pack, unpack
 from .aberth import aberth_roots, inclusion_radii, sqrt_up, to_grid
 from .errors import (
     ClassSearchIncompleteError,
@@ -147,9 +148,8 @@ def _monic(p: list) -> list:
 
 
 def _squarefree(coeffs) -> list:
-    """Monic squarefree part c / gcd(c, c') by Euclid over Q or Q(sqrt d), low
-    degree first: the method over Q(sqrt d), and the fallback of
-    `_integer_squarefree` over Q.
+    """Monic squarefree part c / gcd(c, c') by Euclid over Q(sqrt d), low
+    degree first; over Q, `_integer_squarefree` takes it on the integers.
 
     Euclid divides by monic divisors only (the derivative included), since
     unnormalized remainders carry their leading coefficient in every
@@ -165,75 +165,46 @@ def _squarefree(coeffs) -> list:
     return divmod_monic(c, a)[0]
 
 
-# values of xi that the heuristic gcd tries before Euclid decides
-HEURISTIC_ATTEMPTS = 6
-
-
 def _integer_squarefree(f: list[int]) -> list[int]:
     """The primitive squarefree part f / gcd(f, f') of a nonconstant integer
     polynomial, low degree first, with the sign of f's lead.
 
-    The gcd is GCDHEU's (`_heuristic_cofactor`); when HEURISTIC_ATTEMPTS
-    values of xi fail, monic Euclid (`_squarefree`) decides, so that no
-    answer rests on the heuristic.
+    Brown's modular gcd (J. ACM 18, 1971) of f and g = f'/content: monic gcds
+    mod primes that divide neither lead, scaled to gcd(lead f, lead g).  An
+    image has at least the true degree, so one of degree 0 proves f
+    squarefree and one above the lowest seen is dropped.  The rest join by
+    CRT, in symmetric residues, until a prime leaves the join unchanged and
+    its primitive part divides f and g exactly: then it is the gcd.
     """
     f = _primitive(f)
-    part = _heuristic_cofactor(f, _primitive([i * c for i, c in enumerate(f)][1:]))
-    if part is None:
-        # a monic polynomial times the lcm of its denominators is primitive
-        monic = _squarefree([Fraction(c) for c in f])
-        den = math.lcm(*(c.denominator for c in monic)) * (1 if f[-1] > 0 else -1)
-        part = [int(c * den) for c in monic]
-    return part
-
-
-def _heuristic_cofactor(f: list[int], g: list[int]) -> list[int] | None:
-    """f / gcd(f, g) for primitive integer polynomials f and g, by GCDHEU
-    (Char, Geddes & Gonnet 1989, J. Symb. Comput. 7); None when every xi fails.
-
-    xi = 256**n, the first whole byte slot above twice every coefficient of
-    f and g and above M + 2: `_kernel.pack` gives f(xi) and g(xi), and
-    `_kernel.unpack` reads their integer gcd back, with digits in
-    [-xi/2, xi/2).  A candidate h counts only when it divides f and g exactly
-    and gcd / h(xi) is an integer c with |c| <= xi - M - 2.  Then h is the
-    gcd: every common root lies within M + 2 of 0 (Cauchy's bound), so a
-    nonconstant integer factor k of both has |k(xi)| > xi - M - 2, while
-    gcd(f, g) = h*k gives k(xi) | c.  After a failed xi, n grows by about a
-    quarter.  The gcd is the one read-back needed: the integer gcd is
-    s*G(xi), G = gcd(f, g), where s = gcd(F(xi), H(xi)) for the cofactors
-    F = f/G and H = g/G divides Res(F, H); so it passes once xi exceeds about
-    2*|Res|*height(G) + M + 2, and monic Euclid decides the rest.
-    """
-    f_norm, g_norm = max(map(abs, f)), max(map(abs, g))
-    M = min(f_norm // abs(f[-1]), g_norm // abs(g[-1]))
-    nbytes = max(2 * max(f_norm, g_norm), M + 2).bit_length() // 8 + 1
-    for _ in range(HEURISTIC_ATTEMPTS):
-        # xi exceeds every root's modulus, so neither value is zero
-        fx, gx = pack(f, nbytes), pack(g, nbytes)
-        common = math.gcd(fx, gx)
-        h = unpack(common, nbytes)
-        c = math.gcd(*h) if h[-1] > 0 else -math.gcd(*h)
-        if abs(c) <= (1 << 8 * nbytes) - M - 2:
-            h = [v // c for v in h]
-            part = _quotient(f, h)
-            if part is not None and _quotient(g, h) is not None:
-                return part
-        nbytes += nbytes // 4 + 1
-    return None
+    g = _primitive([i * c for i, c in enumerate(f)][1:])
+    scale, image, m = math.gcd(f[-1], g[-1]), [], 1
+    for p in map(_prime, count()):
+        if not (f[-1] % p and g[-1] % p):
+            continue
+        h = _gf_gcd(_gf(f, p), _gf(g, p), p)
+        if len(h) == 1:
+            return f
+        if not image or len(h) < len(image):
+            image, m = [0] * len(h), 1
+        elif len(h) > len(image):
+            continue
+        # Garner's step: the residue mod m*p that is v mod m and scale*c mod p
+        inv = pow(m, -1, p)
+        steps = [(scale * c - v) * inv % p for v, c in zip(image, h)]
+        if any(steps):
+            image, m = [v + m * t for v, t in zip(image, steps)], m * p
+            image = [v - m if 2 * v > m else v for v in image]
+            continue
+        h = _primitive(image if image[-1] > 0 else [-v for v in image])
+        if (part := _quotient(f, h)) is not None and _quotient(g, h) is not None:
+            return part
 
 
 def _primitive(f: list[int]) -> list[int]:
     """The nonzero f over the gcd of its coefficients."""
     c = math.gcd(*f)
     return f if c == 1 else [v // c for v in f]
-
-
-def _value(f: list[int], x: int) -> int:
-    """f(x) by Horner's rule."""
-    v = 0
-    for c in reversed(f):
-        v = v * x + c
-    return v
 
 
 def _quotient(f: list[int], h: list[int]) -> list[int] | None:
@@ -253,7 +224,33 @@ def _quotient(f: list[int], h: list[int]) -> list[int] | None:
     return None if any(r[:n]) else q
 
 
-# -- exact classes: roots mod p, lifted p-adically --------------------------------
+# -- arithmetic mod p: the modular gcd and the exact classes ----------------------
+
+
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the primes below 2**30 (one CPython digit: the fastest), downwards, found once
+_PRIMES: list[int] = []
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the twelve prime bases up to 37, exact below
+    3.18 * 10**23 (Sorenson & Webster 2017), so on every word-size n."""
+    if n < 41 or any(not n % a for a in _WITNESSES):
+        return n in _WITNESSES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    for a in _WITNESSES:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and n - 1 not in [pow(x, 1 << i, n) for i in range(s)]:
+            return False
+    return True
+
+
+def _prime(k: int) -> int:
+    """The k-th prime below 2**30, counting down, from k = 0."""
+    while len(_PRIMES) <= k:
+        top = _PRIMES[-1] - 2 if _PRIMES else (1 << 30) - 1
+        _PRIMES.append(next(q for q in range(top, 0, -2) if _is_prime(q)))
+    return _PRIMES[k]
 
 
 def _gf(a: list[int], p: int) -> list[int]:
@@ -264,73 +261,75 @@ def _gf(a: list[int], p: int) -> list[int]:
     return a
 
 
-def _gf_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    """a*b over F_p, by the plain convolution."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for k, y in enumerate(b, i):
-            out[k] += x * y
-    return _gf(out, p)
-
-
 def _gf_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by the monic b over F_p."""
-    n, r = len(b) - 1, list(a)
+    """Quotient and remainder of a by b over F_p, for a lead of b prime to p;
+    a may be unreduced, and then the quotient may end in zeros."""
+    n, r, inv = len(b) - 1, list(a), pow(b[-1], -1, p)
     q = [0] * max(len(a) - n, 0)
     for k in reversed(range(len(q))):
-        c = q[k] = r[k + n] % p
-        r[k : k + n] = [x - c * y for x, y in zip(r[k : k + n], b)]
-    return _gf(q, p), _gf(r[:n], p)
+        c = q[k] = r[k + n] * inv % p
+        if c:
+            r[k : k + n] = [x - c * y for x, y in zip(r[k : k + n], b)]
+    return q, _gf(r[:n], p)
+
+
+def _gf_mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
+    """a*b modulo m over F_p, by the plain convolution."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        out[i : i + len(b)] = [v + x * y for v, y in zip(out[i : i + len(b)], b)]
+    return _gf_divmod(out, m, p)[1]
 
 
 def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """The monic gcd over F_p of a monic a and any b."""
+    """The monic gcd over F_p of a nonzero a and any b, both reduced mod p."""
     while b:
-        inv = pow(b[-1], -1, p)
-        b = [c * inv % p for c in b]
         a, b = b, _gf_divmod(a, b, p)[1]
-    return a
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
 
 
 def _gf_power(a: list[int], e: int, m: list[int], p: int) -> list[int]:
-    """a**e modulo the monic m over F_p."""
-    out = [1]
-    for bit in bin(e)[2:]:
-        out = _gf_divmod(_gf_mul(out, out, p), m, p)[1]
-        out = _gf_divmod(_gf_mul(out, a, p), m, p)[1] if bit == "1" else out
+    """a**e modulo m over F_p, for e >= 2."""
+    out = a
+    for bit in bin(e)[3:]:
+        out = _gf_mulmod(out, out, m, p)
+        out = _gf_mulmod(out, a, m, p) if bit == "1" else out
     return out
 
 
 def _local_factors(P: list[int]) -> tuple[int, list[int], list[list[int]]]:
     """The first prime p from 11 on that does not divide P's lead and keeps P
-    squarefree mod p, P's roots in F_p, and its monic irreducible quadratic
-    factors over F_p: gcd(P, y**(p**2) - y) without the linear factors,
-    split by Cantor-Zassenhaus.  Modulo a factor y**2 - a*y + b,
-    (y + c)**((p**2 - 1)/2) is the Legendre symbol of c**2 + a*c + b, and
-    above 9 two factors differ in it at some c in F_p (Weil's bound)."""
-    p = 11
-    while True:
-        if P[-1] % p and all(p % d for d in range(3, isqrt(p) + 1, 2)):
-            inv = pow(P[-1], -1, p)
-            monic = _gf([c * inv for c in P], p)
-            if len(_gf_gcd(monic, _gf([i * c for i, c in enumerate(monic)][1:], p), p)) == 1:
-                break
+    squarefree mod p, P's roots in F_p, in order, and its monic irreducible
+    quadratic factors over F_p.
+
+    The product of P's factors of degree d is gcd(P, y**(p**d) - y) once those
+    of lower degree are divided out.  One Cantor-Zassenhaus loop splits it for
+    d = 1 and 2: modulo a factor h of degree d, (y + c)**((p**d - 1)/2) is the
+    Legendre symbol of the norm of y + c, (-1)**d * h(-c), and two factors
+    differ in it at some c in F_p (for d = 2 above 9, by Weil's bound)."""
+    p, derivative = 11, [i * c for i, c in enumerate(P)][1:]
+    while not (P[-1] % p and _is_prime(p)) or len(_gf_gcd(_gf(P, p), _gf(derivative, p), p)) > 1:
         p += 2
-    roots = [r for r in range(p) if not _value(monic, r) % p]
-    w = _gf_power([0, 1], p * p, monic, p) + [0, 0]
-    G = _gf_gcd(monic, _gf([w[0], w[1] - 1] + w[2:], p), p)
-    for r in roots:
-        G = _gf_divmod(G, [-r, 1], p)[0]
-    pieces, quadratics = [(G, 0)] if len(G) > 1 else [], []
+    rest, w, pieces, found = _gf(P, p), [0, 1], [], ([], [])
+    for d in (1, 2):
+        w = _gf_power(w, p, rest, p) + [0, 0]  # y**(p**d) modulo rest
+        frob = w if d == 1 else frob  # y**p modulo P
+        G = _gf_gcd(rest, _gf([w[0], w[1] - 1] + w[2:], p), p)
+        rest = _gf_divmod(rest, G, p)[0]
+        pieces += [(G, d, 0)] if len(G) > 1 else []
     while pieces:
-        h, c = pieces.pop()
-        if len(h) == 3:
-            quadratics.append(h)
+        h, d, c = pieces.pop()
+        if len(h) == d + 1:
+            found[d - 1].append(h)
             continue
-        w = _gf_power([c, 1], (p * p - 1) // 2, h, p)
-        d = _gf_gcd(h, _gf([w[0] - 1] + w[1:], p), p)
-        pieces += [(d, c + 1), (_gf_divmod(h, d, p)[0], c + 1)] if 1 < len(d) < len(h) else [(h, c + 1)]
-    return p, roots, quadratics
+        # that symbol as N**((p - 1)/2) for the norm N: y + c, or (y + c)*(y**p + c)
+        norm = [c, 1] if d == 1 else _gf_mulmod([c, 1], [frob[0] + c] + frob[1:], h, p)
+        w = _gf_power(norm, (p - 1) // 2, h, p)
+        s = _gf_gcd(h, _gf([w[0] - 1] + w[1:], p), p)
+        split = [s, _gf_divmod(h, s, p)[0]] if 1 < len(s) < len(h) else [h]
+        pieces += [(piece, d, c + 1) for piece in split]
+    return p, sorted(-h[0] % p for h in found[0]), found[1]
 
 
 def _lift(P: list[int], a: int, b: int, x: tuple[int, int], p: int, m: int) -> tuple[int, int]:

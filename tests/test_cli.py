@@ -450,6 +450,9 @@ def test_huge_field_discriminant_is_a_parse_error():
         ["compose", "--algebra", "quat:-1,-1@Q(s\u0665)", "--poly", "x", "--n", "1"],
         # a field matches the whole text, up to its last character
         ["compose", "--algebra", "quat:-1,-1@Q(s5)\n", "--poly", "x", "--n", "1"],
+        # whitespace between tokens is ASCII: an ideographic and a no-break space
+        ["compose", "--poly", "x\u3000+ 1", "--n", "1"],
+        ["compose", "--poly", "x\u00a0+ 1", "--n", "1"],
     ],
 )
 def test_digits_are_ascii_and_fields_match_the_whole_text(argv):

@@ -790,7 +790,7 @@ def test_squarefree_matches_sympy(d, seed):
     assert all(sympy.expand(_to_sympy(sympy, g) - e) == 0 for g, e in zip(got, expected))
 
 
-# -- the squarefree part over Q by heuristic gcd ------------------------------------
+# -- the squarefree part over Q by the modular gcd ---------------------------------
 
 
 def _times(f, g):
@@ -801,12 +801,15 @@ def _times(f, g):
     return out
 
 
-def _planted_integer(rng):
+def _planted_integer(rng, height=8):
     """An integer polynomial with a content above 1, a non-monic lead, at
-    least one repeated factor and, two times in three, a zero constant term."""
+    least one repeated factor, coefficients of about height bits and, two
+    times in three, a zero constant term."""
     f = [rng.choice([-12, -6, -2, 3, 4, 10])]
-    for mult in [rng.randint(2, 3)] + [rng.randint(1, 3) for _ in range(rng.randint(0, 3))]:
-        factor = [rng.randint(-9, 9) for _ in range(rng.randint(1, 2))] + [rng.randint(1, 5)]
+    mults = [rng.randint(2, 3)] + [rng.randint(1, 3) for _ in range(rng.randint(0, 3))]
+    bound = 1 << max(height // sum(mults), 3)
+    for mult in mults:
+        factor = [rng.randint(-bound, bound) for _ in range(rng.randint(1, 2))] + [rng.randint(1, bound)]
         for _ in range(mult):
             f = _times(f, factor)
     return [0] * rng.randint(0, 2) + f
@@ -823,12 +826,13 @@ def _dense_companion_48():
     return [c * s ** (n - i) // lead for i, c in enumerate(cs)]
 
 
-@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("seed", range(48))
 def test_integer_squarefree_matches_sympy(seed):
+    """Heights from 8 bits up to 2**2000, every one with a repeated factor."""
     from quatdyn.solver import _integer_squarefree
 
     sympy = pytest.importorskip("sympy")
-    f = _planted_integer(random.Random(seed))
+    f = _planted_integer(random.Random(seed), height=[8, 64, 500, 2000][seed % 4])
     # sympy's part over Z is primitive with a positive lead; ours has f's sign
     expected = sympy.Poly(f[::-1], sympy.Symbol("y")).sqf_part().all_coeffs()[::-1]
     sign = 1 if f[-1] > 0 else -1
@@ -836,32 +840,9 @@ def test_integer_squarefree_matches_sympy(seed):
     assert len(expected) < len(f)
 
 
-def test_integer_squarefree_falls_back_to_euclid(monkeypatch):
-    """With no value of xi to try, monic Euclid gives every answer, and the
-    same ones."""
-    from quatdyn import solver
-
-    cases = [_planted_integer(random.Random(seed)) for seed in range(20)]
-    cases += [_dense_companion_48(), [5, 1], [-7, 0, 3]]
-    for f in cases:
-        f = solver._primitive(f)
-        derivative = solver._primitive([i * c for i, c in enumerate(f)][1:])
-        assert solver._heuristic_cofactor(f, derivative) is not None
-    heuristic = [solver._integer_squarefree(f) for f in cases]
-    C = _planted(3, [(1, 2, 0, -1), (1, 2, 0, -1), (0, 1, 1, 1)])
-    classes = extract_classes(C)
-
-    euclid, runs = solver._squarefree, []
-    monkeypatch.setattr(solver, "HEURISTIC_ATTEMPTS", 0)
-    monkeypatch.setattr(solver, "_squarefree", lambda c: runs.append(len(c)) or euclid(c))
-    assert [solver._integer_squarefree(f) for f in cases] == heuristic
-    assert len(runs) == len(cases)
-    assert extract_classes(C) == classes
-    assert len(runs) == len(cases) + 1
-
-
 def test_dense_degree_48_squarefree_part_takes_milliseconds():
-    """Monic Euclid on Fractions took 34-47 ms here, GCDHEU about 0.1 ms."""
+    """Monic Euclid on Fractions took 34-47 ms here, a heuristic gcd (one
+    integer gcd of values) about 0.1 ms, and the modular gcd about 0.8 ms."""
     from quatdyn.solver import _integer_squarefree
 
     D = _dense_companion_48()
@@ -876,16 +857,95 @@ def test_dense_degree_48_squarefree_part_takes_milliseconds():
 
 
 def test_high_sevens_squarefree_part_packs_in_linear_time():
-    """GCDHEU on the companion of a 1000-digit coefficient, which is a square:
-    with f(xi) by Horner's rule and the digits read back by repeated division
-    it took 3.9 s (2-core x86 host, CPython 3.11); through the kernel's byte
-    slots, about 0.7 s."""
+    """The squarefree part of the companion of a 1000-digit coefficient, which
+    is a square.  A heuristic gcd, one integer gcd of the values at an
+    integer xi, took 3.9 s with f(xi) by Horner's rule and the digits read
+    back by repeated division, and 0.7 s through the kernel's byte slots
+    (2-core x86 host, CPython 3.11); the modular gcd takes about 0.06 s."""
     g = parse_poly(f"({'7' * 1000})*x^99+4*x^6", H)
     start = time.perf_counter()
     with pytest.raises(ClassSearchIncompleteError) as info:
         roots(g)
     assert time.perf_counter() - start < 2.0
     assert info.value.remainder_degree == 186
+
+
+_LEAD_PRIMES = [p for p in range(11, 5988) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+@pytest.mark.parametrize(
+    "text,remainder",
+    [
+        (f"({'7' * 4000})*x^99+4*x^6", 186),
+        (f"({'*'.join(map(str, _LEAD_PRIMES))})*x^128+i*x+1", 256),
+    ],
+    ids=["4000 sevens", "lead of every prime from 11 to 5987"],
+)
+def test_squarefree_part_and_local_roots_stay_fast_at_high_height_and_prime_rich_leads(
+    text, remainder
+):
+    """A heuristic gcd took the squarefree part by one integer gcd of about
+    n*H bits: 10.4 s on the 4000 sevens, whose companion is a square, and
+    13.4 s on the lead of every prime from 11 to 5987, which also made the
+    roots mod p = 6007 a scan of all of F_p (in-process, 2-core x86 host,
+    CPython 3.11).  The modular gcd and the roots as gcd(P, y**p - y) take
+    well under a fuzz case's budget."""
+    from test_fuzz import CASE_SECONDS
+
+    g = parse_poly(text, H)
+    start = time.perf_counter()
+    with pytest.raises(ClassSearchIncompleteError) as info:
+        roots(g)
+    assert time.perf_counter() - start < CASE_SECONDS
+    assert info.value.remainder_degree == remainder
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(11, 10**5, 2):
+        assert solver._is_prime(n) == all(n % d for d in range(3, math.isqrt(n) + 1, 2)), n
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base up to 23
+    assert not solver._is_prime(3215031751)
+    assert not solver._is_prime(3825123056546413051)
+    assert solver._is_prime((1 << 61) - 1) and not solver._is_prime((1 << 61) + 1)
+
+
+def _local_roots_by_scan(monic, p):
+    """The roots in F_p of a monic P mod p, by evaluating it at 0 ... p-1."""
+    return [r for r in range(p) if not sum(c * pow(r, k, p) for k, c in enumerate(monic)) % p]
+
+
+def _divides_mod(h, f, p):
+    """Whether the monic h divides f over F_p, by long division."""
+    r = list(f)
+    for k in reversed(range(len(h) - 1, len(r))):
+        c = r[k] % p
+        for i, v in enumerate(h):
+            r[k - len(h) + 1 + i] -= c * v
+    return not any(v % p for v in r)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_local_factors_match_the_scan_and_an_enumeration(seed):
+    """The roots in F_p against a scan of F_p, and the irreducible
+    quadratics against every monic quadratic over F_p without a root, on
+    squarefree P whose leads rule out random primes from 11 on."""
+    rng = random.Random(seed)
+    f = [rng.choice([1, math.prod(rng.sample(_SMALL_PRIMES, rng.randint(1, 4)))])]
+    for _ in range(rng.randint(1, 5)):
+        f = _times(f, [rng.randint(-60, 60) for _ in range(rng.randint(1, 3))] + [rng.randint(1, 3)])
+    P = solver._integer_squarefree(f)
+    p, got_roots, quadratics = solver._local_factors(P)
+    assert P[-1] % p and all(p % d for d in range(2, math.isqrt(p) + 1))
+    monic = [c * pow(P[-1], -1, p) % p for c in P]
+    assert got_roots == _local_roots_by_scan(monic, p)
+    expected = [
+        [b, a, 1]
+        for a in range(p)
+        for b in range(p)
+        if (a * a - 4 * b) % p and pow(a * a - 4 * b, (p - 1) // 2, p) != 1
+        and _divides_mod([b, a, 1], monic, p)
+    ]
+    assert sorted(quadratics) == expected
 
 # -- numeric points rounded from numerators ----------------------------------------
 

@@ -1,8 +1,9 @@
-"""Which product and which composition path quatdyn takes on the benchmark's argv lists.
+"""Which product and which composition path quatdyn takes on the benchmark's
+argv lists, and what the exact solver's squarefree part and local factors see.
 
     python3 tools/path_counts.py [CHECKOUT]
 
-Prints three lines per workload, over the same calls as
+Prints five lines per workload, over the same calls as
 `tools/output_digest.py` (every distinct argv that `perfbench/workloads.py`
 builds for iterate, periodic and roots at seeds 1-20, one round each, run
 in-process through `quatdyn.cli.main`):
@@ -10,6 +11,8 @@ in-process through `quatdyn.cli.main`):
     <workload> poly_mul schoolbook <n> packed <n>
     <workload> compose packed <n> columns <n>
     <workload> compose powers schoolbook <n> packed <n>
+    <workload> squarefree part squarefree <n> repeated <n>
+    <workload> local prime 11 <n> above <n>
 
 A `Table.poly_mul` call made outside `Table.compose` counts as schoolbook
 when it ran `Table.schoolbook_mul`, and as packed otherwise.  A
@@ -17,9 +20,12 @@ when it ran `Table.schoolbook_mul`, and as packed otherwise.  A
 terms by `schoolbook_mul` into columns (the call that passes `out`), and as
 packed otherwise.  It builds the powers g^2, ..., g^(m-1) by products, and
 g^m too when it sums on the columns; those of them that ran `schoolbook_mul`
-count as schoolbook powers, the rest as packed.  The counts are read from
-the calls, not from the rule, so two checkouts that print the same lines
-took the same paths.
+count as schoolbook powers, the rest as packed.  An input of
+`solver._integer_squarefree` counts as squarefree when its part has its
+length, and as repeated otherwise; a `solver._local_factors` call counts by
+the prime it returns, 11 or above.  The counts are read from the calls, not
+from the rule, so two checkouts that print the same lines took the same
+paths.
 
 The program is imported from CHECKOUT/src (by default this repository's);
 the argv lists always come from this repository's perfbench.  Run it from
@@ -74,15 +80,34 @@ def _spy(Table, counts: Counter) -> None:
     Table.poly_mul, Table.compose, Table.schoolbook_mul = spied_poly_mul, spied_compose, spied_schoolbook
 
 
+def _spy_solver(solver, counts: Counter) -> None:
+    """Wrap the squarefree part and the local factors of solver to fill counts."""
+    squarefree, local_factors = solver._integer_squarefree, solver._local_factors
+
+    def spied_squarefree(f):
+        part = squarefree(f)
+        counts["squarefree", "squarefree" if len(part) == len(f) else "repeated"] += 1
+        return part
+
+    def spied_local_factors(P):
+        found = local_factors(P)
+        counts["local", "11" if found[0] == 11 else "above"] += 1
+        return found
+
+    solver._integer_squarefree, solver._local_factors = spied_squarefree, spied_local_factors
+
+
 def main() -> int:
     checkout = Path(sys.argv[1]) if len(sys.argv) > 1 else ROOT
     sys.path[:0] = [str(checkout.resolve() / "src"), str(ROOT / "perfbench")]
     import workloads
+    from quatdyn import solver
     from quatdyn._kernel import Table
     from quatdyn.cli import main as cli_main
 
     counts: Counter = Counter()
     _spy(Table, counts)
+    _spy_solver(solver, counts)
     for name in ("iterate", "periodic", "roots"):
         seen = set()
         counts.clear()
@@ -100,6 +125,9 @@ def main() -> int:
               "columns", counts["compose", "columns"])
         print(name, "compose powers schoolbook", counts["powers", "schoolbook"],
               "packed", counts["powers", "packed"])
+        print(name, "squarefree part squarefree", counts["squarefree", "squarefree"],
+              "repeated", counts["squarefree", "repeated"])
+        print(name, "local prime 11", counts["local", "11"], "above", counts["local", "above"])
     return 0
 
 
