@@ -391,6 +391,20 @@ def unpack(v: int, nbytes: int, size: int) -> list[int]:
     return [int.from_bytes(data[k : k + nbytes], "little") - half for k in range(0, len(data), nbytes)]
 
 
+def power(x, n: int, one, what: str):
+    """x**n by repeated squaring, `one` for n = 0: a product of powers of one
+    element, which alternativity makes agree in every nesting (Artin)."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"{what} powers take a nonnegative integer exponent")
+    out = None
+    while n:
+        if n & 1:
+            out = x if out is None else out * x
+        if n := n >> 1:
+            x = x * x
+    return one if out is None else out
+
+
 class Element:
     """Arithmetic shared by scalars, quaternions and octonions.
 
@@ -490,20 +504,7 @@ class Element:
         return o * self
 
     def __pow__(self, n: int):
-        """Power by repeated squaring; alternativity makes every nesting agree."""
-        if not isinstance(n, int) or n < 0:
-            raise ValueError(
-                f"{type(self).__name__.lower()} powers take a nonnegative "
-                "integer exponent"
-            )
-        out, base = self.spec.one(), self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return power(self, n, self.spec.one(), type(self).__name__.lower())
 
     # -- involution, trace, norm, inverse -------------------------------------
 

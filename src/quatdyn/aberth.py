@@ -43,6 +43,8 @@ from .scalars import nearest
 FIRST_BITS = 20
 # bits an integer rung works with beyond its nominal precision
 GUARD_BITS = 8
+# Aberth sweeps a rung may take
+MAX_SWEEPS = 400
 
 # an approximant (a + ib)/2**F
 Approximant = tuple[int, int, int]
@@ -199,16 +201,12 @@ def _residual_ok(P: list[int], z: Approximant, bits: int) -> bool:
     return (hr * hr + hi * hi) << (2 * bits) <= scale * scale
 
 
-def aberth_roots(
-    coeffs: Sequence[int],
-    precision: int = 128,
-    max_iterations: int = 400,
-) -> list[Approximant]:
+def aberth_roots(coeffs: Sequence[int], precision: int) -> list[Approximant]:
     """All complex roots of sum coeffs[i]*x^i, for integers coeffs, to
     roughly `precision` bits, as triples (a, b, F) for (a + ib)/2**F.
 
-    The top rung's approximants must pass a residual test, or
-    ConvergenceError is raised.
+    Each rung takes at most `MAX_SWEEPS` sweeps.  The top rung's
+    approximants must pass a residual test, or ConvergenceError is raised.
     """
     P = list(coeffs)
     while P and not P[-1]:
@@ -225,7 +223,7 @@ def aberth_roots(
     zs = _newton_starts(P, bits + GUARD_BITS)
     while True:
         W = bits + GUARD_BITS
-        _integer_iterate(_mantissas(P, W + 4), zs, W, goal, max_iterations)
+        _integer_iterate(_mantissas(P, W + 4), zs, W, goal, MAX_SWEEPS)
         if bits == top:
             break
         bits = min(2 * bits, top)

@@ -107,8 +107,20 @@ def _solution_dict(sol: solver.ClassSolution) -> dict:
     return d
 
 
-def _base_payload(ns, spec, inputs: dict) -> dict:
-    return {"command": ns.command, "algebra": str(spec), "inputs": inputs}
+def _inputs(ns, *names):
+    """f, the start point (None for a command without --point) and the
+    payload so far: the command, the algebra and the inputs, which are the
+    polynomial, the point and the arguments `names`, as given.  The parsers
+    are looked up as module globals at call time, so that a wrapper
+    installed there (a tracer) applies."""
+    spec = parse_algebra(ns.algebra)
+    f = parse_poly(ns.poly, spec)
+    inputs, start = {"poly": f.render()}, None
+    if "point" in ns:
+        start = parse_element(ns.point, spec)
+        inputs["point"] = start.render()
+    inputs.update((name, getattr(ns, name)) for name in names)
+    return f, start, {"command": ns.command, "algebra": str(spec), "inputs": inputs}
 
 
 # -- subcommand handlers ----------------------------------------------------------
@@ -117,23 +129,17 @@ def _base_payload(ns, spec, inputs: dict) -> dict:
 def _cmd_solve(ns) -> dict:
     """fixed-points and roots: the solver function is looked up on its module
     at call time, so that a wrapper installed there (a tracer) applies."""
-    spec = parse_algebra(ns.algebra)
-    f = parse_poly(ns.poly, spec)
+    numeric = ("precision", "tolerance") if ns.mode == "numeric" else ()
+    f, _, payload = _inputs(ns, "mode", *numeric)
     solve = dynamics.fixed_points if ns.command == "fixed-points" else solver.roots
     sols = solve(f, mode=ns.mode, precision=ns.precision, tolerance=ns.tolerance)
-    inputs = {"poly": f.render(), "mode": ns.mode}
-    if ns.mode == "numeric":
-        inputs.update(precision=ns.precision, tolerance=ns.tolerance)
-    payload = _base_payload(ns, spec, inputs)
     payload["result"] = [_solution_dict(s) for s in sols]
     return payload
 
 
 def _cmd_companion(ns) -> dict:
-    spec = parse_algebra(ns.algebra)
-    g = parse_poly(ns.poly, spec)
+    g, _, payload = _inputs(ns)
     C = solver.companion(g)
-    payload = _base_payload(ns, spec, {"poly": g.render()})
     payload["result"] = {
         "companion": C.render(),
         "coefficients": [c.render() for c in C.coeffs],
@@ -143,29 +149,14 @@ def _cmd_companion(ns) -> dict:
 
 
 def _cmd_compose(ns) -> dict:
-    spec = parse_algebra(ns.algebra)
-    f = parse_poly(ns.poly, spec)
+    f, _, payload = _inputs(ns, "n")
     composed = f.compose_iterate(ns.n)
-    payload = _base_payload(ns, spec, {"poly": f.render(), "n": ns.n})
     payload["result"] = {"poly": composed.render(), "degree": composed.degree}
     return payload
 
 
-def _pointed(ns, *counts):
-    """f, the start point and the payload of a command that takes --point.
-
-    The payload's inputs are the polynomial, the point and the `counts`.
-    """
-    spec = parse_algebra(ns.algebra)
-    f = parse_poly(ns.poly, spec)
-    start = parse_element(ns.point, spec)
-    inputs = {"poly": f.render(), "point": start.render()}
-    inputs.update((name, getattr(ns, name)) for name in counts)
-    return f, start, _base_payload(ns, spec, inputs)
-
-
 def _cmd_orbit(ns) -> dict:
-    f, start, payload = _pointed(ns, "n_max")
+    f, start, payload = _inputs(ns, "n_max")
     report = dynamics.orbit(f, start, ns.n_max, semantics=ns.semantics)
     payload["result"] = {
         "semantics": report.semantics,
@@ -176,13 +167,13 @@ def _cmd_orbit(ns) -> dict:
 
 
 def _cmd_check_periodic(ns) -> dict:
-    f, start, payload = _pointed(ns, "r", "n_max")
+    f, start, payload = _inputs(ns, "r", "n_max")
     payload["result"] = asdict(dynamics.certify_periodic(f, start, ns.r, n_max=ns.n_max))
     return payload
 
 
 def _cmd_oct_check(ns) -> dict:
-    f, start, payload = _pointed(ns, "n_max")
+    f, start, payload = _inputs(ns, "n_max")
     payload["result"] = asdict(dynamics.octonion_fixed_check(f, start, n_max=ns.n_max))
     return payload
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from itertools import chain
 from math import gcd, lcm
 
-from ._kernel import HEIGHT_BUDGET, column_height
+from ._kernel import HEIGHT_BUDGET, column_height, power
 from .errors import DegreeCapError, SpecMismatchError, UnsupportedAlgebraError
 from .octonions import Octonion, OctSpec
 from .quaternions import QuatSpec, Quaternion
@@ -181,16 +181,7 @@ class Poly:
         A[x] is alternative when A is (x is central), so by Artin's theorem
         every nesting of a power agrees, over octonions too.
         """
-        if not isinstance(t, int) or t < 0:
-            raise ValueError("polynomial powers take a nonnegative integer exponent")
-        out, base = None, self
-        while t:
-            if t & 1:
-                out = base if out is None else out * base
-            t >>= 1
-            if t:
-                base = base * base
-        return Poly.constant(self.spec, 1) if out is None else out
+        return power(self, t, Poly.constant(self.spec, 1), "polynomial")
 
     # -- substitution ----------------------------------------------------------------
 

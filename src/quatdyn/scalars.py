@@ -14,6 +14,7 @@ principal embedding sqrt(d) > 0.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 from math import isqrt, lcm
 
 from ._kernel import Element, RationalLike, Spec, Table
@@ -51,6 +52,7 @@ def nearest(d: int | None, nums, den: int, bits: int) -> int:
     return ((a << bits + 1) + r + den) // (2 * den)
 
 
+@total_ordering
 class Scalar(Element):
     """An exact element a + b*sqrt(d) of the ground field."""
 
@@ -117,26 +119,11 @@ class Scalar(Element):
         # opposite signs: compare a^2 with d b^2; ties impossible (sqrt d irrational)
         return sa if a * a > self.spec.d * b * b else sb
 
-    def _compare(self, other) -> int | None:
-        """Sign of self - other, or None for a foreign type."""
-        o = self._lift(other)
-        return None if o is None else (self - o)._sign()
-
     def __lt__(self, other) -> bool:
-        s = self._compare(other)
-        return NotImplemented if s is None else s < 0
-
-    def __le__(self, other) -> bool:
-        s = self._compare(other)
-        return NotImplemented if s is None else s <= 0
-
-    def __gt__(self, other) -> bool:
-        s = self._compare(other)
-        return NotImplemented if s is None else s > 0
-
-    def __ge__(self, other) -> bool:
-        s = self._compare(other)
-        return NotImplemented if s is None else s >= 0
+        """The exact order; `total_ordering` derives <=, > and >= from it
+        and ==."""
+        o = self._lift(other)
+        return NotImplemented if o is None else (self - o)._sign() < 0
 
     # -- real embedding -----------------------------------------------------
 

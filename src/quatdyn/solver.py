@@ -377,12 +377,6 @@ def _candidates(P: list[int]) -> list[list[int]]:
 
 
 def _exact_classes(C: Poly) -> list[ConjClass]:
-    if not C.spec.is_rational:
-        raise UnsupportedAlgebraError(
-            "exact class extraction is only available over the rationals"
-        )
-    if C.degree < 1:
-        return []
     f = _primitive(C.cols[0])
     zeros = next(i for i, c in enumerate(f) if c)
     f, found = f[zeros:], [(Fraction(0), Fraction(0))] * zeros
@@ -461,12 +455,6 @@ def _real_roots(
 
 
 def _numeric_classes(C: Poly, precision: int) -> list[ConjClass]:
-    if not C.spec.has_real_embedding:
-        raise UnsupportedAlgebraError(
-            "numeric class extraction needs a real-embedded ground field"
-        )
-    if C.degree < 1:
-        return []
     # the monic squarefree part, rounded to units of 2**-(precision + 32)
     bits = precision + 32
     if C.spec.is_rational:
@@ -527,7 +515,8 @@ def _resolving_precision(C: Poly, mu: Scalar, precision: int) -> int:
     """An estimate of the precision at which numeric extraction tells the
     roots of C near mu apart from mu, for a candidate mu with C(mu) != 0.
 
-    With a_k the Taylor coefficients of C at mu, the roots lie at least
+    With a_k the Taylor coefficients of C at mu, the coefficients of
+    C(y + mu) (one `Poly.compose`), the roots lie at least
     L = min |a_0 / a_k|^(1/k) / 2 from mu (Fujiwara's bound).  The ladder
     tells them apart from mu once the rounding of the monic coefficients to
     2**-(p + 32), which moves the value at mu by up to 2**-(p + 32) *
@@ -535,10 +524,7 @@ def _resolving_precision(C: Poly, mu: Scalar, precision: int) -> int:
     real root, |Im z| <= 2**-(p/2), is finer than L.  The estimate is at
     least twice `precision`, which did not suffice.
     """
-    taylor, rest = [], list(C.coeffs)  # the Taylor shift by mu: remainders by y - mu
-    while rest:
-        rest, r = divmod_monic(rest, [-mu, 1])
-        taylor += r
+    taylor = C.compose(Poly(C.spec, [mu, 1])).coeffs
     if not taylor[0]:
         return 2 * precision
     low = _log2_bound(taylor[0]) - 1
@@ -551,12 +537,20 @@ def _resolving_precision(C: Poly, mu: Scalar, precision: int) -> int:
 def extract_classes(
     C: Poly, mode: str = "exact", precision: int = DEFAULT_PRECISION
 ) -> list[ConjClass]:
-    """Candidate conjugacy classes (T, N) from a polynomial over the ground field."""
-    if mode == "exact":
-        return _exact_classes(C)
-    if mode == "numeric":
-        return _numeric_classes(C, precision)
-    raise ValueError(f"unknown mode {mode!r}")
+    """Candidate conjugacy classes (T, N) from a polynomial over the ground
+    field: exact mode needs Q, numeric mode a real embedding."""
+    if mode not in ("exact", "numeric"):
+        raise ValueError(f"unknown mode {mode!r}")
+    exact = mode == "exact"
+    if not (C.spec.is_rational if exact else C.spec.has_real_embedding):
+        raise UnsupportedAlgebraError(
+            "exact class extraction is only available over the rationals"
+            if exact
+            else "numeric class extraction needs a real-embedded ground field"
+        )
+    if C.degree < 1:
+        return []
+    return _exact_classes(C) if exact else _numeric_classes(C, precision)
 
 
 # -- per-class solving ------------------------------------------------------------

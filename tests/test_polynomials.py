@@ -293,37 +293,33 @@ def _rule_packs(F, G):
 
 def _spy_paths(monkeypatch):
     """Record each schoolbook_mul call as ("schoolbook", len F, len G), or as
-    "columns" when it adds into `out`, and each kronecker_mul call as
-    ("packed", len F, len G)."""
+    "columns" when it adds into `out`, and each packed product, which every
+    product path runs through `_packed_mul`, as ("packed", len F, len G)."""
     events = []
     Table = type(H.table)
-    schoolbook_mul, kronecker_mul = Table.schoolbook_mul, Table.kronecker_mul
+    schoolbook_mul, packed_mul = Table.schoolbook_mul, Table._packed_mul
 
     def spied_schoolbook(self, F, G, norm=False, out=None):
         events.append("columns" if out is not None else ("schoolbook", len(F[0]), len(G[0])))
         return schoolbook_mul(self, F, G, norm, out)
 
-    def spied_kronecker(self, F, G, norm=False):
+    def spied_packed(self, F, G, slot, norm):
         events.append(("packed", len(F[0]), len(G[0])))
-        return kronecker_mul(self, F, G, norm)
+        return packed_mul(self, F, G, slot, norm)
 
     monkeypatch.setattr(Table, "schoolbook_mul", spied_schoolbook)
-    monkeypatch.setattr(Table, "kronecker_mul", spied_kronecker)
+    monkeypatch.setattr(Table, "_packed_mul", spied_packed)
     return events
 
 
 def _check_paths(events, products, columns=False):
-    """The events show exactly the schoolbook products among `products`, a
-    list of (len F, len G, packed), and a column sum when `columns`.  A
-    packed product runs no schoolbook_mul; whether it is seen by the
-    kronecker_mul spy depends on how the kernel hands it its slot, so it is
-    only checked never to be a schoolbook one."""
-    assert [e for e in events if e[0] == "schoolbook"] == [
-        ("schoolbook", f, g) for f, g, packed in products if not packed
+    """The events show exactly `products`, a list of (len F, len G, packed),
+    in order, each schoolbook or packed as given, and a column sum when
+    `columns`."""
+    assert [e for e in events if e != "columns"] == [
+        ("packed" if packed else "schoolbook", f, g) for f, g, packed in products
     ]
     assert ("columns" in events) == columns
-    packed = [("packed", f, g) for f, g, p in products if p]
-    assert all(e in packed for e in events if e[0] == "packed")
 
 
 def test_poly_mul_takes_the_path_of_its_rule(monkeypatch):
@@ -522,8 +518,9 @@ def test_power_examples():
     assert f**2 == Poly(H, [0, 0, 0, 0, -1])
     assert f**1 == f
     assert (f**0) == Poly.constant(H, 1)
-    with pytest.raises(ValueError):
-        f**-1
+    for n in (-1, 1.5):
+        with pytest.raises(ValueError, match="^polynomial powers take a nonnegative integer exponent$"):
+            f**n
 
 
 def test_power_of_value_from_commuting_evaluation():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from quatdyn import FieldSpec, Poly, QQ, QuatSpec, SplitAlgebraError
+from quatdyn import FieldSpec, OctSpec, Poly, QQ, QuatSpec, SplitAlgebraError
 from quatdyn.errors import SpecMismatchError
 
 from helpers import rand_quat, table_qmul
@@ -115,8 +115,12 @@ def test_inverse_errors():
         H.zero().inv()
     with pytest.raises(SplitAlgebraError):
         (SPLIT.one() + SPLIT.i()).inv()  # (1+i)(1-i) = 1 - i*i = 0 when alpha = 1
-    with pytest.raises(ValueError):
-        H.i() ** -1  # powers take nonnegative exponents; use inv()
+    # powers take nonnegative integer exponents; use inv()
+    for x, what in ((H.i(), "quaternion"), (OctSpec.standard().basis_element("l"), "octonion")):
+        for n in (-1, 1.5):
+            with pytest.raises(ValueError, match=f"^{what} powers take a nonnegative integer exponent$"):
+                x**n
+        assert x**0 == x.spec.one() and x**1 == x
 
 
 def test_commutes():

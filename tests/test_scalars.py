@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -103,8 +104,10 @@ def test_nearest_rounds_ties_to_even_and_brackets_radicals():
 def test_to_real_without_embedding():
     with pytest.raises(NoRealEmbeddingError):
         FieldSpec(-1).scalar(1).to_real(10)
-    with pytest.raises(NoRealEmbeddingError):
-        FieldSpec(-3).scalar(1, 1) < 0
+    x = FieldSpec(-3).scalar(1, 1)
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(NoRealEmbeddingError):
+            compare(x, 0)
 
 
 def test_exact_order():
@@ -114,6 +117,12 @@ def test_exact_order():
     assert F5.scalar(2, -1) < 0  # 2 - sqrt5 < 0
     assert F5.sqrt_gen() <= F5.sqrt_gen() <= Fraction(9, 4)
     assert F5.sqrt_gen() >= 2 and not F5.scalar(2, -1) >= 0
+    # a Fraction on the left defers to the reflected operator
+    assert Fraction(9, 4) >= F5.sqrt_gen() and Fraction(9, 4) > F5.sqrt_gen()
+    assert not Fraction(9, 4) <= F5.sqrt_gen() and 2 <= F5.sqrt_gen()
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            compare(F5.sqrt_gen(), "2")
     vals = [F5.sqrt_gen(), F5.scalar(0), F5.scalar(2), F5.scalar(-1, 1)]
     ordered = sorted(vals)
     assert ordered == [F5.scalar(0), F5.scalar(-1, 1), F5.scalar(2), F5.sqrt_gen()]
