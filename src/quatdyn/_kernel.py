@@ -227,7 +227,7 @@ class Table:
         added into the columns `out` when given (long enough to hold them).
 
         It walks the table by rows, so a zero coefficient of F skips its
-        whole row; a walk by column pairs, as in kronecker_mul, measured 8%
+        whole row; a walk by column pairs, as in _packed_mul, measured 8%
         slower on the short products of `compose`.
         """
         if out is None:
@@ -242,15 +242,9 @@ class Table:
                             o[k] += ac * b
         return out
 
-    def kronecker_mul(self, F, G, norm: bool = False) -> list[list[int]]:
-        """poly_mul by Kronecker substitution (Harvey 2009, J. Symb. Comput. 44),
-        at the slot of F's and G's widest coefficients (`_slot_bits`)."""
-        bits = _profile(F)[0]
-        slot = self._slot_bits(bits, bits if G is F else _profile(G)[0], min(len(F[0]), len(G[0])))
-        return self._packed_mul(F, G, slot, norm)
-
     def _packed_mul(self, F, G, slot: int, norm: bool) -> list[list[int]]:
-        """kronecker_mul at a slot of s bits that holds every coefficient.
+        """poly_mul by Kronecker substitution (Harvey 2009, J. Symb. Comput. 44),
+        at a slot of s bits that holds every coefficient.
 
         Each column becomes one integer, sum F[p][i] * 2**(s*i), so that one
         integer product per column pair (p, q) of the table holds a whole

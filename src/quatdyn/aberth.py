@@ -25,8 +25,9 @@ Approximants come back as such triples (a, b, F).  `to_grid` aligns them on
 one fixed-point grid, and `inclusion_radii` bounds the Weierstrass radii
 n*|P(z_k)| / |lead * prod_{j != k} (z_k - z_j)| there, on Gaussian integers,
 each rounded up once; its `error` widens them for coefficients known only to
-within that many units.  Where the disks are pairwise disjoint, each
-contains exactly one root (Braess & Hadeler 1973).
+within that many units; one exact value of P per approximant serves both
+its residual test and its radius.  Where the disks are pairwise disjoint,
+each contains exactly one root (Braess & Hadeler 1973).
 """
 
 from __future__ import annotations
@@ -185,28 +186,30 @@ def _gauss_horner(P: list[int], a: int, b: int, F: int) -> tuple[int, int]:
     return hr, hi
 
 
-def _residual_ok(P: list[int], z: Approximant, bits: int) -> bool:
-    """|P(z)| <= 2**-bits * max(|lead|, sum |c_i| |z|**i), exactly, for
-    P = sum c_i x^i: a test that scaling P leaves unchanged."""
+def _residual(P: Sequence[int], z: Approximant, bits: int) -> tuple[int, int, int]:
+    """(hr, hi, F) with hr + i*hi = 2**(F*n) * P(z), z = (a + ib)/2**F raised to F >= 0,
+    once z passes the residual test |Q(z)| <= 2**-bits * max(|lead|, sum |c_i| |z|**i),
+    exactly, for Q = P/x**m = sum c_i x^i, Q(0) != 0: unchanged by scaling P."""
     a, b, F = z
     if F < 0:
         a, b, F = a << -F, b << -F, 0
-    n = len(P) - 1
+    n, m = len(P) - 1, next(i for i, c in enumerate(P) if c)
     hr, hi = _gauss_horner(P, a, b, F)
     modulus = isqrt(a * a + b * b)  # the size is a lower bound
     size = 0
-    for i in range(n, -1, -1):
+    for i in range(n, m - 1, -1):
         size = size * modulus + abs(P[i] << (F * (n - i)))
-    scale = max(abs(P[n]) << (F * n), size)
-    return (hr * hr + hi * hi) << (2 * bits) <= scale * scale
+    scale = max(abs(P[n]) << (F * (n - m)), size)
+    if (hr * hr + hi * hi) << (2 * bits) > scale * scale * (a * a + b * b) ** m:
+        raise ConvergenceError("root iteration did not reach the requested accuracy")
+    return hr, hi, F
 
 
 def aberth_roots(coeffs: Sequence[int], precision: int) -> list[Approximant]:
     """All complex roots of sum coeffs[i]*x^i, for integers coeffs, to
     roughly `precision` bits, as triples (a, b, F) for (a + ib)/2**F.
 
-    Each rung takes at most `MAX_SWEEPS` sweeps.  The top rung's
-    approximants must pass a residual test, or ConvergenceError is raised.
+    Each rung takes at most `MAX_SWEEPS` sweeps; `inclusion_radii` tests the residuals.
     """
     P = list(coeffs)
     while P and not P[-1]:
@@ -231,8 +234,6 @@ def aberth_roots(coeffs: Sequence[int], precision: int) -> list[Approximant]:
         # below the top, a step of 2**-(k/2) leaves an error near 2**-k
         # (quadratic convergence), so the confirming sweep is skipped
         goal = bits - 56 if bits == top else (bits - 56) // 2
-    if not all(_residual_ok(P, z, precision // 2) for z in zs):
-        raise ConvergenceError("root iteration did not reach the requested accuracy")
     return origin + zs
 
 
@@ -251,11 +252,10 @@ def to_grid(zs: list[Approximant], bits: int) -> tuple[int, list[tuple[int, int]
     return E, [(align(a, F), align(b, F)) for a, b, F in zs]
 
 
-def sqrt_up(q: Fraction) -> Fraction:
-    """A dyadic rational at least sqrt(q) and within a relative 2**-60 of it."""
-    if q <= 0:
+def sqrt_up(a: int, b: int) -> Fraction:
+    """A dyadic rational at least sqrt(a/b), for integers b > 0, within a relative 2**-60."""
+    if a <= 0:
         return Fraction(0)
-    a, b = q.numerator, q.denominator
     k = 64 - (a.bit_length() - b.bit_length()) // 2
     if k >= 0:
         return Fraction(isqrt((a << 2 * k) // b) + 1, 1 << k)
@@ -263,29 +263,29 @@ def sqrt_up(q: Fraction) -> Fraction:
 
 
 def inclusion_radii(
-    P: Sequence[int], E: int, points: list[tuple[int, int]], error: int = 0
+    P: Sequence[int], E: int, points: list[tuple[int, int]], error: int,
+    approximants: Sequence[Approximant], residual_bits: int
 ) -> list[Fraction] | None:
     """Upper bounds of the Weierstrass radii of the grid points (A + iB)/2**E
     as approximants of the roots of P = sum P[i]*x^i, integers, which must
     number as many as its degree; None when two points coincide.
 
-    The disks also hold the roots of every P + delta with |delta_i| <=
-    `error` in each lower coefficient: `error` is in units of P's
-    coefficients.  2**(E*n) * P(z_k) is a Gaussian integer, and so is every
-    difference of two points, so all of it is integer arithmetic, and each
-    radius is rounded up once, at the end.
+    The disks also hold the roots of every P + delta with |delta_i| <= `error`
+    in each lower coefficient: `error` is in units of P's coefficients.  Each
+    of the `approximants` the points were aligned from first passes the
+    residual test at `residual_bits`, else ConvergenceError is raised; on the
+    grid, that one exact value of P serves its radius too.  2**(E*n) * P(z_k)
+    is a Gaussian integer, and so is every difference of two points, so each
+    radius is rounded up once, from an integer ratio.
     """
     n, lead = len(P) - 1, P[-1]
+    values = [_residual(P, z, residual_bits) for z in approximants]
     radii = []
-    for k, (A, B) in enumerate(points):
-        hr, hi = _gauss_horner(P, A, B, E)
-        prod = 1
-        for j, (A2, B2) in enumerate(points):
-            if j != k:
-                dist2 = (A - A2) ** 2 + (B - B2) ** 2
-                if not dist2:
-                    return None
-                prod *= dist2
+    for k, ((A, B), (hr, hi, F)) in enumerate(zip(points, values)):
+        hr, hi = (hr << (E - F) * n, hi << (E - F) * n) if F <= E else _gauss_horner(P, A, B, E)
+        prod = math.prod((A - A2) ** 2 + (B - B2) ** 2 for j, (A2, B2) in enumerate(points) if j != k)
+        if not prod:
+            return None
         value2 = hr * hr + hi * hi  # |2**(E*n) * P(z_k)|**2
         if error:
             # |P(z_k)| + error * sum |z_k|**i, times 2**(E*n), with M > 2**E * |z_k|:
@@ -294,5 +294,5 @@ def inclusion_radii(
             for i in range(n - 1, -1, -1):
                 powers = powers * M + (1 << E * (n - i))
             value2 = (isqrt(value2) + 1 + error * powers) ** 2
-        radii.append(sqrt_up(Fraction(n * n * value2, lead * lead * prod << 2 * E)))
+        radii.append(sqrt_up(n * n * value2, lead * lead * prod << 2 * E))
     return radii

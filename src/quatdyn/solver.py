@@ -466,7 +466,7 @@ def _numeric_classes(C: Poly, precision: int) -> list[ConjClass]:
     zs = aberth_roots(P, precision=precision)
     E, pts = to_grid(zs, precision + 64)
     # the disks also cover that rounding: one unit in each coefficient
-    radii = inclusion_radii(P, E, pts, 1)
+    radii = inclusion_radii(P, E, pts, 1, zs, precision // 2)
     unit = Fraction(1, 1 << E)
     disks = [] if radii is None else [(A * unit, B * unit, rho) for (A, B), rho in zip(pts, radii)]
 
@@ -485,7 +485,8 @@ def _numeric_classes(C: Poly, precision: int) -> list[ConjClass]:
             found.append((2 * mu, mu * mu, excluded))
         elif B > 0:
             upper += 1
-            modulus = sqrt_up(re * re + im * im)
+            q = re * re + im * im
+            modulus = sqrt_up(q.numerator, q.denominator)
             found.append(
                 (
                     _simplest(2 * re, 2 * rho),

@@ -7,9 +7,15 @@ each disk must hold one of sympy's roots (mpmath through sympy, at more
 digits than the precision asked for).
 """
 
+import contextlib
 import functools
+import hashlib
+import io
 import itertools
+import json
+import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -22,6 +28,7 @@ from quatdyn.aberth import (
     inclusion_radii,
     to_grid,
 )
+from quatdyn.cli import main
 
 H = QuatSpec.standard()
 
@@ -106,7 +113,7 @@ def test_disjoint_disks_each_hold_one_sympy_root(coeffs, texts, precision):
     # a grid fine enough for the smallest root as well as the largest
     logs = [max(abs(a), abs(b)).bit_length() - F for a, b, F in zs]
     E, pts = to_grid(zs, precision + 64 + max(logs) - min(logs))
-    radii = inclusion_radii(coeffs, E, pts)
+    radii = inclusion_radii(coeffs, E, pts, 0, zs, precision // 2)
     assert radii is not None and len(radii) == len(coeffs) - 1
     unit = Fraction(1, 1 << E)
     disks = [(A * unit, B * unit, rho) for (A, B), rho in zip(pts, radii)]
@@ -133,7 +140,7 @@ def test_ladder_starts_on_the_newton_polygon(monkeypatch):
     C = [1, 0, 2 - 10**3000, 0, 1]
     zs = aberth_roots(C, precision=128)
     E, pts = to_grid(zs, 192 + 2 * 4983)  # the moduli spread over 2 * 4983 bits
-    radii = inclusion_radii(C, E, pts)
+    radii = inclusion_radii(C, E, pts, 0, zs, 128 // 2)
     assert radii is not None
     moduli = sorted(Fraction(A * A + B * B, 1 << (2 * E)) for A, B in pts)
     assert [m > 10**2990 for m in moduli] == [False, False, True, True]
@@ -177,7 +184,7 @@ def test_integer_input_with_a_non_unit_lead_and_roots_at_the_origin(sign):
     zs = aberth_roots(P, precision=128)
     assert zs[:2] == [(0, 0, 0)] * 2
     E, pts = to_grid(zs[2:], 192)
-    radii = inclusion_radii(P[2:], E, pts)
+    radii = inclusion_radii(P[2:], E, pts, 0, zs[2:], 128 // 2)
     assert radii is not None
     unit = Fraction(1, 1 << E)
     disks = [(A * unit, B * unit, rho) for (A, B), rho in zip(pts, radii)]
@@ -201,8 +208,9 @@ def test_error_disks_hold_the_roots_of_every_perturbation(text):
     sympy = pytest.importorskip("sympy")
     y = sympy.Symbol("y")
     P = _integer(text)
-    E, pts = to_grid(aberth_roots(P, precision=64), 128)
-    radii = inclusion_radii(P, E, pts, 1)
+    zs = aberth_roots(P, precision=64)
+    E, pts = to_grid(zs, 128)
+    radii = inclusion_radii(P, E, pts, 1, zs, 64 // 2)
     unit = Fraction(1, 1 << E)
     disks = [(A * unit, B * unit, rho) for (A, B), rho in zip(pts, radii)]
     assert all(rho < Fraction(1, 2**8) for _, _, rho in disks)
@@ -212,3 +220,109 @@ def test_error_disks_hold_the_roots_of_every_perturbation(text):
             x, yy = (Fraction(str(sympy.Rational(v))) for v in root.as_real_imag())
             slack = Fraction(1, 10**30)
             assert any((x - cx) ** 2 + (yy - cy) ** 2 <= (r + slack) ** 2 for cx, cy, r in disks)
+
+
+def _sqrt_bounds(q, bits=256):
+    """Fractions at most and at least sqrt(q), 2**-bits apart unless exact."""
+    scaled = q.numerator << 2 * bits
+    s = isqrt(scaled // q.denominator)
+    return Fraction(s, 2**bits), Fraction(s + (s * s * q.denominator != scaled), 2**bits)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_radii_against_a_fraction_oracle(seed):
+    """Each radius, rounded up from the unreduced integer ratio, lies between
+    the Weierstrass radius n*(|P(z_k)| + error*sum_{i<n} |z_k|**i) /
+    |lead * prod_{j != k} (z_k - z_j)|, computed on Fractions, and 1 + 2**-56
+    times it; coincident points give None."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 6)
+    P = [rng.randint(-9, 9) for _ in range(n)] + [rng.choice([-3, -2, -1, 1, 2, 3])]
+    zs = aberth_roots(P, precision=64)
+    E, pts = to_grid(zs, 128)
+    assert len(set(pts)) == n
+    lead, unit = abs(P[-1]), Fraction(1, 1 << E)
+    for error in (0, 1):
+        radii = inclusion_radii(P, E, pts, error, zs, 32)
+        for k, (A, B) in enumerate(pts):
+            x, y = A * unit, B * unit
+            re = im = Fraction(0)
+            for c in reversed(P):  # P(z) by Horner's rule
+                re, im = re * x - im * y + c, re * y + im * x
+            spread = Fraction(1)
+            for j, (A2, B2) in enumerate(pts):
+                if j != k:
+                    spread *= ((A - A2) ** 2 + (B - B2) ** 2) * unit * unit
+            size = _sqrt_bounds(x * x + y * y)
+            residual = _sqrt_bounds(re * re + im * im)
+            distance = _sqrt_bounds(spread)
+            low, high = (
+                n * (residual[s] + error * sum(size[s] ** i for i in range(n))) / (lead * distance[1 - s])
+                for s in (0, 1)
+            )
+            assert high <= radii[k] <= (1 + Fraction(1, 2**56)) * low
+    assert inclusion_radii(P, E, pts[:-1] + pts[:1], 1, zs[:-1] + zs[:1], 32) is None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sqrt_up_bounds_every_representation_of_a_ratio(seed):
+    """sqrt_up(g*a, g*b) is at least sqrt(a/b) and within a relative 2**-60
+    of it, whatever the common factor g and however far a/b is from 1."""
+    rng = random.Random(seed)
+    for _ in range(200):
+        a, b = rng.getrandbits(rng.randint(1, 600)), rng.getrandbits(rng.randint(1, 600)) | 1
+        g = rng.getrandbits(rng.randint(1, 300)) | 1
+        r = aberth.sqrt_up(g * a, g * b)
+        q = Fraction(a, b)
+        assert r * r >= q and r * r <= q * (1 + Fraction(1, 2**60)) ** 2
+    assert aberth.sqrt_up(0, 7) == 0 and aberth.sqrt_up(9 << 400, 4 << 400) == Fraction(3, 2) + Fraction(1, 2**64)
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+SMALL = ["roots", "--poly", "x^4+3*x^3-2*x+i", "--mode", "numeric"]
+
+
+def test_p_is_evaluated_once_per_approximant(monkeypatch):
+    """The squarefree companion of x^4 + 3x^3 - 2x + i has degree 8: its 8
+    approximants all lie on the grid, so one evaluation of P each serves
+    both the residual test and the inclusion radius."""
+    degrees = []
+    horner = aberth._gauss_horner
+
+    def spy(P, a, b, F):
+        degrees.append(len(P) - 1)
+        return horner(P, a, b, F)
+
+    monkeypatch.setattr(aberth, "_gauss_horner", spy)
+    assert _run(SMALL)[0] == 0
+    assert degrees == [8] * 8
+
+
+def test_unconverged_approximants_fail_the_residual_test(monkeypatch):
+    """One sweep per rung leaves approximants that fail the residual test."""
+    monkeypatch.setattr(aberth, "MAX_SWEEPS", 1)
+    code, out = _run(SMALL)
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "ConvergenceError",
+        "message": "root iteration did not reach the requested accuracy",
+    }
+
+
+def test_off_grid_approximants_keep_their_own_residual_test():
+    """x^4 + 10^40 x + i has roots near 10^-40 and near 10^(40/3): the grid,
+    fixed by the largest, rounds the approximants of the small ones, so P is
+    evaluated again at their grid points for the radii, while the residual
+    test stays on the approximants themselves (at the rounded grid points
+    this input fails it).  The output is pinned by its SHA-256."""
+    code, out = _run(["roots", "--poly", f"x^4+{10**40}*x+i", "--mode", "numeric", "--precision", "128"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f77e85a135d5a09622419bc5bb08925c92f20e782a412cf082c0fae7f9344757"
+    )

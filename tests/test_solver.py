@@ -570,8 +570,9 @@ def test_small_non_real_root_is_not_snapped_to_a_central_class():
     from quatdyn.solver import _real_roots
 
     fracs = [int(c.to_real(160) * 2**160) for c in companion(g).coeffs]
-    E, pts = to_grid(aberth_roots(fracs, precision=128), 192)
-    assert inclusion_radii(fracs, E, pts) is not None
+    zs = aberth_roots(fracs, precision=128)
+    E, pts = to_grid(zs, 192)
+    assert inclusion_radii(fracs, E, pts, 0, zs, 128 // 2) is not None
     ims = [Fraction(abs(B), 1 << E) for _, B in pts]
     assert ims[0] != ims[1]  # the approximants are not exact conjugates
     below = 1 - Fraction(1, 2**40)
@@ -653,11 +654,11 @@ def test_inclusion_disks_and_certificate():
     # each disk holds its root
     z = Fraction(22, 16)
     exact = 2 * abs(z * z - 2) / (2 * z)
-    radii = inclusion_radii([-2, 0, 1], 4, [(22, 0), (-22, 0)])
+    radii = inclusion_radii([-2, 0, 1], 4, [(22, 0), (-22, 0)], 0, [(22, 0, 4), (-22, 0, 4)], 0)
     for r in radii:
         assert exact <= r <= exact * (1 + Fraction(1, 2**50))
         assert (z - r) ** 2 <= 2 <= (z + r) ** 2
-    assert inclusion_radii([-2, 0, 1], 4, [(1, 0), (1, 0)]) is None
+    assert inclusion_radii([-2, 0, 1], 4, [(1, 0), (1, 0)], 0, [(1, 0, 4), (1, 0, 4)], 0) is None
 
 
 # -- exact extraction by roots mod p, lifted p-adically -------------------------------

@@ -1,9 +1,10 @@
 """Which product and which composition path quatdyn takes on the benchmark's
-argv lists, and what the exact solver's squarefree part and local factors see.
+argv lists, what the exact solver's squarefree part and local factors see,
+and how often numeric extraction evaluates P.
 
     python3 tools/path_counts.py [CHECKOUT]
 
-Prints five lines per workload, over the same calls as
+Prints six lines per workload, over the same calls as
 `tools/output_digest.py` (every distinct argv that `perfbench/workloads.py`
 builds for iterate, periodic and roots at seeds 1-20, one round each, run
 in-process through `quatdyn.cli.main`):
@@ -13,6 +14,7 @@ in-process through `quatdyn.cli.main`):
     <workload> compose powers schoolbook <n> packed <n>
     <workload> squarefree part squarefree <n> repeated <n>
     <workload> local prime 11 <n> above <n>
+    <workload> numeric evaluations <n> approximants <m>
 
 A `Table.poly_mul` call made outside `Table.compose` counts as schoolbook
 when it ran `Table.schoolbook_mul`, and as packed otherwise.  A
@@ -23,9 +25,11 @@ g^m too when it sums on the columns; those of them that ran `schoolbook_mul`
 count as schoolbook powers, the rest as packed.  An input of
 `solver._integer_squarefree` counts as squarefree when its part has its
 length, and as repeated otherwise; a `solver._local_factors` call counts by
-the prime it returns, 11 or above.  The counts are read from the calls, not
-from the rule, so two checkouts that print the same lines took the same
-paths.
+the prime it returns, 11 or above.  Evaluations count the calls of
+`aberth._gauss_horner` (an exact value of P at one point), approximants the
+roots that `solver.aberth_roots` returns.  The counts are read from the
+calls, not from the rule, so two checkouts that print the same lines took
+the same paths.
 
 The program is imported from CHECKOUT/src (by default this repository's);
 the argv lists always come from this repository's perfbench.  Run it from
@@ -97,17 +101,34 @@ def _spy_solver(solver, counts: Counter) -> None:
     solver._integer_squarefree, solver._local_factors = spied_squarefree, spied_local_factors
 
 
+def _spy_aberth(aberth, solver, counts: Counter) -> None:
+    """Wrap P's evaluation in aberth and the ladder as solver calls it to fill counts."""
+    horner, roots = aberth._gauss_horner, solver.aberth_roots
+
+    def spied_horner(P, a, b, F):
+        counts["numeric", "evaluations"] += 1
+        return horner(P, a, b, F)
+
+    def spied_roots(coeffs, precision):
+        zs = roots(coeffs, precision)
+        counts["numeric", "approximants"] += len(zs)
+        return zs
+
+    aberth._gauss_horner, solver.aberth_roots = spied_horner, spied_roots
+
+
 def main() -> int:
     checkout = Path(sys.argv[1]) if len(sys.argv) > 1 else ROOT
     sys.path[:0] = [str(checkout.resolve() / "src"), str(ROOT / "perfbench")]
     import workloads
-    from quatdyn import solver
+    from quatdyn import aberth, solver
     from quatdyn._kernel import Table
     from quatdyn.cli import main as cli_main
 
     counts: Counter = Counter()
     _spy(Table, counts)
     _spy_solver(solver, counts)
+    _spy_aberth(aberth, solver, counts)
     for name in ("iterate", "periodic", "roots"):
         seen = set()
         counts.clear()
@@ -128,6 +149,8 @@ def main() -> int:
         print(name, "squarefree part squarefree", counts["squarefree", "squarefree"],
               "repeated", counts["squarefree", "repeated"])
         print(name, "local prime 11", counts["local", "11"], "above", counts["local", "above"])
+        print(name, "numeric evaluations", counts["numeric", "evaluations"],
+              "approximants", counts["numeric", "approximants"])
     return 0
 
 
