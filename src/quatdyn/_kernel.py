@@ -555,10 +555,15 @@ class Element:
         )
 
     def __hash__(self) -> int:
-        # equal elements hash equal: a central element equals its scalar
-        if self.is_central:
-            return hash(self.scalar_part())
-        return hash((self.spec, self.nums, self.den))
+        # equal elements hash equal: an element equals its padding into an
+        # algebra one level up, and one with a rational value its Fraction
+        nums = self.nums
+        end = len(nums)
+        while end > 1 and not nums[end - 1]:
+            end -= 1
+        if end == 1:
+            return hash(Fraction(nums[0], self.den))
+        return hash((self.spec.field, nums[:end], self.den))
 
     # -- text -----------------------------------------------------------------
 

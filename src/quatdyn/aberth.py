@@ -253,10 +253,13 @@ def to_grid(zs: list[Approximant], bits: int) -> tuple[int, list[tuple[int, int]
 
 
 def sqrt_up(a: int, b: int) -> Fraction:
-    """A dyadic rational at least sqrt(a/b), for integers b > 0, within a relative 2**-60."""
+    """A dyadic rational at least sqrt(a/b), for integers b > 0, within a relative
+    2**-60; it depends on the ratio a/b only, whatever its representation."""
     if a <= 0:
         return Fraction(0)
-    k = 64 - (a.bit_length() - b.bit_length()) // 2
+    e = a.bit_length() - b.bit_length()
+    e -= (a << max(-e, 0)) < (b << max(e, 0))  # e = floor(log2(a/b))
+    k = 64 - e // 2
     if k >= 0:
         return Fraction(isqrt((a << 2 * k) // b) + 1, 1 << k)
     return Fraction((isqrt(a // (b << -2 * k)) + 1) << -k)

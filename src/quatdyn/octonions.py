@@ -41,12 +41,6 @@ class Octonion(Element):
         half = len(self.nums) // 2
         return Quaternion(self.spec.quat, self.nums[half:], self.den)
 
-    def __hash__(self) -> int:
-        # an octonion with no l part equals, and hashes as, its quaternion
-        if not any(self.nums[len(self.nums) // 2 :]):
-            return hash(self.q)
-        return hash((self.spec, self.nums, self.den))
-
 
 class OctSpec(Spec):
     """A quaternion algebra together with the doubling parameter gamma."""

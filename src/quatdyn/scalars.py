@@ -75,6 +75,7 @@ class Scalar(Element):
     __rtruediv__ = Element.__rtruediv__
     __pow__ = Element.__pow__
     __eq__ = Element.__eq__
+    __hash__ = Element.__hash__  # a class that sets __eq__ alone gets no hash
 
     field = property(lambda self: self.spec)
     a = property(lambda self: Fraction(self.nums[0], self.den))
@@ -99,12 +100,6 @@ class Scalar(Element):
 
     def __bool__(self) -> bool:
         return any(self.nums)
-
-    def __hash__(self) -> int:
-        # a rational scalar equals, and hashes as, its Fraction
-        if any(self.nums[1:]):
-            return hash((self.spec, self.nums, self.den))
-        return hash(self.a)
 
     def _sign(self) -> int:
         """Exact sign under the principal real embedding."""

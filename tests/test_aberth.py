@@ -278,6 +278,23 @@ def test_sqrt_up_bounds_every_representation_of_a_ratio(seed):
     assert aberth.sqrt_up(0, 7) == 0 and aberth.sqrt_up(9 << 400, 4 << 400) == Fraction(3, 2) + Fraction(1, 2**64)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_sqrt_up_depends_on_the_ratio_only(seed):
+    """sqrt_up(g*a, g*b) == sqrt_up(a, b): the rounding is fixed by a/b, also
+    where a/b lies just below, at or just above a power of two, where the
+    bit lengths of a and b alone misjudge its binary exponent."""
+    rng = random.Random(seed)
+    for _ in range(200):
+        b = rng.getrandbits(rng.randint(1, 300)) | 1
+        if rng.random() < 0.5:  # a/b next to a power of two, once b is shifted
+            a = (b << rng.randint(0, 300)) + rng.choice((-1, 0, 1))
+        else:
+            a = rng.getrandbits(rng.randint(1, 600)) | 1
+        b <<= rng.randint(0, 300)
+        g = rng.getrandbits(rng.randint(1, 300)) + 1
+        assert aberth.sqrt_up(g * a, g * b) == aberth.sqrt_up(a, b), (a, b, g)
+
+
 def _run(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

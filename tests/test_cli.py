@@ -113,6 +113,9 @@ def test_exit_codes():
     code, out = run_cli(["roots", "--algebra", "quat:-1,-1@Q(s18)", "--poly", "x"])
     assert code == 2
     assert json.loads(out)["error"]["message"] == "d = 18 is not squarefree"
+    code, out = run_cli(["roots", "--algebra", "quat:-1,-1@Q(s50)", "--poly", "x"])
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == "d = 50 is not squarefree"
 
     code, out = run_cli(["compose", "--poly", "i*x^2", "--n", "20"])
     assert code == 1

@@ -122,3 +122,38 @@ def test_specs_are_immutable(case):
     for name in ("table", "field", "anything"):
         with pytest.raises(AttributeError):
             setattr(spec, name, None)
+
+
+def _values():
+    """Rationals, scalars over Q and Q(s5), and quaternions and octonions over
+    both, each coerced one level up too, so that many are equal across types;
+    every spec is built twice, as distinct objects."""
+    values = [0, 1, -2, Fraction(1, 2), Fraction(-3, 4)]
+    for d in (None, 5, None, 5):
+        field = FieldSpec(d)
+        scalars = [field.scalar(v) for v in (0, 1, -2, Fraction(1, 2))]
+        if d is not None:
+            scalars += [field.scalar(1, 1), field.scalar(0, Fraction(-2, 3))]
+        quat, octo = QuatSpec.standard(field), OctSpec.standard(field)
+        quats = [quat.coerce(s) for s in scalars]
+        quats += [quat.element(1, 2), quat.i(), quat.element(scalars[-1], 0, 0, 3)]
+        octs = [octo.coerce(q) for q in quats] + [octo.element(0, 1), octo.element(quat.j(), quat.k())]
+        values += scalars + quats + octs
+    return values
+
+
+def test_equal_elements_hash_equal():
+    """x == y implies hash(x) == hash(y), across int, Fraction, Scalar,
+    Quaternion and Octonion: sets and dict keys mix them safely."""
+    values = _values()
+    across = 0
+    for x in values:
+        for y in values:
+            try:
+                equal = x == y
+            except (FieldMismatchError, SpecMismatchError):  # another field or algebra
+                continue
+            if equal:
+                assert hash(x) == hash(y), (x, y)
+                across += type(x) is not type(y)
+    assert across >= 300

@@ -24,7 +24,9 @@ def test_field_spec_validation():
     FieldSpec(5)
     FieldSpec(-1)
     FieldSpec(-6)
-    for bad in (0, 1, 4, 12, -4):
+    FieldSpec(35)  # 35 and -1155 pass trial division by odd primes
+    FieldSpec(-1155)
+    for bad in (0, 1, 4, 12, -4, 50, 5 * 11**2):  # 50 and 5*11^2 fail it
         with pytest.raises(ValueError):
             FieldSpec(bad)
 

@@ -841,6 +841,20 @@ def test_integer_squarefree_matches_sympy(seed):
     assert len(expected) < len(f)
 
 
+@pytest.mark.parametrize("case", ["prime divides the lead", "unlucky prime"])
+def test_integer_squarefree_passes_over_bad_primes(case):
+    """(p0*x - 1)*(x - 1)^2 makes the first prime p0 divide f's lead, so it is
+    skipped; mod p1, (x - 1)^2*(x - 1 - p1) is (x - 1)^3, whose gcd image has
+    a higher degree than the true gcd's, so that prime is dropped."""
+    from quatdyn.solver import _integer_squarefree, _prime
+
+    sympy = pytest.importorskip("sympy")
+    square = _times([-1, 1], [-1, 1])
+    f = _times([-1, _prime(0)], square) if case == "prime divides the lead" else _times(square, [-1 - _prime(1), 1])
+    expected = sympy.Poly(f[::-1], sympy.Symbol("y")).sqf_part().all_coeffs()[::-1]
+    assert _integer_squarefree(f) == [int(c) for c in expected]
+
+
 def test_dense_degree_48_squarefree_part_takes_milliseconds():
     """Monic Euclid on Fractions took 34-47 ms here, a heuristic gcd (one
     integer gcd of values) about 0.1 ms, and the modular gcd about 0.8 ms."""

@@ -1,0 +1,217 @@
+"""What quatdyn prints, which paths it takes and where its time goes, on the
+benchmark's argv lists.
+
+    python3 tools/report.py [CHECKOUT]
+
+A workload's corpus is every distinct argv that `perfbench/workloads.py`
+builds for it at seeds 1-20, one round each (the 8 goldens among them), in
+the order first built.  Each argv runs PASSES times in-process through
+`quatdyn.cli.main`, gc collected before each call and off during it, as in
+perfbench's runner; every number printed comes from those calls.  Per
+workload (iterate, periodic, roots), eight lines:
+
+    <workload> <calls> <sha256>
+    <workload> poly_mul schoolbook <n> packed <n>
+    <workload> compose packed <n> columns <n>
+    <workload> compose powers schoolbook <n> packed <n>
+    <workload> squarefree part squarefree <n> repeated <n>
+    <workload> local prime 11 <n> above <n>
+    <workload> numeric evaluations <n> approximants <m>
+    <workload> <calls> argparse <ms> parse <ms> compute <ms> render <ms> json <ms> main <ms> ms
+
+The digest runs over the exit code and stdout of each first-pass call.  The
+path counts come from spies on those calls: a `Table.poly_mul` outside
+`Table.compose` is schoolbook when it ran `Table.schoolbook_mul`; a
+`Table.compose` of f of degree m sums on columns when it ran `schoolbook_mul`
+into `out`, else packed, and of its powers g^2..g^(m-1) (and g^m on columns)
+those that ran `schoolbook_mul` are schoolbook; a squarefree part is
+`solver._integer_squarefree`'s, repeated when shorter than its input; the
+local prime is `solver._local_factors`'; evaluations are the calls of
+`aberth._gauss_horner`, approximants the roots of `solver.aberth_roots`.
+
+The cost line sums the stages of `cli.main` over the calls, each stage the
+best of the passes: argparse is its parser's parse_args; parse is
+cli.parse_algebra, parse_poly and parse_element; render is Poly.render and
+Element.render (the echoed algebra's parameters too, not the solver's
+per-coordinate text); json is json.dumps; main is the whole call, and compute
+the rest of it.  A stage called inside another counts to the outer one.
+
+The program is imported from CHECKOUT/src (by default this repository's),
+the argv lists from this repository's perfbench, so two checkouts run the
+same calls: equal digests mean byte-identical stdout and exit codes, equal
+path lines the same paths.  Report only: it checks nothing.  Run it from the
+repository root, where the goldens are read from tests/golden.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import gc
+import hashlib
+import io
+import json
+import sys
+from collections import Counter
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = range(1, 21)
+PASSES = 3
+WORKLOADS = ("iterate", "periodic", "roots")
+STAGES = ("argparse", "parse", "compute", "render", "json", "main")
+PATHS = (("poly_mul", "schoolbook", "packed"), ("compose", "packed", "columns"),  # the line, its two counts
+         ("compose powers", "schoolbook", "packed"), ("squarefree part", "squarefree", "repeated"),
+         ("local prime", "11", "above"), ("numeric", "evaluations", "approximants"))
+
+
+def _load(checkout: Path) -> None:
+    """Import quatdyn from checkout/src and perfbench from this repository."""
+    sys.path[:0] = [str(checkout.resolve() / "src"), str(ROOT / "perfbench")]
+
+
+def _corpus(name: str) -> list[list[str]]:
+    """Every distinct argv of the workload at SEEDS, one round each, first built first."""
+    import workloads
+
+    seen: dict[str, list[str]] = {}
+    for seed in SEEDS:
+        for call in workloads.build(name, seed, 1):
+            seen.setdefault("\0".join(call.argv), call.argv)
+    return list(seen.values())
+
+
+def _spy_paths(counts: Counter) -> None:
+    """Wrap the kernel's products and composition, the solver's squarefree
+    part and local factors, and the numeric evaluations to fill counts."""
+    from quatdyn import aberth, solver
+    from quatdyn._kernel import Table
+
+    state = {"compose": 0, "schoolbook": 0, "columns": 0}
+    poly_mul, compose, schoolbook_mul = Table.poly_mul, Table.compose, Table.schoolbook_mul
+    squarefree, local_factors = solver._integer_squarefree, solver._local_factors
+    horner, roots = aberth._gauss_horner, solver.aberth_roots
+
+    def spied_schoolbook(self, F, G, norm=False, out=None):
+        state["columns" if out is not None else "schoolbook"] += 1
+        return schoolbook_mul(self, F, G, norm, out)
+
+    def spied_poly_mul(self, F, G, norm=False):
+        before = state["schoolbook"]
+        cols = poly_mul(self, F, G, norm)
+        if not state["compose"]:
+            counts["poly_mul", "schoolbook" if state["schoolbook"] > before else "packed"] += 1
+        return cols
+
+    def spied_compose(self, F, G, scale):
+        columns, schoolbook = state["columns"], state["schoolbook"]
+        state["compose"] += 1
+        try:
+            cols = compose(self, F, G, scale)
+        finally:
+            state["compose"] -= 1
+        summed = "columns" if state["columns"] > columns else "packed"
+        m = len(F[0]) - 1
+        powers = max(m - 2, 0) + (m > 1 and summed == "columns")
+        schoolbook = state["schoolbook"] - schoolbook
+        counts["compose", summed] += 1
+        counts["compose powers", "schoolbook"] += schoolbook
+        counts["compose powers", "packed"] += powers - schoolbook
+        return cols
+
+    def spied_squarefree(f):
+        part = squarefree(f)
+        counts["squarefree part", "squarefree" if len(part) == len(f) else "repeated"] += 1
+        return part
+
+    def spied_local_factors(P):
+        found = local_factors(P)
+        counts["local prime", "11" if found[0] == 11 else "above"] += 1
+        return found
+
+    def spied_horner(P, a, b, F):
+        counts["numeric", "evaluations"] += 1
+        return horner(P, a, b, F)
+
+    def spied_roots(coeffs, precision):
+        zs = roots(coeffs, precision)
+        counts["numeric", "approximants"] += len(zs)
+        return zs
+
+    Table.poly_mul, Table.compose, Table.schoolbook_mul = spied_poly_mul, spied_compose, spied_schoolbook
+    solver._integer_squarefree, solver._local_factors = spied_squarefree, spied_local_factors
+    aberth._gauss_horner, solver.aberth_roots = spied_horner, spied_roots
+
+
+def _time_stages(costs: dict) -> None:
+    """Wrap the stages that cli.main makes to add their times to costs."""
+    from quatdyn import cli
+    from quatdyn._kernel import Element
+    from quatdyn.polynomials import Poly
+
+    busy = []
+
+    def timed(stage, fn):
+        def call(*args, **kwargs):
+            if busy:  # inside another stage
+                return fn(*args, **kwargs)
+            busy.append(stage)
+            t0 = perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                costs[stage] += perf_counter() - t0
+                busy.pop()
+
+        return call
+
+    parser = cli.build_parser()
+    parser.parse_args = timed("argparse", parser.parse_args)
+    for name in ("parse_algebra", "parse_poly", "parse_element"):
+        setattr(cli, name, timed("parse", getattr(cli, name)))
+    Poly.render = timed("render", Poly.render)
+    Element.render = timed("render", Element.render)
+    json.dumps = timed("json", json.dumps)
+
+
+def main() -> int:
+    _load(Path(sys.argv[1]) if len(sys.argv) > 1 else ROOT)
+    from quatdyn.cli import main as cli_main
+
+    counts: Counter = Counter()
+    costs = dict.fromkeys(STAGES, 0.0)
+    _spy_paths(counts)
+    _time_stages(costs)
+    corpora = {name: _corpus(name) for name in WORKLOADS}
+    gc.freeze()  # what is loaded so far: each collect then scans only what the calls made
+    for name, corpus in corpora.items():
+        digest, best = hashlib.sha256(), dict.fromkeys(STAGES, float("inf"))
+        counts.clear()
+        for run in range(PASSES):
+            costs.update(dict.fromkeys(STAGES, 0.0))
+            for argv in corpus:
+                out = io.StringIO()
+                gc.collect()
+                gc.disable()
+                try:
+                    t0 = perf_counter()
+                    with contextlib.redirect_stdout(out):
+                        code = cli_main(argv)
+                    costs["main"] += perf_counter() - t0
+                finally:
+                    gc.enable()
+                if not run:
+                    key = "\0".join(argv)
+                    digest.update(f"{key}\0{code}\0{out.getvalue()}\0".encode())
+            if not run:
+                print(name, len(corpus), digest.hexdigest())
+                for label, a, b in PATHS:
+                    print(name, label, a, counts[label, a], b, counts[label, b])
+            costs["compute"] = costs["main"] - sum(costs[s] for s in ("argparse", "parse", "render", "json"))
+            best = {stage: min(best[stage], costs[stage]) for stage in STAGES}
+        print(name, len(corpus), " ".join(f"{s} {best[s] * 1e3:.1f}" for s in STAGES), "ms", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
