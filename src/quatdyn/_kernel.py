@@ -20,6 +20,11 @@ knows the packing format), one integer product per column pair of the table
 are summed packed, at one slot that provably holds each coefficient of the
 composite, and the composite is unpacked once.
 
+`PATHS`, always on, counts each path where it is chosen, by (line, path):
+"poly_mul" and "compose powers" "schoolbook"/"packed", "compose" "packed"/
+"columns", "squarefree part" "squarefree"/"repeated", "local prime" p, and
+"numeric" "evaluations"/"approximants" (in `solver` and `aberth`).
+
 Text prints from the same integers by one rule, `Element.text`, for a
 scalar, an element or a row of a `Poly`'s columns, over Q and Q(sqrt d)
 alike: no element, no Fraction.
@@ -28,6 +33,7 @@ alike: no element, no Fraction.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import chain, product, repeat
@@ -40,6 +46,7 @@ if TYPE_CHECKING:
     from .scalars import Scalar
 
 RationalLike = (int, Fraction)
+PATHS: Counter = Counter()  # the paths taken, by (line, path): see the module docstring
 
 # Exact work is bounded by bit height.  The step of an octonion quadratic that
 # reaches 64857 bits takes 0.31 s, the next one 1.4 s.
@@ -203,17 +210,20 @@ class Table:
         coefficients, the schoolbook terms are already bignum products.)
         """
         if min(len(F[0]), len(G[0])) < KRONECKER_MIN:
+            PATHS["poly_mul", "schoolbook"] += 1
             return self.schoolbook_mul(F, G, norm)
         profile = _profile(F)
-        return self._product(F, G, profile, profile if G is F else _profile(G), norm)
+        return self._product(F, G, profile, profile if G is F else _profile(G), "poly_mul", norm)
 
-    def _product(self, F, G, profile_f, profile_g, norm: bool = False) -> list[list[int]]:
-        """poly_mul of F and G, whose width profiles are measured already."""
+    def _product(self, F, G, profile_f, profile_g, stage: str, norm: bool = False) -> list[list[int]]:
+        """poly_mul of F and G, whose width profiles are measured already; its path counts under stage."""
         short = min(len(F[0]), len(G[0]))
         slot = self._slot_bits(profile_f[0], profile_g[0], short)
         pays = G is F or profile_g[1] and short >= min(slot // KRONECKER_BITS, KRONECKER_WIDE)
         if short >= KRONECKER_MIN and profile_f[1] and pays:
+            PATHS[stage, "packed"] += 1
             return self._packed_mul(F, G, slot, norm)
+        PATHS[stage, "schoolbook"] += 1
         return self.schoolbook_mul(F, G, norm)
 
     def _slot_bits(self, bits_f: int, bits_g: int, short: int) -> int:
@@ -299,18 +309,20 @@ class Table:
         coeffs = list(zip(*F))
         powers, profiles = [G], [_profile(G)]
         while len(powers) < m - 1:
-            powers.append(self._product(powers[-1], G, profiles[-1], profiles[0]))
+            powers.append(self._product(powers[-1], G, profiles[-1], profiles[0], "compose powers"))
             profiles.append(_profile(powers[-1]))
         slot = self._slot_bits(profiles[-1][0], profiles[0][0], short)
         if not (m > 1 and profiles[0][1] and short >= min(slot // KRONECKER_BITS, KRONECKER_WIDE)):
             if m > 1:
-                powers.append(self._product(powers[-1], G, profiles[-1], profiles[0]))
+                powers.append(self._product(powers[-1], G, profiles[-1], profiles[0], "compose powers"))
+            PATHS["compose", "columns"] += 1
             out = [[v] + [0] * (size - 1) for v in coeffs[0]]
             for k, c, P in _horner(coeffs, powers):
                 if scale != 1:
                     out = [[v * scale**k for v in col] for col in out]
                 self.schoolbook_mul([[v] for v in c], P, out=out)
             return out
+        PATHS["compose", "packed"] += 1
         bits = [b for b, _ in profiles] + [slot - 1]
         nbytes = (self._compose_bits(coeffs, bits, scale) + 7) // 8
         packed = [  # G^i for its term, and G^(m-1) and G for G^m

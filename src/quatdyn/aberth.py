@@ -37,6 +37,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Sequence
 
+from ._kernel import PATHS
 from .errors import ConvergenceError
 from .scalars import nearest
 
@@ -179,6 +180,7 @@ def _integer_iterate(mants, zs: list[Approximant], W: int, goal: int, max_iterat
 def _gauss_horner(P: list[int], a: int, b: int, F: int) -> tuple[int, int]:
     """2**(F*n) * P((a + ib)/2**F) for P = sum P[i] x^i of degree n and
     F >= 0, exactly, as a Gaussian integer."""
+    PATHS["numeric", "evaluations"] += 1
     n = len(P) - 1
     hr, hi = P[n], 0
     for i in range(n - 1, -1, -1):
@@ -218,6 +220,7 @@ def aberth_roots(coeffs: Sequence[int], precision: int) -> list[Approximant]:
     origin: list[Approximant] = [(0, 0, 0)] * zeros
     P = P[zeros:]
     if len(P) <= 1:
+        PATHS["numeric", "approximants"] += zeros
         return origin
 
     top = max(precision, 0) + 64
@@ -234,6 +237,7 @@ def aberth_roots(coeffs: Sequence[int], precision: int) -> list[Approximant]:
         # below the top, a step of 2**-(k/2) leaves an error near 2**-k
         # (quadratic convergence), so the confirming sweep is skipped
         goal = bits - 56 if bits == top else (bits - 56) // 2
+    PATHS["numeric", "approximants"] += zeros + len(zs)
     return origin + zs
 
 

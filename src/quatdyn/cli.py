@@ -142,7 +142,7 @@ def _cmd_companion(ns) -> dict:
     C = solver.companion(g)
     payload["result"] = {
         "companion": C.render(),
-        "coefficients": [c.render() for c in C.coeffs],
+        "coefficients": [C.spec.ELEMENT.text(C.spec, row, C.den) for row in zip(*C.cols)],
         "degree": C.degree,
     }
     return payload

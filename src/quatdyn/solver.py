@@ -59,6 +59,7 @@ from fractions import Fraction
 from itertools import count
 from math import isqrt
 
+from ._kernel import PATHS
 from .aberth import aberth_roots, inclusion_radii, sqrt_up, to_grid
 from .errors import (
     ClassSearchIncompleteError,
@@ -184,6 +185,7 @@ def _integer_squarefree(f: list[int]) -> list[int]:
             continue
         h = _gf_gcd(_gf(f, p), _gf(g, p), p)
         if len(h) == 1:
+            PATHS["squarefree part", "squarefree"] += 1
             return f
         if not image or len(h) < len(image):
             image, m = [0] * len(h), 1
@@ -198,6 +200,7 @@ def _integer_squarefree(f: list[int]) -> list[int]:
             continue
         h = _primitive(image if image[-1] > 0 else [-v for v in image])
         if (part := _quotient(f, h)) is not None and _quotient(g, h) is not None:
+            PATHS["squarefree part", "repeated"] += 1
             return part
 
 
@@ -329,6 +332,7 @@ def _local_factors(P: list[int]) -> tuple[int, list[int], list[list[int]]]:
         s = _gf_gcd(h, _gf([w[0] - 1] + w[1:], p), p)
         split = [s, _gf_divmod(h, s, p)[0]] if 1 < len(s) < len(h) else [h]
         pieces += [(piece, d, c + 1) for piece in split]
+    PATHS["local prime", p] += 1
     return p, sorted(-h[0] % p for h in found[0]), found[1]
 
 

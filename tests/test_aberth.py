@@ -23,7 +23,10 @@ from quatdyn import QuatSpec, aberth, companion, parse_poly, roots, solver
 from quatdyn.aberth import (
     FIRST_BITS,
     GUARD_BITS,
+    _integer_iterate,
+    _mantissas,
     _newton_starts,
+    _normal,
     aberth_roots,
     inclusion_radii,
     to_grid,
@@ -343,3 +346,23 @@ def test_off_grid_approximants_keep_their_own_residual_test():
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "f77e85a135d5a09622419bc5bb08925c92f20e782a412cf082c0fae7f9344757"
     )
+
+
+def test_normal_moves_zero_off_the_origin():
+    """0 is no root: it becomes (1 + i)/2 * 2**-W of the old scale, at W bits."""
+    assert _normal((0, 0, 3), 16) == (1 << 15, 1 << 15, 19)
+    assert _normal((5, -3, 2), 16) == (5 << 13, -3 << 13, 15)
+
+
+def test_a_zero_derivative_steps_aside():
+    """P = x^3 - 3x + 1 has P'(1) = 0 and P(1) = -1: an approximant at 1
+    moves by 2**-4 (1 + i) instead of dividing by P'."""
+    W, one = 24, (1 << 23, 0, 23)
+    zs = [one, _normal((-3, 0, 1), W), _normal((2, 1, 3), W)]
+    _integer_iterate(_mantissas([1, -3, 0, 1], W + 4), zs, W, 4, 1)
+    assert zs[0] == _normal((one[0] + (1 << 20), 1 << 20, 23), W)
+
+
+def test_leading_zeros_are_stripped():
+    assert aberth_roots([-2, 0, 1, 0, 0], 64) == aberth_roots([-2, 0, 1], 64)
+    assert aberth_roots([0, 0, 1, 0], 64) == [(0, 0, 0), (0, 0, 0)]

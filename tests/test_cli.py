@@ -67,6 +67,39 @@ def test_output_is_byte_stable():
     assert first == second
 
 
+@pytest.mark.parametrize(
+    "argv, paths",
+    [
+        # the one call of the report's corpus that sums a composite on columns
+        (["compose", "--poly", "i*x^2", "--n", "2"], {("compose", "columns"): 1, ("compose powers", "schoolbook"): 1}),
+        (["compose", "--poly", "x^2+(i+1)*x+1+i*j", "--n", "4"], {("compose", "packed"): 3}),
+        # two products parsed, one companion
+        (
+            ["roots", "--poly", "(x-1/3)*(x^2+2)*(x-i)"],
+            {("poly_mul", "schoolbook"): 3, ("squarefree part", "repeated"): 1, ("local prime", 11): 1},
+        ),
+        (
+            ["roots", "--poly", "x^2+i*x+1", "--mode", "numeric"],
+            {
+                ("poly_mul", "schoolbook"): 1,
+                ("squarefree part", "squarefree"): 1,
+                ("numeric", "approximants"): 4,
+                ("numeric", "evaluations"): 4,
+            },
+        ),
+    ],
+)
+def test_paths_are_counted_where_they_are_decided(argv, paths):
+    """_kernel.PATHS, which tools/report.py prints, counts each path of a
+    call once, the same on a repeated call."""
+    from quatdyn._kernel import PATHS
+
+    for _ in range(2):
+        PATHS.clear()
+        assert run_cli(argv)[0] == 0
+        assert PATHS == paths
+
+
 def test_numeric_roots_payload():
     code, out = run_cli(["roots", "--poly", "x^2+i*x+1", "--mode", "numeric"])
     assert code == 0

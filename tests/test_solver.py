@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from quatdyn import (
     ClassSearchIncompleteError,
     ConjClass,
+    ConvergenceError,
     FieldSpec,
     OctSpec,
     Poly,
@@ -1073,3 +1074,48 @@ def test_dense_degree_24_numeric_roots_stay_within_the_fuzz_case_budget():
     sols = roots(g, mode="numeric")
     assert time.perf_counter() - start < 3.0
     assert len(sols) == 24 and all(s.kind == "point" for s in sols)
+
+
+def test_extract_classes_of_a_constant_is_empty():
+    for C in (Poly(QQ, [3]), Poly(F5, [F5.scalar(1, 2)])):
+        for mode in ("exact", "numeric") if C.spec is QQ else ("numeric",):
+            assert extract_classes(C, mode=mode) == []
+
+
+def test_unresolved_real_cluster_fails_the_conjugate_pairing():
+    """Five roots within 10^-30 of 1 (1, and 1 +- i*10^-30 and 1 +- i*sqrt(2)*10^-30):
+    the approximants circle the cluster, three above the real axis and two
+    below, none close enough to it to count as real, so they cannot pair."""
+    g = parse_poly("(x^2-2*x+1+1/10^60)*(x-1)*(x^2-2*x+1+2/10^60)", H)
+    for precision in (64, 128):
+        with pytest.raises(ConvergenceError, match="conjugate pairing of numeric roots failed"):
+            roots(g, mode="numeric", precision=precision)
+
+
+def test_split_zero_divisor_classes_in_numeric_mode():
+    """In the split algebra (1, 1), x + i takes the nonzero zero divisor 1 + i
+    at the central candidate 1: the companion x^2 - 1 vanishes there, so no
+    precision tells its roots apart from the candidate, and the estimate is
+    twice the precision.  (x^2 + 5)(x^2 + 2 + i) reduces to B = 4(1 + i) with
+    A = 0 on the class of x^2 + 1, and to 2(-1 + i) on that of x^2 + 3: the
+    companion is not squarefree, so A = 0 is a degenerate reduction, not a
+    sphere, while x^2 + 5 is one."""
+    from quatdyn.cli import parse_algebra
+    from quatdyn.solver import _resolving_precision
+
+    spec = parse_algebra("quat:1,1@Q")
+    g = parse_poly("x+i", spec)
+    for precision in (4, 64, 128):
+        assert _resolving_precision(companion(g), QQ.scalar(1), precision) == 2 * precision
+    sols = roots(g, mode="numeric", precision=64)
+    assert [(s.kind, s.klass.trace, s.klass.norm) for s in sols] == [("anomaly", -2, 1), ("anomaly", 2, 1)]
+    assert all(s.detail.endswith("about 128 bits would resolve the class") for s in sols)
+
+    g = parse_poly("(x^2+5)*(x^2+2+i)", spec)
+    sols = roots(g, mode="numeric")
+    assert [(s.kind, s.klass.norm, s.detail) for s in sols] == [
+        ("anomaly", 1, "reduction degenerated at numeric precision"),
+        ("anomaly", 3, "reduction degenerated at numeric precision"),
+        ("sphere", 5, ""),
+    ]
+    assert [s.kind for s in roots(g)] == ["none", "none", "sphere"]

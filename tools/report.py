@@ -19,15 +19,9 @@ workload (iterate, periodic, roots), eight lines:
     <workload> numeric evaluations <n> approximants <m>
     <workload> <calls> argparse <ms> parse <ms> compute <ms> render <ms> json <ms> main <ms> ms
 
-The digest runs over the exit code and stdout of each first-pass call.  The
-path counts come from spies on those calls: a `Table.poly_mul` outside
-`Table.compose` is schoolbook when it ran `Table.schoolbook_mul`; a
-`Table.compose` of f of degree m sums on columns when it ran `schoolbook_mul`
-into `out`, else packed, and of its powers g^2..g^(m-1) (and g^m on columns)
-those that ran `schoolbook_mul` are schoolbook; a squarefree part is
-`solver._integer_squarefree`'s, repeated when shorter than its input; the
-local prime is `solver._local_factors`'; evaluations are the calls of
-`aberth._gauss_horner`, approximants the roots of `solver.aberth_roots`.
+The digest runs over the exit code and stdout of each first-pass call, and
+the path lines print quatdyn's own `_kernel.PATHS`, counted where each path is
+decided, over those calls (local prime 11, or above).
 
 The cost line sums the stages of `cli.main` over the calls, each stage the
 best of the passes: argparse is its parser's parse_args; parse is
@@ -60,7 +54,7 @@ SEEDS = range(1, 21)
 PASSES = 3
 WORKLOADS = ("iterate", "periodic", "roots")
 STAGES = ("argparse", "parse", "compute", "render", "json", "main")
-PATHS = (("poly_mul", "schoolbook", "packed"), ("compose", "packed", "columns"),  # the line, its two counts
+LINES = (("poly_mul", "schoolbook", "packed"), ("compose", "packed", "columns"),  # the line, its two counts
          ("compose powers", "schoolbook", "packed"), ("squarefree part", "squarefree", "repeated"),
          ("local prime", "11", "above"), ("numeric", "evaluations", "approximants"))
 
@@ -79,68 +73,6 @@ def _corpus(name: str) -> list[list[str]]:
         for call in workloads.build(name, seed, 1):
             seen.setdefault("\0".join(call.argv), call.argv)
     return list(seen.values())
-
-
-def _spy_paths(counts: Counter) -> None:
-    """Wrap the kernel's products and composition, the solver's squarefree
-    part and local factors, and the numeric evaluations to fill counts."""
-    from quatdyn import aberth, solver
-    from quatdyn._kernel import Table
-
-    state = {"compose": 0, "schoolbook": 0, "columns": 0}
-    poly_mul, compose, schoolbook_mul = Table.poly_mul, Table.compose, Table.schoolbook_mul
-    squarefree, local_factors = solver._integer_squarefree, solver._local_factors
-    horner, roots = aberth._gauss_horner, solver.aberth_roots
-
-    def spied_schoolbook(self, F, G, norm=False, out=None):
-        state["columns" if out is not None else "schoolbook"] += 1
-        return schoolbook_mul(self, F, G, norm, out)
-
-    def spied_poly_mul(self, F, G, norm=False):
-        before = state["schoolbook"]
-        cols = poly_mul(self, F, G, norm)
-        if not state["compose"]:
-            counts["poly_mul", "schoolbook" if state["schoolbook"] > before else "packed"] += 1
-        return cols
-
-    def spied_compose(self, F, G, scale):
-        columns, schoolbook = state["columns"], state["schoolbook"]
-        state["compose"] += 1
-        try:
-            cols = compose(self, F, G, scale)
-        finally:
-            state["compose"] -= 1
-        summed = "columns" if state["columns"] > columns else "packed"
-        m = len(F[0]) - 1
-        powers = max(m - 2, 0) + (m > 1 and summed == "columns")
-        schoolbook = state["schoolbook"] - schoolbook
-        counts["compose", summed] += 1
-        counts["compose powers", "schoolbook"] += schoolbook
-        counts["compose powers", "packed"] += powers - schoolbook
-        return cols
-
-    def spied_squarefree(f):
-        part = squarefree(f)
-        counts["squarefree part", "squarefree" if len(part) == len(f) else "repeated"] += 1
-        return part
-
-    def spied_local_factors(P):
-        found = local_factors(P)
-        counts["local prime", "11" if found[0] == 11 else "above"] += 1
-        return found
-
-    def spied_horner(P, a, b, F):
-        counts["numeric", "evaluations"] += 1
-        return horner(P, a, b, F)
-
-    def spied_roots(coeffs, precision):
-        zs = roots(coeffs, precision)
-        counts["numeric", "approximants"] += len(zs)
-        return zs
-
-    Table.poly_mul, Table.compose, Table.schoolbook_mul = spied_poly_mul, spied_compose, spied_schoolbook
-    solver._integer_squarefree, solver._local_factors = spied_squarefree, spied_local_factors
-    aberth._gauss_horner, solver.aberth_roots = spied_horner, spied_roots
 
 
 def _time_stages(costs: dict) -> None:
@@ -176,17 +108,16 @@ def _time_stages(costs: dict) -> None:
 
 def main() -> int:
     _load(Path(sys.argv[1]) if len(sys.argv) > 1 else ROOT)
+    from quatdyn._kernel import PATHS
     from quatdyn.cli import main as cli_main
 
-    counts: Counter = Counter()
     costs = dict.fromkeys(STAGES, 0.0)
-    _spy_paths(counts)
     _time_stages(costs)
     corpora = {name: _corpus(name) for name in WORKLOADS}
     gc.freeze()  # what is loaded so far: each collect then scans only what the calls made
     for name, corpus in corpora.items():
         digest, best = hashlib.sha256(), dict.fromkeys(STAGES, float("inf"))
-        counts.clear()
+        PATHS.clear()
         for run in range(PASSES):
             costs.update(dict.fromkeys(STAGES, 0.0))
             for argv in corpus:
@@ -205,7 +136,10 @@ def main() -> int:
                     digest.update(f"{key}\0{code}\0{out.getvalue()}\0".encode())
             if not run:
                 print(name, len(corpus), digest.hexdigest())
-                for label, a, b in PATHS:
+                counts: Counter = Counter()
+                for (label, path), n in PATHS.items():
+                    counts[label, "above" if label == "local prime" and path != 11 else str(path)] += n
+                for label, a, b in LINES:
                     print(name, label, a, counts[label, a], b, counts[label, b])
             costs["compute"] = costs["main"] - sum(costs[s] for s in ("argparse", "parse", "render", "json"))
             best = {stage: min(best[stage], costs[stage]) for stage in STAGES}
