@@ -9,7 +9,10 @@ sits at position P*width, followed by its sqrt(d) part when the ground field
 is Q(sqrt d) (width 2 instead of 1).
 
 Every product goes through one sparse table of integer structure constants
-per algebra, derived once by the Cayley-Dickson doubling rule.  A `Poly` is
+per algebra, derived once by the Cayley-Dickson doubling rule: its rows index
+the operands' coordinates, its `dim` counts the product's.  Norms and the
+companion conj(g)*g are products of a second table, `Table.norm_form`, the
+entries that land on the ground field (dim = width).  A `Poly` is
 the coordinate columns of its coefficients over one denominator, and its
 products convolve those columns through the same table: short operands by
 the schoolbook convolution, long ones by packing each column into one
@@ -96,18 +99,17 @@ def _basis(p: int, q: int, k: int):
 
 
 class Table:
-    """Structure constants of one algebra over Q: (x*y)[r] = sum c*x[p]*y[q] / den.
+    """Structure constants of one product over Q: (x*y)[r] = sum c*x[p]*y[q] / den.
 
-    The algebra is the ground field itself (no generators), a quaternion
-    algebra (alpha, beta) or an octonion algebra (alpha, beta, gamma).
-    `rows[p]` lists the (q, r, c) with integer c; a nonzero x[p] only visits
-    its own row, so sparse operands cost less.
+    `rows[p]` lists the (q, r, c) with integer c for operand coordinate p; a
+    nonzero x[p] only visits its own row, so sparse operands cost less.  `dim`
+    counts a product's coordinates r.  `Table(field, *gens)` is the product of
+    the ground field (no generators), a quaternion algebra (alpha, beta) or an
+    octonion algebra (alpha, beta, gamma); its `norm_form`, a second table of
+    dim = width, is the ground-field part of conj(x)*y (and has no norm_form).
     """
 
-    __slots__ = (
-        "width", "dim", "den", "rows", "pairs", "square_pairs", "norm_pairs", "norm_rows",
-        "spread_bits",
-    )
+    __slots__ = ("width", "dim", "den", "rows", "pairs", "square_pairs", "spread_bits", "norm_form")
 
     def __init__(self, field, *gens) -> None:
         d, width = field.d, 1 if field.d is None else 2
@@ -138,9 +140,18 @@ class Table:
                                 rows[p * width + s1].append(
                                     (q * width + s2, r * width + s, sign * v)
                                 )
-        self.width = width
-        self.dim = n * width
-        self.den = den
+        # conj(x)*y on the ground field: the entries that land there, with the
+        # conjugate's sign on p >= width (4 of the 16 for quaternions over Q)
+        norm_form = object.__new__(Table)
+        norm_form._derive(width, width, den, [
+            [(q, r, -c if p >= width else c) for q, r, c in row if r < width]
+            for p, row in enumerate(rows)
+        ])
+        self._derive(width, n * width, den, rows, norm_form)
+
+    def _derive(self, width: int, dim: int, den: int, rows, norm_form=None) -> None:
+        """Set the table from its rows: the entries by column pair and the slot's spread."""
+        self.width, self.dim, self.den, self.norm_form = width, dim, den, norm_form
         self.rows = tuple(tuple(row) for row in rows)
         # the same entries grouped by column pair (p, q) -> ((r, c), ...), for
         # products of packed columns; a square needs each unordered pair once
@@ -153,25 +164,8 @@ class Table:
         for (p, q), targets in pairs.items():
             square.setdefault((min(p, q), max(p, q)), []).extend(targets)
         self.square_pairs = tuple((p, q, tuple(t)) for (p, q), t in square.items())
-        # conj(x)*x for a polynomial x needs only the entries landing on the
-        # ground field (r < width), with the conjugate's sign on p >= width,
-        # merged per unordered pair: 4 products of the 16 for quaternions over Q
-        norm: dict[tuple[int, int], dict[int, int]] = {}
-        for (p, q), targets in pairs.items():
-            for r, c in targets:
-                if r < width:
-                    merged = norm.setdefault((min(p, q), max(p, q)), {})
-                    merged[r] = merged.get(r, 0) + (-c if p >= width else c)
-        self.norm_pairs = tuple(
-            (p, q, tuple((r, c) for r, c in t.items() if c)) for (p, q), t in norm.items()
-        )
-        # and the same by rows, for the schoolbook product
-        norm_rows: list[list[tuple[int, int, int]]] = [[] for _ in range(self.dim)]
-        for p, q, targets in self.norm_pairs:
-            norm_rows[p].extend((q, r, c) for r, c in targets)
-        self.norm_rows = tuple(tuple(row) for row in norm_rows)
         # bits of the largest sum of |c| over the entries that land on one r
-        spread = [0] * self.dim
+        spread = [0] * dim
         for row in rows:
             for _, r, c in row:
                 spread[r] += abs(c)
@@ -186,20 +180,14 @@ class Table:
                     out[r] += c * xp * y[q]
         return out
 
-    def norm(self, x) -> list[int]:
-        """Numerators of conj(x)*x, a ground-field value, over den times the
-        square of x's denominator (the entries of `norm_pairs`)."""
-        return self.pair_products(self.norm_pairs, x, x)[: self.width]
-
-    def poly_mul(self, F, G, norm: bool = False) -> list[list[int]]:
+    def poly_mul(self, F, G) -> list[list[int]]:
         """Coordinate columns of the product of two polynomials.
 
         F[p][i] is coordinate p of the i-th coefficient; the coefficients of
         the product are the convolution, with coefficient products taken in
-        written order, over den times the denominators of F and G.  With
-        `norm` (and G the same as F), the product is conj(F)*F instead, and
-        only its ground-field columns are computed (`norm_pairs`); the others
-        are zero.
+        written order, over den times the denominators of F and G: `dim`
+        columns, so `norm_form.poly_mul(F, F)` is the ground-field columns of
+        conj(F)*F.
 
         The packed product replaces the schoolbook convolution where it
         measured faster: both operands have at least KRONECKER_MIN coefficients
@@ -211,20 +199,20 @@ class Table:
         """
         if min(len(F[0]), len(G[0])) < KRONECKER_MIN:
             PATHS["poly_mul", "schoolbook"] += 1
-            return self.schoolbook_mul(F, G, norm)
+            return self.schoolbook_mul(F, G)
         profile = _profile(F)
-        return self._product(F, G, profile, profile if G is F else _profile(G), "poly_mul", norm)
+        return self._product(F, G, profile, profile if G is F else _profile(G), "poly_mul")
 
-    def _product(self, F, G, profile_f, profile_g, stage: str, norm: bool = False) -> list[list[int]]:
+    def _product(self, F, G, profile_f, profile_g, stage: str) -> list[list[int]]:
         """poly_mul of F and G, whose width profiles are measured already; its path counts under stage."""
         short = min(len(F[0]), len(G[0]))
         slot = self._slot_bits(profile_f[0], profile_g[0], short)
         pays = G is F or profile_g[1] and short >= min(slot // KRONECKER_BITS, KRONECKER_WIDE)
         if short >= KRONECKER_MIN and profile_f[1] and pays:
             PATHS[stage, "packed"] += 1
-            return self._packed_mul(F, G, slot, norm)
+            return self._packed_mul(F, G, slot)
         PATHS[stage, "schoolbook"] += 1
-        return self.schoolbook_mul(F, G, norm)
+        return self.schoolbook_mul(F, G)
 
     def _slot_bits(self, bits_f: int, bits_g: int, short: int) -> int:
         """Bits that hold any coefficient of F * G, sign included, for |F| < 2**bits_f
@@ -232,7 +220,7 @@ class Table:
         per table entry landing on its r, whose |c| sum below 2**spread_bits."""
         return bits_f + bits_g + short.bit_length() + self.spread_bits + 1
 
-    def schoolbook_mul(self, F, G, norm: bool = False, out=None) -> list[list[int]]:
+    def schoolbook_mul(self, F, G, out=None) -> list[list[int]]:
         """poly_mul by the direct convolution: one integer product per term,
         added into the columns `out` when given (long enough to hold them).
 
@@ -243,7 +231,7 @@ class Table:
         if out is None:
             size = len(F[0]) + len(G[0]) - 1
             out = [[0] * size for _ in range(self.dim)]
-        for Fp, row in zip(F, self.norm_rows if norm else self.rows):
+        for Fp, row in zip(F, self.rows):
             for i, a in enumerate(Fp):
                 if a:
                     for q, r, c in row:
@@ -252,7 +240,7 @@ class Table:
                             o[k] += ac * b
         return out
 
-    def _packed_mul(self, F, G, slot: int, norm: bool) -> list[list[int]]:
+    def _packed_mul(self, F, G, slot: int) -> list[list[int]]:
         """poly_mul by Kronecker substitution (Harvey 2009, J. Symb. Comput. 44),
         at a slot of s bits that holds every coefficient.
 
@@ -266,7 +254,7 @@ class Table:
         nbytes = (slot + 7) // 8
         packed_f = [pack(col, nbytes) for col in F]
         packed_g = packed_f if G is F else [pack(col, nbytes) for col in G]
-        pairs = self.norm_pairs if norm else self.square_pairs if G is F else self.pairs
+        pairs = self.square_pairs if G is F else self.pairs
         return [unpack(v, nbytes, size) for v in self.pair_products(pairs, packed_f, packed_g)]
 
     def pair_products(self, pairs, A, B, acc=None) -> list[int]:
@@ -524,8 +512,8 @@ class Element:
         return self.scalar_part() * 2
 
     def norm(self) -> Scalar:
-        table, field = self.spec.table, self.spec.field
-        return field.ELEMENT(field, table.norm(self.nums), self.den * self.den * table.den)
+        form, field = self.spec.table.norm_form, self.spec.field
+        return field.ELEMENT(field, form.mul(self.nums, self.nums), self.den * self.den * form.den)
 
     def inv(self):
         if self.is_zero:

@@ -116,15 +116,15 @@ def _newton_starts(P: list[int], W: int) -> list[Approximant]:
     return zs
 
 
-def _integer_iterate(mants, zs: list[Approximant], W: int, goal: int, max_iterations: int) -> None:
+def _integer_iterate(mants, zs: list[Approximant], W: int, goal: int) -> None:
     """Gauss-Seidel Aberth sweeps over the approximants zs, in place, until
-    every step is at most about 2**-goal times its approximant or the budget
-    runs out.  Every approximant keeps W bits (see the module docstring)."""
+    every step is at most about 2**-goal times its approximant or MAX_SWEEPS
+    sweeps have run.  Every approximant keeps W bits (see the module docstring)."""
     n = len(zs)
     cache: dict[int, list[int]] = {}
     limit = W - goal  # bit length of a step of 2**-goal relative
     unit, cube, far = 1 << W, 1 << 3 * W, W + 2
-    for _ in range(max_iterations):
+    for _ in range(MAX_SWEEPS):
         worst = 0
         for k in range(n):
             a, b, F = zs[k]
@@ -229,7 +229,7 @@ def aberth_roots(coeffs: Sequence[int], precision: int) -> list[Approximant]:
     zs = _newton_starts(P, bits + GUARD_BITS)
     while True:
         W = bits + GUARD_BITS
-        _integer_iterate(_mantissas(P, W + 4), zs, W, goal, MAX_SWEEPS)
+        _integer_iterate(_mantissas(P, W + 4), zs, W, goal)
         if bits == top:
             break
         bits = min(2 * bits, top)

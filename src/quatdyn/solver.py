@@ -133,10 +133,9 @@ def companion(g: Poly) -> Poly:
         raise UnsupportedAlgebraError("companion polynomials need a quaternion algebra")
     if g.is_zero:
         raise ZeroPolynomialError("the zero polynomial has no companion")
-    # only the ground-field columns of the product are computed: the others cancel
-    table = g.spec.table
-    cols = table.poly_mul(g.cols, g.cols, norm=True)[: table.width]
-    return Poly.from_cols(g.spec.field, cols, g.den * g.den * table.den)
+    # the norm form's products land on the ground field: the other columns cancel
+    form = g.spec.table.norm_form
+    return Poly.from_cols(g.spec.field, form.poly_mul(g.cols, g.cols), g.den * g.den * form.den)
 
 
 # -- the class-extraction pipeline ---------------------------------------------
@@ -673,7 +672,7 @@ def _class_point(A: Quaternion, B: Quaternion, bits: int | None = None) -> Quate
     w = table.width
     # conj(A)*B over A.den * B.den * table.den, N(A) over A.den**2 * table.den
     prod = table.mul(A.nums[:w] + tuple(-v for v in A.nums[w:]), B.nums)
-    norm = table.norm(A.nums)
+    norm = table.norm_form.mul(A.nums, A.nums)
     if d is None:
         [den] = norm
     else:

@@ -26,6 +26,7 @@ from quatdyn._kernel import (
     pack,
     unpack,
 )
+from quatdyn.cli import parse_algebra
 from quatdyn.polynomials import divmod_monic
 from quatdyn.solver import companion
 
@@ -184,7 +185,7 @@ def _coords(spec, cols):
 def _packed(table, F, G):
     """F * G by the packed product, at the slot of F's and G's widest coefficients."""
     slot = table._slot_bits(_profile(F)[0], _profile(G)[0], min(len(F[0]), len(G[0])))
-    return table._packed_mul(F, G, slot, False)
+    return table._packed_mul(F, G, slot)
 
 
 @settings(max_examples=50, deadline=None)
@@ -231,6 +232,59 @@ def test_packed_product_fills_its_slots(spec):
         F = [[(1 << bits) - 1] * n for _ in range(table.dim)]
         for g in (G, [[-v for v in col] for col in G]):
             assert _packed(table, F, g) == table.schoolbook_mul(F, g)
+
+
+NORM_SPECS = KRONECKER_SPECS + [
+    parse_algebra(text) for text in ("quat:1,-1@Q", "quat:-1,-1@Q(s-3)", "oct:2,-3,5@Q(s5)")
+]
+
+
+def _conj_square(spec, F):
+    """Ground-field coordinates of the coefficients of conj(F)*F by the tuple oracle."""
+    element = type(spec.one())
+    f = [element(spec, nums).coords() for nums in zip(*F)]
+    conj = [(c[0], *(-v for v in c[1:])) for c in f]
+    return [c[0] for c in tuple_poly_mul(_tuple_mul(spec), conj, f, spec.zero().coords())]
+
+
+def _ground(spec, cols):
+    """Values of norm-form columns, which lie over the table's denominator."""
+    field = spec.field
+    return [field.ELEMENT(field, nums, spec.table.den) for nums in zip(*cols)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_norm_form_is_the_ground_field_part_of_the_conjugate_square(data):
+    """Every product path of the norm form, and its element product, give the
+    ground-field columns of conj(F)*F; coefficient 0 is the norm of F's
+    constant coefficient."""
+    spec = data.draw(st.sampled_from(NORM_SPECS), label="spec")
+    table, form = spec.table, spec.table.norm_form
+    assert form.dim == table.width
+    n = data.draw(st.integers(1, 12))
+    column = st.one_of(st.lists(ENTRY, min_size=n, max_size=n), st.just([0] * n))
+    F = data.draw(st.lists(column, min_size=table.dim, max_size=table.dim))
+    expected = _conj_square(spec, F)
+    assert _ground(spec, form.poly_mul(F, F)) == expected
+    assert _ground(spec, _packed(form, F, F)) == expected
+    assert _ground(spec, form.schoolbook_mul(F, F)) == expected
+    x = [col[0] for col in F]
+    assert _ground(spec, [[v] for v in form.mul(x, x)]) == expected[:1]
+
+
+@pytest.mark.parametrize("spec", NORM_SPECS, ids=str)
+def test_packed_norm_form_fills_its_slots(spec):
+    """conj(F)*F packed at the norm form's own slot, which may be narrower
+    than the main table's: seven coefficients whose coordinates are all
+    +-(2**b - 1), with equal signs and with signs alternating by coordinate,
+    for eight consecutive b, so that one slot ends on a byte boundary."""
+    form, dim, n = spec.table.norm_form, spec.table.dim, 7
+    for bits in range(60, 68):
+        top = (1 << bits) - 1
+        for signs in ([1] * dim, [(-1) ** p for p in range(dim)]):
+            F = [[s * top] * n for s in signs]
+            assert _packed(form, F, F) == form.schoolbook_mul(F, F)
 
 
 
@@ -305,13 +359,13 @@ def _spy_paths(monkeypatch):
     Table = type(H.table)
     schoolbook_mul, packed_mul = Table.schoolbook_mul, Table._packed_mul
 
-    def spied_schoolbook(self, F, G, norm=False, out=None):
+    def spied_schoolbook(self, F, G, out=None):
         events.append("columns" if out is not None else ("schoolbook", len(F[0]), len(G[0])))
-        return schoolbook_mul(self, F, G, norm, out)
+        return schoolbook_mul(self, F, G, out)
 
-    def spied_packed(self, F, G, slot, norm):
+    def spied_packed(self, F, G, slot):
         events.append(("packed", len(F[0]), len(G[0])))
-        return packed_mul(self, F, G, slot, norm)
+        return packed_mul(self, F, G, slot)
 
     monkeypatch.setattr(Table, "schoolbook_mul", spied_schoolbook)
     monkeypatch.setattr(Table, "_packed_mul", spied_packed)
@@ -363,7 +417,7 @@ def test_poly_mul_takes_the_path_of_its_rule(monkeypatch):
     events = _spy_paths(monkeypatch)
     for (F, G, norm), packed in zip(cases, expected):
         events.clear()
-        H.table.poly_mul(F, G, norm)
+        (H.table.norm_form if norm else H.table).poly_mul(F, G)
         _check_paths(events, [(len(F[0]), len(G[0]), packed)])
 
 
