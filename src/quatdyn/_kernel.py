@@ -12,16 +12,21 @@ Every product goes through one sparse table of integer structure constants
 per algebra, derived once by the Cayley-Dickson doubling rule: its rows index
 the operands' coordinates, its `dim` counts the product's.  Norms and the
 companion conj(g)*g are products of a second table, `Table.norm_form`, the
-entries that land on the ground field (dim = width).  A `Poly` is
-the coordinate columns of its coefficients over one denominator, and its
-products convolve those columns through the same table: short operands by
-the schoolbook convolution, long ones by packing each column into one
-integer (Kronecker substitution by `pack` and `unpack`, the only code that
-knows the packing format), one integer product per column pair of the table
-(`Table.pair_products`).  Composition f(g) runs on the same packed columns
-(`Table.compose`): the top power of g and the products by f's coefficients
-are summed packed, at one slot that provably holds each coefficient of the
-composite, and the composite is unpacked once.
+entries that land on the ground field (dim = width).  The product of two
+elements, `Table.mul`, is straight-line code compiled from the rows on its
+first call, one block per row, skipped where the operand's coordinate is
+zero.  A `Poly` is the coordinate columns of its coefficients over one
+denominator, and its products convolve those columns through the same table:
+short operands by the schoolbook convolution, long ones by packing each
+column into one integer (Kronecker substitution by `pack` and `unpack`, the
+only code that knows the packing format), one integer product per column
+pair of the table (`Table.pair_products`).  A square takes each unordered
+pair once, its two entry lists merged by target (`Table.square_pairs`), so
+the terms of anticommuting units, which cancel, are never formed.
+Composition f(g) runs on the same packed columns (`Table.compose`): the top
+power of g and the products by f's coefficients are summed packed, at one
+slot that provably holds each coefficient of the composite, and the
+composite is unpacked once.
 
 `PATHS`, always on, counts each path where it is chosen, by (line, path):
 "poly_mul" and "compose powers" "schoolbook"/"packed", "compose" "packed"/
@@ -101,15 +106,26 @@ def _basis(p: int, q: int, k: int):
 class Table:
     """Structure constants of one product over Q: (x*y)[r] = sum c*x[p]*y[q] / den.
 
-    `rows[p]` lists the (q, r, c) with integer c for operand coordinate p; a
-    nonzero x[p] only visits its own row, so sparse operands cost less.  `dim`
-    counts a product's coordinates r.  `Table(field, *gens)` is the product of
-    the ground field (no generators), a quaternion algebra (alpha, beta) or an
-    octonion algebra (alpha, beta, gamma); its `norm_form`, a second table of
-    dim = width, is the ground-field part of conj(x)*y (and has no norm_form).
+    `rows[p]` lists the (q, r, c) with integer c for operand coordinate p.
+    `dim` counts a product's coordinates r.  `Table(field, *gens)` is the
+    product of the ground field (no generators), a quaternion algebra (alpha,
+    beta) or an octonion algebra (alpha, beta, gamma); its `norm_form`, a
+    second table of dim = width, is the ground-field part of conj(x)*y (and
+    has no norm_form).
+
+    `mul(x, y)` gives the numerators of x*y over den times the denominators
+    of x and y.  It is straight-line code compiled from the rows on the first
+    product (`_compile_mul`): one block per row, entered only when x[p] is
+    nonzero, so sparse operands cost less, and one multiply-add per entry.
+    `pairs` holds the same entries by column pair (p, q), and `square_pairs`
+    those of a square, where (p, q) and (q, p) multiply the same two columns:
+    one entry per unordered pair and target r, their constants summed and the
+    zero sums dropped.
     """
 
-    __slots__ = ("width", "dim", "den", "rows", "pairs", "square_pairs", "spread_bits", "norm_form")
+    __slots__ = (
+        "width", "dim", "den", "rows", "pairs", "square_pairs", "spread_bits", "norm_form", "mul"
+    )
 
     def __init__(self, field, *gens) -> None:
         d, width = field.d, 1 if field.d is None else 2
@@ -154,31 +170,35 @@ class Table:
         self.width, self.dim, self.den, self.norm_form = width, dim, den, norm_form
         self.rows = tuple(tuple(row) for row in rows)
         # the same entries grouped by column pair (p, q) -> ((r, c), ...), for
-        # products of packed columns; a square needs each unordered pair once
+        # products of packed columns
         pairs: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for p, row in enumerate(rows):
             for q, r, c in row:
                 pairs.setdefault((p, q), []).append((r, c))
         self.pairs = tuple((p, q, tuple(t)) for (p, q), t in pairs.items())
-        square: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        # (p, q) and (q, p) multiply the same two columns of a square, so their
+        # constants add up by r; those of anticommuting units cancel
+        square: dict[tuple[int, int], Counter] = {}
         for (p, q), targets in pairs.items():
-            square.setdefault((min(p, q), max(p, q)), []).extend(targets)
-        self.square_pairs = tuple((p, q, tuple(t)) for (p, q), t in square.items())
+            merged = square.setdefault((min(p, q), max(p, q)), Counter())
+            for r, c in targets:
+                merged[r] += c
+        self.square_pairs = tuple(
+            (p, q, t) for (p, q), merged in square.items()
+            if (t := tuple((r, c) for r, c in merged.items() if c))
+        )
         # bits of the largest sum of |c| over the entries that land on one r
         spread = [0] * dim
         for row in rows:
             for _, r, c in row:
                 spread[r] += abs(c)
         self.spread_bits = max(spread).bit_length()
+        self.mul = self._first_mul
 
-    def mul(self, x, y) -> list[int]:
-        """Numerators of x*y over den times the denominators of x and y."""
-        out = [0] * self.dim
-        for xp, row in zip(x, self.rows):
-            if xp:
-                for q, r, c in row:
-                    out[r] += c * xp * y[q]
-        return out
+    def _first_mul(self, x, y) -> list[int]:
+        """The first product: compile `mul` from the rows, then take it."""
+        self.mul = _compile_mul(self.rows, self.dim)
+        return self.mul(x, y)
 
     def poly_mul(self, F, G) -> list[list[int]]:
         """Coordinate columns of the product of two polynomials.
@@ -248,7 +268,7 @@ class Table:
         integer product per column pair (p, q) of the table holds a whole
         convolution (`pair_products`).  The slot is rounded up to whole bytes,
         so that `pack` and `unpack` fill and read it in linear time.  When F
-        is G, each unordered column pair is multiplied once.
+        is G, each unordered column pair is multiplied once (`square_pairs`).
         """
         size = len(F[0]) + len(G[0]) - 1
         nbytes = (slot + 7) // 8
@@ -342,6 +362,37 @@ class Table:
             for i, c in enumerate(coeffs) if any(c)
         ]
         return max(terms, default=0) + len(terms).bit_length() + 1
+
+
+def _compile_mul(rows, dim: int):
+    """The product of a table as straight-line code: mul(x, y) unpacks the
+    operands into locals x0, y0, ..., and each row p is one `if xp:` block of
+    one `o{r} += c * xp * yq` per entry (c = 1 and c = -1 fold into the sign),
+    so a zero x[p] skips its row.  The other constants are bound by name, as
+    the arguments of a factory: one of thousands of bits would pass CPython's
+    limit on the digits of an int literal."""
+    names: dict[int, str] = {}  # each constant other than +-1, by value
+    outs = [f"o{r}" for r in range(dim)]
+    body = [
+        "".join(f"x{p}, " for p in range(len(rows))) + "= x",
+        "".join(f"y{q}, " for q in range(len(rows))) + "= y",
+        " = ".join(outs) + " = 0",
+    ]
+    for p, row in enumerate(rows):
+        if row:
+            body.append(f"if x{p}:")
+        for q, r, c in row:
+            if c in (1, -1):
+                body.append(f"    o{r} {'+' if c > 0 else '-'}= x{p} * y{q}")
+            else:
+                name = names.setdefault(c, f"c{len(names)}")
+                body.append(f"    o{r} += {name} * x{p} * y{q}")
+    body.append(f"return [{', '.join(outs)}]")
+    source = f"def bind({', '.join(names.values())}):\n    def mul(x, y):\n"
+    source += "".join(f"        {line}\n" for line in body) + "    return mul\n"
+    scope: dict = {}
+    exec(compile(source, "<Table.mul>", "exec"), scope)
+    return scope["bind"](*names)
 
 
 def _horner(coeffs, powers):

@@ -287,10 +287,13 @@ def inclusion_radii(
     """
     n, lead = len(P) - 1, P[-1]
     values = [_residual(P, z, residual_bits) for z in approximants]
+    # squared distances, each taken once: dist[k][j] to the earlier points j < k
+    dist = [[(A - A2) ** 2 + (B - B2) ** 2 for A2, B2 in points[:k]]
+            for k, (A, B) in enumerate(points)]
     radii = []
     for k, ((A, B), (hr, hi, F)) in enumerate(zip(points, values)):
         hr, hi = (hr << (E - F) * n, hi << (E - F) * n) if F <= E else _gauss_horner(P, A, B, E)
-        prod = math.prod((A - A2) ** 2 + (B - B2) ** 2 for j, (A2, B2) in enumerate(points) if j != k)
+        prod = math.prod(dist[k]) * math.prod(dist[j][k] for j in range(k + 1, len(points)))
         if not prod:
             return None
         value2 = hr * hr + hi * hi  # |2**(E*n) * P(z_k)|**2

@@ -31,7 +31,6 @@ HEIGHT_BUDGET.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -122,10 +121,10 @@ def _composite_values(f: Poly, lam: Element) -> Iterator[Element]:
     """Yield the k-fold composition evaluated at lam, for k = 1, 2, ...
 
     Iterates u <- f(u) in A[x]/(x^2 - T*x + N), (T, N) the trace and norm of
-    lam, from u = x; the k-th residue a*x + b gives the value a*lam + b.
+    lam, from u = x, with the modulus prepared once (`Poly.quotient_step`);
+    the k-th residue a*x + b gives the value a*lam + b.
     """
-    trace, norm = lam.trace(), lam.norm()
-    step = functools.partial(f.quotient_value, trace=trace, norm=norm)
+    step = f.quotient_step(lam.trace(), lam.norm())
     residues = _bounded(f, step, (f.spec.one(), f.spec.zero()))
     return (a * lam + b for a, b in residues)
 

@@ -21,6 +21,7 @@ part of the contract.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain
 from math import gcd, lcm
 
@@ -284,11 +285,21 @@ class Poly:
         over den times a power of their product (and of den(table)).  Its two
         elements are built, and reduced, only at the end.
         """
+        return self.quotient_step(trace, norm)(u)
+
+    def quotient_step(self, trace, norm):
+        """The map u -> quotient_value(u, trace, norm), with the modulus put
+        over its denominator once: an orbit applies it at every step."""
+        return partial(self._residue, modulus=_common(self.spec, (trace, norm)))
+
+    def _residue(self, u, modulus) -> tuple[Element, Element]:
+        """quotient_value of u, the modulus given as (T, N, dc): the numerators
+        of trace and norm over their common denominator dc."""
         spec = self.spec
         if self.is_zero:
             return spec.zero(), spec.zero()
         table, mul, cols = spec.table, spec.table.mul, self.cols
-        (a, b, du), (T, N, dc) = (_common(spec, pair) for pair in (u, (trace, norm)))
+        (a, b, du), (T, N, dc) = _common(spec, u), modulus
         # a product by a or b scales the denominator by su, one by T or N by sc
         su, sc = du * table.den, dc * table.den
         power = 1

@@ -309,14 +309,20 @@ def test_printed_polynomials_parse_without_algebra_products(monkeypatch):
     from quatdyn._kernel import Table
 
     calls = {"mul": 0, "poly_mul": 0}
-    for name in calls:
-        original = getattr(Table, name)
 
-        def counted(self, *args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(self, *args, **kwargs)
+    def counted(name, original):
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(Table, name, counted)
+        return count
+
+    # each table holds its own compiled product: count those of every table
+    # these parses can reach (O's field is H's)
+    for spec in (H, O, H.field):
+        for table in (spec.table, spec.table.norm_form):
+            monkeypatch.setattr(table, "mul", counted("mul", table.mul))
+    monkeypatch.setattr(Table, "poly_mul", counted("poly_mul", Table.poly_mul))
     printed = (
         "(4 + 4*i + -4*j + -4*k)*x^0 + (-1*i + 1*j + 1*k)*x^1 + (1*i + -1*j + -1*k)*x^2"
     )
