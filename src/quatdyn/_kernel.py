@@ -12,21 +12,21 @@ Every product goes through one sparse table of integer structure constants
 per algebra, derived once by the Cayley-Dickson doubling rule: its rows index
 the operands' coordinates, its `dim` counts the product's.  Norms and the
 companion conj(g)*g are products of a second table, `Table.norm_form`, the
-entries that land on the ground field (dim = width).  The product of two
-elements, `Table.mul`, is straight-line code compiled from the rows on its
-first call, one block per row, skipped where the operand's coordinate is
-zero.  A `Poly` is the coordinate columns of its coefficients over one
-denominator, and its products convolve those columns through the same table:
-short operands by the schoolbook convolution, long ones by packing each
+entries that land on the ground field (dim = width).  Each table has two
+products, straight-line code compiled on first call, the only code that
+applies the structure constants, to coordinates and packed columns alike:
+`Table.mul` from the rows, and `Table.square` from the square's rows, where
+the two entry lists of each unordered pair are merged by target, so the
+terms of anticommuting units, which cancel, are never formed.  A `Poly` is
+the coordinate columns of its coefficients over one denominator, and its
+products convolve those columns: short operands by the schoolbook
+convolution, one `mul` per pair of coefficients, long ones by packing each
 column into one integer (Kronecker substitution by `pack` and `unpack`, the
-only code that knows the packing format), one integer product per column
-pair of the table (`Table.pair_products`).  A square takes each unordered
-pair once, its two entry lists merged by target (`Table.square_pairs`), so
-the terms of anticommuting units, which cancel, are never formed.
-Composition f(g) runs on the same packed columns (`Table.compose`): the top
-power of g and the products by f's coefficients are summed packed, at one
-slot that provably holds each coefficient of the composite, and the
-composite is unpacked once.
+only code that knows the packing format), one `mul` or `square` of the
+packed columns.  Composition f(g) runs on the same packed columns
+(`Table.compose`): the top power of g and the products by f's coefficients
+are summed packed, at one slot that provably holds each coefficient of the
+composite, and the composite is unpacked once.
 
 `PATHS`, always on, counts each path where it is chosen, by (line, path):
 "poly_mul" and "compose powers" "schoolbook"/"packed", "compose" "packed"/
@@ -66,11 +66,11 @@ HEIGHT_BUDGET = 2**16
 # the slot read from each operand's width profile (`_profile`).  Table.compose
 # packs its whole sum where its top product is dense, at any length: it saves
 # an unpacking and the schoolbook products by the coefficients of f besides.
-# Measured on quaternion columns, the packed product of two different
-# operands is 0.5-1.1x as fast as the schoolbook one at 2-4 coefficients,
-# 1.6-2.5x at 6-8 and 3-16x at 16-64 for coefficients of up to 64 bits; for
-# coefficients of 500 to 20000 bits it breaks even at 12-20 and wins 1.2-1.5x
-# at 24-32.  A square is 1.3-1.8x faster than that from 8 coefficients on.
+# Measured on quaternion columns (best of 9, a shared 2-core host), the packed
+# product of two different operands is 0.3-1.1x as fast as the schoolbook one
+# at 2-4 coefficients, 1.1-2.2x at 6-8 and 2-19x at 16-64 for coefficients of
+# up to 64 bits; for 500 to 20000 bits it breaks even at 12-20 and wins
+# 0.9-1.8x at 24-32.  A packed square is 1.2-2x faster again (2-4x at 500+).
 KRONECKER_MIN = 6
 KRONECKER_BITS = 64
 KRONECKER_WIDE = 24
@@ -116,15 +116,16 @@ class Table:
     `mul(x, y)` gives the numerators of x*y over den times the denominators
     of x and y.  It is straight-line code compiled from the rows on the first
     product (`_compile_mul`): one block per row, entered only when x[p] is
-    nonzero, so sparse operands cost less, and one multiply-add per entry.
-    `pairs` holds the same entries by column pair (p, q), and `square_pairs`
-    those of a square, where (p, q) and (q, p) multiply the same two columns:
-    one entry per unordered pair and target r, their constants summed and the
-    zero sums dropped.
+    nonzero, so sparse operands cost less, and one integer product per
+    column pair.  `square(x, x)` equals mul(x, x), compiled from
+    `square_rows`, where (p, q) and (q, p) multiply the same two columns: one
+    entry per unordered pair p <= q and target r, in row p, their constants
+    summed and the zero sums dropped.  Both serve coordinates and packed
+    columns alike.
     """
 
     __slots__ = (
-        "width", "dim", "den", "rows", "pairs", "square_pairs", "spread_bits", "norm_form", "mul"
+        "width", "dim", "den", "rows", "square_rows", "spread_bits", "norm_form", "mul", "square"
     )
 
     def __init__(self, field, *gens) -> None:
@@ -166,39 +167,34 @@ class Table:
         self._derive(width, n * width, den, rows, norm_form)
 
     def _derive(self, width: int, dim: int, den: int, rows, norm_form=None) -> None:
-        """Set the table from its rows: the entries by column pair and the slot's spread."""
+        """Set the table from its rows: the square's rows and the slot's spread."""
         self.width, self.dim, self.den, self.norm_form = width, dim, den, norm_form
         self.rows = tuple(tuple(row) for row in rows)
-        # the same entries grouped by column pair (p, q) -> ((r, c), ...), for
-        # products of packed columns
-        pairs: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        # (p, q) and (q, p) multiply the same two columns of a square, so their
+        # constants add up by r, in row min(p, q); those of anticommuting units
+        # cancel
+        square: list[Counter] = [Counter() for _ in rows]
         for p, row in enumerate(rows):
             for q, r, c in row:
-                pairs.setdefault((p, q), []).append((r, c))
-        self.pairs = tuple((p, q, tuple(t)) for (p, q), t in pairs.items())
-        # (p, q) and (q, p) multiply the same two columns of a square, so their
-        # constants add up by r; those of anticommuting units cancel
-        square: dict[tuple[int, int], Counter] = {}
-        for (p, q), targets in pairs.items():
-            merged = square.setdefault((min(p, q), max(p, q)), Counter())
-            for r, c in targets:
-                merged[r] += c
-        self.square_pairs = tuple(
-            (p, q, t) for (p, q), merged in square.items()
-            if (t := tuple((r, c) for r, c in merged.items() if c))
-        )
+                square[min(p, q)][max(p, q), r] += c
+        self.square_rows = tuple(tuple((q, r, c) for (q, r), c in s.items() if c) for s in square)
         # bits of the largest sum of |c| over the entries that land on one r
         spread = [0] * dim
         for row in rows:
             for _, r, c in row:
                 spread[r] += abs(c)
         self.spread_bits = max(spread).bit_length()
-        self.mul = self._first_mul
+        self.mul, self.square = self._first_mul, self._first_square
 
     def _first_mul(self, x, y) -> list[int]:
         """The first product: compile `mul` from the rows, then take it."""
         self.mul = _compile_mul(self.rows, self.dim)
         return self.mul(x, y)
+
+    def _first_square(self, x, y) -> list[int]:
+        """The first square: compile `square` from the square's rows, then take it."""
+        self.square = _compile_mul(self.square_rows, self.dim)
+        return self.square(x, y)
 
     def poly_mul(self, F, G) -> list[list[int]]:
         """Coordinate columns of the product of two polynomials.
@@ -241,57 +237,40 @@ class Table:
         return bits_f + bits_g + short.bit_length() + self.spread_bits + 1
 
     def schoolbook_mul(self, F, G, out=None) -> list[list[int]]:
-        """poly_mul by the direct convolution: one integer product per term,
-        added into the columns `out` when given (long enough to hold them).
-
-        It walks the table by rows, so a zero coefficient of F skips its
-        whole row; a walk by column pairs, as in _packed_mul, measured 8%
-        slower on the short products of `compose`.
-        """
+        """poly_mul by the direct convolution, added into the columns `out` when
+        given (long enough to hold them): one `mul` per pair of nonzero
+        coefficients, so that the compiled product stays the one code that
+        applies the structure constants; it skips the row of each zero
+        coordinate of F's coefficient."""
         if out is None:
             size = len(F[0]) + len(G[0]) - 1
             out = [[0] * size for _ in range(self.dim)]
-        for Fp, row in zip(F, self.rows):
-            for i, a in enumerate(Fp):
-                if a:
-                    for q, r, c in row:
-                        o, ac = out[r], a * c
-                        for k, b in enumerate(G[q], i):
-                            o[k] += ac * b
+        mul = self.mul
+        coeffs_g = [(k, b) for k, b in enumerate(zip(*G)) if any(b)]
+        for i, a in enumerate(zip(*F)):
+            if any(a):
+                for k, b in coeffs_g:
+                    for o, v in zip(out, mul(a, b)):
+                        o[i + k] += v
         return out
 
     def _packed_mul(self, F, G, slot: int) -> list[list[int]]:
         """poly_mul by Kronecker substitution (Harvey 2009, J. Symb. Comput. 44),
         at a slot of s bits that holds every coefficient.
 
-        Each column becomes one integer, sum F[p][i] * 2**(s*i), so that one
-        integer product per column pair (p, q) of the table holds a whole
-        convolution (`pair_products`).  The slot is rounded up to whole bytes,
-        so that `pack` and `unpack` fill and read it in linear time.  When F
-        is G, each unordered column pair is multiplied once (`square_pairs`).
+        Each column becomes one integer, sum F[p][i] * 2**(s*i), so that the
+        element product `mul` of the packed columns, one integer product per
+        column pair of the table, holds a whole convolution.  The slot is
+        rounded up to whole bytes, so that `pack` and `unpack` fill and read it
+        in linear time.  When F is G, `square` multiplies each unordered column
+        pair once.
         """
         size = len(F[0]) + len(G[0]) - 1
         nbytes = (slot + 7) // 8
         packed_f = [pack(col, nbytes) for col in F]
         packed_g = packed_f if G is F else [pack(col, nbytes) for col in G]
-        pairs = self.square_pairs if G is F else self.pairs
-        return [unpack(v, nbytes, size) for v in self.pair_products(pairs, packed_f, packed_g)]
-
-    def pair_products(self, pairs, A, B, acc=None) -> list[int]:
-        """acc[r] += c * A[p] * B[q] for each (p, q, ((r, c), ...)) of pairs.
-
-        A and B are packed columns (a constant's coordinates are its packed
-        columns too), so the products are summed packed, with the structure
-        constants, per output coordinate r; acc starts at zero by default.
-        """
-        acc = [0] * self.dim if acc is None else acc
-        for p, q, targets in pairs:
-            a, b = A[p], B[q]
-            if a and b:
-                ab = a * b
-                for r, c in targets:
-                    acc[r] += c * ab
-        return acc
+        product = self.square if G is F else self.mul
+        return [unpack(v, nbytes, size) for v in product(packed_f, packed_g)]
 
     def compose(self, F, G, scale: int) -> list[list[int]]:
         """Numerator columns of f(g) = sum c_i * (g^i) over den(f) * scale**m.
@@ -305,13 +284,14 @@ class Table:
         G and each power below G^m are measured once (`_profile`) and
         multiplied by poly_mul's rule, each at its own slot.  When G is even
         and G^(m-1) * G dense by that rule (at any length), G and the powers
-        with a nonzero c_i are packed at one slot, G^m is formed there by the
-        pair products, the terms are summed into one packed accumulator per
-        coordinate, and the sum is unpacked once: exactly, since packing is
-        linear and `_compose_bits` bounds each coefficient within the signed
-        slot.  Otherwise G^m takes the product rule too, and the terms are
-        added into columns by the schoolbook product: for an uneven G, or few
-        wide coefficients, the packed sum measured slower.
+        with a nonzero c_i are packed at one slot, G^m is formed there by
+        `mul` (`square` at m = 2), each term is one `mul` of c_i by packed
+        columns, summed into one packed accumulator per coordinate, and the
+        sum is unpacked once: exactly, since packing is linear and
+        `_compose_bits` bounds each coefficient within the signed slot.
+        Otherwise G^m takes the product rule too, and the terms are added
+        into columns by the schoolbook product: for an uneven G, or few wide
+        coefficients, the packed sum measured slower.
         """
         m, size, short = len(F[0]) - 1, (len(F[0]) - 1) * (len(G[0]) - 1) + 1, len(G[0])
         coeffs = list(zip(*F))
@@ -337,13 +317,12 @@ class Table:
             [pack(col, nbytes) for col in P] if any(coeffs[i]) or i in (1, m - 1) else None
             for i, P in enumerate(powers, 1)
         ]
-        pairs = self.square_pairs if m == 2 else self.pairs
-        packed.append(self.pair_products(pairs, packed[-1], packed[0]))
+        packed.append((self.square if m == 2 else self.mul)(packed[-1], packed[0]))
         acc = list(coeffs[0])
         for k, c, P in _horner(coeffs, packed):
             if scale != 1:
                 acc = [v * scale**k for v in acc]
-            self.pair_products(self.pairs, c, P, acc)
+            acc = [v + t for v, t in zip(acc, self.mul(c, P))]
         return [unpack(v, nbytes, size) for v in acc]
 
     def _compose_bits(self, coeffs, bits, scale) -> int:
@@ -366,11 +345,12 @@ class Table:
 
 def _compile_mul(rows, dim: int):
     """The product of a table as straight-line code: mul(x, y) unpacks the
-    operands into locals x0, y0, ..., and each row p is one `if xp:` block of
-    one `o{r} += c * xp * yq` per entry (c = 1 and c = -1 fold into the sign),
-    so a zero x[p] skips its row.  The other constants are bound by name, as
-    the arguments of a factory: one of thousands of bits would pass CPython's
-    limit on the digits of an int literal."""
+    operands into locals x0, y0, ..., and each row p is one `if xp:` block,
+    so a zero x[p] skips its row, of one product xp * yq per column pair,
+    added times c into each o{r} it lands on (c = +-1 folds into the sign):
+    a pair of packed columns that lands on two r is multiplied once.  The
+    other constants are bound by name, as the arguments of a factory: one of
+    thousands of bits would pass CPython's limit on the digits of an int literal."""
     names: dict[int, str] = {}  # each constant other than +-1, by value
     outs = [f"o{r}" for r in range(dim)]
     body = [
@@ -381,12 +361,20 @@ def _compile_mul(rows, dim: int):
     for p, row in enumerate(rows):
         if row:
             body.append(f"if x{p}:")
+        targets: dict[int, list[tuple[int, int]]] = {}
         for q, r, c in row:
-            if c in (1, -1):
-                body.append(f"    o{r} {'+' if c > 0 else '-'}= x{p} * y{q}")
-            else:
-                name = names.setdefault(c, f"c{len(names)}")
-                body.append(f"    o{r} += {name} * x{p} * y{q}")
+            targets.setdefault(q, []).append((r, c))
+        for q, rcs in targets.items():
+            term = f"x{p} * y{q}"
+            if len(rcs) > 1:
+                body.append(f"    t = {term}")
+                term = "t"
+            for r, c in rcs:
+                if c in (1, -1):
+                    body.append(f"    o{r} {'+' if c > 0 else '-'}= {term}")
+                else:
+                    name = names.setdefault(c, f"c{len(names)}")
+                    body.append(f"    o{r} += {name} * {term}")
     body.append(f"return [{', '.join(outs)}]")
     source = f"def bind({', '.join(names.values())}):\n    def mul(x, y):\n"
     source += "".join(f"        {line}\n" for line in body) + "    return mul\n"

@@ -10,7 +10,7 @@ Two different iterations therefore coexist and are kept apart throughout:
   compose_iterate(n)   the polynomial f(f(...)), outer copy applied last;
   eval_iterate(lam, n) the value f(f(...f(lam))), plain repeated evaluation.
 
-Values of composites at a point lam need no composite: `quotient_value`
+Values of composites at a point lam need no composite: `quotient_step`
 evaluates f in A[x]/(x^2 - T*x + N), with (T, N) the trace and norm of lam.
 
 They agree when lam commutes with the intermediate values and differ in
@@ -269,8 +269,10 @@ class Poly:
                 out = self.compose(out)
         return out
 
-    def quotient_value(self, u, trace, norm) -> tuple[Element, Element]:
-        """f(u) = sum c_i u^i in A[x]/(x^2 - trace*x + norm), by Horner's rule.
+    def quotient_step(self, trace, norm):
+        """The map u -> f(u) = sum c_i u^i in A[x]/(x^2 - trace*x + norm), by
+        Horner's rule, with the modulus put over its denominator once: an
+        orbit applies it at every step.
 
         u = (a, b) stands for a*x + b, and so does the pair returned.  The
         modulus has ground-field coefficients, so it is central and reduction
@@ -285,16 +287,11 @@ class Poly:
         over den times a power of their product (and of den(table)).  Its two
         elements are built, and reduced, only at the end.
         """
-        return self.quotient_step(trace, norm)(u)
-
-    def quotient_step(self, trace, norm):
-        """The map u -> quotient_value(u, trace, norm), with the modulus put
-        over its denominator once: an orbit applies it at every step."""
         return partial(self._residue, modulus=_common(self.spec, (trace, norm)))
 
     def _residue(self, u, modulus) -> tuple[Element, Element]:
-        """quotient_value of u, the modulus given as (T, N, dc): the numerators
-        of trace and norm over their common denominator dc."""
+        """The residue of quotient_step at u, the modulus given as (T, N, dc):
+        the numerators of trace and norm over their common denominator dc."""
         spec = self.spec
         if self.is_zero:
             return spec.zero(), spec.zero()

@@ -40,7 +40,7 @@ leading coefficient in every coefficient and swell.
            from that approximate class data.
 
 Per-class solving has the same two policies over one reduction
-(`Poly.quotient_value`) and one point formula, -A**-1 * B = -conj(A)*B / N(A)
+(`Poly.quotient_step`) and one point formula, -A**-1 * B = -conj(A)*B / N(A)
 on numerators (`_class_point`).  Exact mode tests A and B for zero exactly
 and verifies the unrounded point.  Numeric mode counts A or B as zero
 relative to the size of the terms summed into it, rounds the point once to
@@ -720,7 +720,7 @@ def _solve_exact(g: Poly, klass: ConjClass) -> ClassSolution:
             "none", klass, detail="central candidate is not a root"
         )
     # z^k = p_k z + q_k inside the class, so g(z) = A z + B
-    A, B = g.quotient_value((g.spec.one(), g.spec.zero()), T, N)
+    A, B = g.quotient_step(T, N)((g.spec.one(), g.spec.zero()))
     if A.is_zero:
         if B.is_zero:
             return ClassSolution("sphere", klass)
@@ -754,7 +754,7 @@ def _solve_numeric(g: Poly, klass: ConjClass, tolerance: float) -> ClassSolution
             f"{klass.precision} bits do not exclude it; about {bits} bits would resolve the "
             f"class{beyond}",
         )
-    A, B = g.quotient_value((g.spec.one(), g.spec.zero()), T, N)
+    A, B = g.quotient_step(T, N)((g.spec.one(), g.spec.zero()))
     if not klass.squarefree:
         ztol = Fraction(2) ** (-klass.precision // 2 + 8)
         a_scale, b_scale = _reduction_scales(sizes, T, N)

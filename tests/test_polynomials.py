@@ -44,11 +44,14 @@ H = QuatSpec.standard()
 O = OctSpec.standard()
 F5 = FieldSpec(5)
 THIRD = QuatSpec(QQ, 2, Fraction(1, 3))
+# irrational structure constants: some column pairs land on two coordinates
+SURD = QuatSpec(F5, F5.scalar(1, 1), -3)
+SURD_OCT = OctSpec(SURD, F5.scalar(0, 1))
 TABLE_SPECS = [
     H,
     QuatSpec.standard(F5),
     THIRD,
-    QuatSpec(F5, F5.scalar(1, 1), -3),  # irrational structure constant
+    SURD,
     O,
     OctSpec(THIRD, -5),
     OctSpec.standard(F5),
@@ -157,7 +160,7 @@ def test_product_and_evaluation_match_tuple_oracles():
 
 # -- packed (Kronecker) products ------------------------------------------------
 
-KRONECKER_SPECS = [H, QuatSpec.standard(F5), THIRD, O, OctSpec.standard(F5)]
+KRONECKER_SPECS = [H, QuatSpec.standard(F5), THIRD, SURD, O, OctSpec.standard(F5), SURD_OCT]
 
 # heights on both sides of a byte: small, at 64 bits, and far above
 ENTRY = st.one_of(
@@ -218,13 +221,13 @@ def test_packed_product_fills_its_slots(spec):
     """
     table, n = spec.table, 7
     spread = [0] * table.dim
-    for _, _, targets in table.pairs:
-        for r, c in targets:
+    for row in table.rows:
+        for _, r, c in row:
             spread[r] += abs(c)
     busy = spread.index(max(spread))
     sign = [1] * table.dim
-    for _, q, targets in table.pairs:
-        for r, c in targets:
+    for row in table.rows:
+        for q, r, c in row:
             if r == busy:
                 sign[q] = 1 if c > 0 else -1
     G = [[s * ((1 << 64) - 1)] * n for s in sign]
@@ -627,7 +630,7 @@ def test_octonion_horner_forms_agree():
     """O[x] is alternative, so Horner's rule holds there for compose and residues.
 
     compose against (...(c_n*g + c_(n-1))*g + ...)*g + c_0 built from Poly
-    operations, and quotient_value against the remainder of f(a*x + b) by the
+    operations, and quotient_step against the remainder of f(a*x + b) by the
     central x^2 - T*x + N.
     """
     rng = random.Random(67)
@@ -641,7 +644,7 @@ def test_octonion_horner_forms_agree():
         a, b = rand_oct(rng, O, den=3), rand_oct(rng, O, den=3)
         T, N = Fraction(rng.randint(-9, 9), 2), Fraction(rng.randint(-9, 9), 3)
         _, (low, high) = divmod_monic(f.compose(Poly(O, [b, a])).coeffs, [N, -T, 1])
-        assert f.quotient_value((a, b), T, N) == (high, low)
+        assert f.quotient_step(T, N)((a, b)) == (high, low)
 
 
 def test_compose_iterate_examples():

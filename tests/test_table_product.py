@@ -1,10 +1,11 @@
-"""The product of a structure-constant table, compiled from its rows, against
-independent oracles: the tuple multipliers of `helpers` (`table_qmul`,
-`pair_omul`), (a + b*sqrt d)(c + e*sqrt d) written out for a ground field, and
-a plain walk of the rows; and the square pairs that packed squares run on.
+"""The products of a structure-constant table, compiled from its rows and its
+square's rows, against independent oracles: the tuple multipliers of
+`helpers` (`table_qmul`, `pair_omul`), (a + b*sqrt d)(c + e*sqrt d) written
+out for a ground field, and a plain walk of the rows.
 """
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,11 +22,13 @@ from helpers import pair_omul, table_qmul
 
 F5, F_3 = FieldSpec(5), FieldSpec(-3)
 THIRD = QuatSpec(QQ, 2, Fraction(1, 3))  # table den 3
+# irrational structure constants: some column pairs land on two coordinates
+SURD = QuatSpec(F5, F5.scalar(1, 1), -3)
 SPECS = [
     QQ, F5, F_3,
     QuatSpec.standard(), QuatSpec.standard(F5), QuatSpec.standard(F_3),
-    THIRD, QuatSpec(F5, 2, Fraction(1, 3)),
-    OctSpec.standard(), OctSpec.standard(F5), OctSpec(THIRD, -5),
+    THIRD, QuatSpec(F5, 2, Fraction(1, 3)), SURD,
+    OctSpec.standard(), OctSpec.standard(F5), OctSpec(THIRD, -5), OctSpec(SURD, F5.scalar(0, 1)),
 ]
 
 ENTRY = st.one_of(
@@ -115,14 +118,17 @@ def test_constants_of_thousands_of_digits_are_bound_by_name(capsys):
 
 
 def test_no_product_is_compiled_at_import():
-    """Importing the package builds QQ's tables but compiles neither product."""
+    """Importing the package builds QQ's tables but compiles none of their
+    products and squares."""
     import quatdyn
 
     script = (
         "import quatdyn.cli, quatdyn.dynamics\n"
         "from quatdyn import QQ\n"
         "from quatdyn._kernel import Table\n"
-        "print(all(t.mul.__func__ is Table._first_mul for t in (QQ.table, QQ.table.norm_form)))\n"
+        "tables = (QQ.table, QQ.table.norm_form)\n"
+        "print(all(t.mul.__func__ is Table._first_mul for t in tables)"
+        " and all(t.square.__func__ is Table._first_square for t in tables))\n"
     )
     src = str(Path(quatdyn.__file__).resolve().parents[1])
     done = subprocess.run(
@@ -135,30 +141,46 @@ def test_no_product_is_compiled_at_import():
 
 @pytest.mark.parametrize("spec", SPECS, ids=str)
 def test_square_pairs_are_merged(spec):
-    """Each unordered column pair holds each r once, with a nonzero constant:
-    the (p, q) and (q, p) entries of `pairs` summed by r, zero sums dropped."""
+    """Each unordered column pair p <= q, in row p of `square_rows`, holds
+    each r once, with a nonzero constant: the (p, q) and (q, p) entries of
+    `rows` summed by r, zero sums dropped."""
     for table in (spec.table, spec.table.norm_form):
         summed: dict[tuple[int, int, int], int] = {}
-        for p, q, targets in table.pairs:
-            for r, c in targets:
+        for p, row in enumerate(table.rows):
+            for q, r, c in row:
                 key = (min(p, q), max(p, q), r)
                 summed[key] = summed.get(key, 0) + c
+        assert len(table.square_rows) == len(table.rows)
         seen = set()
-        for p, q, targets in table.square_pairs:
-            assert p <= q and (p, q) not in seen
-            seen.add((p, q))
-            rs = [r for r, _ in targets]
-            assert targets and len(set(rs)) == len(rs)
-            assert all(c and c == summed[p, q, r] for r, c in targets)
-        assert {k for k, c in summed.items() if c} == {
-            (p, q, r) for p, q, targets in table.square_pairs for r, _ in targets
-        }
+        for p, row in enumerate(table.square_rows):
+            for q, r, c in row:
+                assert p <= q and (p, q, r) not in seen
+                seen.add((p, q, r))
+                assert c and c == summed[p, q, r]
+        assert {k for k, c in summed.items() if c} == seen
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=str)
+def test_products_of_packed_sizes_match_the_walk(spec):
+    """mul and square on coordinates of 2,000 to 20,000 bits, the size of
+    packed columns, equal the walk of the rows, and square(x, x) equals
+    mul(x, x), for the main table and the norm form; some coordinates are
+    zero, as in sparse columns."""
+    rng = random.Random(str(spec))
+    for table in (spec.table, spec.table.norm_form):
+        for _ in range(4):
+            x, y = (
+                [rng.choice((0, 1, -1)) * rng.getrandbits(rng.randint(2000, 20000)) for _ in table.rows]
+                for _ in range(2)
+            )
+            assert table.mul(x, y) == _walk(table, x, y)
+            assert table.square(x, x) == table.mul(x, x) == _walk(table, x, x)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_packed_square_equals_the_schoolbook_square(data):
-    """A packed square runs on the merged square pairs and equals the
+    """A packed square runs on the square's merged rows and equals the
     schoolbook square, for the main table and the norm form."""
     spec = data.draw(st.sampled_from(SPECS), label="spec")
     n = data.draw(st.integers(1, 10))
