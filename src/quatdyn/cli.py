@@ -235,16 +235,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("oct-check", parents=[poly, point])
 
+    parser.commands = sub.choices  # each command's own parser, by name
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    # the subparser action names the command here before it parses the rest,
-    # so a usage error can still say which command it belongs to
+    argv = sys.argv[1:] if argv is None else argv
+    # argv that starts with a command goes straight to that command's parser,
+    # named in ns first, so a usage error can still say which command it
+    # belongs to; the top-level parser reads only the rest (--help, --version,
+    # a missing or unknown command)
     ns = argparse.Namespace(command=None)
     try:
-        parser.parse_args(argv, ns)
+        if argv and argv[0] in parser.commands:
+            ns.command = argv[0]
+            parser.commands[argv[0]].parse_args(argv[1:], ns)
+        else:
+            parser.parse_args(argv, ns)
     except SystemExit as exc:  # --help and --version
         return 0 if not exc.code else 2
     except UsageError as exc:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from quatdyn import FieldSpec, OctSpec, ParseError, QQ, QuatSpec
+from quatdyn import FieldSpec, OctSpec, ParseError, QQ, QuatSpec, cli
 from quatdyn.cli import main, parse_algebra, parse_field
 from quatdyn.parsing import parse_element
 
@@ -210,6 +210,90 @@ def test_exit_codes():
 
     code, _ = run_cli(["--version"])
     assert code == 0
+
+
+# Command argv go straight to the command's own parser.  Each argv below runs
+# that way and, as the reference, through the top-level parser (which hands the
+# rest to the same command parser by its subparsers action), then through the
+# same handler: exit code and stdout must be equal.
+DISPATCH_ARGV = [
+    # valid, --flag=value and a negative value after '='
+    ["fixed-points", "--poly", "x^2+(i+1)*x+1+i*j"],
+    ["fixed-points", "--poly=x^2", "--mode=numeric", "--precision=64", "--tolerance=1e-6"],
+    ["roots", "--poly", "x^2+1"],
+    ["roots", "--algebra=quat:-1,-1@Q(s5)", "--poly=x^2-5"],
+    ["companion", "--poly=i*x^2+j"],
+    ["compose", "--poly", "x^2+i", "--n=3"],
+    ["orbit", "--poly", "x^2+i", "--point=-i", "--n-max", "3", "--semantics=eval"],
+    ["check-periodic", "--poly=x^2+i", "--point=-i", "--r", "2"],
+    ["oct-check", "--algebra", "oct:-1,-1,-1@Q", "--poly", "l*x^2+x", "--point=-l"],
+    # missing, duplicated and unknown options
+    ["fixed-points"],
+    ["roots", "--mode", "exact"],
+    ["companion", "--poly", "x", "--poly", "x^2"],
+    ["compose", "--poly", "x^2"],
+    ["orbit", "--poly", "x^2+i"],
+    ["check-periodic", "--poly", "x^2+i", "--point=-i", "--r", "1", "--r", "2"],
+    ["oct-check", "--poly", "x", "--point", "i", "--stats"],
+    ["roots", "--poly", "x", "--nonsense=1"],
+    # abbreviations: --prec of --precision, --n of --n-max, --po of --poly, and
+    # the ambiguous --p (--poly or --precision)
+    ["roots", "--poly", "x^2+1", "--mode", "numeric", "--prec", "64"],
+    ["orbit", "--poly", "x^2+i", "--point=-i", "--n", "2"],
+    ["check-periodic", "--poly", "x^2+i", "--point=-i", "--r", "1", "--n", "2"],
+    ["compose", "--po", "x^2", "--n", "2"],
+    ["fixed-points", "--p", "x"],
+    # -h and --version after the command, and --
+    ["fixed-points", "-h"],
+    ["roots", "--help"],
+    ["companion", "--poly", "x", "-h"],
+    ["compose", "--version"],
+    ["orbit", "--poly", "x", "--point", "i", "--version"],
+    ["compose", "--poly", "x^2", "--n", "2", "--"],
+    ["compose", "--", "--poly", "x^2", "--n", "2"],
+    ["check-periodic", "--poly", "x^2+i", "--point", "--", "-i", "--r", "1"],
+    ["oct-check", "--poly", "x", "--", "--point", "i"],
+    # a bad int, a negative number without '=' and trailing positionals
+    ["compose", "--poly", "x^2", "--n", "two"],
+    ["orbit", "--poly", "x^2+i", "--point=-i", "--n-max", "1.5"],
+    ["check-periodic", "--poly", "x^2+i", "--point=-i", "--r", "-2"],
+    ["orbit", "--poly", "x^2+i", "--point", "-i"],
+    ["roots", "--poly", "-x^2+1"],
+    ["fixed-points", "--poly", "x", "extra"],
+    ["companion", "extra", "--poly", "x"],
+    ["oct-check", "--poly", "x", "--point", "i", "a", "b"],
+    # argv that does not start with a command: the top-level parser reads it
+    [],
+    ["-h"],
+    ["--version"],
+    ["unknown", "--poly", "x"],
+    ["--poly", "x", "roots"],
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGV, ids=" ".join)
+def test_command_argv_parse_as_through_the_top_level_parser(argv, monkeypatch):
+    code, out = run_cli(argv)
+    # without the command table every argv goes to the top-level parser
+    monkeypatch.setattr(cli.build_parser(), "commands", {}, raising=False)
+    assert (code, out) == run_cli(argv)
+
+
+def test_command_argv_skip_the_top_level_parser(monkeypatch):
+    parser, calls = cli.build_parser(), []
+    parse_args = parser.parse_args
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return parse_args(*args, **kwargs)
+
+    monkeypatch.setattr(parser, "parse_args", spy)
+    for argv in DISPATCH_ARGV:
+        run_cli(argv)
+        if argv and argv[0] in cli._HANDLERS:
+            assert not calls, argv
+        calls.clear()
+    assert run_cli(["--version"])[0] == 0 and calls
 
 
 def test_precision_is_capped_and_the_cap_is_named():

@@ -132,6 +132,8 @@ def test_nesting_is_bounded():
         ("(" * 250 + "x" + ")" * 250, 100),
         ("-" * 1000 + "x", 100),
         ("x + " + "(-" * 60 + "i" + ")" * 60, 104),
+        # 101 alternating '-' and '(': the last '-' is one level too deep
+        (("-(" * 51)[:101] + "x" + ")" * 50, 100),
     ):
         with pytest.raises(ParseError) as err:
             parse_poly(source, H)
@@ -257,6 +259,11 @@ BUDGET_ERRORS = [
         "power 100000 of a degree--1, 1-bit polynomial passes degree 256 or 65536 bits "
         "(at position 11)",
     ),
+    # a term folds its central factors apart from the others, yet each refusal
+    # names the product of the factors written before its '*'
+    ("i*2^32768*j*2^32768", "product of height above 65536 bits (at position 11)"),
+    ("-2^32768*-i*2^32768", "product of height above 65536 bits (at position 11)"),
+    ("x^200*3*i*x^57", "product of degree above 256 (at position 9)"),
 ]
 
 
@@ -286,6 +293,8 @@ def test_octonion_products_keep_written_order():
         got = parse_element(source, O)
         assert tuple(Fraction(v, got.den) for v in got.nums) == expected
     assert parse_element("(i*j)*l", O) != parse_element("i*(j*l)", O)
+    # rationals lie in the nucleus: folding the 2 and the 3 out keeps the value
+    assert parse_poly("(i*2)*(j*l)*3", O).render() == "(-6*kl)"
 
 
 def test_central_products_and_powers():

@@ -24,11 +24,12 @@ the path lines print quatdyn's own `_kernel.PATHS`, counted where each path is
 decided, over those calls (local prime 11, or above).
 
 The cost line sums the stages of `cli.main` over the calls, each stage the
-best of the passes: argparse is its parser's parse_args; parse is
-cli.parse_algebra, parse_poly and parse_element; render is Poly.render and
-Element.render (the echoed algebra's parameters too, not the solver's
-per-coordinate text); json is json.dumps; main is the whole call, and compute
-the rest of it.  A stage called inside another counts to the outer one.
+best of the passes: argparse is the parse_args of the top-level parser and of
+each command's parser; parse is cli.parse_algebra, parse_poly and
+parse_element; render is Poly.render and Element.render (the echoed algebra's
+parameters too, not the solver's per-coordinate text); json is json.dumps;
+main is the whole call, and compute the rest of it.  A stage called inside
+another counts to the outer one.
 
 The program is imported from CHECKOUT/src (by default this repository's),
 the argv lists from this repository's perfbench, so two checkouts run the
@@ -98,7 +99,9 @@ def _time_stages(costs: dict) -> None:
         return call
 
     parser = cli.build_parser()
-    parser.parse_args = timed("argparse", parser.parse_args)
+    # a checkout without `commands` runs every argv through the top-level parser
+    for p in (parser, *getattr(parser, "commands", {}).values()):
+        p.parse_args = timed("argparse", p.parse_args)
     for name in ("parse_algebra", "parse_poly", "parse_element"):
         setattr(cli, name, timed("parse", getattr(cli, name)))
     Poly.render = timed("render", Poly.render)
