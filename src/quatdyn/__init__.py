@@ -9,7 +9,8 @@ solver (`roots` and friends), and the dynamics layer (`fixed_points`,
 Scalars, quaternions and octonions share one integer structure-constant
 kernel.  Only `Poly.compose_iterate` builds composites, within the fixed
 `DEGREE_CAP` and a budget on their column height and work; the dynamics layer
-is bounded by a budget on steps and bit height instead.
+and `Poly.eval_iterate` are bounded by a budget on steps and bit height
+instead.
 """
 
 __version__ = "0.1.0"

@@ -44,13 +44,16 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from itertools import chain, product, repeat
+from itertools import chain, count, product, repeat
 from math import gcd, lcm
 from typing import TYPE_CHECKING
 
-from .errors import SpecMismatchError, SplitAlgebraError
+from .errors import DegreeCapError, SpecMismatchError, SplitAlgebraError
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
+    from .polynomials import Poly
     from .scalars import Scalar
 
 RationalLike = (int, Fraction)
@@ -59,6 +62,11 @@ PATHS: Counter = Counter()  # the paths taken, by (line, path): see the module d
 # Exact work is bounded by bit height.  The step of an octonion quadratic that
 # reaches 64857 bits takes 0.31 s, the next one 1.4 s.
 HEIGHT_BUDGET = 2**16
+
+# Steps of a degree-1 map one repeated evaluation, orbit or search may take; a
+# degree-d map gets MAX_STEPS // d.  A quadratic step that keeps its height
+# costs about 75 microseconds, a degree-256 one 6.6 ms.
+MAX_STEPS = 4096
 
 # Where Table.poly_mul packs columns (Kronecker substitution): operands of at
 # least KRONECKER_MIN coefficients and, for two different operands, at least
@@ -84,6 +92,28 @@ def height(*elements) -> int:
 def column_height(cols, den: int) -> int:
     """Largest bit length among den and the numerators of coordinate columns over it."""
     return max(den, *map(abs, chain.from_iterable(cols)), 0).bit_length()
+
+
+def _bounded(f: Poly, step, u) -> Iterator:
+    """Yield step(u), step(step(u)), ..., where one step applies f once.
+
+    A step costs about deg(f) products of numbers as long as u's, and makes
+    the height of u at most deg(f) times larger, up to the height of f's
+    coefficients.  So before step k, with deg(f) counted as at least 1,
+    raise DegreeCapError when deg(f) * k exceeds MAX_STEPS or deg(f) *
+    height(u) exceeds HEIGHT_BUDGET.  u is an element or a residue pair.
+    """
+    growth = max(f.degree, 1)
+    for k in count(1):
+        bits = height(*u) if isinstance(u, tuple) else height(u)
+        for size, unit, budget in ((k, "steps", MAX_STEPS), (bits, "bits", HEIGHT_BUDGET)):
+            if growth * size > budget:
+                raise DegreeCapError(
+                    f"step {k} exceeds the budget: degree {growth} times "
+                    f"{size} {unit} is over {budget}"
+                )
+        u = step(u)
+        yield u
 
 
 def _basis(p: int, q: int, k: int):

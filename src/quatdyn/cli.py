@@ -4,8 +4,11 @@ Algebras are declared as `quat:<alpha>,<beta>@<field>` or
 `oct:<alpha>,<beta>,<gamma>@<field>` where the field is `Q` or `Q(s<d>)`,
 e.g. `quat:-1,-1@Q` or `quat:-1,-1@Q(s5)`.  Exit codes: 0 success, 1
 mathematical error (split element, degree cap or work budget, incomplete
-exact factorization, non-convergence), 2 usage or parse error.  Every error,
-argparse's usage errors included, prints a JSON document on stdout.
+exact factorization, non-convergence), 2 usage or parse error.  `main` runs
+argument parsing, the range checks and the command in one `try`, whose
+`except` clauses map each error to its exit code, and prints every payload,
+a result or an error (argparse's usage errors included), as one JSON document
+on stdout at one site; only --help and --version print argparse's text.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict
 
 from . import __version__
 from . import dynamics, solver
@@ -168,13 +170,13 @@ def _cmd_orbit(ns) -> dict:
 
 def _cmd_check_periodic(ns) -> dict:
     f, start, payload = _inputs(ns, "r", "n_max")
-    payload["result"] = asdict(dynamics.certify_periodic(f, start, ns.r, n_max=ns.n_max))
+    payload["result"] = vars(dynamics.certify_periodic(f, start, ns.r, n_max=ns.n_max))
     return payload
 
 
 def _cmd_oct_check(ns) -> dict:
     f, start, payload = _inputs(ns, "n_max")
-    payload["result"] = asdict(dynamics.octonion_fixed_check(f, start, n_max=ns.n_max))
+    payload["result"] = vars(dynamics.octonion_fixed_check(f, start, n_max=ns.n_max))
     return payload
 
 
@@ -247,33 +249,28 @@ def main(argv=None) -> int:
     # belongs to; the top-level parser reads only the rest (--help, --version,
     # a missing or unknown command)
     ns = argparse.Namespace(command=None)
+    code = 0
     try:
         if argv and argv[0] in parser.commands:
             ns.command = argv[0]
             parser.commands[argv[0]].parse_args(argv[1:], ns)
         else:
             parser.parse_args(argv, ns)
-    except SystemExit as exc:  # --help and --version
-        return 0 if not exc.code else 2
-    except UsageError as exc:
-        _emit_error(ns.command, exc)
-        return 2
-    try:
         _check_arguments(ns)
         payload = _HANDLERS[ns.command](ns)
-    except (ParseError, UsageError) as exc:
-        _emit_error(ns.command, exc)
-        return 2
-    except (AlgebraError, ZeroDivisionError) as exc:
-        _emit_error(ns.command, exc)
-        return 1
+    except SystemExit as exc:  # --help and --version
+        return 0 if not exc.code else 2
+    except (ParseError, UsageError, AlgebraError, ZeroDivisionError) as exc:
+        code = 2 if isinstance(exc, (ParseError, UsageError)) else 1
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        payload = {"command": ns.command, "error": error}
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # a residual past the double range prints in full
     try:
         print(json.dumps(payload, indent=2))
     finally:
         sys.set_int_max_str_digits(limit)
-    return 0
+    return code
 
 
 def _check_arguments(ns) -> None:
@@ -297,14 +294,6 @@ def _check_arguments(ns) -> None:
         raise UsageError(
             f"--precision must be at most {solver.MAX_PRECISION}, got {ns.precision}"
         )
-
-
-def _emit_error(command: str, exc: Exception) -> None:
-    payload = {
-        "command": command,
-        "error": {"type": type(exc).__name__, "message": str(exc)},
-    }
-    print(json.dumps(payload, indent=2))
 
 
 def run() -> None:

@@ -23,19 +23,18 @@ No composite is built to evaluate it.  x^2 - T*x + N, with (T, N) the trace
 and norm of the point, is central, so the value of the k-fold composition at
 the point is read off its residue in A[x]/(x^2 - T*x + N), iterated from x
 by u <- f(u) (`_composite_values`).  Every loop over f, these residues and
-the repeated evaluations alike, runs through `_bounded`, which bounds the
-work actually done: deg(f) times the number of steps stays within MAX_STEPS,
-and deg(f) times the bit height of the value a step starts from within
-HEIGHT_BUDGET.
+the repeated evaluations alike, runs through `_kernel._bounded`, as does
+`Poly.eval_iterate`, which bounds the work actually done: deg(f) times the
+number of steps stays within MAX_STEPS, and deg(f) times the bit height of
+the value a step starts from within HEIGHT_BUDGET.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from ._kernel import HEIGHT_BUDGET, height
+from ._kernel import MAX_STEPS, _bounded
 from .errors import DegreeCapError, UnsupportedAlgebraError, ZeroPolynomialError
 from .polynomials import Element, Poly
 from .octonions import OctSpec
@@ -46,11 +45,6 @@ from .solver import (
     ClassSolution,
     roots,
 )
-
-# Steps of a degree-1 map one orbit or search may take; a degree-d map gets
-# MAX_STEPS // d.  A quadratic step that keeps its height costs about 75
-# microseconds, a degree-256 one 6.6 ms.
-MAX_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -127,28 +121,6 @@ def _composite_values(f: Poly, lam: Element) -> Iterator[Element]:
     step = f.quotient_step(lam.trace(), lam.norm())
     residues = _bounded(f, step, (f.spec.one(), f.spec.zero()))
     return (a * lam + b for a, b in residues)
-
-
-def _bounded(f: Poly, step, u) -> Iterator:
-    """Yield step(u), step(step(u)), ..., where one step applies f once.
-
-    A step costs about deg(f) products of numbers as long as u's, and makes
-    the height of u at most deg(f) times larger, up to the height of f's
-    coefficients.  So before step k, with deg(f) counted as at least 1,
-    raise DegreeCapError when deg(f) * k exceeds MAX_STEPS or deg(f) *
-    height(u) exceeds HEIGHT_BUDGET.  u is an element or a residue pair.
-    """
-    growth = max(f.degree, 1)
-    for k in itertools.count(1):
-        bits = height(*u) if isinstance(u, tuple) else height(u)
-        for size, unit, budget in ((k, "steps", MAX_STEPS), (bits, "bits", HEIGHT_BUDGET)):
-            if growth * size > budget:
-                raise DegreeCapError(
-                    f"step {k} exceeds the budget: degree {growth} times "
-                    f"{size} {unit} is over {budget}"
-                )
-        u = step(u)
-        yield u
 
 
 def certify_periodic(f: Poly, start, r: int, n_max: int = 4) -> PeriodicVerdict:

@@ -47,8 +47,7 @@ Factor = Value | int
 
 _TOKEN = r"[-+*^()]|[0-9]+(?:/[0-9]+)?|s-[0-9]+|[a-z]+[0-9]*"
 _TOKEN_RE = re.compile(_TOKEN)
-_SPACE = r"[ \t\n\r\f\v]"  # ASCII whitespace only
-_SPACE_RE = re.compile(_SPACE)
+_SPACES = " \t\n\r\f\v"  # ASCII whitespace only
 _RADICAL_RE = re.compile(r"s(-?[0-9]+)")
 
 # The largest degree a parsed polynomial may have: the companion of a dense
@@ -122,8 +121,9 @@ class _Parser:
         self.source, self.spec, self.dim = source, spec, spec.table.dim
         self.basis, self.width = spec.ELEMENT.BASIS, spec.table.width
         self.tokens = _TOKEN_RE.findall(source) + [""]
-        if "".join(self.tokens) != _SPACE_RE.sub("", source):  # a character is in no token
-            pos = re.match(rf"(?:{_TOKEN}|{_SPACE})*", source).end()
+        # tokens hold no whitespace: a character is in no token unless both cover the source
+        if len("".join(self.tokens)) + sum(map(source.count, _SPACES)) != len(source):
+            pos = re.match(rf"(?:{_TOKEN}|[{_SPACES}])*", source).end()
             raise ParseError(f"unexpected character {source[pos]!r}", pos)
         self.index = self.depth = 0  # depth: open '(' and unary '-' around the atom
         self.value = self.expr()

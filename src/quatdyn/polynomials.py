@@ -10,6 +10,9 @@ Two different iterations therefore coexist and are kept apart throughout:
   compose_iterate(n)   the polynomial f(f(...)), outer copy applied last;
   eval_iterate(lam, n) the value f(f(...f(lam))), plain repeated evaluation.
 
+Both are bounded by their work: compose_iterate by DEGREE_CAP and the budget
+below, eval_iterate by the dynamics layer's budget (`_kernel._bounded`).
+
 Values of composites at a point lam need no composite: `quotient_step`
 evaluates f in A[x]/(x^2 - T*x + N), with (T, N) the trace and norm of lam.
 
@@ -22,10 +25,10 @@ part of the contract.
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 from math import gcd, lcm
 
-from ._kernel import HEIGHT_BUDGET, column_height, power
+from ._kernel import HEIGHT_BUDGET, _bounded, column_height, power
 from .errors import DegreeCapError, SpecMismatchError, UnsupportedAlgebraError
 from .octonions import Octonion, OctSpec
 from .quaternions import QuatSpec, Quaternion
@@ -312,13 +315,11 @@ class Poly:
         return spec.ELEMENT(spec, A, den), spec.ELEMENT(spec, B, den)
 
     def eval_iterate(self, lam, n: int) -> Element:
-        """n-fold repeated evaluation f(f(...f(lam)))."""
+        """n-fold repeated evaluation f(f(...f(lam))), within the work budget of
+        `_bounded`: DegreeCapError before a step past MAX_STEPS or HEIGHT_BUDGET."""
         if n < 1:
             raise ValueError("n must be at least 1")
-        value = self.spec.coerce(lam)
-        for _ in range(n):
-            value = self(value)
-        return value
+        return next(islice(_bounded(self, self, self.spec.coerce(lam)), n - 1, None))
 
     # -- quaternion-only structure ---------------------------------------------------
 

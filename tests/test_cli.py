@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from quatdyn import FieldSpec, OctSpec, ParseError, QQ, QuatSpec, cli
+from quatdyn import FieldSpec, OctSpec, ParseError, QQ, QuatSpec, __version__, cli, dynamics
 from quatdyn.cli import main, parse_algebra, parse_field
 from quatdyn.parsing import parse_element
 
@@ -748,3 +750,86 @@ def test_number_token_past_the_int_text_limit_is_a_parse_error():
     code, out = run_cli(["roots", "--poly", "x-" + "7" * 5000])
     assert code == 2
     assert json.loads(out)["error"]["type"] == "ParseError"
+
+
+# one argv per outcome of cli.main: the exit code, and the error type that its
+# JSON document names (None for a result), or for --help and --version the
+# start of argparse's text; "companion" is made to raise ZeroDivisionError
+OUTCOMES = [
+    (["compose", "--poly", "x^2+i", "--n", "2"], 0, None),
+    (["roots"], 2, "UsageError"),  # argparse: --poly is required
+    (["compose", "--poly", "x", "--n", "0"], 2, "UsageError"),  # _check_arguments
+    (["roots", "--poly", "x^2+$"], 2, "ParseError"),
+    (["fixed-points", "--poly", "x"], 1, "ZeroPolynomialError"),
+    (["companion", "--poly", "x"], 1, "ZeroDivisionError"),
+    (["--help"], 0, "usage: quatdyn"),
+    (["--version"], 0, __version__ + "\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,printed",
+    OUTCOMES,
+    ids=["result", "argparse", "range", "parse", "algebra", "zero-division", "help", "version"],
+)
+def test_each_outcome_prints_one_json_document(argv, code, printed, monkeypatch):
+    def divide_by_zero(ns):
+        return 1 // 0
+
+    monkeypatch.setitem(cli._HANDLERS, "companion", divide_by_zero)
+    got, out = run_cli(argv)
+    assert got == code
+    if argv[0].startswith("--"):  # argparse's text, and no JSON
+        assert out.startswith(printed)
+        with pytest.raises(ValueError):
+            json.loads(out)
+        return
+    document = json.loads(out)  # all of stdout: one document and nothing else
+    assert out.endswith("}\n") and document["command"] == argv[0]
+    assert document.get("error", {}).get("type") == printed
+    assert ("result" in document) == (printed is None)
+
+
+# check-periodic's verdicts and oct-check's reports: one argv each, and the
+# verdict's status, its r_fixed and whether the budget stopped it, or the
+# report's fixed and first_failure
+VERDICT_CASES = [
+    (["check-periodic", "--poly", "x^2+x+1", "--point", "j", "--r", "1"],
+     ("fixed_point", True, False)),
+    (["check-periodic", "--poly", "x^2+i", "--point=-i", "--r", "2"],
+     ("certified_periodic", True, False)),
+    (["check-periodic", "--algebra", "quat:-1,-1@Q(s5)", "--poly", "x^2+(1+i)*x+1+k", "--point",
+      "-1 + (-333/362 + 133/362*s5)*i + (-165/181 - 14/181*s5)*j + (-22/181 - 26/181*s5)*k",
+      "--r", "2"], ("refuted_at", True, False)),
+    (["check-periodic", "--poly", "x^2+i", "--point", "j", "--r", "2"],
+     ("inconclusive", False, False)),
+    (["check-periodic", "--poly", FIXES_J, "--point=j", "--r", "3"], ("inconclusive", None, True)),
+    (["oct-check", "--algebra", "oct:-1,-1,-1@Q", "--poly", "x", "--point=j"], (True, None)),
+    (["oct-check", "--algebra", "oct:-1,-1,-1@Q", "--poly", "l*x^2+(1-i*l)*x+l-(i*j)*l",
+      "--point", "j"], (True, 2)),
+    (["oct-check", "--poly", "x^2+i", "--point", "j"], (False, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,case",
+    VERDICT_CASES,
+    ids=["fixed_point", "certified_periodic", "refuted_at", "not-r-fixed", "budget",
+         "oct-fixed", "oct-first-failure", "oct-not-fixed"],
+)
+def test_verdicts_print_as_their_dataclass_fields(argv, case):
+    """The result is the dataclass that dynamics returns, field by field in
+    order, as dataclasses.asdict copies it."""
+    ns = argparse.Namespace(command=argv[0])
+    cli.build_parser().commands[argv[0]].parse_args(argv[1:], ns)
+    if argv[0] == "check-periodic":
+        f, start, payload = cli._inputs(ns, "r", "n_max")
+        verdict = dynamics.certify_periodic(f, start, ns.r, n_max=ns.n_max)
+        evidence = verdict.evidence
+        assert (verdict.status, evidence.get("r_fixed"), "budget" in evidence) == case
+    else:
+        f, start, payload = cli._inputs(ns, "n_max")
+        verdict = dynamics.octonion_fixed_check(f, start, n_max=ns.n_max)
+        assert (verdict.fixed, verdict.first_failure) == case
+    payload["result"] = dataclasses.asdict(verdict)
+    assert run_cli(argv) == (0, json.dumps(payload, indent=2) + "\n")

@@ -18,7 +18,7 @@ from quatdyn import (
     orbit,
 )
 
-from quatdyn import dynamics
+from quatdyn import _kernel
 from quatdyn.cli import parse_algebra
 from quatdyn.dynamics import _composite_values
 from quatdyn.parsing import parse_element, parse_poly
@@ -187,16 +187,16 @@ def test_compose_eval_orbits_agree_when_flags_true():
 def test_certify_degree_cap_is_inconclusive(monkeypatch):
     # the refutation needs the 4th residue of a quadratic, 2 * 4 steps; a
     # budget of 7 stops it after the r-fixed and commutation stages, with the
-    # budget in evidence
+    # budget in evidence; MAX_STEPS is patched in _kernel, where _bounded reads it
     lam = two_cycle_seed()
     f = Poly(H5, [H5.element(1, 0, 0, 1), H5.element(1, 1, 0, 0), 1])
-    monkeypatch.setattr(dynamics, "MAX_STEPS", 7)
+    monkeypatch.setattr(_kernel, "MAX_STEPS", 7)
     verdict = certify_periodic(f, lam, 2, n_max=2)
     assert verdict.status == "inconclusive"
     assert verdict.evidence["budget"] == "step 4 exceeds the budget: degree 2 times 4 steps is over 7"
     assert verdict.evidence["failed_t"] == [1]
     assert verdict.evidence["refutation_checked"] == []
-    monkeypatch.setattr(dynamics, "MAX_STEPS", 8)
+    monkeypatch.setattr(_kernel, "MAX_STEPS", 8)
     verdict = certify_periodic(f, lam, 2, n_max=2)
     assert (verdict.status, verdict.refuted_at) == ("refuted_at", 2)
 

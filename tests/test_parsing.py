@@ -1,10 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quatdyn import FieldSpec, OctSpec, ParseError, Poly, QQ, QuatSpec
-from quatdyn.parsing import parse_element, parse_poly, parse_scalar
+from quatdyn.parsing import _TOKEN_RE, _Parser, parse_element, parse_poly, parse_scalar
 
 from helpers import pair_omul, rand_oct, rand_quat
 
@@ -355,3 +357,29 @@ def test_an_overlong_radical_is_a_parse_error():
     with pytest.raises(ParseError) as err:
         parse_poly("x + s" + "7" * 5000, H)
     assert str(err.value) == "integer of 5000 digits is too long (at position 4)"
+
+
+# token characters, ASCII whitespace, and characters that no token holds:
+# Unicode spaces and digits, and ASCII symbols outside the grammar
+TOKENIZER_TEXT = st.text(st.sampled_from(
+    list("0123456789/+-*^()xijklsq \t\n\r\f\v$.,_") + ["\u3000", "\xa0", "\x85", "\x1c", "٣", "é"]
+))
+
+
+@given(TOKENIZER_TEXT)
+def test_tokenizer_rejects_exactly_the_characters_in_no_token(source):
+    """A text is refused for a character in no token exactly when its tokens
+    differ from the text without its ASCII whitespace, and the refusal names
+    the first character that is in no token and is not ASCII whitespace."""
+    accepted = "".join(_TOKEN_RE.findall(source)) == re.sub("[ \t\n\r\f\v]", "", source)
+    covered = {i for m in _TOKEN_RE.finditer(source) for i in range(m.start(), m.end())}
+    stray = [i for i, c in enumerate(source) if i not in covered and c not in " \t\n\r\f\v"]
+    try:
+        _Parser(source, O)
+        refused = None
+    except ParseError as exc:
+        refused = exc if str(exc).startswith("unexpected character") else None
+    assert (refused is None) == accepted
+    if refused is not None:
+        assert refused.position == stray[0]
+        assert str(refused) == f"unexpected character {source[stray[0]]!r} (at position {stray[0]})"

@@ -682,6 +682,14 @@ def test_eval_iterate_two_cycle():
     assert f.eval_iterate(-I, 2) == -I
 
 
+def test_eval_iterate_is_bounded_by_its_work():
+    # 2, 5, 26, 677, ...: the height doubles at every step, so step 40 would
+    # hold about 2^40 bits; the height budget stops the loop at step 16
+    with pytest.raises(DegreeCapError) as err:
+        Poly(H, [1, 0, 1]).eval_iterate(2, 40)
+    assert str(err.value).startswith("step 16 exceeds the budget: degree 2 times")
+
+
 def test_right_division_examples():
     g = Poly(H, [1 + K, I, 1])
     q, r = g.divmod_linear(-J)
