@@ -23,10 +23,12 @@ products convolve those columns: short operands by the schoolbook
 convolution, one `mul` per pair of coefficients, long ones by packing each
 column into one integer (Kronecker substitution by `pack` and `unpack`, the
 only code that knows the packing format), one `mul` or `square` of the
-packed columns.  Composition f(g) runs on the same packed columns
-(`Table.compose`): the top power of g and the products by f's coefficients
-are summed packed, at one slot that provably holds each coefficient of the
-composite, and the composite is unpacked once.
+packed columns, `Table._product` the one place that decides between the
+two.  Composition f(g) (`Table.compose`) adds its terms c_i * g^i in one
+Horner loop of schoolbook products into one sum, on the columns or on g's
+powers packed at one slot that provably holds each coefficient of the
+composite: there a packed power is a polynomial of one coefficient, whose
+coordinates are the packed integers, and the composite is unpacked once.
 
 `PATHS`, always on, counts each path where it is chosen, by (line, path):
 "poly_mul" and "compose powers" "schoolbook"/"packed", "compose" "packed"/
@@ -68,7 +70,7 @@ HEIGHT_BUDGET = 2**16
 # costs about 75 microseconds, a degree-256 one 6.6 ms.
 MAX_STEPS = 4096
 
-# Where Table.poly_mul packs columns (Kronecker substitution): operands of at
+# Where Table._product packs columns (Kronecker substitution): operands of at
 # least KRONECKER_MIN coefficients and, for two different operands, at least
 # one coefficient per KRONECKER_BITS bits of slot or KRONECKER_WIDE of them,
 # the slot read from each operand's width profile (`_profile`).  Table.compose
@@ -235,17 +237,16 @@ class Table:
         columns, so `norm_form.poly_mul(F, F)` is the ground-field columns of
         conj(F)*F.
 
-        The packed product replaces the schoolbook convolution where it
-        measured faster: both operands have at least KRONECKER_MIN coefficients
-        (shorter ones are not measured), F is even by its width profile
-        (`_profile`), and unless G is F, G is even and the shorter operand has
-        a coefficient per KRONECKER_BITS bits of slot or KRONECKER_WIDE of them.
-        (A square needs about half as many packed products; with few wide
-        coefficients, the schoolbook terms are already bignum products.)
+        The operands' width profiles (`_profile`) go to `_product`, the one
+        place that decides: the packed product replaces the schoolbook
+        convolution where it measured faster, that is, both operands have at
+        least KRONECKER_MIN coefficients (shorter ones are not measured), F is
+        even by its profile, and unless G is F, G is even and the shorter
+        operand has a coefficient per KRONECKER_BITS bits of slot or
+        KRONECKER_WIDE of them.  (A square needs about half as many packed
+        products; with few wide coefficients, the schoolbook terms are already
+        bignum products.)
         """
-        if min(len(F[0]), len(G[0])) < KRONECKER_MIN:
-            PATHS["poly_mul", "schoolbook"] += 1
-            return self.schoolbook_mul(F, G)
         profile = _profile(F)
         return self._product(F, G, profile, profile if G is F else _profile(G), "poly_mul")
 
@@ -312,16 +313,17 @@ class Table:
         c_1 * G) * scale + c_2 * G^2, and so on.
 
         G and each power below G^m are measured once (`_profile`) and
-        multiplied by poly_mul's rule, each at its own slot.  When G is even
-        and G^(m-1) * G dense by that rule (at any length), G and the powers
-        with a nonzero c_i are packed at one slot, G^m is formed there by
-        `mul` (`square` at m = 2), each term is one `mul` of c_i by packed
-        columns, summed into one packed accumulator per coordinate, and the
-        sum is unpacked once: exactly, since packing is linear and
-        `_compose_bits` bounds each coefficient within the signed slot.
-        Otherwise G^m takes the product rule too, and the terms are added
-        into columns by the schoolbook product: for an uneven G, or few wide
-        coefficients, the packed sum measured slower.
+        multiplied by poly_mul's rule, each at its own slot.  One loop adds the
+        terms, each by one schoolbook product of c_i into the sum.  When G is
+        even and G^(m-1) * G dense by that rule (at any length), G and the
+        powers with a nonzero c_i are packed at one slot, G^m is formed there
+        by `mul` (`square` at m = 2), and each packed power is a polynomial of
+        one coefficient, whose coordinates are the packed integers: the sum
+        holds one integer per coordinate and is unpacked once, exactly, since
+        packing is linear and `_compose_bits` bounds each coefficient within
+        the signed slot.  Otherwise G^m takes the product rule too, and the
+        sum is kept on the columns: for an uneven G, or few wide coefficients,
+        the packed sum measured slower.
         """
         m, size, short = len(F[0]) - 1, (len(F[0]) - 1) * (len(G[0]) - 1) + 1, len(G[0])
         coeffs = list(zip(*F))
@@ -330,30 +332,33 @@ class Table:
             powers.append(self._product(powers[-1], G, profiles[-1], profiles[0], "compose powers"))
             profiles.append(_profile(powers[-1]))
         slot = self._slot_bits(profiles[-1][0], profiles[0][0], short)
-        if not (m > 1 and profiles[0][1] and short >= min(slot // KRONECKER_BITS, KRONECKER_WIDE)):
+        packs = m > 1 and profiles[0][1] and short >= min(slot // KRONECKER_BITS, KRONECKER_WIDE)
+        if packs:
+            PATHS["compose", "packed"] += 1
+            bits = [b for b, _ in profiles] + [slot - 1]
+            nbytes = (self._compose_bits(coeffs, bits, scale) + 7) // 8
+            packed = [  # G^i for its term, and G^(m-1) and G for G^m
+                [pack(col, nbytes) for col in P] if any(coeffs[i]) or i in (1, m - 1) else ()
+                for i, P in enumerate(powers, 1)
+            ]
+            packed.append((self.square if m == 2 else self.mul)(packed[-1], packed[0]))
+            # a packed power is a polynomial of one coefficient
+            powers = [[[v] for v in P] for P in packed]
+            out = [[v] for v in coeffs[0]]
+        else:
             if m > 1:
                 powers.append(self._product(powers[-1], G, profiles[-1], profiles[0], "compose powers"))
             PATHS["compose", "columns"] += 1
             out = [[v] + [0] * (size - 1) for v in coeffs[0]]
-            for k, c, P in _horner(coeffs, powers):
+        k = 0  # the scale factors by which the sum so far must be multiplied first
+        for c, P in zip(coeffs[1:], powers):
+            k += 1
+            if any(c):
                 if scale != 1:
                     out = [[v * scale**k for v in col] for col in out]
                 self.schoolbook_mul([[v] for v in c], P, out=out)
-            return out
-        PATHS["compose", "packed"] += 1
-        bits = [b for b, _ in profiles] + [slot - 1]
-        nbytes = (self._compose_bits(coeffs, bits, scale) + 7) // 8
-        packed = [  # G^i for its term, and G^(m-1) and G for G^m
-            [pack(col, nbytes) for col in P] if any(coeffs[i]) or i in (1, m - 1) else None
-            for i, P in enumerate(powers, 1)
-        ]
-        packed.append((self.square if m == 2 else self.mul)(packed[-1], packed[0]))
-        acc = list(coeffs[0])
-        for k, c, P in _horner(coeffs, packed):
-            if scale != 1:
-                acc = [v * scale**k for v in acc]
-            acc = [v + t for v, t in zip(acc, self.mul(c, P))]
-        return [unpack(v, nbytes, size) for v in acc]
+                k = 0
+        return [unpack(v, nbytes, size) for v, in out] if packs else out
 
     def _compose_bits(self, coeffs, bits, scale) -> int:
         """Bits that hold any coefficient of compose's sum, sign included.
@@ -411,17 +416,6 @@ def _compile_mul(rows, dim: int):
     scope: dict = {}
     exec(compile(source, "<Table.mul>", "exec"), scope)
     return scope["bind"](*names)
-
-
-def _horner(coeffs, powers):
-    """(k, c_i, G^i) for the nonzero c_i, i >= 1, in rising i: k is the number
-    of scale factors by which the sum so far must be multiplied first."""
-    k = 0
-    for c, P in zip(coeffs[1:], powers):
-        k += 1
-        if any(c):
-            yield k, c, P
-            k = 0
 
 
 def _profile(F) -> tuple[int, bool]:

@@ -235,8 +235,6 @@ class _Parser:
             if self.tokens[star := self.index] != "*":
                 break
             self.index += 1
-        if value.__class__ is int:
-            return ({(e, value): num}, den, bits, e) if num else ({}, 1, 1, -1)
         return _scaled(num, den, e, value)
 
     # atom := rational | radical | basis | 'x' | '(' expr ')' | '-' atom

@@ -20,6 +20,7 @@ from quatdyn._kernel import (
     KRONECKER_BITS,
     KRONECKER_MIN,
     KRONECKER_WIDE,
+    PATHS,
     _profile,
     column_height,
     height,
@@ -355,15 +356,18 @@ def _rule_packs(F, G):
 
 
 def _spy_paths(monkeypatch):
-    """Record each schoolbook_mul call as ("schoolbook", len F, len G), or as
-    "columns" when it adds into `out`, and each packed product, which every
-    product path runs through `_packed_mul`, as ("packed", len F, len G)."""
+    """Record each schoolbook_mul call as ("schoolbook", len F, len G), and
+    each packed product, which every product path runs through `_packed_mul`,
+    as ("packed", len F, len G).  A schoolbook_mul that adds into `out` is
+    Table.compose's sum, on the columns or on packed powers, and is not
+    recorded: which sum was taken shows in _kernel.PATHS (`_sum_counts`)."""
     events = []
     Table = type(H.table)
     schoolbook_mul, packed_mul = Table.schoolbook_mul, Table._packed_mul
 
     def spied_schoolbook(self, F, G, out=None):
-        events.append("columns" if out is not None else ("schoolbook", len(F[0]), len(G[0])))
+        if out is None:
+            events.append(("schoolbook", len(F[0]), len(G[0])))
         return schoolbook_mul(self, F, G, out)
 
     def spied_packed(self, F, G, slot):
@@ -375,14 +379,18 @@ def _spy_paths(monkeypatch):
     return events
 
 
-def _check_paths(events, products, columns=False):
+def _sum_counts():
+    """The counts of Table.compose's two sums in _kernel.PATHS: (columns, packed)."""
+    return PATHS["compose", "columns"], PATHS["compose", "packed"]
+
+
+def _check_paths(events, products, before, taken=None):
     """The events show exactly `products`, a list of (len F, len G, packed),
-    in order, each schoolbook or packed as given, and a column sum when
-    `columns`."""
-    assert [e for e in events if e != "columns"] == [
-        ("packed" if packed else "schoolbook", f, g) for f, g, packed in products
-    ]
-    assert ("columns" in events) == columns
+    in order, each schoolbook or packed as given, and the sum counts, against
+    `before` (`_sum_counts`), show one compose sum on the path `taken`
+    ("columns" or "packed"), or none."""
+    assert events == [("packed" if packed else "schoolbook", f, g) for f, g, packed in products]
+    assert _sum_counts() == tuple(n + (path == taken) for n, path in zip(before, ("columns", "packed")))
 
 
 def test_poly_mul_takes_the_path_of_its_rule(monkeypatch):
@@ -420,8 +428,9 @@ def test_poly_mul_takes_the_path_of_its_rule(monkeypatch):
     events = _spy_paths(monkeypatch)
     for (F, G, norm), packed in zip(cases, expected):
         events.clear()
+        before = _sum_counts()
         (H.table.norm_form if norm else H.table).poly_mul(F, G)
-        _check_paths(events, [(len(F[0]), len(G[0]), packed)])
+        _check_paths(events, [(len(F[0]), len(G[0]), packed)], before)
 
 
 def _power_columns(P, G):
@@ -460,8 +469,9 @@ def test_compose_takes_the_path_of_its_rule(monkeypatch):
                 products.append((len(last[0]), len(G[0]), _rule_packs(last, G)))
             seen.update((packed, summed) for *_, packed in products)
             events.clear()
+            before = _sum_counts()
             H.table.compose(F, G, 1)
-            _check_paths(events, products, columns=not summed)
+            _check_paths(events, products, before, "packed" if summed else "columns")
     assert seen == {(False, False), (True, False), (False, True), (True, True)}
 
 
@@ -484,8 +494,9 @@ def test_compose_reads_g_once_to_measure_it(monkeypatch, m, limit):
     G = _CountedColumns([[rng.randint(-9, 9) for _ in range(16)] for _ in range(H.table.dim)])
     F = [[rng.randint(1, 9) for _ in range(m + 1)] for _ in range(H.table.dim)]
     events = _spy_paths(monkeypatch)
+    columns = _sum_counts()[0]
     cols = H.table.compose(F, G, 1)
-    assert "columns" not in events and not any(e[0] == "schoolbook" for e in events)
+    assert _sum_counts()[0] == columns and not any(e[0] == "schoolbook" for e in events)
     assert G.passes <= limit
     f, g = Poly.from_cols(H, F, 1), Poly.from_cols(H, list(G), 1)
     composite = Poly.from_cols(H, cols, 1)
