@@ -38,6 +38,10 @@ coordinates are the packed integers, and the composite is unpacked once.
 Text prints from the same integers by one rule, `Element.text`, for a
 scalar, an element or a row of a `Poly`'s columns, over Q and Q(sqrt d)
 alike: no element, no Fraction.
+
+The element classes share `Element`'s operators, and each holds those named
+in `OPERATORS` in its own namespace, put there by `Element.__init_subclass__`
+when the class is created: per-class instrumentation wraps them there.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from itertools import chain, count, product, repeat
 from math import gcd, lcm
 from typing import TYPE_CHECKING
 
-from .errors import DegreeCapError, SpecMismatchError, SplitAlgebraError
+from .errors import DegreeCapError, FieldMismatchError, SpecMismatchError, SplitAlgebraError
 
 if TYPE_CHECKING:
     from collections.abc import Iterator
@@ -462,13 +466,20 @@ def power(x, n: int, one, what: str):
     return one if out is None else out
 
 
+# The operators each element class holds in its own namespace (`Element.__init_subclass__`).
+OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",
+             "__truediv__", "__rtruediv__", "__pow__", "__eq__", "inv")
+
+
 class Element:
     """Arithmetic shared by scalars, quaternions and octonions.
 
     Subclasses name their ground-field basis (`BASIS`), the foreign types
     they accept as operands (`LIFTS`) and the error that operands from
     another spec raise (`MISMATCH`); their spec, a `Spec`, supplies `field`,
-    `table`, `coerce` and `one`.
+    `table`, `coerce` and `one`.  Each subclass holds every name of
+    `OPERATORS` in its own namespace: the one it defines, else the one it
+    inherits, put there when the class is created.
     """
 
     __slots__ = ("spec", "nums", "den")
@@ -486,6 +497,12 @@ class Element:
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "nums", tuple(nums))
         object.__setattr__(self, "den", den)
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        for name in OPERATORS:
+            if name not in vars(cls):
+                setattr(cls, name, getattr(cls, name))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -608,7 +625,10 @@ class Element:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, self.LIFTS):
-            other = self.spec.coerce(other)
+            try:
+                other = self.spec.coerce(other)
+            except (FieldMismatchError, SpecMismatchError):  # another field or algebra
+                return False
         elif type(other) is not type(self):
             return NotImplemented
         return (

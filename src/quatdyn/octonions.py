@@ -26,11 +26,6 @@ class Octonion(Element):
     BASIS = ("", "i", "j", "k", "l", "il", "jl", "kl")
     LIFTS = (Quaternion,) + SCALAR_LIFTS
 
-    # the product lives in this class's own namespace, so that per-class
-    # instrumentation can wrap it
-    __mul__ = Element.__mul__
-    __rmul__ = Element.__rmul__
-
     @property
     def q(self) -> Quaternion:
         half = len(self.nums) // 2

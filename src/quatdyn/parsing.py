@@ -13,14 +13,13 @@ within CPython's int-from-text limit (4300 digits by default).  `s<d>`
 l, il, jl, kl over octonions; k is i*j.  Every value, constants too, is
 sparse: {(power, coordinate): numerator} over one denominator, content 1,
 so a sum costs its nonzero terms.  x is central and rationals lie in the
-nucleus, so a term folds its central factors (rationals, x, their powers
-and the signs of unary minus) into one c*x^e, c rational, and multiplies
-only the others (basis symbols, radicals, parenthesized values and their
-powers) in written order; it builds its terms once, at the end, by scaling
-and shifting that product.  Of the others, a product by a parenthesized
-c*x^e scales and shifts too, and a c*x^e is raised to a power directly.
-Only other products and powers convert to coordinate columns: of constants
-for `Table.mul`, of other values for `Table.poly_mul`, and powers for
+nucleus, so a term folds its central factors (rationals, x, parenthesized
+values c*x^e, their powers and the signs of unary minus) into one c*x^e, c
+rational, and multiplies only the others (basis symbols, radicals, other
+parenthesized values and their powers) in written order; it builds its
+terms once, at the end, by scaling and shifting that product.  Only the
+others' products and powers convert to coordinate columns: of constants for
+`Table.mul`, of other values for `Table.poly_mul`, and powers for
 `Poly.__pow__`.  Refused, with heights measured where their bounds pass: a
 power or product whose degree or height (bits times the exponent, or the
 operands' bits added) would pass MAX_INPUT_DEGREE or HEIGHT_BUDGET bits,
@@ -147,8 +146,6 @@ class _Parser:
         (F, fd, _, fdeg), (G, gd, _, gdeg) = a, b
         if not (F and G):
             return b if F else a
-        if mono := (fm := _monomial(F)) or _monomial(G):  # central: a scale and a shift
-            return _scaled(mono[1], fd, mono[0], b) if fm else _scaled(mono[1], gd, mono[0], a)
         table = self.spec.table
         F, G = _columns(F, fdeg, self.dim), _columns(G, gdeg, self.dim)
         if fdeg == gdeg == 0:
@@ -159,10 +156,8 @@ class _Parser:
         return terms, den, _height(terms, den), _degree(terms)
 
     def power(self, value: Factor, t: int) -> Value:
-        """value**t: c*x^e directly, anything else by `Poly.__pow__`."""
+        """value**t by `Poly.__pow__`."""
         terms, den, _, degree = _scaled(1, 1, 0, value)
-        if mono := _monomial(terms):
-            return _scaled(mono[1] ** t, den**t, mono[0] * t, 0)
         out = Poly.from_cols(self.spec, _columns(terms, degree, self.dim), den) ** t
         terms = _terms(out.cols)
         return terms, out.den, _height(terms, out.den), out.degree
@@ -240,7 +235,8 @@ class _Parser:
     # atom := rational | radical | basis | 'x' | '(' expr ')' | '-' atom
     def atom(self) -> tuple[int, int, int, Factor]:
         """c, den, e and v of the atom c/den * x^e * v, a run of unary minus in
-        its sign: v is 0 for a rational or x, else c is 1 or -1, den 1 and e 0."""
+        its sign: v is 0 for a rational, x or a parenthesized c/den * x^e, else
+        c is 1 or -1, den 1 and e 0."""
         text = self.tokens[index := self.index]
         self.index += bool(text)  # never past the end
         sign, depth = 1, self.depth
@@ -267,6 +263,8 @@ class _Parser:
                 raise self.error("expected ')'", self.index)
             self.index += 1
             self.depth = outer
+            if mono := _monomial(value[0]):  # central: fold it as c/den * x^e
+                return sign * mono[1], value[1], mono[0], 0
             return sign, 1, 0, value
         if text and text in self.basis:
             return sign, 1, 0, self.basis.index(text) * self.width

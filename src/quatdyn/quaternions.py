@@ -23,12 +23,6 @@ class Quaternion(Element):
     BASIS = ("", "i", "j", "k")
     LIFTS = SCALAR_LIFTS
 
-    # the product and inverse live in this class's own namespace, so that
-    # per-class instrumentation can wrap them
-    __mul__ = Element.__mul__
-    __rmul__ = Element.__rmul__
-    inv = Element.inv
-
     a = property(lambda self: self._scalar(0))
     b = property(lambda self: self._scalar(1))
     c = property(lambda self: self._scalar(2))

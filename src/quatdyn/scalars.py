@@ -62,21 +62,6 @@ class Scalar(Element):
     LIFTS = RationalLike
     MISMATCH = FieldMismatchError
 
-    # the operators live in this class's own namespace, so that per-class
-    # instrumentation can wrap them
-    __add__ = Element.__add__
-    __radd__ = Element.__radd__
-    __sub__ = Element.__sub__
-    __rsub__ = Element.__rsub__
-    __neg__ = Element.__neg__
-    __mul__ = Element.__mul__
-    __rmul__ = Element.__rmul__
-    __truediv__ = Element.__truediv__
-    __rtruediv__ = Element.__rtruediv__
-    __pow__ = Element.__pow__
-    __eq__ = Element.__eq__
-    __hash__ = Element.__hash__  # a class that sets __eq__ alone gets no hash
-
     field = property(lambda self: self.spec)
     a = property(lambda self: Fraction(self.nums[0], self.den))
     b = property(

@@ -13,9 +13,13 @@ from quatdyn import (
     FieldMismatchError,
     FieldSpec,
     OctSpec,
+    Octonion,
     QuatSpec,
+    Quaternion,
+    Scalar,
     SpecMismatchError,
 )
+from quatdyn._kernel import OPERATORS, Element
 
 
 def _quat(d):
@@ -149,11 +153,46 @@ def test_equal_elements_hash_equal():
     across = 0
     for x in values:
         for y in values:
-            try:
-                equal = x == y
-            except (FieldMismatchError, SpecMismatchError):  # another field or algebra
-                continue
-            if equal:
+            if x == y:
                 assert hash(x) == hash(y), (x, y)
                 across += type(x) is not type(y)
     assert across >= 300
+
+
+def test_elements_of_another_field_or_algebra_compare_unequal():
+    """== answers False across fields and algebras, in either order, where
+    arithmetic raises; a dict lookup, which compares equal hashes, answers too."""
+    one, scalar = QuatSpec.standard().one(), FieldSpec(5).scalar(1)
+    assert hash(one) == hash(scalar)  # both hash as Fraction(1)
+    assert one != scalar and scalar != one
+    assert OctSpec.standard().one() != QuatSpec.standard(FieldSpec(5)).one()
+    assert scalar not in {one: 1}
+    with pytest.raises(FieldMismatchError):
+        one + scalar
+    with pytest.raises(FieldMismatchError):
+        scalar * one
+
+
+def test_element_classes_hold_every_operator_in_their_own_namespace():
+    """Each name of OPERATORS sits in every element class's own namespace,
+    where per-class instrumentation wraps it: the one the class defines, else
+    the one it inherits."""
+
+    class Probe(Element):
+        __slots__ = ()
+
+        def __neg__(self):
+            return self
+
+    class SubScalar(Scalar):
+        __slots__ = ()
+
+    for cls in (Probe, SubScalar, Scalar, Quaternion, Octonion):
+        assert set(OPERATORS) <= set(vars(cls)), cls
+        assert cls.__hash__ is Element.__hash__
+    assert len(set(OPERATORS)) == 12
+    assert vars(Probe)["__neg__"] is not Element.__neg__
+    assert vars(Probe)["__mul__"] is Element.__mul__
+    assert vars(Scalar)["inv"] is not Element.inv
+    assert vars(SubScalar)["inv"] is vars(Scalar)["inv"]
+    assert vars(Quaternion)["inv"] is vars(Octonion)["inv"] is Element.inv

@@ -315,8 +315,9 @@ def test_a_cancelled_sum_is_zero_of_degree_minus_one():
     assert parse_element("(i + j)*(x - x)", H) == H.zero()
 
 
-def test_printed_polynomials_parse_without_algebra_products(monkeypatch):
-    """Sums of number*symbol terms times x^e need no structure-constant product."""
+@pytest.fixture
+def products(monkeypatch):
+    """Counts of the parser's structure-constant products: `mul` and `poly_mul`."""
     from quatdyn._kernel import Table
 
     calls = {"mul": 0, "poly_mul": 0}
@@ -334,22 +335,41 @@ def test_printed_polynomials_parse_without_algebra_products(monkeypatch):
         for table in (spec.table, spec.table.norm_form):
             monkeypatch.setattr(table, "mul", counted("mul", table.mul))
     monkeypatch.setattr(Table, "poly_mul", counted("poly_mul", Table.poly_mul))
+    return calls
+
+
+def test_printed_polynomials_parse_without_algebra_products(products, monkeypatch):
+    """Sums of number*symbol terms times x^e need no structure-constant product."""
     printed = (
         "(4 + 4*i + -4*j + -4*k)*x^0 + (-1*i + 1*j + 1*k)*x^1 + (1*i + -1*j + -1*k)*x^2"
     )
     f = parse_poly(printed, H)
     g = parse_poly("(1/2 + 1*i + -3*l + 1*kl)*x^0 + (-1*jl)*x^1 + (1)*x^2", O)
     point = parse_element("(1 + 1*i + -1*j + -1*k)", H)
-    assert calls == {"mul": 0, "poly_mul": 0}
+    assert products == {"mul": 0, "poly_mul": 0}
     parse_element("i*j", H)
-    assert calls == {"mul": 1, "poly_mul": 0}
+    assert products == {"mul": 1, "poly_mul": 0}
     # the schoolbook product takes one mul per pair of coefficients
     parse_poly("(x + i)*(x + j)", H)
-    assert calls["poly_mul"] == 1
+    assert products["poly_mul"] == 1
     monkeypatch.undo()
     assert f == Poly(H, [4 + 4 * I - 4 * J - 4 * K, -I + J + K, I - J - K])
     assert g.render() == "(1)*x^2 + (-jl)*x + (1/2 + i - 3*l + kl)"
     assert point == 1 + I - J - K
+
+
+def test_parenthesized_central_factors_fold_into_the_term(products, monkeypatch):
+    """A parenthesized c*x^e, raised to a power or not, folds into the term's
+    c*x^e as a rational or x does: only the other factors multiply."""
+    f = parse_poly("(1/3*x^2)*i*(2*x)*j", H)
+    assert products == {"mul": 1, "poly_mul": 0}  # i*j
+    g = parse_poly("(2*x)^3*i", H)
+    h = parse_poly("-(x)^2*(1/2)*k", H)
+    assert products == {"mul": 1, "poly_mul": 0}
+    monkeypatch.undo()
+    assert f.render() == "(2/3*k)*x^3"
+    assert g.render() == "(8*i)*x^3"
+    assert h.render() == "(1/2*k)*x^2"
 
 
 def test_an_overlong_radical_is_a_parse_error():

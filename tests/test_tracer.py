@@ -2,9 +2,11 @@
 
 `perfbench/layers.py` patches public names of `quatdyn` from outside (the
 scalar operators on `Scalar` itself, the products on `Quaternion` and
-`Octonion`, `Poly` methods, the solver and dynamics functions).  A name that
-moves, say an operator that a class now inherits, breaks a traced benchmark
-run; this test breaks first.
+`Octonion`, all in the class's own namespace, where
+`Element.__init_subclass__` puts them; `Poly` methods, the solver and
+dynamics functions).  A name that moves, say a function renamed or imported
+into its caller under another name, breaks a traced benchmark run; this test
+breaks first.
 """
 
 import contextlib
