@@ -41,7 +41,11 @@ alike: no element, no Fraction.
 
 The element classes share `Element`'s operators, and each holds those named
 in `OPERATORS` in its own namespace, put there by `Element.__init_subclass__`
-when the class is created: per-class instrumentation wraps them there.
+when the class is created: per-class instrumentation wraps them there.  Each
+binary operator of an element or a `Poly` is `lifted`: its class's `_lift`
+coerces the operand (an element's by `Spec.coerce`, the one spec check and
+its one error) or declines its type, and the operator returns NotImplemented.
+An element's `==` reads `_lift` too, and answers False where coerce raises.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from fractions import Fraction
-from functools import partial
+from functools import partial, update_wrapper
 from itertools import chain, count, product, repeat
 from math import gcd, lcm
 from typing import TYPE_CHECKING
@@ -466,6 +470,14 @@ def power(x, n: int, one, what: str):
     return one if out is None else out
 
 
+def lifted(op):
+    """op(self, o) on the operand as `self._lift` takes it; NotImplemented where it declines."""
+    def apply(self, other):
+        o = self._lift(other)
+        return NotImplemented if o is None else op(self, o)
+    return update_wrapper(apply, op)
+
+
 # The operators each element class holds in its own namespace (`Element.__init_subclass__`).
 OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",
              "__truediv__", "__rtruediv__", "__pow__", "__eq__", "inv")
@@ -474,12 +486,13 @@ OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
 class Element:
     """Arithmetic shared by scalars, quaternions and octonions.
 
-    Subclasses name their ground-field basis (`BASIS`), the foreign types
-    they accept as operands (`LIFTS`) and the error that operands from
-    another spec raise (`MISMATCH`); their spec, a `Spec`, supplies `field`,
-    `table`, `coerce` and `one`.  Each subclass holds every name of
-    `OPERATORS` in its own namespace: the one it defines, else the one it
-    inherits, put there when the class is created.
+    Subclasses name their ground-field basis (`BASIS`), the other types they
+    take as operands (`LIFTS`) and the error of an operand of another spec
+    (`MISMATCH`); their spec, a `Spec`, supplies `field`, `table`, `coerce`
+    and `one`.  `_lift`, the operand rule of every `lifted` operator, takes
+    its own type and `LIFTS` through `spec.coerce`, and declines the rest.
+    Each subclass holds every name of `OPERATORS` in its own namespace: the
+    one it defines, else the one it inherits, put there when it is created.
     """
 
     __slots__ = ("spec", "nums", "den")
@@ -526,55 +539,45 @@ class Element:
     def scalar_part(self) -> Scalar:
         return self._scalar(0)
 
-    # -- coercion -----------------------------------------------------------
+    # -- operands and ring operations -----------------------------------------
 
     def _lift(self, other):
         if type(other) is type(self):
-            if other.spec is not self.spec and other.spec != self.spec:
-                raise self.MISMATCH(f"mixed {self.spec} and {other.spec}")
-            return other
-        if isinstance(other, self.LIFTS):
-            return self.spec.coerce(other)
-        return None
+            if other.spec is self.spec:
+                return other
+        elif not isinstance(other, self.LIFTS):
+            return None
+        return self.spec.coerce(other)
 
-    # -- ring operations ------------------------------------------------------
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
+    @lifted
+    def __add__(self, o):
         s, t = o.den, self.den
         nums = [a * s + b * t for a, b in zip(self.nums, o.nums)]
         return type(self)(self.spec, nums, s * t)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
+    @lifted
+    def __sub__(self, o):
         s, t = o.den, self.den
         nums = [a * s - b * t for a, b in zip(self.nums, o.nums)]
         return type(self)(self.spec, nums, s * t)
 
-    def __rsub__(self, other):
-        return (-self) + other
+    @lifted
+    def __rsub__(self, o):
+        return o - self
 
     def __neg__(self):
         return type(self)(self.spec, [-v for v in self.nums], self.den)
 
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
+    @lifted
+    def __mul__(self, o):
         table = self.spec.table
         nums = table.mul(self.nums, o.nums)
         return type(self)(self.spec, nums, self.den * o.den * table.den)
 
-    def __rmul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
+    @lifted
+    def __rmul__(self, o):
         return o * self
 
     def __pow__(self, n: int):
@@ -605,37 +608,25 @@ class Element:
             raise SplitAlgebraError()
         return self.conj() * n.inv()
 
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
+    @lifted
+    def __truediv__(self, o):
         return self * o.inv()
 
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
+    @lifted
+    def __rtruediv__(self, o):
         return o * self.inv()
 
     # -- predicates -----------------------------------------------------------
 
     def commutes(self, other) -> bool:
-        o = self._lift(other)
-        return (self * o - o * self).is_zero
+        return (self * other - other * self).is_zero
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, self.LIFTS):
-            try:
-                other = self.spec.coerce(other)
-            except (FieldMismatchError, SpecMismatchError):  # another field or algebra
-                return False
-        elif type(other) is not type(self):
-            return NotImplemented
-        return (
-            self.nums == other.nums
-            and self.den == other.den
-            and (self.spec is other.spec or self.spec == other.spec)
-        )
+        try:
+            o = self._lift(other)
+        except (FieldMismatchError, SpecMismatchError):  # another field or algebra
+            return False
+        return NotImplemented if o is None else self.nums == o.nums and self.den == o.den
 
     def __hash__(self) -> int:
         # equal elements hash equal: an element equals its padding into an

@@ -28,7 +28,7 @@ from functools import partial
 from itertools import chain, islice
 from math import gcd, lcm
 
-from ._kernel import HEIGHT_BUDGET, _bounded, column_height, power
+from ._kernel import HEIGHT_BUDGET, _bounded, column_height, lifted, power
 from .errors import DegreeCapError, SpecMismatchError, UnsupportedAlgebraError
 from .octonions import Octonion, OctSpec
 from .quaternions import QuatSpec, Quaternion
@@ -142,30 +142,25 @@ class Poly:
 
     # -- ring operations ---------------------------------------------------------
 
-    def __add__(self, other) -> Poly:
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
+    @lifted
+    def __add__(self, o) -> Poly:
         return Poly.from_cols(self.spec, *_add_columns(self.cols, self.den, o.cols, o.den))
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> Poly:
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
+    @lifted
+    def __sub__(self, o) -> Poly:
         return self + -o
 
-    def __rsub__(self, other) -> Poly:
-        return (-self) + other
+    @lifted
+    def __rsub__(self, o) -> Poly:
+        return o - self
 
     def __neg__(self) -> Poly:
         return Poly.from_cols(self.spec, [[-v for v in col] for col in self.cols], self.den)
 
-    def __mul__(self, other) -> Poly:
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
+    @lifted
+    def __mul__(self, o) -> Poly:
         if self.is_zero or o.is_zero:
             return Poly(self.spec)
         table = self.spec.table
@@ -173,10 +168,8 @@ class Poly:
         cols = table.poly_mul(self.cols, o.cols)
         return Poly.from_cols(self.spec, cols, self.den * o.den * table.den)
 
-    def __rmul__(self, other) -> Poly:
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
+    @lifted
+    def __rmul__(self, o) -> Poly:
         return o * self
 
     def __pow__(self, t: int) -> Poly:

@@ -2,9 +2,9 @@
 
 Basis 1, i, j, k with i*i = alpha, j*j = beta, j*i = -i*j and k := i*j.
 The canonical involution negates the non-scalar part; trace and norm land in
-the ground field.  Division is not assumed: inverting a nonzero element of
-zero norm raises SplitAlgebraError, so split parameter pairs are usable up to
-the point where they stop being division rings.
+the ground field.  The arithmetic does not assume division: inverting a
+nonzero element of zero norm raises SplitAlgebraError.  Root finding does:
+over split parameters its `none` is no proof, and classes can be missing.
 """
 
 from __future__ import annotations

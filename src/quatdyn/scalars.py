@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import total_ordering
 from math import isqrt, lcm
 
-from ._kernel import Element, RationalLike, Spec, Table
+from ._kernel import Element, RationalLike, Spec, Table, lifted
 from .errors import FieldMismatchError, NoRealEmbeddingError
 
 
@@ -99,11 +99,11 @@ class Scalar(Element):
         # opposite signs: compare a^2 with d b^2; ties impossible (sqrt d irrational)
         return sa if a * a > self.spec.d * b * b else sb
 
-    def __lt__(self, other) -> bool:
+    @lifted
+    def __lt__(self, o) -> bool:
         """The exact order; `total_ordering` derives <=, > and >= from it
         and ==."""
-        o = self._lift(other)
-        return NotImplemented if o is None else (self - o)._sign() < 0
+        return (self - o)._sign() < 0
 
     # -- real embedding -----------------------------------------------------
 

@@ -173,6 +173,24 @@ def test_elements_of_another_field_or_algebra_compare_unequal():
         scalar * one
 
 
+def test_an_operand_of_another_spec_raises_the_one_coerce_message():
+    """Every operator refuses an operand of another spec through `Spec.coerce`,
+    with its message, whether the operand has the element's own type or
+    comes from a level down; an equal spec that is another object is no
+    other spec."""
+    H, H3 = QuatSpec.standard(), QuatSpec(FieldSpec(), -1, -3)
+    for expr in (lambda: H.i() + H3.i(), lambda: H.i() * H3.j(), lambda: OctSpec.standard().one() * H3.i()):
+        with pytest.raises(SpecMismatchError, match=r"^quaternion from quat:-1,-3@Q used in quat:-1,-1@Q$"):
+            expr()
+    with pytest.raises(FieldMismatchError, match=r"^scalar from Q used in Q\(s5\)$"):
+        FieldSpec(5).sqrt_gen() + FieldSpec().scalar(1)
+    twin = QuatSpec(FieldSpec(), -1, -1)
+    assert twin is not H and twin == H
+    i, j = H.i(), twin.j()
+    assert i + j == H.element(0, 1, 1) and i * j == H.k() and j * i == -H.k()
+    assert i - j == H.element(0, 1, -1) and (i + j).spec is H and H.i() == twin.i()
+
+
 def test_element_classes_hold_every_operator_in_their_own_namespace():
     """Each name of OPERATORS sits in every element class's own namespace,
     where per-class instrumentation wraps it: the one the class defines, else

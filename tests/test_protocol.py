@@ -1,6 +1,7 @@
 """The Python protocol of the value types at its edges: immutability, foreign
 operands, refused arguments, and the exact `str` and `repr` texts."""
 
+import operator
 import re
 
 import pytest
@@ -10,10 +11,16 @@ from quatdyn import FieldSpec, OctSpec, Poly, QQ, QuatSpec, SpecMismatchError, _
 H = QuatSpec.standard()
 O = OctSpec(H, -1)
 F5 = FieldSpec(5)
+ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 class Foreign:
     """An operand no value type knows."""
+
+
+def _name(value):
+    return type(value).__name__
 
 
 def test_elements_and_polys_are_immutable():
@@ -26,30 +33,42 @@ def test_elements_and_polys_are_immutable():
 
 
 def test_an_element_returns_not_implemented_for_a_foreign_operand():
-    """Python then tries the foreign side, and raises TypeError when it too declines."""
-    i, other = H.i(), Foreign()
-    for name in ("__add__", "__sub__", "__rmul__", "__truediv__", "__rtruediv__"):
-        assert getattr(i, name)(other) is NotImplemented
-    for expr, op, left, right in (
-        (lambda: i + other, "+", "Quaternion", "Foreign"),
-        (lambda: i - other, "-", "Quaternion", "Foreign"),
-        (lambda: other * i, "*", "Foreign", "Quaternion"),
-        (lambda: i / other, "/", "Quaternion", "Foreign"),
-        (lambda: other / i, "/", "Foreign", "Quaternion"),
-    ):
-        message = f"unsupported operand type(s) for {op}: '{left}' and '{right}'"
-        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
-            expr()
+    """Python then tries the foreign side, and raises TypeError when it too
+    declines: for every binary operator of every element class, reflected
+    ones included, for `commutes`, and for the order of scalars."""
+    other = Foreign()
+    names = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+             "__truediv__", "__rtruediv__")
+    for value in (H.i(), O.basis_element("l"), F5.sqrt_gen()):
+        for name in names:
+            assert getattr(value, name)(other) is NotImplemented, (_name(value), name)
+        for op, apply in ARITHMETIC.items():
+            for left, right in ((value, other), (other, value)):
+                message = f"unsupported operand type(s) for {op}: '{_name(left)}' and '{_name(right)}'"
+                with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+                    apply(left, right)
+    with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for \*: 'Quaternion' and 'Foreign'$"):
+        H.i().commutes(other)
+    s = F5.sqrt_gen()
+    assert s.__lt__(other) is NotImplemented
+    assert 2 < s <= s + 1 and s > 2 and s >= s  # total_ordering derives the rest from __lt__
+    for op, apply in ORDER.items():
+        for left, right in ((s, other), (other, s)):
+            message = f"'{op}' not supported between instances of '{_name(left)}' and '{_name(right)}'"
+            with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+                apply(left, right)
 
 
 def test_a_poly_returns_not_implemented_for_a_foreign_operand():
     f, other = Poly(H, [1, H.i()]), Foreign()
     assert f._lift(other) is None
-    for name in ("__add__", "__sub__", "__mul__", "__rmul__", "__eq__"):
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__eq__"):
         assert getattr(f, name)(other) is NotImplemented
     assert f != other and not f == other  # __eq__ declines on both sides: identity decides
     with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for \*: 'Poly' and 'Foreign'$"):
         f * other
+    with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for -: 'Foreign' and 'Poly'$"):
+        other - f
 
 
 def test_refused_arguments_raise_with_their_message():
