@@ -705,10 +705,11 @@ def _ratio(den: int, n: int) -> str:
 class Spec:
     """What the field, quaternion and octonion specs share.
 
-    A subclass names its element class (`ELEMENT`), sets `table` and `field`,
-    and defines `_key`, the parameters it compares and hashes by, and `sub`,
+    A subclass names its element class (`ELEMENT`) and has a `table`, a
+    `field`, a `_key`, the parameters it compares and hashes by, and a `sub`,
     the spec one level down whose elements it lifts (a field lifts only
-    rationals and has none).  Specs are immutable.
+    rationals and has none): `FieldSpec` defines its own, the doubled
+    algebras inherit `DoubledSpec`'s.  Specs are immutable.
     """
 
     __slots__ = ("table",)
@@ -752,6 +753,8 @@ class Spec:
         remaining coordinates are zero.
         """
         parts = [self.sub.coerce(v) for v in values]
+        if len(parts) * self.sub.table.dim > self.table.dim:
+            raise TypeError(f"an element of {self} has {self.table.dim // self.sub.table.dim} parts, not {len(parts)}")
         den = lcm(*(p.den for p in parts))
         nums = [v * (den // p.den) for p in parts for v in p.nums]
         return self.ELEMENT(self, nums + [0] * (self.table.dim - len(nums)), den)
@@ -771,3 +774,47 @@ class Spec:
         nums = [0] * self.table.dim
         nums[idx * self.table.width] = 1
         return self.ELEMENT(self, nums)
+
+
+class DoubledSpec(Spec):
+    """An algebra that doubles `sub` by the squares `params` of its new generators:
+    `QuatSpec(field, alpha, beta)` and `OctSpec(quat, gamma)`.
+
+    `sub` must be the spec of `ELEMENT.LIFTS[0]`, with one parameter per doubling
+    (else TypeError), each a nonzero scalar of `field` (else ValueError(`NONZERO`)).
+    `gens` holds every generator square, alpha first, and gives `Table(field, *gens)`;
+    a spec compares and hashes by (sub, *params) and prints as `KIND:gens@field`.
+    """
+
+    __slots__ = ("field", "sub", "params", "gens")
+
+    KIND: str
+    NONZERO: str
+
+    def __init__(self, sub, *params) -> None:
+        name, lift = type(self).__name__, self.ELEMENT.LIFTS[0]
+        if getattr(sub, "ELEMENT", None) is not lift:
+            raise TypeError(f"{name} doubles a spec of {lift.__name__.lower()}s, not {sub!r}")
+        doublings = (len(self.ELEMENT.BASIS) // len(lift.BASIS)).bit_length() - 1
+        if len(params) != doublings:
+            raise TypeError(f"{name} takes {doublings} parameter(s), one per doubling, not {len(params)}")
+        params = tuple(map(sub.field.coerce, params))
+        if not all(params):
+            raise ValueError(self.NONZERO)
+        gens = getattr(sub, "gens", ()) + params  # a field has no generators
+        values = {"field": sub.field, "sub": sub, "params": params, "gens": gens, "table": Table(sub.field, *gens)}
+        for slot, value in values.items():
+            object.__setattr__(self, slot, value)
+
+    def _key(self) -> tuple:
+        return (self.sub, *self.params)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, self._key()))})"
+
+    def __str__(self) -> str:
+        return f"{self.KIND}:{','.join(g.render() for g in self.gens)}@{self.field}"
+
+    def element(self, *parts):
+        """The element with leading parts `parts` over `sub`, the rest zero."""
+        return self._join(parts)

@@ -26,7 +26,7 @@ from .errors import AlgebraError, ParseError, UsageError
 from .octonions import OctSpec
 from .parsing import parse_element, parse_poly, parse_scalar
 from .quaternions import QuatSpec, Quaternion
-from .scalars import FieldSpec, Scalar
+from .scalars import FieldSpec
 
 _FIELD_RE = re.compile(r"Q\(s(-?[0-9]+)\)")
 
@@ -89,11 +89,7 @@ def _class_dict(klass: solver.ConjClass) -> dict:
 
 
 def _coordinates(point: Quaternion) -> dict:
-    w, field = point.spec.table.width, point.spec.field
-    return {
-        sym or "1": Scalar.text(field, point.nums[w * k : w * k + w], point.den)
-        for k, sym in enumerate(point.BASIS)
-    }
+    return {sym or "1": part.render() for sym, part in zip(point.BASIS, point.coords())}
 
 
 def _solution_dict(sol: solver.ClassSolution) -> dict:

@@ -1,17 +1,18 @@
-"""Generalized quaternion algebras (alpha, beta / F).
+"""Generalized quaternion algebras (alpha, beta / F): `Quaternion` and `QuatSpec`.
 
-Basis 1, i, j, k with i*i = alpha, j*j = beta, j*i = -i*j and k := i*j.
-The canonical involution negates the non-scalar part; trace and norm land in
-the ground field.  The arithmetic does not assume division: inverting a
-nonzero element of zero norm raises SplitAlgebraError.  Root finding does:
-over split parameters its `none` is no proof, and classes can be missing.
+Basis 1, i, j, k with i*i = alpha, j*j = beta, j*i = -i*j and k := i*j: the
+ground field doubled twice (`_kernel.DoubledSpec`).  The arithmetic, with
+the involution, trace, norm and inverse, is `_kernel.Element`'s; it does not
+assume division: inverting a nonzero element of zero norm raises
+SplitAlgebraError.  Root finding does: over split parameters its `none` is
+no proof, and classes can be missing.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from ._kernel import Element, Spec, Table
+from ._kernel import DoubledSpec, Element
 from .scalars import SCALAR_LIFTS, FieldSpec, QQ, Scalar
 
 
@@ -35,46 +36,23 @@ class Quaternion(Element):
         return (self * self - self * t + n).is_zero
 
 
-class QuatSpec(Spec):
-    """Structure constants of a quaternion algebra over a ground field."""
+class QuatSpec(DoubledSpec):
+    """A quaternion algebra: the ground field doubled by alpha, then by beta."""
 
-    __slots__ = ("field", "alpha", "beta")
+    __slots__ = ()
 
     ELEMENT = Quaternion
+    KIND = "quat"
+    NONZERO = "alpha and beta must be nonzero"
 
-    def __init__(self, field: FieldSpec, alpha, beta) -> None:
-        alpha = field.coerce(alpha)
-        beta = field.coerce(beta)
-        if not alpha or not beta:
-            raise ValueError("alpha and beta must be nonzero")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "table", Table(field, alpha, beta))
+    alpha = property(lambda self: self.params[0])
+    beta = property(lambda self: self.params[1])
 
     @classmethod
     @lru_cache(maxsize=8)  # specs are immutable; parse_scalar asks for one per scalar
     def standard(cls, field: FieldSpec = QQ) -> QuatSpec:
         """The (-1, -1) algebra: Hamilton-type quaternions over `field`."""
         return cls(field, -1, -1)
-
-    def _key(self) -> tuple:
-        return (self.field, self.alpha, self.beta)
-
-    @property
-    def sub(self) -> FieldSpec:
-        return self.field
-
-    def __repr__(self) -> str:
-        return f"QuatSpec({self.field!r}, {self.alpha!r}, {self.beta!r})"
-
-    def __str__(self) -> str:
-        return f"quat:{self.alpha.render()},{self.beta.render()}@{self.field}"
-
-    # -- constructors -------------------------------------------------------
-
-    def element(self, a=0, b=0, c=0, e=0) -> Quaternion:
-        return self._join((a, b, c, e))
 
     def i(self) -> Quaternion:
         return self.basis_element("i")

@@ -594,6 +594,20 @@ def test_an_algebra_parameter_must_be_a_scalar():
         }
 
 
+def test_a_zero_algebra_parameter_is_refused_with_its_message():
+    for algebra, message in (
+        ("quat:0,1@Q", "alpha and beta must be nonzero"),
+        ("quat:1,0@Q(s5)", "alpha and beta must be nonzero"),
+        ("oct:-1,-1,0@Q", "gamma must be nonzero"),
+    ):
+        code, out = run_cli(["compose", "--algebra", algebra, "--poly", "x", "--n", "1"])
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "ParseError",
+            "message": f"bad algebra parameter in {algebra!r}: {message}",
+        }
+
+
 def test_linear_composition_counts_against_the_cap():
     start = time.perf_counter()
     code, out = run_cli(["compose", "--poly", "x+i", "--n", "1000000000"])

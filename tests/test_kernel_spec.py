@@ -2,9 +2,13 @@
 
 Each case builds its spec afresh from parameters, so that equality and
 hashing are checked on distinct objects, and names a spec that differs in
-one parameter, whose elements `coerce` must refuse.
+one parameter, whose elements `coerce` must refuse.  The last tests hold the
+doubled algebras to `_kernel.DoubledSpec`: their text round-trips, and a sub
+of the wrong kind or a wrong count of parameters or parts is refused.
 """
 
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,6 +24,9 @@ from quatdyn import (
     SpecMismatchError,
 )
 from quatdyn._kernel import OPERATORS, Element
+from quatdyn.cli import parse_algebra
+
+from helpers import rand_nonzero, rand_scalar
 
 
 def _quat(d):
@@ -214,3 +221,49 @@ def test_element_classes_hold_every_operator_in_their_own_namespace():
     assert vars(Scalar)["inv"] is not Element.inv
     assert vars(SubScalar)["inv"] is vars(Scalar)["inv"]
     assert vars(Quaternion)["inv"] is vars(Octonion)["inv"] is Element.inv
+
+
+def test_the_algebra_text_round_trips():
+    """`str(spec)`, the "algebra" of every JSON payload, parses back through
+    `cli.parse_algebra` to an equal spec with an equal hash: random quaternion
+    and octonion algebras over Q, Q(s5) and Q(s-3), whose parameters carry
+    signs, fractions and sqrt(d) parts."""
+    rng = random.Random(40)
+    for d in (None, 5, -3):
+        field = FieldSpec(d)
+        for _ in range(25):
+            alpha, beta, gamma = (rand_nonzero(rand_scalar, rng, field, 7, 4) for _ in range(3))
+            quat = QuatSpec(field, alpha, beta)
+            for spec in (quat, OctSpec(quat, gamma)):
+                parsed = parse_algebra(str(spec))
+                assert parsed == spec and hash(parsed) == hash(spec), str(spec)
+    text = "oct:-1/2 - s5,-2*s5,7@Q(s5)"
+    assert str(parse_algebra(text)) == text
+
+
+def test_a_sub_of_the_wrong_kind_raises_type_error():
+    """A doubled algebra takes the spec one level down only: no field for
+    octonions, no quaternion algebra for quaternions, no octonion algebra."""
+    H, O = QuatSpec.standard(), OctSpec.standard()
+    for build, message in (
+        (lambda: OctSpec(FieldSpec(), -1), "OctSpec doubles a spec of quaternions, not FieldSpec(d=None)"),
+        (lambda: OctSpec(O, -1), f"OctSpec doubles a spec of quaternions, not {O!r}"),
+        (lambda: QuatSpec(H, -1, -1), f"QuatSpec doubles a spec of scalars, not {H!r}"),
+    ):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            build()
+
+
+def test_a_wrong_count_of_parameters_or_parts_raises_type_error():
+    """One parameter per doubling, and no more parts than the algebra has over
+    `sub`: the shared constructor and `element` build nothing of another size."""
+    H, O = QuatSpec.standard(), OctSpec.standard()
+    for build, message in (
+        (lambda: QuatSpec(FieldSpec(), -1), "QuatSpec takes 2 parameter(s), one per doubling, not 1"),
+        (lambda: QuatSpec(FieldSpec(5), -1, -1, -1), "QuatSpec takes 2 parameter(s), one per doubling, not 3"),
+        (lambda: OctSpec(H, -1, -1), "OctSpec takes 1 parameter(s), one per doubling, not 2"),
+        (lambda: H.element(1, 2, 3, 4, 5), "an element of quat:-1,-1@Q has 4 parts, not 5"),
+        (lambda: O.element(1, 2, 3), "an element of oct:-1,-1,-1@Q has 2 parts, not 3"),
+    ):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            build()
