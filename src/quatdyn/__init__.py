@@ -7,10 +7,10 @@ over an algebra or over the ground field), the companion-polynomial root
 solver (`roots` and friends), and the dynamics layer (`fixed_points`,
 `orbit`, `certify_periodic` and its r = 1 case `octonion_fixed_check`).
 Scalars, quaternions and octonions share one integer structure-constant
-kernel.  Only `Poly.compose_iterate` builds composites, within the fixed
-`DEGREE_CAP` and a budget on their column height and work; the dynamics layer
-and `Poly.eval_iterate` are bounded by a budget on steps and bit height
-instead.
+kernel.  Both iterations, `Poly.compose_iterate` (the only builder of
+composites) and `Poly.eval_iterate`, and every loop of the dynamics layer
+step through one loop, `_kernel._bounded`, within one budget on steps, degree,
+bit height and work.
 """
 
 __version__ = "0.1.0"
@@ -32,7 +32,7 @@ from .errors import (
 from .scalars import QQ, FieldSpec, Scalar
 from .quaternions import QuatSpec, Quaternion
 from .octonions import OctSpec, Octonion
-from .polynomials import DEGREE_CAP, Poly
+from .polynomials import Poly
 from .solver import (
     DEFAULT_PRECISION,
     DEFAULT_TOLERANCE,
@@ -75,7 +75,6 @@ __all__ = [
     "Quaternion",
     "OctSpec",
     "Octonion",
-    "DEGREE_CAP",
     "Poly",
     "DEFAULT_PRECISION",
     "DEFAULT_TOLERANCE",

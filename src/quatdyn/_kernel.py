@@ -73,10 +73,21 @@ PATHS: Counter = Counter()  # the paths taken, by (line, path): see the module d
 # reaches 64857 bits takes 0.31 s, the next one 1.4 s.
 HEIGHT_BUDGET = 2**16
 
-# Steps of a degree-1 map one repeated evaluation, orbit or search may take; a
-# degree-d map gets MAX_STEPS // d.  A quadratic step that keeps its height
-# costs about 75 microseconds, a degree-256 one 6.6 ms.
+# Steps of a degree-1 map one repeated evaluation, orbit, search or composition
+# may take, and the degree of a composite; a degree-d map gets MAX_STEPS // d.
+# A quadratic step that keeps its height costs about 75 microseconds, a
+# degree-256 one 6.6 ms.
 MAX_STEPS = 4096
+
+# The work of a composite f(g): deg(f) products of operands of about
+# deg(f) * deg(g) coefficients of deg(f) * H bits, in each nonzero coordinate
+# column of g, H its column height (`column_height`).  It counts bits, so
+# sparse low-height composites pass it, and their degree stops them.
+# Measured: the README's quadratic reaches 8.6e6 at n = 10 (0.35 s) and 3.4e7
+# at n = 11 (2.8-3.3 s, nearly all of it the last packed square); of 4088
+# random compose calls (degree 1-16, heights up to 7000 bits, n up to 13, all
+# five test algebras) none took more than 1.1 s.
+COMPOSE_BITS = 10_000_000
 
 # Where Table._product packs columns (Kronecker substitution): operands of at
 # least KRONECKER_MIN coefficients and, for two different operands, at least
@@ -110,13 +121,27 @@ def _bounded(f: Poly, step, u) -> Iterator:
     A step costs about deg(f) products of numbers as long as u's, and makes
     the height of u at most deg(f) times larger, up to the height of f's
     coefficients.  So before step k, with deg(f) counted as at least 1,
-    raise DegreeCapError when deg(f) * k exceeds MAX_STEPS or deg(f) *
-    height(u) exceeds HEIGHT_BUDGET.  u is an element or a residue pair.
+    raise DegreeCapError when deg(f) times k or the degree D of u exceeds
+    MAX_STEPS, deg(f) times height(u) exceeds HEIGHT_BUDGET, or deg(f) times
+    the work of one product exceeds COMPOSE_BITS: u's nonzero columns times
+    deg(f) * D coefficients times deg(f) * height(u) bits.  u is an element,
+    a residue pair (D = 0, no work) or a composite, a Poly.
     """
     growth = max(f.degree, 1)
     for k in count(1):
-        bits = height(*u) if isinstance(u, tuple) else height(u)
-        for size, unit, budget in ((k, "steps", MAX_STEPS), (bits, "bits", HEIGHT_BUDGET)):
+        degree = columns = 0
+        if isinstance(u, tuple):
+            bits = height(*u)
+        elif isinstance(u, Element):
+            bits = height(u)
+        else:
+            bits, degree, columns = column_height(u.cols, u.den), u.degree, sum(map(any, u.cols))
+        for size, unit, budget in (
+            (k, "steps", MAX_STEPS),
+            (degree, "degrees", MAX_STEPS),
+            (bits, "bits", HEIGHT_BUDGET),
+            (columns * growth * degree * growth * bits, "bits of work", COMPOSE_BITS),
+        ):
             if growth * size > budget:
                 raise DegreeCapError(
                     f"step {k} exceeds the budget: degree {growth} times "

@@ -3,7 +3,7 @@
 Algebras are declared as `quat:<alpha>,<beta>@<field>` or
 `oct:<alpha>,<beta>,<gamma>@<field>` where the field is `Q` or `Q(s<d>)`,
 e.g. `quat:-1,-1@Q` or `quat:-1,-1@Q(s5)`.  Exit codes: 0 success, 1
-mathematical error (split element, degree cap or work budget, incomplete
+mathematical error (split element, work budget, incomplete
 exact factorization, non-convergence), 2 usage or parse error.  `main` runs
 argument parsing, the range checks and the command in one `try`, whose
 `except` clauses map each error to its exit code, and prints every payload,

@@ -23,8 +23,8 @@ No composite is built to evaluate it.  x^2 - T*x + N, with (T, N) the trace
 and norm of the point, is central, so the value of the k-fold composition at
 the point is read off its residue in A[x]/(x^2 - T*x + N), iterated from x
 by u <- f(u) (`_composite_values`).  Every loop over f, these residues and
-the repeated evaluations alike, runs through `_kernel._bounded`, as does
-`Poly.eval_iterate`, which bounds the work actually done: deg(f) times the
+the repeated evaluations alike, runs through `_kernel._bounded`, as do both
+iterations of `Poly`, which bounds the work actually done: deg(f) times the
 number of steps stays within MAX_STEPS, and deg(f) times the bit height of
 the value a step starts from within HEIGHT_BUDGET.
 """
@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from ._kernel import MAX_STEPS, _bounded
+from ._kernel import _bounded
 from .errors import DegreeCapError, UnsupportedAlgebraError, ZeroPolynomialError
 from .polynomials import Element, Poly
 from .octonions import OctSpec

@@ -1,7 +1,7 @@
 """Exception taxonomy.
 
-AlgebraError covers failures of the mathematics (split elements, degree caps
-and work budgets, non-convergence); ParseError covers malformed input text and UsageError
+AlgebraError covers failures of the mathematics (split elements, work
+budgets, non-convergence); ParseError covers malformed input text and UsageError
 out-of-range arguments. The CLI maps the first to exit code 1 and the other
 two to exit code 2.
 """
@@ -33,8 +33,8 @@ class SplitAlgebraError(AlgebraError):
 
 
 class DegreeCapError(AlgebraError):
-    """A computation would pass its bound: the degree cap of a built composite,
-    or the bit-height or step budget of an iteration that builds none."""
+    """An iteration would pass the budget of its one loop, `_kernel._bounded`:
+    its steps, the degree of a composite, the bit height or the work of a step."""
 
 
 class ZeroPolynomialError(AlgebraError):

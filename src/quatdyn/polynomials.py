@@ -10,8 +10,7 @@ Two different iterations therefore coexist and are kept apart throughout:
   compose_iterate(n)   the polynomial f(f(...)), outer copy applied last;
   eval_iterate(lam, n) the value f(f(...f(lam))), plain repeated evaluation.
 
-Both are bounded by their work: compose_iterate by DEGREE_CAP and the budget
-below, eval_iterate by the dynamics layer's budget (`_kernel._bounded`).
+Both step through one loop, `_kernel._bounded`, which bounds their work.
 
 Values of composites at a point lam need no composite: `quotient_step`
 evaluates f in A[x]/(x^2 - T*x + N), with (T, N) the trace and norm of lam.
@@ -28,25 +27,11 @@ from functools import partial
 from itertools import chain, islice
 from math import gcd, lcm
 
-from ._kernel import HEIGHT_BUDGET, _bounded, column_height, lifted, power
-from .errors import DegreeCapError, SpecMismatchError, UnsupportedAlgebraError
+from ._kernel import _bounded, lifted, power
+from .errors import SpecMismatchError, UnsupportedAlgebraError
 from .octonions import Octonion, OctSpec
 from .quaternions import QuatSpec, Quaternion
 from .scalars import FieldSpec, RationalLike, Scalar
-
-DEGREE_CAP = 4096
-
-# compose_iterate's work budget.  A composite of degree D and column height H
-# (`column_height`) takes deg(f) polynomial products of operands of about
-# (D + 1) * H bits in each nonzero coordinate column; the product of the three
-# passing COMPOSE_BITS stops it, and so does H passing HEIGHT_BUDGET (printing
-# grows with H squared).  It counts bits, so sparse low-height composites pass
-# it, and DEGREE_CAP stops them.  Measured: the README's quadratic reaches
-# 8.6e6 at n = 10 (0.35 s) and 3.4e7 at n = 11 (2.8-3.3 s, nearly all of it
-# the last packed square); of 4088 random compose calls (degree 1-16, heights
-# up to 7000 bits, n up to 13, all five test algebras) none took more than
-# 1.1 s.
-COMPOSE_BITS = 10_000_000
 
 AlgebraSpec = QuatSpec | OctSpec | FieldSpec
 Element = Quaternion | Octonion | Scalar
@@ -224,46 +209,14 @@ class Poly:
         return Poly.from_cols(self.spec, cols, self.den * scale**self.degree)
 
     def compose_iterate(self, n: int) -> Poly:
-        """n-fold self-composition, the outer copy applied last at each step.
-
-        Raises DegreeCapError when the composite's degree degree**n would pass
-        DEGREE_CAP; a linear polynomial keeps degree 1, so there each
-        composition counts against the cap instead.  Before building each
-        composite, its column height (`column_height`) is predicted from
-        deg(f) and the column heights of f and of the last composite;
-        DegreeCapError is raised too when that height, or the work of the
-        products that build it (see COMPOSE_BITS), is over budget.
-        """
+        """n-fold self-composition, the outer copy applied last at each step:
+        f itself for n = 1 or a constant f, else step n - 1 of `_bounded`,
+        DegreeCapError before a composite past its steps, degree, height or work."""
         if n < 1:
             raise ValueError("n must be at least 1")
-        if self.degree == 1 and n > DEGREE_CAP:
-            raise DegreeCapError(
-                f"{n} compositions of a linear polynomial exceed cap {DEGREE_CAP}"
-            )
-        # degree**k > DEGREE_CAP once k exceeds the cap's bit length
-        if self.degree >= 2 and self.degree ** min(n, DEGREE_CAP.bit_length() + 1) > DEGREE_CAP:
-            raise DegreeCapError(
-                f"composition degree {self.degree}**{n} exceeds cap {DEGREE_CAP}"
-            )
-        out = self
-        if self.degree >= 1:  # a constant composed with anything is itself
-            f_bits = column_height(self.cols, self.den)
-            for k in range(2, n + 1):
-                # the composite's coefficients: deg(f) powers of out's, times f's
-                bits = self.degree * column_height(out.cols, out.den) + f_bits
-                columns = sum(map(any, out.cols))
-                work = columns * self.degree * (self.degree * out.degree + 1) * bits
-                for size, what, budget in (
-                    (bits, "height", HEIGHT_BUDGET),
-                    (work, "work", COMPOSE_BITS),
-                ):
-                    if size > budget:
-                        raise DegreeCapError(
-                            f"composite {k} exceeds the budget: its predicted {what} "
-                            f"of {size} bits is over {budget}"
-                        )
-                out = self.compose(out)
-        return out
+        if n == 1 or self.degree < 1:
+            return self
+        return next(islice(_bounded(self, self.compose, self), n - 2, None))
 
     def quotient_step(self, trace, norm):
         """The map u -> f(u) = sum c_i u^i in A[x]/(x^2 - trace*x + norm), by
@@ -314,10 +267,10 @@ class Poly:
             raise ValueError("n must be at least 1")
         return next(islice(_bounded(self, self, self.spec.coerce(lam)), n - 1, None))
 
-    # -- quaternion-only structure ---------------------------------------------------
+    # -- associative structure -------------------------------------------------------
 
     def _require_associative(self, what: str) -> None:
-        if not isinstance(self.spec, QuatSpec):
+        if isinstance(self.spec, OctSpec):
             raise UnsupportedAlgebraError(f"{what} needs an associative algebra")
 
     def conj_coeffs(self) -> Poly:

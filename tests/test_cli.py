@@ -418,23 +418,34 @@ def test_solving_never_imports_mpmath():
 
 def test_library_imports_only_the_standard_library():
     """The library runs on the standard library alone: every import in
-    src/quatdyn names a standard module or quatdyn itself."""
+    src/quatdyn names a standard module or quatdyn itself.  And each name a
+    module imports is read there (`__init__` exports its `__all__`)."""
     import ast
 
     import quatdyn
 
     allowed = sys.stdlib_module_names | {"quatdyn"}
-    foreign = []
+    foreign, unread = [], []
     for path in sorted(Path(quatdyn.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        if path.name == "__init__.py":
+            read |= set(quatdyn.__all__)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                names = [node.module]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [node.module] if not node.level else []  # relative: quatdyn's own
             else:
-                continue  # not an import, or a relative one: quatdyn's own
+                continue
             foreign += [f"{path.name}: {n}" for n in names if n.split(".")[0] not in allowed]
+            unread += [
+                f"{path.name}: {bound}"
+                for alias in node.names
+                if (bound := (alias.asname or alias.name).split(".")[0]) not in read
+            ]
     assert not foreign
+    assert not unread
 
 
 # 10^5000 has 16610 bits, so the residues of these quadratics pass the height
@@ -628,62 +639,47 @@ def test_linear_composition_counts_against_the_cap():
     assert json.loads(out)["result"] == {"poly": "(i)", "degree": 0}
 
 
-def test_compose_is_bounded_by_its_work():
-    # degree 32 under the default cap, but the coefficients reach 514899 bits
-    for n in ("5", "6"):
-        start = time.perf_counter()
-        code, out = run_cli(["compose", "--poly", "10^5000*x^2+i*x", "--n", n])
-        assert time.perf_counter() - start < 0.5
-        assert code == 1
-        error = json.loads(out)["error"]
-        assert error["type"] == "DegreeCapError"
-        assert error["message"] == (
-            "composite 3 exceeds the budget: its predicted height of 116268 bits is over 65536"
-        )
-    # the README's quadratic is admitted at n = 10
-    code, out = run_cli(["compose", "--poly", "x^2+(i+1)*x+1+i*j", "--n", "10"])
-    assert code == 0 and json.loads(out)["result"]["degree"] == 1024
-    # degree 4096 is within the cap, but the third composite's products are not
-    code, out = run_cli(["compose", "--poly", "(x+1+i)^16", "--n", "3"])
-    assert code == 1
-    assert "composite 3 exceeds the budget: its predicted work" in json.loads(out)["error"]["message"]
+WORK_STOP = "step {} exceeds the budget: degree {} times {} bits of work is over 10000000"
 
-
-def test_compose_budget_reads_the_column_height():
+# (poly, the last n that answers, the degree it answers, the message at n + 1):
+# compose steps through the same budget as the loops above
+COMPOSE_CASES = [
+    ("x^2+(i+1)*x+1+i*j", 10, 1024, WORK_STOP.format(10, 2, 17137664)),
+    # 10^5000 has 16610 bits: the second composite holds 49829
+    ("10^5000*x^2+i*x", 2, 4, "step 2 exceeds the budget: degree 2 times 49829 bits is over 65536"),
     # the products run on the columns over the common denominator 210, whose
-    # height the budget predicts: 2696 bits for the ninth composite, where the
-    # coefficients in lowest terms read 1922 bits and 7887888 bits of work
-    poly = "1/7*x^2+(1/3*i+1/3)*x+1/2+1/5*i*j"
+    # height the work reads, not the coefficients' in lowest terms
+    ("1/7*x^2+(1/3*i+1/3)*x+1/2+1/5*i*j", 8, 256, WORK_STOP.format(8, 2, 5505024)),
+    # sparse composites of low height pass the work, and their degree stops them
+    ("x^2", 12, 4096, "step 12 exceeds the budget: degree 2 times 4096 degrees is over 4096"),
+    ("(x+1+i)^16", 2, 256, WORK_STOP.format(2, 16, 42205184)),
+    ("x^2+10^300*i", 6, 64, WORK_STOP.format(6, 2, 16328192)),
+    # a linear map keeps degree 1: its n - 1 compositions count as steps
+    ("x+i", 4097, 1, "step 4097 exceeds the budget: degree 1 times 4097 steps is over 4096"),
+]
+
+
+@pytest.mark.parametrize(
+    "poly,n,degree,message",
+    COMPOSE_CASES,
+    ids=["readme", "height", "column-height", "degree", "work", "column-sum", "linear"],
+)
+def test_compose_boundaries(poly, n, degree, message):
+    # the refusal comes before the composite it would build: within 0.5 s of
+    # the last answer's time
     start = time.perf_counter()
-    code, out = run_cli(["compose", "--poly", poly, "--n", "9"])
-    assert time.perf_counter() - start < 0.5
+    code, out = run_cli(["compose", "--poly", poly, "--n", str(n)])
+    answer = time.perf_counter() - start
+    assert code == 0 and json.loads(out)["result"]["degree"] == degree
+    start = time.perf_counter()
+    code, out = run_cli(["compose", "--poly", poly, "--n", str(n + 1)])
+    assert time.perf_counter() - start < answer + 0.5
     assert code == 1
-    assert json.loads(out)["error"] == {
-        "type": "DegreeCapError",
-        "message": "composite 9 exceeds the budget: its predicted work of 11064384 bits"
-        " is over 10000000",
-    }
-    code, out = run_cli(["compose", "--poly", poly, "--n", "8"])
-    assert code == 0 and json.loads(out)["result"]["degree"] == 256
+    assert json.loads(out)["error"] == {"type": "DegreeCapError", "message": message}
 
 
 def test_degree_cap_flag():
-    # the cap is fixed at 4096: sparse composites of low height, which pass
-    # the work budget, would double in degree with each n past it
-    code, out = run_cli(["compose", "--poly", "x^2", "--n", "12"])
-    assert code == 0 and json.loads(out)["result"]["degree"] == 4096
-    code, out = run_cli(["compose", "--poly", "x^2", "--n", "13"])
-    assert code == 1
-    assert json.loads(out)["error"] == {
-        "type": "DegreeCapError", "message": "composition degree 2**13 exceeds cap 4096",
-    }
-    code, out = run_cli(["compose", "--poly", "x+i", "--n", "4097"])
-    assert code == 1
-    assert json.loads(out)["error"] == {
-        "type": "DegreeCapError",
-        "message": "4097 compositions of a linear polynomial exceed cap 4096",
-    }
-    # and no option sets it
+    # the budget is fixed, and no option sets it
     code, out = run_cli(["compose", "--poly", "x^2", "--n", "1", "--degree-cap", "4096"])
     assert code == 2
     assert json.loads(out)["error"] == {

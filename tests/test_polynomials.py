@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatdyn import (
-    DEGREE_CAP,
     DegreeCapError,
     FieldSpec,
     OctSpec,
@@ -745,8 +744,21 @@ def test_divmod_monic_zero_remainders():
 
 def test_right_division_unsupported_over_octonions():
     f = Poly(O, [0, 1])
-    with pytest.raises(UnsupportedAlgebraError):
-        f.divmod_linear(O.one())
+    for call, what in ((lambda: f.divmod_linear(O.one()), "right division"),
+                       (f.conj_coeffs, "coefficient conjugation")):
+        with pytest.raises(UnsupportedAlgebraError, match=f"^{what} needs an associative algebra$"):
+            call()
+
+
+def test_right_division_and_conjugation_over_the_ground_field():
+    # the ground field is associative: the companion over Q divides like any
+    # polynomial, and the involution fixes its coefficients
+    c = companion(Poly(H, [1 + K, I, 1]))
+    for lam in (1, Fraction(-2, 3)):
+        q, r = c.divmod_linear(lam)
+        assert q * (Poly.x(QQ) - lam) + r == c
+        assert r == c(lam)
+    assert c.conj_coeffs() == c
 
 
 def test_factor_theorem_both_ways():
@@ -804,16 +816,6 @@ def test_compose_eval_agreement_under_commutation():
         lam = sample()
         for n in range(1, 5):
             assert f.compose_iterate(n)(lam) == f.eval_iterate(lam, n)
-
-
-def test_degree_cap():
-    f = Poly(H, [0, 0, 1])
-    with pytest.raises(DegreeCapError, match=r"^composition degree 2\*\*13 exceeds cap 4096$"):
-        f.compose_iterate(13)
-    assert f.compose_iterate(12).degree == DEGREE_CAP == 4096
-    linear = Poly(H, [I, 1])
-    with pytest.raises(DegreeCapError, match="^4097 compositions of a linear polynomial exceed cap 4096$"):
-        linear.compose_iterate(4097)
 
 
 @given(st.lists(st.tuples(st.integers(1, 99), st.integers(1, 12)), min_size=1, max_size=16))
