@@ -125,13 +125,18 @@ def _bounded(f: Poly, step, u) -> Iterator:
     MAX_STEPS, deg(f) times height(u) exceeds HEIGHT_BUDGET, or deg(f) times
     the work of one product exceeds COMPOSE_BITS: u's nonzero columns times
     deg(f) * D coefficients times deg(f) * height(u) bits.  u is an element,
-    a residue pair (D = 0, no work) or a composite, a Poly.
+    a residue (a, b, den) (D = 0, no work), whose height is that of a/den
+    and b/den each in lowest terms, or a composite, a Poly.
     """
     growth = max(f.degree, 1)
     for k in count(1):
         degree = columns = 0
         if isinstance(u, tuple):
-            bits = height(*u)
+            a, b, den = u
+            bits = column_height((a, b), den)
+            if growth * bits > HEIGHT_BUDGET:  # it bounds each part's: measure them
+                bits = max(column_height([[v // g for v in p]], den // g)
+                           for p in (a, b) for g in (gcd(den, *p),))
         elif isinstance(u, Element):
             bits = height(u)
         else:
@@ -552,6 +557,12 @@ class Element:
 
     def coords(self) -> tuple[Scalar, ...]:
         return tuple(self._scalar(k) for k in range(len(self.BASIS)))
+
+    def coordinate_texts(self) -> Iterator[str]:
+        """Each coordinate's text as its `Scalar` renders, from the numerators over den."""
+        w, field = self.spec.table.width, self.spec.field
+        for k in range(0, len(self.BASIS) * w, w):
+            yield field.ELEMENT.text(field, self.nums[k : k + w], self.den)
 
     @property
     def is_zero(self) -> bool:

@@ -8,7 +8,8 @@ exact factorization, non-convergence), 2 usage or parse error.  `main` runs
 argument parsing, the range checks and the command in one `try`, whose
 `except` clauses map each error to its exit code, and prints every payload,
 a result or an error (argparse's usage errors included), as one JSON document
-on stdout at one site; only --help and --version print argparse's text.
+on stdout at one site, by `_dumps`, which prints the bytes of
+json.dumps(payload, indent=2); only --help and --version print argparse's text.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 import math
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _escape
 
 from . import __version__
 from . import dynamics, solver
@@ -89,7 +91,7 @@ def _class_dict(klass: solver.ConjClass) -> dict:
 
 
 def _coordinates(point: Quaternion) -> dict:
-    return {sym or "1": part.render() for sym, part in zip(point.BASIS, point.coords())}
+    return dict(zip((sym or "1" for sym in point.BASIS), point.coordinate_texts()))
 
 
 def _solution_dict(sol: solver.ClassSolution) -> dict:
@@ -263,10 +265,27 @@ def main(argv=None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # a residual past the double range prints in full
     try:
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
     finally:
         sys.set_int_max_str_digits(limit)
     return code
+
+
+def _dumps(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2), byte for byte, for str keys: strings by json's C
+    escaper, ints by int.__repr__, and the rest (floats, True, False, None) by json.dumps."""
+    if isinstance(value, str):
+        return _escape(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        items = [_dumps(v, inner) for v in value]
+        return f"[{inner}{f',{inner}'.join(items)}{indent}]" if items else "[]"
+    if isinstance(value, dict):
+        items = [f"{_escape(k)}: {_dumps(v, inner)}" for k, v in value.items()]
+        return f"{{{inner}{f',{inner}'.join(items)}{indent}}}" if items else "{}"
+    return json.dumps(value)
 
 
 def _check_arguments(ns) -> None:

@@ -22,7 +22,8 @@ verdicts only say that none of them moved the point.
 No composite is built to evaluate it.  x^2 - T*x + N, with (T, N) the trace
 and norm of the point, is central, so the value of the k-fold composition at
 the point is read off its residue in A[x]/(x^2 - T*x + N), iterated from x
-by u <- f(u) (`_composite_values`).  Every loop over f, these residues and
+by u <- f(u) on integer numerators, an element built only for each value
+(`_composite_values`).  Every loop over f, these residues and
 the repeated evaluations alike, runs through `_kernel._bounded`, as do both
 iterations of `Poly`, which bounds the work actually done: deg(f) times the
 number of steps stays within MAX_STEPS, and deg(f) times the bit height of
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import partial
 
 from ._kernel import _bounded
 from .errors import DegreeCapError, UnsupportedAlgebraError, ZeroPolynomialError
@@ -114,13 +116,20 @@ def orbit(f: Poly, start, n_max: int, semantics: str = "compose") -> OrbitReport
 def _composite_values(f: Poly, lam: Element) -> Iterator[Element]:
     """Yield the k-fold composition evaluated at lam, for k = 1, 2, ...
 
-    Iterates u <- f(u) in A[x]/(x^2 - T*x + N), (T, N) the trace and norm of
-    lam, from u = x, with the modulus prepared once (`Poly.quotient_step`);
-    the k-th residue a*x + b gives the value a*lam + b.
+    Iterates u <- f(u) in A[x]/(x^2 - T*x + N) from u = x (`Poly._residue`),
+    on numerator triples (a, b, den).  The modulus is read off lam's
+    numerators once: T is twice its ground-field part and N the norm form
+    of lam with itself, over den(lam)^2 * den(table).  The k-th residue
+    (a*x + b) / den gives the value (a*lam + b) / den, one element per step.
     """
-    step = f.quotient_step(lam.trace(), lam.norm())
-    residues = _bounded(f, step, (f.spec.one(), f.spec.zero()))
-    return (a * lam + b for a, b in residues)
+    spec, table, nums, den = f.spec, f.spec.table, lam.nums, lam.den
+    form, pad = table.norm_form, [0] * (table.dim - table.width)
+    T = [2 * v * den * form.den for v in nums[: table.width]] + pad
+    step = partial(f._residue, modulus=(T, form.mul(nums, nums) + pad, den * den * form.den))
+    residues = _bounded(f, step, ([1] + [0] * (table.dim - 1), [0] * table.dim, 1))
+    s = den * table.den  # a*lam over den(a) * s, b scaled to it
+    return (spec.ELEMENT(spec, [p + q * s for p, q in zip(table.mul(a, nums), b)], d * s)
+            for a, b, d in residues)
 
 
 def certify_periodic(f: Poly, start, r: int, n_max: int = 4) -> PeriodicVerdict:

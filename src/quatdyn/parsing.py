@@ -17,13 +17,14 @@ nucleus, so a term folds its central factors (rationals, x, parenthesized
 values c*x^e, their powers and the signs of unary minus) into one c*x^e, c
 rational, and multiplies only the others (basis symbols, radicals, other
 parenthesized values and their powers) in written order; it builds its
-terms once, at the end, by scaling and shifting that product.  Only the
-others' products and powers convert to coordinate columns: of constants for
-`Table.mul`, of other values for `Table.poly_mul`, and powers for
-`Poly.__pow__`.  Refused, with heights measured where their bounds pass: a
-power or product whose degree or height (bits times the exponent, or the
-operands' bits added) would pass MAX_INPUT_DEGREE or HEIGHT_BUDGET bits,
-before it is computed; a sum whose height passes HEIGHT_BUDGET; '(' and
+terms once, at the end, by scaling and shifting that product.  A
+ground-field constant times a basis unit moves its terms to the unit's
+coordinates.  Only the others' products and powers convert to coordinate
+columns: of constants for `Table.mul`, of other values for
+`Table.poly_mul`, and powers for `Poly.__pow__`.  Refused, with heights
+measured where their bounds pass: a power or product whose degree or height
+(bits times the exponent, or the operands' bits added) would pass
+MAX_INPUT_DEGREE or HEIGHT_BUDGET bits, before it is computed; a sum whose height passes HEIGHT_BUDGET; '(' and
 unary '-' nested beyond MAX_NESTING.  Each refusal names the product of the
 factors written so far, so folding changes no message or position.
 """
@@ -141,8 +142,13 @@ class _Parser:
             raise self.error(f"integer of {len(text)} digits is too long", index) from None
 
     def mul(self, a: Factor, b: Factor) -> Value:
-        """a*b in written order."""
-        a, b = _scaled(1, 1, 0, a), _scaled(1, 1, 0, b)
+        """a*b in written order.  A ground-field constant a times a basis unit
+        b (no radical) is central: its terms move to b's coordinates, no product."""
+        a = _scaled(1, 1, 0, a)
+        if b.__class__ is int and not b % self.width and not a[3] and max(a[0])[1] < self.width:
+            terms, den, bits, _ = a
+            return {(0, k + b): v for (_, k), v in terms.items()}, den, bits, 0
+        b = _scaled(1, 1, 0, b)
         (F, fd, _, fdeg), (G, gd, _, gdeg) = a, b
         if not (F and G):
             return b if F else a

@@ -221,35 +221,35 @@ class Poly:
     def quotient_step(self, trace, norm):
         """The map u -> f(u) = sum c_i u^i in A[x]/(x^2 - trace*x + norm), by
         Horner's rule, with the modulus put over its denominator once: an
-        orbit applies it at every step.
+        orbit applies it at every step (`_residue`).
 
-        u = (a, b) stands for a*x + b, and so does the pair returned.  The
-        modulus has ground-field coefficients, so it is central and reduction
-        modulo it is a homomorphism, over octonions too.  Hence the residue of
-        a composite f(g) is f evaluated at the residue of g, and every
-        polynomial with residue a*x + b takes the value a*lam + b at each lam
-        of trace `trace` and norm `norm`.  The residue ring is alternative, so
-        Horner's rule gives sum c_i u^i term by term, as in `__call__`: each
-        step multiplies by u with x*x = trace*x - norm, 6 products.  Like
-        `__call__`'s, the recurrence runs on integer numerators: a and b over
-        one denominator, trace and norm over another, and the running pair
-        over den times a power of their product (and of den(table)).  Its two
-        elements are built, and reduced, only at the end.
+        u = (a, b, den) stands for (a*x + b) / den, a and b the numerators
+        of two elements over one den > 0, and so does the triple returned,
+        with content 1.  The modulus has ground-field coefficients, so it is
+        central and reduction modulo it is a homomorphism, over octonions
+        too.  Hence the residue of a composite f(g) is f evaluated at the
+        residue of g, and every polynomial with residue a*x + b takes the
+        value a*lam + b at each lam of trace `trace` and norm `norm`.  The
+        residue ring is alternative, so Horner's rule gives sum c_i u^i term
+        by term, as in `__call__`: each step multiplies by u with x*x =
+        trace*x - norm, 6 products.
         """
         return partial(self._residue, modulus=_common(self.spec, (trace, norm)))
 
-    def _residue(self, u, modulus) -> tuple[Element, Element]:
-        """The residue of quotient_step at u, the modulus given as (T, N, dc):
-        the numerators of trace and norm over their common denominator dc."""
-        spec = self.spec
+    def _residue(self, u, modulus) -> tuple[list[int], list[int], int]:
+        """The residue of quotient_step at the triple u, the modulus given as
+        (T, N, dc), the numerators of trace and norm over dc.  As in `__call__`,
+        the recurrence runs on integers, the running pair over den(f) times a
+        power of su * sc, and is divided by its content once, at the end."""
+        table, cols = self.spec.table, self.cols
+        mul, dim = table.mul, table.dim
         if self.is_zero:
-            return spec.zero(), spec.zero()
-        table, mul, cols = spec.table, spec.table.mul, self.cols
-        (a, b, du), (T, N, dc) = _common(spec, u), modulus
+            return [0] * dim, [0] * dim, 1
+        (a, b, du), (T, N, dc) = u, modulus
         # a product by a or b scales the denominator by su, one by T or N by sc
         su, sc = du * table.den, dc * table.den
         power = 1
-        A, B = [0] * table.dim, [col[-1] for col in cols]
+        A, B = [0] * dim, [col[-1] for col in cols]
         for i in range(self.degree - 1, -1, -1):
             Aa = mul(A, a)
             power *= su * sc
@@ -258,7 +258,8 @@ class Poly:
                 [p * sc - t + col[i] * power for p, t, col in zip(mul(B, b), mul(N, Aa), cols)],
             )
         den = self.den * power
-        return spec.ELEMENT(spec, A, den), spec.ELEMENT(spec, B, den)
+        g = gcd(den, *A, *B)
+        return (A, B, den) if g == 1 else ([v // g for v in A], [v // g for v in B], den // g)
 
     def eval_iterate(self, lam, n: int) -> Element:
         """n-fold repeated evaluation f(f(...f(lam))), within the work budget of
@@ -335,7 +336,7 @@ def divmod_monic(a, b) -> tuple[list, list]:
 
 
 def _common(spec, pair) -> tuple[list[int], list[int], int]:
-    """Numerators of the two values in pair over their least common denominator."""
+    """Numerators of the two values in pair over their least common denominator, content 1."""
     x, y = (spec.coerce(v) for v in pair)
     d = lcm(x.den, y.den)
     return [v * (d // x.den) for v in x.nums], [v * (d // y.den) for v in y.nums], d

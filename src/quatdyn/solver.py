@@ -710,6 +710,13 @@ def solve_in_class(
         return ClassSolution("anomaly", klass, detail=str(exc))
 
 
+def _reduction(g: Poly, T, N) -> tuple[Quaternion, Quaternion]:
+    """A and B of g(z) = A*z + B at each z of trace T and norm N: g's residue at x."""
+    one = g.spec.one().nums
+    a, b, den = g.quotient_step(T, N)((one, [0] * len(one), 1))
+    return Quaternion(g.spec, a, den), Quaternion(g.spec, b, den)
+
+
 def _solve_exact(g: Poly, klass: ConjClass) -> ClassSolution:
     T, N = klass.trace, klass.norm
     if klass.is_central:
@@ -720,7 +727,7 @@ def _solve_exact(g: Poly, klass: ConjClass) -> ClassSolution:
             "none", klass, detail="central candidate is not a root"
         )
     # z^k = p_k z + q_k inside the class, so g(z) = A z + B
-    A, B = g.quotient_step(T, N)((g.spec.one(), g.spec.zero()))
+    A, B = _reduction(g, T, N)
     if A.is_zero:
         if B.is_zero:
             return ClassSolution("sphere", klass)
@@ -754,7 +761,7 @@ def _solve_numeric(g: Poly, klass: ConjClass, tolerance: float) -> ClassSolution
             f"{klass.precision} bits do not exclude it; about {bits} bits would resolve the "
             f"class{beyond}",
         )
-    A, B = g.quotient_step(T, N)((g.spec.one(), g.spec.zero()))
+    A, B = _reduction(g, T, N)
     if not klass.squarefree:
         ztol = Fraction(2) ** (-klass.precision // 2 + 8)
         a_scale, b_scale = _reduction_scales(sizes, T, N)

@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,6 +12,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quatdyn import FieldSpec, OctSpec, ParseError, QQ, QuatSpec, __version__, cli, dynamics
 from quatdyn.cli import main, parse_algebra, parse_field
@@ -475,13 +477,18 @@ DEGREE_CAP_CASES = [
      {"r_fixed": True, "commutes_with_evals": [True]}, HEIGHT_STOP.format(33221)),
     (["check-periodic", "--algebra", "oct:-1,-1,-1@Q", "--poly", FIXES_J, "--point=j", "--r", "1"],
      "--n-max", 3, {"r_fixed": True, "refutation_checked": [2]}, HEIGHT_STOP.format(33221)),
+    # a rational point: a residue's height is each part's in lowest terms,
+    # 33232 bits, where a and b over their joint denominator have 33233
+    (["orbit", "--poly", f"x^2+1/7*{BIG}*i+1/5*x", "--point=1/3+1/2*j"], "--n-max", 3, 2,
+     HEIGHT_STOP.format(33232)),
 ]
 
 
 @pytest.mark.parametrize(
     "argv,flag,step,below,message",
     DEGREE_CAP_CASES,
-    ids=["orbit", "orbit-eval", "oct-check-fixed", "oct-check-steps", "refuted", "r-fold", "octonion-r1"],
+    ids=["orbit", "orbit-eval", "oct-check-fixed", "oct-check-steps", "refuted", "r-fold", "octonion-r1",
+         "orbit-rational"],
 )
 def test_degree_cap_boundaries(argv, flag, step, below, message):
     # one step below the work budget, and at the step where it fires; the
@@ -754,6 +761,34 @@ def test_numeric_residual_prints_past_the_int_text_limit():
     assert sys.get_int_max_str_digits() == limit  # lifted only while printing
     residuals = re.findall(r'"residual": (\d+)', out)
     assert len(residuals) == 2 and min(map(len, residuals)) > 4300
+
+
+_JSON_TEXT = st.text(st.characters() | st.integers(0xD800, 0xDFFF).map(chr))  # lone surrogates too
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(10**4300, 10**4400) | st.integers(-10**4400, -10**4300),
+    st.floats(), st.sampled_from([1e-09, -0.0, math.nan, math.inf, -math.inf]),
+    _JSON_TEXT,
+)
+_JSON_PAYLOADS = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: st.lists(kids) | st.lists(kids).map(tuple)
+    | st.dictionaries(_JSON_TEXT, kids),
+    max_leaves=30,
+)
+
+
+@settings(deadline=None)
+@given(_JSON_PAYLOADS)
+def test_the_json_writer_prints_what_json_dumps_prints(payload):
+    """Byte for byte json.dumps(payload, indent=2), ints past the int-to-text
+    limit too, under the limit cli.main lifts while it prints."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert cli._dumps(payload) == json.dumps(payload, indent=2)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_number_token_past_the_int_text_limit_is_a_parse_error():

@@ -403,3 +403,23 @@ def test_tokenizer_rejects_exactly_the_characters_in_no_token(source):
     if refused is not None:
         assert refused.position == stray[0]
         assert str(refused) == f"unexpected character {source[stray[0]]!r} (at position {stray[0]})"
+
+
+def test_ground_field_constants_times_units_fold_without_a_product(monkeypatch):
+    """A Q(s5) constant, or s5 itself, times a basis unit is central: its
+    coordinates move to the unit's, with no structure-constant product."""
+    table = H5.table
+    table.mul([0] * 8, [0] * 8)  # compile it: the first call replaces the attribute
+    calls = []
+    mul = table.mul
+    monkeypatch.setattr(table, "mul", lambda x, y: calls.append((x, y)) or mul(x, y))
+    f = parse_poly("(1 + 2*s5)*i*x^2 + (3/2 - s5)*j*x - s5*k", H5)
+    assert calls == []
+    # the unit written first multiplies on the table: the same polynomial
+    g = parse_poly("i*(1 + 2*s5)*x^2 + j*(3/2 - s5)*x - k*s5", H5)
+    assert len(calls) == 3
+    monkeypatch.undo()
+    assert f == g
+    assert f.coeff(2) == H5.element(0, F5.scalar(1, 2))
+    assert f.coeff(1) == H5.element(0, 0, F5.scalar(Fraction(3, 2), -1))
+    assert f.coeff(0) == H5.element(0, 0, 0, F5.scalar(0, -1))

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -654,7 +654,12 @@ def test_octonion_horner_forms_agree():
         a, b = rand_oct(rng, O, den=3), rand_oct(rng, O, den=3)
         T, N = Fraction(rng.randint(-9, 9), 2), Fraction(rng.randint(-9, 9), 3)
         _, (low, high) = divmod_monic(f.compose(Poly(O, [b, a])).coeffs, [N, -T, 1])
-        assert f.quotient_step(T, N)((a, b)) == (high, low)
+        # the residue map takes and gives numerator triples (a, b, den)
+        d = lcm(a.den, b.den)
+        u = [v * (d // a.den) for v in a.nums], [v * (d // b.den) for v in b.nums], d
+        A, B, den = f.quotient_step(T, N)(u)
+        assert gcd(den, *A, *B) == 1
+        assert (O.ELEMENT(O, A, den), O.ELEMENT(O, B, den)) == (high, low)
 
 
 def test_compose_iterate_examples():

@@ -26,8 +26,9 @@ decided, over those calls (local prime 11, or above).
 The cost line sums the stages of `cli.main` over the calls, each stage the
 best of the passes: argparse is the parse_args of the top-level parser and of
 each command's parser; parse is cli.parse_algebra, parse_poly and
-parse_element; render is Poly.render and Element.render (the echoed algebra's
-parameters too, not the solver's per-coordinate text); json is json.dumps;
+parse_element; render is Poly.render, Element.render (the echoed algebra's
+parameters too) and cli._coordinates, a point's coordinate texts; json is
+cli's JSON writer, cli._dumps (json.dumps in a checkout older than it);
 main is the whole call, and compute the rest of it.  A stage called inside
 another counts to the outer one.
 
@@ -105,7 +106,11 @@ def _time_stages(costs: dict) -> None:
         setattr(cli, name, timed("parse", getattr(cli, name)))
     Poly.render = timed("render", Poly.render)
     Element.render = timed("render", Element.render)
-    json.dumps = timed("json", json.dumps)
+    cli._coordinates = timed("render", cli._coordinates)
+    if hasattr(cli, "_dumps"):  # looked up by name in cli.main
+        cli._dumps = timed("json", cli._dumps)
+    else:
+        json.dumps = timed("json", json.dumps)
 
 
 def main() -> int:
