@@ -500,6 +500,26 @@ def power(x, n: int, one, what: str):
     return one if out is None else out
 
 
+def field_inverse(d: int | None, n) -> tuple[list[int], int]:
+    """1/(n0 + n1*sqrt d) from its numerators n = (n0,) over Q or (n0, n1), over a
+    denominator >= 0, 0 for zero only: the field conjugate over the field norm
+    n0**2 - d*n1**2 (1 over n0 over Q), a negative norm's sign moved up."""
+    conj, norm = ([1], n[0]) if d is None else ([n[0], -n[1]], n[0] * n[0] - d * n[1] * n[1])
+    return (conj, norm) if norm >= 0 else ([-v for v in conj], -norm)
+
+
+def left_quotient(spec, x, y) -> tuple[list[int], int]:
+    """x**-1 * y = conj(x)*y / N(x) for numerators x, y of spec's elements, read over 1,
+    as numerators over a positive integer, unreduced: den(table) cancels, and the field's
+    table (of den 1) multiplies in `field_inverse` of N(x).  SplitAlgebraError if N(x) = 0."""
+    table, w = spec.table, spec.table.width
+    conj, den = field_inverse(spec.field.d, table.norm_form.mul(x, x))
+    if not den:
+        raise SplitAlgebraError()
+    prod, mul = table.mul(x[:w] + tuple(-v for v in x[w:]), y), spec.field.table.mul
+    return [v for k in range(0, len(prod), w) for v in mul(prod[k : k + w], conj)], den
+
+
 def lifted(op):
     """op(self, o) on the operand as `self._lift` takes it; NotImplemented where it declines."""
     def apply(self, other):
@@ -636,13 +656,9 @@ class Element:
 
     def inv(self):
         if self.is_zero:
-            raise ZeroDivisionError(
-                f"inverse of the zero {type(self).__name__.lower()}"
-            )
-        n = self.norm()
-        if not n:
-            raise SplitAlgebraError()
-        return self.conj() * n.inv()
+            raise ZeroDivisionError(f"inverse of the zero {type(self).__name__.lower()}")
+        nums, den = left_quotient(self.spec, self.nums, (1,) + (0,) * (len(self.nums) - 1))
+        return type(self)(self.spec, [v * self.den for v in nums], den)
 
     @lifted
     def __truediv__(self, o):
@@ -655,7 +671,17 @@ class Element:
     # -- predicates -----------------------------------------------------------
 
     def commutes(self, other) -> bool:
-        return (self * other - other * self).is_zero
+        """Whether x*y = y*x: for a y `_lift` takes, whether their numerators are equal."""
+        o = self._lift(other)
+        if o is None:  # the other type's product decides, or the product raises
+            return (self * other - other * self).is_zero
+        mul = self.spec.table.mul
+        return mul(self.nums, o.nums) == mul(o.nums, self.nums)
+
+    def in_class(self, trace: Scalar, norm: Scalar) -> bool:
+        """Whether z*z - trace*z + norm vanishes exactly."""
+        t, n = (self.spec.field.coerce(v) for v in (trace, norm))
+        return (self * self - self * t + n).is_zero
 
     def __eq__(self, other) -> bool:
         try:

@@ -22,19 +22,18 @@ verdicts only say that none of them moved the point.
 No composite is built to evaluate it.  x^2 - T*x + N, with (T, N) the trace
 and norm of the point, is central, so the value of the k-fold composition at
 the point is read off its residue in A[x]/(x^2 - T*x + N), iterated from x
-by u <- f(u) on integer numerators, an element built only for each value
-(`_composite_values`).  Every loop over f, these residues and
-the repeated evaluations alike, runs through `_kernel._bounded`, as do both
-iterations of `Poly`, which bounds the work actually done: deg(f) times the
-number of steps stays within MAX_STEPS, and deg(f) times the bit height of
-the value a step starts from within HEIGHT_BUDGET.
+by u <- f(u): `Poly.composite_values` yields those values, and no numerator
+is handled here.  Every loop over f, these residues and the repeated
+evaluations alike, runs through `_kernel._bounded`, as do both iterations
+of `Poly`, which bounds the work actually done: deg(f) times the number of
+steps stays within MAX_STEPS, and deg(f) times the bit height of the value
+a step starts from within HEIGHT_BUDGET.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import partial
 
 from ._kernel import _bounded
 from .errors import DegreeCapError, UnsupportedAlgebraError, ZeroPolynomialError
@@ -101,9 +100,10 @@ def fixed_points(
 
 def orbit(f: Poly, start, n_max: int, semantics: str = "compose") -> OrbitReport:
     """First n_max orbit points under composition or repeated evaluation."""
+    _at_least_one(n_max=n_max)
     lam = f.spec.coerce(start)
     if semantics == "compose":
-        values = _composite_values(f, lam)
+        values = f.composite_values(lam)
     elif semantics == "eval":
         values = _bounded(f, f, lam)
     else:
@@ -113,23 +113,11 @@ def orbit(f: Poly, start, n_max: int, semantics: str = "compose") -> OrbitReport
     return OrbitReport(semantics, tuple(points), flags)
 
 
-def _composite_values(f: Poly, lam: Element) -> Iterator[Element]:
-    """Yield the k-fold composition evaluated at lam, for k = 1, 2, ...
-
-    Iterates u <- f(u) in A[x]/(x^2 - T*x + N) from u = x (`Poly._residue`),
-    on numerator triples (a, b, den).  The modulus is read off lam's
-    numerators once: T is twice its ground-field part and N the norm form
-    of lam with itself, over den(lam)^2 * den(table).  The k-th residue
-    (a*x + b) / den gives the value (a*lam + b) / den, one element per step.
-    """
-    spec, table, nums, den = f.spec, f.spec.table, lam.nums, lam.den
-    form, pad = table.norm_form, [0] * (table.dim - table.width)
-    T = [2 * v * den * form.den for v in nums[: table.width]] + pad
-    step = partial(f._residue, modulus=(T, form.mul(nums, nums) + pad, den * den * form.den))
-    residues = _bounded(f, step, ([1] + [0] * (table.dim - 1), [0] * table.dim, 1))
-    s = den * table.den  # a*lam over den(a) * s, b scaled to it
-    return (spec.ELEMENT(spec, [p + q * s for p, q in zip(table.mul(a, nums), b)], d * s)
-            for a, b, d in residues)
+def _at_least_one(**bounds: int) -> None:
+    """ValueError for the first bound below 1, by its name."""
+    for name, value in bounds.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1")
 
 
 def certify_periodic(f: Poly, start, r: int, n_max: int = 4) -> PeriodicVerdict:
@@ -142,10 +130,7 @@ def certify_periodic(f: Poly, start, r: int, n_max: int = 4) -> PeriodicVerdict:
     When the budget stops a stage, the verdict is inconclusive and the
     evidence says why under "budget".
     """
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    _at_least_one(r=r, n_max=n_max)
     evidence: dict = {}
     try:
         return _certify(f, f.spec.coerce(start), r, n_max, evidence)
@@ -156,7 +141,7 @@ def certify_periodic(f: Poly, start, r: int, n_max: int = 4) -> PeriodicVerdict:
 
 def _certify(f: Poly, lam: Element, r: int, n_max: int, evidence: dict) -> PeriodicVerdict:
     """certify_periodic, raising DegreeCapError when the budget stops it."""
-    values = _composite_values(f, lam)
+    values = f.composite_values(lam)
     if _advance(values, r) != lam:
         evidence["r_fixed"] = False
         return PeriodicVerdict(r, "inconclusive", evidence=evidence)
@@ -217,6 +202,7 @@ def octonion_fixed_check(f: Poly, start, n_max: int = 4) -> OctFixedReport:
     coefficient algebra no failure can occur, and none is searched for.
     Raises DegreeCapError when the budget stops the search.
     """
+    _at_least_one(n_max=n_max)
     verdict = _certify(f, f.spec.coerce(start), 1, n_max, {})
     if verdict.status == "inconclusive":  # not fixed
         return OctFixedReport(fixed=False, checked_up_to=1, first_failure=1)

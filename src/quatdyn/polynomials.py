@@ -13,7 +13,8 @@ Two different iterations therefore coexist and are kept apart throughout:
 Both step through one loop, `_kernel._bounded`, which bounds their work.
 
 Values of composites at a point lam need no composite: `quotient_step`
-evaluates f in A[x]/(x^2 - T*x + N), with (T, N) the trace and norm of lam.
+evaluates f in A[x]/(x^2 - T*x + N), with (T, N) the trace and norm of lam,
+from x for its readers `composite_values` and `reduction` (f(z) = A*z + B).
 
 They agree when lam commutes with the intermediate values and differ in
 general.  Composition of polynomials is itself non-associative over a
@@ -23,6 +24,7 @@ part of the contract.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import partial
 from itertools import chain, islice
 from math import gcd, lcm
@@ -220,8 +222,8 @@ class Poly:
 
     def quotient_step(self, trace, norm):
         """The map u -> f(u) = sum c_i u^i in A[x]/(x^2 - trace*x + norm), by
-        Horner's rule, with the modulus put over its denominator once: an
-        orbit applies it at every step (`_residue`).
+        Horner's rule, with the modulus put over its denominator once, for
+        every step the map takes (`_residue`).
 
         u = (a, b, den) stands for (a*x + b) / den, a and b the numerators
         of two elements over one den > 0, and so does the triple returned,
@@ -234,7 +236,10 @@ class Poly:
         by term, as in `__call__`: each step multiplies by u with x*x =
         trace*x - norm, 6 products.
         """
-        return partial(self._residue, modulus=_common(self.spec, (trace, norm)))
+        t, n = (self.spec.coerce(v) for v in (trace, norm))  # over one denominator, content 1
+        d = lcm(t.den, n.den)
+        return partial(self._residue, modulus=([v * (d // t.den) for v in t.nums],
+                                               [v * (d // n.den) for v in n.nums], d))
 
     def _residue(self, u, modulus) -> tuple[list[int], list[int], int]:
         """The residue of quotient_step at the triple u, the modulus given as
@@ -260,6 +265,32 @@ class Poly:
         den = self.den * power
         g = gcd(den, *A, *B)
         return (A, B, den) if g == 1 else ([v // g for v in A], [v // g for v in B], den // g)
+
+    def _x_triple(self) -> tuple[list[int], list[int], int]:
+        """The triple of x, where `composite_values` and `reduction` start."""
+        return [1] + [0] * (self.spec.table.dim - 1), [0] * self.spec.table.dim, 1
+
+    def composite_values(self, lam) -> Iterator[Element]:
+        """Yield the k-fold composition evaluated at lam, for k = 1, 2, ...: u <- f(u)
+        from u = x (`_residue`) through `_bounded`, with the modulus read off lam's
+        numerators once, T twice its ground-field part and N its norm form with
+        itself, over den(lam)^2 * den(table).  The k-th residue (a*x + b) / den
+        gives the value (a*lam + b) / den, one element per step."""
+        spec, lam = self.spec, self.spec.coerce(lam)
+        table, nums, den = spec.table, lam.nums, lam.den
+        form, pad = table.norm_form, [0] * (table.dim - table.width)
+        T = [2 * v * den * form.den for v in nums[: table.width]] + pad
+        step = partial(self._residue, modulus=(T, form.mul(nums, nums) + pad, den * den * form.den))
+        s = den * table.den  # a*lam over den(a) * s, b scaled to it
+        return (spec.ELEMENT(spec, [p + q * s for p, q in zip(table.mul(a, nums), b)], d * s)
+                for a, b, d in _bounded(self, step, self._x_triple()))
+
+    def reduction(self, trace, norm) -> tuple[Element, Element]:
+        """A and B of f(z) = A*z + B at each z of trace `trace` and norm `norm`:
+        the residue of x under `quotient_step`."""
+        spec = self.spec
+        a, b, den = self.quotient_step(trace, norm)(self._x_triple())
+        return spec.ELEMENT(spec, a, den), spec.ELEMENT(spec, b, den)
 
     def eval_iterate(self, lam, n: int) -> Element:
         """n-fold repeated evaluation f(f(...f(lam))), within the work budget of
@@ -333,13 +364,6 @@ def divmod_monic(a, b) -> tuple[list, list]:
         for i in range(n):
             r[k + i] = r[k + i] - f * b[i]
     return r[n:], r[:n]
-
-
-def _common(spec, pair) -> tuple[list[int], list[int], int]:
-    """Numerators of the two values in pair over their least common denominator, content 1."""
-    x, y = (spec.coerce(v) for v in pair)
-    d = lcm(x.den, y.den)
-    return [v * (d // x.den) for v in x.nums], [v * (d // y.den) for v in y.nums], d
 
 
 def _reduced(cols: list[list[int]], den: int) -> tuple[list[list[int]], int]:

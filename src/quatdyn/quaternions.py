@@ -2,10 +2,10 @@
 
 Basis 1, i, j, k with i*i = alpha, j*j = beta, j*i = -i*j and k := i*j: the
 ground field doubled twice (`_kernel.DoubledSpec`).  The arithmetic, with
-the involution, trace, norm and inverse, is `_kernel.Element`'s; it does not
-assume division: inverting a nonzero element of zero norm raises
-SplitAlgebraError.  Root finding does: over split parameters its `none` is
-no proof, and classes can be missing.
+the involution, trace, norm, inverse and class test `in_class`, is
+`_kernel.Element`'s; it does not assume division: inverting a nonzero
+element of zero norm raises SplitAlgebraError.  Root finding does: over
+split parameters its `none` is no proof, and classes can be missing.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ._kernel import DoubledSpec, Element
-from .scalars import SCALAR_LIFTS, FieldSpec, QQ, Scalar
+from .scalars import SCALAR_LIFTS, FieldSpec, QQ
 
 
 class Quaternion(Element):
@@ -28,12 +28,6 @@ class Quaternion(Element):
     b = property(lambda self: self._scalar(1))
     c = property(lambda self: self._scalar(2))
     e = property(lambda self: self._scalar(3))
-
-    def in_class(self, trace: Scalar, norm: Scalar) -> bool:
-        """Whether z*z - trace*z + norm vanishes exactly."""
-        t = self.spec.field.coerce(trace)
-        n = self.spec.field.coerce(norm)
-        return (self * self - self * t + n).is_zero
 
 
 class QuatSpec(DoubledSpec):

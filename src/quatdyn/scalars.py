@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import total_ordering
 from math import isqrt, lcm
 
-from ._kernel import Element, RationalLike, Spec, Table, lifted
+from ._kernel import Element, RationalLike, Spec, Table, field_inverse, lifted
 from .errors import FieldMismatchError, NoRealEmbeddingError
 
 
@@ -69,17 +69,11 @@ class Scalar(Element):
     )
 
     def inv(self) -> Scalar:
-        """1/(a + b*sqrt(d)) = (a - b*sqrt(d)) / (a^2 - d*b^2), the field conjugate
-        over the field norm; the norm of a nonzero scalar is nonzero, as
-        sqrt(d) is irrational."""
+        """1/(a + b*sqrt(d)) = (a - b*sqrt(d)) / (a^2 - d*b^2), by `field_inverse`."""
         if not self:
             raise ZeroDivisionError("scalar inverse of zero")
-        a, *b = self.nums  # b is empty over Q
-        norm = a * a - sum(self.spec.d * v * v for v in b)
-        nums = [a * self.den] + [-v * self.den for v in b]
-        if norm < 0:
-            norm, nums = -norm, [-v for v in nums]
-        return Scalar(self.spec, nums, norm)
+        nums, norm = field_inverse(self.spec.d, self.nums)
+        return Scalar(self.spec, [v * self.den for v in nums], norm)
 
     # -- predicates and order ----------------------------------------------
 

@@ -40,8 +40,8 @@ leading coefficient in every coefficient and swell.
            from that approximate class data.
 
 Per-class solving has the same two policies over one reduction
-(`Poly.quotient_step`) and one point formula, -A**-1 * B = -conj(A)*B / N(A)
-on numerators (`_class_point`).  Exact mode tests A and B for zero exactly
+(`Poly.reduction`) and one point, -A**-1 * B by the kernel's one inverse
+rule (`_class_point`).  Exact mode tests A and B for zero exactly
 and verifies the unrounded point.  Numeric mode counts A or B as zero
 relative to the size of the terms summed into it, rounds the point once to
 the class precision and judges it by its exact residual.  A sphere's
@@ -59,7 +59,7 @@ from fractions import Fraction
 from itertools import count
 from math import isqrt
 
-from ._kernel import PATHS
+from ._kernel import PATHS, left_quotient
 from .aberth import aberth_roots, inclusion_radii, sqrt_up, to_grid
 from .errors import (
     ClassSearchIncompleteError,
@@ -68,8 +68,8 @@ from .errors import (
     UnsupportedAlgebraError,
     ZeroPolynomialError,
 )
-from .polynomials import Poly, divmod_monic
-from .quaternions import QuatSpec, Quaternion
+from .polynomials import Element, Poly, divmod_monic
+from .quaternions import QuatSpec
 from .scalars import Scalar, nearest
 
 DEFAULT_PRECISION = 128
@@ -122,7 +122,7 @@ class ClassSolution:
 
     kind: str
     klass: ConjClass
-    point: Quaternion | None = None
+    point: Element | None = None
     residual: float | int | None = None  # an int past the double range
     detail: str = ""
 
@@ -639,7 +639,7 @@ def _reduction_scales(sizes: list[Dyadic], T: Scalar, N: Scalar) -> tuple[Dyadic
 
 
 def _numeric_point(
-    g: Poly, sizes: list[Dyadic], klass: ConjClass, lam: Quaternion, tolerance: Fraction
+    g: Poly, sizes: list[Dyadic], klass: ConjClass, lam: Element, tolerance: Fraction
 ) -> ClassSolution:
     """Accept lam when |g(lam)| is at most tolerance times sum |c_k| |lam|^k,
     the size of its terms (sizes[k] = |c_k|).  The residual is |g(lam)| as a
@@ -659,37 +659,19 @@ def _numeric_point(
     return ClassSolution(kind, klass, residual=residual, detail=f"{what} residual above tolerance")
 
 
-def _class_point(A: Quaternion, B: Quaternion, bits: int | None = None) -> Quaternion:
-    """The class's point -A**-1 * B, exact or with each coordinate rounded to
-    the nearest multiple of 2**-bits, ties to even.
-
-    -A**-1 * B = -conj(A)*B / N(A) is formed on numerators: one product, and
-    over Q(sqrt d) the field conjugate of N(A) over its field norm
-    n0**2 - d*n1**2, which may be negative.  Nothing is reduced before the one
-    rounding.  SplitAlgebraError when N(A) = 0.
-    """
-    table, d = A.spec.table, A.spec.field.d
-    w = table.width
-    # conj(A)*B over A.den * B.den * table.den, N(A) over A.den**2 * table.den
-    prod = table.mul(A.nums[:w] + tuple(-v for v in A.nums[w:]), B.nums)
-    norm = table.norm_form.mul(A.nums, A.nums)
-    if d is None:
-        [den] = norm
-    else:
-        n0, n1 = norm
-        den = n0 * n0 - d * n1 * n1
-        pairs = zip(prod[::2], prod[1::2])
-        prod = [v for a, b in pairs for v in (a * n0 - d * b * n1, b * n0 - a * n1)]
-    if not den:
-        raise SplitAlgebraError()
-    # -conj(A)*B / N(A) over a positive denominator
-    nums, den = [v * (-A.den if den > 0 else A.den) for v in prod], abs(den) * B.den
+def _class_point(A: Element, B: Element, bits: int | None = None) -> Element:
+    """The class's point -A**-1 * B (`_kernel.left_quotient`, unreduced), exact or
+    each coordinate rounded once to the nearest multiple of 2**-bits, ties to even."""
+    nums, den = left_quotient(A.spec, A.nums, B.nums)
+    # A = x / A.den and B = y / B.den give A**-1 * B = A.den * x**-1 * y / B.den
+    nums, den = [v * -A.den for v in nums], den * B.den
     if bits is None:
-        return Quaternion(A.spec, nums, den)
+        return type(A)(A.spec, nums, den)
+    w, d = A.spec.table.width, A.spec.field.d
     rounded = [0] * len(nums)  # rational coordinates: no sqrt(d) parts
     for k in range(0, len(nums), w):
         rounded[k] = nearest(d, nums[k : k + w], den, bits)
-    return Quaternion(A.spec, rounded, 1 << bits)
+    return type(A)(A.spec, rounded, 1 << bits)
 
 
 def solve_in_class(
@@ -710,13 +692,6 @@ def solve_in_class(
         return ClassSolution("anomaly", klass, detail=str(exc))
 
 
-def _reduction(g: Poly, T, N) -> tuple[Quaternion, Quaternion]:
-    """A and B of g(z) = A*z + B at each z of trace T and norm N: g's residue at x."""
-    one = g.spec.one().nums
-    a, b, den = g.quotient_step(T, N)((one, [0] * len(one), 1))
-    return Quaternion(g.spec, a, den), Quaternion(g.spec, b, den)
-
-
 def _solve_exact(g: Poly, klass: ConjClass) -> ClassSolution:
     T, N = klass.trace, klass.norm
     if klass.is_central:
@@ -727,7 +702,7 @@ def _solve_exact(g: Poly, klass: ConjClass) -> ClassSolution:
             "none", klass, detail="central candidate is not a root"
         )
     # z^k = p_k z + q_k inside the class, so g(z) = A z + B
-    A, B = _reduction(g, T, N)
+    A, B = g.reduction(T, N)
     if A.is_zero:
         if B.is_zero:
             return ClassSolution("sphere", klass)
@@ -761,7 +736,7 @@ def _solve_numeric(g: Poly, klass: ConjClass, tolerance: float) -> ClassSolution
             f"{klass.precision} bits do not exclude it; about {bits} bits would resolve the "
             f"class{beyond}",
         )
-    A, B = _reduction(g, T, N)
+    A, B = g.reduction(T, N)
     if not klass.squarefree:
         ztol = Fraction(2) ** (-klass.precision // 2 + 8)
         a_scale, b_scale = _reduction_scales(sizes, T, N)

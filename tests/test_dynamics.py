@@ -20,7 +20,6 @@ from quatdyn import (
 
 from quatdyn import _kernel
 from quatdyn.cli import parse_algebra
-from quatdyn.dynamics import _composite_values
 from quatdyn.parsing import parse_element, parse_poly
 
 from helpers import rand_oct, rand_poly, rand_quat, rand_scalar, rand_subfield_pair
@@ -214,6 +213,23 @@ def test_octonion_counterexample():
     assert verdict.refuted_at == 2
 
 
+def test_every_entry_point_refuses_n_max_below_one():
+    # f o f moves j: a bound below 1 reported j fixed, or an empty orbit
+    l, il, kl = (O.basis_element(s) for s in ("l", "il", "kl"))
+    j = O.basis_element("j")
+    f = Poly(O, [l - kl, O.one() - il, l])
+    for n_max in (0, -3):
+        calls = (
+            lambda: octonion_fixed_check(f, j, n_max=n_max),
+            lambda: orbit(f, j, n_max),
+            lambda: orbit(f, j, n_max, semantics="eval"),
+            lambda: certify_periodic(f, j, 1, n_max=n_max),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="^n_max must be at least 1$"):
+                call()
+
+
 def test_octonion_check_inside_associative_subalgebra():
     # coefficients and the point lift from the quaternion part: no failure
     i = O.basis_element("i")
@@ -288,7 +304,7 @@ def test_composite_values_match_built_composites(spec, degree, central, seed):
         lam = spec.coerce(rand_scalar(rng, spec.field))
     else:
         lam = (rand_oct if isinstance(spec, OctSpec) else rand_quat)(rng, spec, den=2)
-    values = _composite_values(f, lam)
+    values = f.composite_values(lam)
     for n in range(1, 6):
         assert next(values) == f.compose_iterate(n)(lam)
 
@@ -296,7 +312,7 @@ def test_composite_values_match_built_composites(spec, degree, central, seed):
 def test_composite_values_of_constants_and_linear_maps():
     lam = 1 + J
     for f in (Poly(H), Poly.constant(H, I), Poly(H, [I, J]), Poly.x(H)):
-        values = _composite_values(f, lam)
+        values = f.composite_values(lam)
         for n in range(1, 5):
             assert next(values) == f.compose_iterate(n)(lam)
 
