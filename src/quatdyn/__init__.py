@@ -8,9 +8,10 @@ solver (`roots` and friends), and the dynamics layer (`fixed_points`,
 `orbit`, `certify_periodic` and its r = 1 case `octonion_fixed_check`).
 Scalars, quaternions and octonions share one integer structure-constant
 kernel, with one inverse rule.  Both iterations (`Poly.compose_iterate`, the
-only builder of composites, and `Poly.eval_iterate`) and every loop of the
-dynamics layer step through `_kernel._bounded`, within one budget.  The
-solver and the dynamics layer read `Poly`'s residues modulo x^2 - T*x + N.
+only builder of composites, and `Poly.eval_iterate`) and their streams of
+values, which every loop of the dynamics layer reads, step through
+`_kernel._bounded`, within one budget.  The solver and the dynamics layer
+read `Poly`'s residues modulo x^2 - T*x + N, from the residue of x.
 """
 
 __version__ = "0.1.0"

@@ -105,11 +105,6 @@ KRONECKER_BITS = 64
 KRONECKER_WIDE = 24
 
 
-def height(*elements) -> int:
-    """Largest bit length among the numerators and denominators of elements."""
-    return max((max(e.den, *map(abs, e.nums)).bit_length() for e in elements), default=0)
-
-
 def column_height(cols, den: int) -> int:
     """Largest bit length among den and the numerators of coordinate columns over it."""
     return max(den, *map(abs, chain.from_iterable(cols)), 0).bit_length()
@@ -122,11 +117,11 @@ def _bounded(f: Poly, step, u) -> Iterator:
     the height of u at most deg(f) times larger, up to the height of f's
     coefficients.  So before step k, with deg(f) counted as at least 1,
     raise DegreeCapError when deg(f) times k or the degree D of u exceeds
-    MAX_STEPS, deg(f) times height(u) exceeds HEIGHT_BUDGET, or deg(f) times
-    the work of one product exceeds COMPOSE_BITS: u's nonzero columns times
-    deg(f) * D coefficients times deg(f) * height(u) bits.  u is an element,
-    a residue (a, b, den) (D = 0, no work), whose height is that of a/den
-    and b/den each in lowest terms, or a composite, a Poly.
+    MAX_STEPS, deg(f) times the height H of u exceeds HEIGHT_BUDGET, or deg(f)
+    times the work of one product exceeds COMPOSE_BITS: u's nonzero columns
+    times deg(f) * D coefficients times deg(f) * H bits.  H is `column_height`:
+    of an element's numerators, a composite's (a Poly) columns, or a residue
+    (a, b, den) (D = 0, no work), there of a/den and b/den in lowest terms.
     """
     growth = max(f.degree, 1)
     for k in count(1):
@@ -138,7 +133,7 @@ def _bounded(f: Poly, step, u) -> Iterator:
                 bits = max(column_height([[v // g for v in p]], den // g)
                            for p in (a, b) for g in (gcd(den, *p),))
         elif isinstance(u, Element):
-            bits = height(u)
+            bits = column_height((u.nums,), u.den)
         else:
             bits, degree, columns = column_height(u.cols, u.den), u.degree, sum(map(any, u.cols))
         for size, unit, budget in (
@@ -503,7 +498,9 @@ def power(x, n: int, one, what: str):
 def field_inverse(d: int | None, n) -> tuple[list[int], int]:
     """1/(n0 + n1*sqrt d) from its numerators n = (n0,) over Q or (n0, n1), over a
     denominator >= 0, 0 for zero only: the field conjugate over the field norm
-    n0**2 - d*n1**2 (1 over n0 over Q), a negative norm's sign moved up."""
+    n0**2 - d*n1**2 (1 over n0 over Q), a negative norm's sign moved up.  It
+    inverts N(x) in `left_quotient`, the one inverse rule, for a scalar x too,
+    where conj(x) = x and N(x) = x*x: a field is its own ground field."""
     conj, norm = ([1], n[0]) if d is None else ([n[0], -n[1]], n[0] * n[0] - d * n[1] * n[1])
     return (conj, norm) if norm >= 0 else ([-v for v in conj], -norm)
 

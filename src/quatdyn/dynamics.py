@@ -22,22 +22,22 @@ verdicts only say that none of them moved the point.
 No composite is built to evaluate it.  x^2 - T*x + N, with (T, N) the trace
 and norm of the point, is central, so the value of the k-fold composition at
 the point is read off its residue in A[x]/(x^2 - T*x + N), iterated from x
-by u <- f(u): `Poly.composite_values` yields those values, and no numerator
-is handled here.  Every loop over f, these residues and the repeated
-evaluations alike, runs through `_kernel._bounded`, as do both iterations
-of `Poly`, which bounds the work actually done: deg(f) times the number of
-steps stays within MAX_STEPS, and deg(f) times the bit height of the value
-a step starts from within HEIGHT_BUDGET.
+by u <- f(u).  Every loop here reads one of `Poly`'s two streams of values:
+`composite_values` and, for repeated evaluation, `eval_values`.  No
+numerator is handled here, and no budget: both streams step through
+`_kernel._bounded`, which bounds the work actually done: deg(f) times the
+number of steps stays within MAX_STEPS, and deg(f) times the bit height of
+the value a step starts from within HEIGHT_BUDGET.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 
-from ._kernel import _bounded
+from ._kernel import Element
 from .errors import DegreeCapError, UnsupportedAlgebraError, ZeroPolynomialError
-from .polynomials import Element, Poly
+from .polynomials import Poly
 from .octonions import OctSpec
 from .quaternions import QuatSpec
 from .solver import (
@@ -105,7 +105,7 @@ def orbit(f: Poly, start, n_max: int, semantics: str = "compose") -> OrbitReport
     if semantics == "compose":
         values = f.composite_values(lam)
     elif semantics == "eval":
-        values = _bounded(f, f, lam)
+        values = f.eval_values(lam)
     else:
         raise ValueError(f"unknown orbit semantics {semantics!r}")
     points = [next(values) for _ in range(n_max)]
@@ -142,7 +142,7 @@ def certify_periodic(f: Poly, start, r: int, n_max: int = 4) -> PeriodicVerdict:
 def _certify(f: Poly, lam: Element, r: int, n_max: int, evidence: dict) -> PeriodicVerdict:
     """certify_periodic, raising DegreeCapError when the budget stops it."""
     values = f.composite_values(lam)
-    if _advance(values, r) != lam:
+    if next(islice(values, r - 1, None)) != lam:
         evidence["r_fixed"] = False
         return PeriodicVerdict(r, "inconclusive", evidence=evidence)
     evidence["r_fixed"] = True
@@ -154,7 +154,7 @@ def _certify(f: Poly, lam: Element, r: int, n_max: int, evidence: dict) -> Perio
     if r == 1:
         return PeriodicVerdict(r, "fixed_point", evidence=evidence)
 
-    evals = _bounded(f, f, lam)
+    evals = f.eval_values(lam)
     commute_flags = evidence["commutes_with_evals"] = []
     for _ in range(r - 1):
         commute_flags.append(lam.commutes(next(evals)))
@@ -169,13 +169,6 @@ def _certify(f: Poly, lam: Element, r: int, n_max: int, evidence: dict) -> Perio
     return PeriodicVerdict(r, "inconclusive", evidence=evidence)
 
 
-def _advance(values: Iterator[Element], steps: int) -> Element:
-    """The value `steps` further along `values`."""
-    for _ in range(steps):
-        value = next(values)
-    return value
-
-
 def _refute(values, lam, r, n_max, evidence) -> PeriodicVerdict | None:
     """Evaluate the (n*r)-fold compositions, n = 2..n_max, at lam.
 
@@ -186,7 +179,7 @@ def _refute(values, lam, r, n_max, evidence) -> PeriodicVerdict | None:
     """
     checked = evidence["refutation_checked"] = []
     for n in range(2, n_max + 1):
-        value = _advance(values, r)
+        value = next(islice(values, r - 1, None))
         checked.append(n)
         if value != lam:
             return PeriodicVerdict(r, "refuted_at", refuted_at=n, evidence=evidence)

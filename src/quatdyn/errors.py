@@ -33,8 +33,9 @@ class SplitAlgebraError(AlgebraError):
 
 
 class DegreeCapError(AlgebraError):
-    """An iteration would pass the budget of its one loop, `_kernel._bounded`:
-    its steps, the degree of a composite, the bit height or the work of a step."""
+    """An iteration or its stream of values would pass the budget of their one
+    loop, `_kernel._bounded`: its steps, a composite's degree, the bit height
+    or the work of a step."""
 
 
 class ZeroPolynomialError(AlgebraError):

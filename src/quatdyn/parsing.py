@@ -34,9 +34,9 @@ from __future__ import annotations
 import re
 from math import gcd, lcm
 
-from ._kernel import HEIGHT_BUDGET
+from ._kernel import HEIGHT_BUDGET, Element, Spec, column_height
 from .errors import ParseError
-from .polynomials import AlgebraSpec, Element, Poly
+from .polynomials import Poly
 from .quaternions import QuatSpec
 from .scalars import FieldSpec, Scalar
 
@@ -73,8 +73,8 @@ def _reduced(terms: dict, den: int) -> tuple[dict, int]:
 
 
 def _height(terms: dict, den: int) -> int:
-    """Largest bit length among den and the numerators."""
-    return max(den, *map(abs, terms.values()), 0).bit_length()
+    """Largest bit length among den and the numerators: their `column_height`."""
+    return column_height((terms.values(),), den)
 
 
 def _size(c: int, den: int, e: int, value: Factor) -> tuple[int, int]:
@@ -117,7 +117,7 @@ class _Parser:
     """Tokens are texts, ending in "".  No dict of a value is shared, so a sum
     adds up in the dict of its first term."""
 
-    def __init__(self, source: str, spec: AlgebraSpec) -> None:
+    def __init__(self, source: str, spec: Spec) -> None:
         self.source, self.spec, self.dim = source, spec, spec.table.dim
         self.basis, self.width = spec.ELEMENT.BASIS, spec.table.width
         self.tokens = _TOKEN_RE.findall(source) + [""]
@@ -285,13 +285,13 @@ class _Parser:
         raise self.error(f"unexpected token {text!r}", index)
 
 
-def parse_poly(source: str, spec: AlgebraSpec) -> Poly:
+def parse_poly(source: str, spec: Spec) -> Poly:
     """Parse an expression into a polynomial in left-coefficient form."""
     terms, den, _, degree = _Parser(source, spec).value
     return Poly.from_cols(spec, _columns(terms, degree, spec.table.dim), den)
 
 
-def _constant(source: str, spec: AlgebraSpec, kind: str) -> tuple[list[int], int]:
+def _constant(source: str, spec: Spec, kind: str) -> tuple[list[int], int]:
     """Numerators and denominator of a degree-0 expression; kind names it in the error."""
     terms, den, _, degree = _Parser(source, spec).value
     if degree > 0:
@@ -299,7 +299,7 @@ def _constant(source: str, spec: AlgebraSpec, kind: str) -> tuple[list[int], int
     return [col[0] for col in _columns(terms, 0, spec.table.dim)], den
 
 
-def parse_element(source: str, spec: AlgebraSpec) -> Element:
+def parse_element(source: str, spec: Spec) -> Element:
     """Parse a degree-0 expression into an algebra element."""
     return spec.ELEMENT(spec, *_constant(source, spec, "point"))
 

@@ -10,16 +10,16 @@ Two different iterations therefore coexist and are kept apart throughout:
   compose_iterate(n)   the polynomial f(f(...)), outer copy applied last;
   eval_iterate(lam, n) the value f(f(...f(lam))), plain repeated evaluation.
 
-Both step through one loop, `_kernel._bounded`, which bounds their work.
-
-Values of composites at a point lam need no composite: `quotient_step`
-evaluates f in A[x]/(x^2 - T*x + N), with (T, N) the trace and norm of lam,
-from x for its readers `composite_values` and `reduction` (f(z) = A*z + B).
-
 They agree when lam commutes with the intermediate values and differ in
 general.  Composition of polynomials is itself non-associative over a
 noncommutative coefficient algebra, so the outer-application order above is
 part of the contract.
+
+Both step through one loop, `_kernel._bounded`, which bounds their work, and
+each has one stream of values at a point lam: `eval_values` and
+`composite_values`.  The second builds no composite: `_residue` evaluates f
+in A[x]/(x^2 - T*x + N), with (T, N) the trace and norm of lam, from the
+residue of x, `_X`, which `reduction` (f(z) = A*z + B) reads too.
 """
 
 from __future__ import annotations
@@ -29,14 +29,12 @@ from functools import partial
 from itertools import chain, islice
 from math import gcd, lcm
 
-from ._kernel import _bounded, lifted, power
+from ._kernel import Element, RationalLike, Spec, _bounded, lifted, power
 from .errors import SpecMismatchError, UnsupportedAlgebraError
-from .octonions import Octonion, OctSpec
-from .quaternions import QuatSpec, Quaternion
-from .scalars import FieldSpec, RationalLike, Scalar
+from .octonions import OctSpec
 
-AlgebraSpec = QuatSpec | OctSpec | FieldSpec
-Element = Quaternion | Octonion | Scalar
+# the residue of x, (1*x + 0) / 1, one coordinate per part: `_residue` pads the rest with zeros
+_X = ([1], [0], 1)
 
 
 class Poly:
@@ -50,11 +48,11 @@ class Poly:
 
     __slots__ = ("spec", "cols", "den", "_coeffs")
 
-    spec: AlgebraSpec
+    spec: Spec
     cols: list[list[int]]
     den: int
 
-    def __init__(self, spec: AlgebraSpec, coeffs=()) -> None:
+    def __init__(self, spec: Spec, coeffs=()) -> None:
         cs = [spec.coerce(c) for c in coeffs]
         while cs and cs[-1].is_zero:
             cs.pop()
@@ -65,7 +63,7 @@ class Poly:
         self._set(spec, cols, den, tuple(cs))
 
     @classmethod
-    def from_cols(cls, spec: AlgebraSpec, cols, den: int) -> Poly:
+    def from_cols(cls, spec: Spec, cols, den: int) -> Poly:
         """The polynomial with coordinate columns cols over den > 0, any content."""
         return object.__new__(cls)._set(spec, *_reduced(cols, den))
 
@@ -89,12 +87,12 @@ class Poly:
         return self._coeffs
 
     @classmethod
-    def constant(cls, spec: AlgebraSpec, value) -> Poly:
+    def constant(cls, spec: Spec, value) -> Poly:
         c = spec.coerce(value)
         return cls.from_cols(spec, [[v] for v in c.nums], c.den)
 
     @classmethod
-    def x(cls, spec: AlgebraSpec) -> Poly:
+    def x(cls, spec: Spec) -> Poly:
         return cls.from_cols(spec, [[0, v] for v in spec.one().nums], 1)
 
     @property
@@ -123,7 +121,7 @@ class Poly:
             if other.spec != self.spec:
                 raise SpecMismatchError("polynomials over different algebras")
             return other
-        if isinstance(other, (Quaternion, Octonion, Scalar) + RationalLike):
+        if isinstance(other, (Element,) + RationalLike):
             return Poly.constant(self.spec, other)
         return None
 
@@ -220,37 +218,28 @@ class Poly:
             return self
         return next(islice(_bounded(self, self.compose, self), n - 2, None))
 
-    def quotient_step(self, trace, norm):
-        """The map u -> f(u) = sum c_i u^i in A[x]/(x^2 - trace*x + norm), by
-        Horner's rule, with the modulus put over its denominator once, for
-        every step the map takes (`_residue`).
-
-        u = (a, b, den) stands for (a*x + b) / den, a and b the numerators
-        of two elements over one den > 0, and so does the triple returned,
-        with content 1.  The modulus has ground-field coefficients, so it is
-        central and reduction modulo it is a homomorphism, over octonions
-        too.  Hence the residue of a composite f(g) is f evaluated at the
-        residue of g, and every polynomial with residue a*x + b takes the
-        value a*lam + b at each lam of trace `trace` and norm `norm`.  The
-        residue ring is alternative, so Horner's rule gives sum c_i u^i term
-        by term, as in `__call__`: each step multiplies by u with x*x =
-        trace*x - norm, 6 products.
-        """
-        t, n = (self.spec.coerce(v) for v in (trace, norm))  # over one denominator, content 1
-        d = lcm(t.den, n.den)
-        return partial(self._residue, modulus=([v * (d // t.den) for v in t.nums],
-                                               [v * (d // n.den) for v in n.nums], d))
-
     def _residue(self, u, modulus) -> tuple[list[int], list[int], int]:
-        """The residue of quotient_step at the triple u, the modulus given as
-        (T, N, dc), the numerators of trace and norm over dc.  As in `__call__`,
-        the recurrence runs on integers, the running pair over den(f) times a
-        power of su * sc, and is divided by its content once, at the end."""
+        """The residue of f(u) = sum c_i u^i in A[x]/(x^2 - T*x + N), by Horner's rule.
+
+        u = (a, b, du) stands for (a*x + b) / du, a and b the numerators of two
+        elements over one du > 0, and so does the triple returned, with content 1;
+        the modulus (T, N, dc) holds the numerators of trace and norm over dc,
+        padded to an element's coordinates, as `_X`'s parts are here.  T and N
+        lie in the ground field, so the modulus is central and reduction
+        modulo it is a homomorphism, over octonions too: the residue of f(g) is
+        f at the residue of g, and every polynomial with residue a*x + b takes
+        the value a*lam + b at each lam of trace T and norm N.  The residue ring
+        is alternative, so Horner's rule gives sum c_i u^i term by term, as in
+        `__call__`: each step multiplies by u with x*x = T*x - N, 6 products, on
+        integers over den(f) times a power of su * sc, reduced once, at the end.
+        """
         table, cols = self.spec.table, self.cols
         mul, dim = table.mul, table.dim
         if self.is_zero:
             return [0] * dim, [0] * dim, 1
         (a, b, du), (T, N, dc) = u, modulus
+        if len(a) < dim:  # `_X`
+            a, b = a + [0] * (dim - 1), b + [0] * (dim - 1)
         # a product by a or b scales the denominator by su, one by T or N by sc
         su, sc = du * table.den, dc * table.den
         power = 1
@@ -266,10 +255,6 @@ class Poly:
         g = gcd(den, *A, *B)
         return (A, B, den) if g == 1 else ([v // g for v in A], [v // g for v in B], den // g)
 
-    def _x_triple(self) -> tuple[list[int], list[int], int]:
-        """The triple of x, where `composite_values` and `reduction` start."""
-        return [1] + [0] * (self.spec.table.dim - 1), [0] * self.spec.table.dim, 1
-
     def composite_values(self, lam) -> Iterator[Element]:
         """Yield the k-fold composition evaluated at lam, for k = 1, 2, ...: u <- f(u)
         from u = x (`_residue`) through `_bounded`, with the modulus read off lam's
@@ -283,21 +268,28 @@ class Poly:
         step = partial(self._residue, modulus=(T, form.mul(nums, nums) + pad, den * den * form.den))
         s = den * table.den  # a*lam over den(a) * s, b scaled to it
         return (spec.ELEMENT(spec, [p + q * s for p, q in zip(table.mul(a, nums), b)], d * s)
-                for a, b, d in _bounded(self, step, self._x_triple()))
+                for a, b, d in _bounded(self, step, _X))
 
     def reduction(self, trace, norm) -> tuple[Element, Element]:
-        """A and B of f(z) = A*z + B at each z of trace `trace` and norm `norm`:
-        the residue of x under `quotient_step`."""
-        spec = self.spec
-        a, b, den = self.quotient_step(trace, norm)(self._x_triple())
+        """A and B of f(z) = A*z + B at each z of trace `trace` and norm `norm`,
+        two ground-field values (else TypeError): the residue of x, `_residue`
+        of `_X` with their numerators over one denominator."""
+        spec, (t, n) = self.spec, map(self.spec.field.coerce, (trace, norm))
+        d, pad = lcm(t.den, n.den), [0] * (spec.table.dim - spec.table.width)
+        T, N = ([v * (d // c.den) for v in c.nums] + pad for c in (t, n))
+        a, b, den = self._residue(_X, (T, N, d))
         return spec.ELEMENT(spec, a, den), spec.ELEMENT(spec, b, den)
 
+    def eval_values(self, lam) -> Iterator[Element]:
+        """Yield the k-fold repeated evaluation f(f(...f(lam))), for k = 1, 2, ...,
+        through `_bounded`: DegreeCapError before a step past MAX_STEPS or HEIGHT_BUDGET."""
+        return _bounded(self, self, self.spec.coerce(lam))
+
     def eval_iterate(self, lam, n: int) -> Element:
-        """n-fold repeated evaluation f(f(...f(lam))), within the work budget of
-        `_bounded`: DegreeCapError before a step past MAX_STEPS or HEIGHT_BUDGET."""
+        """n-fold repeated evaluation f(f(...f(lam))): value n of `eval_values`."""
         if n < 1:
             raise ValueError("n must be at least 1")
-        return next(islice(_bounded(self, self, self.spec.coerce(lam)), n - 1, None))
+        return next(islice(self.eval_values(lam), n - 1, None))
 
     # -- associative structure -------------------------------------------------------
 

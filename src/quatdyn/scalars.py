@@ -3,12 +3,12 @@
 The ground field is an algebra of dimension 1 (Q) or 2 (Q(sqrt d)) over Q
 with its own structure-constant table, so a Scalar is an `Element` of the
 integer kernel: the numerators of a (and b) in a + b*sqrt(d) over one
-denominator, with the sum, difference, product, quotient and power of every
-other element, and with its text: `Element.text`, the coordinate form
-`p/q + r/s*s5`.  What is particular to a field lives here: the inverse
-through the field conjugate, the exact order (when d > 0), and `to_real`,
-which produces a dyadic rational within 2**-bits of the true value under the
-principal embedding sqrt(d) > 0.
+denominator, with the sum, difference, product, inverse, quotient and power
+of every other element (the inverse by the kernel's one rule, through the
+field conjugate), and with its text: `Element.text`, the coordinate form
+`p/q + r/s*s5`.  What is particular to a field lives here: the exact order
+(when d > 0), and `to_real`, which produces a dyadic rational within
+2**-bits of the true value under the principal embedding sqrt(d) > 0.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import total_ordering
 from math import isqrt, lcm
 
-from ._kernel import Element, RationalLike, Spec, Table, field_inverse, lifted
+from ._kernel import Element, RationalLike, Spec, Table, lifted
 from .errors import FieldMismatchError, NoRealEmbeddingError
 
 
@@ -67,13 +67,6 @@ class Scalar(Element):
     b = property(
         lambda self: Fraction(self.nums[1], self.den) if len(self.nums) > 1 else Fraction(0)
     )
-
-    def inv(self) -> Scalar:
-        """1/(a + b*sqrt(d)) = (a - b*sqrt(d)) / (a^2 - d*b^2), by `field_inverse`."""
-        if not self:
-            raise ZeroDivisionError("scalar inverse of zero")
-        nums, norm = field_inverse(self.spec.d, self.nums)
-        return Scalar(self.spec, [v * self.den for v in nums], norm)
 
     # -- predicates and order ----------------------------------------------
 

@@ -59,7 +59,7 @@ from fractions import Fraction
 from itertools import count
 from math import isqrt
 
-from ._kernel import PATHS, left_quotient
+from ._kernel import PATHS, Element, left_quotient
 from .aberth import aberth_roots, inclusion_radii, sqrt_up, to_grid
 from .errors import (
     ClassSearchIncompleteError,
@@ -68,7 +68,7 @@ from .errors import (
     UnsupportedAlgebraError,
     ZeroPolynomialError,
 )
-from .polynomials import Element, Poly, divmod_monic
+from .polynomials import Poly, divmod_monic
 from .quaternions import QuatSpec
 from .scalars import Scalar, nearest
 
@@ -99,15 +99,9 @@ class ConjClass:
         return self.precision is None
 
     @property
-    def discriminant(self) -> Scalar:
-        return self.trace * self.trace - self.norm * 4
-
-    @property
     def is_central(self) -> bool:
-        return self.discriminant == 0
-
-    def sort_key(self):
-        return (self.trace, self.norm)
+        """Whether T*T - 4*N is zero: the class of a central candidate, T/2."""
+        return self.trace * self.trace == self.norm * 4
 
 
 @dataclass(frozen=True)
@@ -382,14 +376,14 @@ def _candidates(P: list[int]) -> list[list[int]]:
 def _exact_classes(C: Poly) -> list[ConjClass]:
     f = _primitive(C.cols[0])
     zeros = next(i for i, c in enumerate(f) if c)
-    f, found = f[zeros:], [(Fraction(0), Fraction(0))] * zeros
+    f, found = f[zeros:], [(Fraction(0), Fraction(0), False)] * zeros
     # linear candidates go first, so a quadratic that divides is irreducible
     for h in _candidates(_integer_squarefree(f)) if len(f) > 1 else []:
         while h[0] and not f[0] % h[0] and (q := _quotient(f, h)) is not None:
             k = h if len(h) == 3 else [h[0] * h[0], 2 * h[0] * h[1], h[1] * h[1]]  # (h_1*y + h_0)**2
-            found.append((Fraction(-k[1], k[2]), Fraction(k[0], k[2])))
+            found.append((Fraction(-k[1], k[2]), Fraction(k[0], k[2]), False))
             f = q
-    classes = _dedup_sorted([ConjClass(C.spec.scalar(T), C.spec.scalar(N)) for T, N in found])
+    classes = _classes(C.spec, found)
     if len(f) > 1:
         raise ClassSearchIncompleteError(
             f"companion has an irrational remainder of degree {len(f) - 1}; "
@@ -400,11 +394,14 @@ def _exact_classes(C: Poly) -> list[ConjClass]:
     return classes
 
 
-def _dedup_sorted(classes: list[ConjClass]) -> list[ConjClass]:
-    unique: dict[tuple, ConjClass] = {}
-    for k in classes:
-        unique.setdefault((k.trace, k.norm), k)
-    return sorted(unique.values(), key=ConjClass.sort_key)
+def _classes(field, found, **numeric) -> list[ConjClass]:
+    """The classes over field of the triples (T, N, excluded) of rationals, each
+    (T, N) once, with its first triple's `excluded` (written last), sorted by (T, N)."""
+    unique = {(T, N): excluded for T, N, excluded in reversed(found)}
+    return [
+        ConjClass(field.scalar(T), field.scalar(N), excluded=excluded, **numeric)
+        for (T, N), excluded in sorted(unique.items())
+    ]
 
 
 def _simplest(x: Fraction, delta: Fraction) -> Fraction:
@@ -501,18 +498,7 @@ def _numeric_classes(C: Poly, precision: int) -> list[ConjClass]:
             lower += 1
     if lower != upper:
         raise ConvergenceError("conjugate pairing of numeric roots failed")
-    return _dedup_sorted(
-        [
-            ConjClass(
-                C.spec.scalar(T),
-                C.spec.scalar(N),
-                precision=precision,
-                excluded=excluded,
-                squarefree=squarefree,
-            )
-            for (T, N, excluded) in found
-        ]
-    )
+    return _classes(C.spec, found, precision=precision, squarefree=squarefree)
 
 
 def _resolving_precision(C: Poly, mu: Scalar, precision: int) -> int:
@@ -679,7 +665,7 @@ def solve_in_class(
 ) -> ClassSolution:
     """Reduce g = 0 inside one conjugacy class to a linear equation and solve.
 
-    Central candidate classes (discriminant zero) are checked by direct
+    Central candidate classes (T*T = 4*N) are checked by direct
     substitution instead; the reduction degenerates there.  An exact class is
     decided by exact zero tests; in a numeric one a quantity counts as zero,
     and a point as a root, relative to the size of the terms summed into it.

@@ -450,6 +450,18 @@ def test_library_imports_only_the_standard_library():
     assert not unread
 
 
+def test_every_module_has_a_layout_row():
+    """README's "Layout" table has one row per module of src/quatdyn but
+    `__init__`, which only exports."""
+    import quatdyn
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    layout = readme.split("## Layout", 1)[1].split("\n## ", 1)[0]
+    rows = {line.split("`")[1] for line in layout.splitlines() if line.startswith("| `")}
+    modules = {f"quatdyn.{path.stem}" for path in Path(quatdyn.__file__).parent.glob("*.py")}
+    assert modules - {"quatdyn.__init__"} <= rows
+
+
 # 10^5000 has 16610 bits, so the residues of these quadratics pass the height
 # budget at the third step
 BIG = "10^5000"

@@ -3,7 +3,8 @@
 The inverse is the kernel's one rule, conj(x) / N(x) on numerators with N(x)
 inverted through its field conjugate; it is checked by the multipliers of
 `helpers` (x * x^-1 = x^-1 * x = 1), over a field norm of either sign and
-over split algebras, where a nonzero element of norm zero has no inverse.
+over split algebras, where a nonzero element of norm zero has no inverse, and
+for the scalars of four ground fields, which take the same rule.
 `commutes` compares two products' numerators and must agree with the
 definition (x*y - y*x).is_zero, which still decides for an operand of a type
 the element does not lift.
@@ -14,7 +15,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatdyn import OctSpec, Poly, SplitAlgebraError
+from quatdyn import FieldSpec, OctSpec, Poly, SplitAlgebraError
 from quatdyn.cli import parse_algebra
 from quatdyn.parsing import parse_element
 
@@ -27,14 +28,25 @@ ALGEBRAS = [
     parse_algebra(text)
     for text in ("quat:-1,-1@Q", "quat:1,-1@Q(s2)", "oct:-1,-1,-1@Q", "quat:1,-1@Q", "oct:1,-1,-1@Q")
 ]
+# the ground fields, algebras of their own whose scalars invert by the same
+# rule: over Q(s2) field norms take either sign, Q(s-3) has no real embedding
+FIELDS = [FieldSpec(d) for d in (None, 5, 2, -3)]
 
 
 def _draw(rng, spec):
+    if isinstance(spec, FieldSpec):
+        return rand_scalar(rng, spec, span=2, den=3)
     return (rand_oct if isinstance(spec, OctSpec) else rand_quat)(rng, spec, span=2, den=3)
 
 
 def _oracle(spec):
-    """The product of coordinate tuples by `helpers`, independent of the kernel."""
+    """The product of coordinate tuples by `helpers`, independent of the kernel;
+    over a field, (a + b*s)(c + e*s) = a*c + d*b*e + (a*e + b*c)*s on Fractions."""
+    if isinstance(spec, FieldSpec):
+        def mul(x, y):
+            (a, b), (c, e) = ((v.a, v.b) for v in (*x, *y))
+            return (spec.scalar(a * c + (spec.d or 0) * b * e, a * e + b * c),)
+        return mul
     if isinstance(spec, OctSpec):
         q = spec.quat
         return lambda x, y: pair_omul(q.alpha, q.beta, spec.gamma, x, y)
@@ -42,7 +54,7 @@ def _oracle(spec):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(ALGEBRAS), st.integers(0, 2**32))
+@given(st.sampled_from(ALGEBRAS + FIELDS), st.integers(0, 2**32))
 def test_inverse_is_two_sided_by_the_oracle_multipliers(spec, seed):
     x = _draw(random.Random(seed), spec)
     if x.is_zero:
@@ -71,7 +83,10 @@ def test_inverse_of_chosen_elements():
         assert not x.is_zero and not x.norm()
         with pytest.raises(SplitAlgebraError):
             x.inv()
-    for spec in ALGEBRAS:
+    # 1 + s2 has field norm -1
+    s2 = FieldSpec(2).scalar(1, 1)
+    assert s2.inv() == FieldSpec(2).scalar(-1, 1) and _oracle(s2.spec)(s2.coords(), s2.inv().coords()) == (1,)
+    for spec in ALGEBRAS + FIELDS:
         noun = spec.ELEMENT.__name__.lower()
         with pytest.raises(ZeroDivisionError, match=f"^inverse of the zero {noun}$"):
             spec.zero().inv()

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 
 import pytest
@@ -22,7 +23,6 @@ from quatdyn._kernel import (
     PATHS,
     _profile,
     column_height,
-    height,
     pack,
     unpack,
 )
@@ -640,7 +640,7 @@ def test_octonion_horner_forms_agree():
     """O[x] is alternative, so Horner's rule holds there for compose and residues.
 
     compose against (...(c_n*g + c_(n-1))*g + ...)*g + c_0 built from Poly
-    operations, and quotient_step against the remainder of f(a*x + b) by the
+    operations, and `_residue` against the remainder of f(a*x + b) by the
     central x^2 - T*x + N.
     """
     rng = random.Random(67)
@@ -654,12 +654,48 @@ def test_octonion_horner_forms_agree():
         a, b = rand_oct(rng, O, den=3), rand_oct(rng, O, den=3)
         T, N = Fraction(rng.randint(-9, 9), 2), Fraction(rng.randint(-9, 9), 3)
         _, (low, high) = divmod_monic(f.compose(Poly(O, [b, a])).coeffs, [N, -T, 1])
-        # the residue map takes and gives numerator triples (a, b, den)
-        d = lcm(a.den, b.den)
+        # the residue map takes and gives numerator triples (a, b, den), and
+        # takes the modulus as the numerators of T and N over one denominator
+        d, dc, pad = lcm(a.den, b.den), lcm(T.denominator, N.denominator), [0] * 7
         u = [v * (d // a.den) for v in a.nums], [v * (d // b.den) for v in b.nums], d
-        A, B, den = f.quotient_step(T, N)(u)
+        A, B, den = f._residue(u, ([int(T * dc)] + pad, [int(N * dc)] + pad, dc))
         assert gcd(den, *A, *B) == 1
         assert (O.ELEMENT(O, A, den), O.ELEMENT(O, B, den)) == (high, low)
+
+
+RESIDUE_SPECS = [H, QuatSpec.standard(F5), O]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(RESIDUE_SPECS), st.integers(0, 3), st.integers(0, 2**32))
+def test_reduction_and_the_first_composite_value_are_f_at_lam(spec, degree, seed):
+    """With (A, B) = f.reduction(trace, norm) of lam, A*lam + B is f(lam), and
+    so is the first value of `composite_values`: both start from the residue of x."""
+    rng = random.Random(seed)
+    draw = rand_oct if isinstance(spec, OctSpec) else rand_quat
+    f, lam = rand_poly(rng, spec, degree, den=3), draw(rng, spec, den=2)
+    A, B = f.reduction(lam.trace(), lam.norm())
+    assert A * lam + B == f(lam) == next(f.composite_values(lam))
+
+
+@pytest.mark.parametrize("spec", RESIDUE_SPECS, ids=str)
+def test_eval_values_is_the_stream_of_eval_iterate(spec):
+    rng = random.Random(45)
+    draw = rand_oct if isinstance(spec, OctSpec) else rand_quat
+    for degree in (1, 2):
+        f, lam = rand_poly(rng, spec, degree, den=2), draw(rng, spec)
+        assert list(islice(f.eval_values(lam), 5)) == [f.eval_iterate(lam, k) for k in range(1, 6)]
+
+
+def test_reduction_takes_a_central_modulus_only():
+    """x^2 - T*x + N is central only for T and N in the ground field; reduction
+    modulo it is a homomorphism only then, so another T or N is refused."""
+    f = Poly(H, [1, 0, 1])
+    for trace, norm in ((I, 1), (0, I)):
+        with pytest.raises(TypeError, match="^cannot interpret <i in quat:-1,-1@Q> as a scalar$"):
+            f.reduction(trace, norm)
+    # modulo x^2 - 2x + 1, x^2 + 1 = 2x: ground-field scalars and rationals pass
+    assert f.reduction(QQ.scalar(2), Fraction(1)) == (H.coerce(2), H.zero())
 
 
 def test_compose_iterate_examples():
@@ -828,9 +864,10 @@ def test_column_height_bounds_the_element_height(pairs):
     """Over the common denominator a column height is at least every element's
     height, and equal to the largest when the coefficients share their denominator."""
     f = Poly(H, [Fraction(a, b) * H.basis_element(sym) for (a, b), sym in zip(pairs, "ijk" * 6)])
-    assert column_height(f.cols, f.den) >= height(*f.coeffs)
+    largest = max(column_height((c.nums,), c.den) for c in f.coeffs)
+    assert column_height(f.cols, f.den) >= largest
     if len({c.den for c in f.coeffs}) == 1:
-        assert column_height(f.cols, f.den) == height(*f.coeffs)
+        assert column_height(f.cols, f.den) == largest
 
 
 def test_octonion_polynomials_over_quadratic_field():

@@ -14,7 +14,7 @@ import importlib.util
 import io
 from pathlib import Path
 
-from quatdyn import OctSpec, Poly, QuatSpec
+from quatdyn import QQ, OctSpec, Poly, QuatSpec
 from quatdyn.cli import main
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
@@ -54,12 +54,14 @@ def test_traced_outputs_equal_untraced_outputs():
     try:
         traced = [_run(tracer.main, argv) for argv in ARGVS]
         # no subcommand multiplies two Poly values (compose works on the
-        # columns), or two octonions (orbits step on numerators), so one
-        # direct product of each keeps the wrapped operator checked
+        # columns), or two octonions (orbits step on numerators), or adds two
+        # scalars (class data are built, sorted and tested on rationals), so
+        # one direct product or sum of each keeps the wrapped operator checked
         x = Poly.x(QuatSpec.standard())
         assert (x + 1) * x == x * x + x
         i, l = (OctSpec.standard().basis_element(s) for s in "il")
         assert i * l == -(l * i)
+        assert QQ.scalar(1) + QQ.scalar(2) == 3
     finally:
         tracer.uninstall()
     assert traced == plain
