@@ -48,6 +48,8 @@ def test_products_keep_written_order():
 def test_parse_rationals():
     assert parse_element("133/362", H) == H.element(Fraction(133, 362))
     assert parse_element("-1/2", H) == H.element(Fraction(-1, 2))
+    # p/q^n is (p/q)^n: a rational is one token
+    assert parse_poly("2/10^2*x", H).render() == "(1/25)*x"
 
 
 def test_parse_radical_tokens():
@@ -423,3 +425,95 @@ def test_ground_field_constants_times_units_fold_without_a_product(monkeypatch):
     assert f.coeff(2) == H5.element(0, F5.scalar(1, 2))
     assert f.coeff(1) == H5.element(0, 0, F5.scalar(Fraction(3, 2), -1))
     assert f.coeff(0) == H5.element(0, 0, 0, F5.scalar(0, -1))
+
+
+# -- the outcome lock: what the parser answers on random texts -----------------
+
+LOCK_ALGEBRAS = ("quat:-1,-1@Q", "quat:-1,-1@Q(s5)", "oct:-1,-1,-1@Q", "quat:1,1@Q")
+# each algebra's own symbols, x the most often
+LOCK_LEAVES = [("x",) * 6 + b for b in (("i", "j", "k"), ("i", "j", "k", "s5", "s5"),
+                                         ("i", "j", "k", "l", "il", "jl", "kl"), ("i", "j", "k"))]
+# radicals of another field, unknown names and symbols of the other algebra
+LOCK_STRAYS = ("s5", "s-3", "s3", "foo", "m1", "l", "kl", "q")
+
+
+def _lock_expr(rng, leaves, depth=0):
+    """A random expression of the grammar: sums of products of powered atoms."""
+
+    def atom():
+        r = rng.random()
+        if depth < 3 and r < 0.15:
+            return "(" + _lock_expr(rng, leaves, depth + 1) + ")"
+        if depth < 3 and r < 0.22:
+            return "-" + atom()
+        if r < 0.55:
+            p = rng.choice((0, 1, 1, 2, 3, 5, 7, 12, 1000003))
+            return f"{p}/{rng.choice((0, 1, 2, 3, 4, 6, 10, 25))}" if r < 0.3 else str(p)
+        return rng.choice(LOCK_STRAYS if rng.random() < 0.01 else leaves)
+
+    def factor():
+        return atom() + (f"^{rng.randrange(5)}" if rng.random() < 0.25 else "")
+
+    def term():
+        return "*".join(factor() for _ in range(rng.randint(1, 3)))
+
+    return "".join([term()] + [rng.choice("+-") + term() for _ in range(rng.randint(0, 3))])
+
+
+def _lock_text(rng, leaves):
+    """A random text: an expression, maybe spread by ASCII whitespace, maybe
+    broken by one deleted, inserted or cut character."""
+    text = _lock_expr(rng, leaves)
+    if rng.random() < 0.3:
+        text = "".join(c + rng.choice(("", "", " ", "\t", " \n", "\r\f\v")) for c in text)
+    r = rng.random()
+    where = rng.randrange(len(text) + 1)
+    if r < 0.08:
+        text = text[:where] + text[where + 1 :]
+    elif r < 0.16:
+        text = text[:where] + rng.choice("$.é()+-*^/0x_ ") + text[where:]
+    elif r < 0.22:
+        text = text[:where]
+    return text
+
+
+def _lock_bounds(rng):
+    """Texts at the refusals' bounds: degree 256, 65536 bits, nesting 100 and
+    the int-from-text limit of 4300 digits, after a random prefix."""
+    lead = rng.choice(("", "x + ", " i*", "(1/2)*", "-"))
+    a, b = rng.randrange(120, 140), rng.randrange(115, 140)
+    h, g = 32768 - rng.randrange(3), 32768 - rng.randrange(3)
+    n = rng.randrange(98, 103)
+    texts = [
+        f"x^{a + b}", f"x^{a}*i*x^{b}", f"(x^2)^{a}", f"(x + i)^{b + a}", f"(i*x)^{a + b}",
+        f"2^{h}*2^{g}", f"2^{h}*i*2^{g}", f"2^{h}*2^{g} - 2^{g}*2^{h}", f"(1/2)^{h} + (1/3)^{g - 12094}",
+        f"x*2^{h}*3 + 2^{g}*x", f"3^{h + g}", f"(1*1*3)^{g + a % 3}", "(" * n + "x" + ")" * n,
+        "-" * n + "i", "(-" * (n // 2) + "2" + ")" * (n // 2), "7" * rng.randrange(4298, 4303),
+        "s" + "5" * rng.randrange(4299, 4302), f"0^{h * 3}", f"(x - x)^{h}",
+    ]
+    return [lead + t for t in texts]
+
+
+def test_outcome_lock_on_random_texts():
+    """The rendering, or the ParseError's text and position, of parse_poly on
+    3,000 random texts and on texts at every bound, in four algebras: their
+    digest is fixed, so any change to what the parser answers shows here."""
+    from hashlib import sha256
+
+    from quatdyn.cli import parse_algebra
+
+    specs = [parse_algebra(a) for a in LOCK_ALGEBRAS]
+    rng = random.Random(4646)
+    texts = [_lock_text(rng, LOCK_LEAVES[n % 4]) for n in range(3000)]
+    for _ in range(4):
+        texts += _lock_bounds(rng)
+    outcomes = []
+    for n, text in enumerate(texts):
+        try:
+            outcome = parse_poly(text, specs[n % 4]).render()
+        except ParseError as exc:
+            outcome = f"ParseError {exc} @ {exc.position}"
+        outcomes.append(f"{LOCK_ALGEBRAS[n % 4]}\t{text!r}\t{outcome}")
+    assert sha256("\n".join(outcomes).encode()).hexdigest() == (
+        "0479afa210ea5c4fc0b52a13bf71caca1688c5519379dc17b56ca932dd33b7ff"
+    )
