@@ -499,8 +499,7 @@ def field_inverse(d: int | None, n) -> tuple[list[int], int]:
     """1/(n0 + n1*sqrt d) from its numerators n = (n0,) over Q or (n0, n1), over a
     denominator >= 0, 0 for zero only: the field conjugate over the field norm
     n0**2 - d*n1**2 (1 over n0 over Q), a negative norm's sign moved up.  It
-    inverts N(x) in `left_quotient`, the one inverse rule, for a scalar x too,
-    where conj(x) = x and N(x) = x*x: a field is its own ground field."""
+    inverts N(x) in `left_quotient`, the one inverse rule, and a scalar x itself."""
     conj, norm = ([1], n[0]) if d is None else ([n[0], -n[1]], n[0] * n[0] - d * n[1] * n[1])
     return (conj, norm) if norm >= 0 else ([-v for v in conj], -norm)
 
@@ -508,11 +507,16 @@ def field_inverse(d: int | None, n) -> tuple[list[int], int]:
 def left_quotient(spec, x, y) -> tuple[list[int], int]:
     """x**-1 * y = conj(x)*y / N(x) for numerators x, y of spec's elements, read over 1,
     as numerators over a positive integer, unreduced: den(table) cancels, and the field's
-    table (of den 1) multiplies in `field_inverse` of N(x).  SplitAlgebraError if N(x) = 0."""
+    table (of den 1) multiplies in `field_inverse` of N(x).  A scalar x (a field is its
+    own ground field) is inverted itself, not through N(x) = x*x.  SplitAlgebraError if
+    N(x) = 0."""
     table, w = spec.table, spec.table.width
-    conj, den = field_inverse(spec.field.d, table.norm_form.mul(x, x))
+    scalar = table.dim == w
+    conj, den = field_inverse(spec.field.d, x if scalar else table.norm_form.mul(x, x))
     if not den:
         raise SplitAlgebraError()
+    if scalar:
+        return table.mul(y, conj), den
     prod, mul = table.mul(x[:w] + tuple(-v for v in x[w:]), y), spec.field.table.mul
     return [v for k in range(0, len(prod), w) for v in mul(prod[k : k + w], conj)], den
 

@@ -8,23 +8,22 @@ Grammar (ASCII whitespace insignificant between tokens: space, tab, LF, VT, FF, 
     atom   := rational | radical | basis | 'x' | '(' expr ')' | '-' atom
 
 Rationals are `p/q` or integers of ASCII digits with no internal spaces,
-within CPython's int-from-text limit (4300 digits by default).  `s<d>`
-(`s-3` for d = -3) is sqrt(d) of the field.  Basis symbols are i, j, k, and
-l, il, jl, kl over octonions; k is i*j.  Every value, constants too, is
-sparse: {(power, coordinate): numerator} over one denominator, content 1,
-so a sum costs its nonzero terms.  x is central and rationals lie in the
-nucleus, so a term folds its central factors (rationals, x, parenthesized
-values c*x^e, their powers and the signs of unary minus) into one c*x^e, c
-rational, and multiplies only the others (basis symbols, radicals, other
-parenthesized values and their powers) in written order; it builds its
-terms once, at the end, by scaling and shifting that product.  A
-ground-field constant times a basis unit moves its terms to the unit's
-coordinates.  Only the others' products and powers convert to coordinate
-columns: of constants for `Table.mul`, of other values for
-`Table.poly_mul`, and powers for `Poly.__pow__`.  Refused, with heights
-measured where their bounds pass: a power or product whose degree or height
-(bits times the exponent, or the operands' bits added) would pass
-MAX_INPUT_DEGREE or HEIGHT_BUDGET bits, before it is computed; a sum whose height passes HEIGHT_BUDGET; '(' and
+within CPython's int-from-text limit (4300 digits by default); a rational is
+one token, so `p/q^n` is (p/q)^n.  `s<d>` (`s-3` for d = -3) is sqrt(d) of
+the field.  Basis symbols are i, j, k, and l, il, jl, kl over octonions; k is
+i*j.  Every value is sparse, {power * dim + coordinate: numerator} over one
+denominator, so a sum costs its nonzero terms.  One loop reads a sum and its
+products: x is central and rationals lie in the nucleus, so it folds a term's
+central factors (rationals, x, parenthesized values c*x^e, their powers and
+the signs) into one num/den * x^e and multiplies only the others (basis
+symbols, radicals, other parenthesized values and their powers) in written
+order, and an ended term's entries go, scaled and shifted, into the sum's
+map.  `atom` reads '(' expr ')' by recursion, radicals and the errors.  A
+ground-field constant times a basis unit moves to the unit's coordinates.
+Refused, with heights measured where their bounds pass: a power or product
+whose degree or height (bits times the exponent, or the operands' bits
+added) would pass MAX_INPUT_DEGREE or HEIGHT_BUDGET bits, before it is
+computed; a sum whose height passes HEIGHT_BUDGET, after each term; '(' and
 unary '-' nested beyond MAX_NESTING.  Each refusal names the product of the
 factors written so far, so folding changes no message or position.
 """
@@ -32,6 +31,7 @@ factors written so far, so folding changes no message or position.
 from __future__ import annotations
 
 import re
+from functools import cache
 from math import gcd, lcm
 
 from ._kernel import HEIGHT_BUDGET, Element, Spec, column_height
@@ -40,8 +40,8 @@ from .polynomials import Poly
 from .quaternions import QuatSpec
 from .scalars import FieldSpec, Scalar
 
-# {(power, coordinate): numerator}, denominator, a bound of the height, degree
-Value = tuple[dict[tuple[int, int], int], int, int, int]
+# {power * dim + coordinate: numerator}, denominator, a bound of the height, degree
+Value = tuple[dict[int, int], int, int, int]
 # a Value, or an int k for the unit of basis coordinate k (0 for 1)
 Factor = Value | int
 
@@ -54,16 +54,9 @@ _RADICAL_RE = re.compile(r"s(-?[0-9]+)")
 # degree-256 quaternion polynomial takes 0.08 s, and of degree 1024 5.2 s.
 MAX_INPUT_DEGREE = 256
 
-# The deepest nesting of '(' and unary '-' together: at three frames a '(' (expr,
-# term, atom), well below CPython's recursion limit of 1000.
+# The deepest nesting of '(' and unary '-' together: at two frames a '(' (expr,
+# atom), well below CPython's recursion limit of 1000.
 MAX_NESTING = 100
-
-
-def _monomial(terms: dict) -> tuple[int, int] | None:
-    """(e, c) when terms is the integer c times x^e, else None."""
-    if len(terms) == 1:
-        ((e, k), c), = terms.items()
-        return None if k else (e, c)
 
 
 def _reduced(terms: dict, den: int) -> tuple[dict, int]:
@@ -77,52 +70,36 @@ def _height(terms: dict, den: int) -> int:
     return column_height((terms.values(),), den)
 
 
-def _size(c: int, den: int, e: int, value: Factor) -> tuple[int, int]:
-    """Degree and a height bound of the factor c/den * x^e * value, where c is
-    1 or -1, den 1 and e 0 unless value is 0 (the unit 1)."""
-    if not value:  # (a | b).bit_length() is max(a, b).bit_length() for a, b >= 0
-        return (e if c else -1), (abs(c) | den).bit_length()
-    return (0, 1) if value.__class__ is int else (value[3], value[2])
-
-
-def _scaled(c: int, den: int, e: int, value: Factor) -> Value:
-    """c/den * x^e * value, c and den coprime."""
-    if value.__class__ is int:
-        return ({(e, value): c}, den, (abs(c) | den).bit_length(), e) if c else ({}, 1, 1, -1)
-    if c == den == 1 and not e:
-        return value
-    terms, vden, bits, degree = value
-    if not (c and terms):
-        return {}, 1, 1, -1
-    terms, vden = _reduced({(p + e, k): v * c for (p, k), v in terms.items()}, den * vden)
-    return terms, vden, bits + (abs(c) | den).bit_length(), degree + e
-
-
-def _degree(terms: dict) -> int:
-    return max(terms)[0] if terms else -1
+@cache
+def _symbols(element: type, width: int) -> dict[str, tuple[int, int, int, int, int]]:
+    """x and each basis symbol -> d, f, v, degree and height of its atom 1/d * x^f * v:
+    x, and the unit k * width of basis coordinate k."""
+    units = {name: (1, 0, k * width, 0, 1) for k, name in enumerate(element.BASIS) if name}
+    return {"x": (1, 1, 0, 1, 1), **units}
 
 
 def _columns(terms: dict, degree: int, dim: int) -> list[list[int]]:
-    cols = [[0] * (degree + 1) for _ in range(dim)]
-    for (p, k), v in terms.items():
-        cols[k][p] = v
-    return cols
+    flat = [0] * ((degree + 1) * dim)
+    for key, v in terms.items():
+        flat[key] = v
+    return [flat[k::dim] for k in range(dim)]
 
 
-def _terms(cols) -> dict:
-    return {(p, k): v for k, col in enumerate(cols) for p, v in enumerate(col) if v}
+def _terms(cols, dim: int) -> dict:
+    return {p * dim + k: v for k, col in enumerate(cols) for p, v in enumerate(col) if v}
 
 
 class _Parser:
-    """Tokens are texts, ending in "".  No dict of a value is shared, so a sum
-    adds up in the dict of its first term."""
+    """Tokens are texts, ending in "".  No dict of a value is shared."""
 
     def __init__(self, source: str, spec: Spec) -> None:
         self.source, self.spec, self.dim = source, spec, spec.table.dim
-        self.basis, self.width = spec.ELEMENT.BASIS, spec.table.width
-        self.tokens = _TOKEN_RE.findall(source) + [""]
-        # tokens hold no whitespace: a character is in no token unless both cover the source
-        if len("".join(self.tokens)) + sum(map(source.count, _SPACES)) != len(source):
+        self.symbols = _symbols(spec.ELEMENT, spec.table.width)
+        self.tokens = tokens = _TOKEN_RE.findall(source)
+        tokens.append("")
+        # tokens and spaces (or all ASCII whitespace) cover the source, or a character is in no token
+        gap = len(source) - len("".join(tokens))
+        if gap != source.count(" ") and gap != sum(map(source.count, _SPACES)):
             pos = re.match(rf"(?:{_TOKEN}|[{_SPACES}])*", source).end()
             raise ParseError(f"unexpected character {source[pos]!r}", pos)
         self.index = self.depth = 0  # depth: open '(' and unary '-' around the atom
@@ -141,144 +118,178 @@ class _Parser:
         except ValueError:  # longer than the int-from-text limit
             raise self.error(f"integer of {len(text)} digits is too long", index) from None
 
+    def rational(self, text: str, index: int, sign: int) -> tuple[int, int]:
+        """sign * p/q for the token p/q or p, in lowest terms."""
+        p, _, q = text.partition("/")
+        if (d := self.integer(q, index) if q else 1) == 0:
+            raise self.error("zero denominator", index)
+        g = gcd(c := sign * self.integer(p, index), d)
+        return c // g, d // g
+
+    def scaled(self, c: int, den: int, e: int, value: Factor) -> Value:
+        """c/den * x^e * value, c and den coprime."""
+        if value.__class__ is int:
+            return ({e * self.dim + value: c}, den, (abs(c) | den).bit_length(), e) if c else ({}, 1, 1, -1)
+        if c == den == 1 and not e:
+            return value
+        terms, vden, bits, degree = value
+        if not (c and terms):
+            return {}, 1, 1, -1
+        terms, vden = _reduced({key + e * self.dim: v * c for key, v in terms.items()}, den * vden)
+        return terms, vden, bits + (abs(c) | den).bit_length(), degree + e
+
     def mul(self, a: Factor, b: Factor) -> Value:
         """a*b in written order.  A ground-field constant a times a basis unit
         b (no radical) is central: its terms move to b's coordinates, no product."""
-        a = _scaled(1, 1, 0, a)
-        if b.__class__ is int and not b % self.width and not a[3] and max(a[0])[1] < self.width:
+        a, width = self.scaled(1, 1, 0, a), self.spec.table.width
+        if b.__class__ is int and not b % width and not a[3] and max(a[0]) < width:
             terms, den, bits, _ = a
-            return {(0, k + b): v for (_, k), v in terms.items()}, den, bits, 0
-        b = _scaled(1, 1, 0, b)
+            return {k + b: v for k, v in terms.items()}, den, bits, 0
+        b = self.scaled(1, 1, 0, b)
         (F, fd, _, fdeg), (G, gd, _, gdeg) = a, b
         if not (F and G):
             return b if F else a
-        table = self.spec.table
-        F, G = _columns(F, fdeg, self.dim), _columns(G, gdeg, self.dim)
+        table, dim = self.spec.table, self.dim
+        F, G = _columns(F, fdeg, dim), _columns(G, gdeg, dim)
         if fdeg == gdeg == 0:
             cols = [[v] for v in table.mul([col[0] for col in F], [col[0] for col in G])]
         else:
             cols = table.poly_mul(F, G)
-        terms, den = _reduced(_terms(cols), fd * gd * table.den)
-        return terms, den, _height(terms, den), _degree(terms)
+        terms, den = _reduced(_terms(cols, dim), fd * gd * table.den)
+        return terms, den, _height(terms, den), max(terms) // dim if terms else -1
 
     def power(self, value: Factor, t: int) -> Value:
         """value**t by `Poly.__pow__`."""
-        terms, den, _, degree = _scaled(1, 1, 0, value)
+        terms, den, _, degree = self.scaled(1, 1, 0, value)
         out = Poly.from_cols(self.spec, _columns(terms, degree, self.dim), den) ** t
-        terms = _terms(out.cols)
+        terms = _terms(out.cols, self.dim)
         return terms, out.den, _height(terms, out.den), out.degree
 
-    # expr := term (('+'|'-') term)*
+    # expr := term (('+' | '-') term)*, term := factor ('*' factor)*, factor := atom ('^' uint)?
     def expr(self) -> Value:
-        value = self.term()
-        if self.tokens[self.index] not in ("+", "-"):
-            return value
-        terms, den, bits, _ = value
-        while (op := self.tokens[where := self.index]) in ("+", "-"):
-            self.index += 1
-            rhs, rhs_den, rhs_bits, _ = self.term()
-            if den == rhs_den == 1:  # integer terms: no common denominator to take
-                bits, scale = max(bits, rhs_bits) + 1, 1 if op == "+" else -1
-            else:
-                bits += rhs_bits + 1
-                if (lcd := lcm(den, rhs_den)) != den:
-                    terms, den = {key: v * (lcd // den) for key, v in terms.items()}, lcd
-                scale = lcd // rhs_den if op == "+" else -lcd // rhs_den
-            get = terms.get
-            for key, v in rhs.items():
-                terms[key] = get(key, 0) + v * scale
-            if bits > HEIGHT_BUDGET and (bits := _height(*_reduced(terms, den))) > HEIGHT_BUDGET:
-                raise self.error(f"sum of height above {HEIGHT_BUDGET} bits", where)
-        terms, den = _reduced({key: v for key, v in terms.items() if v}, den)
-        return terms, den, bits, _degree(terms)
-
-    # term := factor ('*' factor)*, factor := atom ('^' uint)?
-    def term(self) -> Value:
-        """The product of the factors, each c/d * x^f * v: the central parts
-        fold into num/den * x^e, and v multiplies into value in written order.
-        A product or power is refused before it is formed, where its degree or
-        height would pass a bound: bits bounds the height of num/den."""
-        num, den, e, value, bits, star = 1, 1, 0, 0, 1, 0  # star: the '*' before the factor
+        """The sum, in one loop over the factors c/d * x^f * v of degree rdeg and
+        height at most rbits.  The term so far is num/den * x^e * value, its sign
+        in num, num/den of height at most bits and value of at most vbits and of
+        degree vdeg (0 and 0 for 1 or a unit).  An ended term goes into
+        total/sden, of height at most sbits."""
+        tokens, symbols, base, dim = self.tokens, self.symbols, self.depth, self.dim
+        total, sden, sbits, where = {}, 1, 0, 0  # where: the index of the term's sign
+        get = total.get
+        num, den, e, value, bits, star, vbits, vdeg = 1, 1, 0, 0, 1, 0, 0, 0  # star: the '*' before
+        i = self.index
         while True:
-            c, d, f, rhs = self.atom()
-            rhs_deg, rhs_bits = _size(c, d, f, rhs)
-            if self.tokens[where := self.index] == "^":
-                text = self.tokens[index := self.index + 1]
-                self.index += 1 + bool(text)
+            text, sign, depth = tokens[i], 1, base
+            while text == "-":  # a run of unary minus
+                if (depth := depth + 1) > MAX_NESTING:
+                    raise self.error(f"nesting deeper than {MAX_NESTING} levels", i)
+                sign, i = -sign, i + 1
+                text = tokens[i]
+            if text in symbols:
+                d, f, rhs, rdeg, rbits = symbols[text]
+                c, i = sign, i + 1
+            elif "0" <= text < ":":  # a digit first: a rational
+                try:
+                    c, d = sign * int(text), 1
+                except ValueError:  # p/q, or past the int-from-text limit
+                    c, d = self.rational(text, i, sign)
+                f, rhs, rdeg, rbits, i = 0, 0, 0 if c else -1, len(text) << 2, i + 1  # 4 bits a digit
+            else:
+                self.index = i
+                c, d, f, rhs, rdeg, rbits = self.atom(text, sign, depth)
+                i = self.index
+            if (text := tokens[i]) == "^":
+                text = tokens[index := i + 1]
                 if not (text.isascii() and text.isdigit()):
                     raise self.error("exponent must be a nonnegative integer", index)
                 t = self.integer(text, index)
-                if rhs_deg * t > MAX_INPUT_DEGREE or rhs_bits * t > HEIGHT_BUDGET:
-                    rhs_bits = _height(*_scaled(c, d, f, rhs)[:2])  # the bound passes: measure
-                if rhs_deg * t > MAX_INPUT_DEGREE or rhs_bits * t > HEIGHT_BUDGET:
-                    raise self.error(f"power {t} of a degree-{rhs_deg}, {rhs_bits}-bit polynomial"
-                                     f" passes degree {MAX_INPUT_DEGREE} or {HEIGHT_BUDGET} bits", where)
-                c, d, f, rhs = c**t, d**t, f * t, rhs and self.power(rhs, t)
-                rhs_deg, rhs_bits = _size(c, d, f, rhs)
-            if star:  # the product so far times this factor
-                deg, bound = (e, bits) if value.__class__ is int else (e + value[3], bits + value[2])
-                if not num or deg < e:  # zero
-                    deg = -1
-                if deg + rhs_deg > MAX_INPUT_DEGREE:
+                if rdeg * t > MAX_INPUT_DEGREE or rbits * t > HEIGHT_BUDGET:
+                    rbits = _height(*self.scaled(c, d, f, rhs)[:2])  # the bound passes: measure
+                    if rdeg * t > MAX_INPUT_DEGREE or rbits * t > HEIGHT_BUDGET:
+                        raise self.error(f"power {t} of a degree-{rdeg}, {rbits}-bit polynomial"
+                                         f" passes degree {MAX_INPUT_DEGREE} or {HEIGHT_BUDGET} bits", i)
+                c, d, f, i = c**t, d**t, f * t, index + 1
+                rhs = rhs and self.power(rhs, t)
+                rdeg, rbits = (rhs[3], rhs[2]) if rhs else (f if c else -1, (abs(c) | d).bit_length())
+                text = tokens[i]
+            if star:  # the product so far, of degree at most MAX_INPUT_DEGREE, times the factor
+                if rdeg > 0 and (e + vdeg if num and vdeg >= 0 else -1) + rdeg > MAX_INPUT_DEGREE:
                     raise self.error(f"product of degree above {MAX_INPUT_DEGREE}", star)
-                if bound + rhs_bits > HEIGHT_BUDGET and (
-                    _height(*_scaled(num, den, e, value)[:2]) + _height(*_scaled(c, d, f, rhs)[:2])
+                if bits + vbits + rbits > HEIGHT_BUDGET and (
+                    _height(*self.scaled(num, den, e, value)[:2]) + _height(*self.scaled(c, d, f, rhs)[:2])
                     > HEIGHT_BUDGET
                 ):
                     raise self.error(f"product of height above {HEIGHT_BUDGET} bits", star)
-            if not rhs:
-                bits += rhs_bits
-            elif num:  # a zero product stays zero without the product
-                value = self.mul(value, rhs) if value else rhs
-            num, den, e = num * c, den * d, e + f
-            if den != 1 and (g := gcd(num, den)) != 1:
-                num, den = num // g, den // g
-            if self.tokens[star := self.index] != "*":
+            if rhs:  # c is 1 or -1, d is 1 and f is 0
+                if num:  # a zero product stays zero without the product
+                    value = self.mul(value, rhs) if value else rhs
+                    if value.__class__ is not int:
+                        vbits, vdeg = value[2], value[3]
+                num *= c
+            else:
+                bits += rbits
+                num, den, e = num * c, den * d, e + f
+                if den != 1 and (g := gcd(num, den)) != 1:
+                    num, den = num // g, den // g
+            if text == "*":
+                star, i = i, i + 1
+                continue
+            # the term ends; the sum's height gains at most the term's and 1
+            if value.__class__ is int:
+                terms, tden, sbits = None, den, sbits + bits + 1
+            else:
+                terms, tden, tbits, _ = value
+                tden, sbits, vbits, vdeg = den * tden, sbits + tbits + bits + 1, 0, 0
+            if num:
+                if tden != sden:  # over the common denominator
+                    if (lcd := lcm(sden, tden)) != sden:
+                        for key in total:
+                            total[key] *= lcd // sden
+                    sden, num = lcd, num * (lcd // tden)
+                if terms is None:
+                    total[key] = get(key := e * dim + value, 0) + num
+                elif not total and num == 1 and not e:  # the sum so far is 0: the term's map is its own
+                    total, get = terms, terms.get
+                else:
+                    shift = e * dim
+                    for key, v in terms.items():
+                        total[key] = get(key := key + shift, 0) + v * num
+            if where and sbits > HEIGHT_BUDGET and (sbits := _height(*_reduced(total, sden))) > HEIGHT_BUDGET:
+                raise self.error(f"sum of height above {HEIGHT_BUDGET} bits", where)
+            if text != "+" and text != "-":
                 break
-            self.index += 1
-        return _scaled(num, den, e, value)
+            where, i, num, den, e, value, bits, star = i, i + 1, 1 if text == "+" else -1, 1, 0, 0, 1, 0
+        self.index = i
+        if 0 in total.values():
+            total = {key: v for key, v in total.items() if v}
+        total, sden = _reduced(total, sden) if sden != 1 else (total, 1)
+        return total, sden, sbits, max(total) // dim if total else -1
 
     # atom := rational | radical | basis | 'x' | '(' expr ')' | '-' atom
-    def atom(self) -> tuple[int, int, int, Factor]:
-        """c, den, e and v of the atom c/den * x^e * v, a run of unary minus in
-        its sign: v is 0 for a rational, x or a parenthesized c/den * x^e, else
-        c is 1 or -1, den 1 and e 0."""
-        text = self.tokens[index := self.index]
-        self.index += bool(text)  # never past the end
-        sign, depth = 1, self.depth
-        while text == "-":
-            if (depth := depth + 1) > MAX_NESTING:
-                raise self.error(f"nesting deeper than {MAX_NESTING} levels", index)
-            sign = -sign
-            text = self.tokens[index := self.index]
-            self.index += bool(text)
-        if "0" <= text < ":":  # a digit first
-            p, _, q = text.partition("/")
-            if (den := self.integer(q, index) if q else 1) == 0:
-                raise self.error("zero denominator", index)
-            g = gcd(n := self.integer(p, index), den)
-            return sign * n // g, den // g, 0, 0
-        if text == "x":
-            return sign, 1, 1, 0
+    def atom(self, text: str, sign: int, depth: int) -> tuple[int, int, int, Factor, int, int]:
+        """c, d, f, v, degree and a height bound of c/d * x^f * v, the atom text
+        at self.index that `expr` does not read, a run of unary minus before it
+        in sign and depth: '(' expr ')' (v is 0 where it is central), a radical."""
+        index = self.index
         if text == "(":
             if (depth := depth + 1) > MAX_NESTING:
                 raise self.error(f"nesting deeper than {MAX_NESTING} levels", index)
-            outer, self.depth = self.depth, depth
+            outer, self.depth, self.index = self.depth, depth, index + 1
             value = self.expr()
             if self.tokens[self.index] != ")":
                 raise self.error("expected ')'", self.index)
-            self.index += 1
-            self.depth = outer
-            if mono := _monomial(value[0]):  # central: fold it as c/den * x^e
-                return sign * mono[1], value[1], mono[0], 0
-            return sign, 1, 0, value
-        if text and text in self.basis:
-            return sign, 1, 0, self.basis.index(text) * self.width
+            self.index, self.depth = self.index + 1, outer
+            if len(value[0]) == 1:
+                (key, c), = value[0].items()
+                if not key % self.dim:  # central: fold it as c/d * x^f
+                    f, c, d = key // self.dim, sign * c, value[1]
+                    return c, d, f, 0, f, (abs(c) | d).bit_length()
+            return sign, 1, 0, value, value[3], value[2]
         if radical := _RADICAL_RE.fullmatch(text):
             d, field = self.integer(radical.group(1), index), self.spec.field
             if field.is_rational or field.d != d:
                 raise self.error(f"radical token s{d} does not belong to the field {field}", index)
-            return sign, 1, 0, 1
+            self.index += 1
+            return sign, 1, 0, 1, 0, 1
         if text[:1].isalpha():
             kind = self.spec.ELEMENT.__name__.lower()
             raise self.error(f"unknown symbol {text!r} in a {kind} algebra", index)
@@ -296,7 +307,10 @@ def _constant(source: str, spec: Spec, kind: str) -> tuple[list[int], int]:
     terms, den, _, degree = _Parser(source, spec).value
     if degree > 0:
         raise ParseError(f"expected a {kind}, got a degree-{degree} polynomial")
-    return [col[0] for col in _columns(terms, 0, spec.table.dim)], den
+    nums = [0] * spec.table.dim
+    for k, v in terms.items():
+        nums[k] = v
+    return nums, den
 
 
 def parse_element(source: str, spec: Spec) -> Element:

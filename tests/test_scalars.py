@@ -55,6 +55,25 @@ def test_inverse_of_one_plus_sqrt5():
     assert inv == F5.scalar(Fraction(-1, 4), Fraction(1, 4))
 
 
+def test_scalar_inverse_takes_no_norm_product(monkeypatch):
+    """A scalar is its own ground-field element: its inverse is the field
+    conjugate over the field norm of x, with no product N(x) = x*x."""
+    for field, a, b in ((QQ, Fraction(3, 7), 0), (F5, Fraction(3, 7), Fraction(-2, 5)),
+                        (F5, Fraction(2**60 + 1, 3), Fraction(-(2**59) - 7, 5)),
+                        (FieldSpec(-3), Fraction(1, 2), Fraction(5, 3))):
+        x = field.scalar(a, b) if b else field.scalar(a)
+        calls = []
+        form = field.table.norm_form
+        mul = form.mul
+        monkeypatch.setattr(form, "mul", lambda u, v: calls.append((u, v)) or mul(u, v))
+        inv = x.inv()
+        monkeypatch.undo()
+        assert calls == []
+        norm = a * a - (field.d or 0) * b * b
+        assert inv == (field.scalar(a / norm, -b / norm) if b else field.scalar(1 / a))
+        assert x * inv == 1
+
+
 def test_rational_scalars_reject_radical_part():
     with pytest.raises(ValueError):
         QQ.scalar(1, 1)

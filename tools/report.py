@@ -35,8 +35,10 @@ another counts to the outer one.
 The program is imported from CHECKOUT/src (by default this repository's),
 the argv lists from this repository's perfbench, so two checkouts run the
 same calls: equal digests mean byte-identical stdout and exit codes, equal
-path lines the same paths.  Report only: it checks nothing.  Run it from the
-repository root, where the goldens are read from tests/golden.
+path lines the same paths.  Report only: it checks nothing.  tools/report.lock
+holds the 21 lines that are not cost lines, as this tree prints them, for CI
+to compare.  Run it from the repository root, where the goldens are read from
+tests/golden.
 """
 
 from __future__ import annotations
