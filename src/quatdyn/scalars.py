@@ -17,20 +17,9 @@ from fractions import Fraction
 from functools import total_ordering
 from math import isqrt, lcm
 
+from ._arith import _is_squarefree
 from ._kernel import Element, RationalLike, Spec, Table, lifted
 from .errors import FieldMismatchError, NoRealEmbeddingError
-
-
-def _is_squarefree(n: int) -> bool:
-    n = abs(n)
-    if n % 4 == 0:
-        return False
-    p = 3
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        p += 2
-    return True
 
 
 def nearest(d: int | None, nums, den: int, bits: int) -> int:

@@ -420,15 +420,17 @@ def test_solving_never_imports_mpmath():
 
 def test_library_imports_only_the_standard_library():
     """The library runs on the standard library alone: every import in
-    src/quatdyn names a standard module or quatdyn itself.  And each name a
-    module imports is read there (`__init__` exports its `__all__`)."""
+    src/quatdyn names a standard module or quatdyn itself, and `_arith`,
+    which every module may read, imports the standard library only.  And
+    each name a module imports is read there (`__init__` exports its
+    `__all__`)."""
     import ast
 
     import quatdyn
 
-    allowed = sys.stdlib_module_names | {"quatdyn"}
     foreign, unread = [], []
     for path in sorted(Path(quatdyn.__file__).parent.glob("*.py")):
+        allowed = sys.stdlib_module_names | ({"quatdyn"} if path.name != "_arith.py" else set())
         tree = ast.parse(path.read_text(), str(path))
         read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         if path.name == "__init__.py":
@@ -437,7 +439,8 @@ def test_library_imports_only_the_standard_library():
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-                names = [node.module] if not node.level else []  # relative: quatdyn's own
+                # a relative import is quatdyn's own
+                names = [f"quatdyn.{node.module or ''}" if node.level else node.module]
             else:
                 continue
             foreign += [f"{path.name}: {n}" for n in names if n.split(".")[0] not in allowed]

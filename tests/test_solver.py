@@ -26,6 +26,7 @@ from quatdyn import (
     solve_in_class,
     solver,
 )
+from quatdyn import _arith
 
 from helpers import (
     rand_poly,
@@ -747,8 +748,8 @@ def test_exact_classes_match_factor_list_on_planted_products(seed, monkeypatch):
             expected.add((-cs[1] / cs[0], cs[2] / cs[0]))
         else:
             remainder += (len(cs) - 1) * mult
-    primes, local = [], solver._local_factors
-    monkeypatch.setattr(solver, "_local_factors", lambda P: primes.append((P[-1], local(P)[0])) or local(P))
+    primes, local = [], _arith._local_factors
+    monkeypatch.setattr(_arith, "_local_factors", lambda P: primes.append((P[-1], local(P)[0])) or local(P))
     got, classes = _remainder_and_classes(Poly(QQ, f))
     assert got == remainder
     assert [(k.trace.a, k.norm.a) for k in classes] == sorted(expected)
@@ -792,7 +793,7 @@ def test_squarefree_matches_sympy(d, seed):
     assert all(sympy.expand(_to_sympy(sympy, g) - e) == 0 for g, e in zip(got, expected))
 
 
-# -- the squarefree part over Q by the modular gcd ---------------------------------
+# -- quatdyn._arith on the solver's inputs: modular gcd, primes, factors mod p -----
 
 
 def _times(f, g):
@@ -831,7 +832,7 @@ def _dense_companion_48():
 @pytest.mark.parametrize("seed", range(48))
 def test_integer_squarefree_matches_sympy(seed):
     """Heights from 8 bits up to 2**2000, every one with a repeated factor."""
-    from quatdyn.solver import _integer_squarefree
+    from quatdyn._arith import _integer_squarefree
 
     sympy = pytest.importorskip("sympy")
     f = _planted_integer(random.Random(seed), height=[8, 64, 500, 2000][seed % 4])
@@ -847,7 +848,7 @@ def test_integer_squarefree_passes_over_bad_primes(case):
     """(p0*x - 1)*(x - 1)^2 makes the first prime p0 divide f's lead, so it is
     skipped; mod p1, (x - 1)^2*(x - 1 - p1) is (x - 1)^3, whose gcd image has
     a higher degree than the true gcd's, so that prime is dropped."""
-    from quatdyn.solver import _integer_squarefree, _prime
+    from quatdyn._arith import _integer_squarefree, _prime
 
     sympy = pytest.importorskip("sympy")
     square = _times([-1, 1], [-1, 1])
@@ -859,7 +860,7 @@ def test_integer_squarefree_passes_over_bad_primes(case):
 def test_dense_degree_48_squarefree_part_takes_milliseconds():
     """Monic Euclid on Fractions took 34-47 ms here, a heuristic gcd (one
     integer gcd of values) about 0.1 ms, and the modular gcd about 0.8 ms."""
-    from quatdyn.solver import _integer_squarefree
+    from quatdyn._arith import _integer_squarefree
 
     D = _dense_companion_48()
     times = []
@@ -918,11 +919,11 @@ def test_squarefree_part_and_local_roots_stay_fast_at_high_height_and_prime_rich
 
 def test_is_prime_matches_trial_division():
     for n in range(11, 10**5, 2):
-        assert solver._is_prime(n) == all(n % d for d in range(3, math.isqrt(n) + 1, 2)), n
+        assert _arith._is_prime(n) == all(n % d for d in range(3, math.isqrt(n) + 1, 2)), n
     # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base up to 23
-    assert not solver._is_prime(3215031751)
-    assert not solver._is_prime(3825123056546413051)
-    assert solver._is_prime((1 << 61) - 1) and not solver._is_prime((1 << 61) + 1)
+    assert not _arith._is_prime(3215031751)
+    assert not _arith._is_prime(3825123056546413051)
+    assert _arith._is_prime((1 << 61) - 1) and not _arith._is_prime((1 << 61) + 1)
 
 
 def _local_roots_by_scan(monic, p):
@@ -949,8 +950,8 @@ def test_local_factors_match_the_scan_and_an_enumeration(seed):
     f = [rng.choice([1, math.prod(rng.sample(_SMALL_PRIMES, rng.randint(1, 4)))])]
     for _ in range(rng.randint(1, 5)):
         f = _times(f, [rng.randint(-60, 60) for _ in range(rng.randint(1, 3))] + [rng.randint(1, 3)])
-    P = solver._integer_squarefree(f)
-    p, got_roots, quadratics = solver._local_factors(P)
+    P = _arith._integer_squarefree(f)
+    p, got_roots, quadratics = _arith._local_factors(P)
     assert P[-1] % p and all(p % d for d in range(2, math.isqrt(p) + 1))
     monic = [c * pow(P[-1], -1, p) % p for c in P]
     assert got_roots == _local_roots_by_scan(monic, p)

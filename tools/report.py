@@ -28,9 +28,8 @@ best of the passes: argparse is the parse_args of the top-level parser and of
 each command's parser; parse is cli.parse_algebra, parse_poly and
 parse_element; render is Poly.render, Element.render (the echoed algebra's
 parameters too) and cli._coordinates, a point's coordinate texts; json is
-cli's JSON writer, cli._dumps (json.dumps in a checkout older than it);
-main is the whole call, and compute the rest of it.  A stage called inside
-another counts to the outer one.
+cli's JSON writer, cli._dumps; main is the whole call, and compute the rest
+of it.  A stage called inside another counts to the outer one.
 
 The program is imported from CHECKOUT/src (by default this repository's),
 the argv lists from this repository's perfbench, so two checkouts run the
@@ -47,7 +46,6 @@ import contextlib
 import gc
 import hashlib
 import io
-import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -109,10 +107,7 @@ def _time_stages(costs: dict) -> None:
     Poly.render = timed("render", Poly.render)
     Element.render = timed("render", Element.render)
     cli._coordinates = timed("render", cli._coordinates)
-    if hasattr(cli, "_dumps"):  # looked up by name in cli.main
-        cli._dumps = timed("json", cli._dumps)
-    else:
-        json.dumps = timed("json", json.dumps)
+    cli._dumps = timed("json", cli._dumps)  # looked up by name in cli.main
 
 
 def main() -> int:
