@@ -110,6 +110,13 @@ def column_height(cols, den: int) -> int:
     return max(den, *map(abs, chain.from_iterable(cols)), 0).bit_length()
 
 
+def _at_least_one(**bounds: int) -> None:
+    """ValueError for the first bound below 1, by its name."""
+    for name, value in bounds.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1")
+
+
 def _bounded(f: Poly, step, u) -> Iterator:
     """Yield step(u), step(step(u)), ..., where one step applies f once.
 

@@ -1,6 +1,7 @@
-"""Simultaneous root iteration on a precision ladder, and certified disks.
+"""Numeric class extraction: simultaneous root iteration on a precision
+ladder, certified disks, and the roots snapped to class data.
 
-Both routines take a polynomial P as its integer coefficients, low degree
+Its routines take a polynomial P as its integer coefficients, low degree
 first, with a leading coefficient of either sign.  `aberth_roots` runs the
 Aberth-Ehrlich iteration, updating each approximant in place (Gauss-Seidel),
 on a ladder of precisions (Bini & Fiorentino 2000, MPSolve), every rung on
@@ -28,6 +29,14 @@ each rounded up once; its `error` widens them for coefficients known only to
 within that many units; one exact value of P per approximant serves both
 its residual test and its radius.  Where the disks are pairwise disjoint,
 each contains exactly one root (Braess & Hadeler 1973).
+
+`class_data` turns the approximants into the solver's class data, on the
+grid of `precision + 64` bits, with disks that cover the rounding of the
+coefficients too.  A root is near-real when its imaginary part is within
+2**-(precision/2) * (1 + |z|) and its disk meets the real axis, with one
+verdict per conjugate pair.  Near-real roots give central classes
+(2*mu, mu^2), conjugate pairs give (T, N), each snapped to the simplest
+rational within the root's disk.
 """
 
 from __future__ import annotations
@@ -306,3 +315,91 @@ def inclusion_radii(
             value2 = (isqrt(value2) + 1 + error * powers) ** 2
         radii.append(sqrt_up(n * n * value2, lead * lead * prod << 2 * E))
     return radii
+
+
+def _simplest(x: Fraction, delta: Fraction) -> Fraction:
+    """The rational of least denominator, then least magnitude, within delta of x."""
+    lo, hi = x - delta, x + delta
+    if lo <= 0 <= hi:
+        return Fraction(0)
+    if hi < 0:
+        return -_simplest(-x, delta)
+    # continued-fraction descent into [a/b, c/d], 0 < a/b <= c/d, with the
+    # convergents p/q built as it goes
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        whole, rest = divmod(a, b)
+        if not rest or (whole + 1) * d <= c:
+            term = whole if not rest else whole + 1
+            return Fraction(term * p1 + p0, term * q1 + q0)
+        p0, q0, p1, q1 = p1, q1, whole * p1 + p0, whole * q1 + q0
+        a, b, c, d = d, c - whole * d, b, rest
+
+
+def _near_real(A: int, B: int, E: int, h: int) -> bool:
+    """|Im z| <= 2**-h * (1 + |z|) at the grid point z = (A + iB)/2**E."""
+    excess = (abs(B) << h) - (1 << E)
+    return excess <= 0 or excess * excess <= A * A + B * B
+
+
+def _real_roots(
+    pts: list[tuple[int, int]], radii: list[Fraction] | None, E: int, h: int
+) -> list[bool]:
+    """Which grid points (A + iB)/2**E count as real roots.
+
+    A point counts when |Im z| is within 2**-h * (1 + |z|) and, where the
+    disks are known, its own disk meets the real axis.  A conjugate pair gets
+    one verdict: each point found non-real makes the point nearest its
+    conjugate, across the axis, non-real as well.  (The approximants of a
+    pair are not exact conjugates, nor are their radii equal.)
+    """
+    real = [
+        _near_real(A, B, E, h) and (radii is None or Fraction(abs(B), 1 << E) <= rho)
+        for (A, B), rho in zip(pts, radii or [None] * len(pts))
+    ]
+    for k in [k for k, r in enumerate(real) if not r]:
+        A, B = pts[k]
+        across = [j for j, (_, B2) in enumerate(pts) if B2 * B < 0]
+        if across:
+            j = min(across, key=lambda j: (pts[j][0] - A) ** 2 + (pts[j][1] + B) ** 2)
+            real[j] = False
+    return real
+
+
+def class_data(
+    P: Sequence[int], zs: list[Approximant], precision: int
+) -> list[tuple[Fraction, Fraction, bool]]:
+    """The class data (T, N, excluded) of the roots of P, rationals, from its
+    approximants zs (`aberth_roots` at `precision`): (2*mu, mu**2) per real
+    root, (T, N) per conjugate pair, each snapped within the root's disk, with
+    `excluded` whether every disk excludes mu.  P's coefficients are taken as
+    rounded, known to within one unit each.  ConvergenceError when an
+    approximant fails the residual test or the non-real roots do not pair up.
+    """
+    E, pts = to_grid(zs, precision + 64)
+    radii = inclusion_radii(P, E, pts, 1, zs, precision // 2)
+    unit = Fraction(1, 1 << E)
+    disks = [] if radii is None else [(A * unit, B * unit, rho) for (A, B), rho in zip(pts, radii)]
+    found: list[tuple[Fraction, Fraction, bool]] = []
+    upper = lower = 0
+    real = _real_roots(pts, radii, E, precision // 2)
+    for (A, B), rho, is_real in zip(pts, radii or [Fraction(0)] * len(pts), real):
+        re, im = A * unit, B * unit
+        if is_real:
+            mu = _simplest(re, rho)
+            # mu lies in its own root's disk as a rule, so that one goes first
+            excluded = bool(disks) and all(
+                (x - mu) ** 2 + y * y > r * r for x, y, r in [(re, im, rho)] + disks
+            )
+            found.append((2 * mu, mu * mu, excluded))
+        elif B > 0:
+            upper += 1
+            q = re * re + im * im
+            modulus = sqrt_up(q.numerator, q.denominator)
+            found.append((_simplest(2 * re, 2 * rho), _simplest(q, (2 * modulus + rho) * rho), False))
+        else:
+            lower += 1
+    if lower != upper:
+        raise ConvergenceError("conjugate pairing of numeric roots failed")
+    return found

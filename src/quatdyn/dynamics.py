@@ -35,11 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import islice
 
-from ._kernel import Element
-from .errors import DegreeCapError, UnsupportedAlgebraError, ZeroPolynomialError
+from ._kernel import Element, _at_least_one
+from .errors import DegreeCapError, ZeroPolynomialError
 from .polynomials import Poly
 from .octonions import OctSpec
-from .quaternions import QuatSpec
 from .solver import (
     DEFAULT_PRECISION,
     DEFAULT_TOLERANCE,
@@ -87,8 +86,6 @@ def fixed_points(
 ) -> list[ClassSolution]:
     """Class solutions of f(x) = x; every point returned re-fixes under f, since
     the solver verified g(point) = 0 for g = f - x (numeric: within tolerance)."""
-    if not isinstance(f.spec, QuatSpec):
-        raise UnsupportedAlgebraError("fixed-point solving needs a quaternion algebra")
     g = f - Poly.x(f.spec)
     if g.is_zero:
         raise ZeroPolynomialError(
@@ -111,13 +108,6 @@ def orbit(f: Poly, start, n_max: int, semantics: str = "compose") -> OrbitReport
     points = [next(values) for _ in range(n_max)]
     flags = tuple(lam.commutes(p) for p in points)
     return OrbitReport(semantics, tuple(points), flags)
-
-
-def _at_least_one(**bounds: int) -> None:
-    """ValueError for the first bound below 1, by its name."""
-    for name, value in bounds.items():
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1")
 
 
 def certify_periodic(f: Poly, start, r: int, n_max: int = 4) -> PeriodicVerdict:

@@ -29,7 +29,7 @@ from functools import partial
 from itertools import chain, islice
 from math import gcd, lcm
 
-from ._kernel import Element, RationalLike, Spec, _bounded, lifted, power
+from ._kernel import Element, RationalLike, Spec, _at_least_one, _bounded, lifted, power
 from .errors import SpecMismatchError, UnsupportedAlgebraError
 from .octonions import OctSpec
 
@@ -212,8 +212,7 @@ class Poly:
         """n-fold self-composition, the outer copy applied last at each step:
         f itself for n = 1 or a constant f, else step n - 1 of `_bounded`,
         DegreeCapError before a composite past its steps, degree, height or work."""
-        if n < 1:
-            raise ValueError("n must be at least 1")
+        _at_least_one(n=n)
         if n == 1 or self.degree < 1:
             return self
         return next(islice(_bounded(self, self.compose, self), n - 2, None))
@@ -287,8 +286,7 @@ class Poly:
 
     def eval_iterate(self, lam, n: int) -> Element:
         """n-fold repeated evaluation f(f(...f(lam))): value n of `eval_values`."""
-        if n < 1:
-            raise ValueError("n must be at least 1")
+        _at_least_one(n=n)
         return next(islice(self.eval_values(lam), n - 1, None))
 
     # -- associative structure -------------------------------------------------------

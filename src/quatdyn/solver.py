@@ -22,17 +22,10 @@ every coefficient and swell.
            no factor of degree <= 2 over Q, and ClassSearchIncompleteError
            points at numeric mode.
   numeric  any ground field with a real embedding.  The squarefree part,
-           in units of 2**-(precision + 32), goes to the Aberth ladder of
-           `aberth.aberth_roots` (rungs of doubling precision on Gaussian
-           integers from a narrow first one), which climbs to the requested
-           precision plus 64 bits.  A root is near-real when its imaginary
-           part is within 2**-(precision/2) * (1 + |z|) and its inclusion
-           disk, which covers the rounding too, meets the real axis, with
-           one verdict per conjugate pair.  Near-real roots give central
-           classes (2*mu, mu^2), conjugate pairs give (T, N), each snapped
-           to the simplest rational within the root's inclusion disk.  The
-           reduction and every residual are afterwards computed exactly
-           from that approximate class data.
+           in units of 2**-(precision + 32), goes to `aberth`, which finds
+           its roots, certifies their disks and snaps them to class data
+           (see its docstring).  The reduction and every residual are
+           afterwards computed exactly from that approximate class data.
 
 Per-class solving has the same two policies over one reduction
 (`Poly.reduction`) and one point, -A**-1 * B by the kernel's one inverse
@@ -55,10 +48,9 @@ from math import isqrt
 
 from ._arith import _candidates, _integer_squarefree, _primitive, _quotient
 from ._kernel import PATHS, Element, left_quotient
-from .aberth import aberth_roots, inclusion_radii, sqrt_up, to_grid
+from .aberth import aberth_roots, class_data
 from .errors import (
     ClassSearchIncompleteError,
-    ConvergenceError,
     SplitAlgebraError,
     UnsupportedAlgebraError,
     ZeroPolynomialError,
@@ -195,56 +187,6 @@ def _classes(field, found, **numeric) -> list[ConjClass]:
     ]
 
 
-def _simplest(x: Fraction, delta: Fraction) -> Fraction:
-    """The rational of least denominator, then least magnitude, within delta of x."""
-    lo, hi = x - delta, x + delta
-    if lo <= 0 <= hi:
-        return Fraction(0)
-    if hi < 0:
-        return -_simplest(-x, delta)
-    # continued-fraction descent into [a/b, c/d], 0 < a/b <= c/d, with the
-    # convergents p/q built as it goes
-    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    while True:
-        whole, rest = divmod(a, b)
-        if not rest or (whole + 1) * d <= c:
-            term = whole if not rest else whole + 1
-            return Fraction(term * p1 + p0, term * q1 + q0)
-        p0, q0, p1, q1 = p1, q1, whole * p1 + p0, whole * q1 + q0
-        a, b, c, d = d, c - whole * d, b, rest
-
-
-def _near_real(A: int, B: int, E: int, h: int) -> bool:
-    """|Im z| <= 2**-h * (1 + |z|) at the grid point z = (A + iB)/2**E."""
-    excess = (abs(B) << h) - (1 << E)
-    return excess <= 0 or excess * excess <= A * A + B * B
-
-
-def _real_roots(
-    pts: list[tuple[int, int]], radii: list[Fraction] | None, E: int, h: int
-) -> list[bool]:
-    """Which grid points (A + iB)/2**E count as real roots.
-
-    A point counts when |Im z| is within 2**-h * (1 + |z|) and, where the
-    disks are known, its own disk meets the real axis.  A conjugate pair gets
-    one verdict: each point found non-real makes the point nearest its
-    conjugate, across the axis, non-real as well.  (The approximants of a
-    pair are not exact conjugates, nor are their radii equal.)
-    """
-    real = [
-        _near_real(A, B, E, h) and (radii is None or Fraction(abs(B), 1 << E) <= rho)
-        for (A, B), rho in zip(pts, radii or [None] * len(pts))
-    ]
-    for k in [k for k, r in enumerate(real) if not r]:
-        A, B = pts[k]
-        across = [j for j, (_, B2) in enumerate(pts) if B2 * B < 0]
-        if across:
-            j = min(across, key=lambda j: (pts[j][0] - A) ** 2 + (pts[j][1] + B) ** 2)
-            real[j] = False
-    return real
-
-
 def _numeric_classes(C: Poly, precision: int) -> list[ConjClass]:
     # the monic squarefree part, rounded to units of 2**-(precision + 32)
     bits = precision + 32
@@ -253,43 +195,8 @@ def _numeric_classes(C: Poly, precision: int) -> list[ConjClass]:
         P = [nearest(None, (c,), part[-1], bits) for c in part]
     else:
         P = [nearest(C.spec.d, c.nums, c.den, bits) for c in _squarefree(C.coeffs)]
-    squarefree = len(P) == C.degree + 1
-    zs = aberth_roots(P, precision=precision)
-    E, pts = to_grid(zs, precision + 64)
-    # the disks also cover that rounding: one unit in each coefficient
-    radii = inclusion_radii(P, E, pts, 1, zs, precision // 2)
-    unit = Fraction(1, 1 << E)
-    disks = [] if radii is None else [(A * unit, B * unit, rho) for (A, B), rho in zip(pts, radii)]
-
-    # class data snapped to the simplest rational within each root's disk
-    found: list[tuple[Fraction, Fraction, bool]] = []
-    upper = lower = 0
-    real = _real_roots(pts, radii, E, precision // 2)
-    for (A, B), rho, is_real in zip(pts, radii or [Fraction(0)] * len(pts), real):
-        re, im = A * unit, B * unit
-        if is_real:
-            mu = _simplest(re, rho)
-            # mu lies in its own root's disk as a rule, so that one goes first
-            excluded = bool(disks) and all(
-                (x - mu) ** 2 + y * y > r * r for x, y, r in [(re, im, rho)] + disks
-            )
-            found.append((2 * mu, mu * mu, excluded))
-        elif B > 0:
-            upper += 1
-            q = re * re + im * im
-            modulus = sqrt_up(q.numerator, q.denominator)
-            found.append(
-                (
-                    _simplest(2 * re, 2 * rho),
-                    _simplest(re * re + im * im, (2 * modulus + rho) * rho),
-                    False,
-                )
-            )
-        else:
-            lower += 1
-    if lower != upper:
-        raise ConvergenceError("conjugate pairing of numeric roots failed")
-    return _classes(C.spec, found, precision=precision, squarefree=squarefree)
+    found = class_data(P, aberth_roots(P, precision=precision), precision)
+    return _classes(C.spec, found, precision=precision, squarefree=len(P) == C.degree + 1)
 
 
 def _resolving_precision(C: Poly, mu: Scalar, precision: int) -> int:

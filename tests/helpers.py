@@ -4,16 +4,20 @@ The multipliers here are deliberately independent of the package internals:
 quaternion products are expanded over an explicit 16-entry basis table built
 from the defining relations, and octonion products apply the doubling rule to
 pairs on top of that table.  Tests cross-check library arithmetic against
-these routes.
+these routes.  One runner calls the CLI in-process, and one reader turns a
+Poly into the coordinates of the benchmark's independent algebra.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import random
 import sys
 from fractions import Fraction
 
 from quatdyn import FieldSpec, Poly, QuatSpec, Scalar
+from quatdyn.cli import main
 
 
 def table_qmul(alpha, beta, x, y):
@@ -247,3 +251,31 @@ def reference_render(x) -> str:
         else:
             parts.append(f"({reference_render(c)})*x^{p}")
     return " + ".join(parts)
+
+
+# -- the CLI in-process, and the benchmark's coordinates ----------------------------
+
+
+def run_cli(argv, entry=main):
+    """(exit code, stdout) of one call of `entry`, the CLI's `main` by default."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = entry(argv)
+    return code, buf.getvalue()
+
+
+def coordinates(poly, alg):
+    """The coefficients of a Poly as the coordinate tuples of `alg`, an
+    `Algebra` of `perfbench/algebra.py`: Fractions over Q, its `QF` over Q(sqrt d)."""
+    from algebra import QF  # perfbench/ is on the path of every caller
+
+    w, den = poly.spec.table.width, poly.den
+    return [
+        tuple(
+            Fraction(nums[k], den)
+            if alg.d is None
+            else QF(Fraction(nums[k], den), Fraction(nums[k + 1], den), alg.d)
+            for k in range(0, len(nums), w)
+        )
+        for nums in zip(*poly.cols)
+    ]

@@ -7,10 +7,8 @@ each disk must hold one of sympy's roots (mpmath through sympy, at more
 digits than the precision asked for).
 """
 
-import contextlib
 import functools
 import hashlib
-import io
 import itertools
 import json
 import random
@@ -31,7 +29,8 @@ from quatdyn.aberth import (
     inclusion_radii,
     to_grid,
 )
-from quatdyn.cli import main
+
+from helpers import run_cli
 
 H = QuatSpec.standard()
 
@@ -298,11 +297,36 @@ def test_sqrt_up_depends_on_the_ratio_only(seed):
         assert aberth.sqrt_up(g * a, g * b) == aberth.sqrt_up(a, b), (a, b, g)
 
 
-def _run(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
-    return code, out.getvalue()
+def _planted_classes(rng):
+    """A squarefree integer polynomial, low degree first, with its classes:
+    (2*mu, mu**2) per distinct rational root mu, (T, N) per distinct
+    quadratic x^2 - T*x + N with T*T < 4*N (irreducible, no real root)."""
+    mus = {Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(0, 3))}
+    quads = set()
+    for _ in range(rng.randint(0 if mus else 1, 2)):
+        T = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+        quads.add((T, T * T / 4 + Fraction(rng.randint(1, 9), rng.randint(1, 4))))
+    P = [1]
+    for factor in [[-mu.numerator, mu.denominator] for mu in mus] + [
+        [N * d, -T * d, d] for T, N in quads for d in [T.denominator * N.denominator]
+    ]:
+        P = [sum(P[i] * factor[k - i] for i in range(len(P)) if 0 <= k - i < len(factor))
+             for k in range(len(P) + len(factor) - 1)]
+    classes = [(2 * mu, mu * mu, False) for mu in mus] + [(T, N, False) for T, N in quads]
+    return [int(c) for c in P], sorted(classes)
+
+
+def test_class_data_returns_the_planted_classes():
+    """At precision 128, on planted squarefree integer polynomials shifted
+    left by precision + 32 bits, as the solver passes its rounded squarefree
+    part: each rational root and each complex pair snaps to its exact class,
+    and no disk excludes a real root."""
+    precision, rng = 128, random.Random("class data")
+    for _ in range(200):
+        P, classes = _planted_classes(rng)
+        P = [c << (precision + 32) for c in P]
+        found = aberth.class_data(P, aberth_roots(P, precision=precision), precision)
+        assert sorted(found) == classes, P
 
 
 SMALL = ["roots", "--poly", "x^4+3*x^3-2*x+i", "--mode", "numeric"]
@@ -320,14 +344,14 @@ def test_p_is_evaluated_once_per_approximant(monkeypatch):
         return horner(P, a, b, F)
 
     monkeypatch.setattr(aberth, "_gauss_horner", spy)
-    assert _run(SMALL)[0] == 0
+    assert run_cli(SMALL)[0] == 0
     assert degrees == [8] * 8
 
 
 def test_unconverged_approximants_fail_the_residual_test(monkeypatch):
     """One sweep per rung leaves approximants that fail the residual test."""
     monkeypatch.setattr(aberth, "MAX_SWEEPS", 1)
-    code, out = _run(SMALL)
+    code, out = run_cli(SMALL)
     assert code == 1
     assert json.loads(out)["error"] == {
         "type": "ConvergenceError",
@@ -341,7 +365,7 @@ def test_off_grid_approximants_keep_their_own_residual_test():
     evaluated again at their grid points for the radii, while the residual
     test stays on the approximants themselves (at the rounded grid points
     this input fails it).  The output is pinned by its SHA-256."""
-    code, out = _run(["roots", "--poly", f"x^4+{10**40}*x+i", "--mode", "numeric", "--precision", "128"])
+    code, out = run_cli(["roots", "--poly", f"x^4+{10**40}*x+i", "--mode", "numeric", "--precision", "128"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "f77e85a135d5a09622419bc5bb08925c92f20e782a412cf082c0fae7f9344757"

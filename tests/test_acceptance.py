@@ -7,8 +7,6 @@ different x^1 and x^0 coefficients.  It is kept red on purpose rather than
 adjusted; see test_criterion_5_reference_composite_verbatim.
 """
 
-import contextlib
-import io
 import json
 import random
 import time
@@ -27,7 +25,6 @@ from quatdyn import (
     octonion_fixed_check,
     roots,
 )
-from quatdyn.cli import main
 from quatdyn.parsing import parse_element
 
 from helpers import (
@@ -36,6 +33,7 @@ from helpers import (
     rand_quat,
     rand_solvable_poly,
     rand_subfield_pair,
+    run_cli,
     table_qconj,
     table_qmul,
     tuple_poly_mul,
@@ -50,19 +48,13 @@ I, J, K = H.i(), H.j(), H.k()
 N_CASES = 1000
 
 
-def run_cli(argv):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = main(argv)
-    return code, json.loads(buf.getvalue())
-
-
 def test_criterion_1_fixed_points_of_the_worked_quadratic():
     started = time.monotonic()
-    code, payload = run_cli(
+    code, out = run_cli(
         ["fixed-points", "--algebra", "quat:-1,-1@Q", "--poly",
          "x^2+(i+1)*x+1+i*j"]
     )
+    payload = json.loads(out)
     elapsed = time.monotonic() - started
     assert code == 0
     points = {parse_element(s["point"], H) for s in payload["result"]}
@@ -91,11 +83,12 @@ def test_criterion_2_two_cycle_refuted_exactly():
         "-1 + (133/362*s5 - 333/362)*i - (14/181*s5 + 165/181)*j"
         " - (26/181*s5 + 22/181)*k"
     )
-    code, payload = run_cli(
+    code, out = run_cli(
         ["check-periodic", "--algebra", "quat:-1,-1@Q(s5)",
          "--poly", "x^2+(i+1)*x+1+i*j", f"--point={lam_text}",
          "--r", "2", "--n-max", "2"]
     )
+    payload = json.loads(out)
     assert code == 0
     result = payload["result"]
     assert result["status"] == "refuted_at"

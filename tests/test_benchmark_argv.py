@@ -20,12 +20,13 @@ import argparse
 import contextlib
 import io
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from quatdyn import Poly, UsageError, cli
+
+from helpers import coordinates
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -66,20 +67,6 @@ def test_benchmark_calls_pass_their_oracles(workload, monkeypatch):
     assert not failed
 
 
-def _coordinates(poly, alg):
-    """The coefficients of a parsed Poly as the benchmark's coordinate tuples."""
-    w, den = poly.spec.table.width, poly.den
-    return [
-        tuple(
-            Fraction(nums[k], den)
-            if alg.d is None
-            else algebra.QF(Fraction(nums[k], den), Fraction(nums[k + 1], den), alg.d)
-            for k in range(0, len(nums), w)
-        )
-        for nums in zip(*poly.cols)
-    ]
-
-
 @pytest.mark.parametrize("workload", sorted(workloads.ROUNDS))
 def test_parsed_inputs_equal_the_benchmark_data(workload, monkeypatch):
     monkeypatch.chdir(ROOT)
@@ -95,11 +82,11 @@ def test_parsed_inputs_equal_the_benchmark_data(workload, monkeypatch):
         expected_f = data["g"] if call.kind == "companion" else data.get("f")
         if expected_f is None:
             expected_f = algebra.parse(data["f_text"], alg)
-        assert _coordinates(cli.parse_poly(ns.poly, spec), alg) == alg.trim(expected_f), call.argv
+        assert coordinates(cli.parse_poly(ns.poly, spec), alg) == alg.trim(expected_f), call.argv
         compared += 1
         if getattr(ns, "point", None) is not None:
             expected = data["lam"] if "lam" in data else algebra.parse_element(data["lam_text"], alg)
             point = Poly.constant(spec, cli.parse_element(ns.point, spec))
-            assert _coordinates(point, alg) == alg.trim([expected]), call.argv
+            assert coordinates(point, alg) == alg.trim([expected]), call.argv
             compared += 1
     assert compared >= 20

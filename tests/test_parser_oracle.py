@@ -11,13 +11,14 @@ rendering of every parsed polynomial must parse back to it.
 
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from quatdyn import FieldSpec, OctSpec, QuatSpec
 from quatdyn.parsing import parse_poly
+
+from helpers import coordinates
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -68,20 +69,6 @@ class _Draw:
         return "-" + self.atom(depth - 1)
 
 
-def _coordinates(poly, alg):
-    """The coefficients of a Poly as the reader's coordinate tuples."""
-    w, den = poly.spec.table.width, poly.den
-    return [
-        tuple(
-            Fraction(nums[k], den)
-            if alg.d is None
-            else algebra.QF(Fraction(nums[k], den), Fraction(nums[k + 1], den), alg.d)
-            for k in range(0, len(nums), w)
-        )
-        for nums in zip(*poly.cols)
-    ]
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_parse_poly_equals_the_independent_reader(name):
     spec, alg = CASES[name]
@@ -91,7 +78,7 @@ def test_parse_poly_equals_the_independent_reader(name):
     for _ in range(DRAWS):
         source = draw.expr(3)
         poly = parse_poly(source, spec)
-        assert _coordinates(poly, alg) == algebra.parse(source, alg), source
+        assert coordinates(poly, alg) == algebra.parse(source, alg), source
         assert parse_poly(poly.render(), spec) == poly, source
         kinds.update(token for token in ("(", ")^", "-", "/", "s5", "*", "+") if token in source)
         kinds.add(poly.degree)

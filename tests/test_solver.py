@@ -568,8 +568,7 @@ def test_small_non_real_root_is_not_snapped_to_a_central_class():
 
     # with |Im z| just inside one disk of the pair and just outside the
     # other's, the pair still gets one verdict, so the roots still pair up
-    from quatdyn.aberth import aberth_roots, inclusion_radii, to_grid
-    from quatdyn.solver import _real_roots
+    from quatdyn.aberth import _real_roots, aberth_roots, inclusion_radii, to_grid
 
     fracs = [int(c.to_real(160) * 2**160) for c in companion(g).coeffs]
     zs = aberth_roots(fracs, precision=128)

@@ -9,13 +9,12 @@ into its caller under another name, breaks a traced benchmark run; this test
 breaks first.
 """
 
-import contextlib
 import importlib.util
-import io
 from pathlib import Path
 
 from quatdyn import QQ, OctSpec, Poly, QuatSpec
-from quatdyn.cli import main
+
+from helpers import run_cli
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
@@ -40,19 +39,12 @@ def _load_layers():
     return module
 
 
-def _run(entry, argv):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = entry(argv)
-    return code, buf.getvalue()
-
-
 def test_traced_outputs_equal_untraced_outputs():
-    plain = [_run(main, argv) for argv in ARGVS]
+    plain = [run_cli(argv) for argv in ARGVS]
     tracer = _load_layers().Tracer()
     tracer.install()
     try:
-        traced = [_run(tracer.main, argv) for argv in ARGVS]
+        traced = [run_cli(argv, tracer.main) for argv in ARGVS]
         # no subcommand multiplies two Poly values (compose works on the
         # columns), or two octonions (orbits step on numerators), or adds two
         # scalars (class data are built, sorted and tested on rationals), so
@@ -70,4 +62,4 @@ def test_traced_outputs_equal_untraced_outputs():
                 "polynomials.mul", "polynomials.compose", "solver.companion",
                 "dynamics.orbit", "dynamics.certify", "dynamics.oct_check", "aberth"):
         assert tracer.count[key] > 0, key
-    assert [_run(main, argv) for argv in ARGVS] == plain
+    assert [run_cli(argv) for argv in ARGVS] == plain
