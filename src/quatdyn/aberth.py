@@ -26,17 +26,19 @@ Approximants come back as such triples (a, b, F).  `to_grid` aligns them on
 one fixed-point grid, and `inclusion_radii` bounds the Weierstrass radii
 n*|P(z_k)| / |lead * prod_{j != k} (z_k - z_j)| there, on Gaussian integers,
 each rounded up once; its `error` widens them for coefficients known only to
-within that many units; one exact value of P per approximant serves both
-its residual test and its radius.  Where the disks are pairwise disjoint,
-each contains exactly one root (Braess & Hadeler 1973).
+within that many units; one exact value of P per approximant, and its norm,
+serve both its residual test (without the size of P's terms, below their
+lower bound) and its radius.  Where the disks are pairwise disjoint, each
+contains exactly one root (Braess & Hadeler 1973).
 
 `class_data` turns the approximants into the solver's class data, on the
 grid of `precision + 64` bits, with disks that cover the rounding of the
-coefficients too.  A root is near-real when its imaginary part is within
-2**-(precision/2) * (1 + |z|) and its disk meets the real axis, with one
-verdict per conjugate pair.  Near-real roots give central classes
-(2*mu, mu^2), conjugate pairs give (T, N), each snapped to the simplest
-rational within the root's disk.
+coefficients too, all on one integer grid 2**-S, points and radii: a
+Fraction appears only in the class data.  A root is near-real when its
+imaginary part is within 2**-h * (1 + |z|), h = `near_real_bits(precision)`,
+and its disk meets the real axis, with one verdict per conjugate pair.
+Near-real roots give central classes (2*mu, mu^2), conjugate pairs give
+(T, N), each snapped to the simplest rational within the root's disk.
 """
 
 from __future__ import annotations
@@ -197,23 +199,26 @@ def _gauss_horner(P: list[int], a: int, b: int, F: int) -> tuple[int, int]:
     return hr, hi
 
 
-def _residual(P: Sequence[int], z: Approximant, bits: int) -> tuple[int, int, int]:
-    """(hr, hi, F) with hr + i*hi = 2**(F*n) * P(z), z = (a + ib)/2**F raised to F >= 0,
-    once z passes the residual test |Q(z)| <= 2**-bits * max(|lead|, sum |c_i| |z|**i),
-    exactly, for Q = P/x**m = sum c_i x^i, Q(0) != 0: unchanged by scaling P."""
+def _residual(P: Sequence[int], z: Approximant, bits: int) -> tuple[int, int]:
+    """(F, |2**(F*n) * P(z)|**2) for z = (a + ib)/2**F raised to F >= 0, once z passes the
+    residual test |Q(z)| <= 2**-bits * max(|lead|, sum |c_i| |z|**i) exactly (first against
+    |lead| * |z|**(n - m)), for Q = P/x**m = sum c_i x^i, Q(0) != 0: unchanged by scaling P."""
     a, b, F = z
     if F < 0:
         a, b, F = a << -F, b << -F, 0
     n, m = len(P) - 1, next(i for i, c in enumerate(P) if c)
     hr, hi = _gauss_horner(P, a, b, F)
+    value2, z2 = hr * hr + hi * hi, (a * a + b * b) ** m
+    lead2 = P[n] * P[n] << 2 * F * (n - m)
+    if value2 << 2 * bits <= lead2 * z2:
+        return F, value2
     modulus = isqrt(a * a + b * b)  # the size is a lower bound
     size = 0
     for i in range(n, m - 1, -1):
         size = size * modulus + abs(P[i] << (F * (n - i)))
-    scale = max(abs(P[n]) << (F * (n - m)), size)
-    if (hr * hr + hi * hi) << (2 * bits) > scale * scale * (a * a + b * b) ** m:
+    if value2 << 2 * bits > max(lead2, size * size) * z2:
         raise ConvergenceError("root iteration did not reach the requested accuracy")
-    return hr, hi, F
+    return F, value2
 
 
 def aberth_roots(coeffs: Sequence[int], precision: int) -> list[Approximant]:
@@ -300,12 +305,14 @@ def inclusion_radii(
     dist = [[(A - A2) ** 2 + (B - B2) ** 2 for A2, B2 in points[:k]]
             for k, (A, B) in enumerate(points)]
     radii = []
-    for k, ((A, B), (hr, hi, F)) in enumerate(zip(points, values)):
-        hr, hi = (hr << (E - F) * n, hi << (E - F) * n) if F <= E else _gauss_horner(P, A, B, E)
+    for k, ((A, B), (F, value2)) in enumerate(zip(points, values)):
         prod = math.prod(dist[k]) * math.prod(dist[j][k] for j in range(k + 1, len(points)))
         if not prod:
             return None
-        value2 = hr * hr + hi * hi  # |2**(E*n) * P(z_k)|**2
+        if F > E:  # off the grid: P again at the grid point
+            hr, hi = _gauss_horner(P, A, B, E)
+            F, value2 = E, hr * hr + hi * hi
+        value2 <<= 2 * (E - F) * n  # |2**(E*n) * P(z_k)|**2
         if error:
             # |P(z_k)| + error * sum |z_k|**i, times 2**(E*n), with M > 2**E * |z_k|:
             # the sum of M**i * 2**(E*(n - i)) over i < n, by Horner's rule in M
@@ -317,16 +324,17 @@ def inclusion_radii(
     return radii
 
 
-def _simplest(x: Fraction, delta: Fraction) -> Fraction:
-    """The rational of least denominator, then least magnitude, within delta of x."""
+def _simplest(x: int, delta: int, den: int) -> Fraction:
+    """The rational of least denominator, then least magnitude, within delta/den
+    of x/den, for integers delta >= 0 and den > 0."""
     lo, hi = x - delta, x + delta
     if lo <= 0 <= hi:
         return Fraction(0)
     if hi < 0:
-        return -_simplest(-x, delta)
+        return -_simplest(-x, delta, den)
     # continued-fraction descent into [a/b, c/d], 0 < a/b <= c/d, with the
-    # convergents p/q built as it goes
-    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    # convergents p/q built as it goes, from the endpoints' values alone
+    a, b, c, d = lo, den, hi, den
     p0, q0, p1, q1 = 0, 1, 1, 0
     while True:
         whole, rest = divmod(a, b)
@@ -337,16 +345,25 @@ def _simplest(x: Fraction, delta: Fraction) -> Fraction:
         a, b, c, d = d, c - whole * d, b, rest
 
 
+def near_real_bits(precision: int) -> int:
+    """h of the near-real test |Im z| <= 2**-h * (1 + |z|) at `precision`."""
+    return precision // 2
+
+
+def near_real_precision(h: int) -> int:
+    """The least precision whose `near_real_bits` reach h: their inverse."""
+    return 2 * h
+
+
 def _near_real(A: int, B: int, E: int, h: int) -> bool:
     """|Im z| <= 2**-h * (1 + |z|) at the grid point z = (A + iB)/2**E."""
     excess = (abs(B) << h) - (1 << E)
     return excess <= 0 or excess * excess <= A * A + B * B
 
 
-def _real_roots(
-    pts: list[tuple[int, int]], radii: list[Fraction] | None, E: int, h: int
-) -> list[bool]:
-    """Which grid points (A + iB)/2**E count as real roots.
+def _real_roots(pts: list[tuple[int, int]], radii: list | None, E: int, h: int) -> list[bool]:
+    """Which grid points (A + iB)/2**E count as real roots, with their
+    radii, where known, in units of 2**-E.
 
     A point counts when |Im z| is within 2**-h * (1 + |z|) and, where the
     disks are known, its own disk meets the real axis.  A conjugate pair gets
@@ -355,7 +372,7 @@ def _real_roots(
     pair are not exact conjugates, nor are their radii equal.)
     """
     real = [
-        _near_real(A, B, E, h) and (radii is None or Fraction(abs(B), 1 << E) <= rho)
+        _near_real(A, B, E, h) and (radii is None or abs(B) <= rho)
         for (A, B), rho in zip(pts, radii or [None] * len(pts))
     ]
     for k in [k for k, r in enumerate(real) if not r]:
@@ -379,25 +396,29 @@ def class_data(
     """
     E, pts = to_grid(zs, precision + 64)
     radii = inclusion_radii(P, E, pts, 1, zs, precision // 2)
-    unit = Fraction(1, 1 << E)
-    disks = [] if radii is None else [(A * unit, B * unit, rho) for (A, B), rho in zip(pts, radii)]
-    found: list[tuple[Fraction, Fraction, bool]] = []
-    upper = lower = 0
-    real = _real_roots(pts, radii, E, precision // 2)
-    for (A, B), rho, is_real in zip(pts, radii or [Fraction(0)] * len(pts), real):
-        re, im = A * unit, B * unit
+    S = max([E] + [r.denominator.bit_length() - 1 for r in radii or ()])
+    pts = [(A << S - E, B << S - E) for A, B in pts]
+    if radii is not None:  # dyadic: each denominator a power of two, at most 2**S
+        radii = [r.numerator << S - r.denominator.bit_length() + 1 for r in radii]
+    disks = [(A, B, R) for (A, B), R in zip(pts, radii or ())]
+    den, found, upper, lower = 1 << S, [], 0, 0
+    real = _real_roots(pts, radii, S, near_real_bits(precision))
+    for (A, B), R, is_real in zip(pts, radii or [0] * len(pts), real):
         if is_real:
-            mu = _simplest(re, rho)
+            mu = _simplest(A, R, den)
+            p, q = mu.numerator << S, mu.denominator
             # mu lies in its own root's disk as a rule, so that one goes first
             excluded = bool(disks) and all(
-                (x - mu) ** 2 + y * y > r * r for x, y, r in [(re, im, rho)] + disks
+                (X * q - p) ** 2 + (Y * q) ** 2 > (r * q) ** 2 for X, Y, r in [(A, B, R)] + disks
             )
             found.append((2 * mu, mu * mu, excluded))
         elif B > 0:
             upper += 1
-            q = re * re + im * im
-            modulus = sqrt_up(q.numerator, q.denominator)
-            found.append((_simplest(2 * re, 2 * rho), _simplest(q, (2 * modulus + rho) * rho), False))
+            # |z|**2 over den**2, snapped within (2*|z| + rho) * rho, |z| = m/dm rounded up
+            q = A * A + B * B
+            m, dm = sqrt_up(q, den * den).as_integer_ratio()
+            norm = _simplest(q * dm, ((m << S + 1) + R * dm) * R, dm << 2 * S)
+            found.append((_simplest(2 * A, 2 * R, den), norm, False))
         else:
             lower += 1
     if lower != upper:

@@ -18,8 +18,8 @@ part of the contract.
 Both step through one loop, `_kernel._bounded`, which bounds their work, and
 each has one stream of values at a point lam: `eval_values` and
 `composite_values`.  The second builds no composite: `_residue` evaluates f
-in A[x]/(x^2 - T*x + N), with (T, N) the trace and norm of lam, from the
-residue of x, `_X`, which `reduction` (f(z) = A*z + B) reads too.
+in A[x]/(x^2 - T*x + N), (T, N) the trace and norm of lam, at any residue u,
+from that of x, `_X`; `reduction` (f(z) = A*z + B) at x, on scalar products.
 """
 
 from __future__ import annotations
@@ -271,13 +271,19 @@ class Poly:
 
     def reduction(self, trace, norm) -> tuple[Element, Element]:
         """A and B of f(z) = A*z + B at each z of trace `trace` and norm `norm`,
-        two ground-field values (else TypeError): the residue of x, `_residue`
-        of `_X` with their numerators over one denominator."""
+        two ground-field values (else TypeError).  Modulo the central
+        x^2 - T*x + N, (A*x + B)*x = (T*A + B)*x - N*A: with T and N over one d,
+        Horner's rule steps the numerators over den(f) * d**k as (A, B) <-
+        (T*A + d*B, c_i*d**k - N*A), on scalar products only, reduced at the end."""
         spec, (t, n) = self.spec, map(self.spec.field.coerce, (trace, norm))
-        d, pad = lcm(t.den, n.den), [0] * (spec.table.dim - spec.table.width)
-        T, N = ([v * (d // c.den) for v in c.nums] + pad for c in (t, n))
-        a, b, den = self._residue(_X, (T, N, d))
-        return spec.ELEMENT(spec, a, den), spec.ELEMENT(spec, b, den)
+        d, cols, w, mul = lcm(t.den, n.den), self.cols, spec.table.width, spec.field.table.mul
+        T, N = ([v * (d // c.den) for v in c.nums] for c in (t, n))
+        A, B, power = [0] * len(cols), [col[-1] if col else 0 for col in cols], 1
+        for i in range(self.degree - 1, -1, -1):
+            power *= d
+            TA, NA = _scalar_times(mul, w, T, A), _scalar_times(mul, w, N, A)
+            A, B = [p + d * q for p, q in zip(TA, B)], [col[i] * power - q for col, q in zip(cols, NA)]
+        return spec.ELEMENT(spec, A, self.den * power), spec.ELEMENT(spec, B, self.den * power)
 
     def eval_values(self, lam) -> Iterator[Element]:
         """Yield the k-fold repeated evaluation f(f(...f(lam))), for k = 1, 2, ...,
@@ -354,6 +360,12 @@ def divmod_monic(a, b) -> tuple[list, list]:
         for i in range(n):
             r[k + i] = r[k + i] - f * b[i]
     return r[n:], r[:n]
+
+
+def _scalar_times(mul, w: int, c: list[int], X: list[int]) -> list[int]:
+    """Numerators of the scalar c times each coordinate of X: integer products over Q
+    (width w = 1), else the field's table `mul` on each pair."""
+    return [c[0] * v for v in X] if w == 1 else [v for k in range(0, len(X), w) for v in mul(c, X[k : k + w])]
 
 
 def _reduced(cols: list[list[int]], den: int) -> tuple[list[list[int]], int]:

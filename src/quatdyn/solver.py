@@ -44,11 +44,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 from ._arith import _candidates, _integer_squarefree, _primitive, _quotient
 from ._kernel import PATHS, Element, left_quotient
-from .aberth import aberth_roots, class_data
+from .aberth import aberth_roots, class_data, near_real_precision
 from .errors import (
     ClassSearchIncompleteError,
     SplitAlgebraError,
@@ -209,7 +210,7 @@ def _resolving_precision(C: Poly, mu: Scalar, precision: int) -> int:
     tells them apart from mu once the rounding of the monic coefficients to
     2**-(p + 32), which moves the value at mu by up to 2**-(p + 32) *
     sum |mu|^k, stays 16 bits below |a_0 / lead|, and once the test for a
-    real root, |Im z| <= 2**-(p/2), is finer than L.  The estimate is at
+    real root (`aberth.near_real_bits`) is finer than L.  The estimate is at
     least twice `precision`, which did not suffice.
     """
     taylor = C.compose(Poly(C.spec, [mu, 1])).coeffs
@@ -219,7 +220,7 @@ def _resolving_precision(C: Poly, mu: Scalar, precision: int) -> int:
     spread = C.degree * max(_log2_bound(mu), 0) + C.degree.bit_length()
     rounding = _log2_bound(C.leading()) + spread - low + 16 - 32
     distance = max(-(-(_log2_bound(a) - low) // k) + 1 for k, a in enumerate(taylor) if k and a)
-    return max(2 * precision, rounding, 2 * distance + 2)
+    return max(2 * precision, rounding, near_real_precision(distance + 1))
 
 
 def extract_classes(
@@ -305,7 +306,7 @@ def _within(v, tol: Fraction, scale: Dyadic) -> bool:
     return lhs * X <= rhs if not Y else Scalar(v.spec.field, (rhs - lhs * X, -lhs * Y))._sign() >= 0
 
 
-def _reduction_scales(sizes: list[Dyadic], T: Scalar, N: Scalar) -> tuple[Dyadic, Dyadic]:
+def _reduction_scales(sizes: tuple[Dyadic, ...], T: Scalar, N: Scalar) -> tuple[Dyadic, Dyadic]:
     """Sizes of the terms summed into A and B, where g(z) = A z + B in the class.
 
     A = sum c_k p_k and B = sum c_k q_k for z^k = p_k z + q_k; the sizes are
@@ -322,8 +323,14 @@ def _reduction_scales(sizes: list[Dyadic], T: Scalar, N: Scalar) -> tuple[Dyadic
     return a_scale, b_scale
 
 
+@lru_cache(maxsize=1)
+def _coefficient_sizes(g: Poly) -> tuple[Dyadic, ...]:
+    """`_size` of each coefficient of g, taken once for all the classes of one `roots` call."""
+    return tuple(_size(c) for c in g.coeffs)
+
+
 def _numeric_point(
-    g: Poly, sizes: list[Dyadic], klass: ConjClass, lam: Element, tolerance: Fraction
+    g: Poly, sizes: tuple[Dyadic, ...], klass: ConjClass, lam: Element, tolerance: Fraction
 ) -> ClassSolution:
     """Accept lam when |g(lam)| is at most tolerance times sum |c_k| |lam|^k,
     the size of its terms (sizes[k] = |c_k|).  The residual is |g(lam)| as a
@@ -403,7 +410,7 @@ def _solve_exact(g: Poly, klass: ConjClass) -> ClassSolution:
 
 def _solve_numeric(g: Poly, klass: ConjClass, tolerance: float) -> ClassSolution:
     T, N = klass.trace, klass.norm
-    sizes, tolerance = [_size(c) for c in g.coeffs], Fraction(tolerance)
+    sizes, tolerance = _coefficient_sizes(g), Fraction(tolerance)
     if klass.is_central:
         lam = g.spec.coerce(T / 2)
         sol = _numeric_point(g, sizes, klass, lam, tolerance)

@@ -4,8 +4,9 @@ The multipliers here are deliberately independent of the package internals:
 quaternion products are expanded over an explicit 16-entry basis table built
 from the defining relations, and octonion products apply the doubling rule to
 pairs on top of that table.  Tests cross-check library arithmetic against
-these routes.  One runner calls the CLI in-process, and one reader turns a
-Poly into the coordinates of the benchmark's independent algebra.
+these routes.  The snapping of numeric class data has its Fraction version
+here.  One runner calls the CLI in-process, and one reader turns a Poly into
+the coordinates of the benchmark's independent algebra.
 """
 
 from __future__ import annotations
@@ -161,6 +162,29 @@ def rand_solvable_poly(rng: random.Random, spec: QuatSpec, degree: int) -> Poly:
             c = rand_nonzero(rand_quat, rng, spec, span=1)
         f = Poly.constant(spec, c) * f
     return f
+
+
+# -- the Fraction-based snapping, as the reference for `aberth._simplest` ------------
+
+
+def simplest(x: Fraction, delta: Fraction) -> Fraction:
+    """The rational of least denominator, then least magnitude, within delta of x."""
+    lo, hi = x - delta, x + delta
+    if lo <= 0 <= hi:
+        return Fraction(0)
+    if hi < 0:
+        return -simplest(-x, delta)
+    # continued-fraction descent into [a/b, c/d], 0 < a/b <= c/d, with the
+    # convergents p/q built as it goes
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        whole, rest = divmod(a, b)
+        if not rest or (whole + 1) * d <= c:
+            term = whole if not rest else whole + 1
+            return Fraction(term * p1 + p0, term * q1 + q0)
+        p0, q0, p1, q1 = p1, q1, whole * p1 + p0, whole * q1 + q0
+        a, b, c, d = d, c - whole * d, b, rest
 
 
 # -- the Fraction-based printer, as the reference for the kernel's text -----------

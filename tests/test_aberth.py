@@ -25,12 +25,15 @@ from quatdyn.aberth import (
     _mantissas,
     _newton_starts,
     _normal,
+    _residual,
+    _simplest,
     aberth_roots,
     inclusion_radii,
     to_grid,
 )
+from quatdyn.errors import ConvergenceError
 
-from helpers import run_cli
+from helpers import run_cli, simplest
 
 H = QuatSpec.standard()
 
@@ -295,6 +298,87 @@ def test_sqrt_up_depends_on_the_ratio_only(seed):
         b <<= rng.randint(0, 300)
         g = rng.getrandbits(rng.randint(1, 300)) + 1
         assert aberth.sqrt_up(g * a, g * b) == aberth.sqrt_up(a, b), (a, b, g)
+
+
+def _interval(rng, kind):
+    """(x, delta, den) for the interval [x - delta, x + delta] / den, of one of six kinds."""
+    S = rng.randint(64, 700)
+    den = 1 << S
+    x = rng.getrandbits(rng.randint(1, S + 8)) * rng.choice((-1, 1))
+    delta = rng.getrandbits(rng.randint(1, S))
+    if kind == 1:  # straddling 0
+        delta = abs(x) + rng.getrandbits(rng.randint(1, S))
+    elif kind == 2:  # radius 0: the point itself, in lowest terms
+        delta = 0
+    elif kind == 3:  # an integer endpoint, either one
+        end = rng.randint(-40, 40) << S
+        x = end + delta * rng.choice((-1, 1))
+    elif kind == 4:  # integer centre and radius
+        x, delta = rng.randint(-50, 50) << S, rng.randint(0, 3) << S
+    elif kind == 5:  # a small-denominator point within a tiny radius
+        p, q = rng.randint(-99, 99), rng.randint(1, 99)
+        x, delta = (p << S) // q + rng.randint(-2, 2), rng.randint(0, 4)
+    return x, delta, den
+
+
+def test_simplest_matches_the_fraction_oracle():
+    """The integer snapping gives the Fraction oracle's rational on 2,400
+    intervals over 2**-S, S of 64-700 bits: random dyadic centres and radii of
+    either sign, intervals straddling 0, radius 0, integer endpoints and
+    centres, and small-denominator points; a non-dyadic denominator too."""
+    rng = random.Random("simplest")
+    for i in range(2400):
+        x, delta, den = _interval(rng, i % 6)
+        if i % 7 == 0:
+            den *= rng.randint(1, 999)
+        expected = simplest(Fraction(x, den), Fraction(delta, den))
+        assert _simplest(x, delta, den) == expected, (x, delta, den)
+
+
+def _passes(P, z, bits):
+    """The residual test of `_residual` with its whole right side: True when
+    |2**(F*n) P(z)|**2 * 4**bits <= max(|lead| << F*(n - m), size)**2 * |a + ib|**(2m)."""
+    a, b, F = z
+    if F < 0:
+        a, b, F = a << -F, b << -F, 0
+    n, m = len(P) - 1, next(i for i, c in enumerate(P) if c)
+    hr, hi = P[n], 0
+    for i in range(n - 1, -1, -1):
+        hr, hi = hr * a - hi * b + (P[i] << F * (n - i)), hr * b + hi * a
+    modulus, size = isqrt(a * a + b * b), 0
+    for i in range(n, m - 1, -1):
+        size = size * modulus + abs(P[i] << F * (n - i))
+    scale = max(abs(P[n]) << F * (n - m), size)
+    return (hr * hr + hi * hi) << 2 * bits <= scale * scale * (a * a + b * b) ** m, hr, hi, F
+
+
+def test_residual_raises_exactly_when_the_whole_test_fails():
+    """On approximants of random integer polynomials (some with roots at the
+    origin), moved off their roots by up to 2**-8, and at a point off every
+    root, at every threshold from 0 to 80 bits: `_residual` raises exactly when the test with the size of the
+    terms does, and returns that value otherwise.  Some thresholds pass only
+    with the size, not the lower bound |lead| * |z|**(n - m)."""
+    rng, between = random.Random("residual"), 0
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        P = [0] * rng.randint(0, 2) + [rng.randint(-99, 99) or 1 for _ in range(n)] + [rng.choice((-7, -1, 1, 3))]
+        far = (rng.getrandbits(30), rng.getrandbits(30), rng.randint(-8, 24))  # off every root
+        for a, b, F in aberth_roots(P, precision=48) + [far]:
+            if not (a or b):
+                continue
+            shift = rng.randint(8, 40)
+            z = (a + rng.randint(-1, 1) * (abs(a) >> shift), b + rng.randint(-1, 1) * (abs(b) >> shift), F)
+            for bits in range(81):
+                ok, hr, hi, F2 = _passes(P, z, bits)
+                if not ok:
+                    with pytest.raises(ConvergenceError):
+                        _residual(P, z, bits)
+                    continue
+                assert _residual(P, z, bits) == (F2, hr * hr + hi * hi)
+                m = next(i for i, c in enumerate(P) if c)
+                lower = (P[-1] ** 2 << 2 * F2 * (len(P) - 1 - m)) * (z[0] ** 2 + z[1] ** 2 << 2 * (F2 - z[2])) ** m
+                between += (hr * hr + hi * hi) << 2 * bits > lower
+    assert between
 
 
 def _planted_classes(rng):

@@ -663,7 +663,8 @@ def test_octonion_horner_forms_agree():
         assert (O.ELEMENT(O, A, den), O.ELEMENT(O, B, den)) == (high, low)
 
 
-RESIDUE_SPECS = [H, QuatSpec.standard(F5), O]
+# two with table den > 1 (3 and 2), so a residue's scalar products are scaled by it
+RESIDUE_SPECS = [H, QuatSpec.standard(F5), O, parse_algebra("quat:2,1/3@Q"), parse_algebra("oct:1/2,-1,3@Q")]
 
 
 @settings(max_examples=60, deadline=None)

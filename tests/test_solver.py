@@ -574,7 +574,7 @@ def test_small_non_real_root_is_not_snapped_to_a_central_class():
     zs = aberth_roots(fracs, precision=128)
     E, pts = to_grid(zs, 192)
     assert inclusion_radii(fracs, E, pts, 0, zs, 128 // 2) is not None
-    ims = [Fraction(abs(B), 1 << E) for _, B in pts]
+    ims = [abs(B) for _, B in pts]  # radii in units of 2**-E
     assert ims[0] != ims[1]  # the approximants are not exact conjugates
     below = 1 - Fraction(1, 2**40)
     for radii in ([ims[0], ims[1] * below], [ims[0] * below, ims[1]]):
@@ -1090,6 +1090,25 @@ def test_unresolved_real_cluster_fails_the_conjugate_pairing():
     for precision in (64, 128):
         with pytest.raises(ConvergenceError, match="conjugate pairing of numeric roots failed"):
             roots(g, mode="numeric", precision=precision)
+
+
+@pytest.mark.parametrize("text, hint", [("10^40*x-i", 270), ("10^60*x-i", 404), ("10^80*x-i", 536)])
+def test_numeric_roots_at_the_hinted_precision_have_no_central_anomaly(text, hint):
+    """At 128 bits the roots of the companion of 10^k*x - i, near +-10^-k*i,
+    stay within `aberth`'s near-real test, so the central candidate 0 is an
+    anomaly that names the precision resolving it; at that precision the
+    class is a conjugate pair and its point is found.  The hint inverts the
+    near-real width: `near_real_precision` is the least precision whose
+    `near_real_bits` reach a given width."""
+    from quatdyn.aberth import near_real_bits, near_real_precision
+
+    g = parse_poly(text, H)
+    [sol] = roots(g, mode="numeric", precision=128)
+    assert sol.kind == "anomaly" and sol.detail.endswith(f"about {hint} bits would resolve the class")
+    assert [s.kind for s in roots(g, mode="numeric", precision=hint)] == ["point"]
+    for h in range(300):
+        p = near_real_precision(h)
+        assert near_real_bits(p) >= h > near_real_bits(p - 1)
 
 
 def test_split_zero_divisor_classes_in_numeric_mode():
