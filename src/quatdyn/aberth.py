@@ -27,8 +27,7 @@ one fixed-point grid, and `inclusion_radii` bounds the Weierstrass radii
 n*|P(z_k)| / |lead * prod_{j != k} (z_k - z_j)| there, on Gaussian integers,
 each rounded up once; its `error` widens them for coefficients known only to
 within that many units; one exact value of P per approximant, and its norm,
-serve both its residual test (without the size of P's terms, below their
-lower bound) and its radius.  Where the disks are pairwise disjoint, each
+serve both its residual test and its radius.  Where the disks are pairwise disjoint, each
 contains exactly one root (Braess & Hadeler 1973).
 
 `class_data` turns the approximants into the solver's class data, on the
@@ -201,22 +200,20 @@ def _gauss_horner(P: list[int], a: int, b: int, F: int) -> tuple[int, int]:
 
 def _residual(P: Sequence[int], z: Approximant, bits: int) -> tuple[int, int]:
     """(F, |2**(F*n) * P(z)|**2) for z = (a + ib)/2**F raised to F >= 0, once z passes the
-    residual test |Q(z)| <= 2**-bits * max(|lead|, sum |c_i| |z|**i) exactly (first against
-    |lead| * |z|**(n - m)), for Q = P/x**m = sum c_i x^i, Q(0) != 0: unchanged by scaling P."""
+    residual test |Q(z)| <= 2**-bits * max(|lead|, sum |c_i| |z|**i) exactly, for
+    Q = P/x**m = sum c_i x^i, Q(0) != 0: unchanged by scaling P."""
     a, b, F = z
     if F < 0:
         a, b, F = a << -F, b << -F, 0
     n, m = len(P) - 1, next(i for i, c in enumerate(P) if c)
     hr, hi = _gauss_horner(P, a, b, F)
-    value2, z2 = hr * hr + hi * hi, (a * a + b * b) ** m
-    lead2 = P[n] * P[n] << 2 * F * (n - m)
-    if value2 << 2 * bits <= lead2 * z2:
-        return F, value2
+    value2 = hr * hr + hi * hi
     modulus = isqrt(a * a + b * b)  # the size is a lower bound
     size = 0
     for i in range(n, m - 1, -1):
         size = size * modulus + abs(P[i] << (F * (n - i)))
-    if value2 << 2 * bits > max(lead2, size * size) * z2:
+    scale = max(abs(P[n]) << (F * (n - m)), size)
+    if value2 << 2 * bits > scale * scale * (a * a + b * b) ** m:
         raise ConvergenceError("root iteration did not reach the requested accuracy")
     return F, value2
 

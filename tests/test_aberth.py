@@ -357,7 +357,7 @@ def test_residual_raises_exactly_when_the_whole_test_fails():
     origin), moved off their roots by up to 2**-8, and at a point off every
     root, at every threshold from 0 to 80 bits: `_residual` raises exactly when the test with the size of the
     terms does, and returns that value otherwise.  Some thresholds pass only
-    with the size, not the lower bound |lead| * |z|**(n - m)."""
+    with the size, not with |lead| * |z|**(n - m) alone."""
     rng, between = random.Random("residual"), 0
     for _ in range(60):
         n = rng.randint(1, 5)

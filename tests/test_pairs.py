@@ -23,15 +23,17 @@ def test_summary_of_fixed_runs():
 
 
 def test_workload_block_keeps_the_order_of_the_runs():
-    """Per workload: the seeds, which side ran first (the parent in even pairs),
+    """Per workload: the seeds, which side ran first as recorded by the caller,
     one summary per end-to-end metric, and correctness and failures per side."""
     def run(v, ok=True, failed=0):  # a run's last line, as perfbench/run.py prints it
         return {"correct": ok, "failed": failed, "metrics": {"ops_per_s": {"value": v, "unit": "ops/s"}}}
 
     results = {"parent": [run(10.0), run(12.0), run(11.0)],
                "change": [run(13.0), run(12.0, failed=2), run(14.0, ok=False)]}
-    block = pairs.workload_block([5, 6, 7], results, [{"name": "ops_per_s", "better": "higher", "unit": "ops/s"}])
-    assert block["first"] == ["parent", "change", "parent"] and block["batch"] == [1, 1, 1]
+    first = ["parent", "change", "parent"]
+    block = pairs.workload_block([5, 6, 7], first, results,
+                                 [{"name": "ops_per_s", "better": "higher", "unit": "ops/s"}])
+    assert block["first"] == first and block["batch"] == [1, 1, 1]
     assert block["metrics"]["ops_per_s"]["parent"]["runs"] == [10.0, 12.0, 11.0]
     assert block["metrics"]["ops_per_s"]["pairs_won"] == 2
     assert block["correct"] == {"parent": True, "change": False}
