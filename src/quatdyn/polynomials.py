@@ -19,7 +19,7 @@ Both step through one loop, `_kernel._bounded`, which bounds their work, and
 each has one stream of values at a point lam: `eval_values` and
 `composite_values`.  The second builds no composite: `_residue` evaluates f
 in A[x]/(x^2 - T*x + N), (T, N) the trace and norm of lam, at any residue u,
-from that of x, `_X`; `reduction` (f(z) = A*z + B) at x, on scalar products.
+from that of x; `reduction` (f(z) = A*z + B) at x, on scalar products.
 """
 
 from __future__ import annotations
@@ -32,9 +32,6 @@ from math import gcd, lcm
 from ._kernel import Element, RationalLike, Spec, _at_least_one, _bounded, lifted, power
 from .errors import SpecMismatchError, UnsupportedAlgebraError
 from .octonions import OctSpec
-
-# the residue of x, (1*x + 0) / 1, one coordinate per part: `_residue` pads the rest with zeros
-_X = ([1], [0], 1)
 
 
 class Poly:
@@ -223,7 +220,7 @@ class Poly:
         u = (a, b, du) stands for (a*x + b) / du, a and b the numerators of two
         elements over one du > 0, and so does the triple returned, with content 1;
         the modulus (T, N, dc) holds the numerators of trace and norm over dc,
-        padded to an element's coordinates, as `_X`'s parts are here.  T and N
+        padded to an element's coordinates, as a and b are.  T and N
         lie in the ground field, so the modulus is central and reduction
         modulo it is a homomorphism, over octonions too: the residue of f(g) is
         f at the residue of g, and every polynomial with residue a*x + b takes
@@ -237,8 +234,6 @@ class Poly:
         if self.is_zero:
             return [0] * dim, [0] * dim, 1
         (a, b, du), (T, N, dc) = u, modulus
-        if len(a) < dim:  # `_X`
-            a, b = a + [0] * (dim - 1), b + [0] * (dim - 1)
         # a product by a or b scales the denominator by su, one by T or N by sc
         su, sc = du * table.den, dc * table.den
         power = 1
@@ -266,8 +261,9 @@ class Poly:
         T = [2 * v * den * form.den for v in nums[: table.width]] + pad
         step = partial(self._residue, modulus=(T, form.mul(nums, nums) + pad, den * den * form.den))
         s = den * table.den  # a*lam over den(a) * s, b scaled to it
+        x = ([1] + [0] * (table.dim - 1), [0] * table.dim, 1)  # the residue of x
         return (spec.ELEMENT(spec, [p + q * s for p, q in zip(table.mul(a, nums), b)], d * s)
-                for a, b, d in _bounded(self, step, _X))
+                for a, b, d in _bounded(self, step, x))
 
     def reduction(self, trace, norm) -> tuple[Element, Element]:
         """A and B of f(z) = A*z + B at each z of trace `trace` and norm `norm`,

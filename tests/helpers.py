@@ -1,12 +1,14 @@
 """Shared test oracles and samplers.
 
-The multipliers here are deliberately independent of the package internals:
-quaternion products are expanded over an explicit 16-entry basis table built
-from the defining relations, and octonion products apply the doubling rule to
-pairs on top of that table.  Tests cross-check library arithmetic against
-these routes.  The snapping of numeric class data has its Fraction version
-here.  One runner calls the CLI in-process, and one reader turns a Poly into
-the coordinates of the benchmark's independent algebra.
+Every product a test checks the library against is taken by one reference,
+`perfbench/algebra.py`, which imports nothing from quatdyn: quaternion
+products expand an explicit 16-entry basis table built from the defining
+relations, octonion products apply the doubling rule to pairs on top of it.
+`reference` gives its algebra for a spec, and `values` reads an element or a
+Poly into its scalars from numerators and denominators alone, so that no
+reference product runs on the kernel's arithmetic.  The snapping of numeric
+class data has its Fraction version here, and one runner calls the CLI
+in-process.
 """
 
 from __future__ import annotations
@@ -16,66 +18,41 @@ import io
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
+import algebra
+from algebra import QF
 from quatdyn import FieldSpec, Poly, QuatSpec, Scalar
 from quatdyn.cli import main
 
 
-def table_qmul(alpha, beta, x, y):
-    """Multiply two 4-tuples by expanding all 16 basis products.
+class _Reference(algebra.Algebra):
+    """`algebra.Algebra` whose parameters may be irrational: `scalar` passes a `QF`."""
 
-    Table rows follow from i*i = alpha, j*j = beta, j*i = -i*j, k = i*j:
-    moving i past j flips a sign, squares contract to alpha and beta.
-    """
-    one = alpha - alpha + 1  # multiplicative unit of whatever scalar type
-    table = {
-        (0, 0): (0, one), (0, 1): (1, one), (0, 2): (2, one), (0, 3): (3, one),
-        (1, 0): (1, one), (1, 1): (0, alpha), (1, 2): (3, one), (1, 3): (2, alpha),
-        (2, 0): (2, one), (2, 1): (3, -one), (2, 2): (0, beta), (2, 3): (1, -beta),
-        (3, 0): (3, one), (3, 1): (2, -alpha), (3, 2): (1, beta),
-        (3, 3): (0, -(alpha * beta)),
-    }
-    out = [x[0] - x[0]] * 4
-    for b1 in range(4):
-        for b2 in range(4):
-            target, coeff = table[(b1, b2)]
-            out[target] = out[target] + x[b1] * y[b2] * coeff
-    return tuple(out)
+    def scalar(self, x):
+        return x if isinstance(x, QF) else super().scalar(x)
 
 
-def table_qconj(x):
-    return (x[0], -x[1], -x[2], -x[3])
+@lru_cache(maxsize=None)
+def reference(spec) -> algebra.Algebra:
+    """The benchmark's reference algebra of a quaternion or octonion spec, its
+    parameters read by `values`."""
+    return _Reference(*(values(g)[0] for g in spec.gens), d=spec.field.d)
 
 
-def pair_omul(alpha, beta, gamma, x, y):
-    """Doubling product on 8-tuples: (q + r*l)(s + t*l)."""
-    q, r = x[:4], x[4:]
-    s, t = y[:4], y[4:]
-    first = tuple(
-        a + b * gamma
-        for a, b in zip(
-            table_qmul(alpha, beta, q, s),
-            table_qmul(alpha, beta, table_qconj(t), r),
-        )
-    )
-    second = tuple(
-        a + b
-        for a, b in zip(
-            table_qmul(alpha, beta, t, q),
-            table_qmul(alpha, beta, r, table_qconj(s)),
-        )
-    )
-    return first + second
+def values(x):
+    """The coordinates of a scalar or an algebra element as a tuple, or of each
+    coefficient of a Poly as a list of tuples, lowest power first: read from
+    the numerators over the denominator alone, as Fractions over Q and `QF`s
+    over Q(sqrt d), the scalars of `reference`."""
+    d, den = x.spec.field.d, x.den
 
+    def read(nums):
+        if d is None:
+            return tuple(Fraction(v, den) for v in nums)
+        return tuple(QF(Fraction(a, den), Fraction(b, den), d) for a, b in zip(nums[::2], nums[1::2]))
 
-def tuple_poly_mul(mul, f, g, zero):
-    """Convolution of coefficient-tuple lists with an injected multiplier."""
-    out = [zero] * (len(f) + len(g) - 1)
-    for i, ci in enumerate(f):
-        for j, dj in enumerate(g):
-            prod = mul(ci, dj)
-            out[i + j] = tuple(a + b for a, b in zip(out[i + j], prod))
-    return out
+    return [read(nums) for nums in zip(*x.cols)] if isinstance(x, Poly) else read(x.nums)
 
 
 def sqrt_bracket(n: int, bits: int) -> tuple[Fraction, Fraction]:
@@ -277,7 +254,7 @@ def reference_render(x) -> str:
     return " + ".join(parts)
 
 
-# -- the CLI in-process, and the benchmark's coordinates ----------------------------
+# -- the CLI in-process ------------------------------------------------------------
 
 
 def run_cli(argv, entry=main):
@@ -286,20 +263,3 @@ def run_cli(argv, entry=main):
     with contextlib.redirect_stdout(buf):
         code = entry(argv)
     return code, buf.getvalue()
-
-
-def coordinates(poly, alg):
-    """The coefficients of a Poly as the coordinate tuples of `alg`, an
-    `Algebra` of `perfbench/algebra.py`: Fractions over Q, its `QF` over Q(sqrt d)."""
-    from algebra import QF  # perfbench/ is on the path of every caller
-
-    w, den = poly.spec.table.width, poly.den
-    return [
-        tuple(
-            Fraction(nums[k], den)
-            if alg.d is None
-            else QF(Fraction(nums[k], den), Fraction(nums[k + 1], den), alg.d)
-            for k in range(0, len(nums), w)
-        )
-        for nums in zip(*poly.cols)
-    ]

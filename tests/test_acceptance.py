@@ -10,7 +10,6 @@ adjusted; see test_criterion_5_reference_composite_verbatim.
 import json
 import random
 import time
-from fractions import Fraction
 
 from quatdyn import (
     FieldSpec,
@@ -33,10 +32,9 @@ from helpers import (
     rand_quat,
     rand_solvable_poly,
     rand_subfield_pair,
+    reference,
     run_cli,
-    table_qconj,
-    table_qmul,
-    tuple_poly_mul,
+    values,
 )
 
 H = QuatSpec.standard()
@@ -259,11 +257,9 @@ def test_criterion_6_property_suites():
 
 def test_criterion_7_numeric_backend_sanity():
     g = Poly(H, [1, I, 1])
-    # companion checked against an independent table-expanded convolution
-    coeffs = [tuple(s.a for s in c.coords()) for c in g.coeffs]
-    conjugated = [table_qconj(c) for c in coeffs]
-    mul = lambda x, y: table_qmul(Fraction(-1), Fraction(-1), x, y)
-    oracle = tuple_poly_mul(mul, conjugated, coeffs, (Fraction(0),) * 4)
+    # companion checked against the reference algebra's convolution conj(g)*g
+    alg, coeffs = reference(H), values(g)
+    oracle = alg.pmul([alg.conj(c) for c in coeffs], coeffs)
     assert [c[0] for c in oracle] == [1, 0, 3, 0, 1]
     assert all(c[1] == c[2] == c[3] == 0 for c in oracle)
     C = companion(g)

@@ -416,17 +416,21 @@ def test_library_imports_only_the_standard_library():
     src/quatdyn names a standard module or quatdyn itself.  `_arith`, which
     every module may read, imports the standard library only, and `aberth`
     of quatdyn only `_kernel`, `errors` and `scalars`, so that numeric
-    extraction stays below the solver.  And each name a module imports is
-    read there (`__init__` exports its `__all__`)."""
+    extraction stays below the solver.  The reference algebra that the tests
+    and the benchmark check products with, `perfbench/algebra.py`, imports
+    the standard library only, so that it stays independent of the library.
+    And each name a module imports is read there (`__init__` exports its
+    `__all__`)."""
     import ast
 
+    import algebra
     import quatdyn
 
     # the quatdyn modules a module may import, where not all of them
-    limited = {"_arith.py": set(), "aberth.py": {"_kernel", "errors", "scalars"}}
+    limited = {"_arith.py": set(), "aberth.py": {"_kernel", "errors", "scalars"}, "algebra.py": set()}
     allowed = sys.stdlib_module_names | {"quatdyn"}
     foreign, unread = [], []
-    for path in sorted(Path(quatdyn.__file__).parent.glob("*.py")):
+    for path in sorted(Path(quatdyn.__file__).parent.glob("*.py")) + [Path(algebra.__file__)]:
         own = limited.get(path.name)
         tree = ast.parse(path.read_text(), str(path))
         read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,7 @@ from quatdyn import _kernel
 from quatdyn.cli import parse_algebra
 from quatdyn.parsing import parse_element, parse_poly
 
-from helpers import rand_oct, rand_poly, rand_quat, rand_scalar, rand_subfield_pair
+from helpers import rand_oct, rand_poly, rand_quat, rand_scalar, rand_subfield_pair, reference, values
 
 H = QuatSpec.standard()
 F5 = FieldSpec(5)
@@ -315,6 +316,27 @@ def test_composite_values_of_constants_and_linear_maps():
         values = f.composite_values(lam)
         for n in range(1, 5):
             assert next(values) == f.compose_iterate(n)(lam)
+
+
+STREAM_SPECS = [parse_algebra(text) for text in ("quat:-1,-1@Q", "quat:-1,-1@Q(s5)", "quat:2,1/3@Q", "oct:-1,-1,-1@Q")]
+
+
+@pytest.mark.parametrize("spec", STREAM_SPECS, ids=str)
+def test_value_streams_match_the_reference(spec):
+    """The first four values of `composite_values` and `eval_values`, and the
+    orbits of both semantics, equal the reference algebra's `composite_values`
+    and `eval_iterate`, on values read from numerators alone: f of degree 1 to
+    3, over Q and Q(s5), a table of den 3 and the octonions."""
+    rng, alg = random.Random(f"streams:{spec}"), reference(spec)
+    draw = rand_oct if isinstance(spec, OctSpec) else rand_quat
+    for degree in (1, 2, 3) * 2:
+        f, lam = rand_poly(rng, spec, degree, den=2), draw(rng, spec, den=2)
+        composites = alg.composite_values(values(f), values(lam), 4)
+        evals = alg.eval_iterate(values(f), values(lam), 4)
+        assert [values(v) for v in islice(f.composite_values(lam), 4)] == composites
+        assert [values(v) for v in islice(f.eval_values(lam), 4)] == evals
+        assert [values(p) for p in orbit(f, lam, 4).points] == composites
+        assert [values(p) for p in orbit(f, lam, 4, "eval").points] == evals
 
 
 def test_collapsing_composites_are_answered_at_every_n():

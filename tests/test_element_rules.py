@@ -1,8 +1,8 @@
 """`Element.inv` and `Element.commutes` against independent routes.
 
 The inverse is the kernel's one rule, conj(x) / N(x) on numerators with N(x)
-inverted through its field conjugate; it is checked by the multipliers of
-`helpers` (x * x^-1 = x^-1 * x = 1), over a field norm of either sign and
+inverted through its field conjugate; it is checked by the reference algebra
+of `helpers` (x * x^-1 = x^-1 * x = 1), over a field norm of either sign and
 over split algebras, where a nonzero element of norm zero has no inverse, and
 for the scalars of four ground fields, which take the same rule.
 `commutes` compares two products' numerators and must agree with the
@@ -19,7 +19,7 @@ from quatdyn import FieldSpec, OctSpec, Poly, SplitAlgebraError
 from quatdyn.cli import parse_algebra
 from quatdyn.parsing import parse_element
 
-from helpers import pair_omul, rand_oct, rand_quat, rand_scalar, table_qmul
+from helpers import rand_oct, rand_quat, rand_scalar, reference, values
 
 # a division algebra over Q, one over Q(s2) whose norms have field norms of
 # either sign, the octonions, and split algebras, whose random elements of
@@ -39,18 +39,11 @@ def _draw(rng, spec):
     return (rand_oct if isinstance(spec, OctSpec) else rand_quat)(rng, spec, span=2, den=3)
 
 
-def _oracle(spec):
-    """The product of coordinate tuples by `helpers`, independent of the kernel;
-    over a field, (a + b*s)(c + e*s) = a*c + d*b*e + (a*e + b*c)*s on Fractions."""
-    if isinstance(spec, FieldSpec):
-        def mul(x, y):
-            (a, b), (c, e) = ((v.a, v.b) for v in (*x, *y))
-            return (spec.scalar(a * c + (spec.d or 0) * b * e, a * e + b * c),)
-        return mul
-    if isinstance(spec, OctSpec):
-        q = spec.quat
-        return lambda x, y: pair_omul(q.alpha, q.beta, spec.gamma, x, y)
-    return lambda x, y: table_qmul(spec.alpha, spec.beta, x, y)
+def _product(x, y):
+    """The reference's scalars of x*y; over a field, its scalars' own product."""
+    if isinstance(x.spec, FieldSpec):
+        return (values(x)[0] * values(y)[0],)
+    return reference(x.spec).mul(values(x), values(y))
 
 
 @settings(max_examples=150, deadline=None)
@@ -63,10 +56,9 @@ def test_inverse_is_two_sided_by_the_oracle_multipliers(spec, seed):
         with pytest.raises(SplitAlgebraError):
             x.inv()
         return
-    mul, one = _oracle(spec), (1,) + (0,) * (len(x.BASIS) - 1)
-    y = x.inv()
-    assert mul(x.coords(), y.coords()) == one
-    assert mul(y.coords(), x.coords()) == one
+    y, one = x.inv(), values(spec.one())
+    assert _product(x, y) == one
+    assert _product(y, x) == one
 
 
 def test_inverse_of_chosen_elements():
@@ -75,7 +67,7 @@ def test_inverse_of_chosen_elements():
     x = parse_element("1+(1+s2)*i+1/3*k", spec)
     n = x.norm()
     assert n.a * n.a - 2 * n.b * n.b < 0
-    assert _oracle(spec)(x.coords(), x.inv().coords()) == (1, 0, 0, 0)
+    assert _product(x, x.inv()) == values(spec.one())
     # nonzero elements of norm zero
     for text, element in (("quat:1,-1@Q", "1+i"), ("quat:1,-1@Q(s2)", "s2+s2*i+(1+s2)*j+(1+s2)*k"),
                           ("oct:1,-1,-1@Q", "1+i+l+il")):
@@ -85,7 +77,7 @@ def test_inverse_of_chosen_elements():
             x.inv()
     # 1 + s2 has field norm -1
     s2 = FieldSpec(2).scalar(1, 1)
-    assert s2.inv() == FieldSpec(2).scalar(-1, 1) and _oracle(s2.spec)(s2.coords(), s2.inv().coords()) == (1,)
+    assert s2.inv() == FieldSpec(2).scalar(-1, 1) and _product(s2, s2.inv()) == values(s2.spec.one())
     for spec in ALGEBRAS + FIELDS:
         noun = spec.ELEMENT.__name__.lower()
         with pytest.raises(ZeroDivisionError, match=f"^inverse of the zero {noun}$"):

@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 from quatdyn import FieldSpec, OctSpec, ParseError, Poly, QQ, QuatSpec
 from quatdyn.parsing import _TOKEN_RE, _Parser, parse_element, parse_poly, parse_scalar
 
-from helpers import pair_omul, rand_oct, rand_quat
+import algebra
+from helpers import rand_oct, rand_quat, reference, values
 
 H = QuatSpec.standard()
 F5 = FieldSpec(5)
@@ -288,14 +289,12 @@ def test_heights_within_the_budget_are_accepted():
 
 
 def test_octonion_products_keep_written_order():
-    one = Fraction(1)
-    i, j, l = ([one if k == n else 0 * one for k in range(8)] for n in (1, 2, 4))
-    left = pair_omul(-one, -one, -one, pair_omul(-one, -one, -one, i, j), l)
-    right = pair_omul(-one, -one, -one, i, pair_omul(-one, -one, -one, j, l))
+    alg = reference(O)
+    i, j, l = (algebra.parse_element(sym, alg) for sym in "ijl")
+    left, right = alg.mul(alg.mul(i, j), l), alg.mul(i, alg.mul(j, l))
     assert left != right
     for source, expected in (("(i*j)*l", left), ("i*(j*l)", right)):
-        got = parse_element(source, O)
-        assert tuple(Fraction(v, got.den) for v in got.nums) == expected
+        assert values(parse_element(source, O)) == expected
     assert parse_element("(i*j)*l", O) != parse_element("i*(j*l)", O)
     # rationals lie in the nucleus: folding the 2 and the 3 out keeps the value
     assert parse_poly("(i*2)*(j*l)*3", O).render() == "(-6*kl)"

@@ -30,15 +30,7 @@ from quatdyn.cli import parse_algebra
 from quatdyn.polynomials import divmod_monic
 from quatdyn.solver import companion
 
-from helpers import (
-    pair_omul,
-    rand_oct,
-    rand_poly,
-    rand_quat,
-    rand_subfield_pair,
-    table_qmul,
-    tuple_poly_mul,
-)
+from helpers import rand_oct, rand_poly, rand_quat, rand_subfield_pair, reference, values
 
 H = QuatSpec.standard()
 O = OctSpec.standard()
@@ -65,14 +57,6 @@ polys = st.lists(quats, min_size=0, max_size=4).map(lambda cs: Poly(H, cs))
 
 
 SPLIT = QuatSpec(QQ, 1, 1)  # i*i = 1, so (1 + i)*(1 - i) = 0
-
-
-def _tuple_mul(spec):
-    """The tuple oracle's product of two coordinate tuples of spec."""
-    if isinstance(spec, OctSpec):
-        q = spec.quat
-        return lambda x, y: pair_omul(q.alpha, q.beta, spec.gamma, x, y)
-    return lambda x, y: table_qmul(spec.alpha, spec.beta, x, y)
 
 
 def assert_canonical(p):
@@ -137,25 +121,15 @@ def test_product_and_evaluation_match_tuple_oracles():
     rng = random.Random(41)
     for spec in TABLE_SPECS:
         draw = rand_oct if isinstance(spec, OctSpec) else rand_quat
-        mul = _tuple_mul(spec)
-        zero = spec.zero().coords()
+        alg = reference(spec)
         for _ in range(10):
             f = rand_poly(rng, spec, rng.randint(0, 3), den=2)
             g = rand_poly(rng, spec, rng.randint(0, 3), den=2)
-            expected = tuple_poly_mul(
-                mul, [c.coords() for c in f.coeffs], [c.coords() for c in g.coeffs], zero
-            )
-            while expected and not any(expected[-1]):  # split algebras drop degree
-                expected.pop()
-            assert [c.coords() for c in (f * g).coeffs] == expected
-
+            # trimmed: over a split algebra the top product may vanish
+            assert values(f * g) == alg.trim(alg.pmul(values(f), values(g)))
             # f(lam) = sum c_i lam^i with left-nested powers
             lam = draw(rng, spec, den=3)
-            value, power = zero, spec.one().coords()
-            for c in f.coeffs:
-                value = tuple(a + b for a, b in zip(value, mul(c.coords(), power)))
-                power = mul(power, lam.coords())
-            assert f(lam).coords() == value
+            assert values(f(lam)) == alg.evaluate(values(f), values(lam))
 
 
 # -- packed (Kronecker) products ------------------------------------------------
@@ -170,19 +144,15 @@ ENTRY = st.one_of(
 )
 
 
+def _values(spec, cols, den=1):
+    """The reference's scalars of each coefficient of columns over den, trailing
+    zeros kept: product columns lie over the table's denominator."""
+    return [values(spec.ELEMENT(spec, nums, den)) for nums in zip(*cols)]
+
+
 def _tuple_product(spec, F, G):
-    """Coordinates of the product of two column polynomials by the tuple oracle."""
-    mul = _tuple_mul(spec)
-    element = type(spec.one())
-    f = [element(spec, nums).coords() for nums in zip(*F)]
-    g = [element(spec, nums).coords() for nums in zip(*G)]
-    return tuple_poly_mul(mul, f, g, spec.zero().coords())
-
-
-def _coords(spec, cols):
-    """Coordinates of product columns, which lie over the table's denominator."""
-    element = type(spec.one())
-    return [element(spec, nums, spec.table.den).coords() for nums in zip(*cols)]
+    """The reference's product of two column polynomials over 1."""
+    return reference(spec).pmul(_values(spec, F), _values(spec, G))
 
 
 def _packed(table, F, G):
@@ -205,8 +175,8 @@ def test_poly_mul_matches_the_tuple_oracle_on_both_paths(data):
     F = columns(data.draw(st.integers(1, 12)))
     G = F if data.draw(st.booleans()) else columns(data.draw(st.integers(1, 12)))
     expected = _tuple_product(spec, F, G)
-    assert _coords(spec, spec.table.poly_mul(F, G)) == expected
-    assert _coords(spec, _packed(spec.table, F, G)) == expected
+    assert _values(spec, spec.table.poly_mul(F, G), spec.table.den) == expected
+    assert _values(spec, _packed(spec.table, F, G), spec.table.den) == expected
 
 
 @pytest.mark.parametrize("spec", KRONECKER_SPECS, ids=str)
@@ -243,17 +213,14 @@ NORM_SPECS = KRONECKER_SPECS + [
 
 
 def _conj_square(spec, F):
-    """Ground-field coordinates of the coefficients of conj(F)*F by the tuple oracle."""
-    element = type(spec.one())
-    f = [element(spec, nums).coords() for nums in zip(*F)]
-    conj = [(c[0], *(-v for v in c[1:])) for c in f]
-    return [c[0] for c in tuple_poly_mul(_tuple_mul(spec), conj, f, spec.zero().coords())]
+    """Ground-field coordinates of the coefficients of conj(F)*F by the reference."""
+    alg, f = reference(spec), _values(spec, F)
+    return [c[:1] for c in alg.pmul([alg.conj(c) for c in f], f)]
 
 
 def _ground(spec, cols):
     """Values of norm-form columns, which lie over the table's denominator."""
-    field = spec.field
-    return [field.ELEMENT(field, nums, spec.table.den) for nums in zip(*cols)]
+    return _values(spec.field, cols, spec.table.den)
 
 
 @settings(max_examples=60, deadline=None)
@@ -433,9 +400,9 @@ def test_poly_mul_takes_the_path_of_its_rule(monkeypatch):
 
 
 def _power_columns(P, G):
-    """Columns of P * G over H = (-1, -1), by the tuple oracle on integers."""
-    product = tuple_poly_mul(lambda x, y: table_qmul(-1, -1, x, y), [*zip(*P)], [*zip(*G)], (0,) * 4)
-    return [list(col) for col in zip(*product)]
+    """Columns of P * G over H = (-1, -1), by the reference on integers."""
+    product = reference(H).pmul([*zip(*P)], [*zip(*G)])
+    return [[int(v) for v in col] for col in zip(*product)]
 
 
 def test_compose_takes_the_path_of_its_rule(monkeypatch):
@@ -488,7 +455,7 @@ class _CountedColumns(list):
 def test_compose_reads_g_once_to_measure_it(monkeypatch, m, limit):
     """On the packed path, compose measures g once and packs it once per slot
     it is packed at: the composite's, and the square's for m = 3.  Its
-    result is the tuple oracle's sum c_i * (g^i)."""
+    result is the reference's sum c_i * (g^i)."""
     rng = random.Random(m)
     G = _CountedColumns([[rng.randint(-9, 9) for _ in range(16)] for _ in range(H.table.dim)])
     F = [[rng.randint(1, 9) for _ in range(m + 1)] for _ in range(H.table.dim)]
@@ -499,26 +466,21 @@ def test_compose_reads_g_once_to_measure_it(monkeypatch, m, limit):
     assert G.passes <= limit
     f, g = Poly.from_cols(H, F, 1), Poly.from_cols(H, list(G), 1)
     composite = Poly.from_cols(H, cols, 1)
-    assert [c.coords() for c in composite.coeffs] == _tuple_compose(H, f, g)
+    assert values(composite) == _tuple_compose(f, g)
 
 
-def _tuple_compose(spec, f, g):
-    """Coordinates of sum c_i * (g^i), the powers left-nested, by the tuple oracle."""
-    mul, zero = _tuple_mul(spec), spec.zero().coords()
-    f, g = [c.coords() for c in f.coeffs], [c.coords() for c in g.coeffs]
+def _tuple_compose(f, g):
+    """The reference's sum c_i * (g^i), the powers left-nested."""
+    alg, f, g = reference(f.spec), values(f), values(g)
     out, power = f[:1], None
     for c in f[1:]:
-        power = g if power is None else tuple_poly_mul(mul, power, g, zero)
-        term = tuple_poly_mul(mul, [c], power, zero)
-        out += [zero] * (len(term) - len(out))
-        out = [tuple(a + b for a, b in zip(x, y)) for x, y in zip(out, term)] + out[len(term):]
-    while out and not any(out[-1]):
-        out.pop()
-    return out
+        power = g if power is None else alg.pmul(power, g)
+        out = alg.padd(out, alg.pmul([c], power))
+    return alg.trim(out)
 
 
 def test_compose_equals_the_tuple_oracle():
-    """compose against sum c_i * (g^i) on coordinate tuples (`tuple_poly_mul`).
+    """compose against the reference's sum c_i * (g^i) (`_tuple_compose`).
 
     The cases reach each path of `Table.compose`: degrees of f up to 6, some
     sparse, form the powers by `poly_mul` and the top one by the packed pair
@@ -558,7 +520,7 @@ def test_compose_equals_the_tuple_oracle():
         cases.append(tuple(dens))
     for f, g in cases:
         composite = f.compose(g)
-        assert [c.coords() for c in composite.coeffs] == _tuple_compose(f.spec, f, g)
+        assert values(composite) == _tuple_compose(f, g)
         assert_canonical(composite)
 
 

@@ -28,15 +28,15 @@ from quatdyn import (
 )
 from quatdyn import _arith
 
+from algebra import QF
 from helpers import (
     rand_poly,
     rand_quat,
     rand_scalar,
     rand_solvable_poly,
+    reference,
     sqrt_bracket,
-    table_qconj,
-    table_qmul,
-    tuple_poly_mul,
+    values,
 )
 
 H = QuatSpec.standard()
@@ -47,14 +47,10 @@ G_EXAMPLE = Poly(H, [1 + K, I, 1])  # x^2 + ix + 1 + ij
 
 
 def oracle_companion(g: Poly) -> list[Fraction]:
-    """Companion coefficients by table-expanded convolution, bypassing Poly."""
-    al = g.spec.alpha.a
-    be = g.spec.beta.a
-    coeffs = [tuple(s.a for s in c.coords()) for c in g.coeffs]
-    conjugated = [table_qconj(c) for c in coeffs]
-    mul = lambda x, y: table_qmul(al, be, x, y)
-    prod = tuple_poly_mul(mul, conjugated, coeffs, (Fraction(0),) * 4)
-    assert all(c[1] == c[2] == c[3] == 0 for c in prod)
+    """Companion coefficients by the reference's convolution conj(g)*g, bypassing Poly."""
+    alg, coeffs = reference(g.spec), values(g)
+    prod = alg.pmul([alg.conj(c) for c in coeffs], coeffs)
+    assert not any(any(c[1:]) for c in prod)
     return [c[0] for c in prod]
 
 
@@ -469,17 +465,19 @@ def test_numeric_class_kinds(algebra, text, kinds):
 
 
 def _bounds(s) -> tuple[Fraction, Fraction]:
-    """Rational bounds, 2**-60 apart relative, of a ground-field scalar a + b*sqrt d."""
+    """Rational bounds, 2**-60 apart relative, of a reference scalar: a Fraction,
+    or a `QF` a + b*sqrt d."""
+    a, b, d = (s.a, s.b, s.d) if isinstance(s, QF) else (s, 0, None)
     bits = 64
     while True:
-        lo, hi = sorted(s.a + s.b * r for r in sqrt_bracket(s.field.d, bits)) if s.b else (s.a, s.a)
+        lo, hi = sorted(a + b * r for r in sqrt_bracket(d, bits)) if b else (a, a)
         if hi - lo <= abs(lo) / 2**60:
             return lo, hi
         bits *= 2
 
 
 def _norm_below(q) -> Fraction:
-    """A lower bound of the Euclidean norm of a 4-tuple of ground-field scalars."""
+    """A lower bound of the Euclidean norm of a tuple of reference scalars."""
     s = max(_bounds(sum(c * c for c in q))[0], Fraction(0))
     return Fraction(math.isqrt(s.numerator * s.denominator << 128), s.denominator << 64)
 
@@ -494,16 +492,16 @@ def test_numeric_points_hold_by_exact_substitution(algebra, text):
     from quatdyn.solver import DEFAULT_TOLERANCE
 
     g = parse_poly(text, parse_algebra(algebra))
-    coeffs = [coeff.coords() for coeff in g.coeffs]
+    alg, coeffs = reference(g.spec), values(g)
     for sol in roots(g, mode="numeric"):
         if sol.kind == "anomaly":
             assert "bits would resolve the class" in sol.detail
         if sol.kind != "point":
             continue
-        lam = sol.point.coords()
+        lam = values(sol.point)
         value = coeffs[-1]
         for c in reversed(coeffs[:-1]):  # Horner's rule
-            value = tuple(a + b for a, b in zip(table_qmul(-1, -1, value, lam), c))
+            value = alg.add(alg.mul(value, lam), c)
         lo, hi = _bounds(sum(c * c for c in value))
         size = _norm_below(lam)
         scale = sum(_norm_below(c) * size**k for k, c in enumerate(coeffs))
@@ -524,10 +522,10 @@ def test_size_is_a_tight_lower_bound_where_radicals_cancel():
         # 1393 - 985*s2 and 682 - 305*s5 are below 10^-3
         for a, b in [(1, -1), (-2, 1), (3, -1), (-2, 2), (-1, 1), (1393, -985), (682, -305)]:
             z = field.scalar(a * unit, b * unit)
-            for v, coords in [(z, [z]), (spec.element(z, z * z, 0, z), [z, z * z, z])]:
+            for v in (z, spec.element(z, z * z, 0, z)):
                 m, e = _size(v)
                 size = m * Fraction(2) ** e
-                lo, hi = _bounds(sum(c * c for c in coords))
+                lo, hi = _bounds(sum(c * c for c in values(v)))
                 assert size**2 <= lo and hi < (size * (1 + Fraction(1, 2**60))) ** 2
 
 

@@ -1,7 +1,7 @@
 """The products of a structure-constant table, compiled from its rows and its
-square's rows, against independent oracles: the tuple multipliers of
-`helpers` (`table_qmul`, `pair_omul`), (a + b*sqrt d)(c + e*sqrt d) written
-out for a ground field, and a plain walk of the rows.
+square's rows, against independent oracles: the reference algebra of
+`helpers.reference` and its scalars' own product for a ground field, on
+values read from numerators alone, and a plain walk of the rows.
 """
 
 import os
@@ -18,7 +18,7 @@ from quatdyn import QQ, FieldSpec, OctSpec, QuatSpec
 from quatdyn._kernel import _profile
 from quatdyn.cli import main, parse_algebra
 
-from helpers import pair_omul, table_qmul
+from helpers import reference, values
 
 F5, F_3 = FieldSpec(5), FieldSpec(-3)
 THIRD = QuatSpec(QQ, 2, Fraction(1, 3))  # table den 3
@@ -47,25 +47,17 @@ def _walk(table, x, y):
     return out
 
 
-def _values(spec, nums, den):
-    """The coordinates of nums/den as Fractions (field) or ground-field scalars."""
-    if isinstance(spec, FieldSpec):
-        return tuple(Fraction(v, den) for v in nums)
-    return spec.ELEMENT(spec, nums, den).coords()
+def _values(spec, nums, den=1):
+    """The reference's scalars of the element nums/den of spec."""
+    return values(spec.ELEMENT(spec, nums, den))
 
 
 def _oracle(spec, x, y):
-    """Coordinates of x*y by the independent multipliers."""
+    """The reference's scalars of x*y, for numerators x and y over 1."""
+    X, Y = _values(spec, x), _values(spec, y)
     if isinstance(spec, FieldSpec):
-        a, b = x if spec.d else (x[0], 0)
-        c, e = y if spec.d else (y[0], 0)
-        prod = (a * c + (spec.d or 0) * b * e, a * e + b * c)
-        return tuple(Fraction(v) for v in prod[: len(x)])
-    X, Y = _values(spec, x, 1), _values(spec, y, 1)
-    if isinstance(spec, OctSpec):
-        q = spec.quat
-        return pair_omul(q.alpha, q.beta, spec.gamma, X, Y)
-    return table_qmul(spec.alpha, spec.beta, X, Y)
+        return (X[0] * Y[0],)
+    return reference(spec).mul(X, Y)
 
 
 @st.composite
@@ -101,7 +93,7 @@ def test_compiled_product_matches_the_oracles(data):
     else:
         w, field = table.width, spec.field
         conj = x[:w] + tuple(-v for v in x[w:])
-        assert field.ELEMENT(field, form.mul(x, y), form.den) == _oracle(spec, conj, y)[0]
+        assert _values(field, form.mul(x, y), form.den) == _oracle(spec, conj, y)[:1]
 
 
 def test_constants_of_thousands_of_digits_are_bound_by_name(capsys):
